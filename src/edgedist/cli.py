@@ -9,14 +9,15 @@ explicit --seed flags.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
+import math
 import os
 import random
 import sys
 import tempfile
 from pathlib import Path
 
-from . import geo, handover, ingest, stats, synth, transit
+from . import handover, ingest, stats, synth, transit
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -70,6 +71,24 @@ def _parse_grid(spec: str) -> list[float]:
         grid.append(round(value, 9))
         value += step
     return grid
+
+
+def pair_at(items, i: int):
+    """``list(itertools.combinations(items, 2))[i]`` without building the list."""
+    n = len(items)
+    from_end = n * (n - 1) // 2 - 1 - i
+    if i < 0 or from_end < 0:
+        raise IndexError(f"pair index {i} out of range for {n} items")
+    # the pair's first item has k later items, with C(k, 2) <= from_end < C(k + 1, 2)
+    k = (1 + math.isqrt(1 + 8 * from_end)) // 2
+    first = n - 1 - k
+    return items[first], items[first + 1 + k * (k + 1) // 2 - 1 - from_end]
+
+
+def _sample_pairs(count: int, pair, k: int, rng: random.Random) -> list:
+    """pair(i) for the k indices that rng.sample draws from range(count),
+    in index order."""
+    return [pair(i) for i in sorted(rng.sample(range(count), k))]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +153,8 @@ def cmd_pairs(args) -> int:
         print("error: no traces in input", file=sys.stderr)
         return EXIT_FATAL
     if args.pairs_file:
-        pairs = _load_pairs_file(args.pairs_file)
+        listed = _load_pairs_file(args.pairs_file)
+        count, pair = len(listed), listed.__getitem__
     else:
         destinations = sorted(
             {
@@ -144,10 +164,12 @@ def cmd_pairs(args) -> int:
                 if t.reached
             }
         )
-        pairs = list(itertools.combinations(destinations, 2))
-    if args.max_pairs is not None and len(pairs) > args.max_pairs:
-        rng = random.Random(args.seed)
-        pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), args.max_pairs))]
+        count = len(destinations) * (len(destinations) - 1) // 2
+        pair = functools.partial(pair_at, destinations)
+    if args.max_pairs is not None and count > args.max_pairs:
+        pairs = _sample_pairs(count, pair, args.max_pairs, random.Random(args.seed))
+    else:
+        pairs = [pair(i) for i in range(count)]
     outcomes, batch = transit.batch_estimate(traces_by_origin, pairs, _estimate_options(args))
     _atomic_via(args.output, lambda p: transit.write_outcomes(outcomes, p))
     _say(args, f"pairs={batch.total_pairs} succeeded={batch.succeeded} "
@@ -248,9 +270,9 @@ def cmd_simulate(args) -> int:
     hosts = topology.hosts
     n_origins = min(args.origins, len(routers))
     origins = sorted(rng.sample(routers, n_origins))
-    all_pairs = list(itertools.combinations(hosts, 2))
-    n_pairs = min(args.pairs, len(all_pairs))
-    pairs = [all_pairs[i] for i in sorted(rng.sample(range(len(all_pairs)), n_pairs))]
+    count = len(hosts) * (len(hosts) - 1) // 2
+    pairs = _sample_pairs(count, functools.partial(pair_at, hosts),
+                          min(args.pairs, count), rng)
     options = synth.SimOptions(
         block_probability=float(inject.get("block", 0.0)),
         asymmetry_probability=float(inject.get("asymmetry", 0.0)),
@@ -265,10 +287,7 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     _atomic_via(outdir / "topology.jsonl", lambda p: synth.save_topology(topology, p))
-    sim = synth.Simulator(topology, options)
-    targets = sorted({h for pair in pairs for h in pair})
-    for origin in origins:
-        traces = [sim.trace(origin, host)[0] for host in targets]
+    for origin, traces in report.traces_by_origin.items():
         _atomic_via(outdir / f"traces_{origin}.jsonl",
                     lambda p, t=traces: ingest.write_canonical(t, p))
     _atomic_write(outdir / "pairs.csv",

@@ -145,18 +145,52 @@ def min_hop_distance(topology: Topology, a: str, b: str) -> int:
     """Unweighted shortest hop distance (BFS oracle)."""
     if a == b:
         return 0
+    levels = _bfs_levels(topology, a)
+    if b not in levels:
+        raise ValueError(f"{b} unreachable from {a}")
+    return levels[b]
+
+
+def _bfs_levels(topology: Topology, source: str) -> dict[str, int]:
+    """Unweighted hop distance from ``source`` to every reachable node."""
     adj = topology.adjacency()
-    seen = {a: 0}
-    queue = deque([a])
+    levels = {source: 0}
+    queue = deque([source])
     while queue:
         u = queue.popleft()
+        level = levels[u] + 1
         for v, _ in adj[u]:
-            if v not in seen:
-                seen[v] = seen[u] + 1
-                if v == b:
-                    return seen[v]
+            if v not in levels:
+                levels[v] = level
                 queue.append(v)
-    raise ValueError(f"{b} unreachable from {a}")
+    return levels
+
+
+def _pair_truths(
+    topology: Topology, node_pairs: list[tuple[str, str]]
+) -> tuple[list[int], list[float]]:
+    """min_hop_distance and true_distance's latency for every node pair.
+
+    Runs one BFS and one Dijkstra per distinct source node and holds only
+    the current source's searches.
+    """
+    by_source: dict[str, list[int]] = {}
+    for i, (a, _) in enumerate(node_pairs):
+        by_source.setdefault(a, []).append(i)
+    hops: list[int | None] = [None] * len(node_pairs)
+    latencies = [0.0] * len(node_pairs)
+    for source, indices in by_source.items():
+        levels = _bfs_levels(topology, source)
+        dist, _ = dijkstra(topology, source)
+        for i in indices:
+            b = node_pairs[i][1]
+            if b in levels:
+                hops[i] = levels[b]
+                latencies[i] = dist[b]
+    for (a, b), h in zip(node_pairs, hops):
+        if h is None:
+            raise ValueError(f"{b} unreachable from {a}")
+    return hops, latencies
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +279,8 @@ def _random_geometric(params, rng, seed) -> Topology | None:
             if d <= radius:
                 _symmetric_edge(edges, u, v, _quantize(d * scale))
     # connectivity over the router graph before hosts come in
-    if not _connected(names, edges):
+    routers_only = Topology(nodes=tuple(names), edges=edges, host_attachment={})
+    if len(_bfs_levels(routers_only, names[0])) < n:
         return None
     attachment: dict[str, str] = {}
     _attach_hosts(edges, attachment, names)
@@ -283,23 +318,6 @@ def _two_tier(params, rng, seed) -> Topology:
     _attach_hosts(edges, attachment, leaf_nodes)
     nodes = tuple(transit_nodes + leaf_nodes + sorted(attachment))
     return Topology(nodes=nodes, edges=edges, host_attachment=attachment, seed=seed)
-
-
-def _connected(names, edges) -> bool:
-    if not names:
-        return False
-    adj: dict[str, list[str]] = {n: [] for n in names}
-    for (u, v) in edges:
-        adj[u].append(v)
-    seen = {names[0]}
-    queue = deque([names[0]])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(names)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +489,7 @@ class ExperimentReport:
     results: list[PairResult]
     stats: BatchStats
     outcomes: list[PairOutcome]
+    traces_by_origin: dict[str, list[TracePath]]  # per origin, one trace per target host
     truths: dict[tuple[str, str], TraceTruth]
     soundness_violations: int
     tight_hits: int
@@ -542,6 +561,14 @@ def run_experiment(
         traces_by_origin[origin] = rows
 
     outcomes, stats = batch_estimate(traces_by_origin, pairs, est_options)
+    true_hops, true_lats = _pair_truths(
+        topology,
+        [
+            (_endpoint_node(topology, a, est_options.mode),
+             _endpoint_node(topology, b, est_options.mode))
+            for a, b in pairs
+        ],
+    )
 
     results = []
     violations = 0
@@ -558,28 +585,24 @@ def run_experiment(
         for origin, rows in traces_by_origin.items()
         for tr in rows
     }
-    for (a, b), outcome in zip(pairs, outcomes):
-        ea = _endpoint_node(topology, a, est_options.mode)
-        eb = _endpoint_node(topology, b, est_options.mode)
-        true_hops = min_hop_distance(topology, ea, eb)
-        _, true_lat = true_distance(topology, ea, eb)
+    for (a, b), outcome, true_hop, true_lat in zip(pairs, outcomes, true_hops, true_lats):
         hop_bound = None if outcome.best_hop is None else outcome.best_hop.hop_bound
         rtt_bound = None if outcome.best_rtt is None else outcome.best_rtt.rtt_bound_ms
         sound = True
-        if hop_bound is not None and hop_bound < true_hops:
+        if hop_bound is not None and hop_bound < true_hop:
             sound = False
         if rtt_bound is not None and rtt_bound < 2 * true_lat - 1e-9:
             sound = False
         if not sound:
             violations += 1
-        tight_hop = hop_bound is not None and hop_bound == true_hops
+        tight_hop = hop_bound is not None and hop_bound == true_hop
         tight_rtt = rtt_bound is not None and abs(rtt_bound - 2 * true_lat) < 1e-9
         if tight_hop:
             tight_hits += 1
         results.append(
             PairResult(
                 pair=outcome.pair,
-                true_hops=true_hops,
+                true_hops=true_hop,
                 true_one_way_ms=true_lat,
                 best_hop_bound=hop_bound,
                 best_rtt_bound=rtt_bound,
@@ -604,6 +627,7 @@ def run_experiment(
         results=results,
         stats=stats,
         outcomes=outcomes,
+        traces_by_origin=traces_by_origin,
         truths=truths,
         soundness_violations=violations,
         tight_hits=tight_hits,

@@ -32,6 +32,10 @@ class EstimateOptions:
     eps_rtt: float = 0.0
     couple_metrics: bool = False
 
+    def __post_init__(self):
+        if self.mode not in (HOST, ACCESS_ROUTER):
+            raise ValueError(f"unknown endpoint mode {self.mode!r}")
+
 
 @dataclass
 class PairOutcome:
@@ -87,8 +91,10 @@ def last_common_hop(
 
     Among addresses responsive in both paths (up to the optional position
     limits) the one maximizing index_a + index_b wins; ties go to the larger
-    index_a, then the lexicographically smaller address.  Without a common
-    address the origin itself may serve as a (loose) transit at (0, 0).
+    index_a.  No further tie-break is needed: two candidates with equal
+    index_a + index_b and equal index_a have equal index_b too, so they are
+    the same hop of path b.  Without a common address the origin itself may
+    serve as a (loose) transit at (0, 0).
     """
     if path_a.origin_id != path_b.origin_id:
         raise ValueError(
@@ -102,34 +108,53 @@ def last_common_hop(
             )
     limit_a = len(path_a.hops) if limit_a is None else limit_a
     limit_b = len(path_b.hops) if limit_b is None else limit_b
+    return _join(
+        _deepest_positions(path_a, limit_a),
+        limit_a,
+        _deepest_positions(path_b, limit_b),
+        allow_origin_fallback,
+    )
 
-    # deepest position of each responsive address within the limits
-    pos_a: dict[str, int] = {}
-    for pos in range(1, limit_a + 1):
-        hop = path_a.hop(pos)
-        if hop.responsive:
-            pos_a[hop.address] = pos
-    best: TransitPoint | None = None
-    best_key = None
-    for pos in range(1, limit_b + 1):
-        hop = path_b.hop(pos)
-        if not hop.responsive or hop.address not in pos_a:
-            continue
-        ia = pos_a[hop.address]
-        key = (ia + pos, ia, _neg_lex(hop.address))
-        if best_key is None or key > best_key:
-            best_key = key
-            best = TransitPoint(address=hop.address, index_a=ia, index_b=pos)
+
+def _deepest_positions(trace: TracePath, limit: int) -> dict[str, int]:
+    """Deepest position of each responsive address within hops 1..limit,
+    in decreasing position order."""
+    if not 0 <= limit <= len(trace.hops):
+        raise ValueError(f"position limit {limit} outside a {len(trace.hops)}-hop trace")
+    positions: dict[str, int] = {}
+    for pos in range(limit, 0, -1):
+        address = trace.hops[pos - 1].address
+        if address is not None and address not in positions:
+            positions[address] = pos
+    return positions
+
+
+def _join(
+    positions_a: dict[str, int],
+    limit_a: int,
+    positions_b: dict[str, int],
+    allow_origin_fallback: bool,
+) -> TransitPoint | RejectReason:
+    """The transit scan shared by last_common_hop and estimate_pair.
+
+    Scans b deepest first, so a later candidate with an equal index sum
+    has the larger index_a and wins; stops once no index_a up to limit_a
+    can reach the best sum.
+    """
+    best = None
+    best_sum = 0
+    for address, ib in positions_b.items():
+        if ib + limit_a < best_sum:
+            break
+        ia = positions_a.get(address)
+        if ia is not None and ia + ib >= best_sum:
+            best_sum = ia + ib
+            best = (address, ia, ib)
     if best is not None:
-        return best
+        return TransitPoint(address=best[0], index_a=best[1], index_b=best[2])
     if allow_origin_fallback:
         return TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)
     return RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
-
-
-def _neg_lex(address: str):
-    # tuple of negated ordinals so "smaller address" sorts as the larger key
-    return tuple(-ord(c) for c in address)
 
 
 def validate_beyond_transit(
@@ -177,74 +202,103 @@ def validate_beyond_transit(
     return None
 
 
+class PreparedTrace:
+    """The facts ``estimate_pair`` needs from one trace, computed once.
+
+    Holds the endpoint for ``mode`` (None for an unreached trace) and the
+    deepest position of each responsive address up to it.  That mapping is
+    ordered deepest first, so its items are also the (address, position)
+    list the transit scan walks.  ``verdict`` memoizes
+    ``validate_beyond_transit`` per transit position and ``eps_rtt``.
+    """
+
+    __slots__ = ("trace", "mode", "endpoint", "positions", "_verdicts")
+
+    def __init__(self, trace: TracePath, mode: str = ACCESS_ROUTER):
+        self.trace = trace
+        self.mode = mode
+        self.endpoint = endpoint_of(trace, mode) if trace.reached else None
+        self.positions = _deepest_positions(trace, self.endpoint or 0)
+        self._verdicts: dict[tuple[int, float], RejectReason | None] = {}
+
+    def verdict(self, transit_pos: int, eps_rtt: float) -> RejectReason | None:
+        """validate_beyond_transit from transit_pos to the last hop."""
+        key = (transit_pos, eps_rtt)
+        if key not in self._verdicts:
+            self._verdicts[key] = validate_beyond_transit(
+                self.trace, transit_pos, len(self.trace.hops), eps_rtt
+            )
+        return self._verdicts[key]
+
+
 def estimate_pair(
-    path_a: TracePath,
-    path_b: TracePath,
+    path_a: TracePath | PreparedTrace,
+    path_b: TracePath | PreparedTrace,
     options: EstimateOptions = EstimateOptions(),
 ) -> PairEstimate | RejectReason:
     """Upper-bound the distance between two destinations seen from one origin.
 
     Symmetric in its two paths: the pair is canonicalized by destination
-    address before any tie-breaking happens.
+    address before any tie-breaking happens.  A ``TracePath`` is prepared on
+    entry; a ``PreparedTrace`` must have been prepared for ``options.mode``.
     """
-    if path_a.destination > path_b.destination:
-        path_a, path_b = path_b, path_a
-    try:
-        n_a = endpoint_of(path_a, options.mode)
-        n_b = endpoint_of(path_b, options.mode)
-    except ValueError:
-        bad = path_a if not path_a.reached else path_b
-        return RejectReason(
-            RejectKind.UNREACHABLE_DESTINATION,
-            f"destination {bad.destination} not reached",
+    a = path_a if isinstance(path_a, PreparedTrace) else PreparedTrace(path_a, options.mode)
+    b = path_b if isinstance(path_b, PreparedTrace) else PreparedTrace(path_b, options.mode)
+    if a.mode != options.mode or b.mode != options.mode:
+        raise ValueError(f"trace prepared for another mode than {options.mode!r}")
+    if a.trace.destination > b.trace.destination:
+        a, b = b, a
+    for p in (a, b):
+        if p.endpoint is None:
+            return RejectReason(
+                RejectKind.UNREACHABLE_DESTINATION,
+                f"destination {p.trace.destination} not reached",
+            )
+    if a.trace.origin_id != b.trace.origin_id:
+        raise ValueError(
+            f"traces from different origins: {a.trace.origin_id} vs {b.trace.origin_id}"
         )
-    transit = last_common_hop(
-        path_a,
-        path_b,
-        allow_origin_fallback=options.allow_origin_fallback,
-        limit_a=n_a,
-        limit_b=n_b,
-    )
+    transit = _join(a.positions, a.endpoint, b.positions, options.allow_origin_fallback)
     if isinstance(transit, RejectReason):
         return transit
     # validate the whole remaining path, not just up to the endpoint: a
     # cumulative RTT decrease between the access router and the destination
     # still signals asymmetry on the segment the tail RTTs depend on
-    for path, t_pos in ((path_a, transit.index_a), (path_b, transit.index_b)):
-        reject = validate_beyond_transit(path, t_pos, len(path.hops), options.eps_rtt)
+    for p, t_pos in ((a, transit.index_a), (b, transit.index_b)):
+        reject = p.verdict(t_pos, options.eps_rtt)
         if reject is not None:
             return reject
-
-    def tail_rtt(path: TracePath, t_pos: int, e_pos: int) -> float | RejectReason:
-        end_rtt = path.hop(e_pos).rtt_ms
-        if end_rtt is None:
-            return RejectReason(
-                RejectKind.MISSING_RTT_AT_TRANSIT,
-                f"no rtt at endpoint hop {e_pos} of {path.destination}",
-            )
-        start_rtt = 0.0 if t_pos == 0 else path.hop(t_pos).rtt_ms
-        diff = end_rtt - start_rtt
-        if diff < 0:
-            return RejectReason(
-                RejectKind.ASYMMETRY_SUSPECTED,
-                f"negative rtt difference {diff} on tail to {path.destination}",
-            )
-        return diff
-
-    rtt_a = tail_rtt(path_a, transit.index_a, n_a)
+    rtt_a = _tail_rtt(a.trace, transit.index_a, a.endpoint)
     if isinstance(rtt_a, RejectReason):
         return rtt_a
-    rtt_b = tail_rtt(path_b, transit.index_b, n_b)
+    rtt_b = _tail_rtt(b.trace, transit.index_b, b.endpoint)
     if isinstance(rtt_b, RejectReason):
         return rtt_b
     return PairEstimate(
-        endpoint_a=path_a.destination,
-        endpoint_b=path_b.destination,
-        origin_id=path_a.origin_id,
+        endpoint_a=a.trace.destination,
+        endpoint_b=b.trace.destination,
+        origin_id=a.trace.origin_id,
         transit=transit,
-        hop_bound=(n_a - transit.index_a) + (n_b - transit.index_b),
+        hop_bound=(a.endpoint - transit.index_a) + (b.endpoint - transit.index_b),
         rtt_bound_ms=rtt_a + rtt_b,
     )
+
+
+def _tail_rtt(path: TracePath, t_pos: int, e_pos: int) -> float | RejectReason:
+    end_rtt = path.hop(e_pos).rtt_ms
+    if end_rtt is None:
+        return RejectReason(
+            RejectKind.MISSING_RTT_AT_TRANSIT,
+            f"no rtt at endpoint hop {e_pos} of {path.destination}",
+        )
+    start_rtt = 0.0 if t_pos == 0 else path.hop(t_pos).rtt_ms
+    diff = end_rtt - start_rtt
+    if diff < 0:
+        return RejectReason(
+            RejectKind.ASYMMETRY_SUSPECTED,
+            f"negative rtt difference {diff} on tail to {path.destination}",
+        )
+    return diff
 
 
 def _accepted(per_origin):
@@ -292,7 +346,9 @@ def batch_estimate(
     A pair endpoint with no trace from an origin yields a NoTransit reject
     with detail "no trace" for that origin; it never aborts the batch.
     """
-    index: dict[str, dict[str, TracePath]] = {}
+    # per origin, destination -> its trace, replaced by the prepared trace
+    # the first time a pair needs it
+    index: dict[str, dict[str, TracePath | PreparedTrace]] = {}
     for origin, traces in traces_by_origin.items():
         by_dest = index.setdefault(origin, {})
         for trace in traces:
@@ -303,15 +359,19 @@ def batch_estimate(
 
     outcomes = []
     stats = BatchStats(total_pairs=len(pairs), succeeded=0)
+    origins = sorted(index)
     for a, b in pairs:
         per_origin: dict[str, PairEstimate | RejectReason] = {}
-        for origin in sorted(index):
-            ta = index[origin].get(a)
-            tb = index[origin].get(b)
-            if ta is None or tb is None:
-                per_origin[origin] = RejectReason(RejectKind.NO_TRANSIT, "no trace")
+        for origin in origins:
+            by_dest = index[origin]
+            if a in by_dest and b in by_dest:
+                per_origin[origin] = estimate_pair(
+                    _prepared(by_dest, a, options.mode),
+                    _prepared(by_dest, b, options.mode),
+                    options,
+                )
             else:
-                per_origin[origin] = estimate_pair(ta, tb, options)
+                per_origin[origin] = RejectReason(RejectKind.NO_TRANSIT, "no trace")
         outcome = min_over_origins(
             (min(a, b), max(a, b)), per_origin, options.couple_metrics
         )
@@ -322,6 +382,13 @@ def batch_estimate(
             if isinstance(est, RejectReason):
                 stats.reject_counts[est.kind.value] += 1
     return outcomes, stats
+
+
+def _prepared(by_dest: dict, destination: str, mode: str) -> PreparedTrace:
+    entry = by_dest[destination]
+    if isinstance(entry, TracePath):
+        entry = by_dest[destination] = PreparedTrace(entry, mode)
+    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,128 @@
+"""Reference estimator: ``estimate_pair`` and ``last_common_hop`` as they
+were before per-trace preparation, kept as a test oracle.
+
+Every call recomputes the endpoint, the address positions and the
+validation verdicts of both traces, and breaks ties on the address with
+``_neg_lex``.  The differential tests compare ``edgedist.transit`` against
+this module result for result.
+"""
+
+from __future__ import annotations
+
+from edgedist.model import (
+    PairEstimate,
+    RejectKind,
+    RejectReason,
+    TracePath,
+    TransitPoint,
+)
+from edgedist.transit import EstimateOptions, endpoint_of, validate_beyond_transit
+
+
+def last_common_hop(
+    path_a: TracePath,
+    path_b: TracePath,
+    allow_origin_fallback: bool = False,
+    limit_a: int | None = None,
+    limit_b: int | None = None,
+) -> TransitPoint | RejectReason:
+    if path_a.origin_id != path_b.origin_id:
+        raise ValueError(
+            f"traces from different origins: {path_a.origin_id} vs {path_b.origin_id}"
+        )
+    for path in (path_a, path_b):
+        if not path.reached:
+            return RejectReason(
+                RejectKind.UNREACHABLE_DESTINATION,
+                f"destination {path.destination} not reached",
+            )
+    limit_a = len(path_a.hops) if limit_a is None else limit_a
+    limit_b = len(path_b.hops) if limit_b is None else limit_b
+
+    pos_a: dict[str, int] = {}
+    for pos in range(1, limit_a + 1):
+        hop = path_a.hop(pos)
+        if hop.responsive:
+            pos_a[hop.address] = pos
+    best: TransitPoint | None = None
+    best_key = None
+    for pos in range(1, limit_b + 1):
+        hop = path_b.hop(pos)
+        if not hop.responsive or hop.address not in pos_a:
+            continue
+        ia = pos_a[hop.address]
+        key = (ia + pos, ia, _neg_lex(hop.address))
+        if best_key is None or key > best_key:
+            best_key = key
+            best = TransitPoint(address=hop.address, index_a=ia, index_b=pos)
+    if best is not None:
+        return best
+    if allow_origin_fallback:
+        return TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)
+    return RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
+
+
+def _neg_lex(address: str):
+    return tuple(-ord(c) for c in address)
+
+
+def estimate_pair(
+    path_a: TracePath,
+    path_b: TracePath,
+    options: EstimateOptions = EstimateOptions(),
+) -> PairEstimate | RejectReason:
+    if path_a.destination > path_b.destination:
+        path_a, path_b = path_b, path_a
+    try:
+        n_a = endpoint_of(path_a, options.mode)
+        n_b = endpoint_of(path_b, options.mode)
+    except ValueError:
+        bad = path_a if not path_a.reached else path_b
+        return RejectReason(
+            RejectKind.UNREACHABLE_DESTINATION,
+            f"destination {bad.destination} not reached",
+        )
+    transit = last_common_hop(
+        path_a,
+        path_b,
+        allow_origin_fallback=options.allow_origin_fallback,
+        limit_a=n_a,
+        limit_b=n_b,
+    )
+    if isinstance(transit, RejectReason):
+        return transit
+    for path, t_pos in ((path_a, transit.index_a), (path_b, transit.index_b)):
+        reject = validate_beyond_transit(path, t_pos, len(path.hops), options.eps_rtt)
+        if reject is not None:
+            return reject
+
+    def tail_rtt(path: TracePath, t_pos: int, e_pos: int) -> float | RejectReason:
+        end_rtt = path.hop(e_pos).rtt_ms
+        if end_rtt is None:
+            return RejectReason(
+                RejectKind.MISSING_RTT_AT_TRANSIT,
+                f"no rtt at endpoint hop {e_pos} of {path.destination}",
+            )
+        start_rtt = 0.0 if t_pos == 0 else path.hop(t_pos).rtt_ms
+        diff = end_rtt - start_rtt
+        if diff < 0:
+            return RejectReason(
+                RejectKind.ASYMMETRY_SUSPECTED,
+                f"negative rtt difference {diff} on tail to {path.destination}",
+            )
+        return diff
+
+    rtt_a = tail_rtt(path_a, transit.index_a, n_a)
+    if isinstance(rtt_a, RejectReason):
+        return rtt_a
+    rtt_b = tail_rtt(path_b, transit.index_b, n_b)
+    if isinstance(rtt_b, RejectReason):
+        return rtt_b
+    return PairEstimate(
+        endpoint_a=path_a.destination,
+        endpoint_b=path_b.destination,
+        origin_id=path_a.origin_id,
+        transit=transit,
+        hop_bound=(n_a - transit.index_a) + (n_b - transit.index_b),
+        rtt_bound_ms=rtt_a + rtt_b,
+    )

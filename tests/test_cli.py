@@ -1,10 +1,11 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from edgedist import ingest
-from edgedist.cli import main
+from edgedist.cli import main, pair_at
 
 from conftest import trace
 
@@ -235,3 +236,13 @@ def test_full_pipeline_from_simulated_traces(tmp_path, capsys):
     assert main(["handover", "--outcomes", str(outcomes),
                  "-o", str(curve)]) == 0
     assert curve.exists()
+
+
+def test_pair_at_unranks_combinations():
+    for d in range(31):
+        items = [f"n{k}" for k in range(d)]
+        combos = list(itertools.combinations(items, 2))
+        assert [pair_at(items, i) for i in range(len(combos))] == combos
+        for outside in (-1, len(combos)):
+            with pytest.raises(IndexError):
+                pair_at(items, outside)

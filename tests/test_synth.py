@@ -258,3 +258,45 @@ def test_topology_save_load_round_trip(tmp_path):
     assert loaded.edges == topo.edges
     assert loaded.host_attachment == topo.host_attachment
     assert loaded.seed == topo.seed
+
+
+@pytest.mark.parametrize("model, params", [
+    ("ring_of_stars", {"cores": 4, "leaves": 3}),
+    ("random_geometric", {"n": 20}),
+    ("two_tier", {"regions": 3, "leaves": 4, "peering": True}),
+])
+@pytest.mark.parametrize("mode", [HOST, ACCESS_ROUTER])
+def test_experiment_truth_matches_per_pair_searches(model, params, mode):
+    topo = generate_topology(model, params, seed=4)
+    pairs = list(itertools.combinations(topo.hosts, 2))
+    pairs += [(b, a) for a, b in pairs[::7]] + [(topo.hosts[0], topo.hosts[0])]
+    report = run_experiment(topo, topo.routers[:2], pairs,
+                            est_options=EstimateOptions(mode=mode))
+    node = (lambda h: h) if mode == HOST else topo.host_attachment.__getitem__
+    for (a, b), result in zip(pairs, report.results):
+        assert result.true_hops == min_hop_distance(topo, node(a), node(b))
+        assert result.true_one_way_ms == true_distance(topo, node(a), node(b))[1]
+
+
+def test_experiment_unreachable_pair_is_an_error():
+    # HC sits on a component of its own
+    topo = make_topology(
+        [("O", "A1", 1.0), ("A1", "B1", 1.0), ("C1", "C2", 1.0)],
+        {"HA": ("A1", 0.5), "HB": ("B1", 0.5), "HC": ("C1", 0.5)},
+    )
+    with pytest.raises(ValueError, match="^HC unreachable from HA$"):
+        run_experiment(topo, ["O"], [("HA", "HB"), ("HA", "HC")],
+                       est_options=EstimateOptions(mode=HOST))
+
+
+def test_experiment_report_carries_the_simulated_traces():
+    topo = generate_topology("two_tier", {"regions": 3, "leaves": 3}, seed=8)
+    opts = SimOptions(loop_probability=0.5, asymmetry_probability=0.3,
+                      asymmetry_delta_ms=20.0, seed=2)
+    pairs = [("T0A0.h", "T1A2.h"), ("T2A1.h", "T0A0.h")]
+    report = run_experiment(topo, ["T0", "T2"], pairs, opts)
+    sim = Simulator(topo, opts)
+    assert report.traces_by_origin == {
+        origin: [sim.trace(origin, h)[0] for h in ("T0A0.h", "T1A2.h", "T2A1.h")]
+        for origin in ("T0", "T2")
+    }

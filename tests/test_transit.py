@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from edgedist.model import PairEstimate, RejectKind, RejectReason
+from edgedist.model import PairEstimate, RejectKind, RejectReason, TracePath
 from edgedist.transit import (
     ACCESS_ROUTER,
     HOST,
     EstimateOptions,
+    PreparedTrace,
     batch_estimate,
     endpoint_of,
     estimate_pair,
@@ -19,6 +21,7 @@ from edgedist.transit import (
 )
 from edgedist import synth
 
+import reference_transit as reference
 from conftest import make_topology, trace
 
 
@@ -62,6 +65,12 @@ def test_endpoint_access_router_oracle_three_hops():
             (pos for pos in (2, 1) if t.hop(pos).responsive), 3
         )
         assert endpoint_of(t, ACCESS_ROUTER) == expected
+
+
+def test_unknown_mode_is_rejected_up_front():
+    # a misspelled mode used to read as "destination not reached" for every pair
+    with pytest.raises(ValueError, match="unknown endpoint mode 'acess_router'"):
+        EstimateOptions(mode="acess_router")
 
 
 # --- last_common_hop -------------------------------------------------------
@@ -129,11 +138,19 @@ def test_unresponsive_hops_never_match():
     assert isinstance(last_common_hop(a, b), RejectReason)
 
 
+def test_limit_beyond_the_trace_is_an_error():
+    a = _path("o", "b", ["a", "b"])
+    with pytest.raises(ValueError, match="position limit 3 outside a 2-hop trace"):
+        last_common_hop(a, a, limit_a=3)
+
+
 def test_differing_origins_is_an_error():
     a = _path("o1", "b", ["a", "b"])
     b = _path("o2", "b", ["a", "b"])
     with pytest.raises(ValueError):
         last_common_hop(a, b)
+    with pytest.raises(ValueError, match="different origins"):
+        estimate_pair(a, b)
 
 
 # --- validate_beyond_transit ----------------------------------------------
@@ -352,3 +369,102 @@ def test_outcomes_round_trip(tmp_path):
     write_outcomes(outcomes, path)
     loaded = read_outcomes(path)
     assert loaded == outcomes
+
+
+# --- prepared traces against the reference estimator -----------------------
+
+OPTION_GRID = [
+    EstimateOptions(mode=mode, allow_origin_fallback=fallback, eps_rtt=eps,
+                    couple_metrics=couple)
+    for mode in (HOST, ACCESS_ROUTER)
+    for fallback in (False, True)
+    for eps in (0.0, 0.75)
+    for couple in (False, True)
+]
+
+
+@st.composite
+def faulty_traces(draw):
+    """Synthetic traces from one or two origins to a few hosts, with loops,
+    asymmetry, blocking and jitter injected; some cut short (unreached)."""
+    model, params = draw(st.sampled_from([
+        (synth.RING_OF_STARS, {"cores": 4, "leaves": 2}),
+        (synth.TWO_TIER, {"regions": 3, "leaves": 3, "peering": True}),
+        (synth.RANDOM_GEOMETRIC, {"n": 12}),
+    ]))
+    topo = synth.generate_topology(model, params, seed=draw(st.integers(0, 30)))
+    options = synth.SimOptions(
+        block_probability=draw(st.sampled_from([0.0, 0.3])),
+        asymmetry_probability=draw(st.sampled_from([0.0, 0.3, 0.6])),
+        asymmetry_delta_ms=draw(st.sampled_from([0.5, 40.0])),
+        loop_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        rtt_jitter_ms=draw(st.sampled_from([0.0, 0.5])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    sim = synth.Simulator(topo, options)
+    hosts = draw(st.lists(st.sampled_from(topo.hosts), min_size=2, max_size=5, unique=True))
+    origins = draw(st.lists(st.sampled_from(topo.routers), min_size=1, max_size=2, unique=True))
+    traces_by_origin = {}
+    for origin in origins:
+        rows = []
+        for host in hosts:
+            tr, _ = sim.trace(origin, host)
+            if draw(st.integers(0, 5)) == 0:
+                tr = TracePath(origin, host, tr.hops[:len(tr.hops) // 2], reached=False)
+            rows.append(tr)
+        traces_by_origin[origin] = rows
+    return traces_by_origin, hosts
+
+
+@settings(max_examples=60, deadline=None)
+@given(faulty_traces())
+def test_prepared_estimator_matches_reference(campaign):
+    traces_by_origin, hosts = campaign
+    pairs = list(itertools.permutations(hosts, 2)) + [(h, h) for h in hosts]
+    by_origin = {
+        origin: {t.destination: t for t in rows}
+        for origin, rows in sorted(traces_by_origin.items())
+    }
+    # one prepared trace per (origin, mode), reused across the other options
+    prepared = {
+        (origin, mode, dest): PreparedTrace(t, mode)
+        for origin, by_dest in by_origin.items() for dest, t in by_dest.items()
+        for mode in (HOST, ACCESS_ROUTER)
+    }
+    for options in OPTION_GRID:
+        for origin, by_dest in by_origin.items():
+            for a, b in pairs:
+                expected = reference.estimate_pair(by_dest[a], by_dest[b], options)
+                assert estimate_pair(by_dest[a], by_dest[b], options) == expected
+                assert estimate_pair(
+                    prepared[origin, options.mode, a], prepared[origin, options.mode, b],
+                    options,
+                ) == expected
+        outcomes, _ = batch_estimate(traces_by_origin, pairs, options)
+        for (a, b), outcome in zip(pairs, outcomes):
+            per_origin = {
+                origin: reference.estimate_pair(by_dest[a], by_dest[b], options)
+                for origin, by_dest in by_origin.items()
+            }
+            assert outcome == min_over_origins(
+                (min(a, b), max(a, b)), per_origin, options.couple_metrics
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(faulty_traces(), st.integers(0, 12), st.integers(0, 12), st.booleans())
+def test_last_common_hop_matches_reference(campaign, cut_a, cut_b, fallback):
+    traces_by_origin, hosts = campaign
+    rows = next(iter(traces_by_origin.values()))
+    for ta, tb in itertools.product(rows, repeat=2):
+        limit_a, limit_b = min(cut_a, len(ta.hops)), min(cut_b, len(tb.hops))
+        for limits in ((None, None), (limit_a, limit_b)):
+            assert last_common_hop(ta, tb, fallback, *limits) == \
+                reference.last_common_hop(ta, tb, fallback, *limits)
+
+
+def test_prepared_trace_for_another_mode_is_an_error():
+    a = trace("o", "a", [("t", 2.0), ("a", 5.0)])
+    b = trace("o", "b", [("t", 2.0), ("b", 6.0)])
+    with pytest.raises(ValueError, match="another mode"):
+        estimate_pair(PreparedTrace(a, HOST), PreparedTrace(b, HOST), EstimateOptions())
