@@ -29,12 +29,19 @@ def _atomic_write(path: str | Path, text: str) -> None:
 
 
 def _atomic_via(path: str | Path, writer) -> None:
-    """Run writer(tmp_path) and rename into place only on success."""
+    """Run writer(tmp_path) and rename into place only on success.
+
+    The output gets the mode a plain open() would give it (0666 less the
+    umask); mkstemp alone would leave it at 0600.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         writer(tmp)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -186,7 +193,9 @@ def cmd_pairs(args) -> int:
 
 def cmd_dist(args) -> int:
     outcomes = transit.read_outcomes(args.outcomes)
-    code = EXIT_OK
+    if not any(oc.accepted for oc in outcomes):
+        print("error: no pair has an accepted estimate", file=sys.stderr)
+        return EXIT_PARTIAL
     for metric, suffix, width in (
         (stats.HOP_COUNT, "hops", 1.0),
         (stats.RTT_MS, "rtt", args.rtt_bin_width),
@@ -209,7 +218,7 @@ def cmd_dist(args) -> int:
             )
             _say(args, f"{metric} stability ({subset} x {trials}): "
                        f"max_mean_dev={mean_dev:.4f} max_std_dev={std_dev:.4f}")
-    return code
+    return EXIT_OK
 
 
 def _load_rtt_distribution(args):

@@ -3,12 +3,14 @@
 Addresses are opaque strings (IPv4 dotted quads in real data, symbolic node
 ids in synthetic data); two addresses are equal iff their strings are equal.
 Hop positions are 1-based, matching traceroute's TTL numbering.
-All types are immutable after construction.
+All types are immutable after construction, and slotted: a campaign holds
+hundreds of thousands of hops and estimates, and an instance without a
+``__dict__`` is one object for the cyclic GC to track instead of two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -24,13 +26,13 @@ class RejectKind(Enum):
     MISSING_RTT_AT_TRANSIT = "MissingRttAtTransit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectReason:
     kind: RejectKind
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HopRecord:
     """One TTL step of a trace.
 
@@ -61,7 +63,7 @@ class HopRecord:
         return self.address is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TracePath:
     """One traceroute result: ordered hops from an origin toward a destination."""
 
@@ -100,7 +102,7 @@ class TracePath:
         return self.hops[position - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitPoint:
     """Last common hop of two traces from one origin.
 
@@ -124,7 +126,7 @@ class TransitPoint:
                 raise TraceError("transit indices are 1-based")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairEstimate:
     """Upper bound on hop count and RTT between two endpoints via a transit."""
 

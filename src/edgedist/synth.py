@@ -580,8 +580,8 @@ def run_experiment(
         "corrupt_accept": 0,
         "corrupt_reject": 0,
     }
-    trace_index = {
-        (origin, tr.destination): tr
+    decrease_at = {
+        (origin, tr.destination): _deepest_decrease(tr)
         for origin, rows in traces_by_origin.items()
         for tr in rows
     }
@@ -621,7 +621,10 @@ def run_experiment(
             accepted = isinstance(est, PairEstimate)
             key = ("corrupt" if corrupted else "clean") + ("_accept" if accepted else "_reject")
             confusion[key] += 1
-            if accepted and _segment_decreases(trace_index, origin, est):
+            if accepted and (
+                decrease_at[origin, est.endpoint_a] >= max(est.transit.index_a, 1)
+                or decrease_at[origin, est.endpoint_b] >= max(est.transit.index_b, 1)
+            ):
                 false_rtt_accepts += 1
     return ExperimentReport(
         results=results,
@@ -636,21 +639,23 @@ def run_experiment(
     )
 
 
-def _segment_decreases(trace_index, origin, est: PairEstimate) -> bool:
-    """Independent re-scan of accepted tails for cumulative RTT decreases."""
-    for endpoint, start in (
-        (est.endpoint_a, est.transit.index_a),
-        (est.endpoint_b, est.transit.index_b),
-    ):
-        trace = trace_index[(origin, endpoint)]
-        rtts = [
-            h.rtt_ms
-            for h in trace.hops[max(start - 1, 0):]
-            if h.rtt_ms is not None
-        ]
-        if any(b < a for a, b in zip(rtts, rtts[1:])):
-            return True
-    return False
+def _deepest_decrease(trace: TracePath) -> int:
+    """Deepest position whose cumulative RTT exceeds that of the next
+    RTT-bearing hop, 0 if there is none: the tail from transit position
+    ``start`` decreases exactly when this is at least ``max(start, 1)``.
+
+    An independent re-scan, not ``transit``'s validator, so accepted
+    estimates can be cross-checked against it.
+    """
+    deepest = 0
+    prev_pos = prev_rtt = None
+    for pos, hop in enumerate(trace.hops, start=1):
+        if hop.rtt_ms is None:
+            continue
+        if prev_rtt is not None and hop.rtt_ms < prev_rtt:
+            deepest = prev_pos
+        prev_pos, prev_rtt = pos, hop.rtt_ms
+    return deepest
 
 
 # ---------------------------------------------------------------------------

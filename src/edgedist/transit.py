@@ -406,20 +406,6 @@ def _estimate_to_obj(est: PairEstimate | RejectReason):
     return {"reject": est.kind.value, "detail": est.detail}
 
 
-def _estimate_from_obj(obj, pair, origin):
-    if "reject" in obj:
-        return RejectReason(RejectKind(obj["reject"]), obj.get("detail", ""))
-    addr, ia, ib = obj["transit"]
-    transit = TransitPoint(
-        address=addr, index_a=ia, index_b=ib,
-        is_origin_fallback=obj.get("origin_fallback", False),
-    )
-    return PairEstimate(
-        endpoint_a=pair[0], endpoint_b=pair[1], origin_id=origin,
-        transit=transit, hop_bound=obj["hop_bound"], rtt_bound_ms=obj["rtt_bound_ms"],
-    )
-
-
 def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for oc in outcomes:
@@ -439,6 +425,43 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
 
 
 def read_outcomes(path: str | Path) -> list[PairOutcome]:
+    """Decode an outcome file written by ``write_outcomes``.
+
+    Each distinct reject reason and transit point is built once per file
+    and shared (both are frozen), and a best bound whose entry equals the
+    per-origin entry of the origin it names is that entry's estimate.
+    A malformed record raises ValueError naming its line.
+    """
+    rejects: dict[tuple, RejectReason] = {}
+    transits: dict[tuple, TransitPoint] = {}
+
+    def estimate(obj, a: str, b: str, origin: str) -> PairEstimate | RejectReason:
+        if "reject" in obj:
+            key = (obj["reject"], obj.get("detail", ""))
+            reason = rejects.get(key)
+            if reason is None:
+                reason = rejects[key] = RejectReason(RejectKind(key[0]), key[1])
+            return reason
+        address, index_a, index_b = obj["transit"]
+        key = (address, index_a, index_b, obj.get("origin_fallback", False))
+        transit = transits.get(key)
+        if transit is None:
+            transit = transits[key] = TransitPoint(*key)
+        return PairEstimate(a, b, origin, transit, obj["hop_bound"], obj["rtt_bound_ms"])
+
+    def best(rec: dict, name: str, per_origin: dict, a: str, b: str) -> PairEstimate | None:
+        obj = rec[name]
+        if obj is None:
+            return None
+        origin = rec[f"{name}_origin"]
+        if obj == rec["per_origin"].get(origin):
+            est = per_origin[origin]
+        else:
+            est = estimate(obj, a, b, origin)
+        if not isinstance(est, PairEstimate):
+            raise ValueError(f"{name} is a reject entry")
+        return est
+
     outcomes = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -446,20 +469,19 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
                 continue
             try:
                 rec = json.loads(line)
-                pair = tuple(rec["pair"])
+                a, b = rec["pair"]
+                objs = rec["per_origin"]
+                if not isinstance(objs, dict):
+                    raise ValueError("per_origin is not an object")
                 per_origin = {
-                    origin: _estimate_from_obj(obj, pair, origin)
-                    for origin, obj in rec["per_origin"].items()
+                    origin: estimate(obj, a, b, origin) for origin, obj in objs.items()
                 }
-                best_hop = best_rtt = None
-                if rec["best_hop"] is not None:
-                    best_hop = _estimate_from_obj(rec["best_hop"], pair, rec["best_hop_origin"])
-                if rec["best_rtt"] is not None:
-                    best_rtt = _estimate_from_obj(rec["best_rtt"], pair, rec["best_rtt_origin"])
-                outcomes.append(
-                    PairOutcome(pair=pair, per_origin=per_origin,
-                                best_hop=best_hop, best_rtt=best_rtt)
-                )
+                outcomes.append(PairOutcome(
+                    pair=(a, b),
+                    per_origin=per_origin,
+                    best_hop=best(rec, "best_hop", per_origin, a, b),
+                    best_rtt=best(rec, "best_rtt", per_origin, a, b),
+                ))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: bad outcome at line {lineno}: {exc}") from exc
     return outcomes

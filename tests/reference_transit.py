@@ -1,13 +1,17 @@
-"""Reference estimator: ``estimate_pair`` and ``last_common_hop`` as they
-were before per-trace preparation, kept as a test oracle.
+"""Reference estimator and outcome reader, kept as test oracles.
 
-Every call recomputes the endpoint, the address positions and the
-validation verdicts of both traces, and breaks ties on the address with
-``_neg_lex``.  The differential tests compare ``edgedist.transit`` against
-this module result for result.
+``estimate_pair`` and ``last_common_hop`` are as they were before per-trace
+preparation: every call recomputes the endpoint, the address positions and
+the validation verdicts of both traces, and breaks ties on the address with
+``_neg_lex``.  ``read_outcomes`` is as it was before the per-file decoder:
+it builds every reject reason, transit point and best bound anew.  The
+differential tests compare ``edgedist.transit`` against this module result
+for result.
 """
 
 from __future__ import annotations
+
+import json
 
 from edgedist.model import (
     PairEstimate,
@@ -16,7 +20,12 @@ from edgedist.model import (
     TracePath,
     TransitPoint,
 )
-from edgedist.transit import EstimateOptions, endpoint_of, validate_beyond_transit
+from edgedist.transit import (
+    EstimateOptions,
+    PairOutcome,
+    endpoint_of,
+    validate_beyond_transit,
+)
 
 
 def last_common_hop(
@@ -126,3 +135,44 @@ def estimate_pair(
         hop_bound=(n_a - transit.index_a) + (n_b - transit.index_b),
         rtt_bound_ms=rtt_a + rtt_b,
     )
+
+
+def _estimate_from_obj(obj, pair, origin):
+    if "reject" in obj:
+        return RejectReason(RejectKind(obj["reject"]), obj.get("detail", ""))
+    addr, ia, ib = obj["transit"]
+    transit = TransitPoint(
+        address=addr, index_a=ia, index_b=ib,
+        is_origin_fallback=obj.get("origin_fallback", False),
+    )
+    return PairEstimate(
+        endpoint_a=pair[0], endpoint_b=pair[1], origin_id=origin,
+        transit=transit, hop_bound=obj["hop_bound"], rtt_bound_ms=obj["rtt_bound_ms"],
+    )
+
+
+def read_outcomes(path):
+    outcomes = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                pair = tuple(rec["pair"])
+                per_origin = {
+                    origin: _estimate_from_obj(obj, pair, origin)
+                    for origin, obj in rec["per_origin"].items()
+                }
+                best_hop = best_rtt = None
+                if rec["best_hop"] is not None:
+                    best_hop = _estimate_from_obj(rec["best_hop"], pair, rec["best_hop_origin"])
+                if rec["best_rtt"] is not None:
+                    best_rtt = _estimate_from_obj(rec["best_rtt"], pair, rec["best_rtt_origin"])
+                outcomes.append(
+                    PairOutcome(pair=pair, per_origin=per_origin,
+                                best_hop=best_hop, best_rtt=best_rtt)
+                )
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: bad outcome at line {lineno}: {exc}") from exc
+    return outcomes

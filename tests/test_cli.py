@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -137,6 +139,57 @@ def test_dist_bad_outcomes_leaves_no_output(tmp_path, capsys):
     assert main(["dist", "--outcomes", str(bad), "-o", str(prefix)]) == 2
     assert not list(tmp_path.glob("dist.*"))
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {"per_origin": []},
+    {"best_hop": {"reject": "NoTransit"}},
+    {"best_rtt": {"reject": "NoTransit"}},
+])
+def test_dist_malformed_outcome_record_is_fatal(tmp_path, capsys, edit):
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+          "-o", str(outcomes)])
+    record = json.loads(outcomes.read_text())
+    outcomes.write_text(json.dumps({**record, **edit}) + "\n")
+    prefix = tmp_path / "dist"
+    assert main(["dist", "--outcomes", str(outcomes), "-o", str(prefix)]) == 2
+    assert not list(tmp_path.glob("dist.*"))
+    assert "bad outcome at line 1" in capsys.readouterr().err
+
+
+def test_dist_nothing_accepted_is_partial(tmp_path, capsys):
+    traces = write_traces(
+        tmp_path / "traces.jsonl",
+        [
+            trace("O1", "X", [("A", 1.0), ("X", 3.0)]),
+            trace("O1", "Y", [(None, None), ("Y", 4.0)]),
+        ],
+    )
+    outcomes = tmp_path / "outcomes.jsonl"
+    assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                 "-o", str(outcomes)]) == 1
+    prefix = tmp_path / "dist"
+    assert main(["dist", "--outcomes", str(outcomes), "-o", str(prefix)]) == 1
+    assert not list(tmp_path.glob("dist*"))
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    old = os.umask(umask)
+    try:
+        assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                     "-o", str(outcomes)]) == 0
+        assert main(["--quiet", "dist", "--outcomes", str(outcomes),
+                     "-o", str(tmp_path / "dist")]) == 0
+    finally:
+        os.umask(old)
+    for path in (outcomes, tmp_path / "dist.hops.tsv", tmp_path / "dist.rtt.tsv"):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
 
 def test_handover_curve_and_argmin(tmp_path, capsys):

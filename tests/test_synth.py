@@ -300,3 +300,57 @@ def test_experiment_report_carries_the_simulated_traces():
         origin: [sim.trace(origin, h)[0] for h in ("T0A0.h", "T1A2.h", "T2A1.h")]
         for origin in ("T0", "T2")
     }
+
+
+def _rescanned_cross_checks(report, pairs):
+    """The confusion matrix and false_rtt_accepts recomputed pair by pair,
+    re-scanning both accepted tails of every per-origin estimate."""
+    traces = {
+        (origin, t.destination): t
+        for origin, rows in report.traces_by_origin.items() for t in rows
+    }
+
+    def tail_decreases(origin, endpoint, start):
+        rtts = [h.rtt_ms for h in traces[origin, endpoint].hops[max(start - 1, 0):]
+                if h.rtt_ms is not None]
+        return any(b < a for a, b in zip(rtts, rtts[1:]))
+
+    confusion = dict.fromkeys(
+        ("clean_accept", "clean_reject", "corrupt_accept", "corrupt_reject"), 0)
+    false_rtt_accepts = 0
+    for (a, b), outcome in zip(pairs, report.outcomes):
+        for origin, est in outcome.per_origin.items():
+            corrupt = any(report.truths[origin, h].loop_injected
+                          or report.truths[origin, h].rtt_decreasing for h in (a, b))
+            accepted = isinstance(est, PairEstimate)
+            confusion[("corrupt" if corrupt else "clean")
+                      + ("_accept" if accepted else "_reject")] += 1
+            if accepted and (
+                tail_decreases(origin, est.endpoint_a, est.transit.index_a)
+                or tail_decreases(origin, est.endpoint_b, est.transit.index_b)
+            ):
+                false_rtt_accepts += 1
+    return confusion, false_rtt_accepts
+
+
+@pytest.mark.parametrize("model, params", [
+    ("ring_of_stars", {"cores": 4, "leaves": 3}),
+    ("random_geometric", {"n": 20}),
+    ("two_tier", {"regions": 3, "leaves": 4, "peering": True}),
+])
+@pytest.mark.parametrize("fallback", [False, True])
+def test_experiment_cross_checks_match_per_pair_rescan(model, params, fallback):
+    topo = generate_topology(model, params, seed=6)
+    opts = SimOptions(asymmetry_probability=0.5, asymmetry_delta_ms=0.8,
+                      loop_probability=0.2, block_probability=0.1,
+                      rtt_jitter_ms=0.5, seed=5)
+    pairs = list(itertools.combinations(topo.hosts, 2))
+    pairs += [(b, a) for a, b in pairs[::5]]
+    report = run_experiment(
+        topo, topo.routers[:6], pairs, opts,
+        EstimateOptions(allow_origin_fallback=fallback, eps_rtt=1.0),
+    )
+    confusion, false_rtt_accepts = _rescanned_cross_checks(report, pairs)
+    assert report.confusion == confusion
+    assert report.false_rtt_accepts == false_rtt_accepts
+    assert false_rtt_accepts > 0

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -468,3 +470,159 @@ def test_prepared_trace_for_another_mode_is_an_error():
     b = trace("o", "b", [("t", 2.0), ("b", 6.0)])
     with pytest.raises(ValueError, match="another mode"):
         estimate_pair(PreparedTrace(a, HOST), PreparedTrace(b, HOST), EstimateOptions())
+
+
+# --- the outcome reader against the reference reader -----------------------
+
+
+def _split_and_rejected_outcomes():
+    """A record whose best bounds come from different origins and one with
+    no accepted origin."""
+    split = min_over_origins(("a", "b"), {
+        "O1": _fake_estimate("O1", 9, 120.0),
+        "O2": _fake_estimate("O2", 11, 70.0),
+        "O3": RejectReason(RejectKind.NO_TRANSIT, "no trace"),
+    })
+    rejected = min_over_origins(("a", "c"), {
+        "O1": RejectReason(RejectKind.ASYMMETRY_SUSPECTED, "cumulative rtt drops"),
+        "O2": RejectReason(RejectKind.NO_TRANSIT, "no trace"),
+    })
+    assert split.best_hop.origin_id != split.best_rtt.origin_id
+    assert not rejected.accepted
+    return [split, rejected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(faulty_traces(), st.sampled_from(OPTION_GRID))
+def test_read_outcomes_matches_reference(tmp_path_factory, campaign, options):
+    traces_by_origin, hosts = campaign
+    pairs = list(itertools.combinations(hosts, 2)) + [(hosts[0], hosts[0])]
+    outcomes, _ = batch_estimate(traces_by_origin, pairs, options)
+    outcomes += _split_and_rejected_outcomes()
+    path = tmp_path_factory.mktemp("outcomes") / "outcomes.jsonl"
+    write_outcomes(outcomes, path)
+    loaded = read_outcomes(path)
+    assert loaded == reference.read_outcomes(path) == outcomes
+    # equal transit points and reject reasons are one object per file, and
+    # each best bound is the per-origin entry of its origin
+    shared = [
+        getattr(est, "transit", est)
+        for oc in loaded for est in oc.per_origin.values()
+    ]
+    assert len({id(x) for x in shared}) == len(set(shared))
+    for oc in loaded:
+        for best in (oc.best_hop, oc.best_rtt):
+            assert best is None or best is oc.per_origin[best.origin_id]
+
+
+def _valid_outcomes():
+    ta, tb = _accepted_pair_traces("O1", 0)
+    tc, td = _accepted_pair_traces("O2", 0)
+    outcomes, _ = batch_estimate(
+        {"O1": [ta, tb], "O2": [tc, td]},
+        [("A0", "B0"), ("A0", "ghost")],
+        EstimateOptions(mode=HOST),
+    )
+    return outcomes + _split_and_rejected_outcomes()
+
+
+def _outcome_lines(tmp_path, outcomes):
+    path = tmp_path / "valid.jsonl"
+    write_outcomes(outcomes, path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def test_best_entry_unlike_its_origin_entry_is_read_as_written(tmp_path):
+    records = _outcome_lines(tmp_path, _split_and_rejected_outcomes())
+    records[0]["best_hop"] = dict(records[0]["best_hop"], rtt_bound_ms=150.0)
+    path = _write_records(tmp_path / "edited.jsonl", records)
+    loaded = read_outcomes(path)
+    assert loaded == reference.read_outcomes(path)
+    assert loaded[0].best_hop.rtt_bound_ms == 150.0
+    assert loaded[0].per_origin["O1"].rtt_bound_ms == 120.0
+
+
+def _drop(key):
+    def edit(rec):
+        del rec[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(rec):
+        rec[key] = value
+    return edit
+
+
+def _set_entry(origin, **fields):
+    def edit(rec):
+        rec["per_origin"][origin] = dict(rec["per_origin"][origin], **fields)
+    return edit
+
+
+def _reject_best(key):
+    def edit(rec):
+        rec[key] = rec["per_origin"]["O3"]
+        rec[key + "_origin"] = "O3"
+    return edit
+
+
+# each edit applies to the record with split best bounds (origins O1, O2
+# accepted, O3 a NoTransit reject)
+REFERENCE_REJECTS = {
+    "not json": None,
+    "missing best_hop_origin": _drop("best_hop_origin"),
+    "missing per_origin": _drop("per_origin"),
+    "unknown reject kind": _set_entry("O3", reject="Teleported"),
+    "negative hop bound in the best entry only": lambda rec: rec.update(
+        best_hop=dict(rec["best_hop"], hop_bound=-1)),
+    "negative rtt bound": _set_entry("O2", rtt_bound_ms=-0.5),
+    "transit of two items": _set_entry("O1", transit=["t", 1]),
+    "fallback transit off the origin": _set_entry("O1", origin_fallback=True),
+    "entry not an object": lambda rec: rec["per_origin"].update(O1=7),
+}
+# records the reference reader let through or crashed on
+REFERENCE_DEFECTS = {
+    "per_origin not an object": _set("per_origin", []),
+    "best_hop a reject entry": _set("best_hop", {"reject": "NoTransit"}),
+    "best_rtt the reject entry of its origin": _reject_best("best_rtt"),
+    "pair of one endpoint": _set("pair", ["a"]),
+    "pair of three endpoints": _set("pair", ["a", "b", "c"]),
+    "unhashable transit address": _set_entry("O1", transit=[["t"], 1, 1]),
+}
+
+
+def _malformed_file(tmp_path, edit):
+    records = _outcome_lines(tmp_path, _valid_outcomes())
+    line = 3  # the record with split best bounds
+    assert records[line - 1]["best_hop_origin"] == "O1"
+    lines = [json.dumps(r) for r in records]
+    if edit is None:
+        lines[line - 1] = "{not json"
+    else:
+        edit(records[line - 1])
+        lines[line - 1] = json.dumps(records[line - 1])
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(text + "\n" for text in lines))
+    return path, line
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_REJECTS))
+def test_malformed_outcome_rejected_like_the_reference(tmp_path, name):
+    path, line = _malformed_file(tmp_path, REFERENCE_REJECTS[name])
+    with pytest.raises(ValueError, match=f"bad outcome at line {line}:"):
+        reference.read_outcomes(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad outcome at line {line}:"):
+        read_outcomes(path)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DEFECTS))
+def test_malformed_outcome_the_reference_missed_is_rejected(tmp_path, name):
+    path, line = _malformed_file(tmp_path, REFERENCE_DEFECTS[name])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad outcome at line {line}:"):
+        read_outcomes(path)
