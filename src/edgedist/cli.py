@@ -196,6 +196,7 @@ def cmd_dist(args) -> int:
     if not any(oc.accepted for oc in outcomes):
         print("error: no pair has an accepted estimate", file=sys.stderr)
         return EXIT_PARTIAL
+    baseline = transit.read_outcomes(args.baseline) if args.baseline else None
     for metric, suffix, width in (
         (stats.HOP_COUNT, "hops", 1.0),
         (stats.RTT_MS, "rtt", args.rtt_bin_width),
@@ -205,10 +206,8 @@ def cmd_dist(args) -> int:
         _atomic_via(out_path, lambda p, d=dist: stats.write_distribution_tsv(d, p))
         _say(args, f"{metric}: n={dist.n} mean={dist.mean:.4f} std={dist.std:.4f} "
                    f"excluded={dist.excluded} -> {out_path}")
-        if args.baseline:
-            base = stats.build_distribution(
-                transit.read_outcomes(args.baseline), metric, width
-            )
+        if baseline is not None:
+            base = stats.build_distribution(baseline, metric, width)
             mean_shift, ks = stats.compare_distributions(dist, base)
             _say(args, f"{metric} vs baseline: mean_shift={mean_shift:.4f} ks={ks:.4f}")
         if args.stability:
@@ -237,6 +236,7 @@ def cmd_handover(args) -> int:
         )
     else:
         model = handover.LossModel(beta=args.beta)
+    table = handover.load_persistence_table(args.persistence) if args.persistence else None
     rtt_dist = _load_rtt_distribution(args)
     grid = _parse_grid(args.grid)
     curve = handover.expected_loss_curve(rtt_dist, model, grid, args.delay_scale)
@@ -250,8 +250,7 @@ def cmd_handover(args) -> int:
     else:
         _say(args, f"argmin: anticipation={optimum.anticipation_ms:g} ms "
                    f"expected_loss={optimum.expected_loss_ms:.4f} ms")
-    if args.persistence:
-        table = handover.load_persistence_table(args.persistence)
+    if table is not None:
         if args.hops_tsv:
             hop_dist = stats.read_distribution_tsv(args.hops_tsv)
         elif args.outcomes:

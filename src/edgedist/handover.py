@@ -101,20 +101,22 @@ class LossModel:
 def load_loss_table(path: str | Path) -> LossTable:
     """CSV with the anticipation axis in the first row and the delay axis in
     the first column; cells are loss durations in ms."""
+    rows: list[tuple[float, ...]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        for row in filter(None, reader):  # skips blank lines
+            # the header row's first cell is a corner label, not a number
+            cells = row if rows else row[1:]
+            try:
+                rows.append(tuple(float(x) for x in cells))
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad row at line {reader.line_num}: {exc}") from exc
     if len(rows) < 2:
         raise ValueError(f"{path}: table needs a header row and data rows")
-    anticipation_axis = tuple(float(x) for x in rows[0][1:])
-    delay_axis = []
-    values = []
-    for row in rows[1:]:
-        delay_axis.append(float(row[0]))
-        values.append(tuple(float(x) for x in row[1:]))
     return LossTable(
-        delay_axis=tuple(delay_axis),
-        anticipation_axis=anticipation_axis,
-        values=tuple(values),
+        delay_axis=tuple(row[0] for row in rows[1:]),
+        anticipation_axis=rows[0],
+        values=tuple(row[1:] for row in rows[1:]),
     )
 
 
@@ -195,7 +197,11 @@ def load_persistence_table(path: str | Path) -> PersistenceTable:
         if reader.fieldnames is None or not {"hop", "persist_ratio"}.issubset(reader.fieldnames):
             raise ValueError(f"{path}: header must contain ['hop', 'persist_ratio']")
         for row in reader:
-            entries[int(row["hop"])] = float(row["persist_ratio"])
+            try:
+                entries[int(row["hop"])] = float(row["persist_ratio"])
+            except (TypeError, ValueError) as exc:
+                # TypeError: a short row leaves its missing cells None
+                raise ValueError(f"{path}: bad row at line {reader.line_num}: {exc}") from exc
     return PersistenceTable(entries=entries)
 
 

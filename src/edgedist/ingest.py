@@ -9,7 +9,7 @@ concatenation.
 
 from __future__ import annotations
 
-import json
+import math
 import re
 import shlex
 import shutil
@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .jsonl import read_jsonl, write_jsonl
 from .model import HopRecord, TraceError, TracePath
 
 
@@ -40,7 +41,8 @@ def _parse_hop_body(body: str) -> list[tuple[str | None, str | None, float | Non
 
     Classic layout: ``name (ip)  t1 ms  t2 ms`` with a new ``name (ip)`` pair
     whenever a later probe was answered by a different node; lone ``*`` marks
-    an unanswered probe.  Raises ValueError on anything unrecognizable.
+    an unanswered probe.  Raises ValueError on anything unrecognizable and
+    on a non-finite RTT.
     """
     tokens = body.split()
     probes: list[tuple[str | None, str | None, float | None]] = []
@@ -60,7 +62,10 @@ def _parse_hop_body(body: str) -> list[tuple[str | None, str | None, float | Non
         elif i + 1 < len(tokens) and tokens[i + 1] == "ms":
             if addr is None:
                 raise ValueError("rtt before any address")
-            probes.append((addr, name, float(tok)))
+            rtt = float(tok)
+            if not math.isfinite(rtt):
+                raise ValueError(f"non-finite rtt {tok!r}")
+            probes.append((addr, name, rtt))
             i += 2
         else:
             # a responder: either "ip" or "name (ip)"
@@ -183,27 +188,12 @@ def trace_from_record(record: dict) -> TracePath:
 
 def write_canonical(traces: list[TracePath], path: str | Path) -> None:
     """Write traces in the canonical format; byte-deterministic for equal input."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(json.dumps(trace_to_record(trace), separators=(",", ":")))
-            fh.write("\n")
+    write_jsonl(path, map(trace_to_record, traces))
 
 
 def read_canonical(path: str | Path) -> list[TracePath]:
     """Read a canonical trace file; errors name the offending line."""
-    traces = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                traces.append(trace_from_record(record))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: bad record at line {lineno}: {exc}") from exc
-            except TraceError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return traces
+    return list(read_jsonl(path, trace_from_record, "trace"))
 
 
 TARGET_PLACEHOLDER = "{target}"

@@ -1,0 +1,31 @@
+"""Line-delimited JSON, the format of every ``.jsonl`` file: canonical
+traces, outcome records and saved topologies."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable, Iterable, Iterator
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def write_jsonl(path: str | Path, records: Iterable) -> None:
+    """Write each record as one compact JSON line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(_encode(record) + "\n")
+
+
+def read_jsonl(path: str | Path, decode: Callable, what: str) -> Iterator:
+    """Yield ``decode(value)`` for each non-blank line's JSON value; a KeyError,
+    TypeError or ValueError (bad JSON and ``TraceError`` included) there
+    becomes ``ValueError("<path>: bad <what> at line <n>: <cause>")``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    value = decode(json.loads(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: bad {what} at line {lineno}: {exc}") from exc
+                yield value

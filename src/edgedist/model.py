@@ -10,7 +10,8 @@ hundreds of thousands of hops and estimates, and an instance without a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -37,15 +38,16 @@ class HopRecord:
     """One TTL step of a trace.
 
     ``address`` is None for an unresponsive hop (the "* * *" case).
-    ``rtt_ms`` is the cumulative round trip from the origin, in milliseconds;
-    when a hop answered multiple probes the minimum is stored.  ``name`` is a
-    reverse-DNS annotation only and never takes part in identity.
+    ``rtt_ms`` is the cumulative round trip from the origin, in milliseconds,
+    finite and non-negative; when a hop answered multiple probes the minimum
+    is stored.  ``name`` is a reverse-DNS annotation only and never takes
+    part in identity.
     """
 
     ttl: int
     address: str | None = None
     rtt_ms: float | None = None
-    name: str | None = None
+    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.ttl < 1:
@@ -55,8 +57,8 @@ class HopRecord:
         if self.rtt_ms is not None:
             if self.address is None:
                 raise TraceError(f"hop {self.ttl}: rtt without address")
-            if self.rtt_ms < 0:
-                raise TraceError(f"hop {self.ttl}: negative rtt {self.rtt_ms}")
+            if not 0 <= self.rtt_ms < math.inf:
+                raise TraceError(f"hop {self.ttl}: rtt {self.rtt_ms} is negative or not finite")
 
     @property
     def responsive(self) -> bool:
@@ -140,5 +142,5 @@ class PairEstimate:
     def __post_init__(self):
         if self.hop_bound < 0:
             raise TraceError(f"negative hop bound {self.hop_bound}")
-        if self.rtt_bound_ms < 0:
-            raise TraceError(f"negative rtt bound {self.rtt_bound_ms}")
+        if not 0 <= self.rtt_bound_ms < math.inf:
+            raise TraceError(f"rtt bound {self.rtt_bound_ms} is negative or not finite")

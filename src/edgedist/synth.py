@@ -11,13 +11,13 @@ unless jitter is switched on.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
 
+from .jsonl import read_jsonl, write_jsonl
 from .model import HopRecord, TracePath
 from .transit import (
     BatchStats,
@@ -95,32 +95,23 @@ def dijkstra(
     predecessor).  ``reverse`` computes distances *to* the source instead."""
     adj = topology.adjacency(reverse)
     dist: dict[str, float] = {source: 0.0}
-    done: set[str] = set()
+    pred: dict[str, str | None] = {source: None}
     heap: list[tuple[float, str]] = [(0.0, source)]
     while heap:
         d, u = heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
+        if d > dist[u]:
+            continue  # superseded by a shorter entry, already settled
         for v, lat in adj[u]:
             nd = d + lat
-            if v not in dist or nd < dist[v]:
+            old = dist.get(v)
+            if old is None or nd < old:
                 dist[v] = nd
+                pred[v] = u
                 heappush(heap, (nd, v))
-    pred: dict[str, str | None] = {source: None}
-    for v in dist:
-        if v == source:
-            continue
-        candidates = [
-            u for u, lat in topology.adjacency(not reverse)[v]
-            if u in dist and dist[u] + _arc(topology, u, v, reverse) == dist[v]
-        ]
-        pred[v] = min(candidates) if candidates else None
+            elif nd == old and u < pred[v]:
+                # latencies are positive, so v != source and pred[v] is a node
+                pred[v] = u
     return dist, pred
-
-
-def _arc(topology: Topology, u: str, v: str, reverse: bool) -> float:
-    return topology.edges[(v, u)] if reverse else topology.edges[(u, v)]
 
 
 def extract_path(pred: dict[str, str | None], target: str) -> list[str]:
@@ -663,22 +654,14 @@ def _deepest_decrease(trace: TracePath) -> int:
 
 
 def save_topology(topology: Topology, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"type": "meta", "seed": topology.seed}) + "\n")
-        for node in topology.nodes:
-            fh.write(json.dumps({"type": "node", "id": node}) + "\n")
-        for (u, v), lat in sorted(topology.edges.items()):
-            fh.write(
-                json.dumps({"type": "arc", "from": u, "to": v, "latency_ms": lat})
-                + "\n"
-            )
-        for host in sorted(topology.host_attachment):
-            fh.write(
-                json.dumps(
-                    {"type": "attach", "host": host, "router": topology.host_attachment[host]}
-                )
-                + "\n"
-            )
+    write_jsonl(path, [
+        {"type": "meta", "seed": topology.seed},
+        *({"type": "node", "id": node} for node in topology.nodes),
+        *({"type": "arc", "from": u, "to": v, "latency_ms": lat}
+          for (u, v), lat in sorted(topology.edges.items())),
+        *({"type": "attach", "host": host, "router": router}
+          for host, router in sorted(topology.host_attachment.items())),
+    ])
 
 
 def load_topology(path: str | Path) -> Topology:
@@ -686,23 +669,21 @@ def load_topology(path: str | Path) -> Topology:
     nodes: list[str] = []
     edges: dict[tuple[str, str], float] = {}
     attachment: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                kind = rec["type"]
-                if kind == "meta":
-                    seed = rec.get("seed", 0)
-                elif kind == "node":
-                    nodes.append(rec["id"])
-                elif kind == "arc":
-                    edges[(rec["from"], rec["to"])] = float(rec["latency_ms"])
-                elif kind == "attach":
-                    attachment[rec["host"]] = rec["router"]
-                else:
-                    raise ValueError(f"unknown record type {kind!r}")
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValueError(f"{path}: bad record at line {lineno}: {exc}") from exc
+
+    def add(rec: dict) -> None:
+        nonlocal seed
+        kind = rec["type"]
+        if kind == "meta":
+            seed = rec.get("seed", 0)
+        elif kind == "node":
+            nodes.append(rec["id"])
+        elif kind == "arc":
+            edges[(rec["from"], rec["to"])] = float(rec["latency_ms"])
+        elif kind == "attach":
+            attachment[rec["host"]] = rec["router"]
+        else:
+            raise ValueError(f"unknown record type {kind!r}")
+
+    for _ in read_jsonl(path, add, "topology record"):
+        pass
     return Topology(nodes=tuple(nodes), edges=edges, host_attachment=attachment, seed=seed)

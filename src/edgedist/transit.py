@@ -8,11 +8,11 @@ origins tightens the estimate.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .jsonl import read_jsonl, write_jsonl
 from .model import (
     PairEstimate,
     RejectKind,
@@ -407,21 +407,20 @@ def _estimate_to_obj(est: PairEstimate | RejectReason):
 
 
 def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for oc in outcomes:
-            record = {
-                "pair": list(oc.pair),
-                "per_origin": {
-                    origin: _estimate_to_obj(oc.per_origin[origin])
-                    for origin in sorted(oc.per_origin)
-                },
-                "best_hop": None if oc.best_hop is None else _estimate_to_obj(oc.best_hop),
-                "best_hop_origin": None if oc.best_hop is None else oc.best_hop.origin_id,
-                "best_rtt": None if oc.best_rtt is None else _estimate_to_obj(oc.best_rtt),
-                "best_rtt_origin": None if oc.best_rtt is None else oc.best_rtt.origin_id,
-            }
-            fh.write(json.dumps(record, separators=(",", ":")))
-            fh.write("\n")
+    write_jsonl(path, (
+        {
+            "pair": list(oc.pair),
+            "per_origin": {
+                origin: _estimate_to_obj(oc.per_origin[origin])
+                for origin in sorted(oc.per_origin)
+            },
+            "best_hop": None if oc.best_hop is None else _estimate_to_obj(oc.best_hop),
+            "best_hop_origin": None if oc.best_hop is None else oc.best_hop.origin_id,
+            "best_rtt": None if oc.best_rtt is None else _estimate_to_obj(oc.best_rtt),
+            "best_rtt_origin": None if oc.best_rtt is None else oc.best_rtt.origin_id,
+        }
+        for oc in outcomes
+    ))
 
 
 def read_outcomes(path: str | Path) -> list[PairOutcome]:
@@ -462,26 +461,17 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
             raise ValueError(f"{name} is a reject entry")
         return est
 
-    outcomes = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                a, b = rec["pair"]
-                objs = rec["per_origin"]
-                if not isinstance(objs, dict):
-                    raise ValueError("per_origin is not an object")
-                per_origin = {
-                    origin: estimate(obj, a, b, origin) for origin, obj in objs.items()
-                }
-                outcomes.append(PairOutcome(
-                    pair=(a, b),
-                    per_origin=per_origin,
-                    best_hop=best(rec, "best_hop", per_origin, a, b),
-                    best_rtt=best(rec, "best_rtt", per_origin, a, b),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: bad outcome at line {lineno}: {exc}") from exc
-    return outcomes
+    def outcome(rec: dict) -> PairOutcome:
+        a, b = rec["pair"]
+        objs = rec["per_origin"]
+        if not isinstance(objs, dict):
+            raise ValueError("per_origin is not an object")
+        per_origin = {origin: estimate(obj, a, b, origin) for origin, obj in objs.items()}
+        return PairOutcome(
+            pair=(a, b),
+            per_origin=per_origin,
+            best_hop=best(rec, "best_hop", per_origin, a, b),
+            best_rtt=best(rec, "best_rtt", per_origin, a, b),
+        )
+
+    return list(read_jsonl(path, outcome, "outcome"))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from edgedist import ingest
+from edgedist import ingest, transit
 from edgedist.cli import main, pair_at
 
 from conftest import trace
@@ -132,6 +132,25 @@ def test_dist_writes_both_metrics(tmp_path, capsys):
     assert "hop_count: n=1 mean=2.0000" in out
 
 
+def test_dist_baseline_reads_each_file_once(tmp_path, capsys, monkeypatch):
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+          "-o", str(outcomes)])
+    baseline = tmp_path / "baseline.jsonl"
+    baseline.write_bytes(outcomes.read_bytes())
+    reads = []
+    read_outcomes = transit.read_outcomes
+    monkeypatch.setattr(transit, "read_outcomes",
+                        lambda path: reads.append(str(path)) or read_outcomes(path))
+    assert main(["dist", "--outcomes", str(outcomes), "--baseline", str(baseline),
+                 "-o", str(tmp_path / "dist")]) == 0
+    assert sorted(reads) == sorted([str(outcomes), str(baseline)])
+    out = capsys.readouterr().out
+    assert "hop_count vs baseline: mean_shift=0.0000 ks=0.0000" in out
+    assert "rtt_ms vs baseline: mean_shift=0.0000 ks=0.0000" in out
+
+
 def test_dist_bad_outcomes_leaves_no_output(tmp_path, capsys):
     bad = tmp_path / "outcomes.jsonl"
     bad.write_text("not json\n")
@@ -219,6 +238,39 @@ def test_handover_persistence(tmp_path, capsys):
     assert main(["handover", "--outcomes", str(outcomes),
                  "--persistence", str(table), "-o", str(curve)]) == 0
     assert "persistence: 0.7500" in capsys.readouterr().out
+
+
+def test_handover_bad_persistence_row_is_fatal(tmp_path, capsys):
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+          "-o", str(outcomes)])
+    table = tmp_path / "persist.csv"
+    curve = tmp_path / "curve.tsv"
+    for rows, cause in (("2\n", "NoneType"), ("2,most\n", "'most'")):
+        table.write_text("hop,persist_ratio\n1,1.0\n" + rows)
+        assert main(["handover", "--outcomes", str(outcomes),
+                     "--persistence", str(table), "-o", str(curve)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}: bad row at line 3: ")
+        assert cause in err
+        assert not curve.exists()
+
+
+def test_handover_bad_loss_table_cell_is_fatal(tmp_path, capsys):
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+          "-o", str(outcomes)])
+    table = tmp_path / "loss.csv"
+    table.write_text(",0,10\n\n10,10,4\n30,thirty,22\n")
+    curve = tmp_path / "curve.tsv"
+    assert main(["handover", "--outcomes", str(outcomes),
+                 "--loss-table", str(table), "-o", str(curve)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}: bad row at line 4: ")
+    assert "'thirty'" in err
+    assert not curve.exists()
 
 
 def test_handover_from_dist_tsv(tmp_path, capsys):

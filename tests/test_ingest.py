@@ -68,6 +68,24 @@ def test_parse_corrupted_hop_line_is_skipped_not_fatal():
     assert traces[0].reached
 
 
+@pytest.mark.parametrize("probes", [
+    "nan ms  1.0 ms", "1.0 ms  nan ms", "inf ms", "1.0 ms  2.0 ms  inf ms", "1e999 ms",
+])
+def test_parse_non_finite_rtt_is_a_bad_hop_line(probes):
+    text = (
+        "traceroute to 10.0.0.9 (10.0.0.9), 30 hops max\n"
+        " 1  10.0.0.1  1.0 ms\n"
+        f" 2  r2 (10.0.0.2)  {probes}\n"
+        " 3  10.0.0.9  3.0 ms\n"
+    )
+    (t,), report = parse_traceroute_text(text, "o")
+    assert t.hop(2) == HopRecord(ttl=2)
+    assert t.reached
+    assert report.skipped_lines == 1
+    (warning,) = report.warnings
+    assert "non-finite rtt" in warning
+
+
 def test_parse_hostname_kept_as_annotation_only():
     (t,), _ = parse_traceroute_text(SAMPLE, "o")
     assert t.hop(1).name == "r1"
@@ -112,6 +130,16 @@ def test_canonical_ttl_gap_names_line(tmp_path):
     bad = '{"origin_id":"o","destination":"b","timestamp":null,"reached":true,"hops":[[1,"a",1.0],[3,"b",2.0]]}\n'
     path.write_text(good + bad)
     with pytest.raises(ValueError, match="line 2"):
+        read_canonical(path)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_canonical_non_finite_rtt_names_line(tmp_path, token):
+    path = tmp_path / "bad.jsonl"
+    good = '{"origin_id":"o","destination":"b","timestamp":null,"reached":true,"hops":[[1,"b",1.0]]}\n'
+    bad = good.replace("1.0", token)
+    path.write_text(good + bad)
+    with pytest.raises(ValueError, match=r": bad trace at line 2: .*not finite"):
         read_canonical(path)
 
 

@@ -24,8 +24,17 @@ def test_hop_allows_address_without_rtt():
 def test_hop_rejects_bad_ttl_and_rtt():
     with pytest.raises(TraceError):
         HopRecord(ttl=0, address="10.0.0.1", rtt_ms=1.0)
-    with pytest.raises(TraceError):
-        HopRecord(ttl=1, address="10.0.0.1", rtt_ms=-1.0)
+    for rtt in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(TraceError):
+            HopRecord(ttl=1, address="10.0.0.1", rtt_ms=rtt)
+
+
+def test_hop_name_is_no_part_of_identity():
+    named = HopRecord(ttl=1, address="a", rtt_ms=1.0, name="x")
+    assert named == HopRecord(ttl=1, address="a", rtt_ms=1.0, name="y")
+    assert named == HopRecord(ttl=1, address="a", rtt_ms=1.0)
+    assert hash(named) == hash(HopRecord(ttl=1, address="a", rtt_ms=1.0))
+    assert named != HopRecord(ttl=1, address="a", rtt_ms=2.0, name="x")
 
 
 def test_trace_rejects_ttl_gap():
@@ -72,8 +81,9 @@ def test_pair_estimate_rejects_negative_bounds():
             endpoint_a="a", endpoint_b="b", origin_id="o",
             transit=transit, hop_bound=-1, rtt_bound_ms=0.0,
         )
-    with pytest.raises(TraceError):
-        PairEstimate(
-            endpoint_a="a", endpoint_b="b", origin_id="o",
-            transit=transit, hop_bound=0, rtt_bound_ms=-0.5,
-        )
+    for rtt in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(TraceError):
+            PairEstimate(
+                endpoint_a="a", endpoint_b="b", origin_id="o",
+                transit=transit, hop_bound=0, rtt_bound_ms=rtt,
+            )

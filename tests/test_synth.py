@@ -118,6 +118,52 @@ def test_dijkstra_matches_bellman_ford():
             assert dist.get(node, float("inf")) == oracle[node]
 
 
+def _post_pass_predecessors(topo, dist, source, reverse):
+    """The predecessor rule dijkstra used to apply after its search: the
+    smallest node u with dist[u] + arc(u, v) == dist[v]."""
+    pred = {source: None}
+    for v in dist:
+        if v == source:
+            continue
+        candidates = [
+            u for u, _ in topo.adjacency(not reverse)[v]
+            if u in dist
+            and dist[u] + (topo.edges[(v, u)] if reverse else topo.edges[(u, v)]) == dist[v]
+        ]
+        pred[v] = min(candidates) if candidates else None
+    return pred
+
+
+def _random_digraph(seed):
+    """Sparse directed graph, latencies from three values so that many
+    shortest paths tie."""
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(rng.randint(2, 25))]
+    edges = {
+        (u, v): rng.choice([0.25, 0.5, 0.75])
+        for u in nodes for v in nodes
+        if u != v and rng.random() < 0.2
+    }
+    return Topology(nodes=tuple(nodes), edges=edges, host_attachment={})
+
+
+@pytest.mark.parametrize("name", [
+    "ring_of_stars", "random_geometric", "two_tier", *(f"digraph{seed}" for seed in range(20)),
+])
+def test_dijkstra_predecessors_match_the_post_pass_rule(name):
+    if name.startswith("digraph"):
+        topo = _random_digraph(int(name[len("digraph"):]))
+    else:
+        params = {"ring_of_stars": {"cores": 5, "leaves": 4}, "random_geometric": {"n": 40},
+                  "two_tier": {"regions": 4, "leaves": 5, "peering": True}}[name]
+        topo = generate_topology(name, params, seed=3)
+    for reverse in (False, True):
+        for source in topo.nodes:
+            dist, pred = dijkstra(topo, source, reverse)
+            assert pred == _post_pass_predecessors(topo, dist, source, reverse)
+            assert list(pred) == list(dist)
+
+
 def test_min_hop_distance_bfs():
     topo = make_topology(
         [("A", "B", 10.0), ("B", "C", 10.0), ("A", "X", 1.0), ("X", "Y", 1.0),
@@ -258,6 +304,7 @@ def test_topology_save_load_round_trip(tmp_path):
     assert loaded.edges == topo.edges
     assert loaded.host_attachment == topo.host_attachment
     assert loaded.seed == topo.seed
+    assert ", " not in path.read_text()  # compact, like every .jsonl file
 
 
 @pytest.mark.parametrize("model, params", [

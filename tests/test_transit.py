@@ -585,6 +585,9 @@ REFERENCE_REJECTS = {
     "transit of two items": _set_entry("O1", transit=["t", 1]),
     "fallback transit off the origin": _set_entry("O1", origin_fallback=True),
     "entry not an object": lambda rec: rec["per_origin"].update(O1=7),
+    "NaN rtt bound": _set_entry("O2", rtt_bound_ms=float("nan")),
+    "infinite rtt bound in the best entry only": lambda rec: rec.update(
+        best_hop=dict(rec["best_hop"], rtt_bound_ms=float("inf"))),
 }
 # records the reference reader let through or crashed on
 REFERENCE_DEFECTS = {
