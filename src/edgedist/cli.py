@@ -229,14 +229,26 @@ def _load_rtt_distribution(args):
     raise ValueError("need --outcomes or --dist-tsv for the RTT distribution")
 
 
-def cmd_handover(args) -> int:
-    if args.loss_table:
-        model = handover.LossModel(
-            kind=handover.TABLE, table=handover.load_loss_table(args.loss_table)
+def _persistence_ratio(args) -> float | None:
+    if not args.persistence:
+        return None
+    table = handover.load_persistence_table(args.persistence)
+    if args.hops_tsv:
+        hop_dist = stats.read_distribution_tsv(args.hops_tsv)
+    elif args.outcomes:
+        hop_dist = stats.build_distribution(
+            transit.read_outcomes(args.outcomes), stats.HOP_COUNT
         )
     else:
-        model = handover.LossModel(beta=args.beta)
-    table = handover.load_persistence_table(args.persistence) if args.persistence else None
+        raise ValueError("persistence needs --hops-tsv or --outcomes")
+    return handover.multicast_persistence(hop_dist, table)
+
+
+def cmd_handover(args) -> int:
+    loss_table = handover.load_loss_table(args.loss_table) if args.loss_table else None
+    model = handover.LossModel(beta=args.beta, table=loss_table)
+    # everything that can fail runs before the curve is written
+    ratio = _persistence_ratio(args)
     rtt_dist = _load_rtt_distribution(args)
     grid = _parse_grid(args.grid)
     curve = handover.expected_loss_curve(rtt_dist, model, grid, args.delay_scale)
@@ -250,16 +262,7 @@ def cmd_handover(args) -> int:
     else:
         _say(args, f"argmin: anticipation={optimum.anticipation_ms:g} ms "
                    f"expected_loss={optimum.expected_loss_ms:.4f} ms")
-    if table is not None:
-        if args.hops_tsv:
-            hop_dist = stats.read_distribution_tsv(args.hops_tsv)
-        elif args.outcomes:
-            hop_dist = stats.build_distribution(
-                transit.read_outcomes(args.outcomes), stats.HOP_COUNT
-            )
-        else:
-            raise ValueError("persistence needs --hops-tsv or --outcomes")
-        ratio = handover.multicast_persistence(hop_dist, table)
+    if ratio is not None:
         _say(args, f"expected multicast persistence: {ratio:.4f} "
                    f"(invalidation {1 - ratio:.4f})")
     return EXIT_OK

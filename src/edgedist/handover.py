@@ -18,9 +18,6 @@ from .stats import HOP_COUNT, RTT_MS, EdgeDistribution
 
 CBR_INTERVAL_MS = 10.0
 
-TABLE = "table"
-DEFAULT_PARAMETRIC = "default_parametric"
-
 
 @dataclass(frozen=True)
 class LossTable:
@@ -78,22 +75,15 @@ class LossModel:
     The default parametric form L(d, a) = max(0, d - a) + beta * a captures
     the trade-off: anticipating too little loses in-flight packets, while
     anticipation itself carries a proportional cost.  L(d, 0) = d is the
-    reactive handover.  A table model reproduces any externally published
-    curve instead.
+    reactive handover.  Given a ``table``, the model reproduces that
+    externally published curve instead and ignores ``beta``.
     """
 
-    kind: str = DEFAULT_PARAMETRIC
     beta: float = 0.1
     table: LossTable | None = None
 
-    def __post_init__(self):
-        if self.kind not in (TABLE, DEFAULT_PARAMETRIC):
-            raise ValueError(f"unknown loss model kind {self.kind!r}")
-        if self.kind == TABLE and self.table is None:
-            raise ValueError("table model needs a table")
-
     def loss(self, delay_ms: float, anticipation_ms: float) -> float:
-        if self.kind == TABLE:
+        if self.table is not None:
             return self.table.lookup(delay_ms, anticipation_ms)
         return max(0.0, delay_ms - anticipation_ms) + self.beta * anticipation_ms
 

@@ -11,10 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-import shlex
-import shutil
-import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -194,52 +190,3 @@ def write_canonical(traces: list[TracePath], path: str | Path) -> None:
 def read_canonical(path: str | Path) -> list[TracePath]:
     """Read a canonical trace file; errors name the offending line."""
     return list(read_jsonl(path, trace_from_record, "trace"))
-
-
-TARGET_PLACEHOLDER = "{target}"
-
-
-def probe_external(
-    command_template: str,
-    targets: list[str],
-    origin_id: str,
-    max_workers: int = 1,
-    timeout: float = 60.0,
-) -> tuple[list[TracePath], ParseReport]:
-    """Run a traceroute-compatible command per target and parse its stdout.
-
-    The template must contain exactly one ``{target}`` placeholder.  Per-target
-    failures become warnings; a non-executable command is fatal up front.
-    Output order equals input target order regardless of completion order.
-    """
-    if command_template.count(TARGET_PLACEHOLDER) != 1:
-        raise ValueError(f"command template needs exactly one {TARGET_PLACEHOLDER}")
-    argv_probe = shlex.split(command_template.replace(TARGET_PLACEHOLDER, "x"))
-    if not argv_probe or shutil.which(argv_probe[0]) is None:
-        raise FileNotFoundError(f"command not executable: {argv_probe[0] if argv_probe else ''}")
-
-    def run_one(target: str):
-        argv = [
-            arg.replace(TARGET_PLACEHOLDER, target)
-            for arg in shlex.split(command_template)
-        ]
-        return subprocess.run(
-            argv, capture_output=True, text=True, timeout=timeout
-        )
-
-    report = ParseReport()
-    traces: list[TracePath] = []
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        results = list(pool.map(run_one, targets))
-    for target, proc in zip(targets, results):
-        if proc.returncode != 0:
-            report.warnings.append(
-                f"probe of {target} exited {proc.returncode}: {proc.stderr.strip()}"
-            )
-            continue
-        parsed, sub = parse_traceroute_text(proc.stdout, origin_id)
-        traces.extend(parsed)
-        report.parsed += sub.parsed
-        report.skipped_lines += sub.skipped_lines
-        report.warnings.extend(sub.warnings)
-    return traces, report

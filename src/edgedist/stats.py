@@ -167,12 +167,12 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
 
     Raw samples are reconstructed from the bins (exact for integer metrics at
     bin width 1, bin centers otherwise), so downstream use is approximate for
-    continuous metrics.
+    continuous metrics.  Errors name the file, and a bad row its line.
     """
     meta: dict[str, str] = {}
     bins: list[tuple[float, int]] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -184,11 +184,16 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
                 continue
             if line.startswith("lower_edge"):
                 continue
-            edge, count, _ = line.split("\t")
-            bins.append((float(edge), int(count)))
+            try:
+                edge, count, _ = line.split("\t")
+                bins.append((float(edge), int(count)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad row at line {lineno}: {exc}") from exc
     if "metric" not in meta:
         raise ValueError(f"{path}: missing metric header")
     metric = meta["metric"]
+    if metric not in DEFAULT_BIN_WIDTH:
+        raise ValueError(f"{path}: unknown metric {metric!r}")
     bin_width = float(meta.get("bin_width", DEFAULT_BIN_WIDTH[metric]))
     exact = metric == HOP_COUNT and bin_width == 1.0
     samples: list[float] = []

@@ -339,8 +339,6 @@ class TraceTruth:
 
     origin: str
     target: str
-    blocked_on_path: tuple[str, ...]
-    asym_on_path: tuple[str, ...]
     loop_injected: bool
     rtt_decreasing: bool  # any cumulative decrease over responsive hops
 
@@ -390,26 +388,22 @@ class Simulator:
             trace = TracePath(
                 origin_id=origin, destination=target_host, hops=(), reached=False
             )
-            truth = TraceTruth(origin, target_host, (), (), False, False)
+            truth = TraceTruth(origin, target_host, False, False)
             return trace, truth
         route = extract_path(pred, target_host)
         rng = random.Random(f"{opts.seed}:trace:{origin}:{target_host}")
         hops: list[HopRecord] = []
         forward = 0.0
-        blocked_on_path = []
-        asym_on_path = []
         prev = origin
         for node in route[1:]:
             forward += self.topology.edges[(prev, node)]
             prev = node
             ttl = len(hops) + 1
             if node in self.blocked and node != target_host:
-                blocked_on_path.append(node)
                 hops.append(HopRecord(ttl=ttl))
                 continue
             rtt = forward + rev[node]
             if node in self.asymmetric:
-                asym_on_path.append(node)
                 rtt += opts.asymmetry_delta_ms
             if opts.rtt_jitter_ms > 0:
                 rtt = max(0.0, rtt + rng.uniform(-opts.rtt_jitter_ms, opts.rtt_jitter_ms))
@@ -445,8 +439,6 @@ class Simulator:
         truth = TraceTruth(
             origin=origin,
             target=target_host,
-            blocked_on_path=tuple(blocked_on_path),
-            asym_on_path=tuple(asym_on_path),
             loop_injected=loop_injected,
             rtt_decreasing=decreasing,
         )

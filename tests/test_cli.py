@@ -1,11 +1,14 @@
+import ast
 import itertools
 import json
 import os
+import re
 import stat
 from pathlib import Path
 
 import pytest
 
+import edgedist
 from edgedist import ingest, transit
 from edgedist.cli import main, pair_at
 
@@ -286,6 +289,41 @@ def test_handover_from_dist_tsv(tmp_path, capsys):
     assert curve.exists()
 
 
+@pytest.mark.parametrize("source, row, message", [
+    ("--dist-tsv", "2,0.75", "persistence needs --hops-tsv or --outcomes"),
+    ("--outcomes", "3,0.75", "persistence table misses hop distances [2]"),
+])
+def test_handover_persistence_error_leaves_no_curve(tmp_path, capsys, source, row, message):
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+          "-o", str(outcomes)])
+    prefix = tmp_path / "dist"
+    main(["--quiet", "dist", "--outcomes", str(outcomes), "-o", str(prefix)])
+    inputs = {"--dist-tsv": tmp_path / "dist.rtt.tsv", "--outcomes": outcomes}
+    table = tmp_path / "persist.csv"
+    table.write_text(f"hop,persist_ratio\n{row}\n")
+    curve = tmp_path / "curve.tsv"
+    assert main(["handover", source, str(inputs[source]),
+                 "--persistence", str(table), "-o", str(curve)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not curve.exists()
+
+
+@pytest.mark.parametrize("header, row, message", [
+    ("# metric=foo bin_width=1", "0\t1\t1.0", r": unknown metric 'foo'"),
+    ("# metric=rtt_ms bin_width=5", "5\t1", r": bad row at line 3: "),
+    ("# metric=rtt_ms bin_width=5", "5\tone\t1.0", r": bad row at line 3: .*'one'"),
+])
+def test_handover_bad_dist_tsv_is_fatal(tmp_path, capsys, header, row, message):
+    dist = tmp_path / "dist.rtt.tsv"
+    dist.write_text(f"{header}\nlower_edge\tcount\tfraction\n{row}\n")
+    curve = tmp_path / "curve.tsv"
+    assert main(["handover", "--dist-tsv", str(dist), "-o", str(curve)]) == 2
+    assert re.match(f"error: {re.escape(str(dist))}{message}", capsys.readouterr().err)
+    assert not curve.exists()
+
+
 def test_handover_bad_grid_is_fatal(tmp_path, capsys):
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
@@ -351,3 +389,20 @@ def test_pair_at_unranks_combinations():
         for outside in (-1, len(combos)):
             with pytest.raises(IndexError):
                 pair_at(items, outside)
+
+
+def test_every_module_is_reached_from_the_cli():
+    package = Path(edgedist.__file__).parent
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo.extend([node.module] if node.module else
+                            [alias.name for alias in node.names])
+    # __init__ runs on any import of the package; a module only it imports is unreached
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert sorted(modules - reached) == []

@@ -47,7 +47,7 @@ def test_table_model_lookup_and_refusal_to_extrapolate(tmp_path):
         "30,30,22,14\n"
     )
     table = load_loss_table(path)
-    model = LossModel(kind="table", table=table)
+    model = LossModel(table=table)
     assert model.loss(10.0, 10.0) == 4.0
     assert model.loss(20.0, 0.0) == pytest.approx(20.0)  # bilinear midpoint
     with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import os
-import stat
 import textwrap
 
 import pytest
@@ -7,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgedist.ingest import (
-    ParseReport,
     parse_traceroute_text,
-    probe_external,
     read_canonical,
     write_canonical,
 )
@@ -163,54 +159,3 @@ def test_round_trip_property(tmp_path_factory, traces):
     path = tmp_path_factory.mktemp("rt") / "t.jsonl"
     write_canonical(traces, path)
     assert read_canonical(path) == traces
-
-
-STUB = """#!/bin/sh
-if [ "$1" = "10.0.0.3" ]; then exit 7; fi
-cat <<EOF
-traceroute to $1 ($1), 30 hops max
- 1  10.255.0.1  1.0 ms
- 2  $1 ($1)  2.0 ms
-EOF
-"""
-
-
-@pytest.fixture
-def stub_traceroute(tmp_path):
-    script = tmp_path / "stub-traceroute"
-    script.write_text(STUB)
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    return str(script)
-
-
-def test_probe_external_round_trip(stub_traceroute):
-    traces, report = probe_external(f"{stub_traceroute} {{target}}", ["10.0.0.1"], "o")
-    assert report.parsed == 1
-    assert traces[0].destination == "10.0.0.1" and traces[0].reached
-
-
-def test_probe_external_partial_failure(stub_traceroute):
-    targets = ["10.0.0.1", "10.0.0.3", "10.0.0.5"]
-    traces, report = probe_external(f"{stub_traceroute} {{target}}", targets, "o")
-    assert len(traces) == 2
-    assert len(report.warnings) == 1
-    assert "10.0.0.3" in report.warnings[0]
-
-
-def test_probe_external_batch_order(stub_traceroute):
-    targets = [f"10.0.1.{i}" for i in range(10)]
-    traces, report = probe_external(
-        f"{stub_traceroute} {{target}}", targets, "o", max_workers=4
-    )
-    assert report.parsed == 10
-    assert [t.destination for t in traces] == targets
-
-
-def test_probe_external_not_executable():
-    with pytest.raises(FileNotFoundError):
-        probe_external("/no/such/binary {target}", ["10.0.0.1"], "o")
-
-
-def test_probe_external_placeholder_required():
-    with pytest.raises(ValueError):
-        probe_external("/bin/echo", ["10.0.0.1"], "o")
