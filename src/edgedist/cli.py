@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import os
 import random
@@ -70,7 +71,7 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}") from exc
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValueError(f"bad grid {spec!r}")
     grid = []
     value = start
@@ -394,11 +395,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every command builds acyclic data, which reference counting frees; the
+    # cyclic collector would only rescan the live traces and estimates, over
+    # and over as they accumulate.  The caller's setting is restored, since
+    # main also runs in-process.
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    finally:
+        if gc_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

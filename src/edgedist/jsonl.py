@@ -7,7 +7,9 @@ import json
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# records are trees (a value may be shared, never contain itself), so the
+# encoder skips its cycle bookkeeping
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def write_jsonl(path: str | Path, records: Iterable) -> None:

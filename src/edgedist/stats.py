@@ -186,20 +186,27 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
                 continue
             try:
                 edge, count, _ = line.split("\t")
-                bins.append((float(edge), int(count)))
+                edge, count = float(edge), int(count)
             except ValueError as exc:
                 raise ValueError(f"{path}: bad row at line {lineno}: {exc}") from exc
+            if count < 0:
+                raise ValueError(f"{path}: bad row at line {lineno}: negative count {count}")
+            bins.append((edge, count))
     if "metric" not in meta:
         raise ValueError(f"{path}: missing metric header")
     metric = meta["metric"]
     if metric not in DEFAULT_BIN_WIDTH:
         raise ValueError(f"{path}: unknown metric {metric!r}")
-    bin_width = float(meta.get("bin_width", DEFAULT_BIN_WIDTH[metric]))
+    try:
+        bin_width = float(meta.get("bin_width", DEFAULT_BIN_WIDTH[metric]))
+        excluded = int(meta.get("excluded", 0))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header: {exc}") from exc
     exact = metric == HOP_COUNT and bin_width == 1.0
     samples: list[float] = []
     for edge, count in bins:
         value = edge if exact else edge + bin_width / 2
         samples.extend([value] * count)
     return distribution_from_samples(
-        samples, metric, bin_width, excluded=int(meta.get("excluded", 0))
+        samples, metric, bin_width, excluded=excluded
     )

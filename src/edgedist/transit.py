@@ -24,6 +24,11 @@ from .model import (
 HOST = "host"
 ACCESS_ROUTER = "access_router"
 
+# shared by every result that needs them (both types are frozen)
+_ORIGIN_FALLBACK = TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)
+_NO_TRANSIT = RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
+_NO_TRACE = RejectReason(RejectKind.NO_TRANSIT, "no trace")
+
 
 @dataclass(frozen=True)
 class EstimateOptions:
@@ -37,7 +42,7 @@ class EstimateOptions:
             raise ValueError(f"unknown endpoint mode {self.mode!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class PairOutcome:
     pair: tuple[str, str]
     per_origin: dict[str, PairEstimate | RejectReason]
@@ -108,12 +113,16 @@ def last_common_hop(
             )
     limit_a = len(path_a.hops) if limit_a is None else limit_a
     limit_b = len(path_b.hops) if limit_b is None else limit_b
-    return _join(
+    best = _join(
         _deepest_positions(path_a, limit_a),
         limit_a,
         _deepest_positions(path_b, limit_b),
-        allow_origin_fallback,
     )
+    if best is not None:
+        return TransitPoint(*best)
+    if allow_origin_fallback:
+        return _ORIGIN_FALLBACK
+    return _NO_TRANSIT
 
 
 def _deepest_positions(trace: TracePath, limit: int) -> dict[str, int]:
@@ -133,9 +142,9 @@ def _join(
     positions_a: dict[str, int],
     limit_a: int,
     positions_b: dict[str, int],
-    allow_origin_fallback: bool,
-) -> TransitPoint | RejectReason:
-    """The transit scan shared by last_common_hop and estimate_pair.
+) -> tuple[str, int, int] | None:
+    """The transit scan shared by last_common_hop and estimate_pair: the
+    winning (address, index_a, index_b), or None without a common address.
 
     Scans b deepest first, so a later candidate with an equal index sum
     has the larger index_a and wins; stops once no index_a up to limit_a
@@ -150,11 +159,7 @@ def _join(
         if ia is not None and ia + ib >= best_sum:
             best_sum = ia + ib
             best = (address, ia, ib)
-    if best is not None:
-        return TransitPoint(address=best[0], index_a=best[1], index_b=best[2])
-    if allow_origin_fallback:
-        return TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)
-    return RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
+    return best
 
 
 def validate_beyond_transit(
@@ -208,27 +213,44 @@ class PreparedTrace:
     Holds the endpoint for ``mode`` (None for an unreached trace) and the
     deepest position of each responsive address up to it.  That mapping is
     ordered deepest first, so its items are also the (address, position)
-    list the transit scan walks.  ``verdict`` memoizes
-    ``validate_beyond_transit`` per transit position and ``eps_rtt``.
+    list the transit scan walks.  ``tail`` memoizes the checks on the
+    segment beyond each transit position, for one ``eps_rtt`` at a time.
     """
 
-    __slots__ = ("trace", "mode", "endpoint", "positions", "_verdicts")
+    __slots__ = ("trace", "mode", "endpoint", "positions", "_tails", "_eps_rtt")
 
     def __init__(self, trace: TracePath, mode: str = ACCESS_ROUTER):
         self.trace = trace
         self.mode = mode
         self.endpoint = endpoint_of(trace, mode) if trace.reached else None
         self.positions = _deepest_positions(trace, self.endpoint or 0)
-        self._verdicts: dict[tuple[int, float], RejectReason | None] = {}
+        self._tails: dict[int, RejectReason | float | None] = {}
+        self._eps_rtt = 0.0
 
-    def verdict(self, transit_pos: int, eps_rtt: float) -> RejectReason | None:
-        """validate_beyond_transit from transit_pos to the last hop."""
-        key = (transit_pos, eps_rtt)
-        if key not in self._verdicts:
-            self._verdicts[key] = validate_beyond_transit(
-                self.trace, transit_pos, len(self.trace.hops), eps_rtt
-            )
-        return self._verdicts[key]
+    def tail(self, transit_pos: int, eps_rtt: float) -> RejectReason | float | None:
+        """The segment beyond transit_pos, checked: the reject of
+        ``validate_beyond_transit`` up to the last hop, else the RTT from
+        the transit to the endpoint (negative when it drops), or None when
+        the endpoint hop has no RTT.
+
+        One memo entry per transit position holds just that value, so it
+        costs no object beyond the RTT; a call with another ``eps_rtt``
+        than the last one starts the memo afresh.
+        """
+        tails = self._tails
+        if eps_rtt != self._eps_rtt:
+            tails.clear()
+            self._eps_rtt = eps_rtt
+        elif transit_pos in tails:
+            return tails[transit_pos]
+        hops = self.trace.hops
+        value = validate_beyond_transit(self.trace, transit_pos, len(hops), eps_rtt)
+        if value is None:
+            end_rtt = hops[self.endpoint - 1].rtt_ms
+            if end_rtt is not None:
+                value = end_rtt - (hops[transit_pos - 1].rtt_ms if transit_pos else 0.0)
+        tails[transit_pos] = value
+        return value
 
 
 def estimate_pair(
@@ -242,63 +264,60 @@ def estimate_pair(
     address before any tie-breaking happens.  A ``TracePath`` is prepared on
     entry; a ``PreparedTrace`` must have been prepared for ``options.mode``.
     """
-    a = path_a if isinstance(path_a, PreparedTrace) else PreparedTrace(path_a, options.mode)
-    b = path_b if isinstance(path_b, PreparedTrace) else PreparedTrace(path_b, options.mode)
-    if a.mode != options.mode or b.mode != options.mode:
-        raise ValueError(f"trace prepared for another mode than {options.mode!r}")
-    if a.trace.destination > b.trace.destination:
-        a, b = b, a
+    mode = options.mode
+    a = path_a if isinstance(path_a, PreparedTrace) else PreparedTrace(path_a, mode)
+    b = path_b if isinstance(path_b, PreparedTrace) else PreparedTrace(path_b, mode)
+    if a.mode != mode or b.mode != mode:
+        raise ValueError(f"trace prepared for another mode than {mode!r}")
+    trace_a, trace_b = a.trace, b.trace
+    if trace_a.destination > trace_b.destination:
+        a, b, trace_a, trace_b = b, a, trace_b, trace_a
     for p in (a, b):
         if p.endpoint is None:
             return RejectReason(
                 RejectKind.UNREACHABLE_DESTINATION,
                 f"destination {p.trace.destination} not reached",
             )
-    if a.trace.origin_id != b.trace.origin_id:
+    if trace_a.origin_id != trace_b.origin_id:
         raise ValueError(
-            f"traces from different origins: {a.trace.origin_id} vs {b.trace.origin_id}"
+            f"traces from different origins: {trace_a.origin_id} vs {trace_b.origin_id}"
         )
-    transit = _join(a.positions, a.endpoint, b.positions, options.allow_origin_fallback)
-    if isinstance(transit, RejectReason):
-        return transit
+    best = _join(a.positions, a.endpoint, b.positions)
+    if best is not None:
+        address, index_a, index_b = best
+    elif options.allow_origin_fallback:
+        address, index_a, index_b = None, 0, 0
+    else:
+        return _NO_TRANSIT
     # validate the whole remaining path, not just up to the endpoint: a
     # cumulative RTT decrease between the access router and the destination
-    # still signals asymmetry on the segment the tail RTTs depend on
-    for p, t_pos in ((a, transit.index_a), (b, transit.index_b)):
-        reject = p.verdict(t_pos, options.eps_rtt)
-        if reject is not None:
-            return reject
-    rtt_a = _tail_rtt(a.trace, transit.index_a, a.endpoint)
+    # still signals asymmetry on the segment the tail RTTs depend on.
+    # Precedence: a's segment, b's segment, a's tail RTT, b's tail RTT.
+    rtt_a = a.tail(index_a, options.eps_rtt)
     if isinstance(rtt_a, RejectReason):
         return rtt_a
-    rtt_b = _tail_rtt(b.trace, transit.index_b, b.endpoint)
+    rtt_b = b.tail(index_b, options.eps_rtt)
     if isinstance(rtt_b, RejectReason):
         return rtt_b
+    for p, rtt in ((a, rtt_a), (b, rtt_b)):
+        if rtt is None:
+            return RejectReason(
+                RejectKind.MISSING_RTT_AT_TRANSIT,
+                f"no rtt at endpoint hop {p.endpoint} of {p.trace.destination}",
+            )
+        if rtt < 0:
+            return RejectReason(
+                RejectKind.ASYMMETRY_SUSPECTED,
+                f"negative rtt difference {rtt} on tail to {p.trace.destination}",
+            )
     return PairEstimate(
-        endpoint_a=a.trace.destination,
-        endpoint_b=b.trace.destination,
-        origin_id=a.trace.origin_id,
-        transit=transit,
-        hop_bound=(a.endpoint - transit.index_a) + (b.endpoint - transit.index_b),
+        endpoint_a=trace_a.destination,
+        endpoint_b=trace_b.destination,
+        origin_id=trace_a.origin_id,
+        transit=_ORIGIN_FALLBACK if address is None else TransitPoint(address, index_a, index_b),
+        hop_bound=(a.endpoint - index_a) + (b.endpoint - index_b),
         rtt_bound_ms=rtt_a + rtt_b,
     )
-
-
-def _tail_rtt(path: TracePath, t_pos: int, e_pos: int) -> float | RejectReason:
-    end_rtt = path.hop(e_pos).rtt_ms
-    if end_rtt is None:
-        return RejectReason(
-            RejectKind.MISSING_RTT_AT_TRANSIT,
-            f"no rtt at endpoint hop {e_pos} of {path.destination}",
-        )
-    start_rtt = 0.0 if t_pos == 0 else path.hop(t_pos).rtt_ms
-    diff = end_rtt - start_rtt
-    if diff < 0:
-        return RejectReason(
-            RejectKind.ASYMMETRY_SUSPECTED,
-            f"negative rtt difference {diff} on tail to {path.destination}",
-        )
-    return diff
 
 
 def _accepted(per_origin):
@@ -346,81 +365,97 @@ def batch_estimate(
     A pair endpoint with no trace from an origin yields a NoTransit reject
     with detail "no trace" for that origin; it never aborts the batch.
     """
-    # per origin, destination -> its trace, replaced by the prepared trace
-    # the first time a pair needs it
-    index: dict[str, dict[str, TracePath | PreparedTrace]] = {}
-    for origin, traces in traces_by_origin.items():
-        by_dest = index.setdefault(origin, {})
-        for trace in traces:
+    # per origin, each destination the pairs name -> its prepared trace
+    named = {endpoint for pair in pairs for endpoint in pair}
+    prepared: dict[str, dict[str, PreparedTrace]] = {}
+    for origin in sorted(traces_by_origin):
+        chosen: dict[str, TracePath] = {}
+        for trace in traces_by_origin[origin]:
             # prefer a reached trace when several target the same destination
-            existing = by_dest.get(trace.destination)
+            existing = chosen.get(trace.destination)
             if existing is None or (trace.reached and not existing.reached):
-                by_dest[trace.destination] = trace
+                chosen[trace.destination] = trace
+        prepared[origin] = {
+            dest: PreparedTrace(trace, options.mode)
+            for dest, trace in chosen.items() if dest in named
+        }
 
     outcomes = []
-    stats = BatchStats(total_pairs=len(pairs), succeeded=0)
-    origins = sorted(index)
+    succeeded = 0
+    reject_counts: Counter = Counter()
     for a, b in pairs:
         per_origin: dict[str, PairEstimate | RejectReason] = {}
-        for origin in origins:
-            by_dest = index[origin]
-            if a in by_dest and b in by_dest:
-                per_origin[origin] = estimate_pair(
-                    _prepared(by_dest, a, options.mode),
-                    _prepared(by_dest, b, options.mode),
-                    options,
-                )
+        for origin, by_dest in prepared.items():
+            pa = by_dest.get(a)
+            pb = by_dest.get(b)
+            if pa is None or pb is None:
+                est = _NO_TRACE
             else:
-                per_origin[origin] = RejectReason(RejectKind.NO_TRANSIT, "no trace")
+                est = estimate_pair(pa, pb, options)
+            per_origin[origin] = est
+            if isinstance(est, RejectReason):
+                reject_counts[est.kind] += 1
         outcome = min_over_origins(
             (min(a, b), max(a, b)), per_origin, options.couple_metrics
         )
         outcomes.append(outcome)
         if outcome.accepted:
-            stats.succeeded += 1
-        for est in per_origin.values():
-            if isinstance(est, RejectReason):
-                stats.reject_counts[est.kind.value] += 1
+            succeeded += 1
+    stats = BatchStats(
+        total_pairs=len(pairs),
+        succeeded=succeeded,
+        reject_counts=Counter({kind.value: n for kind, n in reject_counts.items()}),
+    )
     return outcomes, stats
-
-
-def _prepared(by_dest: dict, destination: str, mode: str) -> PreparedTrace:
-    entry = by_dest[destination]
-    if isinstance(entry, TracePath):
-        entry = by_dest[destination] = PreparedTrace(entry, mode)
-    return entry
 
 
 # ---------------------------------------------------------------------------
 # line-delimited outcome export, consumed by stats and the CLI
 
 
-def _estimate_to_obj(est: PairEstimate | RejectReason):
-    if isinstance(est, PairEstimate):
-        return {
-            "hop_bound": est.hop_bound,
-            "rtt_bound_ms": est.rtt_bound_ms,
-            "transit": [est.transit.address, est.transit.index_a, est.transit.index_b],
-            "origin_fallback": est.transit.is_origin_fallback,
-        }
-    return {"reject": est.kind.value, "detail": est.detail}
+def _estimate_to_obj(est: PairEstimate):
+    return {
+        "hop_bound": est.hop_bound,
+        "rtt_bound_ms": est.rtt_bound_ms,
+        "transit": [est.transit.address, est.transit.index_a, est.transit.index_b],
+        "origin_fallback": est.transit.is_origin_fallback,
+    }
 
 
 def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
-    write_jsonl(path, (
-        {
+    """One record per outcome.  Each distinct reject reason is encoded
+    once, and a best bound that is its origin's per-origin estimate reuses
+    that entry's object."""
+    rejects: dict[RejectReason, dict] = {}
+
+    def entry(est: PairEstimate | RejectReason):
+        if isinstance(est, PairEstimate):
+            return _estimate_to_obj(est)
+        obj = rejects.get(est)
+        if obj is None:
+            obj = rejects[est] = {"reject": est.kind.value, "detail": est.detail}
+        return obj
+
+    def best(est: PairEstimate | None, per_origin: dict, objs: dict):
+        if est is None:
+            return None
+        if per_origin.get(est.origin_id) is est:
+            return objs[est.origin_id]
+        return _estimate_to_obj(est)
+
+    def record(oc: PairOutcome) -> dict:
+        per_origin = oc.per_origin
+        objs = {origin: entry(per_origin[origin]) for origin in sorted(per_origin)}
+        return {
             "pair": list(oc.pair),
-            "per_origin": {
-                origin: _estimate_to_obj(oc.per_origin[origin])
-                for origin in sorted(oc.per_origin)
-            },
-            "best_hop": None if oc.best_hop is None else _estimate_to_obj(oc.best_hop),
+            "per_origin": objs,
+            "best_hop": best(oc.best_hop, per_origin, objs),
             "best_hop_origin": None if oc.best_hop is None else oc.best_hop.origin_id,
-            "best_rtt": None if oc.best_rtt is None else _estimate_to_obj(oc.best_rtt),
+            "best_rtt": best(oc.best_rtt, per_origin, objs),
             "best_rtt_origin": None if oc.best_rtt is None else oc.best_rtt.origin_id,
         }
-        for oc in outcomes
-    ))
+
+    write_jsonl(path, map(record, outcomes))
 
 
 def read_outcomes(path: str | Path) -> list[PairOutcome]:

@@ -1,9 +1,13 @@
 import ast
+import gc
 import itertools
 import json
 import os
 import re
+import resource
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -314,6 +318,9 @@ def test_handover_persistence_error_leaves_no_curve(tmp_path, capsys, source, ro
     ("# metric=foo bin_width=1", "0\t1\t1.0", r": unknown metric 'foo'"),
     ("# metric=rtt_ms bin_width=5", "5\t1", r": bad row at line 3: "),
     ("# metric=rtt_ms bin_width=5", "5\tone\t1.0", r": bad row at line 3: .*'one'"),
+    ("# metric=rtt_ms bin_width=5", "5\t-3\t1.0", r": bad row at line 3: negative count -3"),
+    ("# metric=rtt_ms bin_width=wide", "5\t1\t1.0", r": bad header: .*'wide'"),
+    ("# metric=rtt_ms excluded=x", "5\t1\t1.0", r": bad header: .*'x'"),
 ])
 def test_handover_bad_dist_tsv_is_fatal(tmp_path, capsys, header, row, message):
     dist = tmp_path / "dist.rtt.tsv"
@@ -332,6 +339,52 @@ def test_handover_bad_grid_is_fatal(tmp_path, capsys):
     assert main(["handover", "--outcomes", str(outcomes), "--grid", "0-10-1",
                  "-o", str(tmp_path / "curve.tsv")]) == 2
     assert not (tmp_path / "curve.tsv").exists()
+
+
+@pytest.mark.parametrize("grid", ["0:inf:5", "-inf:10:1", "nan:10:1", "0:nan:1", "0:10:inf"])
+def test_handover_non_finite_grid_is_fatal(tmp_path, grid):
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+          "-o", str(outcomes)])
+    # in a child with capped memory and time: a grid without a finite stop
+    # would otherwise grow until memory runs out
+    limit = 512 * 2**20
+    done = subprocess.run(
+        [sys.executable, "-m", "edgedist.cli", "handover", "--outcomes", str(outcomes),
+         f"--grid={grid}", "-o", str(tmp_path / "curve.tsv")],
+        env={**os.environ, "PYTHONPATH": str(Path(edgedist.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (2, f"error: bad grid {grid!r}\n")
+    assert not (tmp_path / "curve.tsv").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["pairs", "--mode", "host"], 0),
+    (["pairs", "--pairs-file", "missing.csv"], 2),
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_cyclic_gc_and_restores_it(tmp_path, monkeypatch, argv, code,
+                                                     enabled):
+    seen = []
+    batch_estimate = transit.batch_estimate
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return batch_estimate(*args)
+
+    monkeypatch.setattr(transit, "batch_estimate", recording)
+    monkeypatch.chdir(tmp_path)
+    traces = origin_traces(tmp_path)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["--quiet", *argv, "--traces", traces, "-o", "out.jsonl"]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == ([False] if code == 0 else [])
 
 
 def test_simulate_writes_all_outputs(tmp_path, capsys):

@@ -229,6 +229,23 @@ def test_estimate_rejects_decreasing_tail():
     assert reject.kind is RejectKind.ASYMMETRY_SUSPECTED
 
 
+def test_segment_rejects_take_precedence_over_tail_rejects():
+    # a's segment passes within eps but its tail RTT is negative; b's
+    # segment repeats x beyond the transit, so b's loop reject wins
+    a = trace("o", "a", [("t", 5.0), ("a", 4.5)])
+    b = trace("o", "b", [("t", 1.0), ("x", 2.0), ("x", 3.0), ("b", 4.0)])
+    options = EstimateOptions(mode=HOST, eps_rtt=1.0)
+    reject = estimate_pair(a, b, options)
+    assert reject == reference.estimate_pair(a, b, options)
+    assert reject.kind is RejectKind.LOOP_BEYOND_TRANSIT
+    assert reject.detail == "address x repeats at hop 3"
+    # without b's loop, a's negative tail is the reject
+    clean_b = trace("o", "b", [("t", 1.0), ("b", 4.0)])
+    assert estimate_pair(a, clean_b, options) == RejectReason(
+        RejectKind.ASYMMETRY_SUSPECTED, "negative rtt difference -0.5 on tail to a"
+    )
+
+
 def test_estimate_bounds_true_distance_on_synthetic_graph():
     # 12-router ring of stars; bounds from each origin stay >= the truth
     topo = synth.generate_topology("ring_of_stars", {"cores": 4, "leaves": 2}, seed=11)
@@ -463,6 +480,20 @@ def test_last_common_hop_matches_reference(campaign, cut_a, cut_b, fallback):
         for limits in ((None, None), (limit_a, limit_b)):
             assert last_common_hop(ta, tb, fallback, *limits) == \
                 reference.last_common_hop(ta, tb, fallback, *limits)
+
+
+def test_prepared_trace_follows_a_change_of_eps_rtt():
+    # x -> y drops 0.5 ms beyond both transits of a: rejected at eps 0,
+    # accepted at eps 1, whichever tolerance a transit position saw first
+    a = trace("o", "a", [("t", 2.0), ("u", 3.0), ("x", 5.0), ("y", 4.5), ("a", 6.0)])
+    via_t = trace("o", "bt", [("t", 2.0), ("bt", 3.0)])
+    via_u = trace("o", "bu", [("t", 2.0), ("u", 3.0), ("bu", 4.0)])
+    prepared = {t: PreparedTrace(t, HOST) for t in (a, via_t, via_u)}
+    for b, eps in ((via_t, 0.0), (via_u, 1.0), (via_t, 1.0), (via_u, 0.0)):
+        options = EstimateOptions(mode=HOST, eps_rtt=eps)
+        expected = reference.estimate_pair(a, b, options)
+        assert isinstance(expected, PairEstimate) == (eps == 1.0)
+        assert estimate_pair(prepared[a], prepared[b], options) == expected
 
 
 def test_prepared_trace_for_another_mode_is_an_error():
