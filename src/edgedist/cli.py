@@ -23,6 +23,8 @@ from . import handover, ingest, stats, synth, transit
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_FATAL = 2
+# a longer anticipation grid is taken for a mistyped step, not built
+MAX_GRID_POINTS = 1_000_000
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -76,6 +78,8 @@ def _parse_grid(spec: str) -> list[float]:
     grid = []
     value = start
     while value <= stop + 1e-9:
+        if len(grid) == MAX_GRID_POINTS:
+            raise ValueError(f"bad grid {spec!r}")
         grid.append(round(value, 9))
         value += step
     return grid
@@ -153,6 +157,7 @@ def _estimate_options(args) -> transit.EstimateOptions:
 
 
 def cmd_pairs(args) -> int:
+    options = _estimate_options(args)
     traces_by_origin: dict[str, list] = {}
     for path in args.traces:
         for trace in ingest.read_canonical(path):
@@ -178,7 +183,7 @@ def cmd_pairs(args) -> int:
         pairs = _sample_pairs(count, pair, args.max_pairs, random.Random(args.seed))
     else:
         pairs = [pair(i) for i in range(count)]
-    outcomes, batch = transit.batch_estimate(traces_by_origin, pairs, _estimate_options(args))
+    outcomes, batch = transit.batch_estimate(traces_by_origin, pairs, options)
     _atomic_via(args.output, lambda p: transit.write_outcomes(outcomes, p))
     _say(args, f"pairs={batch.total_pairs} succeeded={batch.succeeded} "
                f"success_ratio={batch.success_ratio:.2f}")
@@ -270,6 +275,7 @@ def cmd_handover(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    estimate_options = _estimate_options(args)
     params = _parse_kv(args.params)
     inject = _parse_kv(args.inject)
     topology = synth.generate_topology(
@@ -294,7 +300,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     report = synth.run_experiment(
-        topology, origins, pairs, options, _estimate_options(args)
+        topology, origins, pairs, options, estimate_options
     )
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

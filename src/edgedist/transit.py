@@ -8,6 +8,7 @@ origins tightens the estimate.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +41,8 @@ class EstimateOptions:
     def __post_init__(self):
         if self.mode not in (HOST, ACCESS_ROUTER):
             raise ValueError(f"unknown endpoint mode {self.mode!r}")
+        if not 0 <= self.eps_rtt < math.inf:
+            raise ValueError(f"eps_rtt must be finite and >= 0, got {self.eps_rtt}")
 
 
 @dataclass(slots=True)
@@ -257,12 +260,15 @@ def estimate_pair(
     path_a: TracePath | PreparedTrace,
     path_b: TracePath | PreparedTrace,
     options: EstimateOptions = EstimateOptions(),
+    transits: dict[tuple[str, int, int], TransitPoint] | None = None,
 ) -> PairEstimate | RejectReason:
     """Upper-bound the distance between two destinations seen from one origin.
 
     Symmetric in its two paths: the pair is canonicalized by destination
     address before any tie-breaking happens.  A ``TracePath`` is prepared on
     entry; a ``PreparedTrace`` must have been prepared for ``options.mode``.
+    ``transits`` maps (address, index_a, index_b) to its ``TransitPoint``;
+    calls that share one table share one object per distinct transit point.
     """
     mode = options.mode
     a = path_a if isinstance(path_a, PreparedTrace) else PreparedTrace(path_a, mode)
@@ -284,9 +290,9 @@ def estimate_pair(
         )
     best = _join(a.positions, a.endpoint, b.positions)
     if best is not None:
-        address, index_a, index_b = best
+        _, index_a, index_b = best
     elif options.allow_origin_fallback:
-        address, index_a, index_b = None, 0, 0
+        index_a = index_b = 0
     else:
         return _NO_TRANSIT
     # validate the whole remaining path, not just up to the endpoint: a
@@ -310,22 +316,22 @@ def estimate_pair(
                 RejectKind.ASYMMETRY_SUSPECTED,
                 f"negative rtt difference {rtt} on tail to {p.trace.destination}",
             )
+    if best is None:
+        transit = _ORIGIN_FALLBACK
+    elif transits is None:
+        transit = TransitPoint(*best)
+    else:
+        transit = transits.get(best)
+        if transit is None:
+            transit = transits[best] = TransitPoint(*best)
     return PairEstimate(
-        endpoint_a=trace_a.destination,
-        endpoint_b=trace_b.destination,
-        origin_id=trace_a.origin_id,
-        transit=_ORIGIN_FALLBACK if address is None else TransitPoint(address, index_a, index_b),
-        hop_bound=(a.endpoint - index_a) + (b.endpoint - index_b),
-        rtt_bound_ms=rtt_a + rtt_b,
+        trace_a.destination,
+        trace_b.destination,
+        trace_a.origin_id,
+        transit,
+        (a.endpoint - index_a) + (b.endpoint - index_b),
+        rtt_a + rtt_b,
     )
-
-
-def _accepted(per_origin):
-    return [
-        (origin, est)
-        for origin, est in per_origin.items()
-        if isinstance(est, PairEstimate)
-    ]
 
 
 def min_over_origins(
@@ -336,22 +342,24 @@ def min_over_origins(
     """Select the minimal upper bounds over all origins, per metric.
 
     Hop and RTT bounds are minimized independently (each is a valid bound on
-    its own); ``couple_metrics`` forces both to come from the hop winner.
+    its own), by the keys (hop, rtt, origin) and (rtt, hop, origin); the
+    origins are distinct, so neither key ties.  ``couple_metrics`` forces
+    both to come from the hop winner.
     """
     if not per_origin:
         raise ValueError("min_over_origins needs at least one origin entry")
-    accepted = _accepted(per_origin)
-    best_hop = best_rtt = None
-    if accepted:
-        best_hop = min(
-            accepted, key=lambda kv: (kv[1].hop_bound, kv[1].rtt_bound_ms, kv[0])
-        )[1]
-        if couple_metrics:
-            best_rtt = best_hop
-        else:
-            best_rtt = min(
-                accepted, key=lambda kv: (kv[1].rtt_bound_ms, kv[1].hop_bound, kv[0])
-            )[1]
+    best_hop = best_rtt = hop_key = rtt_key = None
+    for origin, est in per_origin.items():
+        if isinstance(est, PairEstimate):
+            hop, rtt = est.hop_bound, est.rtt_bound_ms
+            key = (hop, rtt, origin)
+            if hop_key is None or key < hop_key:
+                hop_key, best_hop = key, est
+            key = (rtt, hop, origin)
+            if rtt_key is None or key < rtt_key:
+                rtt_key, best_rtt = key, est
+    if couple_metrics:
+        best_rtt = best_hop
     return PairOutcome(pair=pair, per_origin=dict(per_origin), best_hop=best_hop, best_rtt=best_rtt)
 
 
@@ -364,6 +372,7 @@ def batch_estimate(
 
     A pair endpoint with no trace from an origin yields a NoTransit reject
     with detail "no trace" for that origin; it never aborts the batch.
+    The estimates share one ``TransitPoint`` per distinct transit.
     """
     # per origin, each destination the pairs name -> its prepared trace
     named = {endpoint for pair in pairs for endpoint in pair}
@@ -383,6 +392,7 @@ def batch_estimate(
     outcomes = []
     succeeded = 0
     reject_counts: Counter = Counter()
+    transits: dict[tuple[str, int, int], TransitPoint] = {}
     for a, b in pairs:
         per_origin: dict[str, PairEstimate | RejectReason] = {}
         for origin, by_dest in prepared.items():
@@ -391,7 +401,7 @@ def batch_estimate(
             if pa is None or pb is None:
                 est = _NO_TRACE
             else:
-                est = estimate_pair(pa, pb, options)
+                est = estimate_pair(pa, pb, options, transits)
             per_origin[origin] = est
             if isinstance(est, RejectReason):
                 reject_counts[est.kind] += 1
@@ -461,13 +471,15 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
 def read_outcomes(path: str | Path) -> list[PairOutcome]:
     """Decode an outcome file written by ``write_outcomes``.
 
-    Each distinct reject reason and transit point is built once per file
-    and shared (both are frozen), and a best bound whose entry equals the
-    per-origin entry of the origin it names is that entry's estimate.
-    A malformed record raises ValueError naming its line.
+    Each distinct reject reason, transit point and origin name is built
+    once per file and shared (all are immutable), and a best bound whose
+    entry equals the per-origin entry of the origin it names is that
+    entry's estimate.  A malformed record raises ValueError naming its line.
     """
     rejects: dict[tuple, RejectReason] = {}
     transits: dict[tuple, TransitPoint] = {}
+    names: dict[str, str] = {}
+    share = names.setdefault
 
     def estimate(obj, a: str, b: str, origin: str) -> PairEstimate | RejectReason:
         if "reject" in obj:
@@ -491,17 +503,22 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
         if obj == rec["per_origin"].get(origin):
             est = per_origin[origin]
         else:
-            est = estimate(obj, a, b, origin)
+            est = estimate(obj, a, b, share(origin, origin))
         if not isinstance(est, PairEstimate):
             raise ValueError(f"{name} is a reject entry")
         return est
 
     def outcome(rec: dict) -> PairOutcome:
-        a, b = rec["pair"]
+        a, b = pair = rec["pair"]
+        if type(pair) is not list or type(a) is not str or type(b) is not str:
+            raise ValueError(f"pair {pair!r} is not two strings")
         objs = rec["per_origin"]
         if not isinstance(objs, dict):
             raise ValueError("per_origin is not an object")
-        per_origin = {origin: estimate(obj, a, b, origin) for origin, obj in objs.items()}
+        per_origin = {}
+        for origin, obj in objs.items():
+            origin = share(origin, origin)
+            per_origin[origin] = estimate(obj, a, b, origin)
         return PairOutcome(
             pair=(a, b),
             per_origin=per_origin,

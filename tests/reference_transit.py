@@ -4,7 +4,9 @@
 preparation: every call recomputes the endpoint, the address positions and
 the validation verdicts of both traces, and breaks ties on the address with
 ``_neg_lex``.  ``read_outcomes`` is as it was before the per-file decoder:
-it builds every reject reason, transit point and best bound anew.  The
+it builds every reject reason, transit point and best bound anew.
+``min_over_origins`` is the two-pass selection: it copies the accepted
+entries into a list and takes a lambda-keyed ``min`` per metric.  The
 differential tests compare ``edgedist.transit`` against this module result
 for result.
 """
@@ -135,6 +137,36 @@ def estimate_pair(
         hop_bound=(n_a - transit.index_a) + (n_b - transit.index_b),
         rtt_bound_ms=rtt_a + rtt_b,
     )
+
+
+def _accepted(per_origin):
+    return [
+        (origin, est)
+        for origin, est in per_origin.items()
+        if isinstance(est, PairEstimate)
+    ]
+
+
+def min_over_origins(
+    pair: tuple[str, str],
+    per_origin: dict[str, PairEstimate | RejectReason],
+    couple_metrics: bool = False,
+) -> PairOutcome:
+    if not per_origin:
+        raise ValueError("min_over_origins needs at least one origin entry")
+    accepted = _accepted(per_origin)
+    best_hop = best_rtt = None
+    if accepted:
+        best_hop = min(
+            accepted, key=lambda kv: (kv[1].hop_bound, kv[1].rtt_bound_ms, kv[0])
+        )[1]
+        if couple_metrics:
+            best_rtt = best_hop
+        else:
+            best_rtt = min(
+                accepted, key=lambda kv: (kv[1].rtt_bound_ms, kv[1].hop_bound, kv[0])
+            )[1]
+    return PairOutcome(pair=pair, per_origin=dict(per_origin), best_hop=best_hop, best_rtt=best_rtt)
 
 
 def _estimate_from_obj(obj, pair, origin):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import edgedist
-from edgedist import ingest, transit
+from edgedist import cli, ingest, transit
 from edgedist.cli import main, pair_at
 
 from conftest import trace
@@ -103,6 +103,22 @@ def test_pairs_missing_input_is_fatal(tmp_path, capsys):
     out = tmp_path / "outcomes.jsonl"
     assert main(["pairs", "--traces", str(tmp_path / "nope.jsonl"),
                  "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "-5", "inf"])
+@pytest.mark.parametrize("command", ["pairs", "simulate"])
+def test_bad_eps_rtt_is_fatal(tmp_path, capsys, command, eps):
+    # NaN turned the cumulative-RTT check off and -5 rejected every pair
+    out = tmp_path / "out"
+    if command == "pairs":
+        argv = ["pairs", "--traces", origin_traces(tmp_path)]
+    else:
+        argv = ["simulate", "--model", "two_tier", "--params", "regions=4,leaves=5",
+                "--origins", "4", "--pairs", "150", "--inject", "asymmetry=0.2,delta=40"]
+    assert main(["--seed", "1", *argv, f"--eps-rtt={eps}", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: eps_rtt must be finite and >= 0, got {float(eps)}\n")
     assert not out.exists()
 
 
@@ -341,14 +357,16 @@ def test_handover_bad_grid_is_fatal(tmp_path, capsys):
     assert not (tmp_path / "curve.tsv").exists()
 
 
-@pytest.mark.parametrize("grid", ["0:inf:5", "-inf:10:1", "nan:10:1", "0:nan:1", "0:10:inf"])
+# the last grid is finite but would hold 1e15 points
+@pytest.mark.parametrize("grid", ["0:inf:5", "-inf:10:1", "nan:10:1", "0:nan:1", "0:10:inf",
+                                  "0:1e12:1e-3"])
 def test_handover_non_finite_grid_is_fatal(tmp_path, grid):
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
     main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
           "-o", str(outcomes)])
-    # in a child with capped memory and time: a grid without a finite stop
-    # would otherwise grow until memory runs out
+    # in a child with capped memory and time: a grid without a finite stop,
+    # or with too many points, would otherwise grow until memory runs out
     limit = 512 * 2**20
     done = subprocess.run(
         [sys.executable, "-m", "edgedist.cli", "handover", "--outcomes", str(outcomes),
@@ -359,6 +377,14 @@ def test_handover_non_finite_grid_is_fatal(tmp_path, grid):
     )
     assert (done.returncode, done.stderr) == (2, f"error: bad grid {grid!r}\n")
     assert not (tmp_path / "curve.tsv").exists()
+
+
+def test_grid_holds_at_most_a_million_points(monkeypatch):
+    assert cli.MAX_GRID_POINTS == 1_000_000
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+    assert cli._parse_grid("1:10:1") == [float(i) for i in range(1, 11)]
+    with pytest.raises(ValueError, match="^bad grid '1:11:1'$"):
+        cli._parse_grid("1:11:1")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from edgedist.model import (
@@ -87,3 +90,79 @@ def test_pair_estimate_rejects_negative_bounds():
                 endpoint_a="a", endpoint_b="b", origin_id="o",
                 transit=transit, hop_bound=0, rtt_bound_ms=rtt,
             )
+
+
+TRANSIT = TransitPoint("t", 1, 2)
+FALLBACK = TransitPoint(None, 0, 0, is_origin_fallback=True)
+ESTIMATE = PairEstimate("a", "b", "o", TRANSIT, 3, 4.5)
+
+
+class _OtherTuple(tuple):
+    pass
+
+
+@pytest.mark.parametrize("value, field", [
+    (TRANSIT, "index_a"), (FALLBACK, "is_origin_fallback"), (ESTIMATE, "hop_bound"),
+])
+def test_values_are_read_only(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+    with pytest.raises(AttributeError):
+        value.note = "x"
+
+
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE])
+def test_value_equality_is_type_strict(value):
+    same = type(value)(*value)
+    assert same is not value
+    assert value == same and not value != same and hash(value) == hash(same)
+    plain = tuple(value)
+    assert value != plain and not value == plain
+    assert plain != value and not plain == value
+    # a foreign tuple subclass on the left compares by its own (tuple) rules
+    assert value != _OtherTuple(value) and not value == _OtherTuple(value)
+    other_type = ESTIMATE if value is not ESTIMATE else TRANSIT
+    assert value != other_type and not value == other_type
+    assert other_type != value and not other_type == value
+    with pytest.raises(TypeError):
+        value < same
+
+
+def test_values_compare_by_every_field():
+    assert TRANSIT != TransitPoint("t", 1, 3)
+    assert ESTIMATE != PairEstimate("a", "b", "o", TRANSIT, 3, 4.0)
+    assert ESTIMATE != PairEstimate("a", "b", "o", TransitPoint("u", 1, 2), 3, 4.5)
+    assert ESTIMATE == PairEstimate(endpoint_a="a", endpoint_b="b", origin_id="o",
+                                    transit=TransitPoint("t", 1, 2),
+                                    hop_bound=3, rtt_bound_ms=4.5)
+
+
+def test_value_repr_is_the_dataclass_text():
+    assert repr(TRANSIT) == (
+        "TransitPoint(address='t', index_a=1, index_b=2, is_origin_fallback=False)")
+    assert repr(FALLBACK) == (
+        "TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)")
+    assert repr(ESTIMATE) == (
+        "PairEstimate(endpoint_a='a', endpoint_b='b', origin_id='o', "
+        "transit=TransitPoint(address='t', index_a=1, index_b=2, is_origin_fallback=False), "
+        "hop_bound=3, rtt_bound_ms=4.5)")
+
+
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE])
+def test_values_survive_pickle_and_copy(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and type(twin) is type(value)
+
+
+def test_replacing_a_field_is_validated():
+    assert ESTIMATE._replace(hop_bound=4).hop_bound == 4
+    with pytest.raises(TraceError):
+        ESTIMATE._replace(hop_bound=-1)
+    with pytest.raises(TraceError):
+        TRANSIT._replace(index_a=0)
+
+
+@pytest.mark.parametrize("hop_bound", [2.5, 3.0, True, False, None, "3"])
+def test_pair_estimate_hop_bound_must_be_an_int(hop_bound):
+    with pytest.raises(TraceError, match="hop bound"):
+        PairEstimate("a", "b", "o", TRANSIT, hop_bound, 4.5)

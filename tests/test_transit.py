@@ -4,9 +4,9 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from edgedist.model import PairEstimate, RejectKind, RejectReason, TracePath
+from edgedist.model import PairEstimate, RejectKind, RejectReason, TracePath, TransitPoint
 from edgedist.transit import (
     ACCESS_ROUTER,
     HOST,
@@ -67,6 +67,12 @@ def test_endpoint_access_router_oracle_three_hops():
             (pos for pos in (2, 1) if t.hop(pos).responsive), 3
         )
         assert endpoint_of(t, ACCESS_ROUTER) == expected
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -5.0, -1e-9, float("inf")])
+def test_eps_rtt_must_be_finite_and_non_negative(eps):
+    with pytest.raises(ValueError, match="eps_rtt must be finite and >= 0"):
+        EstimateOptions(eps_rtt=eps)
 
 
 def test_unknown_mode_is_rejected_up_front():
@@ -323,6 +329,46 @@ def test_min_over_origins_coupled_metrics():
     assert outcome.best_rtt.origin_id == "O1"
 
 
+_REJECT = RejectReason(RejectKind.NO_TRANSIT, "")
+
+
+def _tied_estimate(hop_bound, rtt_bound):
+    # one origin id for all, so two entries with equal bounds are equal
+    # values and only their identity tells which origin won
+    return PairEstimate(
+        endpoint_a="a", endpoint_b="b", origin_id="o",
+        transit=TransitPoint(address="t", index_a=1, index_b=1),
+        hop_bound=hop_bound, rtt_bound_ms=rtt_bound,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(["O1", "O2", "O3", "O4", "O5"]),
+        st.one_of(
+            st.just(_REJECT),
+            st.builds(_tied_estimate, st.integers(0, 2), st.sampled_from([0.0, 1.5, 2.0])),
+        ),
+        min_size=1,
+    ),
+    st.booleans(),
+)
+@example({"O2": _REJECT, "O1": _REJECT}, False)
+@example({"O3": _tied_estimate(4, 9.0)}, False)
+@example({"O3": _tied_estimate(4, 9.0)}, True)
+@example({"O2": _tied_estimate(1, 5.0), "O1": _tied_estimate(1, 7.0)}, False)
+@example({"O2": _tied_estimate(2, 5.0), "O1": _tied_estimate(1, 5.0)}, False)
+@example({"O3": _tied_estimate(1, 5.0), "O2": _tied_estimate(1, 5.0),
+          "O1": _REJECT}, False)
+@example({"O2": _tied_estimate(1, 9.0), "O1": _tied_estimate(2, 5.0)}, True)
+def test_min_over_origins_matches_the_two_pass_reference(per_origin, couple):
+    got = min_over_origins(("a", "b"), per_origin, couple)
+    want = reference.min_over_origins(("a", "b"), per_origin, couple)
+    assert got == want
+    assert got.best_hop is want.best_hop and got.best_rtt is want.best_rtt
+
+
 def _accepted_pair_traces(origin, i):
     a_dest, b_dest = f"A{i}", f"B{i}"
     shared = f"T{i}"
@@ -374,6 +420,24 @@ def test_batch_missing_trace_reports_no_trace():
     reject = ghost.per_origin["O1"]
     assert reject.kind is RejectKind.NO_TRANSIT and reject.detail == "no trace"
     assert stats.succeeded == 1
+
+
+def test_batch_shares_one_transit_point_per_distinct_transit():
+    # every pair of every origin meets at T, one hop deep in both traces
+    dests = ["A", "B", "C", "D"]
+    traces_by_origin = {
+        origin: [trace(origin, d, [("T", 1.0), (d, 2.0)]) for d in dests]
+        for origin in ("O1", "O2")
+    }
+    traces_by_origin["O3"] = [trace("O3", d, [(d, 2.0)]) for d in dests]
+    pairs = list(itertools.combinations(dests, 2))
+    outcomes, _ = batch_estimate(
+        traces_by_origin, pairs, EstimateOptions(mode=HOST, allow_origin_fallback=True))
+    transits = [est.transit for oc in outcomes for est in oc.per_origin.values()]
+    assert len(transits) == 3 * len(pairs)
+    assert {id(t) for t in transits} == {id(transits[0]), id(transits[2])}
+    assert transits[0] == TransitPoint("T", 1, 1)
+    assert transits[2].is_origin_fallback
 
 
 def test_outcomes_round_trip(tmp_path):
@@ -465,7 +529,7 @@ def test_prepared_estimator_matches_reference(campaign):
                 origin: reference.estimate_pair(by_dest[a], by_dest[b], options)
                 for origin, by_dest in by_origin.items()
             }
-            assert outcome == min_over_origins(
+            assert outcome == reference.min_over_origins(
                 (min(a, b), max(a, b)), per_origin, options.couple_metrics
             )
 
@@ -544,6 +608,12 @@ def test_read_outcomes_matches_reference(tmp_path_factory, campaign, options):
     for oc in loaded:
         for best in (oc.best_hop, oc.best_rtt):
             assert best is None or best is oc.per_origin[best.origin_id]
+    # and each origin name is one string object per file
+    names = [origin for oc in loaded for origin in oc.per_origin] + [
+        est.origin_id for oc in loaded for est in oc.per_origin.values()
+        if isinstance(est, PairEstimate)
+    ]
+    assert len({id(name) for name in names}) == len(set(names))
 
 
 def _valid_outcomes():
@@ -620,8 +690,14 @@ REFERENCE_REJECTS = {
     "infinite rtt bound in the best entry only": lambda rec: rec.update(
         best_hop=dict(rec["best_hop"], rtt_bound_ms=float("inf"))),
 }
-# records the reference reader let through or crashed on
+# records the reference reader let through or crashed on (it now rejects
+# the two hop bounds, since the PairEstimate it builds checks them)
 REFERENCE_DEFECTS = {
+    "pair of two numbers": _set("pair", [1, 2]),
+    "pair with a list endpoint": _set("pair", [["x"], "b"]),
+    "pair with a null endpoint": _set("pair", ["a", None]),
+    "fractional hop bound": _set_entry("O1", hop_bound=2.5),
+    "boolean hop bound": _set_entry("O2", hop_bound=True),
     "per_origin not an object": _set("per_origin", []),
     "best_hop a reject entry": _set("best_hop", {"reject": "NoTransit"}),
     "best_rtt the reject entry of its origin": _reject_best("best_rtt"),
