@@ -152,7 +152,7 @@ def _estimate_options(args) -> transit.EstimateOptions:
         mode=args.mode,
         allow_origin_fallback=args.allow_origin_fallback,
         eps_rtt=args.eps_rtt,
-        couple_metrics=getattr(args, "couple_metrics", False),
+        couple_metrics=args.couple_metrics,
     )
 
 
@@ -203,26 +203,32 @@ def cmd_dist(args) -> int:
         print("error: no pair has an accepted estimate", file=sys.stderr)
         return EXIT_PARTIAL
     baseline = transit.read_outcomes(args.baseline) if args.baseline else None
+    # everything that can fail runs before the first file is written
+    results = []
     for metric, suffix, width in (
         (stats.HOP_COUNT, "hops", 1.0),
         (stats.RTT_MS, "rtt", args.rtt_bin_width),
     ):
         dist = stats.build_distribution(outcomes, metric, width)
         out_path = f"{args.output}.{suffix}.tsv"
-        _atomic_via(out_path, lambda p, d=dist: stats.write_distribution_tsv(d, p))
-        _say(args, f"{metric}: n={dist.n} mean={dist.mean:.4f} std={dist.std:.4f} "
-                   f"excluded={dist.excluded} -> {out_path}")
+        lines = [f"{metric}: n={dist.n} mean={dist.mean:.4f} std={dist.std:.4f} "
+                 f"excluded={dist.excluded} -> {out_path}"]
         if baseline is not None:
             base = stats.build_distribution(baseline, metric, width)
             mean_shift, ks = stats.compare_distributions(dist, base)
-            _say(args, f"{metric} vs baseline: mean_shift={mean_shift:.4f} ks={ks:.4f}")
+            lines.append(f"{metric} vs baseline: mean_shift={mean_shift:.4f} ks={ks:.4f}")
         if args.stability:
             subset, _, trials = args.stability.partition(":")
             mean_dev, std_dev = stats.resample_stability(
                 outcomes, int(subset), int(trials or 2), args.seed, metric, width
             )
-            _say(args, f"{metric} stability ({subset} x {trials}): "
-                       f"max_mean_dev={mean_dev:.4f} max_std_dev={std_dev:.4f}")
+            lines.append(f"{metric} stability ({subset} x {trials}): "
+                         f"max_mean_dev={mean_dev:.4f} max_std_dev={std_dev:.4f}")
+        results.append((dist, out_path, lines))
+    for dist, out_path, lines in results:
+        _atomic_via(out_path, lambda p: stats.write_distribution_tsv(dist, p))
+        for line in lines:
+            _say(args, line)
     return EXIT_OK
 
 
@@ -258,11 +264,11 @@ def cmd_handover(args) -> int:
     rtt_dist = _load_rtt_distribution(args)
     grid = _parse_grid(args.grid)
     curve = handover.expected_loss_curve(rtt_dist, model, grid, args.delay_scale)
+    optimum = handover.argmin_anticipation(curve, args.flat_threshold)
     lines = ["anticipation_ms\texpected_loss_ms\texpected_packets"]
     for a, loss, packets in curve:
         lines.append(f"{a:g}\t{loss!r}\t{packets!r}")
     _atomic_write(args.output, "".join(line + "\n" for line in lines))
-    optimum = handover.argmin_anticipation(curve, args.flat_threshold)
     if optimum.flat:
         _say(args, "argmin: flat curve, no significant anticipation optimum")
     else:
@@ -278,6 +284,9 @@ def cmd_simulate(args) -> int:
     estimate_options = _estimate_options(args)
     params = _parse_kv(args.params)
     inject = _parse_kv(args.inject)
+    for key in inject:
+        if key not in ("block", "asymmetry", "delta", "loops", "jitter"):
+            raise ValueError(f"--inject has no fault {key!r}")
     topology = synth.generate_topology(
         args.model,
         {k: float(v) if "." in v else int(v) for k, v in params.items()},

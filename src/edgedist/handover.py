@@ -33,24 +33,24 @@ class LossTable:
 
     def __post_init__(self):
         for axis in (self.delay_axis, self.anticipation_axis):
-            if len(axis) < 2 or any(b <= a for a, b in zip(axis, axis[1:])):
-                raise ValueError("table axes must be strictly increasing, length >= 2")
+            if (len(axis) < 2 or not all(map(math.isfinite, axis))
+                    or any(b <= a for a, b in zip(axis, axis[1:]))):
+                raise ValueError("table axes must be finite and strictly increasing, length >= 2")
         if len(self.values) != len(self.delay_axis) or any(
             len(row) != len(self.anticipation_axis) for row in self.values
         ):
             raise ValueError("table shape does not match its axes")
-        if any(v < 0 for row in self.values for v in row):
-            raise ValueError("loss values must be >= 0")
+        if not all(0 <= v < math.inf for row in self.values for v in row):
+            raise ValueError("loss values must be finite and >= 0")
 
     def lookup(self, delay_ms: float, anticipation_ms: float) -> float:
+        # _locate never returns an axis's last index, and the cells are
+        # finite, so a neighbour at weight 0 adds exactly 0
         di, dw = _locate(self.delay_axis, delay_ms, "delay")
         ai, aw = _locate(self.anticipation_axis, anticipation_ms, "anticipation")
-        v00 = self.values[di][ai]
-        v01 = self.values[di][ai + 1] if aw else v00
-        v10 = self.values[di + 1][ai] if dw else v00
-        v11 = self.values[di + 1][ai + 1] if dw and aw else (v10 if not aw else v01)
-        top = v00 * (1 - aw) + v01 * aw
-        bottom = v10 * (1 - aw) + v11 * aw
+        near, far = self.values[di], self.values[di + 1]
+        top = near[ai] * (1 - aw) + near[ai + 1] * aw
+        bottom = far[ai] * (1 - aw) + far[ai + 1] * aw
         return top * (1 - dw) + bottom * dw
 
 
@@ -81,6 +81,10 @@ class LossModel:
 
     beta: float = 0.1
     table: LossTable | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
     def loss(self, delay_ms: float, anticipation_ms: float) -> float:
         if self.table is not None:
@@ -129,8 +133,8 @@ def expected_loss_curve(
         raise ValueError("anticipation grid must be non-empty")
     if any(a < 0 for a in anticipation_grid):
         raise ValueError("anticipation times must be >= 0")
-    if delay_scale <= 0:
-        raise ValueError("delay_scale must be positive")
+    if not 0 < delay_scale < math.inf:
+        raise ValueError(f"delay_scale must be finite and > 0, got {delay_scale}")
     curve = []
     for a in anticipation_grid:
         total = sum(model.loss(delay_scale * rtt, a) for rtt in delay_dist.samples)
@@ -155,6 +159,8 @@ def argmin_anticipation(
     max-min spread is below ``flat_threshold`` times the curve mean."""
     if not curve:
         raise ValueError("empty curve")
+    if not 0 <= flat_threshold < math.inf:
+        raise ValueError(f"flat_threshold must be finite and >= 0, got {flat_threshold}")
     losses = [loss for _, loss, _ in curve]
     best_a, best_loss, _ = min(curve, key=lambda row: (row[1], row[0]))
     spread = max(losses) - min(losses)

@@ -32,23 +32,22 @@ _HOP_LINE_RE = re.compile(r"^\s*(\d+)\s+(.*)$")
 _IPV4_RE = re.compile(r"^\d+\.\d+\.\d+\.\d+$")
 
 
-def _parse_hop_body(body: str) -> list[tuple[str | None, str | None, float | None]]:
-    """Parse the probe sequence of a hop line into (address, name, rtt) triples.
+def _parse_hop_body(body: str) -> list[tuple[str | None, float | None]]:
+    """Parse the probe sequence of a hop line into (address, rtt) pairs.
 
     Classic layout: ``name (ip)  t1 ms  t2 ms`` with a new ``name (ip)`` pair
     whenever a later probe was answered by a different node; lone ``*`` marks
-    an unanswered probe.  Raises ValueError on anything unrecognizable and
-    on a non-finite RTT.
+    an unanswered probe.  The reverse-DNS name is dropped.  Raises ValueError
+    on anything unrecognizable and on a non-finite RTT.
     """
     tokens = body.split()
-    probes: list[tuple[str | None, str | None, float | None]] = []
+    probes: list[tuple[str | None, float | None]] = []
     addr: str | None = None
-    name: str | None = None
     i = 0
     while i < len(tokens):
         tok = tokens[i]
         if tok == "*":
-            probes.append((None, None, None))
+            probes.append((None, None))
             i += 1
         elif tok.startswith("!"):
             # annotation (!H, !N, ...) attached to the previous probe
@@ -61,7 +60,7 @@ def _parse_hop_body(body: str) -> list[tuple[str | None, str | None, float | Non
             rtt = float(tok)
             if not math.isfinite(rtt):
                 raise ValueError(f"non-finite rtt {tok!r}")
-            probes.append((addr, name, rtt))
+            probes.append((addr, rtt))
             i += 2
         else:
             # a responder: either "ip" or "name (ip)"
@@ -69,10 +68,10 @@ def _parse_hop_body(body: str) -> list[tuple[str | None, str | None, float | Non
                 inner = tokens[i + 1].strip("()")
                 if not _IPV4_RE.match(inner):
                     raise ValueError(f"bad address {tokens[i + 1]!r}")
-                name, addr = tok, inner
+                addr = inner
                 i += 2
             elif _IPV4_RE.match(tok):
-                addr, name = tok, None
+                addr = tok
                 i += 1
             else:
                 raise ValueError(f"unrecognized token {tok!r}")
@@ -80,11 +79,11 @@ def _parse_hop_body(body: str) -> list[tuple[str | None, str | None, float | Non
 
 
 def _hop_from_probes(ttl, probes) -> HopRecord:
-    answered = [(rtt, addr, name) for addr, name, rtt in probes if rtt is not None]
+    answered = [probe for probe in probes if probe[1] is not None]
     if not answered:
         return HopRecord(ttl=ttl)
-    rtt, addr, name = min(answered, key=lambda t: t[0])
-    return HopRecord(ttl=ttl, address=addr, rtt_ms=rtt, name=name)
+    addr, rtt = min(answered, key=lambda probe: probe[1])
+    return HopRecord(ttl=ttl, address=addr, rtt_ms=rtt)
 
 
 def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], ParseReport]:

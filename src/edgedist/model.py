@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -54,14 +54,12 @@ class HopRecord:
     ``address`` is None for an unresponsive hop (the "* * *" case).
     ``rtt_ms`` is the cumulative round trip from the origin, in milliseconds,
     finite and non-negative; when a hop answered multiple probes the minimum
-    is stored.  ``name`` is a reverse-DNS annotation only and never takes
-    part in identity.
+    is stored.
     """
 
     ttl: int
     address: str | None = None
     rtt_ms: float | None = None
-    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.ttl < 1:
@@ -109,9 +107,6 @@ class TracePath:
                     f"reached trace must end at {self.destination}, "
                     f"last hop is {last.address}"
                 )
-
-    def __len__(self) -> int:
-        return len(self.hops)
 
     def hop(self, position: int) -> HopRecord:
         """Hop at 1-based position (== its TTL)."""

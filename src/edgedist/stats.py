@@ -46,8 +46,8 @@ def distribution_from_samples(
 ) -> EdgeDistribution:
     if bin_width is None:
         bin_width = DEFAULT_BIN_WIDTH[metric]
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
     if not values:
         raise ValueError("empty distribution")
     n = len(values)
@@ -99,11 +99,6 @@ def build_distribution(
     in ``excluded`` so the success ratio is never hidden."""
     values, excluded = outcome_values(outcomes, metric)
     return distribution_from_samples(values, metric, bin_width, excluded)
-
-
-def ccdf(dist: EdgeDistribution) -> list[tuple[float, float]]:
-    """(threshold, fraction of samples > threshold) per bin lower edge."""
-    return [(edge, dist.fraction_above(edge)) for edge, _ in dist.bins]
 
 
 def compare_distributions(

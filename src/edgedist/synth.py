@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import write_jsonl
 from .model import HopRecord, TracePath
 from .transit import (
     BatchStats,
     EstimateOptions,
     PairEstimate,
-    PairOutcome,
     batch_estimate,
 )
 
@@ -32,6 +31,13 @@ RANDOM_GEOMETRIC = "random_geometric"
 TWO_TIER = "two_tier"
 
 _QUANTUM = 0.25
+
+# the parameters each generator reads
+_MODEL_PARAMS = {
+    RING_OF_STARS: ("cores", "leaves"),
+    RANDOM_GEOMETRIC: ("n", "radius", "latency_scale", "retries"),
+    TWO_TIER: ("regions", "leaves", "peering"),
+}
 
 
 @dataclass
@@ -80,11 +86,6 @@ class Topology:
             else:
                 self._adj = cached
         return cached
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.edges.get((v, u)) == lat for (u, v), lat in self.edges.items()
-        )
 
 
 def dijkstra(
@@ -213,6 +214,11 @@ def generate_topology(model: str, params: dict | None = None, seed: int = 0) -> 
     peering shortcuts).  A disconnected random draw is retried internally.
     """
     params = dict(params or {})
+    if model not in _MODEL_PARAMS:
+        raise ValueError(f"unknown topology model {model!r}")
+    for key in params:
+        if key not in _MODEL_PARAMS[model]:
+            raise ValueError(f"{model} has no parameter {key!r}")
     rng = random.Random(seed)
     if model == RING_OF_STARS:
         return _ring_of_stars(params, rng, seed)
@@ -225,9 +231,7 @@ def generate_topology(model: str, params: dict | None = None, seed: int = 0) -> 
         raise ValueError(
             f"random_geometric stayed disconnected after {retries} retries"
         )
-    if model == TWO_TIER:
-        return _two_tier(params, rng, seed)
-    raise ValueError(f"unknown topology model {model!r}")
+    return _two_tier(params, rng, seed)
 
 
 def _ring_of_stars(params, rng, seed) -> Topology:
@@ -333,16 +337,6 @@ class SimOptions:
             raise ValueError("rtt_jitter_ms must be >= 0")
 
 
-@dataclass(frozen=True)
-class TraceTruth:
-    """Per-trace injection bookkeeping for experiment cross-checks."""
-
-    origin: str
-    target: str
-    loop_injected: bool
-    rtt_decreasing: bool  # any cumulative decrease over responsive hops
-
-
 def _node_flag(seed: int, tag: str, node: str, probability: float) -> bool:
     if probability <= 0.0:
         return False
@@ -381,15 +375,15 @@ class Simulator:
             self._reverse_dist[origin] = dijkstra(self.topology, origin, reverse=True)[0]
         return self._forward[origin], self._reverse_dist[origin]
 
-    def trace(self, origin: str, target_host: str) -> tuple[TracePath, TraceTruth]:
+    def trace(self, origin: str, target_host: str) -> tuple[TracePath, bool]:
+        """The simulated trace, and whether a loop was injected into it."""
         opts = self.options
         (dist, pred), rev = self._origin_tables(origin)
         if target_host not in dist:
             trace = TracePath(
                 origin_id=origin, destination=target_host, hops=(), reached=False
             )
-            truth = TraceTruth(origin, target_host, False, False)
-            return trace, truth
+            return trace, False
         route = extract_path(pred, target_host)
         rng = random.Random(f"{opts.seed}:trace:{origin}:{target_host}")
         hops: list[HopRecord] = []
@@ -431,24 +425,10 @@ class Simulator:
                     ),
                 ]
                 loop_injected = True
-        rtts = [h.rtt_ms for h in hops if h.rtt_ms is not None]
-        decreasing = any(b < a for a, b in zip(rtts, rtts[1:]))
         trace = TracePath(
             origin_id=origin, destination=target_host, hops=tuple(hops), reached=True
         )
-        truth = TraceTruth(
-            origin=origin,
-            target=target_host,
-            loop_injected=loop_injected,
-            rtt_decreasing=decreasing,
-        )
-        return trace, truth
-
-
-def simulate_traceroute(
-    topology: Topology, origin: str, target_host: str, options: SimOptions = SimOptions()
-) -> TracePath:
-    return Simulator(topology, options).trace(origin, target_host)[0]
+        return trace, loop_injected
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +451,7 @@ class PairResult:
 class ExperimentReport:
     results: list[PairResult]
     stats: BatchStats
-    outcomes: list[PairOutcome]
     traces_by_origin: dict[str, list[TracePath]]  # per origin, one trace per target host
-    truths: dict[tuple[str, str], TraceTruth]
     soundness_violations: int
     tight_hits: int
     confusion: dict[str, int]  # clean/corrupt x accept/reject, per-origin level
@@ -534,13 +512,14 @@ def run_experiment(
     sim = Simulator(topology, options)
     targets = sorted({h for pair in pairs for h in pair})
     traces_by_origin: dict[str, list[TracePath]] = {}
-    truths: dict[tuple[str, str], TraceTruth] = {}
+    looped: set[tuple[str, str]] = set()
     for origin in origins:
         rows = []
         for host in targets:
-            trace, truth = sim.trace(origin, host)
+            trace, loop_injected = sim.trace(origin, host)
             rows.append(trace)
-            truths[(origin, host)] = truth
+            if loop_injected:
+                looped.add((origin, host))
         traces_by_origin[origin] = rows
 
     outcomes, stats = batch_estimate(traces_by_origin, pairs, est_options)
@@ -595,11 +574,9 @@ def run_experiment(
             )
         )
         for origin, est in outcome.per_origin.items():
-            ta = truths.get((origin, a))
-            tb = truths.get((origin, b))
             corrupted = any(
-                t is not None and (t.loop_injected or t.rtt_decreasing)
-                for t in (ta, tb)
+                key in looped or decrease_at[key] > 0
+                for key in ((origin, a), (origin, b))
             )
             accepted = isinstance(est, PairEstimate)
             key = ("corrupt" if corrupted else "clean") + ("_accept" if accepted else "_reject")
@@ -612,9 +589,7 @@ def run_experiment(
     return ExperimentReport(
         results=results,
         stats=stats,
-        outcomes=outcomes,
         traces_by_origin=traces_by_origin,
-        truths=truths,
         soundness_violations=violations,
         tight_hits=tight_hits,
         confusion=confusion,
@@ -655,27 +630,3 @@ def save_topology(topology: Topology, path: str | Path) -> None:
           for host, router in sorted(topology.host_attachment.items())),
     ])
 
-
-def load_topology(path: str | Path) -> Topology:
-    seed = 0
-    nodes: list[str] = []
-    edges: dict[tuple[str, str], float] = {}
-    attachment: dict[str, str] = {}
-
-    def add(rec: dict) -> None:
-        nonlocal seed
-        kind = rec["type"]
-        if kind == "meta":
-            seed = rec.get("seed", 0)
-        elif kind == "node":
-            nodes.append(rec["id"])
-        elif kind == "arc":
-            edges[(rec["from"], rec["to"])] = float(rec["latency_ms"])
-        elif kind == "attach":
-            attachment[rec["host"]] = rec["router"]
-        else:
-            raise ValueError(f"unknown record type {kind!r}")
-
-    for _ in read_jsonl(path, add, "topology record"):
-        pass
-    return Topology(nodes=tuple(nodes), edges=edges, host_attachment=attachment, seed=seed)

@@ -92,13 +92,11 @@ def last_common_hop(
     path_a: TracePath,
     path_b: TracePath,
     allow_origin_fallback: bool = False,
-    limit_a: int | None = None,
-    limit_b: int | None = None,
 ) -> TransitPoint | RejectReason:
     """Find the transit point for two traces sharing an origin.
 
-    Among addresses responsive in both paths (up to the optional position
-    limits) the one maximizing index_a + index_b wins; ties go to the larger
+    Among addresses responsive in both paths the one maximizing
+    index_a + index_b wins; ties go to the larger
     index_a.  No further tie-break is needed: two candidates with equal
     index_a + index_b and equal index_a have equal index_b too, so they are
     the same hop of path b.  Without a common address the origin itself may
@@ -114,12 +112,11 @@ def last_common_hop(
                 RejectKind.UNREACHABLE_DESTINATION,
                 f"destination {path.destination} not reached",
             )
-    limit_a = len(path_a.hops) if limit_a is None else limit_a
-    limit_b = len(path_b.hops) if limit_b is None else limit_b
+    n_a = len(path_a.hops)
     best = _join(
-        _deepest_positions(path_a, limit_a),
-        limit_a,
-        _deepest_positions(path_b, limit_b),
+        _deepest_positions(path_a, n_a),
+        n_a,
+        _deepest_positions(path_b, len(path_b.hops)),
     )
     if best is not None:
         return TransitPoint(*best)
@@ -131,8 +128,6 @@ def last_common_hop(
 def _deepest_positions(trace: TracePath, limit: int) -> dict[str, int]:
     """Deepest position of each responsive address within hops 1..limit,
     in decreasing position order."""
-    if not 0 <= limit <= len(trace.hops):
-        raise ValueError(f"position limit {limit} outside a {len(trace.hops)}-hop trace")
     positions: dict[str, int] = {}
     for pos in range(limit, 0, -1):
         address = trace.hops[pos - 1].address
@@ -168,21 +163,19 @@ def _join(
 def validate_beyond_transit(
     trace: TracePath,
     transit_pos: int,
-    endpoint_pos: int,
+    *,
     eps_rtt: float = 0.0,
 ) -> RejectReason | None:
-    """Check the path segment from transit to endpoint; None means accepted.
+    """Check the path segment from transit to the last hop; None means accepted.
 
     Cumulative RTT over responsive hops must be non-decreasing within
     ``eps_rtt`` (a decrease signals route asymmetry) and no address may
     repeat (a routing loop).  transit_pos 0 means origin fallback and
     validates the whole path.
     """
-    if not (0 <= transit_pos <= endpoint_pos <= len(trace.hops)):
-        raise ValueError(
-            f"bad segment [{transit_pos}, {endpoint_pos}] in a "
-            f"{len(trace.hops)}-hop trace"
-        )
+    n = len(trace.hops)
+    if not 0 <= transit_pos <= n:
+        raise ValueError(f"transit position {transit_pos} outside a {n}-hop trace")
     if transit_pos >= 1 and trace.hop(transit_pos).rtt_ms is None:
         return RejectReason(
             RejectKind.MISSING_RTT_AT_TRANSIT,
@@ -190,7 +183,7 @@ def validate_beyond_transit(
         )
     prev_rtt = None
     seen: set[str] = set()
-    for pos in range(max(transit_pos, 1), endpoint_pos + 1):
+    for pos in range(max(transit_pos, 1), n + 1):
         hop = trace.hop(pos)
         if not hop.responsive:
             continue
@@ -247,7 +240,7 @@ class PreparedTrace:
         elif transit_pos in tails:
             return tails[transit_pos]
         hops = self.trace.hops
-        value = validate_beyond_transit(self.trace, transit_pos, len(hops), eps_rtt)
+        value = validate_beyond_transit(self.trace, transit_pos, eps_rtt=eps_rtt)
         if value is None:
             end_rtt = hops[self.endpoint - 1].rtt_ms
             if end_rtt is not None:

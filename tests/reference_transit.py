@@ -103,7 +103,7 @@ def estimate_pair(
     if isinstance(transit, RejectReason):
         return transit
     for path, t_pos in ((path_a, transit.index_a), (path_b, transit.index_b)):
-        reject = validate_beyond_transit(path, t_pos, len(path.hops), options.eps_rtt)
+        reject = validate_beyond_transit(path, t_pos, eps_rtt=options.eps_rtt)
         if reject is not None:
             return reject
 

@@ -20,7 +20,6 @@ from edgedist.model import PairEstimate, TransitPoint
 from edgedist.stats import (
     HOP_COUNT,
     RTT_MS,
-    ccdf,
     distribution_from_samples,
     resample_stability,
 )
@@ -345,7 +344,7 @@ def test_criterion_7_statistics():
     )
     ccdf_ok = all(
         fraction == sum(1 for v in values if v > threshold) / len(values)
-        for threshold, fraction in ccdf(dist)
+        for threshold, fraction in ((edge, dist.fraction_above(edge)) for edge, _ in dist.bins)
     )
     bounds = [rng.randint(4, 18) for _ in range(2000)]
     outcomes = [_outcome(i, b) for i, b in enumerate(bounds)]

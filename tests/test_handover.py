@@ -56,6 +56,16 @@ def test_table_model_lookup_and_refusal_to_extrapolate(tmp_path):
         model.loss(10.0, 25.0)
 
 
+def test_table_lookup_on_the_axis_edges():
+    table = LossTable(delay_axis=(10.0, 30.0), anticipation_axis=(0.0, 10.0, 20.0),
+                      values=((10.0, 4.0, 3.0), (30.0, 22.0, 14.0)))
+    assert table.lookup(10.0, 0.0) == 10.0
+    assert table.lookup(30.0, 20.0) == 14.0
+    assert table.lookup(30.0, 5.0) == 26.0
+    assert table.lookup(20.0, 20.0) == 8.5
+    assert table.lookup(25.0, 15.0) == 14.375
+
+
 def test_table_axes_must_increase():
     with pytest.raises(ValueError):
         LossTable(delay_axis=(10.0, 5.0), anticipation_axis=(0.0, 5.0),

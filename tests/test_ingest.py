@@ -82,10 +82,15 @@ def test_parse_non_finite_rtt_is_a_bad_hop_line(probes):
     assert "non-finite rtt" in warning
 
 
-def test_parse_hostname_kept_as_annotation_only():
-    (t,), _ = parse_traceroute_text(SAMPLE, "o")
-    assert t.hop(1).name == "r1"
-    assert t.hop(1).address == "192.0.2.1"
+def test_parse_named_responders_give_the_min_rtt_address():
+    # the earliest of the fastest responders wins; names are dropped
+    text = (
+        "traceroute to 192.0.2.9 (192.0.2.9), 30 hops max\n"
+        " 1  r1 (192.0.2.1)  2.0 ms  r2 (192.0.2.2)  1.5 ms  r3 (192.0.2.3)  1.5 ms\n"
+        " 2  192.0.2.9  3.0 ms\n"
+    )
+    (t,), _ = parse_traceroute_text(text, "o")
+    assert t.hop(1) == HopRecord(ttl=1, address="192.0.2.2", rtt_ms=1.5)
 
 
 def test_parse_multiple_blocks():

@@ -8,7 +8,6 @@ import pytest
 import edgedist
 from edgedist.ingest import read_canonical, trace_to_record
 from edgedist.jsonl import read_jsonl, write_jsonl
-from edgedist.synth import load_topology
 from edgedist.transit import EstimateOptions, batch_estimate, read_outcomes, write_outcomes
 
 from conftest import trace
@@ -53,16 +52,11 @@ def _outcome_record(tmp_path):
     return json.loads(path.read_text())
 
 
-def _topology_record(tmp_path):
-    return {"type": "arc", "from": "a", "to": "b", "latency_ms": 1.0}
-
-
 # reader, what its errors call a line, a valid record, and one field of it
 # to drop or to give a value of the wrong type
 READERS = {
     "canonical": (read_canonical, "trace", _canonical_record, "hops", 5),
     "outcomes": (read_outcomes, "outcome", _outcome_record, "pair", 5),
-    "topology": (load_topology, "topology record", _topology_record, "latency_ms", "fast"),
 }
 
 

@@ -32,14 +32,6 @@ def test_hop_rejects_bad_ttl_and_rtt():
             HopRecord(ttl=1, address="10.0.0.1", rtt_ms=rtt)
 
 
-def test_hop_name_is_no_part_of_identity():
-    named = HopRecord(ttl=1, address="a", rtt_ms=1.0, name="x")
-    assert named == HopRecord(ttl=1, address="a", rtt_ms=1.0, name="y")
-    assert named == HopRecord(ttl=1, address="a", rtt_ms=1.0)
-    assert hash(named) == hash(HopRecord(ttl=1, address="a", rtt_ms=1.0))
-    assert named != HopRecord(ttl=1, address="a", rtt_ms=2.0, name="x")
-
-
 def test_trace_rejects_ttl_gap():
     hops = (
         HopRecord(ttl=1, address="a", rtt_ms=1.0),
@@ -65,7 +57,7 @@ def test_reached_trace_must_end_at_destination():
 
 def test_unresponsive_hops_are_retained():
     t = trace("o", "b", [("a", 1.0), (None, None), ("b", 3.0)])
-    assert len(t) == 3
+    assert len(t.hops) == 3
     assert not t.hop(2).responsive
 
 

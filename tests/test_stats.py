@@ -8,7 +8,6 @@ from edgedist.stats import (
     HOP_COUNT,
     RTT_MS,
     build_distribution,
-    ccdf,
     compare_distributions,
     distribution_from_samples,
     outcome_values,
@@ -17,6 +16,11 @@ from edgedist.stats import (
     write_distribution_tsv,
 )
 from edgedist.transit import PairOutcome
+
+
+def ccdf(dist):
+    """(threshold, fraction of samples > threshold) per bin lower edge."""
+    return [(edge, dist.fraction_above(edge)) for edge, _ in dist.bins]
 
 
 def make_outcome(i, hop_bound=None, rtt_bound=None):

@@ -3,19 +3,24 @@ import random
 
 import pytest
 
+from edgedist.jsonl import read_jsonl
 from edgedist.model import PairEstimate, RejectKind
-from edgedist.transit import ACCESS_ROUTER, HOST, EstimateOptions, estimate_pair
+from edgedist.transit import (
+    ACCESS_ROUTER,
+    HOST,
+    EstimateOptions,
+    batch_estimate,
+    estimate_pair,
+)
 from edgedist.synth import (
     SimOptions,
     Simulator,
     Topology,
     dijkstra,
     generate_topology,
-    load_topology,
     min_hop_distance,
     run_experiment,
     save_topology,
-    simulate_traceroute,
     true_distance,
 )
 
@@ -67,12 +72,24 @@ def test_generated_topologies_are_symmetric():
         ("random_geometric", {"n": 30}),
         ("two_tier", {"regions": 3, "leaves": 3}),
     ):
-        assert generate_topology(model, params, seed=4).is_symmetric()
+        edges = generate_topology(model, params, seed=4).edges
+        assert all(edges.get((v, u)) == lat for (u, v), lat in edges.items())
 
 
 def test_unknown_model():
     with pytest.raises(ValueError):
         generate_topology("mesh", {}, seed=0)
+
+
+@pytest.mark.parametrize("model, params", [
+    ("ring_of_stars", {"cores": 3, "leaves": 2}),
+    ("random_geometric", {"n": 12, "radius": 0.6, "latency_scale": 10.0, "retries": 5}),
+    ("two_tier", {"regions": 2, "leaves": 2, "peering": True}),
+])
+def test_every_parameter_a_model_reads_is_accepted(model, params):
+    assert generate_topology(model, params, seed=1).hosts
+    with pytest.raises(ValueError, match=f"^{model} has no parameter 'size'$"):
+        generate_topology(model, {**params, "size": 3}, seed=1)
 
 
 # --- shortest paths --------------------------------------------------------
@@ -183,7 +200,7 @@ def line_topology():
 
 
 def test_simulated_line_trace():
-    trace = simulate_traceroute(line_topology(), "O", "B")
+    trace, _ = Simulator(line_topology()).trace("O", "B")
     assert trace.reached
     assert [(h.ttl, h.address, h.rtt_ms) for h in trace.hops] == [
         (1, "A", 2.0),
@@ -193,7 +210,7 @@ def test_simulated_line_trace():
 
 def test_blocked_node_is_unresponsive():
     topo = line_topology()
-    trace = simulate_traceroute(topo, "O", "B", SimOptions(block_probability=1.0))
+    trace, _ = Simulator(topo, SimOptions(block_probability=1.0)).trace("O", "B")
     assert not trace.hop(1).responsive
     assert trace.hop(2).address == "B"
     assert trace.reached
@@ -206,6 +223,12 @@ def test_symmetric_destination_rtt_is_twice_one_way():
         trace, _ = sim.trace("T0", host)
         _, one_way = true_distance(topo, "T0", host)
         assert trace.hops[-1].rtt_ms == 2 * one_way
+
+
+def _rtt_decreases(trace, start=0):
+    """Whether the cumulative RTT drops anywhere from position ``start`` on."""
+    rtts = [h.rtt_ms for h in trace.hops[max(start - 1, 0):] if h.rtt_ms is not None]
+    return any(b < a for a, b in zip(rtts, rtts[1:]))
 
 
 def test_asymmetry_delta_causes_decreasing_rtt_and_rejection():
@@ -221,13 +244,13 @@ def test_asymmetry_delta_causes_decreasing_rtt_and_rejection():
         SimOptions(asymmetry_probability=1.0, asymmetry_delta_ms=50.0, seed=1),
     )
     opts = EstimateOptions(mode=HOST)
-    ta, truth_a = skewed.trace("O", "HA")
+    ta, _ = skewed.trace("O", "HA")
     tb, _ = skewed.trace("O", "HB")
-    assert truth_a.rtt_decreasing
+    assert _rtt_decreases(ta)
     reject = estimate_pair(ta, tb, opts)
     assert reject.kind is RejectKind.ASYMMETRY_SUSPECTED
-    ca, ct = clean.trace("O", "HA")
-    assert not ct.rtt_decreasing
+    ca, _ = clean.trace("O", "HA")
+    assert not _rtt_decreases(ca)
     assert isinstance(estimate_pair(ca, clean.trace("O", "HB")[0], opts), PairEstimate)
 
 
@@ -246,8 +269,8 @@ def test_loop_injection_duplicates_an_address():
     sim = Simulator(topo, SimOptions(loop_probability=1.0, seed=3))
     found = False
     for host in topo.hosts:
-        trace, truth = sim.trace("T2", host)
-        if truth.loop_injected:
+        trace, loop_injected = sim.trace("T2", host)
+        if loop_injected:
             addrs = [h.address for h in trace.hops if h.responsive]
             assert len(addrs) != len(set(addrs))
             found = True
@@ -299,11 +322,14 @@ def test_topology_save_load_round_trip(tmp_path):
     topo = generate_topology("two_tier", {"regions": 3, "leaves": 3}, seed=14)
     path = tmp_path / "topo.jsonl"
     save_topology(topo, path)
-    loaded = load_topology(path)
-    assert loaded.nodes == topo.nodes
-    assert loaded.edges == topo.edges
-    assert loaded.host_attachment == topo.host_attachment
-    assert loaded.seed == topo.seed
+    records = list(read_jsonl(path, lambda record: record, "topology record"))
+    assert records[0] == {"type": "meta", "seed": topo.seed}
+    assert tuple(r["id"] for r in records if r["type"] == "node") == topo.nodes
+    assert {(r["from"], r["to"]): r["latency_ms"]
+            for r in records if r["type"] == "arc"} == topo.edges
+    assert {r["host"]: r["router"]
+            for r in records if r["type"] == "attach"} == topo.host_attachment
+    assert {r["type"] for r in records} == {"meta", "node", "arc", "attach"}
     assert ", " not in path.read_text()  # compact, like every .jsonl file
 
 
@@ -349,26 +375,26 @@ def test_experiment_report_carries_the_simulated_traces():
     }
 
 
-def _rescanned_cross_checks(report, pairs):
+def _rescanned_cross_checks(report, pairs, sim, est_options):
     """The confusion matrix and false_rtt_accepts recomputed pair by pair,
-    re-scanning both accepted tails of every per-origin estimate."""
+    re-simulating each trace for its loop flag and re-scanning both
+    accepted tails of every per-origin estimate."""
     traces = {
         (origin, t.destination): t
         for origin, rows in report.traces_by_origin.items() for t in rows
     }
 
     def tail_decreases(origin, endpoint, start):
-        rtts = [h.rtt_ms for h in traces[origin, endpoint].hops[max(start - 1, 0):]
-                if h.rtt_ms is not None]
-        return any(b < a for a, b in zip(rtts, rtts[1:]))
+        return _rtt_decreases(traces[origin, endpoint], start)
 
     confusion = dict.fromkeys(
         ("clean_accept", "clean_reject", "corrupt_accept", "corrupt_reject"), 0)
     false_rtt_accepts = 0
-    for (a, b), outcome in zip(pairs, report.outcomes):
+    outcomes, _ = batch_estimate(report.traces_by_origin, pairs, est_options)
+    for (a, b), outcome in zip(pairs, outcomes):
         for origin, est in outcome.per_origin.items():
-            corrupt = any(report.truths[origin, h].loop_injected
-                          or report.truths[origin, h].rtt_decreasing for h in (a, b))
+            corrupt = any(sim.trace(origin, h)[1] or tail_decreases(origin, h, 0)
+                          for h in (a, b))
             accepted = isinstance(est, PairEstimate)
             confusion[("corrupt" if corrupt else "clean")
                       + ("_accept" if accepted else "_reject")] += 1
@@ -393,11 +419,10 @@ def test_experiment_cross_checks_match_per_pair_rescan(model, params, fallback):
                       rtt_jitter_ms=0.5, seed=5)
     pairs = list(itertools.combinations(topo.hosts, 2))
     pairs += [(b, a) for a, b in pairs[::5]]
-    report = run_experiment(
-        topo, topo.routers[:6], pairs, opts,
-        EstimateOptions(allow_origin_fallback=fallback, eps_rtt=1.0),
-    )
-    confusion, false_rtt_accepts = _rescanned_cross_checks(report, pairs)
+    est_options = EstimateOptions(allow_origin_fallback=fallback, eps_rtt=1.0)
+    report = run_experiment(topo, topo.routers[:6], pairs, opts, est_options)
+    confusion, false_rtt_accepts = _rescanned_cross_checks(
+        report, pairs, Simulator(topo, opts), est_options)
     assert report.confusion == confusion
     assert report.false_rtt_accepts == false_rtt_accepts
     assert false_rtt_accepts > 0

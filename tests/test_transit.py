@@ -146,12 +146,6 @@ def test_unresponsive_hops_never_match():
     assert isinstance(last_common_hop(a, b), RejectReason)
 
 
-def test_limit_beyond_the_trace_is_an_error():
-    a = _path("o", "b", ["a", "b"])
-    with pytest.raises(ValueError, match="position limit 3 outside a 2-hop trace"):
-        last_common_hop(a, a, limit_a=3)
-
-
 def test_differing_origins_is_an_error():
     a = _path("o1", "b", ["a", "b"])
     b = _path("o2", "b", ["a", "b"])
@@ -166,29 +160,31 @@ def test_differing_origins_is_an_error():
 
 def test_monotone_rtts_accepted():
     t = trace("o", "c", [("t", 5.0), ("b", 8.0), ("c", 12.0)])
-    assert validate_beyond_transit(t, 1, 3) is None
+    assert validate_beyond_transit(t, 1) is None
 
 
 def test_decreasing_rtt_rejected():
     t = trace("o", "c", [("t", 5.0), ("b", 8.0), ("c", 7.0)])
-    reject = validate_beyond_transit(t, 1, 3)
+    reject = validate_beyond_transit(t, 1)
     assert reject.kind is RejectKind.ASYMMETRY_SUSPECTED
 
 
 def test_decrease_within_tolerance_accepted():
     t = trace("o", "c", [("t", 5.0), ("b", 8.0), ("c", 7.0)])
-    assert validate_beyond_transit(t, 1, 3, eps_rtt=1.5) is None
+    assert validate_beyond_transit(t, 1, eps_rtt=1.5) is None
+    with pytest.raises(TypeError):
+        validate_beyond_transit(t, 1, 1.5)  # a tolerance is never positional
 
 
 def test_loop_beyond_transit_rejected():
     t = trace("o", "v2", [("t", 1.0), ("u", 2.0), ("v", 3.0), ("u", 4.0), ("v2", 5.0)])
-    reject = validate_beyond_transit(t, 1, 5)
+    reject = validate_beyond_transit(t, 1)
     assert reject.kind is RejectKind.LOOP_BEYOND_TRANSIT
 
 
 def test_missing_rtt_at_transit():
     t = trace("o", "c", [("t", None), ("c", 2.0)])
-    reject = validate_beyond_transit(t, 1, 2)
+    reject = validate_beyond_transit(t, 1)
     assert reject.kind is RejectKind.MISSING_RTT_AT_TRANSIT
 
 
@@ -535,15 +531,13 @@ def test_prepared_estimator_matches_reference(campaign):
 
 
 @settings(max_examples=60, deadline=None)
-@given(faulty_traces(), st.integers(0, 12), st.integers(0, 12), st.booleans())
-def test_last_common_hop_matches_reference(campaign, cut_a, cut_b, fallback):
+@given(faulty_traces(), st.booleans())
+def test_last_common_hop_matches_reference(campaign, fallback):
     traces_by_origin, hosts = campaign
     rows = next(iter(traces_by_origin.values()))
     for ta, tb in itertools.product(rows, repeat=2):
-        limit_a, limit_b = min(cut_a, len(ta.hops)), min(cut_b, len(tb.hops))
-        for limits in ((None, None), (limit_a, limit_b)):
-            assert last_common_hop(ta, tb, fallback, *limits) == \
-                reference.last_common_hop(ta, tb, fallback, *limits)
+        assert last_common_hop(ta, tb, fallback) == \
+            reference.last_common_hop(ta, tb, fallback)
 
 
 def test_prepared_trace_follows_a_change_of_eps_rtt():
