@@ -12,9 +12,9 @@ from .model import (
 from .transit import (
     EstimateOptions,
     PairOutcome,
+    PreparedTrace,
     batch_estimate,
     estimate_pair,
-    last_common_hop,
     min_over_origins,
 )
 from .stats import EdgeDistribution, build_distribution

@@ -108,10 +108,6 @@ class TracePath:
                     f"last hop is {last.address}"
                 )
 
-    def hop(self, position: int) -> HopRecord:
-        """Hop at 1-based position (== its TTL)."""
-        return self.hops[position - 1]
-
 
 class _Value(tuple):
     """Value semantics of a frozen dataclass for a tuple subclass: equal

@@ -20,6 +20,7 @@ from pathlib import Path
 from .jsonl import write_jsonl
 from .model import HopRecord, TracePath
 from .transit import (
+    HOST,
     BatchStats,
     EstimateOptions,
     PairEstimate,
@@ -490,7 +491,7 @@ class ExperimentReport:
 
 
 def _endpoint_node(topology: Topology, host: str, mode: str) -> str:
-    if mode == "host":
+    if mode == HOST:
         return host
     return topology.host_attachment[host]
 

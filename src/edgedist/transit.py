@@ -68,206 +68,107 @@ class BatchStats:
         return self.succeeded / self.total_pairs if self.total_pairs else 0.0
 
 
-def endpoint_of(trace: TracePath, mode: str = ACCESS_ROUTER) -> int:
-    """1-based hop position of the distance endpoint for this trace.
-
-    ``host`` mode uses the destination hop itself; ``access_router`` mode uses
-    the last responsive hop strictly before it, falling back to the
-    destination hop when no such hop exists.
-    """
-    if not trace.reached:
-        raise ValueError("endpoint_of requires a reached trace")
-    n = len(trace.hops)
-    if mode == HOST:
-        return n
-    if mode != ACCESS_ROUTER:
-        raise ValueError(f"unknown endpoint mode {mode!r}")
-    for pos in range(n - 1, 0, -1):
-        if trace.hop(pos).responsive:
-            return pos
-    return n
-
-
-def last_common_hop(
-    path_a: TracePath,
-    path_b: TracePath,
-    allow_origin_fallback: bool = False,
-) -> TransitPoint | RejectReason:
-    """Find the transit point for two traces sharing an origin.
-
-    Among addresses responsive in both paths the one maximizing
-    index_a + index_b wins; ties go to the larger
-    index_a.  No further tie-break is needed: two candidates with equal
-    index_a + index_b and equal index_a have equal index_b too, so they are
-    the same hop of path b.  Without a common address the origin itself may
-    serve as a (loose) transit at (0, 0).
-    """
-    if path_a.origin_id != path_b.origin_id:
-        raise ValueError(
-            f"traces from different origins: {path_a.origin_id} vs {path_b.origin_id}"
-        )
-    for path in (path_a, path_b):
-        if not path.reached:
-            return RejectReason(
-                RejectKind.UNREACHABLE_DESTINATION,
-                f"destination {path.destination} not reached",
-            )
-    n_a = len(path_a.hops)
-    best = _join(
-        _deepest_positions(path_a, n_a),
-        n_a,
-        _deepest_positions(path_b, len(path_b.hops)),
-    )
-    if best is not None:
-        return TransitPoint(*best)
-    if allow_origin_fallback:
-        return _ORIGIN_FALLBACK
-    return _NO_TRANSIT
-
-
-def _deepest_positions(trace: TracePath, limit: int) -> dict[str, int]:
-    """Deepest position of each responsive address within hops 1..limit,
-    in decreasing position order."""
-    positions: dict[str, int] = {}
-    for pos in range(limit, 0, -1):
-        address = trace.hops[pos - 1].address
-        if address is not None and address not in positions:
-            positions[address] = pos
-    return positions
-
-
-def _join(
-    positions_a: dict[str, int],
-    limit_a: int,
-    positions_b: dict[str, int],
-) -> tuple[str, int, int] | None:
-    """The transit scan shared by last_common_hop and estimate_pair: the
-    winning (address, index_a, index_b), or None without a common address.
-
-    Scans b deepest first, so a later candidate with an equal index sum
-    has the larger index_a and wins; stops once no index_a up to limit_a
-    can reach the best sum.
-    """
-    best = None
-    best_sum = 0
-    for address, ib in positions_b.items():
-        if ib + limit_a < best_sum:
-            break
-        ia = positions_a.get(address)
-        if ia is not None and ia + ib >= best_sum:
-            best_sum = ia + ib
-            best = (address, ia, ib)
-    return best
-
-
-def validate_beyond_transit(
-    trace: TracePath,
-    transit_pos: int,
-    *,
-    eps_rtt: float = 0.0,
-) -> RejectReason | None:
-    """Check the path segment from transit to the last hop; None means accepted.
-
-    Cumulative RTT over responsive hops must be non-decreasing within
-    ``eps_rtt`` (a decrease signals route asymmetry) and no address may
-    repeat (a routing loop).  transit_pos 0 means origin fallback and
-    validates the whole path.
-    """
-    n = len(trace.hops)
-    if not 0 <= transit_pos <= n:
-        raise ValueError(f"transit position {transit_pos} outside a {n}-hop trace")
-    if transit_pos >= 1 and trace.hop(transit_pos).rtt_ms is None:
-        return RejectReason(
-            RejectKind.MISSING_RTT_AT_TRANSIT,
-            f"no rtt at transit hop {transit_pos}",
-        )
-    prev_rtt = None
-    seen: set[str] = set()
-    for pos in range(max(transit_pos, 1), n + 1):
-        hop = trace.hop(pos)
-        if not hop.responsive:
-            continue
-        if hop.address in seen:
-            return RejectReason(
-                RejectKind.LOOP_BEYOND_TRANSIT,
-                f"address {hop.address} repeats at hop {pos}",
-            )
-        seen.add(hop.address)
-        if hop.rtt_ms is not None:
-            if prev_rtt is not None and hop.rtt_ms < prev_rtt - eps_rtt:
-                return RejectReason(
-                    RejectKind.ASYMMETRY_SUSPECTED,
-                    f"cumulative rtt drops {prev_rtt} -> {hop.rtt_ms} at hop {pos}",
-                )
-            prev_rtt = hop.rtt_ms
-    return None
-
-
 class PreparedTrace:
-    """The facts ``estimate_pair`` needs from one trace, computed once.
+    """The facts ``estimate_pair`` needs from one trace, computed once for
+    the ``options`` it is prepared with.
 
-    Holds the endpoint for ``mode`` (None for an unreached trace) and the
-    deepest position of each responsive address up to it.  That mapping is
-    ordered deepest first, so its items are also the (address, position)
-    list the transit scan walks.  ``tail`` memoizes the checks on the
-    segment beyond each transit position, for one ``eps_rtt`` at a time.
+    ``endpoint`` is the 1-based hop position distances are measured to, or
+    None for an unreached trace: in ``host`` mode the destination hop, in
+    ``access_router`` mode the last responsive hop strictly before it,
+    falling back to the destination hop when there is none.  ``positions``
+    maps each responsive address up to the endpoint to its deepest
+    position, ordered deepest first, so its items are also the (address,
+    position) list the transit scan walks.  ``tail`` memoizes the checks on
+    the segment beyond each transit position.
     """
 
-    __slots__ = ("trace", "mode", "endpoint", "positions", "_tails", "_eps_rtt")
+    __slots__ = ("trace", "options", "endpoint", "positions", "_tails")
 
-    def __init__(self, trace: TracePath, mode: str = ACCESS_ROUTER):
+    def __init__(self, trace: TracePath, options: EstimateOptions = EstimateOptions()):
         self.trace = trace
-        self.mode = mode
-        self.endpoint = endpoint_of(trace, mode) if trace.reached else None
-        self.positions = _deepest_positions(trace, self.endpoint or 0)
+        self.options = options
+        hops = trace.hops
+        endpoint = n = len(hops)
+        if options.mode == ACCESS_ROUTER:
+            endpoint = next((pos for pos in range(n - 1, 0, -1) if hops[pos - 1].responsive), n)
+        self.endpoint = endpoint if trace.reached else None
+        self.positions = positions = {}
+        for pos in range(self.endpoint or 0, 0, -1):
+            address = hops[pos - 1].address
+            if address is not None and address not in positions:
+                positions[address] = pos
         self._tails: dict[int, RejectReason | float | None] = {}
-        self._eps_rtt = 0.0
 
-    def tail(self, transit_pos: int, eps_rtt: float) -> RejectReason | float | None:
-        """The segment beyond transit_pos, checked: the reject of
-        ``validate_beyond_transit`` up to the last hop, else the RTT from
-        the transit to the endpoint (negative when it drops), or None when
-        the endpoint hop has no RTT.
+    def tail(self, transit_pos: int) -> RejectReason | float | None:
+        """The segment from transit_pos to the last hop, checked: a reject,
+        else the RTT from the transit to the endpoint (negative when it
+        drops), or None when the endpoint hop has no RTT.  Position 0 is the
+        origin fallback, whose RTT is 0, and checks the whole path.
 
-        One memo entry per transit position holds just that value, so it
-        costs no object beyond the RTT; a call with another ``eps_rtt``
-        than the last one starts the memo afresh.
+        The first reject wins: no RTT at the transit hop, then, walking out
+        from it, a repeated address (a routing loop) or a cumulative RTT
+        drop beyond ``eps_rtt`` (route asymmetry).  Each memo entry holds
+        just the value, so it costs no object beyond the RTT.
         """
         tails = self._tails
-        if eps_rtt != self._eps_rtt:
-            tails.clear()
-            self._eps_rtt = eps_rtt
-        elif transit_pos in tails:
-            return tails[transit_pos]
+        if transit_pos not in tails:
+            tails[transit_pos] = self._check_tail(transit_pos)
+        return tails[transit_pos]
+
+    def _check_tail(self, transit_pos: int) -> RejectReason | float | None:
         hops = self.trace.hops
-        value = validate_beyond_transit(self.trace, transit_pos, eps_rtt=eps_rtt)
-        if value is None:
-            end_rtt = hops[self.endpoint - 1].rtt_ms
-            if end_rtt is not None:
-                value = end_rtt - (hops[transit_pos - 1].rtt_ms if transit_pos else 0.0)
-        tails[transit_pos] = value
-        return value
+        start_rtt = hops[transit_pos - 1].rtt_ms if transit_pos else 0.0
+        if start_rtt is None:
+            return RejectReason(
+                RejectKind.MISSING_RTT_AT_TRANSIT,
+                f"no rtt at transit hop {transit_pos}",
+            )
+        eps_rtt = self.options.eps_rtt
+        prev_rtt = None
+        seen: set[str] = set()
+        for pos in range(max(transit_pos, 1), len(hops) + 1):
+            hop = hops[pos - 1]
+            address = hop.address
+            if address is None:
+                continue
+            if address in seen:
+                return RejectReason(
+                    RejectKind.LOOP_BEYOND_TRANSIT,
+                    f"address {address} repeats at hop {pos}",
+                )
+            seen.add(address)
+            rtt = hop.rtt_ms
+            if rtt is not None:
+                if prev_rtt is not None and rtt < prev_rtt - eps_rtt:
+                    return RejectReason(
+                        RejectKind.ASYMMETRY_SUSPECTED,
+                        f"cumulative rtt drops {prev_rtt} -> {rtt} at hop {pos}",
+                    )
+                prev_rtt = rtt
+        end_rtt = hops[self.endpoint - 1].rtt_ms
+        return None if end_rtt is None else end_rtt - start_rtt
 
 
 def estimate_pair(
-    path_a: TracePath | PreparedTrace,
-    path_b: TracePath | PreparedTrace,
-    options: EstimateOptions = EstimateOptions(),
+    a: PreparedTrace,
+    b: PreparedTrace,
     transits: dict[tuple[str, int, int], TransitPoint] | None = None,
 ) -> PairEstimate | RejectReason:
     """Upper-bound the distance between two destinations seen from one origin.
 
-    Symmetric in its two paths: the pair is canonicalized by destination
-    address before any tie-breaking happens.  A ``TracePath`` is prepared on
-    entry; a ``PreparedTrace`` must have been prepared for ``options.mode``.
-    ``transits`` maps (address, index_a, index_b) to its ``TransitPoint``;
-    calls that share one table share one object per distinct transit point.
+    Both traces must be prepared with equal options.  Symmetric in its two
+    traces: the pair is canonicalized by destination address before any
+    tie-breaking happens.  The transit is the address responsive in both
+    traces up to their endpoints that maximizes index_a + index_b, ties
+    going to the larger index_a (two such candidates are then the same hop
+    of b).  Without one, the origin may serve as a loose transit at (0, 0)
+    when the options allow it.  ``transits`` maps (address, index_a,
+    index_b) to its ``TransitPoint``; calls that share one table share one
+    object per distinct transit point.
     """
-    mode = options.mode
-    a = path_a if isinstance(path_a, PreparedTrace) else PreparedTrace(path_a, mode)
-    b = path_b if isinstance(path_b, PreparedTrace) else PreparedTrace(path_b, mode)
-    if a.mode != mode or b.mode != mode:
-        raise ValueError(f"trace prepared for another mode than {mode!r}")
+    options = a.options
+    if b.options is not options and b.options != options:
+        raise ValueError(f"traces prepared with unequal options: {options} vs {b.options}")
     trace_a, trace_b = a.trace, b.trace
     if trace_a.destination > trace_b.destination:
         a, b, trace_a, trace_b = b, a, trace_b, trace_a
@@ -281,21 +182,30 @@ def estimate_pair(
         raise ValueError(
             f"traces from different origins: {trace_a.origin_id} vs {trace_b.origin_id}"
         )
-    best = _join(a.positions, a.endpoint, b.positions)
-    if best is not None:
-        _, index_a, index_b = best
-    elif options.allow_origin_fallback:
-        index_a = index_b = 0
-    else:
+    # b deepest first, so a later candidate with an equal index sum has the
+    # larger index_a and wins; stop once no index_a up to a's endpoint can
+    # reach the best sum
+    best = None
+    best_sum = 0
+    positions_a, limit_a = a.positions, a.endpoint
+    for address, ib in b.positions.items():
+        if ib + limit_a < best_sum:
+            break
+        ia = positions_a.get(address)
+        if ia is not None and ia + ib >= best_sum:
+            best_sum = ia + ib
+            best = (address, ia, ib)
+    if best is None and not options.allow_origin_fallback:
         return _NO_TRANSIT
+    _, index_a, index_b = best or (None, 0, 0)  # else the origin fallback
     # validate the whole remaining path, not just up to the endpoint: a
     # cumulative RTT decrease between the access router and the destination
     # still signals asymmetry on the segment the tail RTTs depend on.
     # Precedence: a's segment, b's segment, a's tail RTT, b's tail RTT.
-    rtt_a = a.tail(index_a, options.eps_rtt)
+    rtt_a = a.tail(index_a)
     if isinstance(rtt_a, RejectReason):
         return rtt_a
-    rtt_b = b.tail(index_b, options.eps_rtt)
+    rtt_b = b.tail(index_b)
     if isinstance(rtt_b, RejectReason):
         return rtt_b
     for p, rtt in ((a, rtt_a), (b, rtt_b)):
@@ -378,7 +288,7 @@ def batch_estimate(
             if existing is None or (trace.reached and not existing.reached):
                 chosen[trace.destination] = trace
         prepared[origin] = {
-            dest: PreparedTrace(trace, options.mode)
+            dest: PreparedTrace(trace, options)
             for dest, trace in chosen.items() if dest in named
         }
 
@@ -394,7 +304,7 @@ def batch_estimate(
             if pa is None or pb is None:
                 est = _NO_TRACE
             else:
-                est = estimate_pair(pa, pb, options, transits)
+                est = estimate_pair(pa, pb, transits)
             per_origin[origin] = est
             if isinstance(est, RejectReason):
                 reject_counts[est.kind] += 1

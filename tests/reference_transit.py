@@ -3,7 +3,9 @@
 ``estimate_pair`` and ``last_common_hop`` are as they were before per-trace
 preparation: every call recomputes the endpoint, the address positions and
 the validation verdicts of both traces, and breaks ties on the address with
-``_neg_lex``.  ``read_outcomes`` is as it was before the per-file decoder:
+``_neg_lex``.  The endpoint rule (``endpoint_of``) and the segment checks
+(``validate_beyond_transit``) are this module's own, so a defect in the
+package's copies shows as a difference.  ``read_outcomes`` is as it was before the per-file decoder:
 it builds every reject reason, transit point and best bound anew.
 ``min_over_origins`` is the two-pass selection: it copies the accepted
 entries into a list and takes a lambda-keyed ``min`` per metric.  The
@@ -22,12 +24,54 @@ from edgedist.model import (
     TracePath,
     TransitPoint,
 )
-from edgedist.transit import (
-    EstimateOptions,
-    PairOutcome,
-    endpoint_of,
-    validate_beyond_transit,
-)
+from edgedist.transit import EstimateOptions, PairOutcome
+
+
+def endpoint_of(trace: TracePath, mode: str) -> int:
+    """1-based position of the distance endpoint of a reached trace: the
+    destination hop in host mode, else the last responsive hop before it,
+    or the destination hop when there is none."""
+    if not trace.reached:
+        raise ValueError("endpoint_of requires a reached trace")
+    n = len(trace.hops)
+    if mode == "host":
+        return n
+    for pos in range(n - 1, 0, -1):
+        if trace.hops[pos - 1].responsive:
+            return pos
+    return n
+
+
+def validate_beyond_transit(
+    trace: TracePath, transit_pos: int, eps_rtt: float
+) -> RejectReason | None:
+    """Check the segment from transit_pos (0: the origin) to the last hop;
+    None means accepted.  Rejects a missing RTT at the transit hop, then the
+    first repeated address or cumulative RTT drop beyond eps_rtt."""
+    if transit_pos >= 1 and trace.hops[transit_pos - 1].rtt_ms is None:
+        return RejectReason(
+            RejectKind.MISSING_RTT_AT_TRANSIT,
+            f"no rtt at transit hop {transit_pos}",
+        )
+    prev_rtt = None
+    seen: set[str] = set()
+    for hop in trace.hops[max(transit_pos, 1) - 1:]:
+        if not hop.responsive:
+            continue
+        if hop.address in seen:
+            return RejectReason(
+                RejectKind.LOOP_BEYOND_TRANSIT,
+                f"address {hop.address} repeats at hop {hop.ttl}",
+            )
+        seen.add(hop.address)
+        if hop.rtt_ms is not None:
+            if prev_rtt is not None and hop.rtt_ms < prev_rtt - eps_rtt:
+                return RejectReason(
+                    RejectKind.ASYMMETRY_SUSPECTED,
+                    f"cumulative rtt drops {prev_rtt} -> {hop.rtt_ms} at hop {hop.ttl}",
+                )
+            prev_rtt = hop.rtt_ms
+    return None
 
 
 def last_common_hop(
@@ -52,13 +96,13 @@ def last_common_hop(
 
     pos_a: dict[str, int] = {}
     for pos in range(1, limit_a + 1):
-        hop = path_a.hop(pos)
+        hop = path_a.hops[pos - 1]
         if hop.responsive:
             pos_a[hop.address] = pos
     best: TransitPoint | None = None
     best_key = None
     for pos in range(1, limit_b + 1):
-        hop = path_b.hop(pos)
+        hop = path_b.hops[pos - 1]
         if not hop.responsive or hop.address not in pos_a:
             continue
         ia = pos_a[hop.address]
@@ -103,18 +147,18 @@ def estimate_pair(
     if isinstance(transit, RejectReason):
         return transit
     for path, t_pos in ((path_a, transit.index_a), (path_b, transit.index_b)):
-        reject = validate_beyond_transit(path, t_pos, eps_rtt=options.eps_rtt)
+        reject = validate_beyond_transit(path, t_pos, options.eps_rtt)
         if reject is not None:
             return reject
 
     def tail_rtt(path: TracePath, t_pos: int, e_pos: int) -> float | RejectReason:
-        end_rtt = path.hop(e_pos).rtt_ms
+        end_rtt = path.hops[e_pos - 1].rtt_ms
         if end_rtt is None:
             return RejectReason(
                 RejectKind.MISSING_RTT_AT_TRANSIT,
                 f"no rtt at endpoint hop {e_pos} of {path.destination}",
             )
-        start_rtt = 0.0 if t_pos == 0 else path.hop(t_pos).rtt_ms
+        start_rtt = 0.0 if t_pos == 0 else path.hops[t_pos - 1].rtt_ms
         diff = end_rtt - start_rtt
         if diff < 0:
             return RejectReason(

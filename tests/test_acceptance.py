@@ -27,6 +27,7 @@ from edgedist.synth import SimOptions, Topology, generate_topology, run_experime
 from edgedist.transit import (
     EstimateOptions,
     PairOutcome,
+    PreparedTrace,
     estimate_pair,
     min_over_origins,
 )
@@ -151,7 +152,7 @@ def test_criterion_3_monotonicity():
     def trace(origin, host):
         key = (origin, host)
         if key not in trace_cache:
-            trace_cache[key] = sim.trace(origin, host)[0]
+            trace_cache[key] = PreparedTrace(sim.trace(origin, host)[0], FALLBACK)
         return trace_cache[key]
 
     steps = 0
@@ -161,7 +162,7 @@ def test_criterion_3_monotonicity():
         prev_hop = math.inf
         prev_rtt = math.inf
         for origin in origins:
-            per_origin[origin] = estimate_pair(trace(origin, a), trace(origin, b), FALLBACK)
+            per_origin[origin] = estimate_pair(trace(origin, a), trace(origin, b))
             outcome = min_over_origins((a, b), per_origin)
             hop = math.inf if outcome.best_hop is None else outcome.best_hop.hop_bound
             rtt = math.inf if outcome.best_rtt is None else outcome.best_rtt.rtt_bound_ms

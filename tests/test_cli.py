@@ -603,8 +603,7 @@ def test_every_public_definition_is_reached_from_the_cli():
             reached.add(key)
             todo.extend(referenced(key[0], defs[key]))
     public = {key for key in defs if not key[1].startswith("_")}
-    # kept on purpose: a package export, and the two oracles that the
-    # benchmark traces by name and the tests use as references
-    allowed = {("transit", "last_common_hop"), ("synth", "true_distance"),
-               ("synth", "min_hop_distance")}
+    # kept on purpose: the two oracles that the benchmark traces by name
+    # and the tests use as references
+    allowed = {("synth", "true_distance"), ("synth", "min_hop_distance")}
     assert sorted(public - reached) == sorted(allowed)

@@ -41,7 +41,7 @@ def test_parse_unresponsive_hop():
         " 3  192.0.2.9 (192.0.2.9)  4.0 ms\n"
     )
     (t,), _ = parse_traceroute_text(text, "o")
-    assert t.hop(2) == HopRecord(ttl=2)
+    assert t.hops[1] == HopRecord(ttl=2)
     assert t.reached
 
 
@@ -59,7 +59,7 @@ def test_parse_corrupted_hop_line_is_skipped_not_fatal():
     traces, report = parse_traceroute_text(text, "o")
     assert len(traces) == 1
     assert len(traces[0].hops) == 6
-    assert not traces[0].hop(3).responsive
+    assert not traces[0].hops[2].responsive
     assert report.skipped_lines == 1
     assert traces[0].reached
 
@@ -75,7 +75,7 @@ def test_parse_non_finite_rtt_is_a_bad_hop_line(probes):
         " 3  10.0.0.9  3.0 ms\n"
     )
     (t,), report = parse_traceroute_text(text, "o")
-    assert t.hop(2) == HopRecord(ttl=2)
+    assert t.hops[1] == HopRecord(ttl=2)
     assert t.reached
     assert report.skipped_lines == 1
     (warning,) = report.warnings
@@ -90,7 +90,7 @@ def test_parse_named_responders_give_the_min_rtt_address():
         " 2  192.0.2.9  3.0 ms\n"
     )
     (t,), _ = parse_traceroute_text(text, "o")
-    assert t.hop(1) == HopRecord(ttl=1, address="192.0.2.2", rtt_ms=1.5)
+    assert t.hops[0] == HopRecord(ttl=1, address="192.0.2.2", rtt_ms=1.5)
 
 
 def test_parse_multiple_blocks():

@@ -58,7 +58,7 @@ def test_reached_trace_must_end_at_destination():
 def test_unresponsive_hops_are_retained():
     t = trace("o", "b", [("a", 1.0), (None, None), ("b", 3.0)])
     assert len(t.hops) == 3
-    assert not t.hop(2).responsive
+    assert not t.hops[1].responsive
 
 
 def test_transit_point_fallback_indices():

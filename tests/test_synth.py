@@ -9,6 +9,7 @@ from edgedist.transit import (
     ACCESS_ROUTER,
     HOST,
     EstimateOptions,
+    PreparedTrace,
     batch_estimate,
     estimate_pair,
 )
@@ -211,8 +212,8 @@ def test_simulated_line_trace():
 def test_blocked_node_is_unresponsive():
     topo = line_topology()
     trace, _ = Simulator(topo, SimOptions(block_probability=1.0)).trace("O", "B")
-    assert not trace.hop(1).responsive
-    assert trace.hop(2).address == "B"
+    assert not trace.hops[0].responsive
+    assert trace.hops[1].address == "B"
     assert trace.reached
 
 
@@ -247,11 +248,13 @@ def test_asymmetry_delta_causes_decreasing_rtt_and_rejection():
     ta, _ = skewed.trace("O", "HA")
     tb, _ = skewed.trace("O", "HB")
     assert _rtt_decreases(ta)
-    reject = estimate_pair(ta, tb, opts)
+    reject = estimate_pair(PreparedTrace(ta, opts), PreparedTrace(tb, opts))
     assert reject.kind is RejectKind.ASYMMETRY_SUSPECTED
     ca, _ = clean.trace("O", "HA")
+    cb, _ = clean.trace("O", "HB")
     assert not _rtt_decreases(ca)
-    assert isinstance(estimate_pair(ca, clean.trace("O", "HB")[0], opts), PairEstimate)
+    est = estimate_pair(PreparedTrace(ca, opts), PreparedTrace(cb, opts))
+    assert isinstance(est, PairEstimate)
 
 
 def test_simulation_deterministic_under_seed():

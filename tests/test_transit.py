@@ -13,12 +13,9 @@ from edgedist.transit import (
     EstimateOptions,
     PreparedTrace,
     batch_estimate,
-    endpoint_of,
     estimate_pair,
-    last_common_hop,
     min_over_origins,
     read_outcomes,
-    validate_beyond_transit,
     write_outcomes,
 )
 from edgedist import synth
@@ -26,34 +23,48 @@ from edgedist import synth
 import reference_transit as reference
 from conftest import make_topology, trace
 
+HOST_MODE = EstimateOptions(mode=HOST)
 
-# --- endpoint_of -----------------------------------------------------------
+
+def _estimate(a, b, options=EstimateOptions()):
+    return estimate_pair(PreparedTrace(a, options), PreparedTrace(b, options))
+
+
+# --- the endpoint of a prepared trace ---------------------------------------
+
+
+def _endpoint(t, mode=ACCESS_ROUTER):
+    return PreparedTrace(t, EstimateOptions(mode=mode)).endpoint
 
 
 def test_endpoint_host_mode():
     t = trace("o", "H", [("r1", 1.0), ("r2", 2.0), ("H", 3.0)])
-    assert endpoint_of(t, HOST) == 3
+    assert _endpoint(t, HOST) == 3
 
 
 def test_endpoint_access_router():
     t = trace("o", "H", [("r1", 1.0), ("r2", 2.0), ("H", 3.0)])
-    assert endpoint_of(t, ACCESS_ROUTER) == 2
+    assert _endpoint(t, ACCESS_ROUTER) == 2
 
 
 def test_endpoint_degenerate_single_hop():
     t = trace("o", "H", [("H", 1.0)])
-    assert endpoint_of(t, ACCESS_ROUTER) == 1
+    assert _endpoint(t, ACCESS_ROUTER) == 1
 
 
 def test_endpoint_skips_unresponsive():
     t = trace("o", "H", [("r1", 1.0), (None, None), ("H", 3.0)])
-    assert endpoint_of(t, ACCESS_ROUTER) == 1
+    assert _endpoint(t, ACCESS_ROUTER) == 1
 
 
 def test_endpoint_unreached_rejected():
     t = trace("o", "H", [("r1", 1.0)], reached=False)
-    with pytest.raises(ValueError):
-        endpoint_of(t)
+    reached = trace("o", "G", [("r1", 1.0), ("G", 2.0)])
+    for mode in (HOST, ACCESS_ROUTER):
+        assert _endpoint(t, mode) is None
+        options = EstimateOptions(mode=mode)
+        assert _estimate(t, reached, options) == _estimate(reached, t, options) == \
+            RejectReason(RejectKind.UNREACHABLE_DESTINATION, "destination H not reached")
 
 
 def test_endpoint_access_router_oracle_three_hops():
@@ -64,9 +75,9 @@ def test_endpoint_access_router_oracle_three_hops():
         t = trace("o", "H", hops)
         # oracle: scan backward from the hop before the destination
         expected = next(
-            (pos for pos in (2, 1) if t.hop(pos).responsive), 3
+            (pos for pos in (2, 1) if t.hops[pos - 1].responsive), 3
         )
-        assert endpoint_of(t, ACCESS_ROUTER) == expected
+        assert _endpoint(t, ACCESS_ROUTER) == expected
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -5.0, -1e-9, float("inf")])
@@ -81,7 +92,7 @@ def test_unknown_mode_is_rejected_up_front():
         EstimateOptions(mode="acess_router")
 
 
-# --- last_common_hop -------------------------------------------------------
+# --- transit selection: the transit of an accepted host-mode estimate -------
 
 
 def _path(origin, dest, addresses, base=1.0):
@@ -90,31 +101,39 @@ def _path(origin, dest, addresses, base=1.0):
     )
 
 
+def _transit(a, b, options=HOST_MODE):
+    """The transit of the pair's estimate, or its reject."""
+    est = _estimate(a, b, options)
+    return est.transit if isinstance(est, PairEstimate) else est
+
+
 def test_common_prefix_transit():
     a = _path("o", "d", ["a", "b", "c", "d"])
     b = _path("o", "f", ["a", "b", "e", "f"])
-    tp = last_common_hop(a, b)
+    tp = _transit(a, b)
     assert (tp.address, tp.index_a, tp.index_b) == ("b", 2, 2)
 
 
 def test_no_common_hop_fallback():
     a = _path("o", "b", ["a", "b"])
     b = _path("o", "d", ["c", "d"])
-    assert last_common_hop(a, b) == RejectReason(
+    assert _transit(a, b) == RejectReason(
         RejectKind.NO_TRANSIT, "no common responsive hop"
     )
-    tp = last_common_hop(a, b, allow_origin_fallback=True)
+    tp = _transit(a, b, EstimateOptions(mode=HOST, allow_origin_fallback=True))
     assert tp.is_origin_fallback and (tp.index_a, tp.index_b) == (0, 0)
 
 
 def test_reconvergent_path_maximizes_index_sum():
     a = _path("o", "c", ["a", "b", "x", "c"])
     b = _path("o", "c2", ["a", "x", "c2"])
-    tp = last_common_hop(a, b)
+    tp = _transit(a, b)
     assert (tp.address, tp.index_a, tp.index_b) == ("x", 3, 2)
 
 
 def test_last_common_hop_brute_force_oracle():
+    # distinct addresses per trace and rising RTTs: a pair is accepted
+    # exactly when the traces share an address
     rng = random.Random(7)
     pool = [f"n{i}" for i in range(8)]
     for _ in range(200):
@@ -122,7 +141,10 @@ def test_last_common_hop_brute_force_oracle():
         addrs_b = rng.sample(pool, rng.randint(1, 6))
         a = _path("o", addrs_a[-1], addrs_a)
         b = _path("o", addrs_b[-1], addrs_b)
-        got = last_common_hop(a, b)
+        got = _transit(a, b)
+        # the estimate orders the pair by destination
+        if addrs_a[-1] > addrs_b[-1]:
+            addrs_a, addrs_b = addrs_b, addrs_a
         # oracle: enumerate all common responsive positions
         candidates = [
             (ia + ib, ia, addr)
@@ -137,55 +159,59 @@ def test_last_common_hop_brute_force_oracle():
             top = [c for c in candidates if c[0] == best_sum]
             best_ia = max(c[1] for c in top)
             best_addr = min(c[2] for c in top if c[1] == best_ia)
-            assert (got.address, got.index_a) == (best_addr, best_ia)
+            assert (got.address, got.index_a, got.index_b) == \
+                (best_addr, best_ia, best_sum - best_ia)
 
 
 def test_unresponsive_hops_never_match():
     a = trace("o", "d", [(None, None), ("d", 2.0)])
     b = trace("o", "e", [(None, None), ("e", 2.0)])
-    assert isinstance(last_common_hop(a, b), RejectReason)
+    assert _transit(a, b) == RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
 
 
 def test_differing_origins_is_an_error():
     a = _path("o1", "b", ["a", "b"])
     b = _path("o2", "b", ["a", "b"])
-    with pytest.raises(ValueError):
-        last_common_hop(a, b)
     with pytest.raises(ValueError, match="different origins"):
-        estimate_pair(a, b)
+        _estimate(a, b)
 
 
-# --- validate_beyond_transit ----------------------------------------------
+# --- the checks on the segment beyond a transit -----------------------------
+
+
+def _tail(t, transit_pos, **options):
+    return PreparedTrace(t, EstimateOptions(**options)).tail(transit_pos)
 
 
 def test_monotone_rtts_accepted():
     t = trace("o", "c", [("t", 5.0), ("b", 8.0), ("c", 12.0)])
-    assert validate_beyond_transit(t, 1) is None
+    assert _tail(t, 1) == 3.0  # to the access router b
+    assert _tail(t, 1, mode=HOST) == 7.0
 
 
 def test_decreasing_rtt_rejected():
     t = trace("o", "c", [("t", 5.0), ("b", 8.0), ("c", 7.0)])
-    reject = validate_beyond_transit(t, 1)
-    assert reject.kind is RejectKind.ASYMMETRY_SUSPECTED
+    reject = _tail(t, 1)
+    assert reject == RejectReason(
+        RejectKind.ASYMMETRY_SUSPECTED, "cumulative rtt drops 8.0 -> 7.0 at hop 3"
+    )
 
 
 def test_decrease_within_tolerance_accepted():
     t = trace("o", "c", [("t", 5.0), ("b", 8.0), ("c", 7.0)])
-    assert validate_beyond_transit(t, 1, eps_rtt=1.5) is None
-    with pytest.raises(TypeError):
-        validate_beyond_transit(t, 1, 1.5)  # a tolerance is never positional
+    assert _tail(t, 1, eps_rtt=1.5) == 3.0
 
 
 def test_loop_beyond_transit_rejected():
     t = trace("o", "v2", [("t", 1.0), ("u", 2.0), ("v", 3.0), ("u", 4.0), ("v2", 5.0)])
-    reject = validate_beyond_transit(t, 1)
-    assert reject.kind is RejectKind.LOOP_BEYOND_TRANSIT
+    reject = _tail(t, 1)
+    assert reject == RejectReason(RejectKind.LOOP_BEYOND_TRANSIT, "address u repeats at hop 4")
 
 
 def test_missing_rtt_at_transit():
     t = trace("o", "c", [("t", None), ("c", 2.0)])
-    reject = validate_beyond_transit(t, 1)
-    assert reject.kind is RejectKind.MISSING_RTT_AT_TRANSIT
+    reject = _tail(t, 1, mode=HOST)
+    assert reject == RejectReason(RejectKind.MISSING_RTT_AT_TRANSIT, "no rtt at transit hop 1")
 
 
 # --- estimate_pair ---------------------------------------------------------
@@ -194,32 +220,28 @@ def test_missing_rtt_at_transit():
 def test_estimate_smallest_case():
     a = trace("o", "a", [("t", 2.0), ("a", 5.0)])
     b = trace("o", "b", [("t", 2.0), ("b", 6.0)])
-    est = estimate_pair(a, b, EstimateOptions(mode=HOST))
+    est = _estimate(a, b, HOST_MODE)
     assert est.hop_bound == 2
     assert est.rtt_bound_ms == pytest.approx(7.0)
     assert (est.transit.index_a, est.transit.index_b) == (1, 1)
 
 
 def test_estimate_identity_pair():
-    a = trace("o", "a", [("t", 2.0), ("a", 5.0)])
-    est = estimate_pair(a, a, EstimateOptions(mode=HOST))
+    a = PreparedTrace(trace("o", "a", [("t", 2.0), ("a", 5.0)]), HOST_MODE)
+    est = estimate_pair(a, a)
     assert est.hop_bound == 0 and est.rtt_bound_ms == 0.0
 
 
 def test_estimate_symmetry():
     a = trace("o", "a", [("t", 2.0), ("x", 3.0), ("a", 5.0)])
     b = trace("o", "b", [("t", 2.0), ("b", 6.0)])
-    assert estimate_pair(a, b, EstimateOptions(mode=HOST)) == estimate_pair(
-        b, a, EstimateOptions(mode=HOST)
-    )
+    assert _estimate(a, b, HOST_MODE) == _estimate(b, a, HOST_MODE)
 
 
 def test_estimate_origin_fallback_uses_zero_transit_rtt():
     a = trace("o", "a", [("u", 2.0), ("a", 5.0)])
     b = trace("o", "b", [("v", 2.0), ("b", 6.0)])
-    est = estimate_pair(
-        a, b, EstimateOptions(mode=HOST, allow_origin_fallback=True)
-    )
+    est = _estimate(a, b, EstimateOptions(mode=HOST, allow_origin_fallback=True))
     assert est.hop_bound == 4
     assert est.rtt_bound_ms == pytest.approx(11.0)
 
@@ -227,7 +249,7 @@ def test_estimate_origin_fallback_uses_zero_transit_rtt():
 def test_estimate_rejects_decreasing_tail():
     a = trace("o", "a", [("t", 5.0), ("x", 4.0), ("a", 6.0)])
     b = trace("o", "b", [("t", 5.0), ("b", 6.0)])
-    reject = estimate_pair(a, b, EstimateOptions(mode=HOST))
+    reject = _estimate(a, b, HOST_MODE)
     assert reject.kind is RejectKind.ASYMMETRY_SUSPECTED
 
 
@@ -237,13 +259,13 @@ def test_segment_rejects_take_precedence_over_tail_rejects():
     a = trace("o", "a", [("t", 5.0), ("a", 4.5)])
     b = trace("o", "b", [("t", 1.0), ("x", 2.0), ("x", 3.0), ("b", 4.0)])
     options = EstimateOptions(mode=HOST, eps_rtt=1.0)
-    reject = estimate_pair(a, b, options)
+    reject = _estimate(a, b, options)
     assert reject == reference.estimate_pair(a, b, options)
     assert reject.kind is RejectKind.LOOP_BEYOND_TRANSIT
     assert reject.detail == "address x repeats at hop 3"
     # without b's loop, a's negative tail is the reject
     clean_b = trace("o", "b", [("t", 1.0), ("b", 4.0)])
-    assert estimate_pair(a, clean_b, options) == RejectReason(
+    assert _estimate(a, clean_b, options) == RejectReason(
         RejectKind.ASYMMETRY_SUSPECTED, "negative rtt difference -0.5 on tail to a"
     )
 
@@ -253,15 +275,13 @@ def test_estimate_bounds_true_distance_on_synthetic_graph():
     topo = synth.generate_topology("ring_of_stars", {"cores": 4, "leaves": 2}, seed=11)
     hosts = topo.hosts
     origins = ["C0", "C2", "C0L0"]
+    options = EstimateOptions(mode=HOST, allow_origin_fallback=True)
     for origin in origins:
         sim = synth.Simulator(topo)
-        pairs = list(itertools.combinations(hosts[:5], 2))
-        for a, b in pairs:
-            ta, _ = sim.trace(origin, a)
-            tb, _ = sim.trace(origin, b)
-            est = estimate_pair(
-                ta, tb, EstimateOptions(mode=HOST, allow_origin_fallback=True)
-            )
+        prepared = {host: PreparedTrace(sim.trace(origin, host)[0], options)
+                    for host in hosts[:5]}
+        for a, b in itertools.combinations(hosts[:5], 2):
+            est = estimate_pair(prepared[a], prepared[b])
             assert isinstance(est, PairEstimate)
             true_hops, true_lat = synth.true_distance(topo, a, b)
             assert est.hop_bound >= true_hops
@@ -504,21 +524,13 @@ def test_prepared_estimator_matches_reference(campaign):
         origin: {t.destination: t for t in rows}
         for origin, rows in sorted(traces_by_origin.items())
     }
-    # one prepared trace per (origin, mode), reused across the other options
-    prepared = {
-        (origin, mode, dest): PreparedTrace(t, mode)
-        for origin, by_dest in by_origin.items() for dest, t in by_dest.items()
-        for mode in (HOST, ACCESS_ROUTER)
-    }
     for options in OPTION_GRID:
-        for origin, by_dest in by_origin.items():
+        # one prepared trace per (origin, destination), shared by its pairs
+        for by_dest in by_origin.values():
+            prepared = {dest: PreparedTrace(t, options) for dest, t in by_dest.items()}
             for a, b in pairs:
-                expected = reference.estimate_pair(by_dest[a], by_dest[b], options)
-                assert estimate_pair(by_dest[a], by_dest[b], options) == expected
-                assert estimate_pair(
-                    prepared[origin, options.mode, a], prepared[origin, options.mode, b],
-                    options,
-                ) == expected
+                assert estimate_pair(prepared[a], prepared[b]) == \
+                    reference.estimate_pair(by_dest[a], by_dest[b], options)
         outcomes, _ = batch_estimate(traces_by_origin, pairs, options)
         for (a, b), outcome in zip(pairs, outcomes):
             per_origin = {
@@ -530,35 +542,33 @@ def test_prepared_estimator_matches_reference(campaign):
             )
 
 
-@settings(max_examples=60, deadline=None)
-@given(faulty_traces(), st.booleans())
-def test_last_common_hop_matches_reference(campaign, fallback):
-    traces_by_origin, hosts = campaign
-    rows = next(iter(traces_by_origin.values()))
-    for ta, tb in itertools.product(rows, repeat=2):
-        assert last_common_hop(ta, tb, fallback) == \
-            reference.last_common_hop(ta, tb, fallback)
-
-
 def test_prepared_trace_follows_a_change_of_eps_rtt():
     # x -> y drops 0.5 ms beyond both transits of a: rejected at eps 0,
-    # accepted at eps 1, whichever tolerance a transit position saw first
+    # accepted at eps 1; each tolerance has its own prepared traces, whose
+    # memo then serves a's two transit positions
     a = trace("o", "a", [("t", 2.0), ("u", 3.0), ("x", 5.0), ("y", 4.5), ("a", 6.0)])
     via_t = trace("o", "bt", [("t", 2.0), ("bt", 3.0)])
     via_u = trace("o", "bu", [("t", 2.0), ("u", 3.0), ("bu", 4.0)])
-    prepared = {t: PreparedTrace(t, HOST) for t in (a, via_t, via_u)}
-    for b, eps in ((via_t, 0.0), (via_u, 1.0), (via_t, 1.0), (via_u, 0.0)):
+    for eps in (0.0, 1.0):
         options = EstimateOptions(mode=HOST, eps_rtt=eps)
-        expected = reference.estimate_pair(a, b, options)
-        assert isinstance(expected, PairEstimate) == (eps == 1.0)
-        assert estimate_pair(prepared[a], prepared[b], options) == expected
+        prepared = {t: PreparedTrace(t, options) for t in (a, via_t, via_u)}
+        for b in (via_t, via_u, via_t):
+            expected = reference.estimate_pair(a, b, options)
+            assert isinstance(expected, PairEstimate) == (eps == 1.0)
+            assert estimate_pair(prepared[a], prepared[b]) == expected
 
 
-def test_prepared_trace_for_another_mode_is_an_error():
+def test_traces_prepared_with_unequal_options_are_an_error():
     a = trace("o", "a", [("t", 2.0), ("a", 5.0)])
     b = trace("o", "b", [("t", 2.0), ("b", 6.0)])
-    with pytest.raises(ValueError, match="another mode"):
-        estimate_pair(PreparedTrace(a, HOST), PreparedTrace(b, HOST), EstimateOptions())
+    for other in (EstimateOptions(), EstimateOptions(mode=HOST, eps_rtt=1.0)):
+        with pytest.raises(ValueError, match="unequal options"):
+            estimate_pair(PreparedTrace(a, HOST_MODE), PreparedTrace(b, other))
+    # equal options need not be one object
+    equal = EstimateOptions(mode=HOST)
+    assert equal is not HOST_MODE
+    est = estimate_pair(PreparedTrace(a, HOST_MODE), PreparedTrace(b, equal))
+    assert est == _estimate(a, b, HOST_MODE)
 
 
 # --- the outcome reader against the reference reader -----------------------
