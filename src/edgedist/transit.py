@@ -374,9 +374,9 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
 def read_outcomes(path: str | Path) -> list[PairOutcome]:
     """Decode an outcome file written by ``write_outcomes``.
 
-    Each distinct reject reason, transit point and origin name is built
-    once per file and shared (all are immutable), and a best bound whose
-    entry equals the per-origin entry of the origin it names is that
+    Each distinct reject reason, transit point and origin or endpoint name
+    is built once per file and shared (all are immutable), and a best bound
+    whose entry equals the per-origin entry of the origin it names is that
     entry's estimate.  A malformed record raises ValueError naming its line.
     """
     rejects: dict[tuple, RejectReason] = {}
@@ -415,6 +415,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
         a, b = pair = rec["pair"]
         if type(pair) is not list or type(a) is not str or type(b) is not str:
             raise ValueError(f"pair {pair!r} is not two strings")
+        a, b = share(a, a), share(b, b)
         objs = rec["per_origin"]
         if not isinstance(objs, dict):
             raise ValueError("per_origin is not an object")

@@ -612,10 +612,12 @@ def test_read_outcomes_matches_reference(tmp_path_factory, campaign, options):
     for oc in loaded:
         for best in (oc.best_hop, oc.best_rtt):
             assert best is None or best is oc.per_origin[best.origin_id]
-    # and each origin name is one string object per file
-    names = [origin for oc in loaded for origin in oc.per_origin] + [
-        est.origin_id for oc in loaded for est in oc.per_origin.values()
+    # and each origin and endpoint name is one string object per file
+    names = [name for oc in loaded for name in (*oc.pair, *oc.per_origin)] + [
+        name for oc in loaded
+        for est in (*oc.per_origin.values(), oc.best_hop, oc.best_rtt)
         if isinstance(est, PairEstimate)
+        for name in (est.endpoint_a, est.endpoint_b, est.origin_id)
     ]
     assert len({id(name) for name in names}) == len(set(names))
 
