@@ -288,6 +288,29 @@ def test_estimate_bounds_true_distance_on_synthetic_graph():
             assert est.rtt_bound_ms >= 2 * true_lat - 1e-9
 
 
+# ROADMAP item 1: two access-router-mode cases whose bound undercuts the
+# true 2 hops (A1-T0-B1); once fixed they must be rejected or bound >= 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_loop_just_before_the_host_does_not_undercut():
+    # T0 is both the deepest common hop and a's access router, so the scan
+    # beyond the transit starts past the repeat
+    a = trace("o", "hA", [("T0", 1.0), ("A1", 2.0), ("T0", 3.0), ("hA", 4.0)])
+    b = trace("o", "hB", [("T0", 1.0), ("B1", 2.0), ("hB", 3.0)])
+    est = _estimate(a, b)
+    assert isinstance(est, RejectReason) or est.hop_bound >= 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_blocked_access_router_does_not_undercut():
+    # a's access router A1 does not answer, so its endpoint falls back to T0
+    a = trace("o", "hA", [("T0", 1.0), (None, None), ("hA", 3.0)])
+    b = trace("o", "hB", [("T0", 1.0), ("B1", 2.0), ("hB", 3.0)])
+    est = _estimate(a, b)
+    assert isinstance(est, RejectReason) or est.hop_bound >= 2
+
+
 # --- min_over_origins / batch ---------------------------------------------
 
 
