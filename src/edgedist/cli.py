@@ -68,6 +68,21 @@ def _parse_kv(spec: str) -> dict[str, str]:
     return out
 
 
+def _parse_param(key: str, value: str) -> int | float:
+    """A ``--params`` value: an int if the text is one, else a finite float."""
+    try:
+        return int(value)
+    except ValueError:
+        pass
+    try:
+        number = float(value)
+        if math.isfinite(number):
+            return number
+    except ValueError:
+        pass
+    raise ValueError(f"--params {key}={value!r} is not a finite number")
+
+
 def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
@@ -289,7 +304,7 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--inject has no fault {key!r}")
     topology = synth.generate_topology(
         args.model,
-        {k: float(v) if "." in v else int(v) for k, v in params.items()},
+        {k: _parse_param(k, v) for k, v in params.items()},
         args.seed,
     )
     rng = random.Random(args.seed)

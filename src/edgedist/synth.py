@@ -11,6 +11,7 @@ unless jitter is switched on.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -334,8 +335,10 @@ class SimOptions:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.rtt_jitter_ms < 0:
-            raise ValueError("rtt_jitter_ms must be >= 0")
+        for name in ("asymmetry_delta_ms", "rtt_jitter_ms"):
+            ms = getattr(self, name)
+            if not 0 <= ms < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {ms}")
 
 
 def _node_flag(seed: int, tag: str, node: str, probability: float) -> bool:

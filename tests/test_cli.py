@@ -494,13 +494,37 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
      "random_geometric has no parameter 'leaves'"),
     ("two_tier", "--inject", "loop=0.5", "--inject has no fault 'loop'"),
     ("two_tier", "--inject", "loops=0.5,asymetry=0.3", "--inject has no fault 'asymetry'"),
+    # NaN jitter used to run with no jitter, a negative delta to fail on a
+    # hop's RTT, and a non-integer parameter on int() without its key
+    ("two_tier", "--inject", "jitter=nan", "rtt_jitter_ms must be finite and >= 0, got nan"),
+    ("two_tier", "--inject", "jitter=-1", "rtt_jitter_ms must be finite and >= 0, got -1.0"),
+    ("two_tier", "--inject", "delta=-100,asymmetry=0.5",
+     "asymmetry_delta_ms must be finite and >= 0, got -100.0"),
+    ("two_tier", "--inject", "delta=inf,asymmetry=0.5",
+     "asymmetry_delta_ms must be finite and >= 0, got inf"),
+    ("two_tier", "--params", "regions=3,peering=true",
+     "--params peering='true' is not a finite number"),
+    ("ring_of_stars", "--params", "cores=nan", "--params cores='nan' is not a finite number"),
+    ("two_tier", "--params", "regions=3,leaves=inf", "--params leaves='inf' is not a finite number"),
 ])
 def test_simulate_unknown_key_is_fatal(tmp_path, capsys, model, flag, spec, message):
-    # a misspelt key used to run the defaults silently
+    # a misspelt key used to run the defaults silently; a bad value is as fatal
     outdir = tmp_path / "sim"
     assert main(["simulate", "--model", model, flag, spec, "-o", str(outdir)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not outdir.exists()
+
+
+def test_simulate_params_take_any_finite_number(tmp_path):
+    # 3e0 used to fail on int(); a number is the same whichever way it is written
+    outputs = []
+    for spec in ("regions=3,leaves=2", "regions=3e0,leaves=2.0"):
+        outdir = tmp_path / spec.replace(",", "_")
+        assert main(["--seed", "5", "--quiet", "simulate", "--model", "two_tier",
+                     "--params", spec, "--origins", "2", "--pairs", "5",
+                     "-o", str(outdir)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_seeded_rerun_is_byte_identical(tmp_path):
