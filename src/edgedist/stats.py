@@ -195,6 +195,10 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
     try:
         bin_width = float(meta.get("bin_width", DEFAULT_BIN_WIDTH[metric]))
         excluded = int(meta.get("excluded", 0))
+        if not 0 < bin_width < math.inf:
+            raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
+        if excluded < 0:
+            raise ValueError(f"excluded must be >= 0, got {excluded}")
     except ValueError as exc:
         raise ValueError(f"{path}: bad header: {exc}") from exc
     exact = metric == HOP_COUNT and bin_width == 1.0

@@ -397,6 +397,12 @@ def test_handover_persistence_error_leaves_no_curve(tmp_path, capsys, source, ro
     ("# metric=rtt_ms bin_width=5", "5\t-3\t1.0", r": bad row at line 3: negative count -3"),
     ("# metric=rtt_ms bin_width=wide", "5\t1\t1.0", r": bad header: .*'wide'"),
     ("# metric=rtt_ms excluded=x", "5\t1\t1.0", r": bad header: .*'x'"),
+    # values that parse but are out of range
+    ("# metric=rtt_ms bin_width=0", "5\t1\t1.0",
+     r": bad header: bin_width must be finite and > 0, got 0.0$"),
+    ("# metric=rtt_ms bin_width=nan", "5\t1\t1.0",
+     r": bad header: bin_width must be finite and > 0, got nan$"),
+    ("# metric=rtt_ms excluded=-3", "5\t1\t1.0", r": bad header: excluded must be >= 0, got -3$"),
 ])
 def test_handover_bad_dist_tsv_is_fatal(tmp_path, capsys, header, row, message):
     dist = tmp_path / "dist.rtt.tsv"
