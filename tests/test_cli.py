@@ -595,7 +595,9 @@ def test_every_module_is_reached_from_the_cli():
 
 def test_every_public_definition_is_reached_from_the_cli():
     """Walk name references from ``cli.main`` and every module's top-level
-    statements, then from each definition reached; imports do not count."""
+    statements, then from each definition reached; imports do not count.
+    Each public method, property and annotated field of a class must be
+    read as an attribute somewhere in the package."""
     package = Path(edgedist.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     defs, scope = {}, {}
@@ -637,3 +639,16 @@ def test_every_public_definition_is_reached_from_the_cli():
     # and the tests use as references
     allowed = {("synth", "true_distance"), ("synth", "min_hop_distance")}
     assert sorted(public - reached) == sorted(allowed)
+
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    members = {
+        (module, cls.name, name)
+        for module, tree in trees.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        for name in ([node.name] if isinstance(node, ast.FunctionDef) else
+                     [node.target.id] if isinstance(node, ast.AnnAssign) else [])
+        if not name.startswith("_")
+    }
+    assert sorted(key for key in members if key[2] not in read) == []
