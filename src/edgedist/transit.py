@@ -84,7 +84,7 @@ class PreparedTrace:
 
     __slots__ = ("trace", "options", "endpoint", "positions", "_tails")
 
-    def __init__(self, trace: TracePath, options: EstimateOptions = EstimateOptions()):
+    def __init__(self, trace: TracePath, options: EstimateOptions):
         self.trace = trace
         self.options = options
         hops = trace.hops

@@ -5,8 +5,9 @@ preparation: every call recomputes the endpoint, the address positions and
 the validation verdicts of both traces, and breaks ties on the address with
 ``_neg_lex``.  The endpoint rule (``endpoint_of``) and the segment checks
 (``validate_beyond_transit``) are this module's own, so a defect in the
-package's copies shows as a difference.  ``read_outcomes`` is as it was before the per-file decoder:
-it builds every reject reason, transit point and best bound anew.
+package's copies shows as a difference.  ``read_outcomes`` is as it was
+before the per-file decoder: it builds every reject reason, transit point
+and best bound anew.
 ``min_over_origins`` is the two-pass selection: it copies the accepted
 entries into a list and takes a lambda-keyed ``min`` per metric.  The
 differential tests compare ``edgedist.transit`` against this module result
