@@ -298,10 +298,14 @@ def cmd_handover(args) -> int:
 def cmd_simulate(args) -> int:
     estimate_options = _estimate_options(args)
     params = _parse_kv(args.params)
-    inject = _parse_kv(args.inject)
-    for key in inject:
+    faults = {}
+    for key, value in _parse_kv(args.inject).items():
         if key not in ("block", "asymmetry", "delta", "loops", "jitter"):
             raise ValueError(f"--inject has no fault {key!r}")
+        try:  # any float: SimOptions checks the range and names the field
+            faults[key] = float(value)
+        except ValueError:
+            raise ValueError(f"--inject {key}={value!r} is not a number") from None
     topology = synth.generate_topology(
         args.model,
         {k: _parse_param(k, v) for k, v in params.items()},
@@ -316,11 +320,11 @@ def cmd_simulate(args) -> int:
     pairs = _sample_pairs(count, functools.partial(pair_at, hosts),
                           min(args.pairs, count), rng)
     options = synth.SimOptions(
-        block_probability=float(inject.get("block", 0.0)),
-        asymmetry_probability=float(inject.get("asymmetry", 0.0)),
-        asymmetry_delta_ms=float(inject.get("delta", 50.0)),
-        loop_probability=float(inject.get("loops", 0.0)),
-        rtt_jitter_ms=float(inject.get("jitter", 0.0)),
+        block_probability=faults.get("block", 0.0),
+        asymmetry_probability=faults.get("asymmetry", 0.0),
+        asymmetry_delta_ms=faults.get("delta", 50.0),
+        loop_probability=faults.get("loops", 0.0),
+        rtt_jitter_ms=faults.get("jitter", 0.0),
         seed=args.seed,
     )
     report = synth.run_experiment(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .jsonl import read_jsonl, write_jsonl
-from .model import HopRecord, TraceError, TracePath
+from .model import HopRecord, TracePath
 
 
 @dataclass
@@ -32,58 +32,50 @@ _HOP_LINE_RE = re.compile(r"^\s*(\d+)\s+(.*)$")
 _IPV4_RE = re.compile(r"^\d+\.\d+\.\d+\.\d+$")
 
 
-def _parse_hop_body(body: str) -> list[tuple[str | None, float | None]]:
-    """Parse the probe sequence of a hop line into (address, rtt) pairs.
+def _parse_hop(ttl: int, body: str) -> HopRecord:
+    """The hop at ``ttl`` from the probe sequence of its line, in one pass.
 
     Classic layout: ``name (ip)  t1 ms  t2 ms`` with a new ``name (ip)`` pair
     whenever a later probe was answered by a different node; lone ``*`` marks
-    an unanswered probe.  The reverse-DNS name is dropped.  Raises ValueError
-    on anything unrecognizable and on a non-finite RTT.
+    an unanswered probe and ``!H``-style annotations are skipped.  The hop
+    keeps the minimum RTT and the earliest responder that gave it, without
+    its reverse-DNS name.  Raises ValueError at the first unrecognizable
+    token or non-finite RTT, else TraceError if the hop is invalid (say, a
+    negative minimum).
     """
-    tokens = body.split()
-    probes: list[tuple[str | None, float | None]] = []
-    addr: str | None = None
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "*":
-            probes.append((None, None))
-            i += 1
-        elif tok.startswith("!"):
-            # annotation (!H, !N, ...) attached to the previous probe
-            i += 1
-        elif tok == "ms":
+    addr = best_addr = best_rtt = None
+    word = None  # the previous token, whose meaning this one decides
+    for tok in body.split():
+        if word is not None:
+            if tok == "ms":
+                if addr is None:
+                    raise ValueError("rtt before any address")
+                rtt = float(word)
+                if not math.isfinite(rtt):
+                    raise ValueError(f"non-finite rtt {word!r}")
+                if best_rtt is None or rtt < best_rtt:
+                    best_addr, best_rtt = addr, rtt
+                word = None
+                continue
+            if tok[0] == "(":
+                # "name (ip)": word was the name
+                addr = tok.strip("()")
+                if not _IPV4_RE.match(addr):
+                    raise ValueError(f"bad address {tok!r}")
+                word = None
+                continue
+            if not _IPV4_RE.match(word):
+                raise ValueError(f"unrecognized token {word!r}")
+            addr = word
+            word = None
+        if tok == "*" or tok[0] == "!":
+            continue
+        if tok == "ms":
             raise ValueError("stray 'ms' token")
-        elif i + 1 < len(tokens) and tokens[i + 1] == "ms":
-            if addr is None:
-                raise ValueError("rtt before any address")
-            rtt = float(tok)
-            if not math.isfinite(rtt):
-                raise ValueError(f"non-finite rtt {tok!r}")
-            probes.append((addr, rtt))
-            i += 2
-        else:
-            # a responder: either "ip" or "name (ip)"
-            if i + 1 < len(tokens) and tokens[i + 1].startswith("("):
-                inner = tokens[i + 1].strip("()")
-                if not _IPV4_RE.match(inner):
-                    raise ValueError(f"bad address {tokens[i + 1]!r}")
-                addr = inner
-                i += 2
-            elif _IPV4_RE.match(tok):
-                addr = tok
-                i += 1
-            else:
-                raise ValueError(f"unrecognized token {tok!r}")
-    return probes
-
-
-def _hop_from_probes(ttl, probes) -> HopRecord:
-    answered = [probe for probe in probes if probe[1] is not None]
-    if not answered:
-        return HopRecord(ttl=ttl)
-    addr, rtt = min(answered, key=lambda probe: probe[1])
-    return HopRecord(ttl=ttl, address=addr, rtt_ms=rtt)
+        word = tok
+    if word is not None and not _IPV4_RE.match(word):
+        raise ValueError(f"unrecognized token {word!r}")
+    return HopRecord(ttl, best_addr, best_rtt)
 
 
 def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], ParseReport]:
@@ -105,50 +97,40 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
     def flush():
         nonlocal target, hops
         if target is not None:
+            # valid by construction: consecutive TTLs, reached only at the target
             reached = bool(hops) and hops[-1].address == target
-            try:
-                traces.append(
-                    TracePath(
-                        origin_id=origin_id,
-                        destination=target,
-                        hops=tuple(hops),
-                        reached=reached,
-                    )
-                )
-                report.parsed += 1
-            except TraceError as exc:
-                report.warnings.append(f"dropped trace to {target}: {exc}")
+            traces.append(TracePath(origin_id, target, tuple(hops), reached))
+            report.parsed += 1
         target = None
         hops = []
 
     for line in text.splitlines():
-        if not line.strip():
-            continue
-        header = _HEADER_RE.match(line)
-        if header:
-            flush()
-            target = header.group(2) or header.group(1)
-            continue
+        # hop lines come first: no hop line matches a header, nor is blank
         hop_match = _HOP_LINE_RE.match(line)
         if hop_match is None:
-            report.skipped_lines += 1
-            report.warnings.append(f"unrecognized line: {line.strip()!r}")
+            header = _HEADER_RE.match(line)
+            if header:
+                flush()
+                target = header.group(2) or header.group(1)
+            elif line.strip():
+                report.skipped_lines += 1
+                report.warnings.append(f"unrecognized line: {line.strip()!r}")
             continue
         if target is None:
             report.skipped_lines += 1
             report.warnings.append(f"hop line before any header: {line.strip()!r}")
             continue
-        ttl = int(hop_match.group(1))
+        ttl_text, body = hop_match.groups()
+        ttl = int(ttl_text)
         # fill TTL gaps so hop arithmetic still counts the missing slots
         while len(hops) + 1 < ttl:
-            hops.append(HopRecord(ttl=len(hops) + 1))
+            hops.append(HopRecord(len(hops) + 1))
         if ttl <= len(hops):
             report.skipped_lines += 1
             report.warnings.append(f"out-of-order hop line: {line.strip()!r}")
             continue
         try:
-            probes = _parse_hop_body(hop_match.group(2))
-            hops.append(_hop_from_probes(ttl, probes))
+            hops.append(_parse_hop(ttl, body))
         except ValueError as exc:
             report.skipped_lines += 1
             report.warnings.append(f"bad hop line ({exc}): {line.strip()!r}")
@@ -158,23 +140,29 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
 
 
 def trace_to_record(trace: TracePath) -> dict:
+    # each hop is a tuple, which encodes as its [ttl, address, rtt_ms] array
     return {
         "origin_id": trace.origin_id,
         "destination": trace.destination,
         "timestamp": trace.timestamp,
         "reached": trace.reached,
-        "hops": [[h.ttl, h.address, h.rtt_ms] for h in trace.hops],
+        "hops": trace.hops,
     }
 
 
-def trace_from_record(record: dict) -> TracePath:
-    hops = tuple(
-        HopRecord(ttl=ttl, address=addr, rtt_ms=rtt)
+def trace_from_record(record: dict, names: dict[str, str]) -> TracePath:
+    """Decode one canonical record.  Each address, origin and destination
+    string is shared through ``names``, so a file's traces hold one object
+    per distinct string; any other value is left for validation to reject."""
+    share = names.setdefault
+    hops = tuple([
+        HopRecord(ttl, share(addr, addr) if type(addr) is str else addr, rtt)
         for ttl, addr, rtt in record["hops"]
-    )
+    ])
+    origin, destination = record["origin_id"], record["destination"]
     return TracePath(
-        origin_id=record["origin_id"],
-        destination=record["destination"],
+        origin_id=share(origin, origin) if type(origin) is str else origin,
+        destination=share(destination, destination) if type(destination) is str else destination,
         hops=hops,
         reached=record["reached"],
         timestamp=record.get("timestamp"),
@@ -188,4 +176,5 @@ def write_canonical(traces: list[TracePath], path: str | Path) -> None:
 
 def read_canonical(path: str | Path) -> list[TracePath]:
     """Read a canonical trace file; errors name the offending line."""
-    return list(read_jsonl(path, trace_from_record, "trace"))
+    names: dict[str, str] = {}
+    return list(read_jsonl(path, lambda record: trace_from_record(record, names), "trace"))

@@ -4,21 +4,23 @@ Addresses are opaque strings (IPv4 dotted quads in real data, symbolic node
 ids in synthetic data); two addresses are equal iff their strings are equal.
 Hop positions are 1-based, matching traceroute's TTL numbering.
 All types are immutable after construction and have no ``__dict__``: a
-campaign holds hundreds of thousands of hops and estimates.  Most are slotted
-frozen dataclasses.  ``TransitPoint`` and ``PairEstimate`` are validated tuple
-subclasses instead, because a ``PairEstimate`` is built for each accepted
-(pair, origin): on the benchmark's 300-host, 10-origin campaign that is
-321,206 in ``pairs`` and as many again in each of the three outcome reads of
-``dist`` and ``handover``, about 1.28M per pass.  A frozen dataclass sets each
-field through ``object.__setattr__``, which makes it more than twice as slow
-to build: 1.14 against 0.48 us for a ``PairEstimate`` and 0.92 against 0.43
-us for a ``TransitPoint`` (CPython 3.11, 2-core Xeon).  A tuple takes 16
-bytes more memory per instance (8 by ``sys.getsizeof``, rounded up by the
-allocator), which sharing its field values (one transit point per distinct
-transit, one string per origin name) more than pays for.  Both
-keep the dataclass interface: field names, defaults, ``repr``, hashing,
-read-only attributes, no ordering, and equality only with a value of the
-same type.
+campaign holds hundreds of thousands of hops and estimates.  ``TracePath``
+and ``RejectReason`` are slotted frozen dataclasses.  ``HopRecord``,
+``TransitPoint`` and ``PairEstimate`` are validated tuple subclasses, built
+per hop or per accepted (pair, origin): 313,899 hop lines on the benchmark's
+``ingest-wide`` campaign, each read back by ``pairs``, and 321,206 estimates
+on its 300-host campaign in ``pairs`` and in each of the three outcome reads
+of ``dist`` and ``handover``.  A frozen dataclass sets each field through
+``object.__setattr__``, which makes it up to twice as slow to build: 1.14
+against 0.48 us for a ``PairEstimate``, 0.92 against 0.43 us for a
+``TransitPoint`` and 0.9 against 0.6 us for a ``HopRecord`` (CPython 3.11,
+2-core Xeon).  A tuple takes up to 16 bytes more memory per instance (8 by
+``sys.getsizeof``, rounded up by the allocator), which sharing its field
+values (one transit point per distinct transit, one string per name or
+address in a file) more than pays for.  All three keep the dataclass
+interface: field names, defaults, ``repr``, hashing, read-only attributes,
+no ordering, and equality only with a value of the same type.  ``HopRecord``
+and ``TracePath`` check field types too: no ``true`` or ``2.0`` for an int.
 """
 
 from __future__ import annotations
@@ -47,68 +49,6 @@ class RejectReason:
     detail: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class HopRecord:
-    """One TTL step of a trace.
-
-    ``address`` is None for an unresponsive hop (the "* * *" case).
-    ``rtt_ms`` is the cumulative round trip from the origin, in milliseconds,
-    finite and non-negative; when a hop answered multiple probes the minimum
-    is stored.
-    """
-
-    ttl: int
-    address: str | None = None
-    rtt_ms: float | None = None
-
-    def __post_init__(self):
-        if self.ttl < 1:
-            raise TraceError(f"ttl must be >= 1, got {self.ttl}")
-        if self.address is not None and not self.address:
-            raise TraceError("address must be non-empty or None")
-        if self.rtt_ms is not None:
-            if self.address is None:
-                raise TraceError(f"hop {self.ttl}: rtt without address")
-            if not 0 <= self.rtt_ms < math.inf:
-                raise TraceError(f"hop {self.ttl}: rtt {self.rtt_ms} is negative or not finite")
-
-    @property
-    def responsive(self) -> bool:
-        return self.address is not None
-
-
-@dataclass(frozen=True, slots=True)
-class TracePath:
-    """One traceroute result: ordered hops from an origin toward a destination."""
-
-    origin_id: str
-    destination: str
-    hops: tuple[HopRecord, ...]
-    reached: bool
-    timestamp: float | None = None
-
-    def __post_init__(self):
-        if not self.origin_id:
-            raise TraceError("origin_id must be non-empty")
-        if not self.destination:
-            raise TraceError("destination must be non-empty")
-        object.__setattr__(self, "hops", tuple(self.hops))
-        for i, hop in enumerate(self.hops, start=1):
-            if hop.ttl != i:
-                raise TraceError(
-                    f"ttl gap at position {i}: expected ttl {i}, got {hop.ttl}"
-                )
-        if self.reached:
-            if not self.hops:
-                raise TraceError("reached trace must have at least one hop")
-            last = self.hops[-1]
-            if last.address != self.destination:
-                raise TraceError(
-                    f"reached trace must end at {self.destination}, "
-                    f"last hop is {last.address}"
-                )
-
-
 class _Value(tuple):
     """Value semantics of a frozen dataclass for a tuple subclass: equal
     only to a value of the same type, unordered, and validated by
@@ -132,6 +72,75 @@ class _Value(tuple):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+class HopRecord(_Value, namedtuple("HopRecord", "ttl address rtt_ms")):
+    """One TTL step of a trace.
+
+    ``address`` is None for an unresponsive hop (the "* * *" case).
+    ``rtt_ms`` is the cumulative round trip from the origin, in milliseconds,
+    finite and non-negative; when a hop answered multiple probes the minimum
+    is stored.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ttl: int, address: str | None = None, rtt_ms: float | None = None):
+        if type(ttl) is not int:
+            raise TraceError(f"ttl {ttl!r} is not an int")
+        if ttl < 1:
+            raise TraceError(f"ttl must be >= 1, got {ttl}")
+        if address is not None:
+            if type(address) is not str:
+                raise TraceError(f"address {address!r} is not a string")
+            if not address:
+                raise TraceError("address must be non-empty or None")
+        if rtt_ms is not None:
+            if address is None:
+                raise TraceError(f"hop {ttl}: rtt without address")
+            if type(rtt_ms) is not float and type(rtt_ms) is not int:
+                raise TraceError(f"hop {ttl}: rtt {rtt_ms!r} is not a number")
+            if not 0 <= rtt_ms < math.inf:
+                raise TraceError(f"hop {ttl}: rtt {rtt_ms} is negative or not finite")
+        return tuple.__new__(cls, (ttl, address, rtt_ms))
+
+    @property
+    def responsive(self) -> bool:
+        return self.address is not None
+
+
+@dataclass(frozen=True, slots=True)
+class TracePath:
+    """One traceroute result: ordered hops from an origin toward a destination."""
+
+    origin_id: str
+    destination: str
+    hops: tuple[HopRecord, ...]
+    reached: bool
+    timestamp: float | None = None
+
+    def __post_init__(self):
+        for name in ("origin_id", "destination"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                raise TraceError(f"{name} {value!r} is not a string")
+            if not value:
+                raise TraceError(f"{name} must be non-empty")
+        if type(self.reached) is not bool:
+            raise TraceError(f"reached {self.reached!r} is not a bool")
+        object.__setattr__(self, "hops", tuple(self.hops))
+        for i, hop in enumerate(self.hops, start=1):
+            if hop.ttl != i:
+                raise TraceError(f"ttl gap at position {i}: expected ttl {i}, got {hop.ttl}")
+        if self.reached:
+            if not self.hops:
+                raise TraceError("reached trace must have at least one hop")
+            last = self.hops[-1]
+            if last.address != self.destination:
+                raise TraceError(
+                    f"reached trace must end at {self.destination}, "
+                    f"last hop is {last.address}"
+                )
 
 
 class TransitPoint(

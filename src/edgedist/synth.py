@@ -40,6 +40,8 @@ _MODEL_PARAMS = {
     RANDOM_GEOMETRIC: ("n", "radius", "latency_scale", "retries"),
     TWO_TIER: ("regions", "leaves", "peering"),
 }
+# the parameters that count something: a whole number, however it is written
+_COUNT_PARAMS = ("cores", "leaves", "n", "regions", "retries")
 
 
 @dataclass
@@ -218,9 +220,11 @@ def generate_topology(model: str, params: dict | None = None, seed: int = 0) -> 
     params = dict(params or {})
     if model not in _MODEL_PARAMS:
         raise ValueError(f"unknown topology model {model!r}")
-    for key in params:
+    for key, value in params.items():
         if key not in _MODEL_PARAMS[model]:
             raise ValueError(f"{model} has no parameter {key!r}")
+        if key in _COUNT_PARAMS and value != int(value):
+            raise ValueError(f"{model} parameter {key}={value!r} is not a whole number")
     rng = random.Random(seed)
     if model == RING_OF_STARS:
         return _ring_of_stars(params, rng, seed)
@@ -416,18 +420,10 @@ class Simulator:
                     (h.rtt_ms for h in hops[:-1] if h.rtt_ms is not None),
                     default=0.0,
                 )
-                insert = HopRecord(
-                    ttl=len(hops), address=dup.address, rtt_ms=last_rtt + _QUANTUM
-                )
+                insert = HopRecord(len(hops), dup.address, last_rtt + _QUANTUM)
                 final = hops[-1]
-                hops = hops[:-1] + [
-                    insert,
-                    HopRecord(
-                        ttl=len(hops) + 1,
-                        address=final.address,
-                        rtt_ms=None if final.rtt_ms is None else max(final.rtt_ms, insert.rtt_ms),
-                    ),
-                ]
+                rtt = None if final.rtt_ms is None else max(final.rtt_ms, insert.rtt_ms)
+                hops[-1:] = [insert, final._replace(ttl=len(hops) + 1, rtt_ms=rtt)]
                 loop_injected = True
         trace = TracePath(
             origin_id=origin, destination=target_host, hops=tuple(hops), reached=True

@@ -106,6 +106,29 @@ def test_pairs_missing_input_is_fatal(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "pairs"])
+@pytest.mark.parametrize("good, bad", [
+    ('[1,"T",1.0]', '[true,"T",1.0]'),
+    ('[1,"T",1.0]', '[1.0,"T",1.0]'),
+    ('[2,"Y",4.0]', '[2,"Y",true]'),
+    ('[1,"T",1.0]', '[1,["x"],1.0]'),
+    ('"reached":true', '"reached":"yes"'),
+], ids=["bool-ttl", "float-ttl", "bool-rtt", "list-address", "string-reached"])
+def test_wrong_typed_canonical_field_is_fatal(tmp_path, capsys, command, good, bad):
+    # these were written back by ingest, turned into a 1.0 ms bound by pairs
+    # (a true RTT) or crashed pairs with a traceback (a list address)
+    path = Path(origin_traces(tmp_path))
+    first, second = path.read_text().splitlines()
+    assert second.count(good) == 1
+    path.write_text(f"{first}\n{second.replace(good, bad)}\n")
+    out = tmp_path / "out.jsonl"
+    argv = (["ingest", "--format", "canonical", str(path)] if command == "ingest" else
+            ["pairs", "--mode", "host", "--traces", str(path)])
+    assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: bad trace at line 2: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["nan", "-5", "inf"])
 @pytest.mark.parametrize("command", ["pairs", "simulate"])
 def test_bad_eps_rtt_is_fatal(tmp_path, capsys, command, eps):
@@ -512,6 +535,16 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
      "--params peering='true' is not a finite number"),
     ("ring_of_stars", "--params", "cores=nan", "--params cores='nan' is not a finite number"),
     ("two_tier", "--params", "regions=3,leaves=inf", "--params leaves='inf' is not a finite number"),
+    # a fractional count used to be truncated, a non-numeric fault to fail
+    # on float() without its flag or key
+    ("two_tier", "--params", "regions=2.5,leaves=2",
+     "two_tier parameter regions=2.5 is not a whole number"),
+    ("ring_of_stars", "--params", "cores=3,leaves=1.5",
+     "ring_of_stars parameter leaves=1.5 is not a whole number"),
+    ("random_geometric", "--params", "n=20.5", "random_geometric parameter n=20.5 is not a whole number"),
+    ("random_geometric", "--params", "n=20,retries=0.5",
+     "random_geometric parameter retries=0.5 is not a whole number"),
+    ("two_tier", "--inject", "jitter=abc", "--inject jitter='abc' is not a number"),
 ])
 def test_simulate_unknown_key_is_fatal(tmp_path, capsys, model, flag, spec, message):
     # a misspelt key used to run the defaults silently; a bad value is as fatal
@@ -524,7 +557,7 @@ def test_simulate_unknown_key_is_fatal(tmp_path, capsys, model, flag, spec, mess
 def test_simulate_params_take_any_finite_number(tmp_path):
     # 3e0 used to fail on int(); a number is the same whichever way it is written
     outputs = []
-    for spec in ("regions=3,leaves=2", "regions=3e0,leaves=2.0"):
+    for spec in ("regions=3,leaves=2", "regions=3e0,leaves=2.0", "regions=0.3e1,leaves=2"):
         outdir = tmp_path / spec.replace(",", "_")
         assert main(["--seed", "5", "--quiet", "simulate", "--model", "two_tier",
                      "--params", spec, "--origins", "2", "--pairs", "5",
@@ -596,8 +629,9 @@ def test_every_module_is_reached_from_the_cli():
 def test_every_public_definition_is_reached_from_the_cli():
     """Walk name references from ``cli.main`` and every module's top-level
     statements, then from each definition reached; imports do not count.
-    Each public method, property and annotated field of a class must be
-    read as an attribute somewhere in the package."""
+    Each private module-level function and class must be used outside its
+    own definition, and each public method, property and annotated field of
+    a class must be read as an attribute somewhere in the package."""
     package = Path(edgedist.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     defs, scope = {}, {}
@@ -639,6 +673,16 @@ def test_every_public_definition_is_reached_from_the_cli():
     # and the tests use as references
     allowed = {("synth", "true_distance"), ("synth", "min_hop_distance")}
     assert sorted(public - reached) == sorted(allowed)
+
+    # a private helper is not reached through its module's public names, so
+    # it only has to be used somewhere in the package outside its own body
+    used = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            own = (module, getattr(node, "name", None))
+            used.update(key for key in referenced(module, node) if key != own)
+    private = {key for key in defs if key[1].startswith("_")}
+    assert sorted(private - used) == []
 
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}

@@ -1,9 +1,11 @@
+import re
 import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edgedist import ingest
 from edgedist.ingest import (
     parse_traceroute_text,
     read_canonical,
@@ -11,6 +13,7 @@ from edgedist.ingest import (
 )
 from edgedist.model import HopRecord, TracePath
 
+import reference_ingest
 from conftest import trace
 
 SAMPLE = textwrap.dedent(
@@ -142,6 +145,117 @@ def test_canonical_non_finite_rtt_names_line(tmp_path, token):
     path.write_text(good + bad)
     with pytest.raises(ValueError, match=r": bad trace at line 2: .*not finite"):
         read_canonical(path)
+
+
+GOOD_RECORD = ('{"origin_id":"o","destination":"10.0.0.9","timestamp":null,"reached":true,'
+               '"hops":[[1,"10.0.0.1",1.0],[2,"10.0.0.9",2.0]]}')
+
+
+# a bool or float ttl, a bool rtt, a non-string address and a non-bool
+# reached were read back as they were, and a list address crashed `pairs`
+@pytest.mark.parametrize("good, bad, message", [
+    ('[1,"10.0.0.1",1.0]', '[true,"10.0.0.1",1.0]', "ttl True is not an int"),
+    ('[2,"10.0.0.9",2.0]', '[2.0,"10.0.0.9",2.0]', "ttl 2.0 is not an int"),
+    ('[2,"10.0.0.9",2.0]', '[2,"10.0.0.9",true]', "hop 2: rtt True is not a number"),
+    ('[2,"10.0.0.9",2.0]', '[2,"10.0.0.9","2.0"]', "hop 2: rtt '2.0' is not a number"),
+    ('[1,"10.0.0.1",1.0]', '[1,["x"],1.0]', "address ['x'] is not a string"),
+    ('[1,"10.0.0.1",1.0]', '[1,7,1.0]', "address 7 is not a string"),
+    ('"reached":true', '"reached":"yes"', "reached 'yes' is not a bool"),
+    ('"reached":true', '"reached":1', "reached 1 is not a bool"),
+    ('"origin_id":"o"', '"origin_id":["o"]', "origin_id ['o'] is not a string"),
+    ('"destination":"10.0.0.9"', '"destination":{"d":1}', "destination {'d': 1} is not a string"),
+], ids=["bool-ttl", "float-ttl", "bool-rtt", "string-rtt", "list-address", "int-address",
+        "string-reached", "int-reached", "list-origin", "object-destination"])
+def test_canonical_wrong_typed_field_names_line(tmp_path, good, bad, message):
+    path = tmp_path / "bad.jsonl"
+    assert GOOD_RECORD.count(good) == 1
+    path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD.replace(good, bad) + "\n")
+    with pytest.raises(ValueError, match=f": bad trace at line 2: {re.escape(message)}$"):
+        read_canonical(path)
+
+
+def test_canonical_hop_must_have_three_fields(tmp_path):
+    for hop in ('[1,"10.0.0.1"]', '[1,"10.0.0.1",1.0,0]'):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD.replace('[1,"10.0.0.1",1.0]', hop) + "\n")
+        with pytest.raises(ValueError, match=": bad trace at line 2: "):
+            read_canonical(path)
+
+
+def test_canonical_read_shares_address_strings(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD + "\n")
+    first, second = read_canonical(path)
+    assert first == second
+    for hop_a, hop_b in zip(first.hops, second.hops):
+        assert hop_a.address is hop_b.address
+    assert first.origin_id is second.origin_id
+    assert first.destination is second.destination is second.hops[-1].address
+
+
+def _parse_hop_outcome(parse, ttl, body):
+    try:
+        return parse(ttl, body)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# every token kind of a hop line, valid or not; few distinct RTTs, so that
+# equal minima from different responders are common
+HOP_TOKENS = st.one_of(
+    st.sampled_from([
+        "192.0.2.1", "10.0.0.2", "r1 (192.0.2.3)", "r2.example (10.0.0.2)", "(bad)",
+        "r3 (bad)", "r4 (10.0.0)", "*", "!H", "!N", "nan ms", "inf ms", "-1 ms", "ms",
+        "garbage", "#@!",
+    ]),
+    st.sampled_from(["0", "-0", "1", "1.0", "1.5", "2.25", "1e1"]).map(lambda v: f"{v} ms"),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ttl=st.integers(min_value=1, max_value=40),
+       body=st.lists(HOP_TOKENS, max_size=10).map("  ".join))
+@example(ttl=3, body="r1 (192.0.2.1)  1.5 ms  r2 (192.0.2.2)  1.5 ms  1.0 ms")
+@example(ttl=3, body="192.0.2.1  2 ms  192.0.2.2  2.0 ms")
+@example(ttl=1, body="192.0.2.1  1.0 ms  -1 ms  garbage")
+def test_parse_hop_matches_reference(ttl, body):
+    assert (_parse_hop_outcome(ingest._parse_hop, ttl, body)
+            == _parse_hop_outcome(reference_ingest.parse_hop, ttl, body))
+
+
+def test_parse_text_matches_reference(monkeypatch):
+    # TTL gaps, repeated and out-of-order lines, bad hop lines, lines before
+    # any header and garbage between blocks
+    text = textwrap.dedent(
+        """\
+         1  10.0.0.1  1.0 ms
+        traceroute to 10.0.0.9 (10.0.0.9), 30 hops max
+         1  r1 (10.0.0.1)  1.0 ms  r1b (10.0.0.11)  0.5 ms  0.5 ms
+         3  10.0.0.3  3.0 ms  *  2.5 ms !H
+         3  10.0.0.4  3.1 ms
+         2  10.0.0.2  2.0 ms
+         5  10.0.0.5  -1 ms
+         6  10.0.0.6  nan ms
+        not a hop line
+         7  10.0.0.9 (10.0.0.9)  7.0 ms  ms
+         8  10.0.0.9  8.0 ms  8.0 ms
+
+        traceroute to host.example (10.0.1.9), 30 hops max
+         2  * * *
+         4  10.0.1.4  4.0 ms  10.0.1.5  3.0 ms
+         4  10.0.1.9  5.0 ms
+         5  10.0.1.9  5.0 ms
+        traceroute to 10.0.2.9
+         1  (10.0.2.1)  1 ms
+         2  10.0.2.9  2 ms
+        """
+    )
+    new = parse_traceroute_text(text, "o")
+    monkeypatch.setattr(ingest, "_parse_hop", reference_ingest.parse_hop)
+    old = parse_traceroute_text(text, "o")
+    assert new == old
+    traces, report = new
+    assert len(traces) == 3 and report.skipped_lines == 9
 
 
 @settings(max_examples=50, deadline=None)

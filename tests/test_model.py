@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -87,6 +88,8 @@ def test_pair_estimate_rejects_negative_bounds():
 TRANSIT = TransitPoint("t", 1, 2)
 FALLBACK = TransitPoint(None, 0, 0, is_origin_fallback=True)
 ESTIMATE = PairEstimate("a", "b", "o", TRANSIT, 3, 4.5)
+HOP = HopRecord(2, "10.0.0.1", 1.5)
+SILENT_HOP = HopRecord(3)
 
 
 class _OtherTuple(tuple):
@@ -95,6 +98,7 @@ class _OtherTuple(tuple):
 
 @pytest.mark.parametrize("value, field", [
     (TRANSIT, "index_a"), (FALLBACK, "is_origin_fallback"), (ESTIMATE, "hop_bound"),
+    (HOP, "rtt_ms"), (SILENT_HOP, "address"),
 ])
 def test_values_are_read_only(value, field):
     with pytest.raises(AttributeError):
@@ -103,7 +107,7 @@ def test_values_are_read_only(value, field):
         value.note = "x"
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE])
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP])
 def test_value_equality_is_type_strict(value):
     same = type(value)(*value)
     assert same is not value
@@ -122,6 +126,9 @@ def test_value_equality_is_type_strict(value):
 
 def test_values_compare_by_every_field():
     assert TRANSIT != TransitPoint("t", 1, 3)
+    assert HOP != HopRecord(2, "10.0.0.1", 1.25) and HOP != HopRecord(2, "10.0.0.2", 1.5)
+    assert HOP == HopRecord(ttl=2, address="10.0.0.1", rtt_ms=1.5)
+    assert SILENT_HOP == HopRecord(3, None, None) and not SILENT_HOP.responsive
     assert ESTIMATE != PairEstimate("a", "b", "o", TRANSIT, 3, 4.0)
     assert ESTIMATE != PairEstimate("a", "b", "o", TransitPoint("u", 1, 2), 3, 4.5)
     assert ESTIMATE == PairEstimate(endpoint_a="a", endpoint_b="b", origin_id="o",
@@ -138,9 +145,11 @@ def test_value_repr_is_the_dataclass_text():
         "PairEstimate(endpoint_a='a', endpoint_b='b', origin_id='o', "
         "transit=TransitPoint(address='t', index_a=1, index_b=2, is_origin_fallback=False), "
         "hop_bound=3, rtt_bound_ms=4.5)")
+    assert repr(HOP) == "HopRecord(ttl=2, address='10.0.0.1', rtt_ms=1.5)"
+    assert repr(SILENT_HOP) == "HopRecord(ttl=3, address=None, rtt_ms=None)"
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE])
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP])
 def test_values_survive_pickle_and_copy(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert twin == value and type(twin) is type(value)
@@ -152,9 +161,45 @@ def test_replacing_a_field_is_validated():
         ESTIMATE._replace(hop_bound=-1)
     with pytest.raises(TraceError):
         TRANSIT._replace(index_a=0)
+    assert HOP._replace(rtt_ms=None) == HopRecord(2, "10.0.0.1")
+    with pytest.raises(TraceError, match="rtt without address"):
+        HOP._replace(address=None)
+    with pytest.raises(TraceError, match="ttl must be >= 1"):
+        HOP._replace(ttl=0)
 
 
 @pytest.mark.parametrize("hop_bound", [2.5, 3.0, True, False, None, "3"])
 def test_pair_estimate_hop_bound_must_be_an_int(hop_bound):
     with pytest.raises(TraceError, match="hop bound"):
         PairEstimate("a", "b", "o", TRANSIT, hop_bound, 4.5)
+
+
+@pytest.mark.parametrize("ttl, address, rtt, message", [
+    (True, "a", 1.0, "ttl True is not an int"),
+    (2.0, "a", 1.0, "ttl 2.0 is not an int"),
+    ("2", None, None, "ttl '2' is not an int"),
+    (2, ["x"], 1.0, "address ['x'] is not a string"),
+    (2, b"a", None, "address b'a' is not a string"),
+    (2, "", None, "address must be non-empty or None"),
+    (2, "a", True, "hop 2: rtt True is not a number"),
+    (2, "a", "1.0", "hop 2: rtt '1.0' is not a number"),
+])
+def test_hop_fields_must_have_their_types(ttl, address, rtt, message):
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        HopRecord(ttl, address, rtt)
+
+
+def test_hop_rtt_may_be_an_int():
+    assert HopRecord(1, "a", 0).rtt_ms == 0 and HopRecord(1, "a", 3).rtt_ms == 3
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("reached", 1, "reached 1 is not a bool"),
+    ("reached", None, "reached None is not a bool"),
+    ("origin_id", 5, "origin_id 5 is not a string"),
+    ("destination", ("b",), "destination ('b',) is not a string"),
+])
+def test_trace_fields_must_have_their_types(field, value, message):
+    fields = {"origin_id": "o", "destination": "b", "hops": (), "reached": False, field: value}
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        TracePath(**fields)

@@ -93,6 +93,16 @@ def test_every_parameter_a_model_reads_is_accepted(model, params):
         generate_topology(model, {**params, "size": 3}, seed=1)
 
 
+def test_count_parameters_must_be_whole_numbers():
+    # a fractional count used to be truncated; a whole float is that count
+    whole = generate_topology("two_tier", {"regions": 3.0, "leaves": 2e0}, seed=1)
+    assert whole == generate_topology("two_tier", {"regions": 3, "leaves": 2}, seed=1)
+    for model, key in (("ring_of_stars", "cores"), ("two_tier", "leaves"),
+                       ("random_geometric", "n"), ("random_geometric", "retries")):
+        with pytest.raises(ValueError, match=rf"^{model} parameter {key}=2.5 is not a whole number$"):
+            generate_topology(model, {key: 2.5}, seed=1)
+
+
 # --- shortest paths --------------------------------------------------------
 
 
