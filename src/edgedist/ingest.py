@@ -120,8 +120,7 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
             report.skipped_lines += 1
             report.warnings.append(f"hop line before any header: {line.strip()!r}")
             continue
-        ttl_text, body = hop_match.groups()
-        ttl = int(ttl_text)
+        ttl, body = int(hop_match[1]), hop_match[2]
         # fill TTL gaps so hop arithmetic still counts the missing slots
         while len(hops) + 1 < ttl:
             hops.append(HopRecord(len(hops) + 1))

@@ -128,6 +128,9 @@ class TracePath:
                 raise TraceError(f"{name} must be non-empty")
         if type(self.reached) is not bool:
             raise TraceError(f"reached {self.reached!r} is not a bool")
+        stamp = self.timestamp
+        if stamp is not None and (type(stamp) not in (int, float) or not math.isfinite(stamp)):
+            raise TraceError(f"timestamp {stamp!r} is not a finite number")
         object.__setattr__(self, "hops", tuple(self.hops))
         for i, hop in enumerate(self.hops, start=1):
             if hop.ttl != i:

@@ -164,8 +164,11 @@ GOOD_RECORD = ('{"origin_id":"o","destination":"10.0.0.9","timestamp":null,"reac
     ('"reached":true', '"reached":1', "reached 1 is not a bool"),
     ('"origin_id":"o"', '"origin_id":["o"]', "origin_id ['o'] is not a string"),
     ('"destination":"10.0.0.9"', '"destination":{"d":1}', "destination {'d': 1} is not a string"),
+    ('"timestamp":null', '"timestamp":"yes"', "timestamp 'yes' is not a finite number"),
+    ('"timestamp":null', '"timestamp":NaN', "timestamp nan is not a finite number"),
 ], ids=["bool-ttl", "float-ttl", "bool-rtt", "string-rtt", "list-address", "int-address",
-        "string-reached", "int-reached", "list-origin", "object-destination"])
+        "string-reached", "int-reached", "list-origin", "object-destination", "string-timestamp",
+        "nan-timestamp"])
 def test_canonical_wrong_typed_field_names_line(tmp_path, good, bad, message):
     path = tmp_path / "bad.jsonl"
     assert GOOD_RECORD.count(good) == 1
@@ -180,6 +183,17 @@ def test_canonical_hop_must_have_three_fields(tmp_path):
         path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD.replace('[1,"10.0.0.1",1.0]', hop) + "\n")
         with pytest.raises(ValueError, match=": bad trace at line 2: "):
             read_canonical(path)
+
+
+def test_canonical_timestamp_is_kept(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    lines = [GOOD_RECORD.replace('"timestamp":null', f'"timestamp":{value}')
+             for value in ("null", "1700000000", "1700000000.25")]
+    path.write_text("".join(line + "\n" for line in lines))
+    assert [t.timestamp for t in read_canonical(path)] == [None, 1700000000, 1700000000.25]
+    out = tmp_path / "out.jsonl"
+    write_canonical(read_canonical(path), out)
+    assert out.read_bytes() == path.read_bytes()
 
 
 def test_canonical_read_shares_address_strings(tmp_path):

@@ -198,6 +198,8 @@ def test_hop_rtt_may_be_an_int():
     ("reached", None, "reached None is not a bool"),
     ("origin_id", 5, "origin_id 5 is not a string"),
     ("destination", ("b",), "destination ('b',) is not a string"),
+    ("timestamp", True, "timestamp True is not a finite number"),
+    ("timestamp", float("inf"), "timestamp inf is not a finite number"),
 ])
 def test_trace_fields_must_have_their_types(field, value, message):
     fields = {"origin_id": "o", "destination": "b", "hops": (), "reached": False, field: value}
