@@ -4,23 +4,23 @@ Addresses are opaque strings (IPv4 dotted quads in real data, symbolic node
 ids in synthetic data); two addresses are equal iff their strings are equal.
 Hop positions are 1-based, matching traceroute's TTL numbering.
 All types are immutable after construction and have no ``__dict__``: a
-campaign holds hundreds of thousands of hops and estimates.  ``TracePath``
-and ``RejectReason`` are slotted frozen dataclasses.  ``HopRecord``,
+campaign holds hundreds of thousands of hops and estimates.  ``TracePath`` and
+``RejectReason`` are slotted frozen dataclasses.  ``HopRecord``,
 ``TransitPoint`` and ``PairEstimate`` are validated tuple subclasses, built
-per hop or per accepted (pair, origin): 313,899 hop lines on the benchmark's
-``ingest-wide`` campaign, each read back by ``pairs``, and 321,206 estimates
-on its 300-host campaign in ``pairs`` and in each of the three outcome reads
-of ``dist`` and ``handover``.  A frozen dataclass sets each field through
-``object.__setattr__``, which makes it up to twice as slow to build: 1.14
-against 0.48 us for a ``PairEstimate``, 0.92 against 0.43 us for a
+per hop or per accepted (pair, origin): about 314,000 hop lines on the
+``ingest-wide`` benchmark, each read back by ``pairs``, and 321,206 estimates
+on the 300-host ``campaign-dense`` one in ``pairs`` and in each of the three
+outcome reads of ``dist`` and ``handover``.  A frozen dataclass sets each
+field through ``object.__setattr__``, which makes it up to twice as slow to
+build: 1.14 against 0.48 us for a ``PairEstimate``, 0.92 against 0.43 us for a
 ``TransitPoint`` and 0.9 against 0.6 us for a ``HopRecord`` (CPython 3.11,
 2-core Xeon).  A tuple takes up to 16 bytes more memory per instance (8 by
 ``sys.getsizeof``, rounded up by the allocator), which sharing its field
-values (one transit point per distinct transit, one string per name or
-address in a file) more than pays for.  All three keep the dataclass
-interface: field names, defaults, ``repr``, hashing, read-only attributes,
-no ordering, and equality only with a value of the same type.  ``HopRecord``
-and ``TracePath`` check field types too: no ``true`` or ``2.0`` for an int.
+values (one transit point per distinct transit, one string per name or address
+in a file) more than pays for.  All three keep the dataclass interface: field
+names, defaults, ``repr``, hashing, read-only attributes, no ordering, and
+equality only with a value of the same type.  ``HopRecord`` and ``TracePath``
+check field types too: no ``true`` or ``2.0`` for an int.
 """
 
 from __future__ import annotations

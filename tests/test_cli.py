@@ -674,8 +674,8 @@ def test_every_public_definition_is_reached_from_the_cli():
     allowed = {("synth", "true_distance"), ("synth", "min_hop_distance")}
     assert sorted(public - reached) == sorted(allowed)
 
-    # a private helper is not reached through its module's public names, so
-    # it only has to be used somewhere in the package outside its own body
+    # a private helper need only be used in the package outside its own
+    # body, so one that only tests call fails
     used = set()
     for module, tree in trees.items():
         for node in tree.body:
