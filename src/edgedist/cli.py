@@ -100,6 +100,19 @@ def _parse_grid(spec: str) -> list[float]:
     return grid
 
 
+def _parse_stability(spec: str) -> tuple[int, int]:
+    """``--stability SUBSET[:TRIALS]``, TRIALS 2 when left out."""
+    subset, colon, trials = spec.partition(":")
+    try:
+        subset, trials = int(subset), int(trials) if colon else 2
+        if subset >= 1 and trials >= 2:
+            return subset, trials
+    except ValueError:
+        pass
+    raise ValueError("--stability must be SUBSET[:TRIALS] with integers SUBSET >= 1 "
+                     f"and TRIALS >= 2, got {spec!r}")
+
+
 def pair_at(items, i: int):
     """``list(itertools.combinations(items, 2))[i]`` without building the list."""
     n = len(items)
@@ -213,6 +226,7 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    stability = None if args.stability is None else _parse_stability(args.stability)
     outcomes = transit.read_outcomes(args.outcomes)
     if not any(oc.accepted for oc in outcomes):
         print("error: no pair has an accepted estimate", file=sys.stderr)
@@ -232,10 +246,10 @@ def cmd_dist(args) -> int:
             base = stats.build_distribution(baseline, metric, width)
             mean_shift, ks = stats.compare_distributions(dist, base)
             lines.append(f"{metric} vs baseline: mean_shift={mean_shift:.4f} ks={ks:.4f}")
-        if args.stability:
-            subset, _, trials = args.stability.partition(":")
+        if stability is not None:
+            subset, trials = stability
             mean_dev, std_dev = stats.resample_stability(
-                outcomes, int(subset), int(trials or 2), args.seed, metric, width
+                outcomes, subset, trials, args.seed, metric, width
             )
             lines.append(f"{metric} stability ({subset} x {trials}): "
                          f"max_mean_dev={mean_dev:.4f} max_std_dev={std_dev:.4f}")
@@ -393,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcomes", required=True)
     p.add_argument("--rtt-bin-width", type=float, default=5.0)
     p.add_argument("--baseline", help="outcome file of the random baseline")
-    p.add_argument("--stability", metavar="SUBSET:TRIALS",
-                   help="resampling stability check, e.g. 500:20")
+    p.add_argument("--stability", metavar="SUBSET[:TRIALS]",
+                   help="resampling stability check, e.g. 500:20 (TRIALS defaults to 2)")
     p.add_argument("-o", "--output", required=True, help="output path prefix")
     p.set_defaults(func=cmd_dist)
 

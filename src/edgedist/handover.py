@@ -86,10 +86,16 @@ class LossModel:
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
-    def loss(self, delay_ms: float, anticipation_ms: float) -> float:
+    def total_loss(self, delays_ms: list[float], anticipation_ms: float) -> float:
+        """L(d, anticipation_ms) summed over ``delays_ms`` in their order,
+        with no call per delay beyond a table lookup; beta * a is taken once."""
+        a = anticipation_ms
         if self.table is not None:
-            return self.table.lookup(delay_ms, anticipation_ms)
-        return max(0.0, delay_ms - anticipation_ms) + self.beta * anticipation_ms
+            lookup = self.table.lookup
+            return sum([lookup(d, a) for d in delays_ms])
+        cost = self.beta * a
+        # d - a is positive exactly when d > a, so this is max(0, d - a) + cost
+        return sum([(d - a if d > a else 0.0) + cost for d in delays_ms])
 
 
 def load_loss_table(path: str | Path) -> LossTable:
@@ -135,10 +141,10 @@ def expected_loss_curve(
         raise ValueError("anticipation times must be >= 0")
     if not 0 < delay_scale < math.inf:
         raise ValueError(f"delay_scale must be finite and > 0, got {delay_scale}")
+    delays = [delay_scale * rtt for rtt in delay_dist.samples]
     curve = []
     for a in anticipation_grid:
-        total = sum(model.loss(delay_scale * rtt, a) for rtt in delay_dist.samples)
-        loss = total / delay_dist.n
+        loss = model.total_loss(delays, a) / delay_dist.n
         curve.append((a, loss, loss / CBR_INTERVAL_MS))
     return curve
 

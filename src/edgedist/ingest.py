@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .jsonl import read_jsonl, write_jsonl
 from .model import HopRecord, TracePath
@@ -32,16 +33,17 @@ _HOP_LINE_RE = re.compile(r"^\s*(\d+)\s+(.*)$")
 _IPV4_RE = re.compile(r"^\d+\.\d+\.\d+\.\d+$")
 
 
-def _parse_hop(ttl: int, body: str) -> HopRecord:
+def _parse_hop(ttl: int, body: str, share: Callable[[str, str], str]) -> HopRecord:
     """The hop at ``ttl`` from the probe sequence of its line, in one pass.
 
     Classic layout: ``name (ip)  t1 ms  t2 ms`` with a new ``name (ip)`` pair
     whenever a later probe was answered by a different node; lone ``*`` marks
     an unanswered probe and ``!H``-style annotations are skipped.  The hop
     keeps the minimum RTT and the earliest responder that gave it, without
-    its reverse-DNS name.  Raises ValueError at the first unrecognizable
-    token or non-finite RTT, else TraceError if the hop is invalid (say, a
-    negative minimum).
+    its reverse-DNS name; ``share(address, address)`` gives the address
+    string to keep.
+    Raises ValueError at the first unrecognizable token or non-finite RTT,
+    else TraceError if the hop is invalid (say, a negative minimum).
     """
     addr = best_addr = best_rtt = None
     word = None  # the previous token, whose meaning this one decides
@@ -75,6 +77,8 @@ def _parse_hop(ttl: int, body: str) -> HopRecord:
         word = tok
     if word is not None and not _IPV4_RE.match(word):
         raise ValueError(f"unrecognized token {word!r}")
+    if best_addr is not None:
+        best_addr = share(best_addr, best_addr)
     return HopRecord(ttl, best_addr, best_rtt)
 
 
@@ -84,12 +88,14 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
     Per hop the minimum RTT over responding probes is kept.  A corrupted hop
     line is replaced by an unresponsive hop at its TTL slot and counted in
     ``skipped_lines``; a malformed header skips the whole block.  The stream
-    is never aborted.
+    is never aborted.  Each address and destination string is shared, so
+    the traces hold one object per distinct string.
     """
     if not origin_id:
         raise ValueError("origin_id must be non-empty")
     report = ParseReport()
     traces: list[TracePath] = []
+    share = {}.setdefault  # one object per distinct string
 
     target: str | None = None
     hops: list[HopRecord] = []
@@ -112,6 +118,7 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
             if header:
                 flush()
                 target = header.group(2) or header.group(1)
+                target = share(target, target)
             elif line.strip():
                 report.skipped_lines += 1
                 report.warnings.append(f"unrecognized line: {line.strip()!r}")
@@ -129,7 +136,7 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
             report.warnings.append(f"out-of-order hop line: {line.strip()!r}")
             continue
         try:
-            hops.append(_parse_hop(ttl, body))
+            hops.append(_parse_hop(ttl, body, share))
         except ValueError as exc:
             report.skipped_lines += 1
             report.warnings.append(f"bad hop line ({exc}): {line.strip()!r}")

@@ -9,14 +9,19 @@ from typing import Callable, Iterable, Iterator
 
 # records are trees (a value may be shared, never contain itself), so the
 # encoder skips its cycle bookkeeping
-_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each string, already JSON text, as one line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def write_jsonl(path: str | Path, records: Iterable) -> None:
     """Write each record as one compact JSON line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(_encode(record) + "\n")
+    write_lines(path, map(encode, records))
 
 
 def read_jsonl(path: str | Path, decode: Callable, what: str) -> Iterator:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import encode, read_jsonl, write_lines
 from .model import (
     PairEstimate,
     RejectKind,
@@ -326,49 +326,69 @@ def batch_estimate(
 # line-delimited outcome export, consumed by stats and the CLI
 
 
-def _estimate_to_obj(est: PairEstimate):
+def _entry_obj(est: PairEstimate | RejectReason) -> dict:
+    if isinstance(est, RejectReason):
+        return {"reject": est.kind.value, "detail": est.detail}
+    transit = est.transit
     return {
         "hop_bound": est.hop_bound,
         "rtt_bound_ms": est.rtt_bound_ms,
-        "transit": [est.transit.address, est.transit.index_a, est.transit.index_b],
-        "origin_fallback": est.transit.is_origin_fallback,
+        "transit": [transit.address, transit.index_a, transit.index_b],
+        "origin_fallback": transit.is_origin_fallback,
     }
 
 
 def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
-    """One record per outcome.  Each distinct reject reason is encoded
-    once, and a best bound that is its origin's per-origin estimate reuses
-    that entry's object."""
-    rejects: dict[RejectReason, dict] = {}
+    """One JSON record per outcome: ``pair``, then ``per_origin`` sorted by
+    origin, then ``best_hop``, ``best_hop_origin``, ``best_rtt`` and
+    ``best_rtt_origin``; a best bound is written as a per-origin entry.
 
-    def entry(est: PairEstimate | RejectReason):
+    A campaign repeats a few distinct entries over every (pair, origin), so
+    the line is joined from JSON text that is encoded once per call for
+    each distinct entry and each endpoint or origin name, which must be a
+    string.  A reject is keyed by its reason.  An estimate is keyed by its
+    transit object, hop bound and RTT bound, never by equal values alone:
+    a bound 5 encodes unlike 5.0 and 0.0 unlike -0.0, and a transit with
+    index 1 unlike one with 1.0.  Every transit stays alive in
+    ``outcomes`` for the call, so its id names it.
+    """
+    names: dict[str, str] = {}
+    entries: dict = {}
+
+    def name(s: str) -> str:
+        text = names.get(s)
+        if text is None:
+            if not isinstance(s, str):
+                raise TypeError(f"name {s!r} is not a string")
+            text = names[s] = encode(s)
+        return text
+
+    def entry(est: PairEstimate | RejectReason) -> str:
         if isinstance(est, PairEstimate):
-            return _estimate_to_obj(est)
-        obj = rejects.get(est)
-        if obj is None:
-            obj = rejects[est] = {"reject": est.kind.value, "detail": est.detail}
-        return obj
+            rtt = est.rtt_bound_ms
+            # a zero bound is keyed by its repr, since 0.0 == -0.0
+            key = (id(est.transit), est.hop_bound, type(rtt), rtt or repr(rtt))
+        else:
+            key = est
+        text = entries.get(key)
+        if text is None:
+            text = entries[key] = encode(_entry_obj(est))
+        return text
 
-    def best(est: PairEstimate | None, per_origin: dict, objs: dict):
-        if est is None:
-            return None
-        if per_origin.get(est.origin_id) is est:
-            return objs[est.origin_id]
-        return _estimate_to_obj(est)
+    def best(est: PairEstimate | None) -> tuple[str, str]:
+        return ("null", "null") if est is None else (entry(est), name(est.origin_id))
 
-    def record(oc: PairOutcome) -> dict:
+    def line(oc: PairOutcome) -> str:
         per_origin = oc.per_origin
-        objs = {origin: entry(per_origin[origin]) for origin in sorted(per_origin)}
-        return {
-            "pair": list(oc.pair),
-            "per_origin": objs,
-            "best_hop": best(oc.best_hop, per_origin, objs),
-            "best_hop_origin": None if oc.best_hop is None else oc.best_hop.origin_id,
-            "best_rtt": best(oc.best_rtt, per_origin, objs),
-            "best_rtt_origin": None if oc.best_rtt is None else oc.best_rtt.origin_id,
-        }
+        pair = ",".join(map(name, oc.pair))
+        objs = ",".join([f"{name(o)}:{entry(per_origin[o])}" for o in sorted(per_origin)])
+        hop, hop_origin = best(oc.best_hop)
+        rtt, rtt_origin = best(oc.best_rtt)
+        return (f'{{"pair":[{pair}],"per_origin":{{{objs}}},"best_hop":{hop},'
+                f'"best_hop_origin":{hop_origin},"best_rtt":{rtt},'
+                f'"best_rtt_origin":{rtt_origin}}}')
 
-    write_jsonl(path, map(record, outcomes))
+    write_lines(path, map(line, outcomes))
 
 
 def read_outcomes(path: str | Path) -> list[PairOutcome]:
@@ -377,7 +397,9 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     Each distinct reject reason, transit point and origin or endpoint name
     is built once per file and shared (all are immutable), and a best bound
     whose entry equals the per-origin entry of the origin it names is that
-    entry's estimate.  A malformed record raises ValueError naming its line.
+    entry's estimate.  A best bound names its origin by a string, and an
+    absent one names none.  A malformed record raises ValueError naming its
+    line.
     """
     rejects: dict[tuple, RejectReason] = {}
     transits: dict[tuple, TransitPoint] = {}
@@ -399,10 +421,13 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
         return PairEstimate(a, b, origin, transit, obj["hop_bound"], obj["rtt_bound_ms"])
 
     def best(rec: dict, name: str, per_origin: dict, a: str, b: str) -> PairEstimate | None:
-        obj = rec[name]
+        obj, origin = rec[name], rec[f"{name}_origin"]
         if obj is None:
+            if origin is not None:
+                raise ValueError(f"{name}_origin {origin!r} beside a null {name}")
             return None
-        origin = rec[f"{name}_origin"]
+        if type(origin) is not str:
+            raise ValueError(f"{name}_origin {origin!r} is not a string")
         if obj == rec["per_origin"].get(origin):
             est = per_origin[origin]
         else:

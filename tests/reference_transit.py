@@ -7,7 +7,8 @@ the validation verdicts of both traces, and breaks ties on the address with
 (``validate_beyond_transit``) are this module's own, so a defect in the
 package's copies shows as a difference.  ``read_outcomes`` is as it was
 before the per-file decoder: it builds every reject reason, transit point
-and best bound anew.
+and best bound anew.  ``write_outcomes`` is as it was before the writer
+cached JSON text: it builds a dict per entry and encodes every record whole.
 ``min_over_origins`` is the two-pass selection: it copies the accepted
 entries into a list and takes a lambda-keyed ``min`` per metric.  The
 differential tests compare ``edgedist.transit`` against this module result
@@ -25,6 +26,7 @@ from edgedist.model import (
     TracePath,
     TransitPoint,
 )
+from edgedist.jsonl import write_jsonl
 from edgedist.transit import EstimateOptions, PairOutcome
 
 
@@ -253,3 +255,48 @@ def read_outcomes(path):
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: bad outcome at line {lineno}: {exc}") from exc
     return outcomes
+
+
+def _estimate_to_obj(est: PairEstimate):
+    return {
+        "hop_bound": est.hop_bound,
+        "rtt_bound_ms": est.rtt_bound_ms,
+        "transit": [est.transit.address, est.transit.index_a, est.transit.index_b],
+        "origin_fallback": est.transit.is_origin_fallback,
+    }
+
+
+def write_outcomes(outcomes: list[PairOutcome], path) -> None:
+    """One record per outcome.  Each distinct reject reason is encoded
+    once, and a best bound that is its origin's per-origin estimate reuses
+    that entry's object."""
+    rejects: dict[RejectReason, dict] = {}
+
+    def entry(est: PairEstimate | RejectReason):
+        if isinstance(est, PairEstimate):
+            return _estimate_to_obj(est)
+        obj = rejects.get(est)
+        if obj is None:
+            obj = rejects[est] = {"reject": est.kind.value, "detail": est.detail}
+        return obj
+
+    def best(est: PairEstimate | None, per_origin: dict, objs: dict):
+        if est is None:
+            return None
+        if per_origin.get(est.origin_id) is est:
+            return objs[est.origin_id]
+        return _estimate_to_obj(est)
+
+    def record(oc: PairOutcome) -> dict:
+        per_origin = oc.per_origin
+        objs = {origin: entry(per_origin[origin]) for origin in sorted(per_origin)}
+        return {
+            "pair": list(oc.pair),
+            "per_origin": objs,
+            "best_hop": best(oc.best_hop, per_origin, objs),
+            "best_hop_origin": None if oc.best_hop is None else oc.best_hop.origin_id,
+            "best_rtt": best(oc.best_rtt, per_origin, objs),
+            "best_rtt_origin": None if oc.best_rtt is None else oc.best_rtt.origin_id,
+        }
+
+    write_jsonl(path, map(record, outcomes))

@@ -241,6 +241,32 @@ def test_dist_nothing_accepted_is_partial(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec, trials", [("1", 2), ("1:3", 3)])
+def test_dist_stability_prints_the_trials_it_runs(tmp_path, capsys, spec, trials):
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host", "-o", str(outcomes)])
+    assert main(["dist", "--outcomes", str(outcomes), "--stability", spec,
+                 "-o", str(tmp_path / "dist")]) == 0
+    out = capsys.readouterr().out
+    assert f"hop_count stability (1 x {trials}): " in out
+    assert f"rtt_ms stability (1 x {trials}): " in out
+
+
+@pytest.mark.parametrize("spec", ["500:x", "x", "0:5", "-1:5", "2:1", "2:0", "2:", ":5",
+                                  "2:3:4", "2.5:3", "2:3.0", ""])
+def test_dist_bad_stability_is_fatal(tmp_path, capsys, spec):
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host", "-o", str(outcomes)])
+    assert main(["dist", "--outcomes", str(outcomes), f"--stability={spec}",
+                 "-o", str(tmp_path / "dist")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --stability must be SUBSET[:TRIALS] with integers SUBSET >= 1 "
+        f"and TRIALS >= 2, got {spec!r}\n")
+    assert not list(tmp_path.glob("dist*"))
+
+
 @pytest.mark.parametrize("width", ["0", "-5", "nan", "inf"])
 @pytest.mark.parametrize("command", ["dist", "handover"])
 def test_bad_rtt_bin_width_is_fatal(tmp_path, capsys, command, width):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -29,14 +30,14 @@ def hop_dist(samples):
 
 def test_default_model_reactive_is_delay():
     model = LossModel(beta=0.1)
-    assert model.loss(37.0, 0.0) == 37.0
+    assert model.total_loss([37.0], 0.0) == 37.0
 
 
 def test_default_model_tradeoff():
     model = LossModel(beta=0.1)
-    assert model.loss(30.0, 30.0) == pytest.approx(3.0)
-    assert model.loss(30.0, 40.0) == pytest.approx(4.0)
-    assert model.loss(30.0, 20.0) == pytest.approx(12.0)
+    assert model.total_loss([30.0], 30.0) == pytest.approx(3.0)
+    assert model.total_loss([30.0], 40.0) == pytest.approx(4.0)
+    assert model.total_loss([30.0], 20.0) == pytest.approx(12.0)
 
 
 def test_table_model_lookup_and_refusal_to_extrapolate(tmp_path):
@@ -48,12 +49,12 @@ def test_table_model_lookup_and_refusal_to_extrapolate(tmp_path):
     )
     table = load_loss_table(path)
     model = LossModel(table=table)
-    assert model.loss(10.0, 10.0) == 4.0
-    assert model.loss(20.0, 0.0) == pytest.approx(20.0)  # bilinear midpoint
+    assert model.total_loss([10.0], 10.0) == 4.0
+    assert model.total_loss([20.0], 0.0) == pytest.approx(20.0)  # bilinear midpoint
     with pytest.raises(ValueError):
-        model.loss(50.0, 0.0)
+        model.total_loss([50.0], 0.0)
     with pytest.raises(ValueError):
-        model.loss(10.0, 25.0)
+        model.total_loss([10.0], 25.0)
 
 
 def test_table_lookup_on_the_axis_edges():
@@ -106,6 +107,48 @@ def test_uniform_three_delay_grid_search_oracle():
     assert optimum.anticipation_ms == 30.0
     assert optimum.expected_loss_ms == pytest.approx(3.0)
     assert not optimum.flat
+
+
+def _per_sample_curve(delay_dist, model, grid, delay_scale=0.5):
+    """expected_loss_curve as a loop over L(d, a) per sample, its oracle."""
+
+    def loss_at(delay_ms, anticipation_ms):
+        if model.table is not None:
+            return model.table.lookup(delay_ms, anticipation_ms)
+        return max(0.0, delay_ms - anticipation_ms) + model.beta * anticipation_ms
+
+    curve = []
+    for a in grid:
+        total = sum(loss_at(delay_scale * rtt, a) for rtt in delay_dist.samples)
+        loss = total / delay_dist.n
+        curve.append((a, loss, loss / 10.0))
+    return curve
+
+
+CURVE_TABLE = LossTable(delay_axis=(0.0, 30.0, 60.0), anticipation_axis=(0.0, 25.0, 50.0),
+                        values=((0.0, 3.0, 6.0), (30.0, 11.5, 9.0), (60.0, 37.25, 12.0)))
+
+
+@pytest.mark.parametrize("model", [LossModel(), LossModel(beta=0.0), LossModel(beta=0.37),
+                                   LossModel(table=CURVE_TABLE)])
+@pytest.mark.parametrize("scale", [0.5, 0.7])
+def test_curve_equals_the_per_sample_loop(model, scale):
+    rng = random.Random(4)
+    dist = rtt_dist([0.0, 40.0, 80.0] + [rng.uniform(0, 80) for _ in range(500)])
+    # grid points below, on and between the scaled samples, and a negative zero
+    grid = [-0.0, 0.0, 3.3, 20.0, 28.0, 40.0, 40.1, 50.0]
+    assert expected_loss_curve(dist, model, grid, scale) == \
+        _per_sample_curve(dist, model, grid, scale)
+
+
+def test_curve_outside_the_table_fails_like_the_per_sample_loop():
+    dist = rtt_dist([10.0, 130.0])
+    model = LossModel(table=CURVE_TABLE)
+    for grid in ([0.0], [60.0], [0.0, 60.0]):
+        with pytest.raises(ValueError) as expected:
+            _per_sample_curve(dist, model, grid)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            expected_loss_curve(dist, model, grid)
 
 
 def test_curve_requires_rtt_metric():

@@ -233,7 +233,8 @@ HOP_TOKENS = st.one_of(
 @example(ttl=3, body="192.0.2.1  2 ms  192.0.2.2  2.0 ms")
 @example(ttl=1, body="192.0.2.1  1.0 ms  -1 ms  garbage")
 def test_parse_hop_matches_reference(ttl, body):
-    assert (_parse_hop_outcome(ingest._parse_hop, ttl, body)
+    share = {}.setdefault
+    assert (_parse_hop_outcome(lambda ttl, body: ingest._parse_hop(ttl, body, share), ttl, body)
             == _parse_hop_outcome(reference_ingest.parse_hop, ttl, body))
 
 
@@ -265,11 +266,17 @@ def test_parse_text_matches_reference(monkeypatch):
         """
     )
     new = parse_traceroute_text(text, "o")
-    monkeypatch.setattr(ingest, "_parse_hop", reference_ingest.parse_hop)
+    monkeypatch.setattr(ingest, "_parse_hop",
+                        lambda ttl, body, share: reference_ingest.parse_hop(ttl, body))
     old = parse_traceroute_text(text, "o")
     assert new == old
     traces, report = new
     assert len(traces) == 3 and report.skipped_lines == 9
+    # equal addresses and destinations are one string object per call
+    strings = [t.destination for t in traces] + [
+        hop.address for t in traces for hop in t.hops if hop.address is not None]
+    assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)
+    assert traces[0].destination is traces[0].hops[-1].address
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,6 +11,7 @@ from edgedist.transit import (
     ACCESS_ROUTER,
     HOST,
     EstimateOptions,
+    PairOutcome,
     PreparedTrace,
     batch_estimate,
     estimate_pair,
@@ -645,6 +646,90 @@ def test_read_outcomes_matches_reference(tmp_path_factory, campaign, options):
     assert len({id(name) for name in names}) == len(set(names))
 
 
+# --- the outcome writer against the reference writer -----------------------
+
+
+def _written_like_the_reference(tmp_path, outcomes):
+    ours, theirs = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
+    write_outcomes(outcomes, ours)
+    reference.write_outcomes(outcomes, theirs)
+    return ours.read_bytes() == theirs.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(faulty_traces(), st.sampled_from(OPTION_GRID))
+def test_write_outcomes_matches_reference(tmp_path_factory, campaign, options):
+    traces_by_origin, hosts = campaign
+    pairs = list(itertools.combinations(hosts, 2)) + [(hosts[0], hosts[0])]
+    outcomes, _ = batch_estimate(traces_by_origin, pairs, options)
+    assert _written_like_the_reference(tmp_path_factory.mktemp("outcomes"), outcomes)
+
+
+def _entries(*bounds, transit=TransitPoint("t", 1, 1)):
+    """Estimates from origins O1, O2, ... with the given (hop, rtt) bounds,
+    sharing one transit object."""
+    return {
+        f"O{i}": PairEstimate("a", "b", f"O{i}", transit, hop, rtt)
+        for i, (hop, rtt) in enumerate(bounds, start=1)
+    }
+
+
+def _with_best(per_origin, best_hop, best_rtt):
+    return PairOutcome(("a", "b"), per_origin, best_hop, best_rtt)
+
+
+def _best_not_its_entry_object():
+    per_origin = _entries((9, 120.0), (11, 70.0))
+    equal_copy = PairEstimate(*per_origin["O1"])
+    other_rtt = per_origin["O2"]._replace(rtt_bound_ms=75.0)
+    assert equal_copy == per_origin["O1"] and equal_copy is not per_origin["O1"]
+    return [_with_best(per_origin, equal_copy, other_rtt)]
+
+
+def _escaped_names():
+    names = ['q"uote', "back\\slash", "n\u00e9", "\u6771\u4eac", "tab\tnew\nline"]
+    transit = TransitPoint(names[4], 1, 1)
+    return [min_over_origins((a, b), {
+        origin: PairEstimate(a, b, origin, transit, 3, 1.5) for origin in names[:3]
+    }) for a, b in itertools.combinations(names, 2)]
+
+
+# equal values that encode differently must never share text
+WRITER_CASES = {
+    "int and float rtt bounds": lambda: [
+        min_over_origins(("a", "b"), _entries((4, 5), (4, 5.0), (4, 5)))],
+    "zero and negative zero rtt bounds": lambda: [
+        min_over_origins(("a", "b"), _entries((4, 0.0), (4, -0.0), (4, 0)))],
+    "transit indices 1 and 1.0": lambda: [min_over_origins(("a", "b"), {
+        **_entries((4, 2.0)),
+        "O2": PairEstimate("a", "b", "O2", TransitPoint("t", 1.0, 1), 4, 2.0),
+    })],
+    "best bound not its origin's entry object": _best_not_its_entry_object,
+    "no best bounds beside accepted entries": lambda: [
+        _with_best(_entries((4, 2.0)), None, None)],
+    "only rejects": lambda: [min_over_origins(("a", "c"), {
+        "O1": RejectReason(RejectKind.ASYMMETRY_SUSPECTED, "cumulative rtt drops"),
+        "O2": RejectReason(RejectKind.NO_TRANSIT, "no trace"),
+        "O3": RejectReason(RejectKind.NO_TRANSIT, "no trace"),
+    })],
+    "names that need escaping": _escaped_names,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_write_outcomes_matches_reference_on_hand_cases(tmp_path, name):
+    outcomes = WRITER_CASES[name]()
+    assert _written_like_the_reference(tmp_path, outcomes)
+    # written twice, so every entry and name comes from the text cache
+    assert _written_like_the_reference(tmp_path, outcomes + outcomes)
+
+
+def test_write_outcomes_rejects_a_name_that_is_not_a_string(tmp_path):
+    outcome = min_over_origins(("a", "b"), {5: _fake_estimate(5, 4, 2.0)})
+    with pytest.raises(TypeError, match="name 5 is not a string"):
+        write_outcomes([outcome], tmp_path / "out.jsonl")
+
+
 def _valid_outcomes():
     ta, tb = _accepted_pair_traces("O1", 0)
     tc, td = _accepted_pair_traces("O2", 0)
@@ -733,6 +818,9 @@ REFERENCE_DEFECTS = {
     "pair of one endpoint": _set("pair", ["a"]),
     "pair of three endpoints": _set("pair", ["a", "b", "c"]),
     "unhashable transit address": _set_entry("O1", transit=[["t"], 1, 1]),
+    "best_hop_origin null beside a best_hop": _set("best_hop_origin", None),
+    "best_rtt_origin a number": _set("best_rtt_origin", 5),
+    "best_rtt_origin beside a null best_rtt": _set("best_rtt", None),
 }
 
 
