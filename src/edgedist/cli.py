@@ -1,9 +1,7 @@
 """Command-line surface: ingest -> pairs -> dist -> handover, plus simulate.
 
 Exit codes: 0 clean, 1 partial (warnings or nothing accepted), 2 fatal.
-All outputs are written to a temporary file first and renamed on success, so
-a fatal error never leaves a partial file behind.  All randomness flows from
-explicit --seed flags.
+All randomness flows from explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -12,44 +10,17 @@ import argparse
 import functools
 import gc
 import math
-import os
 import random
 import sys
-import tempfile
 from pathlib import Path
 
-from . import handover, ingest, stats, synth, transit
+from . import handover, ingest, jsonl, stats, synth, transit
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_FATAL = 2
 # a longer anticipation grid is taken for a mistyped step, not built
 MAX_GRID_POINTS = 1_000_000
-
-
-def _atomic_write(path: str | Path, text: str) -> None:
-    _atomic_via(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
-
-
-def _atomic_via(path: str | Path, writer) -> None:
-    """Run writer(tmp_path) and rename into place only on success.
-
-    The output gets the mode a plain open() would give it (0666 less the
-    umask); mkstemp alone would leave it at 0600.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-    os.close(fd)
-    umask = os.umask(0)
-    os.umask(umask)
-    try:
-        writer(tmp)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _say(args, message: str) -> None:
@@ -113,6 +84,11 @@ def _parse_stability(spec: str) -> tuple[int, int]:
                      f"and TRIALS >= 2, got {spec!r}")
 
 
+def _check_count(flag: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"--{flag} must be an integer >= 1, got {value}")
+
+
 def pair_at(items, i: int):
     """``list(itertools.combinations(items, 2))[i]`` without building the list."""
     n = len(items)
@@ -148,7 +124,7 @@ def cmd_ingest(args) -> int:
             report.parsed += sub.parsed
             report.skipped_lines += sub.skipped_lines
             report.warnings.extend(sub.warnings)
-    _atomic_via(args.output, lambda p: ingest.write_canonical(traces, p))
+    ingest.write_canonical(traces, args.output)
     _say(args, f"wrote {len(traces)} traces to {args.output}")
     if report.skipped_lines or report.warnings:
         _say(
@@ -163,11 +139,15 @@ def cmd_ingest(args) -> int:
 
 
 def _load_pairs_file(path: str) -> list[tuple[str, str]]:
+    """One ``a,b`` pair per line; blank and ``#`` lines are skipped, and the
+    first other line is a header when it is ``a,b`` in any case."""
+    rows = [(lineno, line.strip()) for lineno, line in
+            enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
+            if line.strip() and not line.strip().startswith("#")]
+    if rows and rows[0][1].lower() == "a,b":
+        del rows[0]
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#") or line.lower().startswith("a,"):
-            continue
+    for lineno, line in rows:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected two columns")
@@ -185,6 +165,7 @@ def _estimate_options(args) -> transit.EstimateOptions:
 
 
 def cmd_pairs(args) -> int:
+    _check_count("max-pairs", args.max_pairs)
     options = _estimate_options(args)
     traces_by_origin: dict[str, list] = {}
     for path in args.traces:
@@ -212,7 +193,7 @@ def cmd_pairs(args) -> int:
     else:
         pairs = [pair(i) for i in range(count)]
     outcomes, batch = transit.batch_estimate(traces_by_origin, pairs, options)
-    _atomic_via(args.output, lambda p: transit.write_outcomes(outcomes, p))
+    transit.write_outcomes(outcomes, args.output)
     _say(args, f"pairs={batch.total_pairs} succeeded={batch.succeeded} "
                f"success_ratio={batch.success_ratio:.2f}")
     total_rejects = sum(batch.reject_counts.values())
@@ -255,7 +236,7 @@ def cmd_dist(args) -> int:
                          f"max_mean_dev={mean_dev:.4f} max_std_dev={std_dev:.4f}")
         results.append((dist, out_path, lines))
     for dist, out_path, lines in results:
-        _atomic_via(out_path, lambda p: stats.write_distribution_tsv(dist, p))
+        stats.write_distribution_tsv(dist, out_path)
         for line in lines:
             _say(args, line)
     return EXIT_OK
@@ -294,10 +275,10 @@ def cmd_handover(args) -> int:
     grid = _parse_grid(args.grid)
     curve = handover.expected_loss_curve(rtt_dist, model, grid, args.delay_scale)
     optimum = handover.argmin_anticipation(curve, args.flat_threshold)
-    lines = ["anticipation_ms\texpected_loss_ms\texpected_packets"]
-    for a, loss, packets in curve:
-        lines.append(f"{a:g}\t{loss!r}\t{packets!r}")
-    _atomic_write(args.output, "".join(line + "\n" for line in lines))
+    jsonl.write_lines(args.output, [
+        "anticipation_ms\texpected_loss_ms\texpected_packets",
+        *(f"{a:g}\t{loss!r}\t{packets!r}" for a, loss, packets in curve),
+    ])
     if optimum.flat:
         _say(args, "argmin: flat curve, no significant anticipation optimum")
     else:
@@ -310,6 +291,8 @@ def cmd_handover(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_count("origins", args.origins)
+    _check_count("pairs", args.pairs)
     estimate_options = _estimate_options(args)
     params = _parse_kv(args.params)
     faults = {}
@@ -346,13 +329,11 @@ def cmd_simulate(args) -> int:
     )
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    _atomic_via(outdir / "topology.jsonl", lambda p: synth.save_topology(topology, p))
+    synth.save_topology(topology, outdir / "topology.jsonl")
     for origin, traces in report.traces_by_origin.items():
-        _atomic_via(outdir / f"traces_{origin}.jsonl",
-                    lambda p, t=traces: ingest.write_canonical(t, p))
-    _atomic_write(outdir / "pairs.csv",
-                  "".join(f"{a},{b}\n" for a, b in pairs))
-    _atomic_write(outdir / "report.tsv", report.to_text())
+        ingest.write_canonical(traces, outdir / f"traces_{origin}.jsonl")
+    jsonl.write_lines(outdir / "pairs.csv", (f"{a},{b}" for a, b in pairs))
+    jsonl.write_lines(outdir / "report.tsv", report.lines())
     _say(args, f"model={args.model} routers={len(routers)} hosts={len(hosts)} "
                f"origins={len(origins)} pairs={len(pairs)}")
     _say(args, f"success_ratio={report.stats.success_ratio:.2f} "

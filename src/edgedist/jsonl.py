@@ -1,9 +1,13 @@
-"""Line-delimited JSON, the format of every ``.jsonl`` file: canonical
-traces, outcome records and saved topologies."""
+"""Line-delimited JSON, the format of every ``.jsonl`` file (canonical
+traces, outcome records and saved topologies), and ``write_lines``, which
+writes every output file to a temporary file beside it and renames it into
+place only on success, so a failed write keeps the file it would replace."""
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -13,10 +17,21 @@ encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each string, already JSON text, as one line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    """Write each string as one line.  The file gets the mode a plain open()
+    would give it, 0666 less the umask; mkstemp alone gives 0600."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_jsonl(path: str | Path, records: Iterable) -> None:

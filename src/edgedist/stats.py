@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .jsonl import write_lines
 from .transit import PairOutcome
 
 HOP_COUNT = "hop_count"
@@ -147,14 +148,12 @@ def resample_stability(
 
 def write_distribution_tsv(dist: EdgeDistribution, path: str | Path) -> None:
     """Plot-ready TSV: lower_edge, count, fraction; stats in a header comment."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# metric={dist.metric} bin_width={dist.bin_width:g} n={dist.n} "
-            f"mean={dist.mean!r} std={dist.std!r} excluded={dist.excluded}\n"
-        )
-        fh.write("lower_edge\tcount\tfraction\n")
-        for edge, count in dist.bins:
-            fh.write(f"{edge:g}\t{count}\t{count / dist.n!r}\n")
+    write_lines(path, [
+        f"# metric={dist.metric} bin_width={dist.bin_width:g} n={dist.n} "
+        f"mean={dist.mean!r} std={dist.std!r} excluded={dist.excluded}",
+        "lower_edge\tcount\tfraction",
+        *(f"{edge:g}\t{count}\t{count / dist.n!r}" for edge, count in dist.bins),
+    ])
 
 
 def read_distribution_tsv(path: str | Path) -> EdgeDistribution:

@@ -457,7 +457,7 @@ class ExperimentReport:
     confusion: dict[str, int]  # clean/corrupt x accept/reject, per-origin level
     false_rtt_accepts: int
 
-    def to_text(self) -> str:
+    def lines(self) -> list[str]:
         lines = [
             "pair_a\tpair_b\ttrue_hops\ttrue_one_way_ms\thop_bound\trtt_bound_ms\tsound\ttight_hop\ttight_rtt"
         ]
@@ -486,7 +486,7 @@ class ExperimentReport:
             lines.append(f"# confusion.{key}={self.confusion[key]}")
         for kind in sorted(self.stats.reject_counts):
             lines.append(f"# reject.{kind}={self.stats.reject_counts[kind]}")
-        return "\n".join(lines) + "\n"
+        return lines
 
 
 def _endpoint_node(topology: Topology, host: str, mode: str) -> str:

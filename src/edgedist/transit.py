@@ -398,8 +398,8 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     is built once per file and shared (all are immutable), and a best bound
     whose entry equals the per-origin entry of the origin it names is that
     entry's estimate.  A best bound names its origin by a string, and an
-    absent one names none.  A malformed record raises ValueError naming its
-    line.
+    absent one names none.  A reject's detail is a string, or absent for
+    ``""``.  A malformed record raises ValueError naming its line.
     """
     rejects: dict[tuple, RejectReason] = {}
     transits: dict[tuple, TransitPoint] = {}
@@ -409,6 +409,8 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     def estimate(obj, a: str, b: str, origin: str) -> PairEstimate | RejectReason:
         if "reject" in obj:
             key = (obj["reject"], obj.get("detail", ""))
+            if type(key[1]) is not str:
+                raise ValueError(f"detail {key[1]!r} is not a string")
             reason = rejects.get(key)
             if reason is None:
                 reason = rejects[key] = RejectReason(RejectKind(key[0]), key[1])

@@ -163,6 +163,44 @@ def test_pairs_max_pairs_is_seeded(tmp_path, capsys):
     assert len(outs[0].splitlines()) == 4
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["pairs", "--max-pairs", "0"], "max-pairs", 0),
+    (["pairs", "--max-pairs", "-1"], "max-pairs", -1),
+    (["simulate", "--origins", "0"], "origins", 0),
+    (["simulate", "--origins", "-2"], "origins", -2),
+    (["simulate", "--pairs", "0"], "pairs", 0),
+    (["simulate", "--pairs", "-1"], "pairs", -1),
+])
+def test_count_below_one_is_fatal(tmp_path, capsys, argv, flag, value):
+    # each used to fail on an internal message naming neither flag nor value,
+    # or, for --max-pairs 0, to write an empty outcome file
+    if argv[0] == "pairs":
+        argv += ["--mode", "host", "--traces", origin_traces(tmp_path)]
+    else:
+        argv += ["--model", "two_tier", "--params", "regions=3,leaves=3"]
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --{flag} must be an integer >= 1, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, pairs", [
+    ("a,x\ny,z\n", [["a", "x"], ["y", "z"]]),
+    ("# endpoints\n\nA,B\na,x\n", [["a", "x"]]),
+    ("a,x\na,b\n", [["a", "x"], ["a", "b"]]),
+])
+def test_pairs_file_header_is_only_a_first_line_a_b(tmp_path, text, pairs):
+    # every line whose first field was a used to be dropped as a header
+    traces = write_traces(tmp_path / "traces.jsonl",
+                          [trace("O1", d, [("T", 1.0), (d, 3.0)]) for d in "axyz"])
+    listed = tmp_path / "pairs.csv"
+    listed.write_text(text)
+    out = tmp_path / "out.jsonl"
+    assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                 "--pairs-file", str(listed), "-o", str(out)]) == 0
+    assert [json.loads(line)["pair"] for line in out.read_text().splitlines()] == pairs
+
+
 def test_dist_writes_both_metrics(tmp_path, capsys):
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
@@ -285,17 +323,30 @@ def test_bad_rtt_bin_width_is_fatal(tmp_path, capsys, command, width):
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
 def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    raw = tmp_path / "raw.txt"
+    raw.write_text(TRACEROUTE_TEXT)
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
+    sim = tmp_path / "sim"
     old = os.umask(umask)
     try:
-        assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
-                     "-o", str(outcomes)]) == 0
-        assert main(["--quiet", "dist", "--outcomes", str(outcomes),
-                     "-o", str(tmp_path / "dist")]) == 0
+        for argv in (
+            ["ingest", str(raw), "-o", str(tmp_path / "ingested.jsonl")],
+            ["pairs", "--traces", traces, "--mode", "host", "-o", str(outcomes)],
+            ["dist", "--outcomes", str(outcomes), "-o", str(tmp_path / "dist")],
+            ["handover", "--outcomes", str(outcomes), "-o", str(tmp_path / "curve.tsv")],
+            ["simulate", "--model", "two_tier", "--params", "regions=3,leaves=3",
+             "--origins", "2", "--pairs", "5", "-o", str(sim)],
+        ):
+            assert main(["--quiet", *argv]) == 0, argv
     finally:
         os.umask(old)
-    for path in (outcomes, tmp_path / "dist.hops.tsv", tmp_path / "dist.rtt.tsv"):
+    outputs = [tmp_path / name for name in ("ingested.jsonl", "outcomes.jsonl",
+                                            "dist.hops.tsv", "dist.rtt.tsv", "curve.tsv")]
+    # the topology, two trace files, pairs.csv and report.tsv
+    outputs += sorted(sim.iterdir())
+    assert len(outputs) == 10
+    for path in outputs:
         assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
 
@@ -722,3 +773,40 @@ def test_every_public_definition_is_reached_from_the_cli():
         if not name.startswith("_")
     }
     assert sorted(key for key in members if key[2] not in read) == []
+
+
+def _file_writes(tree):
+    """Each node that writes a file other than through ``jsonl.write_lines``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            builtin = isinstance(node.func, ast.Name)
+            if (node.func.id if builtin else node.func.attr) == "open":
+                # open(path, mode) or path.open(mode); no mode reads
+                modes = [*node.args[int(builtin):int(builtin) + 1],
+                         *(kw.value for kw in node.keywords if kw.arg == "mode")]
+                if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                       for m in modes):
+                    yield node
+        elif isinstance(node, ast.Attribute):
+            if node.attr in ("write_text", "write_bytes") or (
+                    node.attr == "replace" and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                yield node
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "tempfile" for alias in node.names):
+                yield node
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "tempfile" or (
+                    node.module == "os" and any(a.name == "replace" for a in node.names)):
+                yield node
+
+
+def test_only_write_lines_writes_files():
+    # each output is replaced atomically, and only write_lines knows how
+    package = Path(edgedist.__file__).parent
+    writes = [f"{path.name}:{node.lineno}"
+              for path in sorted(package.glob("*.py")) if path.stem != "jsonl"
+              for node in _file_writes(ast.parse(path.read_text()))]
+    assert writes == []
+    jsonl = ast.parse((package / "jsonl.py").read_text())
+    assert len(list(_file_writes(jsonl))) >= 3  # the guard sees write_lines itself

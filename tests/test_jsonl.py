@@ -7,7 +7,7 @@ import pytest
 
 import edgedist
 from edgedist.ingest import read_canonical, trace_to_record
-from edgedist.jsonl import read_jsonl, write_jsonl
+from edgedist.jsonl import read_jsonl, write_jsonl, write_lines
 from edgedist.transit import EstimateOptions, batch_estimate, read_outcomes, write_outcomes
 
 from conftest import trace
@@ -20,6 +20,21 @@ def test_write_is_compact_and_read_skips_blank_lines(tmp_path):
     with open(path, "a") as fh:
         fh.write("\n  \n7\n")
     assert list(read_jsonl(path, lambda v: v, "value")) == [{"a": [1, None]}, "x", 2.5, 7]
+
+
+def test_write_lines_that_fails_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"old\ncontents\n")
+
+    def lines():
+        yield "first"
+        yield "second"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_lines(path, lines())
+    assert path.read_bytes() == b"old\ncontents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
 
 
 def test_only_the_codec_imports_json():

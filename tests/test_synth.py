@@ -328,7 +328,7 @@ def test_experiment_report_deterministic():
     opts = SimOptions(asymmetry_probability=0.3, asymmetry_delta_ms=80.0, seed=5)
     r1 = run_experiment(topo, topo.routers[:4], pairs, opts)
     r2 = run_experiment(topo, topo.routers[:4], pairs, opts)
-    assert r1.to_text() == r2.to_text()
+    assert r1.lines() == r2.lines()
 
 
 def test_topology_save_load_round_trip(tmp_path):

@@ -725,9 +725,15 @@ def test_write_outcomes_matches_reference_on_hand_cases(tmp_path, name):
 
 
 def test_write_outcomes_rejects_a_name_that_is_not_a_string(tmp_path):
-    outcome = min_over_origins(("a", "b"), {5: _fake_estimate(5, 4, 2.0)})
+    # the failed write used to leave the first record in place of the old file
+    path = tmp_path / "keep.jsonl"
+    path.write_bytes(b"old\n")
+    ok = min_over_origins(("a", "b"), {"O1": _fake_estimate("O1", 4, 2.0)})
+    bad_origin = min_over_origins(("a", "b"), {5: _fake_estimate(5, 4, 2.0)})
     with pytest.raises(TypeError, match="name 5 is not a string"):
-        write_outcomes([outcome], tmp_path / "out.jsonl")
+        write_outcomes([ok, bad_origin], path)
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.jsonl"]
 
 
 def _valid_outcomes():
@@ -821,6 +827,9 @@ REFERENCE_DEFECTS = {
     "best_hop_origin null beside a best_hop": _set("best_hop_origin", None),
     "best_rtt_origin a number": _set("best_rtt_origin", 5),
     "best_rtt_origin beside a null best_rtt": _set("best_rtt", None),
+    # 5 and 5.0 read back as one reason, which was written back as 5
+    "reject detail an int": _set_entry("O3", detail=5),
+    "reject detail a float": _set_entry("O3", detail=5.0),
 }
 
 
@@ -853,3 +862,11 @@ def test_malformed_outcome_the_reference_missed_is_rejected(tmp_path, name):
     path, line = _malformed_file(tmp_path, REFERENCE_DEFECTS[name])
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad outcome at line {line}:"):
         read_outcomes(path)
+
+
+def test_reject_detail_is_a_string_or_absent(tmp_path):
+    path, line = _malformed_file(tmp_path, _set_entry("O3", detail=["x"]))
+    with pytest.raises(ValueError, match=r"detail \['x'\] is not a string$"):
+        read_outcomes(path)
+    path, line = _malformed_file(tmp_path, lambda rec: rec["per_origin"]["O3"].pop("detail"))
+    assert read_outcomes(path)[line - 1].per_origin["O3"] == RejectReason(RejectKind.NO_TRANSIT)
