@@ -4,23 +4,24 @@ Addresses are opaque strings (IPv4 dotted quads in real data, symbolic node
 ids in synthetic data); two addresses are equal iff their strings are equal.
 Hop positions are 1-based, matching traceroute's TTL numbering.
 All types are immutable after construction and have no ``__dict__``: a
-campaign holds hundreds of thousands of hops and estimates.  ``TracePath`` and
-``RejectReason`` are slotted frozen dataclasses.  ``HopRecord``,
-``TransitPoint`` and ``PairEstimate`` are validated tuple subclasses, built
-per hop or per accepted (pair, origin): about 314,000 hop lines on the
-``ingest-wide`` benchmark, each read back by ``pairs``, and 321,206 estimates
-on the 300-host ``campaign-dense`` one in ``pairs`` and in each of the three
-outcome reads of ``dist`` and ``handover``.  A frozen dataclass sets each
-field through ``object.__setattr__``, which makes it up to twice as slow to
-build: 1.14 against 0.48 us for a ``PairEstimate``, 0.92 against 0.43 us for a
+campaign holds hundreds of thousands of hops and per-origin entries.
+``TracePath`` is a slotted frozen dataclass.  ``HopRecord``, ``TransitPoint``,
+``PairEstimate`` and ``RejectReason`` are validated tuple subclasses.  Hops are
+built one per hop line: about 314,000 on the ``ingest-wide`` benchmark, each
+read back by ``pairs``.  Transit points and estimates are shared, one object
+per distinct value, so they cost per distinct bound rather than per (pair,
+origin): on the 300-host ``campaign-dense`` benchmark, 321,206 accepted
+(pair, origin) entries hold 11,056 distinct estimates and 234 transits.  A
+``PairEstimate`` names no endpoints, which the ``PairOutcome`` that holds it
+already names.  A frozen dataclass sets each field through
+``object.__setattr__``, which makes it up to twice as slow to build: 1.14
+against 0.48 us for a ``PairEstimate``, 0.92 against 0.43 us for a
 ``TransitPoint`` and 0.9 against 0.6 us for a ``HopRecord`` (CPython 3.11,
-2-core Xeon).  A tuple takes up to 16 bytes more memory per instance (8 by
-``sys.getsizeof``, rounded up by the allocator), which sharing its field
-values (one transit point per distinct transit, one string per name or address
-in a file) more than pays for.  All three keep the dataclass interface: field
-names, defaults, ``repr``, hashing, read-only attributes, no ordering, and
-equality only with a value of the same type.  ``HopRecord`` and ``TracePath``
-check field types too: no ``true`` or ``2.0`` for an int.
+2-core Xeon); its hash runs in Python too, where a tuple's runs in C.  All
+four keep the dataclass interface: field names, defaults, ``repr``, hashing,
+read-only attributes, no ordering, and equality only with a value of the
+same type.  ``TracePath`` and the four tuples check field types too
+(``PairEstimate`` those of its bounds): no ``true`` or ``2.0`` for an int.
 """
 
 from __future__ import annotations
@@ -42,11 +43,8 @@ class RejectKind(Enum):
     LOOP_BEYOND_TRANSIT = "LoopBeyondTransit"
     MISSING_RTT_AT_TRANSIT = "MissingRttAtTransit"
 
-
-@dataclass(frozen=True, slots=True)
-class RejectReason:
-    kind: RejectKind
-    detail: str = ""
+    # members are singletons: hash by identity in C, not by name in Python
+    __hash__ = object.__hash__
 
 
 class _Value(tuple):
@@ -72,6 +70,19 @@ class _Value(tuple):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+class RejectReason(_Value, namedtuple("RejectReason", "kind detail")):
+    """Why one origin gives no bound for a pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: RejectKind, detail: str = ""):
+        if type(kind) is not RejectKind:
+            raise TraceError(f"reject kind {kind!r} is not a RejectKind")
+        if type(detail) is not str:
+            raise TraceError(f"detail {detail!r} is not a string")
+        return tuple.__new__(cls, (kind, detail))
 
 
 class HopRecord(_Value, namedtuple("HopRecord", "ttl address rtt_ms")):
@@ -152,13 +163,24 @@ class TransitPoint(
     """Last common hop of two traces from one origin.
 
     ``address`` is None only for the origin-fallback case, where the scanning
-    origin itself serves as transit and both indices are 0.
+    origin itself serves as transit and both indices are 0.  The indices are
+    hop positions in the traces of the pair's first and second endpoint.
     """
 
     __slots__ = ()
 
     def __new__(cls, address: str | None, index_a: int, index_b: int,
                 is_origin_fallback: bool = False):
+        if type(is_origin_fallback) is not bool:
+            raise TraceError(f"is_origin_fallback {is_origin_fallback!r} is not a bool")
+        if address is not None:
+            if type(address) is not str:
+                raise TraceError(f"address {address!r} is not a string")
+            if not address:
+                raise TraceError("address must be non-empty or None")
+        for name, index in (("index_a", index_a), ("index_b", index_b)):
+            if type(index) is not int:
+                raise TraceError(f"{name} {index!r} is not an int")
         if is_origin_fallback:
             if index_a != 0 or index_b != 0:
                 raise TraceError("origin fallback transit must sit at (0, 0)")
@@ -171,21 +193,23 @@ class TransitPoint(
 
 
 class PairEstimate(
-    _Value,
-    namedtuple("PairEstimate",
-               "endpoint_a endpoint_b origin_id transit hop_bound rtt_bound_ms"),
+    _Value, namedtuple("PairEstimate", "origin_id transit hop_bound rtt_bound_ms")
 ):
-    """Upper bound on hop count and RTT between two endpoints via a transit."""
+    """Upper bound on hop count and RTT between the two endpoints of a pair,
+    seen from one origin via a transit.  The endpoints are those of the
+    ``PairOutcome`` that holds it, in the same order as the transit's
+    indices."""
 
     __slots__ = ()
 
-    def __new__(cls, endpoint_a: str, endpoint_b: str, origin_id: str,
-                transit: TransitPoint, hop_bound: int, rtt_bound_ms: float):
+    def __new__(cls, origin_id: str, transit: TransitPoint, hop_bound: int,
+                rtt_bound_ms: float):
         if type(hop_bound) is not int:
             raise TraceError(f"hop bound {hop_bound!r} is not an int")
         if hop_bound < 0:
             raise TraceError(f"negative hop bound {hop_bound}")
+        if type(rtt_bound_ms) is not float and type(rtt_bound_ms) is not int:
+            raise TraceError(f"rtt bound {rtt_bound_ms!r} is not a number")
         if not 0 <= rtt_bound_ms < math.inf:
             raise TraceError(f"rtt bound {rtt_bound_ms} is negative or not finite")
-        return tuple.__new__(
-            cls, (endpoint_a, endpoint_b, origin_id, transit, hop_bound, rtt_bound_ms))
+        return tuple.__new__(cls, (origin_id, transit, hop_bound, rtt_bound_ms))

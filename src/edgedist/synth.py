@@ -573,6 +573,8 @@ def run_experiment(
                 tight_rtt=tight_rtt,
             )
         )
+        # the transit's indices follow the outcome's canonical pair order
+        first, second = outcome.pair
         for origin, est in outcome.per_origin.items():
             corrupted = any(
                 key in looped or decrease_at[key] > 0
@@ -582,8 +584,8 @@ def run_experiment(
             key = ("corrupt" if corrupted else "clean") + ("_accept" if accepted else "_reject")
             confusion[key] += 1
             if accepted and (
-                decrease_at[origin, est.endpoint_a] >= max(est.transit.index_a, 1)
-                or decrease_at[origin, est.endpoint_b] >= max(est.transit.index_b, 1)
+                decrease_at[origin, first] >= max(est.transit.index_a, 1)
+                or decrease_at[origin, second] >= max(est.transit.index_b, 1)
             ):
                 false_rtt_accepts += 1
     return ExperimentReport(

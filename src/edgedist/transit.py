@@ -149,10 +149,17 @@ class PreparedTrace:
         return None if end_rtt is None else end_rtt - start_rtt
 
 
+# Estimates are shared, one object per distinct value, under keys that
+# never merge values which compare equal but encode differently: a float
+# RTT bound other than zero is keyed by its value and any other by its repr
+# (5 against 5.0, 0.0 against -0.0), and the other fields of a key are the
+# exactly typed strings, ints and bools that validation requires.
+
+
 def estimate_pair(
     a: PreparedTrace,
     b: PreparedTrace,
-    transits: dict[tuple[str, int, int], TransitPoint] | None = None,
+    shared: dict | None = None,
 ) -> PairEstimate | RejectReason:
     """Upper-bound the distance between two destinations seen from one origin.
 
@@ -162,9 +169,13 @@ def estimate_pair(
     traces up to their endpoints that maximizes index_a + index_b, ties
     going to the larger index_a (two such candidates are then the same hop
     of b).  Without one, the origin may serve as a loose transit at (0, 0)
-    when the options allow it.  ``transits`` maps (address, index_a,
-    index_b) to its ``TransitPoint``; calls that share one table share one
-    object per distinct transit point.
+    when the options allow it.  The estimate's transit indices follow the
+    canonical order, as the ``PairOutcome`` for the pair names its endpoints.
+
+    ``shared`` maps each (address, index_a, index_b) to its ``TransitPoint``
+    and each (origin, address, index_a, index_b, hop bound, RTT bound key)
+    to its ``PairEstimate``: calls that share one table share one object per
+    distinct transit point and per distinct estimate.
     """
     options = a.options
     if b.options is not options and b.options != options:
@@ -197,7 +208,7 @@ def estimate_pair(
             best = (address, ia, ib)
     if best is None and not options.allow_origin_fallback:
         return _NO_TRANSIT
-    _, index_a, index_b = best or (None, 0, 0)  # else the origin fallback
+    address, index_a, index_b = best or (None, 0, 0)  # else the origin fallback
     # validate the whole remaining path, not just up to the endpoint: a
     # cumulative RTT decrease between the access router and the destination
     # still signals asymmetry on the segment the tail RTTs depend on.
@@ -219,22 +230,23 @@ def estimate_pair(
                 RejectKind.ASYMMETRY_SUSPECTED,
                 f"negative rtt difference {rtt} on tail to {p.trace.destination}",
             )
-    if best is None:
-        transit = _ORIGIN_FALLBACK
-    elif transits is None:
-        transit = TransitPoint(*best)
-    else:
-        transit = transits.get(best)
-        if transit is None:
-            transit = transits[best] = TransitPoint(*best)
-    return PairEstimate(
-        trace_a.destination,
-        trace_b.destination,
-        trace_a.origin_id,
-        transit,
-        (a.endpoint - index_a) + (b.endpoint - index_b),
-        rtt_a + rtt_b,
-    )
+    origin = trace_a.origin_id
+    hop_bound = (a.endpoint - index_a) + (b.endpoint - index_b)
+    rtt_bound = rtt_a + rtt_b
+    if shared is None:
+        shared = {}
+    key = (origin, address, index_a, index_b, hop_bound,
+           rtt_bound if type(rtt_bound) is float and rtt_bound else repr(rtt_bound))
+    est = shared.get(key)
+    if est is None:
+        if best is None:
+            transit = _ORIGIN_FALLBACK
+        else:
+            transit = shared.get(best)
+            if transit is None:
+                transit = shared[best] = TransitPoint(*best)
+        est = shared[key] = PairEstimate(origin, transit, hop_bound, rtt_bound)
+    return est
 
 
 def min_over_origins(
@@ -275,7 +287,9 @@ def batch_estimate(
 
     A pair endpoint with no trace from an origin yields a NoTransit reject
     with detail "no trace" for that origin; it never aborts the batch.
-    The estimates share one ``TransitPoint`` per distinct transit.
+    The outcomes share one ``TransitPoint`` per distinct transit and one
+    ``PairEstimate`` per distinct estimate: a dense campaign repeats a few
+    thousand bounds over hundreds of thousands of (pair, origin) entries.
     """
     # per origin, each destination the pairs name -> its prepared trace
     named = {endpoint for pair in pairs for endpoint in pair}
@@ -295,7 +309,7 @@ def batch_estimate(
     outcomes = []
     succeeded = 0
     reject_counts: Counter = Counter()
-    transits: dict[tuple[str, int, int], TransitPoint] = {}
+    shared: dict = {}
     for a, b in pairs:
         per_origin: dict[str, PairEstimate | RejectReason] = {}
         for origin, by_dest in prepared.items():
@@ -304,7 +318,7 @@ def batch_estimate(
             if pa is None or pb is None:
                 est = _NO_TRACE
             else:
-                est = estimate_pair(pa, pb, transits)
+                est = estimate_pair(pa, pb, shared)
             per_origin[origin] = est
             if isinstance(est, RejectReason):
                 reject_counts[est.kind] += 1
@@ -346,10 +360,11 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
     A campaign repeats a few distinct entries over every (pair, origin), so
     the line is joined from JSON text that is encoded once per call for
     each distinct entry and each endpoint or origin name, which must be a
-    string.  A reject is keyed by its reason.  An estimate is keyed by its
-    transit object, hop bound and RTT bound, never by equal values alone:
-    a bound 5 encodes unlike 5.0 and 0.0 unlike -0.0, and a transit with
-    index 1 unlike one with 1.0.  Every transit stays alive in
+    string.  A reject is keyed by its reason.  An estimate is keyed by the
+    object, never by equal values, since a bound 5 encodes unlike 5.0 and
+    0.0 unlike -0.0: ``batch_estimate`` and ``read_outcomes`` share one
+    object per distinct estimate, and equal estimates that are separate
+    objects are just encoded once each.  Every estimate stays alive in
     ``outcomes`` for the call, so its id names it.
     """
     names: dict[str, str] = {}
@@ -364,12 +379,7 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
         return text
 
     def entry(est: PairEstimate | RejectReason) -> str:
-        if isinstance(est, PairEstimate):
-            rtt = est.rtt_bound_ms
-            # a zero bound is keyed by its repr, since 0.0 == -0.0
-            key = (id(est.transit), est.hop_bound, type(rtt), rtt or repr(rtt))
-        else:
-            key = est
+        key = id(est) if isinstance(est, PairEstimate) else est
         text = entries.get(key)
         if text is None:
             text = entries[key] = encode(_entry_obj(est))
@@ -394,21 +404,27 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
 def read_outcomes(path: str | Path) -> list[PairOutcome]:
     """Decode an outcome file written by ``write_outcomes``.
 
-    Each distinct reject reason, transit point and origin or endpoint name
-    is built once per file and shared (all are immutable), and a best bound
-    whose entry equals the per-origin entry of the origin it names is that
-    entry's estimate.  A best bound names its origin by a string, and an
-    absent one names none.  A reject's detail is a string, or absent for
-    ``""``.  A malformed record raises ValueError naming its line.
+    Each distinct reject reason, transit point, estimate and origin or
+    endpoint name is built once per file and shared (all are immutable), so
+    a best bound is the per-origin estimate of the origin it names when
+    their entries match.  Values that compare equal but encode differently
+    (``5`` and ``5.0``, ``0.0`` and ``-0.0``, ``1`` and ``true``) are never
+    shared, and each value is validated when it is first built.  A best bound
+    names its origin by a string, and an absent one names none.  A reject's
+    kind is a string, and its detail a string or absent for ``""``.  A
+    malformed record raises ValueError naming its line.
     """
-    rejects: dict[tuple, RejectReason] = {}
+    rejects: dict[tuple[str, str], RejectReason] = {}
     transits: dict[tuple, TransitPoint] = {}
+    estimates: dict[tuple, PairEstimate] = {}
     names: dict[str, str] = {}
     share = names.setdefault
 
-    def estimate(obj, a: str, b: str, origin: str) -> PairEstimate | RejectReason:
+    def estimate(obj, origin: str) -> PairEstimate | RejectReason:
         if "reject" in obj:
             key = (obj["reject"], obj.get("detail", ""))
+            if type(key[0]) is not str:
+                raise ValueError(f"reject kind {key[0]!r} is not a string")
             if type(key[1]) is not str:
                 raise ValueError(f"detail {key[1]!r} is not a string")
             reason = rejects.get(key)
@@ -416,13 +432,27 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
                 reason = rejects[key] = RejectReason(RejectKind(key[0]), key[1])
             return reason
         address, index_a, index_b = obj["transit"]
-        key = (address, index_a, index_b, obj.get("origin_fallback", False))
-        transit = transits.get(key)
-        if transit is None:
-            transit = transits[key] = TransitPoint(*key)
-        return PairEstimate(a, b, origin, transit, obj["hop_bound"], obj["rtt_bound_ms"])
+        fallback = obj.get("origin_fallback", False)
+        hop, rtt = obj["hop_bound"], obj["rtt_bound_ms"]
+        if (type(index_a) is not int or type(index_b) is not int or type(hop) is not int
+                or type(fallback) is not bool
+                or (type(address) is not str and address is not None)):
+            # a key could match these with equal values of the right type,
+            # so they are built here, and validation refuses them
+            transit = TransitPoint(address, index_a, index_b, fallback)
+            return PairEstimate(origin, transit, hop, rtt)
+        key = (origin, address, index_a, index_b, fallback, hop,
+               rtt if type(rtt) is float and rtt else repr(rtt))
+        est = estimates.get(key)
+        if est is None:
+            transit_key = key[1:5]
+            transit = transits.get(transit_key)
+            if transit is None:
+                transit = transits[transit_key] = TransitPoint(*transit_key)
+            est = estimates[key] = PairEstimate(origin, transit, hop, rtt)
+        return est
 
-    def best(rec: dict, name: str, per_origin: dict, a: str, b: str) -> PairEstimate | None:
+    def best(rec: dict, name: str) -> PairEstimate | None:
         obj, origin = rec[name], rec[f"{name}_origin"]
         if obj is None:
             if origin is not None:
@@ -430,10 +460,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
             return None
         if type(origin) is not str:
             raise ValueError(f"{name}_origin {origin!r} is not a string")
-        if obj == rec["per_origin"].get(origin):
-            est = per_origin[origin]
-        else:
-            est = estimate(obj, a, b, share(origin, origin))
+        est = estimate(obj, share(origin, origin))
         if not isinstance(est, PairEstimate):
             raise ValueError(f"{name} is a reject entry")
         return est
@@ -449,12 +476,12 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
         per_origin = {}
         for origin, obj in objs.items():
             origin = share(origin, origin)
-            per_origin[origin] = estimate(obj, a, b, origin)
+            per_origin[origin] = estimate(obj, origin)
         return PairOutcome(
             pair=(a, b),
             per_origin=per_origin,
-            best_hop=best(rec, "best_hop", per_origin, a, b),
-            best_rtt=best(rec, "best_rtt", per_origin, a, b),
+            best_hop=best(rec, "best_hop"),
+            best_rtt=best(rec, "best_rtt"),
         )
 
     return list(read_jsonl(path, outcome, "outcome"))

@@ -177,8 +177,6 @@ def estimate_pair(
     if isinstance(rtt_b, RejectReason):
         return rtt_b
     return PairEstimate(
-        endpoint_a=path_a.destination,
-        endpoint_b=path_b.destination,
         origin_id=path_a.origin_id,
         transit=transit,
         hop_bound=(n_a - transit.index_a) + (n_b - transit.index_b),
@@ -216,7 +214,7 @@ def min_over_origins(
     return PairOutcome(pair=pair, per_origin=dict(per_origin), best_hop=best_hop, best_rtt=best_rtt)
 
 
-def _estimate_from_obj(obj, pair, origin):
+def _estimate_from_obj(obj, origin):
     if "reject" in obj:
         return RejectReason(RejectKind(obj["reject"]), obj.get("detail", ""))
     addr, ia, ib = obj["transit"]
@@ -225,8 +223,8 @@ def _estimate_from_obj(obj, pair, origin):
         is_origin_fallback=obj.get("origin_fallback", False),
     )
     return PairEstimate(
-        endpoint_a=pair[0], endpoint_b=pair[1], origin_id=origin,
-        transit=transit, hop_bound=obj["hop_bound"], rtt_bound_ms=obj["rtt_bound_ms"],
+        origin_id=origin, transit=transit,
+        hop_bound=obj["hop_bound"], rtt_bound_ms=obj["rtt_bound_ms"],
     )
 
 
@@ -240,14 +238,14 @@ def read_outcomes(path):
                 rec = json.loads(line)
                 pair = tuple(rec["pair"])
                 per_origin = {
-                    origin: _estimate_from_obj(obj, pair, origin)
+                    origin: _estimate_from_obj(obj, origin)
                     for origin, obj in rec["per_origin"].items()
                 }
                 best_hop = best_rtt = None
                 if rec["best_hop"] is not None:
-                    best_hop = _estimate_from_obj(rec["best_hop"], pair, rec["best_hop_origin"])
+                    best_hop = _estimate_from_obj(rec["best_hop"], rec["best_hop_origin"])
                 if rec["best_rtt"] is not None:
-                    best_rtt = _estimate_from_obj(rec["best_rtt"], pair, rec["best_rtt_origin"])
+                    best_rtt = _estimate_from_obj(rec["best_rtt"], rec["best_rtt_origin"])
                 outcomes.append(
                     PairOutcome(pair=pair, per_origin=per_origin,
                                 best_hop=best_hop, best_rtt=best_rtt)

@@ -325,7 +325,7 @@ def test_criterion_6_multicast_persistence():
 
 def _outcome(i, hop_bound):
     est = PairEstimate(
-        endpoint_a=f"a{i}", endpoint_b=f"b{i}", origin_id="O",
+        origin_id="O",
         transit=TransitPoint(address="t", index_a=1, index_b=1),
         hop_bound=hop_bound, rtt_bound_ms=float(hop_bound),
     )

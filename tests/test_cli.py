@@ -262,6 +262,25 @@ def test_dist_malformed_outcome_record_is_fatal(tmp_path, capsys, edit):
     assert "bad outcome at line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"transit": ["T", True, 1.0], "origin_fallback": 0}, "is_origin_fallback 0 is not a bool"),
+    ({"transit": ["T", True, 1.0]}, "index_a True is not an int"),
+    ({"transit": [5, 1, 1]}, "address 5 is not a string"),
+])
+def test_dist_mistyped_transit_is_fatal(tmp_path, capsys, fields, message):
+    # such an entry used to be read, and written back as ["T",1,1] and false
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host", "-o", str(outcomes)])
+    record = json.loads(outcomes.read_text())
+    record["per_origin"]["O1"].update(fields)
+    outcomes.write_text(json.dumps(record) + "\n")
+    prefix = tmp_path / "dist"
+    assert main(["dist", "--outcomes", str(outcomes), "-o", str(prefix)]) == 2
+    assert not list(tmp_path.glob("dist.*"))
+    assert f"bad outcome at line 1: {message}" in capsys.readouterr().err
+
+
 def test_dist_nothing_accepted_is_partial(tmp_path, capsys):
     traces = write_traces(
         tmp_path / "traces.jsonl",

@@ -7,6 +7,8 @@ import pytest
 from edgedist.model import (
     HopRecord,
     PairEstimate,
+    RejectKind,
+    RejectReason,
     TraceError,
     TracePath,
     TransitPoint,
@@ -70,26 +72,69 @@ def test_transit_point_fallback_indices():
         TransitPoint(address=None, index_a=1, index_b=1)
 
 
+@pytest.mark.parametrize("args, message", [
+    (("x", True, 1.5), "index_a True is not an int"),
+    (("x", 1.0, 1), "index_a 1.0 is not an int"),
+    (("x", 1, 1.5), "index_b 1.5 is not an int"),
+    (("x", 1, "2"), "index_b '2' is not an int"),
+    ((5, 1, 1), "address 5 is not a string"),
+    ((b"x", 1, 1), "address b'x' is not a string"),
+    (("", 1, 1), "address must be non-empty or None"),
+    (("x", 1, 1, 0), "is_origin_fallback 0 is not a bool"),
+    ((None, 0, 0, 1), "is_origin_fallback 1 is not a bool"),
+    ((None, False, 0, True), "index_a False is not an int"),
+    ((None, 0, 0.0, True), "index_b 0.0 is not an int"),
+])
+def test_transit_point_fields_must_have_their_types(args, message):
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        TransitPoint(*args)
+
+
 def test_pair_estimate_rejects_negative_bounds():
     transit = TransitPoint(address="t", index_a=1, index_b=1)
     with pytest.raises(TraceError):
-        PairEstimate(
-            endpoint_a="a", endpoint_b="b", origin_id="o",
-            transit=transit, hop_bound=-1, rtt_bound_ms=0.0,
-        )
+        PairEstimate(origin_id="o", transit=transit, hop_bound=-1, rtt_bound_ms=0.0)
     for rtt in (-0.5, float("nan"), float("inf")):
         with pytest.raises(TraceError):
-            PairEstimate(
-                endpoint_a="a", endpoint_b="b", origin_id="o",
-                transit=transit, hop_bound=0, rtt_bound_ms=rtt,
-            )
+            PairEstimate(origin_id="o", transit=transit, hop_bound=0, rtt_bound_ms=rtt)
+
+
+@pytest.mark.parametrize("rtt", [True, False, "4.5", None, [4.5]])
+def test_pair_estimate_rtt_bound_must_be_a_number(rtt):
+    with pytest.raises(TraceError, match=f"^rtt bound {re.escape(repr(rtt))} is not a number$"):
+        PairEstimate("o", TransitPoint("t", 1, 1), 3, rtt)
+
+
+def test_pair_estimate_rtt_bound_may_be_an_int():
+    assert PairEstimate("o", TransitPoint("t", 1, 1), 3, 0).rtt_bound_ms == 0
+
+
+@pytest.mark.parametrize("kind, detail, message", [
+    ("NoTransit", "", "reject kind 'NoTransit' is not a RejectKind"),
+    (None, "", "reject kind None is not a RejectKind"),
+    (RejectKind.NO_TRANSIT, 5, "detail 5 is not a string"),
+    (RejectKind.NO_TRANSIT, None, "detail None is not a string"),
+])
+def test_reject_reason_fields_must_have_their_types(kind, detail, message):
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        RejectReason(kind, detail)
+
+
+def test_reject_hashes_run_no_python_code():
+    # the hash of every reject entry is taken per (pair, origin): the
+    # tuple's C hash over the kind's identity hash, no Enum.__hash__
+    assert RejectReason.__hash__ is tuple.__hash__
+    assert RejectKind.__hash__ is object.__hash__
+    assert hash(REJECT) == hash(RejectReason(RejectKind.NO_TRANSIT, "no trace"))
+    assert {REJECT: 1}[RejectReason(RejectKind.NO_TRANSIT, "no trace")] == 1
 
 
 TRANSIT = TransitPoint("t", 1, 2)
 FALLBACK = TransitPoint(None, 0, 0, is_origin_fallback=True)
-ESTIMATE = PairEstimate("a", "b", "o", TRANSIT, 3, 4.5)
+ESTIMATE = PairEstimate("o", TRANSIT, 3, 4.5)
 HOP = HopRecord(2, "10.0.0.1", 1.5)
 SILENT_HOP = HopRecord(3)
+REJECT = RejectReason(RejectKind.NO_TRANSIT, "no trace")
 
 
 class _OtherTuple(tuple):
@@ -98,7 +143,7 @@ class _OtherTuple(tuple):
 
 @pytest.mark.parametrize("value, field", [
     (TRANSIT, "index_a"), (FALLBACK, "is_origin_fallback"), (ESTIMATE, "hop_bound"),
-    (HOP, "rtt_ms"), (SILENT_HOP, "address"),
+    (HOP, "rtt_ms"), (SILENT_HOP, "address"), (REJECT, "detail"),
 ])
 def test_values_are_read_only(value, field):
     with pytest.raises(AttributeError):
@@ -107,7 +152,7 @@ def test_values_are_read_only(value, field):
         value.note = "x"
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP])
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP, REJECT])
 def test_value_equality_is_type_strict(value):
     same = type(value)(*value)
     assert same is not value
@@ -129,11 +174,15 @@ def test_values_compare_by_every_field():
     assert HOP != HopRecord(2, "10.0.0.1", 1.25) and HOP != HopRecord(2, "10.0.0.2", 1.5)
     assert HOP == HopRecord(ttl=2, address="10.0.0.1", rtt_ms=1.5)
     assert SILENT_HOP == HopRecord(3, None, None) and not SILENT_HOP.responsive
-    assert ESTIMATE != PairEstimate("a", "b", "o", TRANSIT, 3, 4.0)
-    assert ESTIMATE != PairEstimate("a", "b", "o", TransitPoint("u", 1, 2), 3, 4.5)
-    assert ESTIMATE == PairEstimate(endpoint_a="a", endpoint_b="b", origin_id="o",
-                                    transit=TransitPoint("t", 1, 2),
+    assert ESTIMATE != PairEstimate("o", TRANSIT, 3, 4.0)
+    assert ESTIMATE != PairEstimate("o", TransitPoint("u", 1, 2), 3, 4.5)
+    assert ESTIMATE != PairEstimate("p", TRANSIT, 3, 4.5)
+    assert ESTIMATE == PairEstimate(origin_id="o", transit=TransitPoint("t", 1, 2),
                                     hop_bound=3, rtt_bound_ms=4.5)
+    assert REJECT != RejectReason(RejectKind.NO_TRANSIT)
+    assert REJECT != RejectReason(RejectKind.LOOP_BEYOND_TRANSIT, "no trace")
+    assert RejectReason(RejectKind.NO_TRANSIT) == RejectReason(kind=RejectKind.NO_TRANSIT,
+                                                               detail="")
 
 
 def test_value_repr_is_the_dataclass_text():
@@ -142,14 +191,16 @@ def test_value_repr_is_the_dataclass_text():
     assert repr(FALLBACK) == (
         "TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)")
     assert repr(ESTIMATE) == (
-        "PairEstimate(endpoint_a='a', endpoint_b='b', origin_id='o', "
+        "PairEstimate(origin_id='o', "
         "transit=TransitPoint(address='t', index_a=1, index_b=2, is_origin_fallback=False), "
         "hop_bound=3, rtt_bound_ms=4.5)")
+    assert repr(REJECT) == (
+        "RejectReason(kind=<RejectKind.NO_TRANSIT: 'NoTransit'>, detail='no trace')")
     assert repr(HOP) == "HopRecord(ttl=2, address='10.0.0.1', rtt_ms=1.5)"
     assert repr(SILENT_HOP) == "HopRecord(ttl=3, address=None, rtt_ms=None)"
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP])
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP, REJECT])
 def test_values_survive_pickle_and_copy(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert twin == value and type(twin) is type(value)
@@ -161,6 +212,11 @@ def test_replacing_a_field_is_validated():
         ESTIMATE._replace(hop_bound=-1)
     with pytest.raises(TraceError):
         TRANSIT._replace(index_a=0)
+    with pytest.raises(TraceError, match="index_a 1.0 is not an int"):
+        TRANSIT._replace(index_a=1.0)
+    assert REJECT._replace(detail="x").detail == "x"
+    with pytest.raises(TraceError, match="detail 5 is not a string"):
+        REJECT._replace(detail=5)
     assert HOP._replace(rtt_ms=None) == HopRecord(2, "10.0.0.1")
     with pytest.raises(TraceError, match="rtt without address"):
         HOP._replace(address=None)
@@ -171,7 +227,7 @@ def test_replacing_a_field_is_validated():
 @pytest.mark.parametrize("hop_bound", [2.5, 3.0, True, False, None, "3"])
 def test_pair_estimate_hop_bound_must_be_an_int(hop_bound):
     with pytest.raises(TraceError, match="hop bound"):
-        PairEstimate("a", "b", "o", TRANSIT, hop_bound, 4.5)
+        PairEstimate("o", TRANSIT, hop_bound, 4.5)
 
 
 @pytest.mark.parametrize("ttl, address, rtt, message", [

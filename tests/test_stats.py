@@ -28,7 +28,7 @@ def make_outcome(i, hop_bound=None, rtt_bound=None):
     best_hop = best_rtt = None
     if hop_bound is not None or rtt_bound is not None:
         est = PairEstimate(
-            endpoint_a=f"a{i}", endpoint_b=f"b{i}", origin_id="O1",
+            origin_id="O1",
             transit=TransitPoint(address="t", index_a=1, index_b=1),
             hop_bound=hop_bound if hop_bound is not None else 0,
             rtt_bound_ms=rtt_bound if rtt_bound is not None else 0.0,

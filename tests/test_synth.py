@@ -405,6 +405,7 @@ def _rescanned_cross_checks(report, pairs, sim, est_options):
     false_rtt_accepts = 0
     outcomes, _ = batch_estimate(report.traces_by_origin, pairs, est_options)
     for (a, b), outcome in zip(pairs, outcomes):
+        first, second = outcome.pair
         for origin, est in outcome.per_origin.items():
             corrupt = any(sim.trace(origin, h)[1] or tail_decreases(origin, h, 0)
                           for h in (a, b))
@@ -412,8 +413,8 @@ def _rescanned_cross_checks(report, pairs, sim, est_options):
             confusion[("corrupt" if corrupt else "clean")
                       + ("_accept" if accepted else "_reject")] += 1
             if accepted and (
-                tail_decreases(origin, est.endpoint_a, est.transit.index_a)
-                or tail_decreases(origin, est.endpoint_b, est.transit.index_b)
+                tail_decreases(origin, first, est.transit.index_a)
+                or tail_decreases(origin, second, est.transit.index_b)
             ):
                 false_rtt_accepts += 1
     return confusion, false_rtt_accepts

@@ -319,8 +319,7 @@ def _fake_estimate(origin, hop_bound, rtt_bound):
     from edgedist.model import TransitPoint
 
     return PairEstimate(
-        endpoint_a="a", endpoint_b="b", origin_id=origin,
-        transit=TransitPoint(address="t", index_a=1, index_b=1),
+        origin_id=origin, transit=TransitPoint(address="t", index_a=1, index_b=1),
         hop_bound=hop_bound, rtt_bound_ms=rtt_bound,
     )
 
@@ -376,8 +375,7 @@ def _tied_estimate(hop_bound, rtt_bound):
     # one origin id for all, so two entries with equal bounds are equal
     # values and only their identity tells which origin won
     return PairEstimate(
-        endpoint_a="a", endpoint_b="b", origin_id="o",
-        transit=TransitPoint(address="t", index_a=1, index_b=1),
+        origin_id="o", transit=TransitPoint(address="t", index_a=1, index_b=1),
         hop_bound=hop_bound, rtt_bound_ms=rtt_bound,
     )
 
@@ -462,6 +460,26 @@ def test_batch_missing_trace_reports_no_trace():
     assert stats.succeeded == 1
 
 
+def _estimate_key(est):
+    """What an estimate is shared by: equal keys encode alike, so 5 and
+    5.0, or 0.0 and -0.0, are distinct."""
+    return (est.origin_id, repr(est.transit), est.hop_bound, repr(est.rtt_bound_ms))
+
+
+def _assert_one_object_per_distinct_estimate(outcomes):
+    by_key = {}
+    for oc in outcomes:
+        for origin, est in oc.per_origin.items():
+            if isinstance(est, PairEstimate):
+                assert est.origin_id == origin
+                by_key.setdefault(_estimate_key(est), set()).add(id(est))
+        for best in (oc.best_hop, oc.best_rtt):
+            if best is not None:
+                assert best is oc.per_origin[best.origin_id]
+    assert all(len(ids) == 1 for ids in by_key.values())
+    return len(by_key)
+
+
 def test_batch_shares_one_transit_point_per_distinct_transit():
     # every pair of every origin meets at T, one hop deep in both traces
     dests = ["A", "B", "C", "D"]
@@ -478,6 +496,9 @@ def test_batch_shares_one_transit_point_per_distinct_transit():
     assert {id(t) for t in transits} == {id(transits[0]), id(transits[2])}
     assert transits[0] == TransitPoint("T", 1, 1)
     assert transits[2].is_origin_fallback
+    # and one estimate per origin: each gives every pair the same bound
+    assert _assert_one_object_per_distinct_estimate(outcomes) == 3
+    assert outcomes[-1].per_origin["O1"] == PairEstimate("O1", transits[0], 2, 2.0)
 
 
 def test_outcomes_round_trip(tmp_path):
@@ -638,12 +659,26 @@ def test_read_outcomes_matches_reference(tmp_path_factory, campaign, options):
             assert best is None or best is oc.per_origin[best.origin_id]
     # and each origin and endpoint name is one string object per file
     names = [name for oc in loaded for name in (*oc.pair, *oc.per_origin)] + [
-        name for oc in loaded
+        est.origin_id for oc in loaded
         for est in (*oc.per_origin.values(), oc.best_hop, oc.best_rtt)
         if isinstance(est, PairEstimate)
-        for name in (est.endpoint_a, est.endpoint_b, est.origin_id)
     ]
     assert len({id(name) for name in names}) == len(set(names))
+
+
+@settings(max_examples=40, deadline=None)
+@given(faulty_traces(), st.sampled_from(OPTION_GRID))
+def test_batch_and_read_share_one_estimate_per_distinct_bound(
+        tmp_path_factory, campaign, options):
+    traces_by_origin, hosts = campaign
+    pairs = list(itertools.permutations(hosts, 2)) + [(h, h) for h in hosts]
+    outcomes, _ = batch_estimate(traces_by_origin, pairs, options)
+    distinct = _assert_one_object_per_distinct_estimate(outcomes)
+    path = tmp_path_factory.mktemp("outcomes") / "outcomes.jsonl"
+    write_outcomes(outcomes, path)
+    loaded = read_outcomes(path)
+    assert loaded == outcomes
+    assert _assert_one_object_per_distinct_estimate(loaded) == distinct
 
 
 # --- the outcome writer against the reference writer -----------------------
@@ -669,7 +704,7 @@ def _entries(*bounds, transit=TransitPoint("t", 1, 1)):
     """Estimates from origins O1, O2, ... with the given (hop, rtt) bounds,
     sharing one transit object."""
     return {
-        f"O{i}": PairEstimate("a", "b", f"O{i}", transit, hop, rtt)
+        f"O{i}": PairEstimate(f"O{i}", transit, hop, rtt)
         for i, (hop, rtt) in enumerate(bounds, start=1)
     }
 
@@ -690,7 +725,7 @@ def _escaped_names():
     names = ['q"uote', "back\\slash", "n\u00e9", "\u6771\u4eac", "tab\tnew\nline"]
     transit = TransitPoint(names[4], 1, 1)
     return [min_over_origins((a, b), {
-        origin: PairEstimate(a, b, origin, transit, 3, 1.5) for origin in names[:3]
+        origin: PairEstimate(origin, transit, 3, 1.5) for origin in names[:3]
     }) for a, b in itertools.combinations(names, 2)]
 
 
@@ -700,10 +735,6 @@ WRITER_CASES = {
         min_over_origins(("a", "b"), _entries((4, 5), (4, 5.0), (4, 5)))],
     "zero and negative zero rtt bounds": lambda: [
         min_over_origins(("a", "b"), _entries((4, 0.0), (4, -0.0), (4, 0)))],
-    "transit indices 1 and 1.0": lambda: [min_over_origins(("a", "b"), {
-        **_entries((4, 2.0)),
-        "O2": PairEstimate("a", "b", "O2", TransitPoint("t", 1.0, 1), 4, 2.0),
-    })],
     "best bound not its origin's entry object": _best_not_its_entry_object,
     "no best bounds beside accepted entries": lambda: [
         _with_best(_entries((4, 2.0)), None, None)],
@@ -870,3 +901,97 @@ def test_reject_detail_is_a_string_or_absent(tmp_path):
         read_outcomes(path)
     path, line = _malformed_file(tmp_path, lambda rec: rec["per_origin"]["O3"].pop("detail"))
     assert read_outcomes(path)[line - 1].per_origin["O3"] == RejectReason(RejectKind.NO_TRANSIT)
+
+
+def test_reject_kind_is_a_string(tmp_path):
+    path, line = _malformed_file(tmp_path, _set_entry("O3", reject=["NoTransit"]))
+    with pytest.raises(ValueError, match=r"reject kind \['NoTransit'\] is not a string$"):
+        read_outcomes(path)
+
+
+def _record(pair, entry, origin="O1"):
+    return {"pair": list(pair), "per_origin": {origin: entry},
+            "best_hop": entry, "best_hop_origin": origin,
+            "best_rtt": entry, "best_rtt_origin": origin}
+
+
+_ENTRY = {"hop_bound": 1, "rtt_bound_ms": 1, "transit": ["T", 1, 1], "origin_fallback": False}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"transit": ["T", True, 1.0], "origin_fallback": 0}, "is_origin_fallback 0 is not a bool"),
+    ({"transit": ["T", True, 1]}, "index_a True is not an int"),
+    ({"transit": ["T", 1, 1.0]}, "index_b 1.0 is not an int"),
+    ({"hop_bound": True}, "hop bound True is not an int"),
+    ({"hop_bound": 1.0}, "hop bound 1.0 is not an int"),
+    ({"rtt_bound_ms": True}, "rtt bound True is not a number"),
+])
+def test_an_entry_equal_to_a_shared_one_is_still_validated(tmp_path, fields, message):
+    # the second entry compares equal to the first, which the reader shares
+    path = _write_records(tmp_path / "o.jsonl", [
+        _record(("a", "b"), _ENTRY), _record(("a", "c"), dict(_ENTRY, **fields))])
+    with pytest.raises(ValueError, match=f"bad outcome at line 2: {re.escape(message)}$"):
+        read_outcomes(path)
+
+
+def test_equal_bounds_that_encode_differently_round_trip(tmp_path):
+    """Bounds equal in value but not in text, on different pairs and as a
+    best bound beside its origin's entry, are read back as written."""
+    forms = [5, 5.0, 0, 0.0, -0.0, 7, 7.0]
+    records = [_record(("a", f"b{i}"), dict(_ENTRY, rtt_bound_ms=rtt))
+               for i, rtt in enumerate(forms)]
+    split = _record(("a", "c"), dict(_ENTRY, rtt_bound_ms=5))
+    split["best_rtt"] = dict(_ENTRY, rtt_bound_ms=5.0)
+    records.append(split)
+    path = _write_records(tmp_path / "o.jsonl", records)
+    text = path.read_text()
+    assert '"rtt_bound_ms": -0.0,' in text and '"rtt_bound_ms": 5,' in text
+    loaded = read_outcomes(path)
+    assert [repr(oc.best_hop.rtt_bound_ms) for oc in loaded[:-1]] == list(map(repr, forms))
+    assert repr(loaded[-1].best_rtt.rtt_bound_ms) == "5.0"
+    again = tmp_path / "again.jsonl"
+    write_outcomes(loaded, again)
+    assert again.read_text() == "".join(
+        json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+    assert read_outcomes(again) == loaded
+    assert loaded[0].best_hop is loaded[-1].per_origin["O1"]
+
+
+def _repeating_outcomes(n_hosts=40, n_origins=10):
+    """Every pair of n_hosts from n_origins, drawn from a few distinct
+    entries, as a dense campaign repeats them."""
+    transits = [TransitPoint(f"t{i}", i + 1, i + 2) for i in range(3)]
+    reject = RejectReason(RejectKind.LOOP_BEYOND_TRANSIT, "address x repeats at hop 4")
+    outcomes = []
+    for i, (a, b) in enumerate(itertools.combinations(
+            [f"10.0.{h // 250}.{h % 250}" for h in range(n_hosts)], 2)):
+        per_origin = {}
+        for j in range(n_origins):
+            origin = f"origin-{j}"
+            k = (i + j) % 7
+            per_origin[origin] = reject if k == 6 else PairEstimate(
+                origin, transits[k % 3], 2 + k % 4, [1.5, 2.25, 3.125][k % 3])
+        outcomes.append(min_over_origins((a, b), per_origin))
+    return outcomes
+
+
+def test_read_outcomes_keeps_no_object_per_repeated_entry(tmp_path):
+    import gc
+    import tracemalloc
+
+    outcomes = _repeating_outcomes()
+    path = tmp_path / "o.jsonl"
+    write_outcomes(outcomes, path)
+    del outcomes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = read_outcomes(path)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_pair = kept / len(loaded)
+    # measured 427 bytes (CPython 3.11): a PairOutcome, its pair, its
+    # per-origin dict and its list slot; a PairEstimate and a float per
+    # (pair, origin) entry made it 1511
+    assert per_pair < 600, per_pair
