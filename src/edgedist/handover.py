@@ -43,15 +43,27 @@ class LossTable:
         if not all(0 <= v < math.inf for row in self.values for v in row):
             raise ValueError("loss values must be finite and >= 0")
 
-    def lookup(self, delay_ms: float, anticipation_ms: float) -> float:
-        # _locate never returns an axis's last index, and the cells are
-        # finite, so a neighbour at weight 0 adds exactly 0
-        di, dw = _locate(self.delay_axis, delay_ms, "delay")
-        ai, aw = _locate(self.anticipation_axis, anticipation_ms, "anticipation")
-        near, far = self.values[di], self.values[di + 1]
-        top = near[ai] * (1 - aw) + near[ai + 1] * aw
-        bottom = far[ai] * (1 - aw) + far[ai + 1] * aw
-        return top * (1 - dw) + bottom * dw
+    def total_losses(self, delays_ms: list[float], anticipations: list[float]) -> list[float]:
+        """The bilinear loss summed over ``delays_ms`` in their order, per
+        anticipation.  Each delay's row and weight, and each anticipation's
+        column, is located once; the values and the first error are those of
+        lookups point by point in grid order: the first delay, the first
+        anticipation, later delays, then later anticipations."""
+        if not delays_ms:  # no lookup, so no error
+            return [0] * len(anticipations)
+        rows = [_locate(self.delay_axis, delays_ms[0], "delay")]
+        columns = [_locate(self.anticipation_axis, a, "anticipation") for a in anticipations[:1]]
+        rows += [_locate(self.delay_axis, d, "delay") for d in delays_ms[1:]]
+        columns += [_locate(self.anticipation_axis, a, "anticipation") for a in anticipations[1:]]
+        rows = [(di, 1 - dw, dw) for di, dw in rows]
+        totals = []
+        for ai, aw in columns:
+            # each row blended at this anticipation, as one lookup blends
+            # two; _locate never returns an axis's last index, and the cells
+            # are finite, so a neighbour at weight 0 adds exactly 0
+            blend = [row[ai] * (1 - aw) + row[ai + 1] * aw for row in self.values]
+            totals.append(sum([blend[di] * cw + blend[di + 1] * dw for di, cw, dw in rows]))
+        return totals
 
 
 def _locate(axis: tuple[float, ...], value: float, label: str) -> tuple[int, float]:
@@ -86,16 +98,14 @@ class LossModel:
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
-    def total_loss(self, delays_ms: list[float], anticipation_ms: float) -> float:
-        """L(d, anticipation_ms) summed over ``delays_ms`` in their order,
-        with no call per delay beyond a table lookup; beta * a is taken once."""
-        a = anticipation_ms
+    def total_losses(self, delays_ms: list[float], anticipations: list[float]) -> list[float]:
+        """L(d, a) summed over ``delays_ms`` in their order, per anticipation
+        a, with no call per delay; beta * a is taken once per a."""
         if self.table is not None:
-            lookup = self.table.lookup
-            return sum([lookup(d, a) for d in delays_ms])
-        cost = self.beta * a
-        # d - a is positive exactly when d > a, so this is max(0, d - a) + cost
-        return sum([(d - a if d > a else 0.0) + cost for d in delays_ms])
+            return self.table.total_losses(delays_ms, anticipations)
+        # d - a is positive exactly when d > a, so each term is max(0, d - a) + cost
+        return [sum([(d - a if d > a else 0.0) + cost for d in delays_ms])
+                for a in anticipations for cost in [self.beta * a]]
 
 
 def load_loss_table(path: str | Path) -> LossTable:
@@ -142,11 +152,8 @@ def expected_loss_curve(
     if not 0 < delay_scale < math.inf:
         raise ValueError(f"delay_scale must be finite and > 0, got {delay_scale}")
     delays = [delay_scale * rtt for rtt in delay_dist.samples]
-    curve = []
-    for a in anticipation_grid:
-        loss = model.total_loss(delays, a) / delay_dist.n
-        curve.append((a, loss, loss / CBR_INTERVAL_MS))
-    return curve
+    losses = [total / delay_dist.n for total in model.total_losses(delays, anticipation_grid)]
+    return [(a, loss, loss / CBR_INTERVAL_MS) for a, loss in zip(anticipation_grid, losses)]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ campaign holds hundreds of thousands of hops and per-origin entries.
 ``PairEstimate`` and ``RejectReason`` are validated tuple subclasses.  Hops are
 built one per hop line: about 314,000 on the ``ingest-wide`` benchmark, each
 read back by ``pairs``.  Transit points and estimates are shared, one object
-per distinct value, so they cost per distinct bound rather than per (pair,
-origin): on the 300-host ``campaign-dense`` benchmark, 321,206 accepted
-(pair, origin) entries hold 11,056 distinct estimates and 234 transits.  A
+per distinct value, under the rule of ``transit._shared_estimate``: on the
+300-host ``campaign-dense`` benchmark, 321,206 accepted (pair, origin)
+entries hold 11,056 distinct estimates and 234 transits.  A
 ``PairEstimate`` names no endpoints, which the ``PairOutcome`` that holds it
 already names.  A frozen dataclass sets each field through
 ``object.__setattr__``, which makes it up to twice as slow to build: 1.14
@@ -20,8 +20,8 @@ against 0.48 us for a ``PairEstimate``, 0.92 against 0.43 us for a
 2-core Xeon); its hash runs in Python too, where a tuple's runs in C.  All
 four keep the dataclass interface: field names, defaults, ``repr``, hashing,
 read-only attributes, no ordering, and equality only with a value of the
-same type.  ``TracePath`` and the four tuples check field types too
-(``PairEstimate`` those of its bounds): no ``true`` or ``2.0`` for an int.
+same type.  ``TracePath`` and the four tuples check field types too: no
+``true`` or ``2.0`` for an int.
 """
 
 from __future__ import annotations
@@ -204,6 +204,10 @@ class PairEstimate(
 
     def __new__(cls, origin_id: str, transit: TransitPoint, hop_bound: int,
                 rtt_bound_ms: float):
+        if type(origin_id) is not str:
+            raise TraceError(f"origin_id {origin_id!r} is not a string")
+        if type(transit) is not TransitPoint:
+            raise TraceError(f"transit {transit!r} is not a TransitPoint")
         if type(hop_bound) is not int:
             raise TraceError(f"hop bound {hop_bound!r} is not an int")
         if hop_bound < 0:

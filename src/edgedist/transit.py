@@ -25,8 +25,7 @@ from .model import (
 HOST = "host"
 ACCESS_ROUTER = "access_router"
 
-# shared by every result that needs them (both types are frozen)
-_ORIGIN_FALLBACK = TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)
+# shared by every result that needs them (the type is frozen)
 _NO_TRANSIT = RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
 _NO_TRACE = RejectReason(RejectKind.NO_TRANSIT, "no trace")
 
@@ -149,11 +148,32 @@ class PreparedTrace:
         return None if end_rtt is None else end_rtt - start_rtt
 
 
-# Estimates are shared, one object per distinct value, under keys that
-# never merge values which compare equal but encode differently: a float
-# RTT bound other than zero is keyed by its value and any other by its repr
-# (5 against 5.0, 0.0 against -0.0), and the other fields of a key are the
-# exactly typed strings, ints and bools that validation requires.
+def _shared_estimate(shared: dict, origin: str, address: str | None, index_a: int,
+                     index_b: int, fallback: bool, hop_bound: int,
+                     rtt_bound: float) -> PairEstimate:
+    """The estimate with these fields and its transit point, each found in
+    or added to ``shared``; no other code in the package builds either.
+
+    Keys never merge values that compare equal but encode differently: a
+    float RTT bound other than zero is keyed by its value and any other by
+    its repr (5 against 5.0, 0.0 against -0.0).  An index, hop bound, flag
+    or address not exactly of its validated type could match a key by value
+    (``true`` against 1), so it is built unshared, and validation refuses it.
+    """
+    if (type(index_a) is not int or type(index_b) is not int or type(hop_bound) is not int
+            or type(fallback) is not bool or (type(address) is not str and address is not None)):
+        return PairEstimate(origin, TransitPoint(address, index_a, index_b, fallback),
+                            hop_bound, rtt_bound)
+    key = (origin, address, index_a, index_b, fallback, hop_bound,
+           rtt_bound if type(rtt_bound) is float and rtt_bound else repr(rtt_bound))
+    est = shared.get(key)
+    if est is None:
+        transit_key = key[1:5]
+        transit = shared.get(transit_key)
+        if transit is None:
+            transit = shared[transit_key] = TransitPoint(*transit_key)
+        est = shared[key] = PairEstimate(origin, transit, hop_bound, rtt_bound)
+    return est
 
 
 def estimate_pair(
@@ -172,10 +192,8 @@ def estimate_pair(
     when the options allow it.  The estimate's transit indices follow the
     canonical order, as the ``PairOutcome`` for the pair names its endpoints.
 
-    ``shared`` maps each (address, index_a, index_b) to its ``TransitPoint``
-    and each (origin, address, index_a, index_b, hop bound, RTT bound key)
-    to its ``PairEstimate``: calls that share one table share one object per
-    distinct transit point and per distinct estimate.
+    Calls that pass one ``shared`` table share one object per distinct
+    transit point and per distinct estimate (see ``_shared_estimate``).
     """
     options = a.options
     if b.options is not options and b.options != options:
@@ -230,23 +248,10 @@ def estimate_pair(
                 RejectKind.ASYMMETRY_SUSPECTED,
                 f"negative rtt difference {rtt} on tail to {p.trace.destination}",
             )
-    origin = trace_a.origin_id
-    hop_bound = (a.endpoint - index_a) + (b.endpoint - index_b)
-    rtt_bound = rtt_a + rtt_b
-    if shared is None:
-        shared = {}
-    key = (origin, address, index_a, index_b, hop_bound,
-           rtt_bound if type(rtt_bound) is float and rtt_bound else repr(rtt_bound))
-    est = shared.get(key)
-    if est is None:
-        if best is None:
-            transit = _ORIGIN_FALLBACK
-        else:
-            transit = shared.get(best)
-            if transit is None:
-                transit = shared[best] = TransitPoint(*best)
-        est = shared[key] = PairEstimate(origin, transit, hop_bound, rtt_bound)
-    return est
+    return _shared_estimate(
+        {} if shared is None else shared, trace_a.origin_id, address, index_a, index_b,
+        best is None, (a.endpoint - index_a) + (b.endpoint - index_b), rtt_a + rtt_b,
+    )
 
 
 def min_over_origins(
@@ -287,9 +292,9 @@ def batch_estimate(
 
     A pair endpoint with no trace from an origin yields a NoTransit reject
     with detail "no trace" for that origin; it never aborts the batch.
-    The outcomes share one ``TransitPoint`` per distinct transit and one
-    ``PairEstimate`` per distinct estimate: a dense campaign repeats a few
-    thousand bounds over hundreds of thousands of (pair, origin) entries.
+    The outcomes share one object per distinct transit point and estimate
+    (see ``_shared_estimate``): a dense campaign repeats a few thousand
+    bounds over hundreds of thousands of (pair, origin) entries.
     """
     # per origin, each destination the pairs name -> its prepared trace
     named = {endpoint for pair in pairs for endpoint in pair}
@@ -361,11 +366,11 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
     the line is joined from JSON text that is encoded once per call for
     each distinct entry and each endpoint or origin name, which must be a
     string.  A reject is keyed by its reason.  An estimate is keyed by the
-    object, never by equal values, since a bound 5 encodes unlike 5.0 and
-    0.0 unlike -0.0: ``batch_estimate`` and ``read_outcomes`` share one
-    object per distinct estimate, and equal estimates that are separate
-    objects are just encoded once each.  Every estimate stays alive in
-    ``outcomes`` for the call, so its id names it.
+    object, never by equal values, which may encode differently:
+    ``batch_estimate`` and ``read_outcomes`` share one object per distinct
+    estimate (see ``_shared_estimate``), and equal estimates that are
+    separate objects are just encoded once each.  Every estimate stays
+    alive in ``outcomes`` for the call, so its id names it.
     """
     names: dict[str, str] = {}
     entries: dict = {}
@@ -404,19 +409,17 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
 def read_outcomes(path: str | Path) -> list[PairOutcome]:
     """Decode an outcome file written by ``write_outcomes``.
 
-    Each distinct reject reason, transit point, estimate and origin or
-    endpoint name is built once per file and shared (all are immutable), so
-    a best bound is the per-origin estimate of the origin it names when
-    their entries match.  Values that compare equal but encode differently
-    (``5`` and ``5.0``, ``0.0`` and ``-0.0``, ``1`` and ``true``) are never
-    shared, and each value is validated when it is first built.  A best bound
-    names its origin by a string, and an absent one names none.  A reject's
-    kind is a string, and its detail a string or absent for ``""``.  A
-    malformed record raises ValueError naming its line.
+    Each distinct reject reason and origin or endpoint name is built once
+    per file and shared, and so is each distinct transit point and estimate,
+    under the rule of ``_shared_estimate``: a best bound is the per-origin
+    estimate of the origin it names when their entries match, and each
+    value is validated when it is first built.  A best bound names its
+    origin by a string, and an absent one names none.  A reject's kind is a
+    string, and its detail a string or absent for ``""``.  A malformed
+    record raises ValueError naming its line.
     """
     rejects: dict[tuple[str, str], RejectReason] = {}
-    transits: dict[tuple, TransitPoint] = {}
-    estimates: dict[tuple, PairEstimate] = {}
+    shared: dict = {}
     names: dict[str, str] = {}
     share = names.setdefault
 
@@ -432,25 +435,9 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
                 reason = rejects[key] = RejectReason(RejectKind(key[0]), key[1])
             return reason
         address, index_a, index_b = obj["transit"]
-        fallback = obj.get("origin_fallback", False)
-        hop, rtt = obj["hop_bound"], obj["rtt_bound_ms"]
-        if (type(index_a) is not int or type(index_b) is not int or type(hop) is not int
-                or type(fallback) is not bool
-                or (type(address) is not str and address is not None)):
-            # a key could match these with equal values of the right type,
-            # so they are built here, and validation refuses them
-            transit = TransitPoint(address, index_a, index_b, fallback)
-            return PairEstimate(origin, transit, hop, rtt)
-        key = (origin, address, index_a, index_b, fallback, hop,
-               rtt if type(rtt) is float and rtt else repr(rtt))
-        est = estimates.get(key)
-        if est is None:
-            transit_key = key[1:5]
-            transit = transits.get(transit_key)
-            if transit is None:
-                transit = transits[transit_key] = TransitPoint(*transit_key)
-            est = estimates[key] = PairEstimate(origin, transit, hop, rtt)
-        return est
+        return _shared_estimate(shared, origin, address, index_a, index_b,
+                                obj.get("origin_fallback", False),
+                                obj["hop_bound"], obj["rtt_bound_ms"])
 
     def best(rec: dict, name: str) -> PairEstimate | None:
         obj, origin = rec[name], rec[f"{name}_origin"]

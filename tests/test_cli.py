@@ -829,3 +829,18 @@ def test_only_write_lines_writes_files():
     assert writes == []
     jsonl = ast.parse((package / "jsonl.py").read_text())
     assert len(list(_file_writes(jsonl))) >= 3  # the guard sees write_lines itself
+
+
+def test_only_shared_estimate_builds_transit_points_and_estimates():
+    # one constructor decides when two bounds may share an object
+    package = Path(edgedist.__file__).parent
+    builds = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if called in ("TransitPoint", "PairEstimate"):
+                        builds.add((path.stem, getattr(top, "name", None), called))
+    assert builds == {("transit", "_shared_estimate", "TransitPoint"),
+                      ("transit", "_shared_estimate", "PairEstimate")}

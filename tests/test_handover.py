@@ -1,7 +1,9 @@
 import random
 import re
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgedist.handover import (
     AnticipationOptimum,
@@ -30,14 +32,12 @@ def hop_dist(samples):
 
 def test_default_model_reactive_is_delay():
     model = LossModel(beta=0.1)
-    assert model.total_loss([37.0], 0.0) == 37.0
+    assert model.total_losses([37.0], [0.0]) == [37.0]
 
 
 def test_default_model_tradeoff():
     model = LossModel(beta=0.1)
-    assert model.total_loss([30.0], 30.0) == pytest.approx(3.0)
-    assert model.total_loss([30.0], 40.0) == pytest.approx(4.0)
-    assert model.total_loss([30.0], 20.0) == pytest.approx(12.0)
+    assert model.total_losses([30.0], [30.0, 40.0, 20.0]) == pytest.approx([3.0, 4.0, 12.0])
 
 
 def test_table_model_lookup_and_refusal_to_extrapolate(tmp_path):
@@ -49,22 +49,23 @@ def test_table_model_lookup_and_refusal_to_extrapolate(tmp_path):
     )
     table = load_loss_table(path)
     model = LossModel(table=table)
-    assert model.total_loss([10.0], 10.0) == 4.0
-    assert model.total_loss([20.0], 0.0) == pytest.approx(20.0)  # bilinear midpoint
+    assert model.total_losses([10.0], [10.0]) == [4.0]
+    assert model.total_losses([20.0], [0.0]) == pytest.approx([20.0])  # bilinear midpoint
     with pytest.raises(ValueError):
-        model.total_loss([50.0], 0.0)
+        model.total_losses([50.0], [0.0])
     with pytest.raises(ValueError):
-        model.total_loss([10.0], 25.0)
+        model.total_losses([10.0], [25.0])
 
 
 def test_table_lookup_on_the_axis_edges():
     table = LossTable(delay_axis=(10.0, 30.0), anticipation_axis=(0.0, 10.0, 20.0),
                       values=((10.0, 4.0, 3.0), (30.0, 22.0, 14.0)))
-    assert table.lookup(10.0, 0.0) == 10.0
-    assert table.lookup(30.0, 20.0) == 14.0
-    assert table.lookup(30.0, 5.0) == 26.0
-    assert table.lookup(20.0, 20.0) == 8.5
-    assert table.lookup(25.0, 15.0) == 14.375
+    points = [(10.0, 0.0, 10.0), (30.0, 20.0, 14.0), (30.0, 5.0, 26.0),
+              (20.0, 20.0, 8.5), (25.0, 15.0, 14.375)]
+    for delay, anticipation, loss in points:
+        assert table.total_losses([delay], [anticipation]) == [loss]
+        assert _lookup(table, delay, anticipation) == loss
+    assert table.total_losses([], [0.0, 99.0]) == [0, 0]
 
 
 def test_table_axes_must_increase():
@@ -109,12 +110,35 @@ def test_uniform_three_delay_grid_search_oracle():
     assert not optimum.flat
 
 
+def _locate(axis, value, label):
+    if value < axis[0] or value > axis[-1]:
+        raise ValueError(f"{label} {value} outside table axis [{axis[0]}, {axis[-1]}]")
+    if value == axis[-1]:
+        return len(axis) - 2, 1.0
+    idx = bisect_left(axis, value)
+    if axis[idx] == value:
+        return idx, 0.0
+    idx -= 1
+    return idx, (value - axis[idx]) / (axis[idx + 1] - axis[idx])
+
+
+def _lookup(table, delay_ms, anticipation_ms):
+    """One bilinear table lookup, the float expression the curve must
+    reproduce bit for bit."""
+    di, dw = _locate(table.delay_axis, delay_ms, "delay")
+    ai, aw = _locate(table.anticipation_axis, anticipation_ms, "anticipation")
+    near, far = table.values[di], table.values[di + 1]
+    top = near[ai] * (1 - aw) + near[ai + 1] * aw
+    bottom = far[ai] * (1 - aw) + far[ai + 1] * aw
+    return top * (1 - dw) + bottom * dw
+
+
 def _per_sample_curve(delay_dist, model, grid, delay_scale=0.5):
     """expected_loss_curve as a loop over L(d, a) per sample, its oracle."""
 
     def loss_at(delay_ms, anticipation_ms):
         if model.table is not None:
-            return model.table.lookup(delay_ms, anticipation_ms)
+            return _lookup(model.table, delay_ms, anticipation_ms)
         return max(0.0, delay_ms - anticipation_ms) + model.beta * anticipation_ms
 
     curve = []
@@ -149,6 +173,50 @@ def test_curve_outside_the_table_fails_like_the_per_sample_loop():
             _per_sample_curve(dist, model, grid)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
             expected_loss_curve(dist, model, grid)
+
+
+@st.composite
+def _tables_and_points(draw):
+    """A loss table, delays inside its delay axis and a grid inside its
+    anticipation axis, each point an axis value or between two."""
+    axis = st.lists(st.floats(0, 500), min_size=2, max_size=5, unique=True).map(sorted)
+    delay_axis, anticipation_axis = tuple(draw(axis)), tuple(draw(axis))
+    values = tuple(tuple(draw(st.floats(0, 1000)) for _ in anticipation_axis)
+                   for _ in delay_axis)
+
+    def inside(ax):
+        return st.sampled_from(ax) | st.floats(ax[0], ax[-1])
+
+    delays = draw(st.lists(inside(delay_axis), min_size=1, max_size=30))
+    grid = draw(st.lists(inside(anticipation_axis), min_size=1, max_size=8))
+    return LossTable(delay_axis, anticipation_axis, values), delays, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables_and_points())
+def test_table_curve_is_the_per_point_lookup_bit_for_bit(case):
+    table, delays, grid = case
+    dist = rtt_dist([2 * d for d in delays])  # halved back exactly by the default scale
+    model = LossModel(table=table)
+    assert expected_loss_curve(dist, model, grid) == _per_sample_curve(dist, model, grid)
+
+
+@pytest.mark.parametrize("rtts, grid, message", [
+    # the first delay before the first anticipation
+    ([-10.0, 20.0, 130.0], [60.0, 10.0], "delay -5.0 outside table axis [0.0, 60.0]"),
+    # the first anticipation before later delays
+    ([20.0, 130.0, 140.0], [60.0, 10.0], "anticipation 60.0 outside table axis [0.0, 50.0]"),
+    # later delays in order, before later anticipations
+    ([20.0, 130.0, 140.0], [10.0, 60.0], "delay 65.0 outside table axis [0.0, 60.0]"),
+    # later anticipations in order
+    ([20.0, 40.0], [10.0, 55.0, 70.0], "anticipation 55.0 outside table axis [0.0, 50.0]"),
+], ids=["first-delay", "first-anticipation", "later-delay", "later-anticipation"])
+def test_table_curve_raises_the_first_error_of_the_per_point_lookups(rtts, grid, message):
+    dist = rtt_dist(rtts)  # samples are sorted, so the first delay is the smallest
+    model = LossModel(table=CURVE_TABLE)
+    for curve in (expected_loss_curve, _per_sample_curve):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            curve(dist, model, grid)
 
 
 def test_curve_requires_rtt_metric():

@@ -105,6 +105,21 @@ def test_pair_estimate_rtt_bound_must_be_a_number(rtt):
         PairEstimate("o", TransitPoint("t", 1, 1), 3, rtt)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((5, TransitPoint("t", 1, 1)), "origin_id 5 is not a string"),
+    ((None, TransitPoint("t", 1, 1)), "origin_id None is not a string"),
+    ((b"o", TransitPoint("t", 1, 1)), "origin_id b'o' is not a string"),
+    (("o", ("t", 1, 1)), "transit ('t', 1, 1) is not a TransitPoint"),
+    (("o", None), "transit None is not a TransitPoint"),
+    (("o", RejectReason(RejectKind.NO_TRANSIT)),
+     "transit RejectReason(kind=<RejectKind.NO_TRANSIT: 'NoTransit'>, detail='') "
+     "is not a TransitPoint"),
+])
+def test_pair_estimate_fields_must_have_their_types(args, message):
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        PairEstimate(*args, 2, 1.0)
+
+
 def test_pair_estimate_rtt_bound_may_be_an_int():
     assert PairEstimate("o", TransitPoint("t", 1, 1), 3, 0).rtt_bound_ms == 0
 

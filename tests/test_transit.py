@@ -681,6 +681,33 @@ def test_batch_and_read_share_one_estimate_per_distinct_bound(
     assert _assert_one_object_per_distinct_estimate(loaded) == distinct
 
 
+@pytest.mark.parametrize("options, routes, texts", [
+    # through a common transit x: int RTTs give 5 + 5, float RTTs 5.0 + 5.0
+    (HOST_MODE, [([("x", 5)], 10), ([("x", 5.0)], 10.0)], ["10", "10.0"]),
+    # no common hop, so the origin is the transit: -0.0 + -0.0 against 0.0 + 0.0
+    (EstimateOptions(mode=HOST, allow_origin_fallback=True),
+     [([], -0.0), ([], 0.0)], ["-0.0", "0.0"]),
+], ids=["int-float", "negative-zero"])
+def test_batch_keeps_equal_bounds_that_encode_differently_apart(
+        tmp_path, options, routes, texts):
+    """Within one origin, two pairs whose bounds are equal but encode
+    differently get two estimates on one transit, each written as computed."""
+    traces, pairs = [], []
+    for i, (prefix, end_rtt) in enumerate(routes):
+        pair = (f"d{i}a", f"d{i}b")
+        traces += [trace("O1", d, prefix + [(d, end_rtt)]) for d in pair]
+        pairs.append(pair)
+    outcomes, _ = batch_estimate({"O1": traces}, pairs, options)
+    first, second = (oc.per_origin["O1"] for oc in outcomes)
+    assert first == second and first is not second and first.transit is second.transit
+    assert [repr(oc.best_rtt.rtt_bound_ms) for oc in outcomes] == texts
+    path = tmp_path / "o.jsonl"
+    write_outcomes(outcomes, path)
+    written = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [repr(rec["best_rtt"]["rtt_bound_ms"]) for rec in written] == texts
+    assert [repr(rec["per_origin"]["O1"]["rtt_bound_ms"]) for rec in written] == texts
+
+
 # --- the outcome writer against the reference writer -----------------------
 
 
@@ -760,7 +787,8 @@ def test_write_outcomes_rejects_a_name_that_is_not_a_string(tmp_path):
     path = tmp_path / "keep.jsonl"
     path.write_bytes(b"old\n")
     ok = min_over_origins(("a", "b"), {"O1": _fake_estimate("O1", 4, 2.0)})
-    bad_origin = min_over_origins(("a", "b"), {5: _fake_estimate(5, 4, 2.0)})
+    # an estimate refuses a non-string origin, so the origin names a reject
+    bad_origin = min_over_origins(("a", "b"), {5: RejectReason(RejectKind.NO_TRANSIT)})
     with pytest.raises(TypeError, match="name 5 is not a string"):
         write_outcomes([ok, bad_origin], path)
     assert path.read_bytes() == b"old\n"
@@ -928,6 +956,18 @@ _ENTRY = {"hop_bound": 1, "rtt_bound_ms": 1, "transit": ["T", 1, 1], "origin_fal
 ])
 def test_an_entry_equal_to_a_shared_one_is_still_validated(tmp_path, fields, message):
     # the second entry compares equal to the first, which the reader shares
+    path = _write_records(tmp_path / "o.jsonl", [
+        _record(("a", "b"), _ENTRY), _record(("a", "c"), dict(_ENTRY, **fields))])
+    with pytest.raises(ValueError, match=f"bad outcome at line 2: {re.escape(message)}$"):
+        read_outcomes(path)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"origin_fallback": 0}, "is_origin_fallback 0 is not a bool"),
+    ({"transit": [["T"], 1, 1]}, "address ['T'] is not a string"),
+])
+def test_a_mistyped_flag_or_address_alone_is_still_validated(tmp_path, fields, message):
+    # 0 would match the shared entry's key by value, and a list is unhashable
     path = _write_records(tmp_path / "o.jsonl", [
         _record(("a", "b"), _ENTRY), _record(("a", "c"), dict(_ENTRY, **fields))])
     with pytest.raises(ValueError, match=f"bad outcome at line 2: {re.escape(message)}$"):
