@@ -194,8 +194,12 @@ class PersistenceTable:
 
     def __post_init__(self):
         for hop, ratio in self.entries.items():
-            if not 0.0 <= ratio <= 1.0:
-                raise ValueError(f"persist ratio {ratio} at hop {hop} outside [0, 1]")
+            _check_ratio(hop, ratio)
+
+
+def _check_ratio(hop: int, ratio: float) -> None:
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"persist ratio {ratio} at hop {hop} outside [0, 1]")
 
 
 def load_persistence_table(path: str | Path) -> PersistenceTable:
@@ -207,10 +211,12 @@ def load_persistence_table(path: str | Path) -> PersistenceTable:
             raise ValueError(f"{path}: header must contain ['hop', 'persist_ratio']")
         for row in reader:
             try:
-                entries[int(row["hop"])] = float(row["persist_ratio"])
+                hop, ratio = int(row["hop"]), float(row["persist_ratio"])
+                _check_ratio(hop, ratio)
             except (TypeError, ValueError) as exc:
                 # TypeError: a short row leaves its missing cells None
                 raise ValueError(f"{path}: bad row at line {reader.line_num}: {exc}") from exc
+            entries[hop] = ratio
     return PersistenceTable(entries=entries)
 
 

@@ -183,6 +183,8 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
                 edge, count = float(edge), int(count)
             except ValueError as exc:
                 raise ValueError(f"{path}: bad row at line {lineno}: {exc}") from exc
+            if not math.isfinite(edge):
+                raise ValueError(f"{path}: bad row at line {lineno}: lower_edge {edge} is not finite")
             if count < 0:
                 raise ValueError(f"{path}: bad row at line {lineno}: negative count {count}")
             bins.append((edge, count))
@@ -205,6 +207,8 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
     for edge, count in bins:
         value = edge if exact else edge + bin_width / 2
         samples.extend([value] * count)
+    if not samples:
+        raise ValueError(f"{path}: empty distribution")
     return distribution_from_samples(
         samples, metric, bin_width, excluded=excluded
     )

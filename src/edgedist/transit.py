@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .jsonl import encode, read_jsonl, write_lines
+from .jsonl import decode, encode, read_lines, scan_string, scan_value, write_lines
 from .model import (
     PairEstimate,
     RejectKind,
@@ -406,6 +406,17 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
     write_lines(path, map(line, outcomes))
 
 
+# the fixed text of a write_outcomes line around its names and entries: the
+# pair's opening, between its names, after them, between per_origin members,
+# and from the last member's closing brace to the tail
+_PAIR_HEAD = '{"pair":["'
+_PAIR_SEP = ',"'
+_ORIGINS_HEAD = '],"per_origin":{"'
+_MEMBER_SEP = '},"'
+_ORIGINS_END = '}},"best_hop":'
+_TAIL_KEYS = ["best_hop", "best_hop_origin", "best_rtt", "best_rtt_origin"]
+
+
 def read_outcomes(path: str | Path) -> list[PairOutcome]:
     """Decode an outcome file written by ``write_outcomes``.
 
@@ -417,11 +428,25 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     origin by a string, and an absent one names none.  A reject's kind is a
     string, and its detail a string or absent for ``""``.  A malformed
     record raises ValueError naming its line.
+
+    The writer repeats a few distinct entries over a whole campaign, so a
+    line in its layout is split into its per_origin members and its tail
+    (the best bounds and their origins), and each distinct member text and
+    tail text is decoded once per file.  A member is decoded by the JSON
+    scanners and kept only if its value ends exactly at its last byte, so a
+    text found again parses the same wherever it starts a member; the tail
+    is decoded whole and kept only if it has just the four keys, in order
+    (a repeated one decodes as in the whole line: the last value counts).
+    Any line that does not decode that way, and any error, is decoded again
+    whole by ``json.loads``, so the result and every error are the ones a
+    whole-line decode gives.
     """
     rejects: dict[tuple[str, str], RejectReason] = {}
     shared: dict = {}
     names: dict[str, str] = {}
     share = names.setdefault
+    members: dict[str, tuple[str, PairEstimate | RejectReason]] = {}
+    tails: dict[str, tuple[PairEstimate | None, PairEstimate | None]] = {}
 
     def estimate(obj, origin: str) -> PairEstimate | RejectReason:
         if "reject" in obj:
@@ -471,4 +496,51 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
             best_rtt=best(rec, "best_rtt"),
         )
 
-    return list(read_jsonl(path, outcome, "outcome"))
+    def laid_out(line: str) -> PairOutcome:
+        if not line.startswith(_PAIR_HEAD):
+            raise ValueError("not in the writer's layout")
+        a, end = scan_string(line, len(_PAIR_HEAD))
+        if not line.startswith(_PAIR_SEP, end):
+            raise ValueError("not in the writer's layout")
+        b, end = scan_string(line, end + len(_PAIR_SEP))
+        if not line.startswith(_ORIGINS_HEAD, end):
+            raise ValueError("not in the writer's layout")
+        start = end + len(_ORIGINS_HEAD)
+        stop = line.find(_ORIGINS_END, start)
+        if stop < 0:
+            raise ValueError("not in the writer's layout")
+        # each text is a member without its opening quote and closing brace
+        texts = line[start:stop].split(_MEMBER_SEP)
+        try:
+            per_origin = dict(map(members.__getitem__, texts))
+        except KeyError:
+            per_origin = {}
+            for text in texts:
+                found = members.get(text)
+                if found is None:
+                    origin, end = scan_string(line, start)
+                    if not line.startswith(":", end):
+                        raise ValueError("no colon after the origin")
+                    obj, end = scan_value(line, end + 1)
+                    if end != start + len(text) + 1:
+                        raise ValueError("the entry does not end the member")
+                    origin = share(origin, origin)
+                    found = members[text] = (origin, estimate(obj, origin))
+                per_origin[found[0]] = found[1]
+                start += len(text) + len(_MEMBER_SEP)
+        tail = line[stop + 3:]  # from '"best_hop":' to the end of the line
+        bests = tails.get(tail)
+        if bests is None:
+            rec = decode("{" + tail)
+            if list(rec) != _TAIL_KEYS:
+                raise ValueError("not in the writer's layout")
+            bests = tails[tail] = (best(rec, "best_hop"), best(rec, "best_rtt"))
+        return PairOutcome((share(a, a), share(b, b)), per_origin, *bests)
+
+    def line_outcome(line: str) -> PairOutcome:
+        try:
+            return laid_out(line)
+        except Exception:
+            return outcome(decode(line))
+
+    return list(read_lines(path, line_outcome, "outcome"))

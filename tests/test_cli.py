@@ -405,7 +405,10 @@ def test_handover_bad_persistence_row_is_fatal(tmp_path, capsys):
           "-o", str(outcomes)])
     table = tmp_path / "persist.csv"
     curve = tmp_path / "curve.tsv"
-    for rows, cause in (("2\n", "NoneType"), ("2,most\n", "'most'")):
+    # a ratio outside [0, 1] was an error naming neither the file nor the line
+    for rows, cause in (("2\n", "NoneType"), ("2,most\n", "'most'"),
+                        *((f"2,{ratio}\n", f"persist ratio {ratio} at hop 2 outside [0, 1]")
+                          for ratio in ("1.5", "-0.25", "nan", "inf"))):
         table.write_text("hop,persist_ratio\n1,1.0\n" + rows)
         assert main(["handover", "--outcomes", str(outcomes),
                      "--persistence", str(table), "-o", str(curve)]) == 2
@@ -522,6 +525,14 @@ def test_handover_persistence_error_leaves_no_curve(tmp_path, capsys, source, ro
     ("# metric=rtt_ms bin_width=nan", "5\t1\t1.0",
      r": bad header: bin_width must be finite and > 0, got nan$"),
     ("# metric=rtt_ms excluded=-3", "5\t1\t1.0", r": bad header: excluded must be >= 0, got -3$"),
+    # an infinite edge escaped as an OverflowError traceback with exit 1, a
+    # NaN one named neither the file nor the line, and so did no sample
+    ("# metric=rtt_ms bin_width=5", "inf\t2\t1.0", r": bad row at line 3: lower_edge inf is not finite$"),
+    ("# metric=rtt_ms bin_width=5", "5\t1\t0.5\n-inf\t1\t0.5",
+     r": bad row at line 4: lower_edge -inf is not finite$"),
+    ("# metric=rtt_ms bin_width=5", "nan\t3\t1.0", r": bad row at line 3: lower_edge nan is not finite$"),
+    ("# metric=rtt_ms bin_width=5", "5\t0\t0.0\n10\t0\t0.0", r": empty distribution$"),
+    ("# metric=hop_count bin_width=1", "", r": empty distribution$"),
 ])
 def test_handover_bad_dist_tsv_is_fatal(tmp_path, capsys, header, row, message):
     dist = tmp_path / "dist.rtt.tsv"

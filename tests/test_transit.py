@@ -19,7 +19,7 @@ from edgedist.transit import (
     read_outcomes,
     write_outcomes,
 )
-from edgedist import synth
+from edgedist import synth, transit
 
 import reference_transit as reference
 from conftest import make_topology, trace
@@ -1035,3 +1035,208 @@ def test_read_outcomes_keeps_no_object_per_repeated_entry(tmp_path):
     # per-origin dict and its list slot; a PairEstimate and a float per
     # (pair, origin) entry made it 1511
     assert per_pair < 600, per_pair
+
+
+# --- the reader's per-entry decode against the whole-line decode ------------
+
+# text that ends or fakes a member or the tail, or that the writer escapes
+_AWKWARD = ['},', '},"best_hop":', '}},"best_hop":', '"', "\\", "\\u0041", "\x01",
+            "\u00e9", "\u2603", "\U0001f600", ":", "O1"]
+_awkward_text = st.lists(st.sampled_from(_AWKWARD) | st.text(max_size=2), min_size=1,
+                         max_size=3).map("".join).filter(bool)
+# a string that ends in "}," is written with the member separator '},"' at
+# its end, so it alone may send a line the writer wrote to the whole-line decode
+_plain_text = _awkward_text.filter(lambda s: not s.endswith("},"))
+
+
+@st.composite
+def _outcomes_of(draw, text):
+    """A few pairs over a few origins, each origin drawing its entry per pair
+    from a small pool, so that entries repeat as in a campaign."""
+    pools = {}
+    for origin in draw(st.lists(text, min_size=1, max_size=3, unique=True)):
+        pool = []
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()):
+                pool.append(RejectReason(draw(st.sampled_from(list(RejectKind))),
+                                         draw(text | st.just(""))))
+                continue
+            if draw(st.booleans()):
+                point = TransitPoint(None, 0, 0, True)
+            else:
+                point = TransitPoint(draw(text), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+            pool.append(PairEstimate(origin, point, draw(st.integers(0, 3)),
+                                     draw(st.sampled_from([0, 0.0, -0.0, 5, 5.0, 2.25]))))
+        pools[origin] = pool
+    return [
+        min_over_origins((draw(text), draw(text)),
+                         {origin: draw(st.sampled_from(pool)) for origin, pool in pools.items()},
+                         draw(st.booleans()))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+def _with_key(line, key, value):
+    """The line with one more top-level member, written last."""
+    return f"{line[:-1]},{json.dumps(key)}:{json.dumps(value)}}}"
+
+
+def _shuffled(rec, rnd):
+    per_origin = list(rec["per_origin"].items())
+    rnd.shuffle(per_origin)
+    items = [*rec.items()]
+    rnd.shuffle(items)
+    return json.dumps({k: dict(per_origin) if k == "per_origin" else v for k, v in items})
+
+
+# other layouts of the writer's lines, each from (lines, records, random)
+_LAYOUTS = {
+    "default separators": lambda lines, recs, rnd: [json.dumps(r) for r in recs],
+    "raw non-ascii": lambda lines, recs, rnd: [
+        json.dumps(r, ensure_ascii=False, separators=(",", ":")) for r in recs],
+    "shuffled keys": lambda lines, recs, rnd: [_shuffled(r, rnd) for r in recs],
+    "extra top-level key": lambda lines, recs, rnd: [
+        _with_key(line, "note", "x") for line in lines],
+    "duplicated pair key": lambda lines, recs, rnd: [
+        _with_key(line, "pair", ["dup", "\u00e9"]) for line in lines],
+    "duplicated best_rtt_origin key": lambda lines, recs, rnd: [
+        _with_key(line, "best_rtt_origin", r["best_rtt_origin"]) for line, r in zip(lines, recs)],
+    "blank lines": lambda lines, recs, rnd: [x for line in lines for x in ("", line, "  ")],
+}
+
+
+def _assert_bests_are_entries(loaded):
+    for oc in loaded:
+        for best in (oc.best_hop, oc.best_rtt):
+            assert best is None or best is oc.per_origin[best.origin_id]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_outcomes_of(_awkward_text), st.randoms(use_true_random=False))
+def test_read_outcomes_in_any_layout_matches_reference(tmp_path_factory, outcomes, rnd):
+    tmp = tmp_path_factory.mktemp("layouts")
+    path = tmp / "writer.jsonl"
+    write_outcomes(outcomes, path)
+    loaded = read_outcomes(path)
+    assert loaded == reference.read_outcomes(path) == outcomes
+    _assert_bests_are_entries(loaded)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    texts = {name: "\n".join(layout(lines, records, rnd)) + "\n"
+             for name, layout in _LAYOUTS.items()}
+    texts["no final newline"] = "\n".join(lines)
+    for name, text in texts.items():
+        other = tmp / "other.jsonl"
+        other.write_text(text, encoding="utf-8")
+        got = read_outcomes(other)
+        assert got == reference.read_outcomes(other), name
+        _assert_bests_are_entries(got)
+        if name == "duplicated pair key":
+            assert {oc.pair for oc in got} == {("dup", "\u00e9")}
+        else:
+            assert got == outcomes, name
+
+
+def _read_or_error(path):
+    try:
+        return read_outcomes(path)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_outcomes_of(_awkward_text), st.data())
+def test_corrupted_line_reads_as_the_whole_line_decode_reads_it(tmp_path_factory, outcomes, data):
+    path = tmp_path_factory.mktemp("corrupt") / "o.jsonl"
+    write_outcomes(outcomes, path)
+    text = path.read_text(encoding="utf-8")
+    at = data.draw(st.integers(0, len(text) - 2))  # never the final newline
+    edit = data.draw(st.sampled_from(["delete", "insert", "replace", "truncate"]))
+    char = data.draw(st.sampled_from(list('{}[],:" \\01xe-.') + ["\u00e9", "\\u"]))
+    text = {
+        "delete": text[:at] + text[at + 1:],
+        "insert": text[:at] + char + text[at:],
+        "replace": text[:at] + char + text[at + 1:],
+        "truncate": text[:at] + "\n" + text[text.index("\n", at) + 1:],
+    }[edit]
+    path.write_text(text, encoding="utf-8")
+    got = _read_or_error(path)
+    # a prefix that no line starts with sends every line to the whole-line decode
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transit, "_PAIR_HEAD", "\0")
+        assert got == _read_or_error(path)
+
+
+def test_every_one_character_edit_reads_as_the_whole_line_decode_reads_it(tmp_path):
+    """Each line of a file is copied after it with one character deleted,
+    replaced or inserted, at every position, so the copy's unedited members
+    and tail are found in the tables the original filled."""
+    path = tmp_path / "o.jsonl"
+    write_outcomes(_split_and_rejected_outcomes(), path)
+    lines = path.read_text().splitlines()
+    edited = tmp_path / "edited.jsonl"
+    for line in lines:
+        for at in range(len(line)):
+            for text in (line[:at] + line[at + 1:], line[:at] + "x" + line[at + 1:],
+                         line[:at] + " " + line[at:], line[:at] + "," + line[at:]):
+                edited.write_text(f"{line}\n{text}\n")
+                got = _read_or_error(edited)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(transit, "_PAIR_HEAD", "\0")
+                    assert got == _read_or_error(edited), text
+
+
+def test_a_member_split_inside_a_string_is_never_kept(tmp_path):
+    """A string that ends in "}," puts the member separator inside it, so the
+    line it is on splits wrongly.  The wrong piece must not be kept: a later
+    line that is not JSON would otherwise be read from kept pieces."""
+    est = PairEstimate("O2", TransitPoint("t", 1, 1), 1, 1.0)
+    outcomes = [
+        min_over_origins(("a", "b"), {"O1": RejectReason(RejectKind.NO_TRANSIT, "y"),
+                                      "O2": est}),
+        min_over_origins(("a", "c"), {"O1": RejectReason(RejectKind.NO_TRANSIT, "x},"),
+                                      "O2": est}),
+    ]
+    path = tmp_path / "o.jsonl"
+    write_outcomes(outcomes, path)
+    lines = path.read_text().splitlines()
+    assert read_outcomes(path) == outcomes
+    # the second line without the brace that closes O1's entry
+    bad = lines[1].replace('"x},"},"O2":', '"x},"O2":')
+    assert bad != lines[1]
+    path.write_text("\n".join([*lines, bad]) + "\n")
+    with pytest.raises(ValueError, match=r"bad outcome at line 3: Expecting ',' delimiter"):
+        read_outcomes(path)
+
+
+def _whole_line_decodes(path):
+    """read_outcomes(path), and the lines of the file it decoded whole."""
+    lines = set(path.read_text(encoding="utf-8").splitlines(keepends=True))
+    whole = []
+
+    def counting(text):
+        if text in lines:
+            whole.append(text)
+        return json.loads(text)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transit, "decode", counting)
+        return read_outcomes(path), whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(faulty_traces(), st.sampled_from(OPTION_GRID), _outcomes_of(_plain_text))
+def test_every_line_the_writer_writes_takes_the_per_entry_decode(
+        tmp_path_factory, campaign, options, awkward):
+    traces_by_origin, hosts = campaign
+    pairs = list(itertools.combinations(hosts, 2)) + [(hosts[0], hosts[0])]
+    outcomes, _ = batch_estimate(traces_by_origin, pairs, options)
+    outcomes += _split_and_rejected_outcomes() + _repeating_outcomes(4, 3) + awkward
+    path = tmp_path_factory.mktemp("outcomes") / "outcomes.jsonl"
+    write_outcomes(outcomes, path)
+    loaded, whole = _whole_line_decodes(path)
+    assert whole == []
+    assert loaded == outcomes
+    # and the count sees a line that is not in the writer's layout
+    path.write_text(path.read_text().replace('{"pair":', '{ "pair":', 1))
+    assert len(_whole_line_decodes(path)[1]) == 1
