@@ -140,18 +140,31 @@ def cmd_ingest(args) -> int:
 
 def _load_pairs_file(path: str) -> list[tuple[str, str]]:
     """One ``a,b`` pair per line; blank and ``#`` lines are skipped, and the
-    first other line is a header when it is ``a,b`` in any case."""
+    first other line is a header when it is ``a,b`` in any case.  Each pair
+    names two distinct, non-empty endpoints and is listed once, in either
+    order."""
     rows = [(lineno, line.strip()) for lineno, line in
             enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
             if line.strip() and not line.strip().startswith("#")]
     if rows and rows[0][1].lower() == "a,b":
         del rows[0]
     pairs = []
+    listed = set()
     for lineno, line in rows:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected two columns")
-        pairs.append((parts[0], parts[1]))
+            problem = "expected two columns"
+        elif not all(parts):
+            problem = "empty endpoint name"
+        elif parts[0] == parts[1]:
+            problem = f"both endpoints are {parts[0]!r}"
+        elif frozenset(parts) in listed:
+            problem = f"pair {parts[0]},{parts[1]} is listed twice"
+        else:
+            listed.add(frozenset(parts))
+            pairs.append((parts[0], parts[1]))
+            continue
+        raise ValueError(f"{path}: line {lineno}: {problem}")
     return pairs
 
 

@@ -194,10 +194,12 @@ class PersistenceTable:
 
     def __post_init__(self):
         for hop, ratio in self.entries.items():
-            _check_ratio(hop, ratio)
+            _check_entry(hop, ratio)
 
 
-def _check_ratio(hop: int, ratio: float) -> None:
+def _check_entry(hop: int, ratio: float) -> None:
+    if hop < 0:
+        raise ValueError(f"negative hop {hop}")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"persist ratio {ratio} at hop {hop} outside [0, 1]")
 
@@ -212,7 +214,9 @@ def load_persistence_table(path: str | Path) -> PersistenceTable:
         for row in reader:
             try:
                 hop, ratio = int(row["hop"]), float(row["persist_ratio"])
-                _check_ratio(hop, ratio)
+                if hop in entries:
+                    raise ValueError(f"hop {hop} is listed twice")
+                _check_entry(hop, ratio)
             except (TypeError, ValueError) as exc:
                 # TypeError: a short row leaves its missing cells None
                 raise ValueError(f"{path}: bad row at line {reader.line_num}: {exc}") from exc

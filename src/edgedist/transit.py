@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .jsonl import decode, encode, read_lines, scan_string, scan_value, write_lines
@@ -28,6 +29,9 @@ ACCESS_ROUTER = "access_router"
 # shared by every result that needs them (the type is frozen)
 _NO_TRANSIT = RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
 _NO_TRACE = RejectReason(RejectKind.NO_TRANSIT, "no trace")
+# pairs per sweep of batch_estimate: each origin's column of entries covers
+# this many pairs, so the columns stay small however many pairs there are
+SWEEP_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -201,24 +205,24 @@ def estimate_pair(
     trace_a, trace_b = a.trace, b.trace
     if trace_a.destination > trace_b.destination:
         a, b, trace_a, trace_b = b, a, trace_b, trace_a
-    for p in (a, b):
-        if p.endpoint is None:
-            return RejectReason(
-                RejectKind.UNREACHABLE_DESTINATION,
-                f"destination {p.trace.destination} not reached",
-            )
-    if trace_a.origin_id != trace_b.origin_id:
-        raise ValueError(
-            f"traces from different origins: {trace_a.origin_id} vs {trace_b.origin_id}"
+    end_a, end_b = a.endpoint, b.endpoint
+    if end_a is None or end_b is None:
+        unreached = trace_a if end_a is None else trace_b
+        return RejectReason(
+            RejectKind.UNREACHABLE_DESTINATION,
+            f"destination {unreached.destination} not reached",
         )
+    origin = trace_a.origin_id
+    if origin != trace_b.origin_id:
+        raise ValueError(f"traces from different origins: {origin} vs {trace_b.origin_id}")
     # b deepest first, so a later candidate with an equal index sum has the
     # larger index_a and wins; stop once no index_a up to a's endpoint can
     # reach the best sum
     best = None
     best_sum = 0
-    positions_a, limit_a = a.positions, a.endpoint
+    positions_a = a.positions
     for address, ib in b.positions.items():
-        if ib + limit_a < best_sum:
+        if ib + end_a < best_sum:
             break
         ia = positions_a.get(address)
         if ia is not None and ia + ib >= best_sum:
@@ -231,27 +235,35 @@ def estimate_pair(
     # cumulative RTT decrease between the access router and the destination
     # still signals asymmetry on the segment the tail RTTs depend on.
     # Precedence: a's segment, b's segment, a's tail RTT, b's tail RTT.
-    rtt_a = a.tail(index_a)
-    if isinstance(rtt_a, RejectReason):
+    tails = a._tails
+    rtt_a = tails[index_a] if index_a in tails else a.tail(index_a)
+    if type(rtt_a) is RejectReason:
         return rtt_a
-    rtt_b = b.tail(index_b)
-    if isinstance(rtt_b, RejectReason):
+    tails = b._tails
+    rtt_b = tails[index_b] if index_b in tails else b.tail(index_b)
+    if type(rtt_b) is RejectReason:
         return rtt_b
-    for p, rtt in ((a, rtt_a), (b, rtt_b)):
-        if rtt is None:
-            return RejectReason(
-                RejectKind.MISSING_RTT_AT_TRANSIT,
-                f"no rtt at endpoint hop {p.endpoint} of {p.trace.destination}",
-            )
-        if rtt < 0:
-            return RejectReason(
-                RejectKind.ASYMMETRY_SUSPECTED,
-                f"negative rtt difference {rtt} on tail to {p.trace.destination}",
-            )
+    if rtt_a is None or rtt_b is None or rtt_a < 0 or rtt_b < 0:
+        return _tail_reject(a, rtt_a) or _tail_reject(b, rtt_b)
     return _shared_estimate(
-        {} if shared is None else shared, trace_a.origin_id, address, index_a, index_b,
-        best is None, (a.endpoint - index_a) + (b.endpoint - index_b), rtt_a + rtt_b,
+        {} if shared is None else shared, origin, address, index_a, index_b,
+        best is None, (end_a - index_a) + (end_b - index_b), rtt_a + rtt_b,
     )
+
+
+def _tail_reject(p: PreparedTrace, rtt: float | None) -> RejectReason | None:
+    """The reject of a checked tail RTT, or None when it is usable."""
+    if rtt is None:
+        return RejectReason(
+            RejectKind.MISSING_RTT_AT_TRANSIT,
+            f"no rtt at endpoint hop {p.endpoint} of {p.trace.destination}",
+        )
+    if rtt < 0:
+        return RejectReason(
+            RejectKind.ASYMMETRY_SUSPECTED,
+            f"negative rtt difference {rtt} on tail to {p.trace.destination}",
+        )
+    return None
 
 
 def min_over_origins(
@@ -290,8 +302,13 @@ def batch_estimate(
 ) -> tuple[list[PairOutcome], BatchStats]:
     """Estimate every pair from every origin and minimize per pair.
 
-    A pair endpoint with no trace from an origin yields a NoTransit reject
-    with detail "no trace" for that origin; it never aborts the batch.
+    The pairs are swept in chunks of ``SWEEP_CHUNK``.  In each chunk every
+    origin, in sorted order, fills one column of entries in pair order, with
+    one ``estimate_pair`` call per pair whose endpoints both have a trace
+    from it; the columns are then zipped into each pair's per-origin entries
+    for one ``min_over_origins`` call per pair.  A pair endpoint with no
+    trace from an origin yields a NoTransit reject with detail "no trace"
+    for that origin; it never aborts the batch.
     The outcomes share one object per distinct transit point and estimate
     (see ``_shared_estimate``): a dense campaign repeats a few thousand
     bounds over hundreds of thousands of (pair, origin) entries.
@@ -311,31 +328,34 @@ def batch_estimate(
             for dest, trace in chosen.items() if dest in named
         }
 
+    origins = list(prepared)
+    couple_metrics = options.couple_metrics
     outcomes = []
-    succeeded = 0
     reject_counts: Counter = Counter()
     shared: dict = {}
-    for a, b in pairs:
-        per_origin: dict[str, PairEstimate | RejectReason] = {}
-        for origin, by_dest in prepared.items():
-            pa = by_dest.get(a)
-            pb = by_dest.get(b)
-            if pa is None or pb is None:
-                est = _NO_TRACE
-            else:
-                est = estimate_pair(pa, pb, shared)
-            per_origin[origin] = est
-            if isinstance(est, RejectReason):
-                reject_counts[est.kind] += 1
-        outcome = min_over_origins(
-            (min(a, b), max(a, b)), per_origin, options.couple_metrics
-        )
-        outcomes.append(outcome)
-        if outcome.accepted:
-            succeeded += 1
+    for start in range(0, len(pairs), SWEEP_CHUNK):
+        chunk = pairs[start:start + SWEEP_CHUNK]
+        firsts = [a for a, _ in chunk]
+        seconds = [b for _, b in chunk]
+        # one column of entries per origin, in pair order
+        columns = []
+        for by_dest in prepared.values():
+            get = by_dest.get
+            column = [
+                _NO_TRACE if pa is None or pb is None else estimate_pair(pa, pb, shared)
+                for pa, pb in zip(map(get, firsts), map(get, seconds))
+            ]
+            reject_counts.update([est.kind for est in column if type(est) is RejectReason])
+            columns.append(column)
+        # with no origin, each pair has no entry, which min_over_origins refuses
+        rows = zip(*columns) if columns else repeat(())
+        outcomes += [
+            min_over_origins((min(a, b), max(a, b)), dict(zip(origins, entries)), couple_metrics)
+            for (a, b), entries in zip(chunk, rows)
+        ]
     stats = BatchStats(
         total_pairs=len(pairs),
-        succeeded=succeeded,
+        succeeded=sum(oc.accepted for oc in outcomes),
         reject_counts=Counter({kind.value: n for kind, n in reject_counts.items()}),
     )
     return outcomes, stats

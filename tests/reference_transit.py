@@ -10,14 +10,16 @@ before the per-file decoder: it builds every reject reason, transit point
 and best bound anew.  ``write_outcomes`` is as it was before the writer
 cached JSON text: it builds a dict per entry and encodes every record whole.
 ``min_over_origins`` is the two-pass selection: it copies the accepted
-entries into a list and takes a lambda-keyed ``min`` per metric.  The
-differential tests compare ``edgedist.transit`` against this module result
+entries into a list and takes a lambda-keyed ``min`` per metric.
+``batch_estimate`` is the loop as it was before the per-origin sweep: pair
+by pair, every origin in turn.  The differential tests compare ``edgedist.transit`` against this module result
 for result.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from edgedist.model import (
     PairEstimate,
@@ -27,7 +29,7 @@ from edgedist.model import (
     TransitPoint,
 )
 from edgedist.jsonl import write_jsonl
-from edgedist.transit import EstimateOptions, PairOutcome
+from edgedist.transit import BatchStats, EstimateOptions, PairOutcome
 
 
 def endpoint_of(trace: TracePath, mode: str) -> int:
@@ -212,6 +214,32 @@ def min_over_origins(
                 accepted, key=lambda kv: (kv[1].rtt_bound_ms, kv[1].hop_bound, kv[0])
             )[1]
     return PairOutcome(pair=pair, per_origin=dict(per_origin), best_hop=best_hop, best_rtt=best_rtt)
+
+
+def batch_estimate(traces_by_origin, pairs, options=EstimateOptions()):
+    chosen = {}
+    for origin in sorted(traces_by_origin):
+        by_dest = chosen[origin] = {}
+        for path in traces_by_origin[origin]:
+            existing = by_dest.get(path.destination)
+            if existing is None or (path.reached and not existing.reached):
+                by_dest[path.destination] = path
+    outcomes = []
+    reject_counts = Counter()
+    for a, b in pairs:
+        per_origin = {}
+        for origin, by_dest in chosen.items():
+            if a in by_dest and b in by_dest:
+                est = estimate_pair(by_dest[a], by_dest[b], options)
+            else:
+                est = RejectReason(RejectKind.NO_TRANSIT, "no trace")
+            if isinstance(est, RejectReason):
+                reject_counts[est.kind.value] += 1
+            per_origin[origin] = est
+        outcomes.append(min_over_origins((min(a, b), max(a, b)), per_origin,
+                                         options.couple_metrics))
+    succeeded = sum(oc.accepted for oc in outcomes)
+    return outcomes, BatchStats(len(pairs), succeeded, reject_counts)
 
 
 def _estimate_from_obj(obj, origin):

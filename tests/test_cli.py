@@ -201,6 +201,27 @@ def test_pairs_file_header_is_only_a_first_line_a_b(tmp_path, text, pairs):
     assert [json.loads(line)["pair"] for line in out.read_text().splitlines()] == pairs
 
 
+@pytest.mark.parametrize("text, line, problem", [
+    # an equal pair was a distance-0 sample, an empty name a silent reject
+    ("a,x\nx,x\n", 2, "both endpoints are 'x'"),
+    ("a,\n", 1, "empty endpoint name"),
+    (" ,x\n", 1, "empty endpoint name"),
+    # a repeated pair would count twice in the distributions
+    ("a,x\na,x\n", 2, "pair a,x is listed twice"),
+    ("A,B\na,x\n\n# reversed\ny,z\nx,a\n", 6, "pair x,a is listed twice"),
+])
+def test_pairs_file_bad_row_is_fatal(tmp_path, capsys, text, line, problem):
+    traces = write_traces(tmp_path / "traces.jsonl",
+                          [trace("O1", d, [("T", 1.0), (d, 3.0)]) for d in "axyz"])
+    listed = tmp_path / "pairs.csv"
+    listed.write_text(text)
+    out = tmp_path / "out.jsonl"
+    assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                 "--pairs-file", str(listed), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {listed}: line {line}: {problem}\n"
+    assert not out.exists()
+
+
 def test_dist_writes_both_metrics(tmp_path, capsys):
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
@@ -408,7 +429,9 @@ def test_handover_bad_persistence_row_is_fatal(tmp_path, capsys):
     # a ratio outside [0, 1] was an error naming neither the file nor the line
     for rows, cause in (("2\n", "NoneType"), ("2,most\n", "'most'"),
                         *((f"2,{ratio}\n", f"persist ratio {ratio} at hop 2 outside [0, 1]")
-                          for ratio in ("1.5", "-0.25", "nan", "inf"))):
+                          for ratio in ("1.5", "-0.25", "nan", "inf")),
+                        # a repeated hop kept its last ratio, a negative hop loaded
+                        ("1,0.5\n", "hop 1 is listed twice"), ("-1,0.5\n", "negative hop -1")):
         table.write_text("hop,persist_ratio\n1,1.0\n" + rows)
         assert main(["handover", "--outcomes", str(outcomes),
                      "--persistence", str(table), "-o", str(curve)]) == 2

@@ -309,6 +309,8 @@ def test_persistence_table_loader(tmp_path):
 def test_persistence_ratio_bounds():
     with pytest.raises(ValueError):
         PersistenceTable(entries={1: 1.2})
+    with pytest.raises(ValueError, match="negative hop -1"):
+        PersistenceTable(entries={-1: 0.5})
 
 
 def test_persistence_stochastic_monotonicity():

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -269,6 +270,28 @@ def test_segment_rejects_take_precedence_over_tail_rejects():
     assert _estimate(a, clean_b, options) == RejectReason(
         RejectKind.ASYMMETRY_SUSPECTED, "negative rtt difference -0.5 on tail to a"
     )
+
+
+# the RTTs at transit t and at the host
+_TAILS = {"clean": (1.0, 4.0), "negative": (5.0, 4.5), "missing": (5.0, None)}
+
+
+@pytest.mark.parametrize("tail_a, tail_b, detail", [
+    ("negative", "negative", "negative rtt difference -0.5 on tail to a"),
+    ("missing", "negative", "no rtt at endpoint hop 2 of a"),
+    ("negative", "missing", "negative rtt difference -0.5 on tail to a"),
+    ("clean", "negative", "negative rtt difference -0.5 on tail to b"),
+    ("clean", "missing", "no rtt at endpoint hop 2 of b"),
+])
+def test_tail_rejects_go_to_the_first_endpoint_first(tail_a, tail_b, detail):
+    # a's tail RTT is checked before b's, whichever order they are passed in
+    a, b = (trace("o", d, [("t", _TAILS[tail][0]), (d, _TAILS[tail][1])])
+            for d, tail in (("a", tail_a), ("b", tail_b)))
+    options = EstimateOptions(mode=HOST, eps_rtt=1.0)
+    for x, y in ((a, b), (b, a)):
+        reject = _estimate(x, y, options)
+        assert reject == reference.estimate_pair(x, y, options)
+        assert reject.detail == detail
 
 
 def test_estimate_bounds_true_distance_on_synthetic_graph():
@@ -614,6 +637,97 @@ def test_traces_prepared_with_unequal_options_are_an_error():
     assert equal is not HOST_MODE
     est = estimate_pair(PreparedTrace(a, HOST_MODE), PreparedTrace(b, equal))
     assert est == _estimate(a, b, HOST_MODE)
+
+
+# --- the per-origin sweep against the pair-by-pair reference loop ----------
+
+
+@st.composite
+def sweep_campaigns(draw):
+    """A faulty campaign with some traces dropped, so an endpoint may have
+    no trace from some origins, and pairs that repeat, reverse, name a host
+    no origin traced, and span several sweep chunks."""
+    traces_by_origin, hosts = draw(faulty_traces())
+    traces_by_origin = {
+        origin: [t for t in rows if draw(st.integers(0, 4))]
+        for origin, rows in traces_by_origin.items()
+    }
+    names = st.sampled_from([*hosts, "ghost"])
+    pairs = draw(st.lists(st.tuples(names, names), max_size=12))
+    pairs += [(b, a) for a, b in pairs[:2]] + pairs[:1]
+    return traces_by_origin, pairs, draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_campaigns())
+def test_sweep_matches_the_reference_loop(tmp_path_factory, campaign):
+    traces_by_origin, pairs, chunk = campaign
+    tmp = tmp_path_factory.mktemp("sweep")
+    for options in OPTION_GRID:
+        with mock.patch.object(transit, "SWEEP_CHUNK", chunk):
+            got, got_stats = batch_estimate(traces_by_origin, pairs, options)
+        want, want_stats = reference.batch_estimate(traces_by_origin, pairs, options)
+        assert got == want
+        assert [list(oc.per_origin) for oc in got] == [list(oc.per_origin) for oc in want]
+        assert got_stats == want_stats
+        write_outcomes(got, tmp / "ours.jsonl")
+        reference.write_outcomes(want, tmp / "reference.jsonl")
+        assert (tmp / "ours.jsonl").read_bytes() == (tmp / "reference.jsonl").read_bytes()
+
+
+def _three_hosts_from_two_origins():
+    return {origin: [trace(origin, d, [("T", 1.0), (d, 2.0)]) for d in "abc"]
+            for origin in ("O1", "O2")}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, transit.SWEEP_CHUNK])
+def test_sweep_calls_the_estimator_once_per_entry(monkeypatch, chunk):
+    traces_by_origin = _three_hosts_from_two_origins()
+    del traces_by_origin["O2"][1]  # b has no trace from O2
+    pairs = [("a", "b"), ("c", "a"), ("b", "c"), ("a", "c"), ("a", "ghost")]
+    estimated, minimized = [], []
+
+    def counted_estimate(pa, pb, shared=None):
+        estimated.append((pa.trace.destination, pb.trace.destination, pa.trace.origin_id))
+        return estimate_pair(pa, pb, shared)
+
+    def counted_min(pair, per_origin, couple_metrics=False):
+        minimized.append(pair)
+        return min_over_origins(pair, per_origin, couple_metrics)
+
+    monkeypatch.setattr(transit, "SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(transit, "estimate_pair", counted_estimate)
+    monkeypatch.setattr(transit, "min_over_origins", counted_min)
+    outcomes, _ = transit.batch_estimate(traces_by_origin, pairs, HOST_MODE)
+    expected = [(a, b, "O1") for a, b in pairs[:4]] + [("c", "a", "O2"), ("a", "c", "O2")]
+    assert sorted(estimated) == sorted(expected)
+    assert minimized == [("a", "b"), ("a", "c"), ("b", "c"), ("a", "c"), ("a", "ghost")]
+    assert [oc.pair for oc in outcomes] == minimized
+
+
+@pytest.mark.parametrize("chunk", [1, 2, transit.SWEEP_CHUNK])
+@pytest.mark.parametrize("pairs, message", [
+    ([("a", "c"), ("a", "b"), ("b", "c")], "traces from different origins: O1 vs O2"),
+    ([("a", "c"), ("c", "b"), ("a", "b")], "traces from different origins: O2 vs O1"),
+])
+def test_a_misfiled_trace_fails_at_the_first_pair_that_uses_it(
+        monkeypatch, chunk, pairs, message):
+    # O2's trace to b filed under O1: the first pair that pairs it with
+    # another O1 trace raises, as when the batch went pair by pair
+    traces_by_origin = _three_hosts_from_two_origins()
+    traces_by_origin["O1"][1] = traces_by_origin["O2"][1]
+    monkeypatch.setattr(transit, "SWEEP_CHUNK", chunk)
+    for batch in (batch_estimate, reference.batch_estimate):
+        with pytest.raises(ValueError) as raised:
+            batch(traces_by_origin, pairs, HOST_MODE)
+        assert str(raised.value) == message
+
+
+def test_a_batch_with_no_origin_refuses_its_pairs():
+    for batch in (batch_estimate, reference.batch_estimate):
+        with pytest.raises(ValueError, match="needs at least one origin entry"):
+            batch({}, [("a", "b")])
+        assert batch({}, [])[0] == []
 
 
 # --- the outcome reader against the reference reader -----------------------
