@@ -21,6 +21,10 @@ EXIT_PARTIAL = 1
 EXIT_FATAL = 2
 # a longer anticipation grid is taken for a mistyped step, not built
 MAX_GRID_POINTS = 1_000_000
+# each --inject fault and the SimOptions field it sets
+_FAULT_FIELDS = {"block": "block_probability", "asymmetry": "asymmetry_probability",
+                 "delta": "asymmetry_delta_ms", "loops": "loop_probability",
+                 "jitter": "rtt_jitter_ms"}
 
 
 def _say(args, message: str) -> None:
@@ -308,12 +312,12 @@ def cmd_simulate(args) -> int:
     _check_count("pairs", args.pairs)
     estimate_options = _estimate_options(args)
     params = _parse_kv(args.params)
-    faults = {}
+    faults = {"asymmetry_delta_ms": 50.0}  # SimOptions fields; the rest default to 0
     for key, value in _parse_kv(args.inject).items():
-        if key not in ("block", "asymmetry", "delta", "loops", "jitter"):
+        if key not in _FAULT_FIELDS:
             raise ValueError(f"--inject has no fault {key!r}")
         try:  # any float: SimOptions checks the range and names the field
-            faults[key] = float(value)
+            faults[_FAULT_FIELDS[key]] = float(value)
         except ValueError:
             raise ValueError(f"--inject {key}={value!r} is not a number") from None
     topology = synth.generate_topology(
@@ -329,17 +333,8 @@ def cmd_simulate(args) -> int:
     count = len(hosts) * (len(hosts) - 1) // 2
     pairs = _sample_pairs(count, functools.partial(pair_at, hosts),
                           min(args.pairs, count), rng)
-    options = synth.SimOptions(
-        block_probability=faults.get("block", 0.0),
-        asymmetry_probability=faults.get("asymmetry", 0.0),
-        asymmetry_delta_ms=faults.get("delta", 50.0),
-        loop_probability=faults.get("loops", 0.0),
-        rtt_jitter_ms=faults.get("jitter", 0.0),
-        seed=args.seed,
-    )
-    report = synth.run_experiment(
-        topology, origins, pairs, options, estimate_options
-    )
+    options = synth.SimOptions(**faults, seed=args.seed)
+    report = synth.run_experiment(topology, origins, pairs, options, estimate_options)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     synth.save_topology(topology, outdir / "topology.jsonl")

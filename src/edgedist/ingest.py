@@ -9,6 +9,7 @@ concatenation.
 
 from __future__ import annotations
 
+import ipaddress
 import math
 import re
 from dataclasses import dataclass, field
@@ -26,11 +27,19 @@ class ParseReport:
     warnings: list[str] = field(default_factory=list)
 
 
-_HEADER_RE = re.compile(
-    r"^traceroute(?:6)?\s+to\s+(\S+)(?:\s+\((\d+\.\d+\.\d+\.\d+)\))?"
-)
+_HEADER_RE = re.compile(r"^traceroute(?:6)?\s+to\s+(\S+)(?:\s+\(([^\s()]+)\))?")
 _HOP_LINE_RE = re.compile(r"^\s*(\d+)\s+(.*)$")
 _IPV4_RE = re.compile(r"^\d+\.\d+\.\d+\.\d+$")
+
+
+def _address(token: str) -> str | None:
+    """``token`` as an address: IPv4 text as it is, IPv6 compressed, else None."""
+    if _IPV4_RE.match(token):
+        return token
+    try:
+        return ipaddress.IPv6Address(token).compressed if ":" in token else None
+    except ValueError:
+        return None
 
 
 def _parse_hop(ttl: int, body: str, share: Callable[[str, str], str]) -> HopRecord:
@@ -61,21 +70,21 @@ def _parse_hop(ttl: int, body: str, share: Callable[[str, str], str]) -> HopReco
                 continue
             if tok[0] == "(":
                 # "name (ip)": word was the name
-                addr = tok.strip("()")
-                if not _IPV4_RE.match(addr):
+                addr = _address(tok.strip("()"))
+                if addr is None:
                     raise ValueError(f"bad address {tok!r}")
                 word = None
                 continue
-            if not _IPV4_RE.match(word):
+            addr = _address(word)
+            if addr is None:
                 raise ValueError(f"unrecognized token {word!r}")
-            addr = word
             word = None
         if tok == "*" or tok[0] == "!":
             continue
         if tok == "ms":
             raise ValueError("stray 'ms' token")
         word = tok
-    if word is not None and not _IPV4_RE.match(word):
+    if word is not None and _address(word) is None:
         raise ValueError(f"unrecognized token {word!r}")
     if best_addr is not None:
         best_addr = share(best_addr, best_addr)
@@ -85,11 +94,13 @@ def _parse_hop(ttl: int, body: str, share: Callable[[str, str], str]) -> HopReco
 def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], ParseReport]:
     """Parse concatenated classic traceroute output into TracePath values.
 
-    Per hop the minimum RTT over responding probes is kept.  A corrupted hop
-    line is replaced by an unresponsive hop at its TTL slot and counted in
-    ``skipped_lines``; a malformed header skips the whole block.  The stream
-    is never aborted.  Each address and destination string is shared, so
-    the traces hold one object per distinct string.
+    Addresses are IPv4 or IPv6, kept compressed so that a ``traceroute6``
+    header and its last hop compare equal.  Per hop the minimum RTT over
+    responding probes is kept.  A corrupted hop line is replaced by an
+    unresponsive hop at its TTL slot and counted in ``skipped_lines``; a
+    malformed header skips the whole block.  The stream is never aborted.
+    Each address and destination string is shared, so the traces hold one
+    object per distinct string.
     """
     if not origin_id:
         raise ValueError("origin_id must be non-empty")
@@ -117,7 +128,8 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
             header = _HEADER_RE.match(line)
             if header:
                 flush()
-                target = header.group(2) or header.group(1)
+                name, paren = header.groups()
+                target = (paren and _address(paren)) or _address(name) or name
                 target = share(target, target)
             elif line.strip():
                 report.skipped_lines += 1

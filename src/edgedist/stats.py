@@ -105,7 +105,9 @@ def build_distribution(
 def compare_distributions(
     a: EdgeDistribution, b: EdgeDistribution
 ) -> tuple[float, float]:
-    """Mean shift a-b and the KS statistic between the two sample sets."""
+    """Mean shift a-b, and the KS statistic taken at the bins' lower edges:
+    the largest gap between the two fractions of samples above an edge of
+    either distribution, not the supremum over every sample value."""
     if a.metric != b.metric:
         raise ValueError(f"metric mismatch: {a.metric} vs {b.metric}")
     if a.bin_width != b.bin_width:

@@ -46,10 +46,11 @@ _COUNT_PARAMS = ("cores", "leaves", "n", "regions", "retries")
 
 @dataclass
 class Topology:
-    """Directed weighted graph with per-direction latencies.
+    """Symmetric weighted graph: every arc has a reverse arc of equal latency.
 
-    ``nodes`` covers routers and hosts; hosts are the probe targets and are
-    listed in ``host_attachment`` with their access router.
+    ``edges`` holds both arcs of each link.  ``nodes`` covers routers and
+    hosts; hosts are the probe targets and are listed in ``host_attachment``
+    with their access router.
     """
 
     nodes: tuple[str, ...]
@@ -59,14 +60,13 @@ class Topology:
     _adj: dict[str, list[tuple[str, float]]] | None = field(
         default=None, repr=False, compare=False
     )
-    _radj: dict[str, list[tuple[str, float]]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self):
         for (u, v), lat in self.edges.items():
             if lat <= 0:
                 raise ValueError(f"non-positive latency on arc {u}->{v}")
+            if self.edges.get((v, u)) != lat:
+                raise ValueError(f"arc {u}->{v} has no reverse arc of latency {lat!r}")
 
     @property
     def hosts(self) -> list[str]:
@@ -76,29 +76,21 @@ class Topology:
     def routers(self) -> list[str]:
         return [n for n in self.nodes if n not in self.host_attachment]
 
-    def adjacency(self, reverse: bool = False) -> dict[str, list[tuple[str, float]]]:
-        cached = self._radj if reverse else self._adj
-        if cached is None:
-            cached = {n: [] for n in self.nodes}
+    def adjacency(self) -> dict[str, list[tuple[str, float]]]:
+        if self._adj is None:
+            self._adj = {n: [] for n in self.nodes}
             for (u, v), lat in self.edges.items():
-                if reverse:
-                    cached[v].append((u, lat))
-                else:
-                    cached[u].append((v, lat))
-            if reverse:
-                self._radj = cached
-            else:
-                self._adj = cached
-        return cached
+                self._adj[u].append((v, lat))
+        return self._adj
 
 
 def dijkstra(
-    topology: Topology, source: str, reverse: bool = False
+    topology: Topology, source: str
 ) -> tuple[dict[str, float], dict[str, str | None]]:
     """Latency-shortest distances from ``source`` plus a deterministic
     predecessor tree (ties resolved toward the lexicographically smallest
-    predecessor).  ``reverse`` computes distances *to* the source instead."""
-    adj = topology.adjacency(reverse)
+    predecessor)."""
+    adj = topology.adjacency()
     dist: dict[str, float] = {source: 0.0}
     pred: dict[str, str | None] = {source: None}
     heap: list[tuple[float, str]] = [(0.0, source)]
@@ -352,21 +344,21 @@ def _node_flag(seed: int, tag: str, node: str, probability: float) -> bool:
 
 
 class Simulator:
-    """Traceroute simulator over one topology with per-origin precomputation.
+    """Traceroute simulator over one topology, one shortest-path tree per
+    origin.
 
-    Hop i's cumulative RTT is the forward latency of the first i hops plus
-    the reverse shortest-path latency from hop i back to the origin; a node
-    carrying the asymmetry delta inflates its reverse leg, which can yield
-    the decreasing cumulative RTTs real asymmetric routes show.  The random
-    stream is split per node and per trace from the master seed, so results
-    are schedule-independent.
+    Every route follows the origin's tree, and on a symmetric graph the way
+    back is as long as the way out, so hop i's cumulative RTT is twice the
+    tree latency of its node.  A node carrying the asymmetry delta adds it
+    to its return leg, which can yield the decreasing cumulative RTTs real
+    asymmetric routes show.  The random stream is split per node and per
+    trace from the master seed, so results are schedule-independent.
     """
 
     def __init__(self, topology: Topology, options: SimOptions = SimOptions()):
         self.topology = topology
         self.options = options
-        self._forward: dict[str, tuple[dict, dict]] = {}
-        self._reverse_dist: dict[str, dict[str, float]] = {}
+        self._trees: dict[str, tuple[dict, dict]] = {}
         routers = set(topology.routers)
         self.blocked = {
             n for n in routers
@@ -377,16 +369,12 @@ class Simulator:
             if _node_flag(options.seed, "asym", n, options.asymmetry_probability)
         }
 
-    def _origin_tables(self, origin: str):
-        if origin not in self._forward:
-            self._forward[origin] = dijkstra(self.topology, origin)
-            self._reverse_dist[origin] = dijkstra(self.topology, origin, reverse=True)[0]
-        return self._forward[origin], self._reverse_dist[origin]
-
     def trace(self, origin: str, target_host: str) -> tuple[TracePath, bool]:
         """The simulated trace, and whether a loop was injected into it."""
         opts = self.options
-        (dist, pred), rev = self._origin_tables(origin)
+        if origin not in self._trees:
+            self._trees[origin] = dijkstra(self.topology, origin)
+        dist, pred = self._trees[origin]
         if target_host not in dist:
             trace = TracePath(
                 origin_id=origin, destination=target_host, hops=(), reached=False
@@ -395,16 +383,11 @@ class Simulator:
         route = extract_path(pred, target_host)
         rng = random.Random(f"{opts.seed}:trace:{origin}:{target_host}")
         hops: list[HopRecord] = []
-        forward = 0.0
-        prev = origin
-        for node in route[1:]:
-            forward += self.topology.edges[(prev, node)]
-            prev = node
-            ttl = len(hops) + 1
+        for ttl, node in enumerate(route[1:], start=1):
             if node in self.blocked and node != target_host:
                 hops.append(HopRecord(ttl=ttl))
                 continue
-            rtt = forward + rev[node]
+            rtt = 2 * dist[node]
             if node in self.asymmetric:
                 rtt += opts.asymmetry_delta_ms
             if opts.rtt_jitter_ms > 0:
@@ -505,9 +488,10 @@ def run_experiment(
     """Simulate traces from every origin to every pair endpoint, estimate the
     pairs, and cross-reference each outcome with oracle truth.
 
-    Soundness (bound >= truth) is guaranteed only when no node blocking is
-    injected: a blocked access router shifts the measured endpoint one hop
-    up, so the bound then refers to a different node pair.
+    Soundness (bound >= truth) holds on fault-free traces only.  Two known
+    shapes undercut the truth (ROADMAP item 1, the two strict xfails in
+    ``tests/test_transit.py``): a loop just before the host, which needs no
+    blocking, and a blocked access router, whose endpoint falls back one hop.
     """
     sim = Simulator(topology, options)
     targets = sorted({h for pair in pairs for h in pair})

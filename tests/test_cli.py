@@ -756,12 +756,69 @@ def test_every_module_is_reached_from_the_cli():
     assert sorted(modules - reached) == []
 
 
+def _member_reads(module, tree, scope, defs):
+    """(class key or None, name) for each attribute read in ``module``.
+
+    The class is the receiver's where its type is known: ``self`` in a
+    method, a parameter annotated with a package class, or a local that is
+    only ever assigned from a package constructor."""
+    names = scope[module]
+
+    def class_named(node):
+        if isinstance(node, ast.Name):
+            key = names.get(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and isinstance(names.get(node.value.id), str)):
+            key = (names[node.value.id], node.attr)
+        else:
+            return None
+        return key if isinstance(defs.get(key), ast.ClassDef) else None
+
+    def own_types(func, owner):
+        args = func.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        # a parameter shadows the enclosing scope's name, typed or not
+        types = {arg.arg: class_named(arg.annotation) if arg.annotation else None
+                 for arg in params}
+        if owner and params and params[0].arg == "self":
+            types["self"] = owner
+        built, stored = {}, {}  # the class each `name = Class(...)` target builds
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, ast.Call)):
+                built[node.targets[0]] = class_named(node.value.func)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, []).append(node)
+        for name, targets in stored.items():
+            classes = {built.get(target) for target in targets}
+            types[name] = classes.pop() if len(classes) == 1 else None
+        return types
+
+    def walk(node, types, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = (module, node.name) if (module, node.name) in defs else None
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            types = {**types, **own_types(node, owner)}
+            owner = None  # a nested function sees its method's self, binds none
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            receiver = node.value
+            yield types.get(receiver.id) if isinstance(receiver, ast.Name) else None, node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, types, owner)
+
+    return walk(tree, {}, None)
+
+
 def test_every_public_definition_is_reached_from_the_cli():
     """Walk name references from ``cli.main`` and every module's top-level
     statements, then from each definition reached; imports do not count.
     Each private module-level function and class must be used outside its
     own definition, and each public method, property and annotated field of
-    a class must be read as an attribute somewhere in the package."""
+    a class must be read as an attribute somewhere in the package: of that
+    class where the receiver's type is known (``_member_reads``), else by
+    name on any receiver."""
     package = Path(edgedist.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     defs, scope = {}, {}
@@ -814,8 +871,6 @@ def test_every_public_definition_is_reached_from_the_cli():
     private = {key for key in defs if key[1].startswith("_")}
     assert sorted(private - used) == []
 
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     members = {
         (module, cls.name, name)
         for module, tree in trees.items() for cls in tree.body
@@ -825,7 +880,15 @@ def test_every_public_definition_is_reached_from_the_cli():
                      [node.target.id] if isinstance(node, ast.AnnAssign) else [])
         if not name.startswith("_")
     }
-    assert sorted(key for key in members if key[2] not in read) == []
+    read_by_name, read_of_class = set(), set()
+    for module, tree in trees.items():
+        for cls, name in _member_reads(module, tree, scope, defs):
+            if cls is not None and (*cls, name) in members:
+                read_of_class.add((*cls, name))
+            else:  # unknown receiver, or a member the class inherits
+                read_by_name.add(name)
+    assert sorted(key for key in members
+                  if key not in read_of_class and key[2] not in read_by_name) == []
 
 
 def _file_writes(tree):

@@ -102,6 +102,48 @@ def test_parse_multiple_blocks():
     assert {t.destination for t in traces} == {"192.0.2.9", "192.0.2.7"}
 
 
+def test_parse_ipv6_traceroute():
+    text = (
+        "traceroute6 to dst.example (2001:db8::2), 30 hops max, 80 byte packets\n"
+        " 1  2001:db8::1  1.0 ms  0.9 ms\n"
+        " 2  dst.example (2001:db8::2)  2.0 ms\n"
+    )
+    (t,), report = parse_traceroute_text(text, "o")
+    assert report == ingest.ParseReport(parsed=1)
+    assert t.reached and t.destination == "2001:db8::2"
+    assert [(h.ttl, h.address, h.rtt_ms) for h in t.hops] == [
+        (1, "2001:db8::1", 0.9),
+        (2, "2001:db8::2", 2.0),
+    ]
+
+
+def test_parse_ipv6_addresses_are_kept_compressed():
+    # however each is written, the header and the last hop name one address
+    text = (
+        "traceroute6 to 2001:DB8:0:0::2\n"
+        " 1  r1 (2001:0db8::0001)  1.0 ms  2001:db8::0:1  0.5 ms\n"
+        " 2  2001:db8:0:0:0:0:0:2  2.0 ms\n"
+        "traceroute6 to x (2001:db8::0:9)\n"
+        " 1  2001:db8::9  1.0 ms\n"
+    )
+    traces, report = parse_traceroute_text(text, "o")
+    assert report.skipped_lines == 0
+    assert [(t.destination, t.reached) for t in traces] == [
+        ("2001:db8::2", True), ("2001:db8::9", True)]
+    assert [h.address for h in traces[0].hops] == ["2001:db8::1", "2001:db8::2"]
+
+
+@pytest.mark.parametrize("body, warning", [
+    ("2001:db8::zz  1.0 ms", "unrecognized token '2001:db8::zz'"),
+    ("r1 (2001:db8:::1)  1.0 ms", "bad address '(2001:db8:::1)'"),
+    ("1.0 ms  2001:db8::1", "rtt before any address"),
+])
+def test_parse_bad_ipv6_is_a_bad_hop_line(body, warning):
+    (t,), report = parse_traceroute_text(f"traceroute6 to 2001:db8::9\n 1  {body}\n", "o")
+    assert t.hops == (HopRecord(ttl=1),)
+    assert report.warnings == [f"bad hop line ({warning}): {'1  ' + body!r}"]
+
+
 def test_canonical_round_trip(tmp_path):
     traces = [
         trace("o1", "b", [("a", 1.0), (None, None), ("b", 3.5)]),

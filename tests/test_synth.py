@@ -4,7 +4,7 @@ import random
 import pytest
 
 from edgedist.jsonl import read_jsonl
-from edgedist.model import PairEstimate, RejectKind
+from edgedist.model import HopRecord, PairEstimate, RejectKind
 from edgedist.transit import (
     ACCESS_ROUTER,
     HOST,
@@ -18,6 +18,7 @@ from edgedist.synth import (
     Simulator,
     Topology,
     dijkstra,
+    extract_path,
     generate_topology,
     min_hop_distance,
     run_experiment,
@@ -122,12 +123,15 @@ def test_true_distance_unreachable():
         true_distance(topo, "A", "B")
 
 
-def _bellman_ford(topo, source):
+def _bellman_ford(topo, source, reverse=False):
+    """Distances from ``source``, or with ``reverse`` to it, each summed
+    outward from ``source``."""
     dist = {n: float("inf") for n in topo.nodes}
     dist[source] = 0.0
+    arcs = [((v, u) if reverse else (u, v), lat) for (u, v), lat in topo.edges.items()]
     for _ in range(len(topo.nodes) - 1):
         changed = False
-        for (u, v), lat in topo.edges.items():
+        for (u, v), lat in arcs:
             if dist[u] + lat < dist[v]:
                 dist[v] = dist[u] + lat
                 changed = True
@@ -146,32 +150,32 @@ def test_dijkstra_matches_bellman_ford():
             assert dist.get(node, float("inf")) == oracle[node]
 
 
-def _post_pass_predecessors(topo, dist, source, reverse):
+def _post_pass_predecessors(topo, dist, source):
     """The predecessor rule dijkstra used to apply after its search: the
     smallest node u with dist[u] + arc(u, v) == dist[v]."""
     pred = {source: None}
     for v in dist:
         if v == source:
             continue
+        # the graph is symmetric: v's neighbours are the tails of its in-arcs
         candidates = [
-            u for u, _ in topo.adjacency(not reverse)[v]
-            if u in dist
-            and dist[u] + (topo.edges[(v, u)] if reverse else topo.edges[(u, v)]) == dist[v]
+            u for u, _ in topo.adjacency()[v]
+            if u in dist and dist[u] + topo.edges[(u, v)] == dist[v]
         ]
         pred[v] = min(candidates) if candidates else None
     return pred
 
 
-def _random_digraph(seed):
-    """Sparse directed graph, latencies from three values so that many
-    shortest paths tie."""
+def _random_symmetric_graph(seed):
+    """Sparse symmetric graph, possibly disconnected, with latencies from
+    three values so that many shortest paths tie."""
     rng = random.Random(seed)
     nodes = [f"n{i}" for i in range(rng.randint(2, 25))]
-    edges = {
-        (u, v): rng.choice([0.25, 0.5, 0.75])
-        for u in nodes for v in nodes
-        if u != v and rng.random() < 0.2
-    }
+    edges = {}
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            if rng.random() < 0.2:
+                edges[(u, v)] = edges[(v, u)] = rng.choice([0.25, 0.5, 0.75])
     return Topology(nodes=tuple(nodes), edges=edges, host_attachment={})
 
 
@@ -180,16 +184,24 @@ def _random_digraph(seed):
 ])
 def test_dijkstra_predecessors_match_the_post_pass_rule(name):
     if name.startswith("digraph"):
-        topo = _random_digraph(int(name[len("digraph"):]))
+        topo = _random_symmetric_graph(int(name[len("digraph"):]))
     else:
         params = {"ring_of_stars": {"cores": 5, "leaves": 4}, "random_geometric": {"n": 40},
                   "two_tier": {"regions": 4, "leaves": 5, "peering": True}}[name]
         topo = generate_topology(name, params, seed=3)
-    for reverse in (False, True):
-        for source in topo.nodes:
-            dist, pred = dijkstra(topo, source, reverse)
-            assert pred == _post_pass_predecessors(topo, dist, source, reverse)
-            assert list(pred) == list(dist)
+    for source in topo.nodes:
+        dist, pred = dijkstra(topo, source)
+        assert pred == _post_pass_predecessors(topo, dist, source)
+        assert list(pred) == list(dist)
+
+
+@pytest.mark.parametrize("edges", [
+    {("A", "B"): 1.0},  # one way only
+    {("A", "B"): 1.0, ("B", "A"): 1.5},  # another latency back
+])
+def test_topology_refuses_an_asymmetric_arc(edges):
+    with pytest.raises(ValueError, match=r"^arc A->B has no reverse arc of latency 1\.0$"):
+        Topology(nodes=("A", "B"), edges=edges, host_attachment={})
 
 
 def test_min_hop_distance_bfs():
@@ -288,6 +300,60 @@ def test_loop_injection_duplicates_an_address():
             assert len(addrs) != len(set(addrs))
             found = True
     assert found
+
+
+def _forward_plus_return_hops(topo, sim, pred, back, host):
+    """The hops of a loop-free trace as the forward latency summed along the
+    origin's ``pred`` route, plus the latency ``back`` to the origin from a
+    search over reversed arcs, plus the delta on asymmetric nodes: no
+    symmetry assumed."""
+    hops = []
+    forward = 0.0
+    route = extract_path(pred, host)
+    for ttl, (prev, node) in enumerate(zip(route, route[1:]), start=1):
+        forward += topo.edges[(prev, node)]
+        if node in sim.blocked and node != host:
+            hops.append(HopRecord(ttl=ttl))
+            continue
+        rtt = forward + back[node]
+        if node in sim.asymmetric:
+            rtt += sim.options.asymmetry_delta_ms
+        hops.append(HopRecord(ttl=ttl, address=node, rtt_ms=rtt))
+    return hops
+
+
+@pytest.mark.parametrize("model, params", [
+    ("ring_of_stars", {"cores": 4, "leaves": 3}),
+    ("random_geometric", {"n": 30}),
+    ("two_tier", {"regions": 3, "leaves": 4, "peering": True}),
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trace_rtts_match_forward_plus_return_legs(model, params, seed):
+    topo = generate_topology(model, params, seed=seed)
+    opts = SimOptions(block_probability=0.2, asymmetry_probability=0.5,
+                      asymmetry_delta_ms=80.0, loop_probability=0.3, seed=seed)
+    sim = Simulator(topo, opts)
+    loops = blocked = asymmetric = 0
+    for origin in topo.routers[:3]:
+        _, pred = dijkstra(topo, origin)
+        back = _bellman_ford(topo, origin, reverse=True)
+        for host in topo.hosts:
+            trace, loop_injected = sim.trace(origin, host)
+            expected = _forward_plus_return_hops(topo, sim, pred, back, host)
+            hops = list(trace.hops)
+            if loop_injected:
+                # the injected hop sits just before the destination
+                inserted = hops.pop(-2)
+                rtts = [h.rtt_ms for h in expected[:-1] if h.rtt_ms is not None]
+                assert inserted.rtt_ms == max(rtts) + 0.25
+                final = expected[-1]
+                expected[-1] = final._replace(rtt_ms=max(final.rtt_ms, inserted.rtt_ms))
+                hops[-1] = hops[-1]._replace(ttl=final.ttl)
+                loops += 1
+            assert hops == expected
+            blocked += sum(not h.responsive for h in hops)
+            asymmetric += sum(h.address in sim.asymmetric for h in hops)
+    assert loops and blocked and asymmetric
 
 
 # --- experiments -----------------------------------------------------------
