@@ -247,7 +247,7 @@ def cmd_dist(args) -> int:
         if stability is not None:
             subset, trials = stability
             mean_dev, std_dev = stats.resample_stability(
-                outcomes, subset, trials, args.seed, metric, width
+                outcomes, subset, trials, args.seed, metric
             )
             lines.append(f"{metric} stability ({subset} x {trials}): "
                          f"max_mean_dev={mean_dev:.4f} max_std_dev={std_dev:.4f}")
@@ -262,7 +262,7 @@ def cmd_dist(args) -> int:
 def _load_rtt_distribution(args):
     if args.outcomes:
         outcomes = transit.read_outcomes(args.outcomes)
-        return stats.build_distribution(outcomes, stats.RTT_MS, args.rtt_bin_width)
+        return stats.build_distribution(outcomes, stats.RTT_MS)
     if args.dist_tsv:
         return stats.read_distribution_tsv(args.dist_tsv)
     raise ValueError("need --outcomes or --dist-tsv for the RTT distribution")
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("handover", help="expected loss curve and persistence")
     p.add_argument("--outcomes")
     p.add_argument("--dist-tsv", help="RTT distribution TSV instead of outcomes")
-    p.add_argument("--rtt-bin-width", type=float, default=5.0)
     p.add_argument("--grid", default="0:100:5", help="anticipation grid start:stop:step")
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--delay-scale", type=float, default=0.5)

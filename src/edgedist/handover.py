@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .stats import HOP_COUNT, RTT_MS, EdgeDistribution

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .jsonl import write_lines
+from .jsonl import read_lines, write_lines
 from .transit import PairOutcome
 
 HOP_COUNT = "hop_count"
@@ -39,6 +39,16 @@ class EdgeDistribution:
         return (self.n - bisect_right(self.samples, threshold)) / self.n
 
 
+def _moments(values: list[float]) -> tuple[float, float]:
+    """Mean and population std of ``values``."""
+    if not values:
+        raise ValueError("empty distribution")
+    n = len(values)
+    mean = sum(values) / n
+    var = sum((v - mean) ** 2 for v in values) / n
+    return mean, math.sqrt(var)
+
+
 def distribution_from_samples(
     values: list[float],
     metric: str,
@@ -49,11 +59,7 @@ def distribution_from_samples(
         bin_width = DEFAULT_BIN_WIDTH[metric]
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
-    if not values:
-        raise ValueError("empty distribution")
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    mean, std = _moments(values)
     counts: dict[float, int] = {}
     for v in values:
         edge = math.floor(v / bin_width) * bin_width
@@ -63,9 +69,9 @@ def distribution_from_samples(
         metric=metric,
         bin_width=bin_width,
         bins=bins,
-        n=n,
+        n=len(values),
         mean=mean,
-        std=math.sqrt(var),
+        std=std,
         samples=tuple(sorted(values)),
         excluded=excluded,
     )
@@ -73,22 +79,13 @@ def distribution_from_samples(
 
 def outcome_values(outcomes: list[PairOutcome], metric: str) -> tuple[list[float], int]:
     """Best-bound values per accepted pair, plus the excluded-pair count."""
-    values = []
-    excluded = 0
-    for oc in outcomes:
-        if metric == HOP_COUNT:
-            est = oc.best_hop
-            value = None if est is None else float(est.hop_bound)
-        elif metric == RTT_MS:
-            est = oc.best_rtt
-            value = None if est is None else est.rtt_bound_ms
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
-        if value is None:
-            excluded += 1
-        else:
-            values.append(value)
-    return values, excluded
+    if metric == HOP_COUNT:
+        values = [float(oc.best_hop.hop_bound) for oc in outcomes if oc.best_hop is not None]
+    elif metric == RTT_MS:
+        values = [oc.best_rtt.rtt_bound_ms for oc in outcomes if oc.best_rtt is not None]
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return values, len(outcomes) - len(values)
 
 
 def build_distribution(
@@ -125,7 +122,6 @@ def resample_stability(
     trials: int,
     seed: int,
     metric: str = HOP_COUNT,
-    bin_width: float | None = None,
 ) -> tuple[float, float]:
     """Largest absolute deviation of subset mean and std from the full-sample
     values, over ``trials`` without-replacement subsets."""
@@ -136,15 +132,14 @@ def resample_stability(
         raise ValueError(
             f"subset size {subset_size} exceeds accepted count {len(values)}"
         )
-    full = distribution_from_samples(values, metric, bin_width)
+    full_mean, full_std = _moments(values)
     rng = random.Random(seed)
     max_mean_dev = 0.0
     max_std_dev = 0.0
     for _ in range(trials):
-        subset = rng.sample(values, subset_size)
-        sub = distribution_from_samples(subset, metric, bin_width)
-        max_mean_dev = max(max_mean_dev, abs(sub.mean - full.mean))
-        max_std_dev = max(max_std_dev, abs(sub.std - full.std))
+        mean, std = _moments(rng.sample(values, subset_size))
+        max_mean_dev = max(max_mean_dev, abs(mean - full_mean))
+        max_std_dev = max(max_std_dev, abs(std - full_std))
     return max_mean_dev, max_std_dev
 
 
@@ -166,30 +161,26 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
     continuous metrics.  Errors name the file, and a bad row its line.
     """
     meta: dict[str, str] = {}
-    bins: list[tuple[float, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, _, value = token.partition("=")
-                        meta[key] = value
-                continue
-            if line.startswith("lower_edge"):
-                continue
-            try:
-                edge, count, _ = line.split("\t")
-                edge, count = float(edge), int(count)
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad row at line {lineno}: {exc}") from exc
-            if not math.isfinite(edge):
-                raise ValueError(f"{path}: bad row at line {lineno}: lower_edge {edge} is not finite")
-            if count < 0:
-                raise ValueError(f"{path}: bad row at line {lineno}: negative count {count}")
-            bins.append((edge, count))
+
+    def row(line: str) -> tuple[float, int] | None:
+        line = line.strip()
+        if line.startswith("#"):
+            for token in line[1:].split():
+                if "=" in token:
+                    key, _, value = token.partition("=")
+                    meta[key] = value
+            return None
+        if line.startswith("lower_edge"):
+            return None
+        edge, count, _ = line.split("\t")
+        edge, count = float(edge), int(count)
+        if not math.isfinite(edge):
+            raise ValueError(f"lower_edge {edge} is not finite")
+        if count < 0:
+            raise ValueError(f"negative count {count}")
+        return edge, count
+
+    bins = [b for b in read_lines(path, row, "row") if b is not None]
     if "metric" not in meta:
         raise ValueError(f"{path}: missing metric header")
     metric = meta["metric"]

@@ -349,15 +349,24 @@ def test_dist_bad_stability_is_fatal(tmp_path, capsys, spec):
 @pytest.mark.parametrize("command", ["dist", "handover"])
 def test_bad_rtt_bin_width_is_fatal(tmp_path, capsys, command, width):
     # dist wrote its hop file before it failed on 0, -5 and nan; inf binned
-    # every sample at a nan lower edge
+    # every sample at a nan lower edge.  handover has no such flag: its curve
+    # runs over the raw samples, so a width could not change it.
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
     main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
           "-o", str(outcomes)])
-    assert main([command, "--outcomes", str(outcomes), f"--rtt-bin-width={width}",
-                 "-o", str(tmp_path / "result")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: bin_width must be finite and > 0, got {float(width)}\n")
+    argv = [command, "--outcomes", str(outcomes), f"--rtt-bin-width={width}",
+            "-o", str(tmp_path / "result")]
+    if command == "dist":
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: bin_width must be finite and > 0, got {float(width)}\n")
+    else:
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"\nedgedist: error: unrecognized arguments: --rtt-bin-width={width}\n")
     assert not list(tmp_path.glob("result*"))
 
 
@@ -754,6 +763,25 @@ def test_every_module_is_reached_from_the_cli():
     # __init__ runs on any import of the package; a module only it imports is unreached
     modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
     assert sorted(modules - reached) == []
+
+
+def test_every_imported_name_is_read():
+    # no linter is run on the package, so this stands in for its unused-import rule
+    package = Path(edgedist.__file__).parent
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text())
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unread += [f"{path.name}:{node.lineno}: {name}" for name in
+                           (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                           if name not in reads]
+    assert unread == []
 
 
 def _member_reads(module, tree, scope, defs):
