@@ -29,12 +29,15 @@ class ParseReport:
 
 _HEADER_RE = re.compile(r"^traceroute(?:6)?\s+to\s+(\S+)(?:\s+\(([^\s()]+)\))?")
 _HOP_LINE_RE = re.compile(r"^\s*(\d+)\s+(.*)$")
-_IPV4_RE = re.compile(r"^\d+\.\d+\.\d+\.\d+$")
+# an octet 0-255 in ASCII digits without a leading zero, so each address has
+# one spelling; \d would also match other scripts' digits
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
 
 
 def _address(token: str) -> str | None:
     """``token`` as an address: IPv4 text as it is, IPv6 compressed, else None."""
-    if _IPV4_RE.match(token):
+    if _IPV4_RE.fullmatch(token):
         return token
     try:
         return ipaddress.IPv6Address(token).compressed if ":" in token else None

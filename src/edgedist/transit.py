@@ -276,7 +276,8 @@ def min_over_origins(
     Hop and RTT bounds are minimized independently (each is a valid bound on
     its own), by the keys (hop, rtt, origin) and (rtt, hop, origin); the
     origins are distinct, so neither key ties.  ``couple_metrics`` forces
-    both to come from the hop winner.
+    both to come from the hop winner.  The outcome keeps ``per_origin``
+    itself, not a copy, so the caller hands the dict over.
     """
     if not per_origin:
         raise ValueError("min_over_origins needs at least one origin entry")
@@ -292,7 +293,7 @@ def min_over_origins(
                 rtt_key, best_rtt = key, est
     if couple_metrics:
         best_rtt = best_hop
-    return PairOutcome(pair=pair, per_origin=dict(per_origin), best_hop=best_hop, best_rtt=best_rtt)
+    return PairOutcome(pair=pair, per_origin=per_origin, best_hop=best_hop, best_rtt=best_rtt)
 
 
 def batch_estimate(

@@ -5,16 +5,22 @@ it was before ``ingest._parse_hop``: the first builds the list of every
 probe, the second filters the answered ones and takes a lambda-keyed ``min``
 (which keeps the earliest of equal RTTs).  The differential tests compare
 ``edgedist.ingest`` against them hop line by hop line and text by text.
+``_is_ipv4`` checks the octets by value, where the package uses one regex.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 from edgedist.model import HopRecord
 
-_IPV4_RE = re.compile(r"^\d+\.\d+\.\d+\.\d+$")
+
+def _is_ipv4(text: str) -> bool:
+    """Four dot-separated octets 0-255 in ASCII digits, with no leading zero."""
+    parts = text.split(".")
+    return len(parts) == 4 and all(
+        part.isascii() and part.isdigit() and int(part) <= 255 and str(int(part)) == part
+        for part in parts)
 
 
 def _parse_hop_body(body: str) -> list[tuple[str | None, float | None]]:
@@ -51,11 +57,11 @@ def _parse_hop_body(body: str) -> list[tuple[str | None, float | None]]:
             # a responder: either "ip" or "name (ip)"
             if i + 1 < len(tokens) and tokens[i + 1].startswith("("):
                 inner = tokens[i + 1].strip("()")
-                if not _IPV4_RE.match(inner):
+                if not _is_ipv4(inner):
                     raise ValueError(f"bad address {tokens[i + 1]!r}")
                 addr = inner
                 i += 2
-            elif _IPV4_RE.match(tok):
+            elif _is_ipv4(tok):
                 addr = tok
                 i += 1
             else:

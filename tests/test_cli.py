@@ -106,6 +106,20 @@ def test_pairs_missing_input_is_fatal(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pairs", "--traces", "empty.jsonl"], "no traces in input"),
+    (["handover"], "need --outcomes or --dist-tsv for the RTT distribution"),
+    (["ingest", "raw.txt", "--origin", ""], "origin_id must be non-empty"),
+])
+def test_command_without_input_is_fatal(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("empty.jsonl").write_text("")
+    Path("raw.txt").write_text(TRACEROUTE_TEXT)
+    assert main([*argv, "-o", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("out").exists()
+
+
 @pytest.mark.parametrize("command", ["ingest", "pairs"])
 @pytest.mark.parametrize("good, bad", [
     ('[1,"T",1.0]', '[true,"T",1.0]'),
@@ -113,7 +127,10 @@ def test_pairs_missing_input_is_fatal(tmp_path, capsys):
     ('[2,"Y",4.0]', '[2,"Y",true]'),
     ('[1,"T",1.0]', '[1,["x"],1.0]'),
     ('"reached":true', '"reached":"yes"'),
-], ids=["bool-ttl", "float-ttl", "bool-rtt", "list-address", "string-reached"])
+    ('"destination":"Y"', '"destination":""'),
+    ('"hops":[[1,"T",1.0],[2,"Y",4.0]]', '"hops":[]'),
+], ids=["bool-ttl", "float-ttl", "bool-rtt", "list-address", "string-reached",
+        "empty-destination", "reached-without-hops"])
 def test_wrong_typed_canonical_field_is_fatal(tmp_path, capsys, command, good, bad):
     # these were written back by ingest, turned into a 1.0 ms bound by pairs
     # (a true RTT) or crashed pairs with a traceback (a list address)
@@ -204,6 +221,7 @@ def test_pairs_file_header_is_only_a_first_line_a_b(tmp_path, text, pairs):
 @pytest.mark.parametrize("text, line, problem", [
     # an equal pair was a distance-0 sample, an empty name a silent reject
     ("a,x\nx,x\n", 2, "both endpoints are 'x'"),
+    ("a,x\na,x,y\n", 2, "expected two columns"),
     ("a,\n", 1, "empty endpoint name"),
     (" ,x\n", 1, "empty endpoint name"),
     # a repeated pair would count twice in the distributions
@@ -413,6 +431,11 @@ def test_handover_curve_and_argmin(tmp_path, capsys):
     # single RTT sample of 5 ms -> one-way 2.5 ms; the optimum sits at the
     # first grid point at or above it
     assert "argmin: anticipation=3 ms" in capsys.readouterr().out
+    # a one-point curve has no spread
+    assert main(["handover", "--outcomes", str(outcomes), "--grid", "0:0:1",
+                 "-o", str(curve)]) == 0
+    assert capsys.readouterr().out == \
+        "argmin: flat curve, no significant anticipation optimum\n"
 
 
 def test_handover_persistence(tmp_path, capsys):
@@ -425,6 +448,12 @@ def test_handover_persistence(tmp_path, capsys):
     curve = tmp_path / "curve.tsv"
     assert main(["handover", "--outcomes", str(outcomes),
                  "--persistence", str(table), "-o", str(curve)]) == 0
+    assert "persistence: 0.7500" in capsys.readouterr().out
+    # the same from the distribution files dist writes
+    prefix = tmp_path / "dist"
+    main(["--quiet", "dist", "--outcomes", str(outcomes), "-o", str(prefix)])
+    assert main(["handover", "--dist-tsv", f"{prefix}.rtt.tsv", "--hops-tsv",
+                 f"{prefix}.hops.tsv", "--persistence", str(table), "-o", str(curve)]) == 0
     assert "persistence: 0.7500" in capsys.readouterr().out
 
 
@@ -448,6 +477,12 @@ def test_handover_bad_persistence_row_is_fatal(tmp_path, capsys):
         assert err.startswith(f"error: {table}: bad row at line 3: ")
         assert cause in err
         assert not curve.exists()
+    table.write_text("hops,ratio\n2,0.75\n")
+    assert main(["handover", "--outcomes", str(outcomes),
+                 "--persistence", str(table), "-o", str(curve)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {table}: header must contain ['hop', 'persist_ratio']\n"
+    assert not curve.exists()
 
 
 def test_handover_bad_loss_table_cell_is_fatal(tmp_path, capsys):
@@ -494,6 +529,8 @@ def test_handover_bad_model_parameter_is_fatal(tmp_path, capsys, flag, message):
     (",0,10\n0,0,1\ninf,10,4\n", "table axes must be finite"),
     (",0,10\n0,0,nan\n10,10,4\n", "loss values must be finite and >= 0"),
     (",0,10\n0,0,1\n10,inf,4\n", "loss values must be finite and >= 0"),
+    (",0,10\n0,0\n10,10,4\n", "table shape does not match its axes"),
+    (",0,10\n", "{path}: table needs a header row and data rows"),
 ])
 def test_handover_non_finite_loss_table_is_fatal(tmp_path, capsys, table, message):
     # each gave nan or inf curve rows and exit 0
@@ -506,7 +543,7 @@ def test_handover_non_finite_loss_table_is_fatal(tmp_path, capsys, table, messag
     curve = tmp_path / "curve.tsv"
     assert main(["handover", "--outcomes", str(outcomes), "--loss-table", str(path),
                  "--grid", "0:10:5", "-o", str(curve)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"error: {message.format(path=path)}")
     assert not curve.exists()
 
 
@@ -546,6 +583,7 @@ def test_handover_persistence_error_leaves_no_curve(tmp_path, capsys, source, ro
 
 @pytest.mark.parametrize("header, row, message", [
     ("# metric=foo bin_width=1", "0\t1\t1.0", r": unknown metric 'foo'"),
+    ("# bin_width=5", "5\t1\t1.0", r": missing metric header$"),
     ("# metric=rtt_ms bin_width=5", "5\t1", r": bad row at line 3: "),
     ("# metric=rtt_ms bin_width=5", "5\tone\t1.0", r": bad row at line 3: .*'one'"),
     ("# metric=rtt_ms bin_width=5", "5\t-3\t1.0", r": bad row at line 3: negative count -3"),
@@ -580,9 +618,12 @@ def test_handover_bad_grid_is_fatal(tmp_path, capsys):
     outcomes = tmp_path / "outcomes.jsonl"
     main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
           "-o", str(outcomes)])
-    assert main(["handover", "--outcomes", str(outcomes), "--grid", "0-10-1",
-                 "-o", str(tmp_path / "curve.tsv")]) == 2
-    assert not (tmp_path / "curve.tsv").exists()
+    for grid, message in (("0-10-1", "grid must be start:stop:step, got '0-10-1'"),
+                          ("-5:10:5", "anticipation times must be >= 0")):
+        assert main(["handover", "--outcomes", str(outcomes), f"--grid={grid}",
+                     "-o", str(tmp_path / "curve.tsv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "curve.tsv").exists()
 
 
 # the last grid is finite but would hold 1e15 points
@@ -684,6 +725,9 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     ("random_geometric", "--params", "n=20,retries=0.5",
      "random_geometric parameter retries=0.5 is not a whole number"),
     ("two_tier", "--inject", "jitter=abc", "--inject jitter='abc' is not a number"),
+    ("two_tier", "--params", "regions", "expected key=value, got 'regions'"),
+    ("two_tier", "--params", "leaves=0", "two_tier needs regions >= 1 and leaves >= 1"),
+    ("two_tier", "--inject", "block=1.5", "block_probability must be in [0, 1], got 1.5"),
 ])
 def test_simulate_unknown_key_is_fatal(tmp_path, capsys, model, flag, spec, message):
     # a misspelt key used to run the defaults silently; a bad value is as fatal

@@ -144,6 +144,27 @@ def test_parse_bad_ipv6_is_a_bad_hop_line(body, warning):
     assert report.warnings == [f"bad hop line ({warning}): {'1  ' + body!r}"]
 
 
+@pytest.mark.parametrize("good, bad", [
+    ("199.1.1.1", "999.1.1.1"),
+    ("10.0.0.9", "010.0.0.9"),
+    ("10.0.0.255", "10.0.0.256"),
+    ("0.0.0.0", "00.0.0.0"),
+    ("255.255.255.255", "256.255.255.255"),
+    ("10.0.0.1", "\u0661\u0660.0.0.1"),  # Arabic-Indic digits, which \d matches
+])
+def test_parse_ipv4_octets_are_0_to_255_without_leading_zeros(good, bad):
+    # each bad token used to be kept as an address, as written
+    text = (f"traceroute to dst.example\n 1  {good}  1.0 ms\n 2  {bad}  2.0 ms\n"
+            f" 3  r ({bad})  3.0 ms\n")
+    (t,), report = parse_traceroute_text(text, "o")
+    assert t.hops == (HopRecord(1, good, 1.0), HopRecord(2), HopRecord(3))
+    assert report.skipped_lines == 2
+    assert report.warnings == [
+        f"bad hop line (unrecognized token {bad!r}): {f'2  {bad}  2.0 ms'!r}",
+        f"bad hop line (bad address {f'({bad})'!r}): {f'3  r ({bad})  3.0 ms'!r}",
+    ]
+
+
 def test_canonical_round_trip(tmp_path):
     traces = [
         trace("o1", "b", [("a", 1.0), (None, None), ("b", 3.5)]),
@@ -262,7 +283,8 @@ HOP_TOKENS = st.one_of(
     st.sampled_from([
         "192.0.2.1", "10.0.0.2", "r1 (192.0.2.3)", "r2.example (10.0.0.2)", "(bad)",
         "r3 (bad)", "r4 (10.0.0)", "*", "!H", "!N", "nan ms", "inf ms", "-1 ms", "ms",
-        "garbage", "#@!",
+        "garbage", "#@!", "0.0.0.0", "255.255.255.255", "999.1.1.1", "010.0.0.2",
+        "r5 (10.0.0.256)",
     ]),
     st.sampled_from(["0", "-0", "1", "1.0", "1.5", "2.25", "1e1"]).map(lambda v: f"{v} ms"),
 )

@@ -427,6 +427,7 @@ def test_min_over_origins_matches_the_two_pass_reference(per_origin, couple):
     got = min_over_origins(("a", "b"), per_origin, couple)
     want = reference.min_over_origins(("a", "b"), per_origin, couple)
     assert got == want
+    assert got.per_origin is per_origin  # handed over, not copied
     assert got.best_hop is want.best_hop and got.best_rtt is want.best_rtt
 
 
