@@ -488,10 +488,11 @@ def run_experiment(
     """Simulate traces from every origin to every pair endpoint, estimate the
     pairs, and cross-reference each outcome with oracle truth.
 
-    Soundness (bound >= truth) holds on fault-free traces only.  Two known
-    shapes undercut the truth (ROADMAP item 1, the two strict xfails in
-    ``tests/test_transit.py``): a loop just before the host, which needs no
-    blocking, and a blocked access router, whose endpoint falls back one hop.
+    Hop bounds do not undercut the truth, with or without blocking, loops
+    and return-leg asymmetry (acceptance criterion 1 checks both): a loop
+    back to the transit or through the access router is rejected, and a
+    silent access router stays the endpoint.  RTT jitter can put an RTT
+    bound below the truth, and ``soundness_violations`` counts that pair too.
     """
     sim = Simulator(topology, options)
     targets = sorted({h for pair in pairs for h in pair})

@@ -77,8 +77,10 @@ class PreparedTrace:
 
     ``endpoint`` is the 1-based hop position distances are measured to, or
     None for an unreached trace: in ``host`` mode the destination hop, in
-    ``access_router`` mode the last responsive hop strictly before it,
-    falling back to the destination hop when there is none.  ``positions``
+    ``access_router`` mode the hop just before it (the destination hop of a
+    one-hop trace), where the access router is whether or not it answers.
+    A silent access router takes the destination hop's RTT, an upper bound
+    on its own wherever cumulative RTT rises along the path.  ``positions``
     maps each responsive address up to the endpoint to its deepest
     position, ordered deepest first, so its items are also the (address,
     position) list the transit scan walks.  ``tail`` memoizes the checks on
@@ -92,8 +94,8 @@ class PreparedTrace:
         self.options = options
         hops = trace.hops
         endpoint = n = len(hops)
-        if options.mode == ACCESS_ROUTER:
-            endpoint = next((pos for pos in range(n - 1, 0, -1) if hops[pos - 1].responsive), n)
+        if options.mode == ACCESS_ROUTER and n > 1:
+            endpoint = n - 1
         self.endpoint = endpoint if trace.reached else None
         self.positions = positions = {}
         for pos in range(self.endpoint or 0, 0, -1):
@@ -108,10 +110,13 @@ class PreparedTrace:
         drops), or None when the endpoint hop has no RTT.  Position 0 is the
         origin fallback, whose RTT is 0, and checks the whole path.
 
-        The first reject wins: no RTT at the transit hop, then, walking out
-        from it, a repeated address (a routing loop) or a cumulative RTT
-        drop beyond ``eps_rtt`` (route asymmetry).  Each memo entry holds
-        just the value, so it costs no object beyond the RTT.
+        The first reject wins: no RTT at the transit hop; then, walking out
+        from the first position of the transit's address, so that a loop
+        back to the transit shows, a repeated address (a routing loop) or a
+        cumulative RTT drop beyond ``eps_rtt`` (route asymmetry); then, in
+        ``access_router`` mode, an access router whose address also occurs
+        at an earlier hop, a loop the walk began past.  Each memo entry
+        holds just the value, so it costs no object beyond the RTT.
         """
         tails = self._tails
         if transit_pos not in tails:
@@ -126,10 +131,14 @@ class PreparedTrace:
                 RejectKind.MISSING_RTT_AT_TRANSIT,
                 f"no rtt at transit hop {transit_pos}",
             )
+        start = 1
+        if transit_pos:
+            transit = hops[transit_pos - 1].address
+            start = next(pos for pos, hop in enumerate(hops, 1) if hop.address == transit)
         eps_rtt = self.options.eps_rtt
         prev_rtt = None
         seen: set[str] = set()
-        for pos in range(max(transit_pos, 1), len(hops) + 1):
+        for pos in range(start, len(hops) + 1):
             hop = hops[pos - 1]
             address = hop.address
             if address is None:
@@ -148,7 +157,14 @@ class PreparedTrace:
                         f"cumulative rtt drops {prev_rtt} -> {rtt} at hop {pos}",
                     )
                 prev_rtt = rtt
-        end_rtt = hops[self.endpoint - 1].rtt_ms
+        end = hops[self.endpoint - 1]
+        if self.options.mode == ACCESS_ROUTER and end.address is not None and any(
+                hop.address == end.address for hop in hops[:self.endpoint - 1]):
+            return RejectReason(
+                RejectKind.LOOP_BEYOND_TRANSIT,
+                f"access router {end.address} repeats at hop {self.endpoint}",
+            )
+        end_rtt = (end if end.address is not None else hops[-1]).rtt_ms
         return None if end_rtt is None else end_rtt - start_rtt
 
 

@@ -3,9 +3,10 @@
 ``estimate_pair`` and ``last_common_hop`` are as they were before per-trace
 preparation: every call recomputes the endpoint, the address positions and
 the validation verdicts of both traces, and breaks ties on the address with
-``_neg_lex``.  The endpoint rule (``endpoint_of``) and the segment checks
-(``validate_beyond_transit``) are this module's own, so a defect in the
-package's copies shows as a difference.  ``read_outcomes`` is as it was
+``_neg_lex``.  The endpoint rule (``endpoint_of`` and ``endpoint_rtt``) and
+the segment checks (``validate_beyond_transit`` and ``access_router_loop``)
+are this module's own, so a defect in the package's copies shows as a
+difference.  ``read_outcomes`` is as it was
 before the per-file decoder: it builds every reject reason, transit point
 and best bound anew.  ``write_outcomes`` is as it was before the writer
 cached JSON text: it builds a dict per entry and encodes every record whole.
@@ -34,33 +35,48 @@ from edgedist.transit import BatchStats, EstimateOptions, PairOutcome
 
 def endpoint_of(trace: TracePath, mode: str) -> int:
     """1-based position of the distance endpoint of a reached trace: the
-    destination hop in host mode, else the last responsive hop before it,
-    or the destination hop when there is none."""
+    destination hop in host mode or of a one-hop trace, else the hop before
+    it, answered or not."""
     if not trace.reached:
         raise ValueError("endpoint_of requires a reached trace")
     n = len(trace.hops)
-    if mode == "host":
-        return n
-    for pos in range(n - 1, 0, -1):
-        if trace.hops[pos - 1].responsive:
-            return pos
-    return n
+    return n if mode == "host" or n == 1 else n - 1
+
+
+def endpoint_rtt(trace: TracePath, endpoint: int) -> float | None:
+    """The endpoint hop's RTT, or the destination hop's when it is silent."""
+    hop = trace.hops[endpoint - 1]
+    return hop.rtt_ms if hop.responsive else trace.hops[-1].rtt_ms
+
+
+def access_router_loop(trace: TracePath, endpoint: int) -> RejectReason | None:
+    """A reject when the access router's address is also at an earlier hop."""
+    router = trace.hops[endpoint - 1].address
+    if router is None or router not in [hop.address for hop in trace.hops[:endpoint - 1]]:
+        return None
+    return RejectReason(
+        RejectKind.LOOP_BEYOND_TRANSIT,
+        f"access router {router} repeats at hop {endpoint}",
+    )
 
 
 def validate_beyond_transit(
     trace: TracePath, transit_pos: int, eps_rtt: float
 ) -> RejectReason | None:
-    """Check the segment from transit_pos (0: the origin) to the last hop;
-    None means accepted.  Rejects a missing RTT at the transit hop, then the
+    """Check the segment from the transit's address where it first occurs
+    (the first hop for the origin, transit_pos 0) to the last hop; None
+    means accepted.  Rejects a missing RTT at the transit hop, then the
     first repeated address or cumulative RTT drop beyond eps_rtt."""
     if transit_pos >= 1 and trace.hops[transit_pos - 1].rtt_ms is None:
         return RejectReason(
             RejectKind.MISSING_RTT_AT_TRANSIT,
             f"no rtt at transit hop {transit_pos}",
         )
+    addresses = [hop.address for hop in trace.hops]
+    first = addresses.index(addresses[transit_pos - 1]) if transit_pos >= 1 else 0
     prev_rtt = None
     seen: set[str] = set()
-    for hop in trace.hops[max(transit_pos, 1) - 1:]:
+    for hop in trace.hops[first:]:
         if not hop.responsive:
             continue
         if hop.address in seen:
@@ -151,13 +167,15 @@ def estimate_pair(
     )
     if isinstance(transit, RejectReason):
         return transit
-    for path, t_pos in ((path_a, transit.index_a), (path_b, transit.index_b)):
+    for path, t_pos, e_pos in ((path_a, transit.index_a, n_a), (path_b, transit.index_b, n_b)):
         reject = validate_beyond_transit(path, t_pos, options.eps_rtt)
+        if reject is None and options.mode == "access_router":
+            reject = access_router_loop(path, e_pos)
         if reject is not None:
             return reject
 
     def tail_rtt(path: TracePath, t_pos: int, e_pos: int) -> float | RejectReason:
-        end_rtt = path.hops[e_pos - 1].rtt_ms
+        end_rtt = endpoint_rtt(path, e_pos)
         if end_rtt is None:
             return RejectReason(
                 RejectKind.MISSING_RTT_AT_TRANSIT,

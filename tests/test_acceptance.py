@@ -25,6 +25,8 @@ from edgedist.stats import (
 )
 from edgedist.synth import SimOptions, Topology, generate_topology, run_experiment
 from edgedist.transit import (
+    ACCESS_ROUTER,
+    HOST,
     EstimateOptions,
     PairOutcome,
     PreparedTrace,
@@ -65,6 +67,7 @@ def test_criterion_1_soundness():
     start = time.monotonic()
     violations = 0
     checked = 0
+    hop_undercuts = 0
     for model, params, seed in _soundness_topologies():
         topo = generate_topology(model, params, seed=seed)
         assert 50 <= len(topo.routers) <= 200
@@ -74,11 +77,20 @@ def test_criterion_1_soundness():
         report = run_experiment(topo, origins, pairs, est_options=FALLBACK)
         violations += report.soundness_violations
         checked += len(report.results)
+        # blocked hops, loops and return-leg asymmetry (no jitter, whose RTT
+        # noise no bound can absorb): no hop bound may undercut, either mode
+        faults = SimOptions(block_probability=0.05, loop_probability=0.05,
+                            asymmetry_probability=0.1, asymmetry_delta_ms=80.0, seed=seed)
+        for mode in (HOST, ACCESS_ROUTER):
+            report = run_experiment(topo, origins, pairs, faults,
+                                    EstimateOptions(mode=mode, allow_origin_fallback=True))
+            hop_undercuts += sum(r.best_hop_bound is not None and r.best_hop_bound < r.true_hops
+                                 for r in report.results)
     elapsed = time.monotonic() - start
     _verdict(
-        1, "soundness", violations == 0 and elapsed < 30.0,
-        f"{checked} pairs over 20 topologies, {violations} violations, "
-        f"{elapsed:.1f}s",
+        1, "soundness", violations == 0 and hop_undercuts == 0 and elapsed < 30.0,
+        f"{checked} pairs over 20 topologies, {violations} violations; "
+        f"{2 * checked} faulty pairs, {hop_undercuts} hop undercuts; {elapsed:.1f}s",
     )
 
 

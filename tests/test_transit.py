@@ -54,9 +54,12 @@ def test_endpoint_degenerate_single_hop():
     assert _endpoint(t, ACCESS_ROUTER) == 1
 
 
-def test_endpoint_skips_unresponsive():
+def test_endpoint_keeps_an_unresponsive_access_router():
+    # the endpoint used to fall back to r1, one hop short of the router
     t = trace("o", "H", [("r1", 1.0), (None, None), ("H", 3.0)])
-    assert _endpoint(t, ACCESS_ROUTER) == 1
+    assert _endpoint(t, ACCESS_ROUTER) == 2
+    # the silent router takes the destination hop's RTT
+    assert _tail(t, 1) == 2.0
 
 
 def test_endpoint_unreached_rejected():
@@ -75,11 +78,10 @@ def test_endpoint_access_router_oracle_three_hops():
         hops = [("r1", 1.0), ("r2", 2.0), ("H", 3.0)]
         hops[star - 1] = (None, None)
         t = trace("o", "H", hops)
-        # oracle: scan backward from the hop before the destination
-        expected = next(
-            (pos for pos in (2, 1) if t.hops[pos - 1].responsive), 3
-        )
-        assert _endpoint(t, ACCESS_ROUTER) == expected
+        # oracle: the hop before the destination, answered or not, with the
+        # destination's RTT when it is silent
+        assert _endpoint(t, ACCESS_ROUTER) == 2
+        assert _tail(t, 0) == (3.0 if star == 2 else 2.0)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -5.0, -1e-9, float("inf")])
@@ -210,6 +212,16 @@ def test_loop_beyond_transit_rejected():
     assert reject == RejectReason(RejectKind.LOOP_BEYOND_TRANSIT, "address u repeats at hop 4")
 
 
+def test_loop_through_the_access_router_is_rejected():
+    # the walk from the transit x sees r once; r is also hop 1, before x
+    a = trace("o", "a", [("r", 1.0), ("x", 2.0), ("r", 3.0), ("a", 4.0)])
+    b = trace("o", "b", [("q", 1.0), ("x", 2.0), ("s", 3.0), ("b", 4.0)])
+    assert _estimate(a, b) == RejectReason(
+        RejectKind.LOOP_BEYOND_TRANSIT, "access router r repeats at hop 3")
+    # a host-mode endpoint is the host, so the rule does not apply
+    assert _estimate(a, b, HOST_MODE).transit.address == "x"
+
+
 def test_missing_rtt_at_transit():
     t = trace("o", "c", [("t", None), ("c", 2.0)])
     reject = _tail(t, 1, mode=HOST)
@@ -312,11 +324,10 @@ def test_estimate_bounds_true_distance_on_synthetic_graph():
             assert est.rtt_bound_ms >= 2 * true_lat - 1e-9
 
 
-# ROADMAP item 1: two access-router-mode cases whose bound undercuts the
-# true 2 hops (A1-T0-B1); once fixed they must be rejected or bound >= 2
+# two access-router-mode cases whose bound used to undercut the true 2 hops
+# (A1-T0-B1): they must be rejected or bound >= 2
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_loop_just_before_the_host_does_not_undercut():
     # T0 is both the deepest common hop and a's access router, so the scan
     # beyond the transit starts past the repeat
@@ -326,9 +337,8 @@ def test_loop_just_before_the_host_does_not_undercut():
     assert isinstance(est, RejectReason) or est.hop_bound >= 2
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_blocked_access_router_does_not_undercut():
-    # a's access router A1 does not answer, so its endpoint falls back to T0
+    # a's access router A1 does not answer; its endpoint used to fall back to T0
     a = trace("o", "hA", [("T0", 1.0), (None, None), ("hA", 3.0)])
     b = trace("o", "hB", [("T0", 1.0), ("B1", 2.0), ("hB", 3.0)])
     est = _estimate(a, b)
