@@ -78,7 +78,7 @@ class PreparedTrace:
     ``endpoint`` is the 1-based hop position distances are measured to, or
     None for an unreached trace: in ``host`` mode the destination hop, in
     ``access_router`` mode the hop just before it (the destination hop of a
-    one-hop trace), where the access router is whether or not it answers.
+    one-hop trace), which is the access router whether or not it answers.
     A silent access router takes the destination hop's RTT, an upper bound
     on its own wherever cumulative RTT rises along the path.  ``positions``
     maps each responsive address up to the endpoint to its deepest
@@ -107,7 +107,7 @@ class PreparedTrace:
     def tail(self, transit_pos: int) -> RejectReason | float | None:
         """The segment from transit_pos to the last hop, checked: a reject,
         else the RTT from the transit to the endpoint (negative when it
-        drops), or None when the endpoint hop has no RTT.  Position 0 is the
+        drops), or None when the endpoint has no RTT.  Position 0 is the
         origin fallback, whose RTT is 0, and checks the whole path.
 
         The first reject wins: no RTT at the transit hop; then, walking out

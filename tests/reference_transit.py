@@ -6,15 +6,15 @@ the validation verdicts of both traces, and breaks ties on the address with
 ``_neg_lex``.  The endpoint rule (``endpoint_of`` and ``endpoint_rtt``) and
 the segment checks (``validate_beyond_transit`` and ``access_router_loop``)
 are this module's own, so a defect in the package's copies shows as a
-difference.  ``read_outcomes`` is as it was
-before the per-file decoder: it builds every reject reason, transit point
-and best bound anew.  ``write_outcomes`` is as it was before the writer
-cached JSON text: it builds a dict per entry and encodes every record whole.
+difference.  ``read_outcomes`` is as it was before the per-file decoder: it
+builds every reject reason, transit point and best bound anew.
+``write_outcomes`` is as it was before the writer cached JSON text: it
+builds a dict per entry and encodes every record whole.
 ``min_over_origins`` is the two-pass selection: it copies the accepted
 entries into a list and takes a lambda-keyed ``min`` per metric.
 ``batch_estimate`` is the loop as it was before the per-origin sweep: pair
-by pair, every origin in turn.  The differential tests compare ``edgedist.transit`` against this module result
-for result.
+by pair, every origin in turn.  The differential tests compare
+``edgedist.transit`` against this module result for result.
 """
 
 from __future__ import annotations

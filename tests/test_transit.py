@@ -329,8 +329,8 @@ def test_estimate_bounds_true_distance_on_synthetic_graph():
 
 
 def test_loop_just_before_the_host_does_not_undercut():
-    # T0 is both the deepest common hop and a's access router, so the scan
-    # beyond the transit starts past the repeat
+    # T0 is both the deepest common hop and a's access router; the scan
+    # beyond the transit used to start past the repeat
     a = trace("o", "hA", [("T0", 1.0), ("A1", 2.0), ("T0", 3.0), ("hA", 4.0)])
     b = trace("o", "hB", [("T0", 1.0), ("B1", 2.0), ("hB", 3.0)])
     est = _estimate(a, b)
