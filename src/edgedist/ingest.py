@@ -28,9 +28,10 @@ class ParseReport:
 
 
 _HEADER_RE = re.compile(r"^traceroute(?:6)?\s+to\s+(\S+)(?:\s+\(([^\s()]+)\))?")
-_HOP_LINE_RE = re.compile(r"^\s*(\d+)\s+(.*)$")
-# an octet 0-255 in ASCII digits without a leading zero, so each address has
-# one spelling; \d would also match other scripts' digits
+# numbers are in ASCII digits: \d, int() and float() also take other
+# scripts' digits, and float() reads "1_0" as 10.0
+_HOP_LINE_RE = re.compile(r"^\s*([0-9]+)\s+(.*)$")
+# an octet 0-255 without a leading zero, so each address has one spelling
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _IPV4_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
 
@@ -54,8 +55,9 @@ def _parse_hop(ttl: int, body: str, share: Callable[[str, str], str]) -> HopReco
     keeps the minimum RTT and the earliest responder that gave it, without
     its reverse-DNS name; ``share(address, address)`` gives the address
     string to keep.
-    Raises ValueError at the first unrecognizable token or non-finite RTT,
-    else TraceError if the hop is invalid (say, a negative minimum).
+    Raises ValueError at the first unrecognizable token, RTT that is not
+    ASCII or holds an underscore, or non-finite RTT, else TraceError if the
+    hop is invalid (say, a negative minimum).
     """
     addr = best_addr = best_rtt = None
     word = None  # the previous token, whose meaning this one decides
@@ -64,6 +66,8 @@ def _parse_hop(ttl: int, body: str, share: Callable[[str, str], str]) -> HopReco
             if tok == "ms":
                 if addr is None:
                     raise ValueError("rtt before any address")
+                if not word.isascii() or "_" in word:
+                    raise ValueError(f"bad rtt {word!r}")
                 rtt = float(word)
                 if not math.isfinite(rtt):
                     raise ValueError(f"non-finite rtt {word!r}")

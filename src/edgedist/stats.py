@@ -39,13 +39,19 @@ class EdgeDistribution:
         return (self.n - bisect_right(self.samples, threshold)) / self.n
 
 
-def _moments(values: list[float]) -> tuple[float, float]:
-    """Mean and population std of ``values``."""
+def _moments(values: list[float], metric: str) -> tuple[float, float]:
+    """Mean and population std of ``values`` of ``metric``; finite values
+    can still overflow either."""
     if not values:
         raise ValueError("empty distribution")
     n = len(values)
     mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    try:
+        var = sum((v - mean) ** 2 for v in values) / n
+    except OverflowError:  # a float ** raises where + gives inf
+        var = math.inf
+    if not var < math.inf:  # also nan, from an infinite mean
+        raise ValueError(f"{metric} values overflow the mean or std")
     return mean, math.sqrt(var)
 
 
@@ -59,7 +65,7 @@ def distribution_from_samples(
         bin_width = DEFAULT_BIN_WIDTH[metric]
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
-    mean, std = _moments(values)
+    mean, std = _moments(values, metric)
     counts: dict[float, int] = {}
     for v in values:
         edge = math.floor(v / bin_width) * bin_width
@@ -132,12 +138,12 @@ def resample_stability(
         raise ValueError(
             f"subset size {subset_size} exceeds accepted count {len(values)}"
         )
-    full_mean, full_std = _moments(values)
+    full_mean, full_std = _moments(values, metric)
     rng = random.Random(seed)
     max_mean_dev = 0.0
     max_std_dev = 0.0
     for _ in range(trials):
-        mean, std = _moments(rng.sample(values, subset_size))
+        mean, std = _moments(rng.sample(values, subset_size), metric)
         max_mean_dev = max(max_mean_dev, abs(mean - full_mean))
         max_std_dev = max(max_std_dev, abs(std - full_std))
     return max_mean_dev, max_std_dev

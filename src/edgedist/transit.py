@@ -211,6 +211,8 @@ def estimate_pair(
     of b).  Without one, the origin may serve as a loose transit at (0, 0)
     when the options allow it.  The estimate's transit indices follow the
     canonical order, as the ``PairOutcome`` for the pair names its endpoints.
+    Tail RTTs whose sum overflows to infinity give a MissingRttAtTransit
+    reject, since no finite RTT bound exists.
 
     Calls that pass one ``shared`` table share one object per distinct
     transit point and per distinct estimate (see ``_shared_estimate``).
@@ -261,9 +263,13 @@ def estimate_pair(
         return rtt_b
     if rtt_a is None or rtt_b is None or rtt_a < 0 or rtt_b < 0:
         return _tail_reject(a, rtt_a) or _tail_reject(b, rtt_b)
+    rtt = rtt_a + rtt_b
+    if rtt == math.inf:  # two finite tails can overflow
+        return RejectReason(RejectKind.MISSING_RTT_AT_TRANSIT,
+                            f"rtt bound {rtt_a!r} + {rtt_b!r} overflows")
     return _shared_estimate(
         {} if shared is None else shared, origin, address, index_a, index_b,
-        best is None, (end_a - index_a) + (end_b - index_b), rtt_a + rtt_b,
+        best is None, (end_a - index_a) + (end_b - index_b), rtt,
     )
 
 

@@ -29,7 +29,8 @@ def _parse_hop_body(body: str) -> list[tuple[str | None, float | None]]:
     Classic layout: ``name (ip)  t1 ms  t2 ms`` with a new ``name (ip)`` pair
     whenever a later probe was answered by a different node; lone ``*`` marks
     an unanswered probe.  The reverse-DNS name is dropped.  Raises ValueError
-    on anything unrecognizable and on a non-finite RTT.
+    on anything unrecognizable, on an RTT that is not in ASCII or holds an
+    underscore, and on a non-finite RTT.
     """
     tokens = body.split()
     probes: list[tuple[str | None, float | None]] = []
@@ -48,6 +49,8 @@ def _parse_hop_body(body: str) -> list[tuple[str | None, float | None]]:
         elif i + 1 < len(tokens) and tokens[i + 1] == "ms":
             if addr is None:
                 raise ValueError("rtt before any address")
+            if not tok.isascii() or "_" in tok:
+                raise ValueError(f"bad rtt {tok!r}")
             rtt = float(tok)
             if not math.isfinite(rtt):
                 raise ValueError(f"non-finite rtt {tok!r}")

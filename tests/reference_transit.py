@@ -20,6 +20,7 @@ by pair, every origin in turn.  The differential tests compare
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 from edgedist.model import (
@@ -196,6 +197,11 @@ def estimate_pair(
     rtt_b = tail_rtt(path_b, transit.index_b, n_b)
     if isinstance(rtt_b, RejectReason):
         return rtt_b
+    if not math.isfinite(rtt_a + rtt_b):
+        return RejectReason(
+            RejectKind.MISSING_RTT_AT_TRANSIT,
+            f"rtt bound {rtt_a!r} + {rtt_b!r} overflows",
+        )
     return PairEstimate(
         origin_id=path_a.origin_id,
         transit=transit,

@@ -61,6 +61,18 @@ def test_ingest_corrupted_line_is_partial_exit(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_ingest_non_ascii_digits_are_warnings(tmp_path, capsys):
+    # the TTL and the RTT were read as 1 and 1.0, exit 0
+    src = tmp_path / "raw.txt"
+    src.write_text("traceroute to 10.0.0.9\n \u0661  10.0.0.1  1.0 ms\n"
+                   " 2  10.0.0.9  \u0661.\u0660 ms\n", encoding="utf-8")
+    out = tmp_path / "traces.jsonl"
+    assert main(["ingest", str(src), "-o", str(out)]) == 1
+    (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert record["hops"] == [[1, None, None], [2, None, None]]
+    assert capsys.readouterr().err.count("warning: ") == 2
+
+
 def test_ingest_byte_identical_reruns(tmp_path):
     src = tmp_path / "raw.txt"
     src.write_text(TRACEROUTE_TEXT)
@@ -97,6 +109,37 @@ def test_pairs_nothing_accepted_is_partial(tmp_path, capsys):
                  "-o", str(out)]) == 1
     assert "no pair obtained a valid estimate" in capsys.readouterr().err
     assert out.exists()
+
+
+def test_pairs_counts_an_rtt_bound_that_overflows(tmp_path, capsys):
+    # it used to exit 2 with "rtt bound inf is negative or not finite"
+    traces = write_traces(tmp_path / "traces.jsonl", [
+        trace("O1", "X", [("T", 0.0), ("X", 1e308)]),
+        trace("O1", "Y", [("T", 0.0), ("Y", 1.7e308)]),
+    ])
+    out = tmp_path / "outcomes.jsonl"
+    assert main(["pairs", "--traces", traces, "--mode", "host", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "reject MissingRttAtTransit: 1 (100.0%)" in captured.out
+    assert captured.err == "error: no pair obtained a valid estimate\n"
+    (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert record["per_origin"]["O1"]["reject"] == "MissingRttAtTransit"
+
+
+@pytest.mark.parametrize("command", ["dist", "handover"])
+def test_rtt_bounds_too_large_for_a_std_are_fatal(tmp_path, capsys, command):
+    # they used to end in an OverflowError traceback, exit 1
+    traces = write_traces(tmp_path / "traces.jsonl", [
+        trace("O1", dest, [("T", 0.0), (dest, rtt)])
+        for dest, rtt in (("X", 1e200), ("Y", 1e200), ("Z", 3e200))
+    ])
+    outcomes = tmp_path / "outcomes.jsonl"
+    assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                 "-o", str(outcomes)]) == 0
+    out = tmp_path / "result"
+    assert main([command, "--outcomes", str(outcomes), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: rtt_ms values overflow the mean or std\n"
+    assert not list(tmp_path.glob("result*"))
 
 
 def test_pairs_missing_input_is_fatal(tmp_path, capsys):

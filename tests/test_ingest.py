@@ -165,6 +165,24 @@ def test_parse_ipv4_octets_are_0_to_255_without_leading_zeros(good, bad):
     ]
 
 
+@pytest.mark.parametrize("line, warning", [
+    (" \u0661  10.0.0.1  1.0 ms", "unrecognized line: '\u0661  10.0.0.1  1.0 ms'"),
+    (" \uff11  10.0.0.1  1.0 ms", "unrecognized line: '\uff11  10.0.0.1  1.0 ms'"),
+    (" 1\u0661  10.0.0.1  1.0 ms", "unrecognized line: '1\u0661  10.0.0.1  1.0 ms'"),
+    (" 1  10.0.0.1  \u0661.\u0660 ms",
+     "bad hop line (bad rtt '\u0661.\u0660'): '1  10.0.0.1  \u0661.\u0660 ms'"),
+    (" 1  10.0.0.1  \uff11.5 ms", "bad hop line (bad rtt '\uff11.5'): '1  10.0.0.1  \uff11.5 ms'"),
+    (" 1  10.0.0.1  1_0 ms", "bad hop line (bad rtt '1_0'): '1  10.0.0.1  1_0 ms'"),
+])
+def test_parse_numbers_are_ascii_digits_without_underscores(line, warning):
+    # int() and float() read other scripts' digits, and float() reads 1_0
+    # as 10.0; each of these used to ingest as TTL 1 with a 1.0 or 10.0 RTT
+    text = f"traceroute to 10.0.0.9\n{line}\n 2  10.0.0.9  3.0 ms\n"
+    (t,), report = parse_traceroute_text(text, "o")
+    assert t.hops == (HopRecord(1), HopRecord(2, "10.0.0.9", 3.0))
+    assert report.warnings == [warning] and report.skipped_lines == 1
+
+
 def test_canonical_round_trip(tmp_path):
     traces = [
         trace("o1", "b", [("a", 1.0), (None, None), ("b", 3.5)]),
@@ -286,7 +304,8 @@ HOP_TOKENS = st.one_of(
         "garbage", "#@!", "0.0.0.0", "255.255.255.255", "999.1.1.1", "010.0.0.2",
         "r5 (10.0.0.256)",
     ]),
-    st.sampled_from(["0", "-0", "1", "1.0", "1.5", "2.25", "1e1"]).map(lambda v: f"{v} ms"),
+    st.sampled_from(["0", "-0", "1", "1.0", "1.5", "2.25", "1e1", "1_0", "\u0661.\u0660",
+                     "\uff11"]).map(lambda v: f"{v} ms"),
 )
 
 

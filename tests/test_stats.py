@@ -177,6 +177,17 @@ def test_stability_monte_carlo():
     assert mean_dev < 0.05 * full_mean
 
 
+@pytest.mark.parametrize("values", [[1e200, 3e200], [1.7e308, 1.7e308]])
+def test_moments_too_large_for_a_float_name_the_metric(values):
+    # the variance's square used to raise OverflowError, and a sum past the
+    # largest float gave an infinite mean
+    outcomes = [make_outcome(i, rtt_bound=v) for i, v in enumerate(values)]
+    with pytest.raises(ValueError, match="^rtt_ms values overflow the mean or std$"):
+        build_distribution(outcomes, RTT_MS)
+    with pytest.raises(ValueError, match="^rtt_ms values overflow the mean or std$"):
+        resample_stability(outcomes, 1, 2, seed=0, metric=RTT_MS)
+
+
 def test_tsv_round_trip(tmp_path):
     dist = build_distribution(hop_outcomes([8, 8, 9, 12]), HOP_COUNT)
     path = tmp_path / "hops.tsv"

@@ -306,6 +306,19 @@ def test_tail_rejects_go_to_the_first_endpoint_first(tail_a, tail_b, detail):
         assert reject.detail == detail
 
 
+def test_an_rtt_bound_that_overflows_is_a_counted_reject():
+    # each tail RTT is finite but their sum is not; it used to fail the
+    # estimate's validation and abort pairs with exit 2
+    a = trace("o", "a", [("t", 0.0), ("a", 1e308)])
+    b = trace("o", "b", [("t", 0.0), ("b", 1.7e308)])
+    reject = RejectReason(RejectKind.MISSING_RTT_AT_TRANSIT,
+                          "rtt bound 1e+308 + 1.7e+308 overflows")
+    assert _estimate(a, b, HOST_MODE) == reference.estimate_pair(a, b, HOST_MODE) == reject
+    (outcome,), stats = batch_estimate({"o": [a, b]}, [("a", "b")], HOST_MODE)
+    assert outcome.per_origin == {"o": reject} and not outcome.accepted
+    assert stats.reject_counts == {"MissingRttAtTransit": 1}
+
+
 def test_estimate_bounds_true_distance_on_synthetic_graph():
     # 12-router ring of stars; bounds from each origin stay >= the truth
     topo = synth.generate_topology("ring_of_stars", {"cores": 4, "leaves": 2}, seed=11)
