@@ -117,26 +117,23 @@ def _sample_pairs(count: int, pair, k: int, rng: random.Random) -> list:
 
 def cmd_ingest(args) -> int:
     traces = []
-    report = ingest.ParseReport()
+    parsed = skipped = 0
+    warnings = []
     for input_path in args.inputs:
         if args.format == "canonical":
             traces.extend(ingest.read_canonical(input_path))
         else:
             text = Path(input_path).read_text(encoding="utf-8")
-            parsed, sub = ingest.parse_traceroute_text(text, args.origin)
-            traces.extend(parsed)
-            report.parsed += sub.parsed
-            report.skipped_lines += sub.skipped_lines
-            report.warnings.extend(sub.warnings)
+            more, report = ingest.parse_traceroute_text(text, args.origin)
+            traces.extend(more)
+            parsed += report.parsed
+            skipped += report.skipped_lines
+            warnings += report.warnings
     ingest.write_canonical(traces, args.output)
     _say(args, f"wrote {len(traces)} traces to {args.output}")
-    if report.skipped_lines or report.warnings:
-        _say(
-            args,
-            f"parsed={report.parsed} skipped_lines={report.skipped_lines} "
-            f"warnings={len(report.warnings)}",
-        )
-        for warning in report.warnings:
+    if skipped or warnings:
+        _say(args, f"parsed={parsed} skipped_lines={skipped} warnings={len(warnings)}")
+        for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK

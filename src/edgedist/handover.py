@@ -11,37 +11,39 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
+from .model import _Value
 from .stats import HOP_COUNT, RTT_MS, EdgeDistribution
 
 CBR_INTERVAL_MS = 10.0
 
 
-@dataclass(frozen=True)
-class LossTable:
-    """Grid of expected loss duration indexed by delay and anticipation.
+class LossTable(_Value, namedtuple("LossTable", "delay_axis anticipation_axis values")):
+    """Grid of expected loss duration indexed by delay and anticipation:
+    ``values[i][j]`` is the loss at ``delay_axis[i]`` and
+    ``anticipation_axis[j]``.
 
     Queries interpolate bilinearly inside the axes and refuse to extrapolate:
     silent extrapolation would fabricate physics.
     """
 
-    delay_axis: tuple[float, ...]
-    anticipation_axis: tuple[float, ...]
-    values: tuple[tuple[float, ...], ...]  # values[i][j] for (delay_i, anticipation_j)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for axis in (self.delay_axis, self.anticipation_axis):
+    def __new__(cls, delay_axis: tuple[float, ...], anticipation_axis: tuple[float, ...],
+                values: tuple[tuple[float, ...], ...]):
+        for axis in (delay_axis, anticipation_axis):
             if (len(axis) < 2 or not all(map(math.isfinite, axis))
                     or any(b <= a for a, b in zip(axis, axis[1:]))):
                 raise ValueError("table axes must be finite and strictly increasing, length >= 2")
-        if len(self.values) != len(self.delay_axis) or any(
-            len(row) != len(self.anticipation_axis) for row in self.values
+        if len(values) != len(delay_axis) or any(
+            len(row) != len(anticipation_axis) for row in values
         ):
             raise ValueError("table shape does not match its axes")
-        if not all(0 <= v < math.inf for row in self.values for v in row):
+        if not all(0 <= v < math.inf for row in values for v in row):
             raise ValueError("loss values must be finite and >= 0")
+        return tuple.__new__(cls, (delay_axis, anticipation_axis, values))
 
     def total_losses(self, delays_ms: list[float], anticipations: list[float]) -> list[float]:
         """The bilinear loss summed over ``delays_ms`` in their order, per
@@ -80,8 +82,7 @@ def _locate(axis: tuple[float, ...], value: float, label: str) -> tuple[int, flo
     return idx, (value - axis[idx]) / (axis[idx + 1] - axis[idx])
 
 
-@dataclass(frozen=True)
-class LossModel:
+class LossModel(_Value, namedtuple("LossModel", "beta table")):
     """Conditional expectation of loss duration given delay and anticipation.
 
     The default parametric form L(d, a) = max(0, d - a) + beta * a captures
@@ -91,12 +92,12 @@ class LossModel:
     externally published curve instead and ignores ``beta``.
     """
 
-    beta: float = 0.1
-    table: LossTable | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+    def __new__(cls, beta: float = 0.1, table: LossTable | None = None):
+        if not 0 <= beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {beta}")
+        return tuple.__new__(cls, (beta, table))
 
     def total_losses(self, delays_ms: list[float], anticipations: list[float]) -> list[float]:
         """L(d, a) summed over ``delays_ms`` in their order, per anticipation
@@ -156,11 +157,10 @@ def expected_loss_curve(
     return [(a, loss, loss / CBR_INTERVAL_MS) for a, loss in zip(anticipation_grid, losses)]
 
 
-@dataclass(frozen=True)
-class AnticipationOptimum:
-    anticipation_ms: float
-    expected_loss_ms: float
-    flat: bool
+class AnticipationOptimum(
+    _Value, namedtuple("AnticipationOptimum", "anticipation_ms expected_loss_ms flat")
+):
+    __slots__ = ()
 
 
 def argmin_anticipation(
@@ -182,19 +182,19 @@ def argmin_anticipation(
     return AnticipationOptimum(anticipation_ms=best_a, expected_loss_ms=best_loss, flat=flat)
 
 
-@dataclass(frozen=True)
-class PersistenceTable:
+class PersistenceTable(_Value, namedtuple("PersistenceTable", "entries")):
     """Forwarding-state persistence ratio per hop distance.
 
     No extrapolation: every hop value carrying probability mass must be
     covered explicitly.
     """
 
-    entries: dict[int, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for hop, ratio in self.entries.items():
+    def __new__(cls, entries: dict[int, float]):
+        for hop, ratio in entries.items():
             _check_entry(hop, ratio)
+        return tuple.__new__(cls, (entries,))
 
 
 def _check_entry(hop: int, ratio: float) -> None:

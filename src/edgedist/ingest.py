@@ -12,19 +12,22 @@ from __future__ import annotations
 import ipaddress
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 from typing import Callable
 
 from .jsonl import read_jsonl, write_jsonl
-from .model import HopRecord, TracePath
+from .model import HopRecord, TracePath, _Value
 
 
-@dataclass
-class ParseReport:
-    parsed: int = 0
-    skipped_lines: int = 0
-    warnings: list[str] = field(default_factory=list)
+class ParseReport(_Value, namedtuple("ParseReport", "parsed skipped_lines warnings")):
+    """Traces parsed, lines skipped, and the warning for each skipped line."""
+
+    __slots__ = ()
+    __hash__ = None  # warnings is a list
+
+    def __new__(cls, parsed: int = 0, skipped_lines: int = 0, warnings: list[str] | None = None):
+        return tuple.__new__(cls, (parsed, skipped_lines, [] if warnings is None else warnings))
 
 
 _HEADER_RE = re.compile(r"^traceroute(?:6)?\s+to\s+(\S+)(?:\s+\(([^\s()]+)\))?")
@@ -111,8 +114,8 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
     """
     if not origin_id:
         raise ValueError("origin_id must be non-empty")
-    report = ParseReport()
     traces: list[TracePath] = []
+    warnings: list[str] = []  # one per skipped line
     share = {}.setdefault  # one object per distinct string
 
     target: str | None = None
@@ -124,7 +127,6 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
             # valid by construction: consecutive TTLs, reached only at the target
             reached = bool(hops) and hops[-1].address == target
             traces.append(TracePath(origin_id, target, tuple(hops), reached))
-            report.parsed += 1
         target = None
         hops = []
 
@@ -139,29 +141,25 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
                 target = (paren and _address(paren)) or _address(name) or name
                 target = share(target, target)
             elif line.strip():
-                report.skipped_lines += 1
-                report.warnings.append(f"unrecognized line: {line.strip()!r}")
+                warnings.append(f"unrecognized line: {line.strip()!r}")
             continue
         if target is None:
-            report.skipped_lines += 1
-            report.warnings.append(f"hop line before any header: {line.strip()!r}")
+            warnings.append(f"hop line before any header: {line.strip()!r}")
             continue
         ttl, body = int(hop_match[1]), hop_match[2]
         # fill TTL gaps so hop arithmetic still counts the missing slots
         while len(hops) + 1 < ttl:
             hops.append(HopRecord(len(hops) + 1))
         if ttl <= len(hops):
-            report.skipped_lines += 1
-            report.warnings.append(f"out-of-order hop line: {line.strip()!r}")
+            warnings.append(f"out-of-order hop line: {line.strip()!r}")
             continue
         try:
             hops.append(_parse_hop(ttl, body, share))
         except ValueError as exc:
-            report.skipped_lines += 1
-            report.warnings.append(f"bad hop line ({exc}): {line.strip()!r}")
+            warnings.append(f"bad hop line ({exc}): {line.strip()!r}")
             hops.append(HopRecord(ttl=ttl))
     flush()
-    return traces, report
+    return traces, ParseReport(len(traces), len(warnings), warnings)
 
 
 def trace_to_record(trace: TracePath) -> dict:

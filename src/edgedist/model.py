@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -120,41 +119,37 @@ class HopRecord(_Value, namedtuple("HopRecord", "ttl address rtt_ms")):
         return self.address is not None
 
 
-@dataclass(frozen=True, slots=True)
-class TracePath:
+class TracePath(_Value, namedtuple("TracePath", "origin_id destination hops reached timestamp")):
     """One traceroute result: ordered hops from an origin toward a destination."""
 
-    origin_id: str
-    destination: str
-    hops: tuple[HopRecord, ...]
-    reached: bool
-    timestamp: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("origin_id", "destination"):
-            value = getattr(self, name)
+    def __new__(cls, origin_id: str, destination: str, hops: tuple[HopRecord, ...],
+                reached: bool, timestamp: float | None = None):
+        for name, value in (("origin_id", origin_id), ("destination", destination)):
             if type(value) is not str:
                 raise TraceError(f"{name} {value!r} is not a string")
             if not value:
                 raise TraceError(f"{name} must be non-empty")
-        if type(self.reached) is not bool:
-            raise TraceError(f"reached {self.reached!r} is not a bool")
-        stamp = self.timestamp
-        if stamp is not None and (type(stamp) not in (int, float) or not math.isfinite(stamp)):
-            raise TraceError(f"timestamp {stamp!r} is not a finite number")
-        object.__setattr__(self, "hops", tuple(self.hops))
-        for i, hop in enumerate(self.hops, start=1):
+        if type(reached) is not bool:
+            raise TraceError(f"reached {reached!r} is not a bool")
+        if timestamp is not None and (type(timestamp) not in (int, float)
+                                      or not math.isfinite(timestamp)):
+            raise TraceError(f"timestamp {timestamp!r} is not a finite number")
+        hops = tuple(hops)
+        for i, hop in enumerate(hops, start=1):
             if hop.ttl != i:
                 raise TraceError(f"ttl gap at position {i}: expected ttl {i}, got {hop.ttl}")
-        if self.reached:
-            if not self.hops:
+        if reached:
+            if not hops:
                 raise TraceError("reached trace must have at least one hop")
-            last = self.hops[-1]
-            if last.address != self.destination:
+            last = hops[-1]
+            if last.address != destination:
                 raise TraceError(
-                    f"reached trace must end at {self.destination}, "
+                    f"reached trace must end at {destination}, "
                     f"last hop is {last.address}"
                 )
+        return tuple.__new__(cls, (origin_id, destination, hops, reached, timestamp))
 
 
 class TransitPoint(

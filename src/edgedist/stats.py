@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .jsonl import read_lines, write_lines
+from .model import _Value
 from .transit import PairOutcome
 
 HOP_COUNT = "hop_count"
@@ -23,16 +24,13 @@ RTT_MS = "rtt_ms"
 DEFAULT_BIN_WIDTH = {HOP_COUNT: 1.0, RTT_MS: 5.0}
 
 
-@dataclass(frozen=True)
-class EdgeDistribution:
-    metric: str
-    bin_width: float
-    bins: tuple[tuple[float, int], ...]  # (lower_edge, count), ordered
-    n: int
-    mean: float
-    std: float
-    samples: tuple[float, ...]  # sorted raw samples
-    excluded: int = 0  # pairs with no accepted estimate
+class EdgeDistribution(_Value, namedtuple(
+        "EdgeDistribution", "metric bin_width bins n mean std samples excluded", defaults=(0,))):
+    """``n`` samples of ``metric``: ``bins`` holds the ordered (lower_edge,
+    count) pairs, ``samples`` the sorted raw values, and ``excluded`` the
+    pairs with no accepted estimate."""
+
+    __slots__ = ()
 
     def fraction_above(self, threshold: float) -> float:
         """Fraction of raw samples strictly greater than threshold."""

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from heapq import heappop, heappush
 from pathlib import Path
 
 from .jsonl import write_jsonl
-from .model import HopRecord, TracePath
+from .model import HopRecord, TracePath, _Value
 from .transit import (
     HOST,
-    BatchStats,
     EstimateOptions,
     PairEstimate,
     batch_estimate,
@@ -44,29 +42,35 @@ _MODEL_PARAMS = {
 _COUNT_PARAMS = ("cores", "leaves", "n", "regions", "retries")
 
 
-@dataclass
 class Topology:
     """Symmetric weighted graph: every arc has a reverse arc of equal latency.
 
     ``edges`` holds both arcs of each link.  ``nodes`` covers routers and
     hosts; hosts are the probe targets and are listed in ``host_attachment``
-    with their access router.
+    with their access router.  ``adjacency()`` is built once, on first use.
     """
 
-    nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], float]
-    host_attachment: dict[str, str]
-    seed: int = 0
-    _adj: dict[str, list[tuple[str, float]]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("nodes", "edges", "host_attachment", "seed", "_adj")
 
-    def __post_init__(self):
-        for (u, v), lat in self.edges.items():
+    def __init__(self, nodes: tuple[str, ...], edges: dict[tuple[str, str], float],
+                 host_attachment: dict[str, str], seed: int = 0):
+        for (u, v), lat in edges.items():
             if lat <= 0:
                 raise ValueError(f"non-positive latency on arc {u}->{v}")
-            if self.edges.get((v, u)) != lat:
+            if edges.get((v, u)) != lat:
                 raise ValueError(f"arc {u}->{v} has no reverse arc of latency {lat!r}")
+        self.nodes, self.edges, self.host_attachment, self.seed = nodes, edges, host_attachment, seed
+        self._adj: dict[str, list[tuple[str, float]]] | None = None
+
+    def __repr__(self) -> str:
+        return (f"Topology(nodes={self.nodes!r}, edges={self.edges!r}, "
+                f"host_attachment={self.host_attachment!r}, seed={self.seed!r})")
+
+    def __eq__(self, other):  # and so unhashable
+        if type(other) is not Topology:
+            return NotImplemented
+        return (self.nodes, self.edges, self.host_attachment, self.seed) == (
+            other.nodes, other.edges, other.host_attachment, other.seed)
 
     @property
     def hosts(self) -> list[str]:
@@ -317,16 +321,15 @@ def _two_tier(params, rng, seed) -> Topology:
 # traceroute simulation
 
 
-@dataclass(frozen=True)
-class SimOptions:
-    block_probability: float = 0.0
-    asymmetry_probability: float = 0.0
-    asymmetry_delta_ms: float = 0.0
-    loop_probability: float = 0.0
-    rtt_jitter_ms: float = 0.0
-    seed: int = 0
+class SimOptions(_Value, namedtuple("SimOptions", "block_probability asymmetry_probability "
+                                    "asymmetry_delta_ms loop_probability rtt_jitter_ms seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, block_probability: float = 0.0, asymmetry_probability: float = 0.0,
+                asymmetry_delta_ms: float = 0.0, loop_probability: float = 0.0,
+                rtt_jitter_ms: float = 0.0, seed: int = 0):
+        self = tuple.__new__(cls, (block_probability, asymmetry_probability,
+                                   asymmetry_delta_ms, loop_probability, rtt_jitter_ms, seed))
         for name in ("block_probability", "asymmetry_probability", "loop_probability"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -335,6 +338,7 @@ class SimOptions:
             ms = getattr(self, name)
             if not 0 <= ms < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {ms}")
+        return self
 
 
 def _node_flag(seed: int, tag: str, node: str, probability: float) -> bool:
@@ -418,27 +422,23 @@ class Simulator:
 # end-to-end experiment harness
 
 
-@dataclass
-class PairResult:
-    pair: tuple[str, str]
-    true_hops: int
-    true_one_way_ms: float
-    best_hop_bound: int | None
-    best_rtt_bound: float | None
-    sound: bool
-    tight_hop: bool
-    tight_rtt: bool
+class PairResult(_Value, namedtuple("PairResult", "pair true_hops true_one_way_ms best_hop_bound "
+                                    "best_rtt_bound sound tight_hop tight_rtt")):
+    """One pair's truth beside its best bounds (None when not accepted)."""
+
+    __slots__ = ()
+    __hash__ = None  # compared, never a key
 
 
-@dataclass
-class ExperimentReport:
-    results: list[PairResult]
-    stats: BatchStats
-    traces_by_origin: dict[str, list[TracePath]]  # per origin, one trace per target host
-    soundness_violations: int
-    tight_hits: int
-    confusion: dict[str, int]  # clean/corrupt x accept/reject, per-origin level
-    false_rtt_accepts: int
+class ExperimentReport(_Value, namedtuple(
+        "ExperimentReport", "results stats traces_by_origin soundness_violations tight_hits "
+        "confusion false_rtt_accepts")):
+    """``traces_by_origin`` holds one trace per target host and origin, and
+    ``confusion`` counts (origin, pair) entries by clean or corrupt trace
+    and accept or reject."""
+
+    __slots__ = ()
+    __hash__ = None  # it holds lists and dicts
 
     def lines(self) -> list[str]:
         lines = [

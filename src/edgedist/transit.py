@@ -9,8 +9,7 @@ origins tightens the estimate.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import repeat
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .model import (
     RejectReason,
     TracePath,
     TransitPoint,
+    _Value,
 )
 
 HOST = "host"
@@ -34,37 +34,41 @@ _NO_TRACE = RejectReason(RejectKind.NO_TRANSIT, "no trace")
 SWEEP_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class EstimateOptions:
-    mode: str = ACCESS_ROUTER
-    allow_origin_fallback: bool = False
-    eps_rtt: float = 0.0
-    couple_metrics: bool = False
+class EstimateOptions(_Value, namedtuple(
+        "EstimateOptions", "mode allow_origin_fallback eps_rtt couple_metrics")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in (HOST, ACCESS_ROUTER):
-            raise ValueError(f"unknown endpoint mode {self.mode!r}")
-        if not 0 <= self.eps_rtt < math.inf:
-            raise ValueError(f"eps_rtt must be finite and >= 0, got {self.eps_rtt}")
+    def __new__(cls, mode: str = ACCESS_ROUTER, allow_origin_fallback: bool = False,
+                eps_rtt: float = 0.0, couple_metrics: bool = False):
+        if mode not in (HOST, ACCESS_ROUTER):
+            raise ValueError(f"unknown endpoint mode {mode!r}")
+        if not 0 <= eps_rtt < math.inf:
+            raise ValueError(f"eps_rtt must be finite and >= 0, got {eps_rtt}")
+        return tuple.__new__(cls, (mode, allow_origin_fallback, eps_rtt, couple_metrics))
 
 
-@dataclass(slots=True)
-class PairOutcome:
-    pair: tuple[str, str]
-    per_origin: dict[str, PairEstimate | RejectReason]
-    best_hop: PairEstimate | None = None
-    best_rtt: PairEstimate | None = None
+class PairOutcome(_Value, namedtuple(
+        "PairOutcome", "pair per_origin best_hop best_rtt", defaults=(None, None))):
+    """Each origin's entry for ``pair``, and the best hop and RTT bounds
+    among them (None where no origin gave one)."""
+
+    __slots__ = ()
+    __hash__ = None  # per_origin is a dict
 
     @property
     def accepted(self) -> bool:
         return self.best_hop is not None or self.best_rtt is not None
 
 
-@dataclass
-class BatchStats:
-    total_pairs: int
-    succeeded: int
-    reject_counts: Counter = field(default_factory=Counter)
+class BatchStats(_Value, namedtuple("BatchStats", "total_pairs succeeded reject_counts")):
+    """Pair counts of one batch, and its rejects per kind name."""
+
+    __slots__ = ()
+    __hash__ = None  # reject_counts is a Counter
+
+    def __new__(cls, total_pairs: int, succeeded: int, reject_counts: Counter | None = None):
+        counts = Counter() if reject_counts is None else reject_counts
+        return tuple.__new__(cls, (total_pairs, succeeded, counts))
 
     @property
     def success_ratio(self) -> float:

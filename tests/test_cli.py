@@ -835,6 +835,25 @@ def test_pair_at_unranks_combinations():
                 pair_at(items, outside)
 
 
+def test_importing_the_cli_loads_every_module_and_no_dataclasses():
+    # dataclasses imports inspect, ast and dis, and builds each class's
+    # methods from new source: tens of milliseconds of every command's
+    # startup.  Every package module still loads with the cli, where the
+    # benchmark's tracer finds it.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import edgedist.cli; "
+         "print(*sorted(set(sys.modules) - before))"],
+        env={**os.environ, "PYTHONPATH": str(Path(edgedist.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert {"dataclasses", "inspect", "ast", "dis"} & loaded == set()
+    package = Path(edgedist.__file__).parent
+    assert {f"edgedist.{path.stem}" for path in package.glob("*.py")} - loaded == {
+        "edgedist.__init__"}
+
+
 def test_every_module_is_reached_from_the_cli():
     package = Path(edgedist.__file__).parent
     reached, todo = set(), ["cli"]
@@ -926,14 +945,50 @@ def _member_reads(module, tree, scope, defs):
     return walk(tree, {}, None)
 
 
+def _member_names(cls):
+    """Each method, property and field that ``cls`` declares: a field is
+    annotated, named in a ``namedtuple("Name", "a b c")`` base or listed in
+    ``__slots__``."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.AnnAssign):
+            yield node.target.id
+        elif (isinstance(node, ast.Assign)
+              and [getattr(target, "id", None) for target in node.targets] == ["__slots__"]):
+            yield from (ast.literal_eval(node.value))
+    for base in cls.bases:
+        if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+            yield from ast.literal_eval(base.args[1]).split()
+
+
+def test_member_names_cover_every_way_a_class_declares_a_field():
+    cls = ast.parse(
+        'class A(_Value, namedtuple("A", "a b", defaults=(0,))):\n'
+        '    __slots__ = ("c", "_d")\n'
+        '    e: int\n'
+        '    f = 1\n'
+        '    def g(self): pass\n'
+    ).body[0]
+    assert sorted(_member_names(cls)) == ["_d", "a", "b", "c", "e", "g"]
+    # what the package holds: tuple values, slotted classes and enums
+    package = Path(edgedist.__file__).parent
+    classes = {cls.name: cls for cls in ast.parse((package / "transit.py").read_text()).body
+               if isinstance(cls, ast.ClassDef)}
+    assert {"pair", "per_origin", "best_hop", "best_rtt", "accepted"} == set(
+        _member_names(classes["PairOutcome"]))
+    assert {"trace", "options", "endpoint", "positions"} < set(
+        _member_names(classes["PreparedTrace"]))
+
+
 def test_every_public_definition_is_reached_from_the_cli():
     """Walk name references from ``cli.main`` and every module's top-level
     statements, then from each definition reached; imports do not count.
     Each private module-level function and class must be used outside its
-    own definition, and each public method, property and annotated field of
-    a class must be read as an attribute somewhere in the package: of that
-    class where the receiver's type is known (``_member_reads``), else by
-    name on any receiver."""
+    own definition, and each public method, property and field of a class
+    (``_member_names``) must be read as an attribute somewhere in the
+    package: of that class where the receiver's type is known
+    (``_member_reads``), else by name on any receiver."""
     package = Path(edgedist.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     defs, scope = {}, {}
@@ -990,9 +1045,7 @@ def test_every_public_definition_is_reached_from_the_cli():
         (module, cls.name, name)
         for module, tree in trees.items() for cls in tree.body
         if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        for name in ([node.name] if isinstance(node, ast.FunctionDef) else
-                     [node.target.id] if isinstance(node, ast.AnnAssign) else [])
+        for name in _member_names(cls)
         if not name.startswith("_")
     }
     read_by_name, read_of_class = set(), set()

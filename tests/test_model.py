@@ -1,9 +1,12 @@
 import copy
 import pickle
 import re
+from collections import Counter
 
 import pytest
 
+from edgedist.handover import AnticipationOptimum, LossModel, LossTable, PersistenceTable
+from edgedist.ingest import ParseReport
 from edgedist.model import (
     HopRecord,
     PairEstimate,
@@ -13,6 +16,9 @@ from edgedist.model import (
     TracePath,
     TransitPoint,
 )
+from edgedist.stats import EdgeDistribution
+from edgedist.synth import ExperimentReport, PairResult, SimOptions
+from edgedist.transit import BatchStats, EstimateOptions, PairOutcome
 
 from conftest import trace
 
@@ -150,6 +156,25 @@ ESTIMATE = PairEstimate("o", TRANSIT, 3, 4.5)
 HOP = HopRecord(2, "10.0.0.1", 1.5)
 SILENT_HOP = HopRecord(3)
 REJECT = RejectReason(RejectKind.NO_TRANSIT, "no trace")
+# one of each value class of the other modules, built on the same tuple base
+TRACE = TracePath("o", "b", (HopRecord(1, "b", 1.0),), True)
+TABLE = LossTable((0.0, 10.0), (0.0, 5.0), ((0.0, 1.0), (2.0, 3.0)))
+MODEL = LossModel(0.2, TABLE)
+OPTIMUM = AnticipationOptimum(25.0, 3.5, False)
+PERSISTENCE = PersistenceTable({1: 1.0, 2: 0.5})
+REPORT = ParseReport(2, 1, ["unrecognized line: 'x'"])
+DIST = EdgeDistribution("hop_count", 1.0, ((2.0, 1), (3.0, 1)), 2, 2.5, 0.5, (2.0, 3.0))
+SIM = SimOptions(block_probability=0.1, seed=3)
+RESULT = PairResult(("a", "b"), 2, 1.5, 2, 3.0, True, True, False)
+BATCH = BatchStats(1, 1, Counter({"NoTransit": 2}))
+EXPERIMENT = ExperimentReport([RESULT], BATCH, {"o": [TRACE]}, 0, 1, {"clean_accept": 1}, 0)
+OPTIONS = EstimateOptions(mode="host", eps_rtt=1.0)
+OUTCOME = PairOutcome(("a", "b"), {"o": ESTIMATE}, ESTIMATE)
+MORE_VALUES = [TRACE, TABLE, MODEL, OPTIMUM, PERSISTENCE, REPORT, DIST, SIM, RESULT, BATCH,
+               EXPERIMENT, OPTIONS, OUTCOME]
+# these hold a list or dict, or are results and reports: never a key
+UNHASHABLE = (PersistenceTable, ParseReport, PairResult, BatchStats, ExperimentReport,
+              PairOutcome)
 
 
 class _OtherTuple(tuple):
@@ -159,6 +184,10 @@ class _OtherTuple(tuple):
 @pytest.mark.parametrize("value, field", [
     (TRANSIT, "index_a"), (FALLBACK, "is_origin_fallback"), (ESTIMATE, "hop_bound"),
     (HOP, "rtt_ms"), (SILENT_HOP, "address"), (REJECT, "detail"),
+    (TRACE, "hops"), (TABLE, "values"), (MODEL, "beta"), (OPTIMUM, "flat"),
+    (PERSISTENCE, "entries"), (REPORT, "warnings"), (DIST, "samples"), (SIM, "seed"),
+    (RESULT, "sound"), (BATCH, "succeeded"), (EXPERIMENT, "stats"), (OPTIONS, "mode"),
+    (OUTCOME, "best_hop"),
 ])
 def test_values_are_read_only(value, field):
     with pytest.raises(AttributeError):
@@ -167,11 +196,17 @@ def test_values_are_read_only(value, field):
         value.note = "x"
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP, REJECT])
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP, REJECT,
+                                   *MORE_VALUES])
 def test_value_equality_is_type_strict(value):
     same = type(value)(*value)
     assert same is not value
-    assert value == same and not value != same and hash(value) == hash(same)
+    assert value == same and not value != same
+    if isinstance(value, UNHASHABLE):
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same)
     plain = tuple(value)
     assert value != plain and not value == plain
     assert plain != value and not plain == value
@@ -213,9 +248,55 @@ def test_value_repr_is_the_dataclass_text():
         "RejectReason(kind=<RejectKind.NO_TRANSIT: 'NoTransit'>, detail='no trace')")
     assert repr(HOP) == "HopRecord(ttl=2, address='10.0.0.1', rtt_ms=1.5)"
     assert repr(SILENT_HOP) == "HopRecord(ttl=3, address=None, rtt_ms=None)"
+    assert repr(TRACE) == (
+        "TracePath(origin_id='o', destination='b', "
+        "hops=(HopRecord(ttl=1, address='b', rtt_ms=1.0),), reached=True, timestamp=None)")
+    table = ("LossTable(delay_axis=(0.0, 10.0), anticipation_axis=(0.0, 5.0), "
+             "values=((0.0, 1.0), (2.0, 3.0)))")
+    assert repr(TABLE) == table
+    assert repr(MODEL) == f"LossModel(beta=0.2, table={table})"
+    assert repr(LossModel()) == "LossModel(beta=0.1, table=None)"
+    assert repr(OPTIMUM) == (
+        "AnticipationOptimum(anticipation_ms=25.0, expected_loss_ms=3.5, flat=False)")
+    assert repr(PERSISTENCE) == "PersistenceTable(entries={1: 1.0, 2: 0.5})"
+    assert repr(REPORT) == (
+        "ParseReport(parsed=2, skipped_lines=1, warnings=[\"unrecognized line: 'x'\"])")
+    assert repr(ParseReport()) == "ParseReport(parsed=0, skipped_lines=0, warnings=[])"
+    assert repr(DIST) == (
+        "EdgeDistribution(metric='hop_count', bin_width=1.0, bins=((2.0, 1), (3.0, 1)), "
+        "n=2, mean=2.5, std=0.5, samples=(2.0, 3.0), excluded=0)")
+    assert repr(SIM) == (
+        "SimOptions(block_probability=0.1, asymmetry_probability=0.0, asymmetry_delta_ms=0.0, "
+        "loop_probability=0.0, rtt_jitter_ms=0.0, seed=3)")
+    result = ("PairResult(pair=('a', 'b'), true_hops=2, true_one_way_ms=1.5, best_hop_bound=2, "
+              "best_rtt_bound=3.0, sound=True, tight_hop=True, tight_rtt=False)")
+    assert repr(RESULT) == result
+    batch = "BatchStats(total_pairs=1, succeeded=1, reject_counts=Counter({'NoTransit': 2}))"
+    assert repr(BATCH) == batch
+    assert repr(BatchStats(0, 0)) == (
+        "BatchStats(total_pairs=0, succeeded=0, reject_counts=Counter())")
+    assert repr(EXPERIMENT) == (
+        f"ExperimentReport(results=[{result}], stats={batch}, "
+        f"traces_by_origin={{'o': [{TRACE!r}]}}, soundness_violations=0, tight_hits=1, "
+        "confusion={'clean_accept': 1}, false_rtt_accepts=0)")
+    assert repr(OPTIONS) == (
+        "EstimateOptions(mode='host', allow_origin_fallback=False, eps_rtt=1.0, "
+        "couple_metrics=False)")
+    assert repr(OUTCOME) == (
+        f"PairOutcome(pair=('a', 'b'), per_origin={{'o': {ESTIMATE!r}}}, best_hop={ESTIMATE!r}, "
+        "best_rtt=None)")
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP, REJECT])
+def test_value_defaults_are_fresh_per_value():
+    # a shared default list or Counter would gather every value's entries
+    assert ParseReport().warnings == [] and ParseReport().warnings is not ParseReport().warnings
+    assert BatchStats(0, 0).reject_counts is not BatchStats(0, 0).reject_counts
+    assert EdgeDistribution("rtt_ms", 5.0, (), 0, 0.0, 0.0, ()).excluded == 0
+    assert OUTCOME._replace(best_hop=None) == PairOutcome(("a", "b"), {"o": ESTIMATE})
+
+
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP, REJECT,
+                                   *MORE_VALUES])
 def test_values_survive_pickle_and_copy(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert twin == value and type(twin) is type(value)
@@ -237,6 +318,21 @@ def test_replacing_a_field_is_validated():
         HOP._replace(address=None)
     with pytest.raises(TraceError, match="ttl must be >= 1"):
         HOP._replace(ttl=0)
+    assert TRACE._replace(reached=False).reached is False
+    with pytest.raises(TraceError, match="reached 'yes' is not a bool"):
+        TRACE._replace(reached="yes")
+    assert TRACE._replace(hops=[*TRACE.hops]).hops == TRACE.hops  # kept as a tuple
+    with pytest.raises(ValueError, match="table shape does not match its axes"):
+        TABLE._replace(values=((0.0, 1.0),))
+    with pytest.raises(ValueError, match="beta must be finite and >= 0, got -1"):
+        MODEL._replace(beta=-1)
+    with pytest.raises(ValueError, match=re.escape("persist ratio 2 at hop 1 outside [0, 1]")):
+        PERSISTENCE._replace(entries={1: 2})
+    with pytest.raises(ValueError, match=re.escape("loop_probability must be in [0, 1], got 2")):
+        SIM._replace(loop_probability=2)
+    with pytest.raises(ValueError, match="unknown endpoint mode 'hots'"):
+        OPTIONS._replace(mode="hots")
+    assert OPTIONS._replace(eps_rtt=0.0) == EstimateOptions(mode="host")
 
 
 @pytest.mark.parametrize("hop_bound", [2.5, 3.0, True, False, None, "3"])
