@@ -5,23 +5,28 @@ ids in synthetic data); two addresses are equal iff their strings are equal.
 Hop positions are 1-based, matching traceroute's TTL numbering.
 All types are immutable after construction and have no ``__dict__``: a
 campaign holds hundreds of thousands of hops and per-origin entries.
-``TracePath`` is a slotted frozen dataclass.  ``HopRecord``, ``TransitPoint``,
-``PairEstimate`` and ``RejectReason`` are validated tuple subclasses.  Hops are
-built one per hop line: about 314,000 on the ``ingest-wide`` benchmark, each
-read back by ``pairs``.  Transit points and estimates are shared, one object
-per distinct value, under the rule of ``transit._shared_estimate``: on the
+``TracePath``, ``HopRecord``, ``TransitPoint``, ``PairEstimate`` and
+``RejectReason`` are validated tuple subclasses on ``_Value``, as are the
+option, result and report values of the other modules.  Hops are built one
+per hop line: about 314,000 on the ``ingest-wide`` benchmark, each read back
+by ``pairs``.  Transit points and estimates are shared, one object per
+distinct value, under the rule of ``transit._shared_estimate``: on the
 300-host ``campaign-dense`` benchmark, 321,206 accepted (pair, origin)
 entries hold 11,056 distinct estimates and 234 transits.  A
 ``PairEstimate`` names no endpoints, which the ``PairOutcome`` that holds it
 already names.  A frozen dataclass sets each field through
-``object.__setattr__``, which makes it up to twice as slow to build: 1.14
-against 0.48 us for a ``PairEstimate``, 0.92 against 0.43 us for a
-``TransitPoint`` and 0.9 against 0.6 us for a ``HopRecord`` (CPython 3.11,
-2-core Xeon); its hash runs in Python too, where a tuple's runs in C.  All
-four keep the dataclass interface: field names, defaults, ``repr``, hashing,
+``object.__setattr__``, which makes it up to twice as slow to build (1.14
+against 0.48 us for a ``PairEstimate``, CPython 3.11, 2-core Xeon), and
+hashes in Python where a tuple hashes in C.  The package imports no
+``dataclasses`` at all: that module loads ``inspect``, ``ast`` and ``dis``
+(about 13 ms) and execs new source for each class it builds (about 19 ms
+for 14 classes, against 2 ms for 14 namedtuples), on every command's
+startup.  Each value keeps the interface of a dataclass: field names,
+defaults, keyword construction, the ``Name(field=value, ...)`` repr,
 read-only attributes, no ordering, and equality only with a value of the
-same type.  ``TracePath`` and the four tuples check field types too: no
-``true`` or ``2.0`` for an int.
+same type; a result or report is not hashable, nor is a value that holds a
+list or dict.  ``TracePath`` and the four tuples here check field types
+too: no ``true`` or ``2.0`` for an int.
 """
 
 from __future__ import annotations

@@ -319,7 +319,7 @@ def min_over_origins(
                 rtt_key, best_rtt = key, est
     if couple_metrics:
         best_rtt = best_hop
-    return PairOutcome(pair=pair, per_origin=per_origin, best_hop=best_hop, best_rtt=best_rtt)
+    return PairOutcome(pair, per_origin, best_hop, best_rtt)
 
 
 def batch_estimate(
