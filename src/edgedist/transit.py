@@ -88,13 +88,17 @@ class PreparedTrace:
     maps each responsive address up to the endpoint to its deepest
     position, ordered deepest first, so its items are also the (address,
     position) list the transit scan walks.  ``tail`` memoizes the checks on
-    the segment beyond each transit position.
+    the segment beyond each transit position.  ``destination`` and
+    ``origin_id`` are the trace's, kept in slots, which read faster than
+    tuple fields on every ``estimate_pair`` call.
     """
 
-    __slots__ = ("trace", "options", "endpoint", "positions", "_tails")
+    __slots__ = ("trace", "destination", "origin_id", "options", "endpoint", "positions",
+                 "_tails")
 
     def __init__(self, trace: TracePath, options: EstimateOptions):
         self.trace = trace
+        self.destination, self.origin_id = trace.destination, trace.origin_id
         self.options = options
         hops = trace.hops
         endpoint = n = len(hops)
@@ -224,19 +228,18 @@ def estimate_pair(
     options = a.options
     if b.options is not options and b.options != options:
         raise ValueError(f"traces prepared with unequal options: {options} vs {b.options}")
-    trace_a, trace_b = a.trace, b.trace
-    if trace_a.destination > trace_b.destination:
-        a, b, trace_a, trace_b = b, a, trace_b, trace_a
+    if a.destination > b.destination:
+        a, b = b, a
     end_a, end_b = a.endpoint, b.endpoint
     if end_a is None or end_b is None:
-        unreached = trace_a if end_a is None else trace_b
+        unreached = a if end_a is None else b
         return RejectReason(
             RejectKind.UNREACHABLE_DESTINATION,
             f"destination {unreached.destination} not reached",
         )
-    origin = trace_a.origin_id
-    if origin != trace_b.origin_id:
-        raise ValueError(f"traces from different origins: {origin} vs {trace_b.origin_id}")
+    origin = a.origin_id
+    if origin != b.origin_id:
+        raise ValueError(f"traces from different origins: {origin} vs {b.origin_id}")
     # b deepest first, so a later candidate with an equal index sum has the
     # larger index_a and wins; stop once no index_a up to a's endpoint can
     # reach the best sum
@@ -282,12 +285,12 @@ def _tail_reject(p: PreparedTrace, rtt: float | None) -> RejectReason | None:
     if rtt is None:
         return RejectReason(
             RejectKind.MISSING_RTT_AT_TRANSIT,
-            f"no rtt at endpoint hop {p.endpoint} of {p.trace.destination}",
+            f"no rtt at endpoint hop {p.endpoint} of {p.destination}",
         )
     if rtt < 0:
         return RejectReason(
             RejectKind.ASYMMETRY_SUSPECTED,
-            f"negative rtt difference {rtt} on tail to {p.trace.destination}",
+            f"negative rtt difference {rtt} on tail to {p.destination}",
         )
     return None
 

@@ -956,7 +956,7 @@ def _member_names(cls):
             yield node.target.id
         elif (isinstance(node, ast.Assign)
               and [getattr(target, "id", None) for target in node.targets] == ["__slots__"]):
-            yield from (ast.literal_eval(node.value))
+            yield from ast.literal_eval(node.value)
     for base in cls.bases:
         if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
             yield from ast.literal_eval(base.args[1]).split()
@@ -971,7 +971,7 @@ def test_member_names_cover_every_way_a_class_declares_a_field():
         '    def g(self): pass\n'
     ).body[0]
     assert sorted(_member_names(cls)) == ["_d", "a", "b", "c", "e", "g"]
-    # what the package holds: tuple values, slotted classes and enums
+    # the package's own: a tuple value and a slotted class
     package = Path(edgedist.__file__).parent
     classes = {cls.name: cls for cls in ast.parse((package / "transit.py").read_text()).body
                if isinstance(cls, ast.ClassDef)}
