@@ -142,7 +142,9 @@ def expected_loss_curve(
     One-way inter-access-router delays come from the RTT distribution via
     ``delay_scale`` (default 0.5).  The expectation runs over the raw RTT
     samples, so the reactive point a=0 equals delay_scale times the
-    distribution mean exactly under the default model.
+    distribution mean exactly under the default model.  An expected loss
+    that is not finite (beta * a or the sum over the samples overflows) is
+    a ValueError naming beta and delay_scale.
     """
     if delay_dist.metric != RTT_MS:
         raise ValueError("expected_loss_curve needs an RTT distribution")
@@ -154,6 +156,10 @@ def expected_loss_curve(
         raise ValueError(f"delay_scale must be finite and > 0, got {delay_scale}")
     delays = [delay_scale * rtt for rtt in delay_dist.samples]
     losses = [total / delay_dist.n for total in model.total_losses(delays, anticipation_grid)]
+    for a, loss in zip(anticipation_grid, losses):
+        if not math.isfinite(loss):
+            raise ValueError(f"expected loss at anticipation {a:g} ms overflows "
+                             f"(beta={model.beta!r}, delay_scale={delay_scale!r})")
     return [(a, loss, loss / CBR_INTERVAL_MS) for a, loss in zip(anticipation_grid, losses)]
 
 

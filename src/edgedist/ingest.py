@@ -13,8 +13,8 @@ import ipaddress
 import math
 import re
 from collections import namedtuple
+from collections.abc import Callable
 from pathlib import Path
-from typing import Callable
 
 from .jsonl import read_jsonl, write_jsonl
 from .model import HopRecord, TracePath, _Value

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
 
 # records are trees (a value may be shared, never contain itself), so the
 # encoder skips its cycle bookkeeping

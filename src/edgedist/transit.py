@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from itertools import repeat
 from pathlib import Path
 
 from .jsonl import decode, encode, read_lines, scan_string, scan_value, write_lines
@@ -29,9 +28,6 @@ ACCESS_ROUTER = "access_router"
 # shared by every result that needs them (the type is frozen)
 _NO_TRANSIT = RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
 _NO_TRACE = RejectReason(RejectKind.NO_TRANSIT, "no trace")
-# pairs per sweep of batch_estimate: each origin's column of entries covers
-# this many pairs, so the columns stay small however many pairs there are
-SWEEP_CHUNK = 1024
 
 
 class EstimateOptions(_Value, namedtuple(
@@ -176,38 +172,48 @@ class PreparedTrace:
         return None if end_rtt is None else end_rtt - start_rtt
 
 
-def _shared_estimate(shared: dict, origin: str, address: str | None, index_a: int,
-                     index_b: int, fallback: bool, hop_bound: int,
-                     rtt_bound: float) -> PairEstimate:
-    """The estimate with these fields and its transit point, each found in
-    or added to ``shared``; no other code in the package builds either.
+def _estimate_key(origin: str, address: str | None, index_a: int, index_b: int,
+                  fallback: bool, hop_bound: int, rtt_bound: float) -> tuple:
+    """What an estimate is shared by.  Keys never merge values that compare
+    equal but encode differently: a float RTT bound other than zero is keyed
+    by its value and any other by its repr (5 against 5.0, 0.0 against
+    -0.0).  The key's second to fifth fields are its transit point's."""
+    return (origin, address, index_a, index_b, fallback, hop_bound,
+            rtt_bound if type(rtt_bound) is float and rtt_bound else repr(rtt_bound))
 
-    Keys never merge values that compare equal but encode differently: a
-    float RTT bound other than zero is keyed by its value and any other by
-    its repr (5 against 5.0, 0.0 against -0.0).  An index, hop bound, flag
-    or address not exactly of its validated type could match a key by value
-    (``true`` against 1), so it is built unshared, and validation refuses it.
+
+def _shared_estimate(estimates: dict, transits: dict, origin: str, address: str | None,
+                     index_a: int, index_b: int, fallback: bool, hop_bound: int,
+                     rtt_bound: float) -> PairEstimate:
+    """The estimate with these fields, found in or added to ``estimates``,
+    on its transit point, found in or added to ``transits``, each under
+    ``_estimate_key``; no other code in the package builds either.  One
+    table may serve as both, since the two kinds of key differ in length.
+
+    An index, hop bound, flag or address not exactly of its validated type
+    could match a key by value (``true`` against 1), so it is built
+    unshared, and validation refuses it.
     """
     if (type(index_a) is not int or type(index_b) is not int or type(hop_bound) is not int
             or type(fallback) is not bool or (type(address) is not str and address is not None)):
         return PairEstimate(origin, TransitPoint(address, index_a, index_b, fallback),
                             hop_bound, rtt_bound)
-    key = (origin, address, index_a, index_b, fallback, hop_bound,
-           rtt_bound if type(rtt_bound) is float and rtt_bound else repr(rtt_bound))
-    est = shared.get(key)
+    key = _estimate_key(origin, address, index_a, index_b, fallback, hop_bound, rtt_bound)
+    est = estimates.get(key)
     if est is None:
         transit_key = key[1:5]
-        transit = shared.get(transit_key)
+        transit = transits.get(transit_key)
         if transit is None:
-            transit = shared[transit_key] = TransitPoint(*transit_key)
-        est = shared[key] = PairEstimate(origin, transit, hop_bound, rtt_bound)
+            transit = transits[transit_key] = TransitPoint(*transit_key)
+        est = estimates[key] = PairEstimate(origin, transit, hop_bound, rtt_bound)
     return est
 
 
 def estimate_pair(
     a: PreparedTrace,
     b: PreparedTrace,
-    shared: dict | None = None,
+    estimates: dict | None = None,
+    transits: dict | None = None,
 ) -> PairEstimate | RejectReason:
     """Upper-bound the distance between two destinations seen from one origin.
 
@@ -222,8 +228,9 @@ def estimate_pair(
     Tail RTTs whose sum overflows to infinity give a MissingRttAtTransit
     reject, since no finite RTT bound exists.
 
-    Calls that pass one ``shared`` table share one object per distinct
-    transit point and per distinct estimate (see ``_shared_estimate``).
+    Calls that pass one ``estimates`` table share one object per distinct
+    estimate, and calls that pass one ``transits`` table one object per
+    distinct transit point (see ``_shared_estimate``).
     """
     options = a.options
     if b.options is not options and b.options != options:
@@ -274,10 +281,16 @@ def estimate_pair(
     if rtt == math.inf:  # two finite tails can overflow
         return RejectReason(RejectKind.MISSING_RTT_AT_TRANSIT,
                             f"rtt bound {rtt_a!r} + {rtt_b!r} overflows")
-    return _shared_estimate(
-        {} if shared is None else shared, origin, address, index_a, index_b,
-        best is None, (end_a - index_a) + (end_b - index_b), rtt,
-    )
+    # every field is of its validated type here, so a hit needs no check
+    fallback, hop_bound = best is None, (end_a - index_a) + (end_b - index_b)
+    if estimates is None:
+        estimates = {}
+    est = estimates.get(_estimate_key(origin, address, index_a, index_b, fallback,
+                                      hop_bound, rtt))
+    if est is None:
+        est = _shared_estimate(estimates, {} if transits is None else transits, origin,
+                               address, index_a, index_b, fallback, hop_bound, rtt)
+    return est
 
 
 def _tail_reject(p: PreparedTrace, rtt: float | None) -> RejectReason | None:
@@ -332,63 +345,68 @@ def batch_estimate(
 ) -> tuple[list[PairOutcome], BatchStats]:
     """Estimate every pair from every origin and minimize per pair.
 
-    The pairs are swept in chunks of ``SWEEP_CHUNK``.  In each chunk every
-    origin, in sorted order, fills one column of entries in pair order, with
-    one ``estimate_pair`` call per pair whose endpoints both have a trace
-    from it; the columns are then zipped into each pair's per-origin entries
-    for one ``min_over_origins`` call per pair.  A pair endpoint with no
+    The origins are taken one at a time, in sorted order (see
+    ``_origin_entries``): each fills its entry of every pair's per-origin
+    entries, in pair order, with one ``estimate_pair`` call per pair whose
+    endpoints both have a trace from it, and its prepared traces are
+    dropped before the next origin's are built.  Then each pair gets one
+    ``min_over_origins`` call, in pair order.  A pair endpoint with no
     trace from an origin yields a NoTransit reject with detail "no trace"
     for that origin; it never aborts the batch.
     The outcomes share one object per distinct transit point and estimate
     (see ``_shared_estimate``): a dense campaign repeats a few thousand
-    bounds over hundreds of thousands of (pair, origin) entries.
+    bounds over hundreds of thousands of (pair, origin) entries.  An
+    estimate's key holds its origin, so each origin's estimates are shared
+    through a table of its own, dropped with its traces; transit points
+    are shared through one table for the whole batch.
     """
-    # per origin, each destination the pairs name -> its prepared trace
     named = {endpoint for pair in pairs for endpoint in pair}
-    prepared: dict[str, dict[str, PreparedTrace]] = {}
-    for origin in sorted(traces_by_origin):
-        chosen: dict[str, TracePath] = {}
-        for trace in traces_by_origin[origin]:
-            # prefer a reached trace when several target the same destination
-            existing = chosen.get(trace.destination)
-            if existing is None or (trace.reached and not existing.reached):
-                chosen[trace.destination] = trace
-        prepared[origin] = {
-            dest: PreparedTrace(trace, options)
-            for dest, trace in chosen.items() if dest in named
-        }
-
-    origins = list(prepared)
-    couple_metrics = options.couple_metrics
-    outcomes = []
+    firsts = [a for a, _ in pairs]
+    seconds = [b for _, b in pairs]
+    # with no origin, each pair has no entry, which min_over_origins refuses
+    per_origin: list[dict] = [{} for _ in pairs]
     reject_counts: Counter = Counter()
-    shared: dict = {}
-    for start in range(0, len(pairs), SWEEP_CHUNK):
-        chunk = pairs[start:start + SWEEP_CHUNK]
-        firsts = [a for a, _ in chunk]
-        seconds = [b for _, b in chunk]
-        # one column of entries per origin, in pair order
-        columns = []
-        for by_dest in prepared.values():
-            get = by_dest.get
-            column = [
-                _NO_TRACE if pa is None or pb is None else estimate_pair(pa, pb, shared)
-                for pa, pb in zip(map(get, firsts), map(get, seconds))
-            ]
-            reject_counts.update([est.kind for est in column if type(est) is RejectReason])
-            columns.append(column)
-        # with no origin, each pair has no entry, which min_over_origins refuses
-        rows = zip(*columns) if columns else repeat(())
-        outcomes += [
-            min_over_origins((min(a, b), max(a, b)), dict(zip(origins, entries)), couple_metrics)
-            for (a, b), entries in zip(chunk, rows)
-        ]
+    transits: dict = {}
+    for origin in sorted(traces_by_origin):
+        column = _origin_entries(traces_by_origin[origin], named, firsts, seconds,
+                                 options, transits)
+        reject_counts.update([est.kind for est in column if type(est) is RejectReason])
+        for entries, est in zip(per_origin, column):
+            entries[origin] = est
+    couple_metrics = options.couple_metrics
+    outcomes = [
+        min_over_origins((min(a, b), max(a, b)), entries, couple_metrics)
+        for (a, b), entries in zip(pairs, per_origin)
+    ]
     stats = BatchStats(
         total_pairs=len(pairs),
         succeeded=sum(oc.accepted for oc in outcomes),
         reject_counts=Counter({kind.value: n for kind, n in reject_counts.items()}),
     )
     return outcomes, stats
+
+
+def _origin_entries(traces: list[TracePath], named: set[str], firsts: list[str],
+                    seconds: list[str], options: EstimateOptions,
+                    transits: dict) -> list[PairEstimate | RejectReason]:
+    """One origin's entry for each pair (firsts[i], seconds[i]), in pair
+    order, from its ``traces`` to the destinations in ``named``.  Those
+    traces are prepared here and, with the origin's estimate table, dropped
+    on return."""
+    chosen: dict[str, TracePath] = {}
+    for trace in traces:
+        dest = trace.destination
+        if dest in named:
+            # prefer a reached trace when several target the same destination
+            existing = chosen.get(dest)
+            if existing is None or (trace.reached and not existing.reached):
+                chosen[dest] = trace
+    get = {dest: PreparedTrace(trace, options) for dest, trace in chosen.items()}.get
+    estimates: dict = {}
+    return [
+        _NO_TRACE if pa is None or pb is None else estimate_pair(pa, pb, estimates, transits)
+        for pa, pb in zip(map(get, firsts), map(get, seconds))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +528,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
                 reason = rejects[key] = RejectReason(RejectKind(key[0]), key[1])
             return reason
         address, index_a, index_b = obj["transit"]
-        return _shared_estimate(shared, origin, address, index_a, index_b,
+        return _shared_estimate(shared, shared, origin, address, index_a, index_b,
                                 obj.get("origin_fallback", False),
                                 obj["hop_bound"], obj["rtt_bound_ms"])
 

@@ -548,6 +548,9 @@ def test_handover_bad_loss_table_cell_is_fatal(tmp_path, capsys):
     ("--beta=nan", "beta must be finite and >= 0, got nan"),
     ("--beta=-1", "beta must be finite and >= 0, got -1.0"),
     ("--beta=inf", "beta must be finite and >= 0, got inf"),
+    # beta * a overflows from the 20 ms grid point on
+    ("--beta=1e307", "expected loss at anticipation 20 ms overflows "
+                     "(beta=1e+307, delay_scale=0.5)"),
     ("--delay-scale=nan", "delay_scale must be finite and > 0, got nan"),
     ("--delay-scale=inf", "delay_scale must be finite and > 0, got inf"),
     ("--delay-scale=0", "delay_scale must be finite and > 0, got 0.0"),
@@ -852,6 +855,18 @@ def test_importing_the_cli_loads_every_module_and_no_dataclasses():
     package = Path(edgedist.__file__).parent
     assert {f"edgedist.{path.stem}" for path in package.glob("*.py")} - loaded == {
         "edgedist.__init__"}
+
+
+def test_importing_the_cli_loads_no_typing():
+    # the package imports typing names for annotations only; under -S no
+    # site hook loads typing first, so its import would be startup time
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; import edgedist.cli; print('typing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(Path(edgedist.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_every_module_is_reached_from_the_cli():

@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 import re
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -669,8 +668,8 @@ def test_traces_prepared_with_unequal_options_are_an_error():
 @st.composite
 def sweep_campaigns(draw):
     """A faulty campaign with some traces dropped, so an endpoint may have
-    no trace from some origins, and pairs that repeat, reverse, name a host
-    no origin traced, and span several sweep chunks."""
+    no trace from some origins, and pairs that repeat, reverse or name a
+    host no origin traced."""
     traces_by_origin, hosts = draw(faulty_traces())
     traces_by_origin = {
         origin: [t for t in rows if draw(st.integers(0, 4))]
@@ -679,17 +678,16 @@ def sweep_campaigns(draw):
     names = st.sampled_from([*hosts, "ghost"])
     pairs = draw(st.lists(st.tuples(names, names), max_size=12))
     pairs += [(b, a) for a, b in pairs[:2]] + pairs[:1]
-    return traces_by_origin, pairs, draw(st.integers(1, 5))
+    return traces_by_origin, pairs
 
 
 @settings(max_examples=60, deadline=None)
 @given(sweep_campaigns())
 def test_sweep_matches_the_reference_loop(tmp_path_factory, campaign):
-    traces_by_origin, pairs, chunk = campaign
+    traces_by_origin, pairs = campaign
     tmp = tmp_path_factory.mktemp("sweep")
     for options in OPTION_GRID:
-        with mock.patch.object(transit, "SWEEP_CHUNK", chunk):
-            got, got_stats = batch_estimate(traces_by_origin, pairs, options)
+        got, got_stats = batch_estimate(traces_by_origin, pairs, options)
         want, want_stats = reference.batch_estimate(traces_by_origin, pairs, options)
         assert got == want
         assert [list(oc.per_origin) for oc in got] == [list(oc.per_origin) for oc in want]
@@ -704,47 +702,72 @@ def _three_hosts_from_two_origins():
             for origin in ("O1", "O2")}
 
 
-@pytest.mark.parametrize("chunk", [1, 2, transit.SWEEP_CHUNK])
-def test_sweep_calls_the_estimator_once_per_entry(monkeypatch, chunk):
+def test_sweep_calls_the_estimator_once_per_entry(monkeypatch):
     traces_by_origin = _three_hosts_from_two_origins()
     del traces_by_origin["O2"][1]  # b has no trace from O2
     pairs = [("a", "b"), ("c", "a"), ("b", "c"), ("a", "c"), ("a", "ghost")]
     estimated, minimized = [], []
 
-    def counted_estimate(pa, pb, shared=None):
+    def counted_estimate(pa, pb, *tables):
         estimated.append((pa.trace.destination, pb.trace.destination, pa.trace.origin_id))
-        return estimate_pair(pa, pb, shared)
+        return estimate_pair(pa, pb, *tables)
 
     def counted_min(pair, per_origin, couple_metrics=False):
         minimized.append(pair)
         return min_over_origins(pair, per_origin, couple_metrics)
 
-    monkeypatch.setattr(transit, "SWEEP_CHUNK", chunk)
     monkeypatch.setattr(transit, "estimate_pair", counted_estimate)
     monkeypatch.setattr(transit, "min_over_origins", counted_min)
     outcomes, _ = transit.batch_estimate(traces_by_origin, pairs, HOST_MODE)
+    # origin by origin, each in pair order
     expected = [(a, b, "O1") for a, b in pairs[:4]] + [("c", "a", "O2"), ("a", "c", "O2")]
-    assert sorted(estimated) == sorted(expected)
+    assert estimated == expected
     assert minimized == [("a", "b"), ("a", "c"), ("b", "c"), ("a", "c"), ("a", "ghost")]
     assert [oc.pair for oc in outcomes] == minimized
 
 
-@pytest.mark.parametrize("chunk", [1, 2, transit.SWEEP_CHUNK])
 @pytest.mark.parametrize("pairs, message", [
     ([("a", "c"), ("a", "b"), ("b", "c")], "traces from different origins: O1 vs O2"),
     ([("a", "c"), ("c", "b"), ("a", "b")], "traces from different origins: O2 vs O1"),
 ])
 def test_a_misfiled_trace_fails_at_the_first_pair_that_uses_it(
-        monkeypatch, chunk, pairs, message):
+        pairs, message):
     # O2's trace to b filed under O1: the first pair that pairs it with
     # another O1 trace raises, as when the batch went pair by pair
     traces_by_origin = _three_hosts_from_two_origins()
     traces_by_origin["O1"][1] = traces_by_origin["O2"][1]
-    monkeypatch.setattr(transit, "SWEEP_CHUNK", chunk)
     for batch in (batch_estimate, reference.batch_estimate):
         with pytest.raises(ValueError) as raised:
             batch(traces_by_origin, pairs, HOST_MODE)
         assert str(raised.value) == message
+
+
+def test_the_batch_prepares_one_origins_named_traces_at_a_time(monkeypatch):
+    # three origins trace a, b and c, and no pair names c: while an origin's
+    # entries are estimated, only its traces to a and b are prepared, and
+    # none outlives the batch
+    live, seen = [0], []
+
+    class Counted(PreparedTrace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live[0] += 1
+
+        def __del__(self):
+            live[0] -= 1
+
+    def sampled(pa, pb, *tables):
+        seen.append((pa.origin_id, live[0]))
+        return estimate_pair(pa, pb, *tables)
+
+    traces_by_origin = {origin: [trace(origin, d, [("T", 1.0), (d, 2.0)]) for d in "abc"]
+                        for origin in ("O1", "O2", "O3")}
+    monkeypatch.setattr(transit, "PreparedTrace", Counted)
+    monkeypatch.setattr(transit, "estimate_pair", sampled)
+    outcomes, _ = transit.batch_estimate(traces_by_origin, [("a", "b"), ("b", "a")], HOST_MODE)
+    assert seen == [(origin, 2) for origin in ("O1", "O1", "O2", "O2", "O3", "O3")]
+    assert live == [0]
+    assert all(oc.accepted for oc in outcomes)
 
 
 def test_a_batch_with_no_origin_refuses_its_pairs():
