@@ -702,10 +702,12 @@ def _three_hosts_from_two_origins():
             for origin in ("O1", "O2")}
 
 
-def test_sweep_calls_the_estimator_once_per_entry(monkeypatch):
+@pytest.mark.parametrize("repeats", [1, 2, 1024])
+def test_sweep_calls_the_estimator_once_per_entry(monkeypatch, repeats):
+    # the pair list repeated: every repeat is estimated again, not looked up
     traces_by_origin = _three_hosts_from_two_origins()
     del traces_by_origin["O2"][1]  # b has no trace from O2
-    pairs = [("a", "b"), ("c", "a"), ("b", "c"), ("a", "c"), ("a", "ghost")]
+    pairs = [("a", "b"), ("c", "a"), ("b", "c"), ("a", "c"), ("a", "ghost")] * repeats
     estimated, minimized = [], []
 
     def counted_estimate(pa, pb, *tables):
@@ -720,9 +722,10 @@ def test_sweep_calls_the_estimator_once_per_entry(monkeypatch):
     monkeypatch.setattr(transit, "min_over_origins", counted_min)
     outcomes, _ = transit.batch_estimate(traces_by_origin, pairs, HOST_MODE)
     # origin by origin, each in pair order
-    expected = [(a, b, "O1") for a, b in pairs[:4]] + [("c", "a", "O2"), ("a", "c", "O2")]
+    expected = ([(a, b, "O1") for a, b in pairs[:4]] * repeats
+                + [("c", "a", "O2"), ("a", "c", "O2")] * repeats)
     assert estimated == expected
-    assert minimized == [("a", "b"), ("a", "c"), ("b", "c"), ("a", "c"), ("a", "ghost")]
+    assert minimized == [("a", "b"), ("a", "c"), ("b", "c"), ("a", "c"), ("a", "ghost")] * repeats
     assert [oc.pair for oc in outcomes] == minimized
 
 
