@@ -560,7 +560,7 @@ def run_experiment(
         )
         # the transit's indices follow the outcome's canonical pair order
         first, second = outcome.pair
-        for origin, est in outcome.per_origin.items():
+        for origin, est in zip(outcome.origins, outcome.entries):
             corrupted = any(
                 key in looped or decrease_at[key] > 0
                 for key in ((origin, a), (origin, b))

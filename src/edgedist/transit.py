@@ -17,6 +17,7 @@ from .model import (
     PairEstimate,
     RejectKind,
     RejectReason,
+    TraceError,
     TracePath,
     TransitPoint,
     _Value,
@@ -43,13 +44,40 @@ class EstimateOptions(_Value, namedtuple(
         return tuple.__new__(cls, (mode, allow_origin_fallback, eps_rtt, couple_metrics))
 
 
-class PairOutcome(_Value, namedtuple(
-        "PairOutcome", "pair per_origin best_hop best_rtt", defaults=(None, None))):
-    """Each origin's entry for ``pair``, and the best hop and RTT bounds
-    among them (None where no origin gave one)."""
+class PairOutcome(_Value, namedtuple("PairOutcome", "pair origins entries best_hop best_rtt")):
+    """Each origin's entry for ``pair``, ``entries[i]`` being the estimate
+    or reject of ``origins[i]``, and the best hop and RTT bounds among them
+    (None where no origin gave one).
+
+    The entries are a column layout: ``origins`` is one tuple shared by
+    every outcome of a batch, and by the outcomes of a file that name the
+    same origins in the same order, so each pair holds just a tuple of
+    entries rather than a dict that repeats the origin keys.  Construction
+    checks that ``origins`` and ``entries`` are tuples of one length and
+    that the origins are distinct strings: a repeated origin would be
+    written as a repeated JSON key, which reads back as one entry.
+    ``min_over_origins`` and ``read_outcomes`` build aligned tuples by
+    construction and skip the check through ``tuple.__new__``.
+    """
 
     __slots__ = ()
-    __hash__ = None  # per_origin is a dict
+    __hash__ = None  # a result, never a key
+
+    def __new__(cls, pair: tuple[str, str], origins: tuple[str, ...],
+                entries: tuple[PairEstimate | RejectReason, ...],
+                best_hop: PairEstimate | None = None, best_rtt: PairEstimate | None = None):
+        if type(origins) is not tuple or type(entries) is not tuple:
+            raise TraceError("origins and entries must be tuples")
+        if len(origins) != len(entries):
+            raise TraceError(f"{len(origins)} origins but {len(entries)} entries")
+        seen = set()
+        for origin in origins:
+            if type(origin) is not str:
+                raise TraceError(f"origin {origin!r} is not a string")
+            if origin in seen:
+                raise TraceError(f"origin {origin!r} is repeated")
+            seen.add(origin)
+        return tuple.__new__(cls, (pair, origins, entries, best_hop, best_rtt))
 
     @property
     def accepted(self) -> bool:
@@ -310,21 +338,27 @@ def _tail_reject(p: PreparedTrace, rtt: float | None) -> RejectReason | None:
 
 def min_over_origins(
     pair: tuple[str, str],
-    per_origin: dict[str, PairEstimate | RejectReason],
+    origins: tuple[str, ...],
+    entries: tuple[PairEstimate | RejectReason, ...],
     couple_metrics: bool = False,
 ) -> PairOutcome:
-    """Select the minimal upper bounds over all origins, per metric.
+    """Select the minimal upper bounds over all origins, per metric, where
+    ``entries[i]`` is the estimate or reject of ``origins[i]``.
 
     Hop and RTT bounds are minimized independently (each is a valid bound on
     its own), by the keys (hop, rtt, origin) and (rtt, hop, origin); the
-    origins are distinct, so neither key ties.  ``couple_metrics`` forces
-    both to come from the hop winner.  The outcome keeps ``per_origin``
-    itself, not a copy, so the caller hands the dict over.
+    origins must be distinct, so neither key ties.  ``couple_metrics``
+    forces both to come from the hop winner.  The outcome keeps both tuples
+    themselves, so a batch shares one ``origins`` over all its outcomes.
+    They must be tuples of one length; the outcome is built without the
+    rest of ``PairOutcome``'s check, which costs more than the selection.
     """
-    if not per_origin:
+    if type(origins) is not tuple or type(entries) is not tuple or len(origins) != len(entries):
+        raise ValueError("min_over_origins needs origins and entries as tuples of one length")
+    if not entries:
         raise ValueError("min_over_origins needs at least one origin entry")
     best_hop = best_rtt = hop_key = rtt_key = None
-    for origin, est in per_origin.items():
+    for origin, est in zip(origins, entries):
         if isinstance(est, PairEstimate):
             hop, rtt = est.hop_bound, est.rtt_bound_ms
             key = (hop, rtt, origin)
@@ -335,7 +369,7 @@ def min_over_origins(
                 rtt_key, best_rtt = key, est
     if couple_metrics:
         best_rtt = best_hop
-    return PairOutcome(pair, per_origin, best_hop, best_rtt)
+    return tuple.__new__(PairOutcome, (pair, origins, entries, best_hop, best_rtt))
 
 
 def batch_estimate(
@@ -346,13 +380,16 @@ def batch_estimate(
     """Estimate every pair from every origin and minimize per pair.
 
     The origins are taken one at a time, in sorted order (see
-    ``_origin_entries``): each fills its entry of every pair's per-origin
-    entries, in pair order, with one ``estimate_pair`` call per pair whose
-    endpoints both have a trace from it, and its prepared traces are
-    dropped before the next origin's are built.  Then each pair gets one
-    ``min_over_origins`` call, in pair order.  A pair endpoint with no
-    trace from an origin yields a NoTransit reject with detail "no trace"
-    for that origin; it never aborts the batch.
+    ``_origin_entries``): each fills its column of entries, one per pair in
+    pair order, with one ``estimate_pair`` call per pair whose endpoints
+    both have a trace from it, and its prepared traces are dropped before
+    the next origin's are built.  Then each pair gets one
+    ``min_over_origins`` call, in pair order, on the sorted origins, one
+    tuple that every outcome shares, and its row of the columns.  A pair
+    endpoint with no trace from an origin yields a NoTransit reject with
+    detail "no trace" for that origin; it never aborts the batch.  An
+    outcome's pair is the caller's tuple when it is already in canonical
+    order, else a new one.
     The outcomes share one object per distinct transit point and estimate
     (see ``_shared_estimate``): a dense campaign repeats a few thousand
     bounds over hundreds of thousands of (pair, origin) entries.  An
@@ -363,20 +400,22 @@ def batch_estimate(
     named = {endpoint for pair in pairs for endpoint in pair}
     firsts = [a for a, _ in pairs]
     seconds = [b for _, b in pairs]
-    # with no origin, each pair has no entry, which min_over_origins refuses
-    per_origin: list[dict] = [{} for _ in pairs]
+    origins = tuple(sorted(traces_by_origin))
+    columns = []
     reject_counts: Counter = Counter()
     transits: dict = {}
-    for origin in sorted(traces_by_origin):
+    for origin in origins:
         column = _origin_entries(traces_by_origin[origin], named, firsts, seconds,
                                  options, transits)
         reject_counts.update([est.kind for est in column if type(est) is RejectReason])
-        for entries, est in zip(per_origin, column):
-            entries[origin] = est
+        columns.append(column)
+    # with no origin, each pair has no entry, which min_over_origins refuses
+    rows = zip(*columns) if columns else [()] * len(pairs)
     couple_metrics = options.couple_metrics
     outcomes = [
-        min_over_origins((min(a, b), max(a, b)), entries, couple_metrics)
-        for (a, b), entries in zip(pairs, per_origin)
+        min_over_origins(pair if a <= b and type(pair) is tuple else (min(a, b), max(a, b)),
+                         origins, entries, couple_metrics)
+        for pair, a, b, entries in zip(pairs, firsts, seconds, rows)
     ]
     stats = BatchStats(
         total_pairs=len(pairs),
@@ -426,9 +465,10 @@ def _entry_obj(est: PairEstimate | RejectReason) -> dict:
 
 
 def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
-    """One JSON record per outcome: ``pair``, then ``per_origin`` sorted by
-    origin, then ``best_hop``, ``best_hop_origin``, ``best_rtt`` and
-    ``best_rtt_origin``; a best bound is written as a per-origin entry.
+    """One JSON record per outcome: ``pair``, then ``per_origin``, an
+    object of each origin's entry sorted by origin, then ``best_hop``,
+    ``best_hop_origin``, ``best_rtt`` and ``best_rtt_origin``; a best bound
+    is written as a per-origin entry.
 
     A campaign repeats a few distinct entries over every (pair, origin), so
     the line is joined from JSON text that is encoded once per call for
@@ -438,10 +478,13 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
     ``batch_estimate`` and ``read_outcomes`` share one object per distinct
     estimate (see ``_shared_estimate``), and equal estimates that are
     separate objects are just encoded once each.  Every estimate stays
-    alive in ``outcomes`` for the call, so its id names it.
+    alive in ``outcomes`` for the call, so its id names it.  The sorted
+    order of the origins and their member keys are worked out once per
+    distinct ``origins`` tuple, which a batch shares over all its outcomes.
     """
     names: dict[str, str] = {}
     entries: dict = {}
+    orders: dict[tuple[str, ...], list[tuple[int, str]]] = {}
 
     def name(s: str) -> str:
         text = names.get(s)
@@ -458,15 +501,23 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
             text = entries[key] = encode(_entry_obj(est))
         return text
 
+    def order(origins: tuple[str, ...]) -> list[tuple[int, str]]:
+        """(position, member key text) of each origin, sorted by origin."""
+        keys = [f"{name(o)}:" for o in origins]
+        return [(i, keys[i]) for i in sorted(range(len(origins)), key=origins.__getitem__)]
+
     def best(est: PairEstimate | None) -> tuple[str, str]:
         return ("null", "null") if est is None else (entry(est), name(est.origin_id))
 
     def line(oc: PairOutcome) -> str:
-        per_origin = oc.per_origin
-        pair = ",".join(map(name, oc.pair))
-        objs = ",".join([f"{name(o)}:{entry(per_origin[o])}" for o in sorted(per_origin)])
-        hop, hop_origin = best(oc.best_hop)
-        rtt, rtt_origin = best(oc.best_rtt)
+        pair, origins, ests, best_hop, best_rtt = oc
+        pair = ",".join(map(name, pair))
+        members = orders.get(origins)
+        if members is None:
+            members = orders[origins] = order(origins)
+        objs = ",".join([key + entry(ests[i]) for i, key in members])
+        hop, hop_origin = best(best_hop)
+        rtt, rtt_origin = best(best_rtt)
         return (f'{{"pair":[{pair}],"per_origin":{{{objs}}},"best_hop":{hop},'
                 f'"best_hop_origin":{hop_origin},"best_rtt":{rtt},'
                 f'"best_rtt_origin":{rtt_origin}}}')
@@ -492,10 +543,13 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     per file and shared, and so is each distinct transit point and estimate,
     under the rule of ``_shared_estimate``: a best bound is the per-origin
     estimate of the origin it names when their entries match, and each
-    value is validated when it is first built.  A best bound names its
-    origin by a string, and an absent one names none.  A reject's kind is a
-    string, and its detail a string or absent for ``""``.  A malformed
-    record raises ValueError naming its line.
+    value is validated when it is first built.  Each distinct sequence of
+    ``per_origin`` keys gives one ``origins`` tuple, shared by every
+    outcome that names it, in file order; a repeated key keeps its first
+    position and its last entry, as a JSON object's member does.  A best
+    bound names its origin by a string, and an absent one names none.  A
+    reject's kind is a string, and its detail a string or absent for
+    ``""``.  A malformed record raises ValueError naming its line.
 
     The writer repeats a few distinct entries over a whole campaign, so a
     line in its layout is split into its per_origin members and its tail
@@ -515,6 +569,9 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     share = names.setdefault
     members: dict[str, tuple[str, PairEstimate | RejectReason]] = {}
     tails: dict[str, tuple[PairEstimate | None, PairEstimate | None]] = {}
+    # each origin sequence as a line names it, to the file's tuple of its
+    # distinct origins
+    origin_sets: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def estimate(obj, origin: str) -> PairEstimate | RejectReason:
         if "reject" in obj:
@@ -545,6 +602,17 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
             raise ValueError(f"{name} is a reject entry")
         return est
 
+    def columns(origins: tuple[str, ...], entries: tuple) -> tuple[tuple, tuple]:
+        """The file's origins tuple for ``origins`` as a line names them,
+        and ``entries`` aligned with it."""
+        distinct = origin_sets.get(origins)
+        if distinct is None:
+            distinct = tuple(dict.fromkeys(origins))
+            distinct = origin_sets[origins] = origin_sets.setdefault(distinct, distinct)
+        if len(distinct) != len(entries):  # a repeated origin: its last entry counts
+            entries = tuple(dict(zip(origins, entries)).values())
+        return distinct, entries
+
     def outcome(rec: dict) -> PairOutcome:
         a, b = pair = rec["pair"]
         if type(pair) is not list or type(a) is not str or type(b) is not str:
@@ -553,16 +621,10 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
         objs = rec["per_origin"]
         if not isinstance(objs, dict):
             raise ValueError("per_origin is not an object")
-        per_origin = {}
-        for origin, obj in objs.items():
-            origin = share(origin, origin)
-            per_origin[origin] = estimate(obj, origin)
-        return PairOutcome(
-            pair=(a, b),
-            per_origin=per_origin,
-            best_hop=best(rec, "best_hop"),
-            best_rtt=best(rec, "best_rtt"),
-        )
+        origins = tuple([share(origin, origin) for origin in objs])
+        entries = tuple([estimate(obj, origin) for origin, obj in zip(origins, objs.values())])
+        return tuple.__new__(PairOutcome, ((a, b), *columns(origins, entries),
+                                           best(rec, "best_hop"), best(rec, "best_rtt")))
 
     def laid_out(line: str) -> PairOutcome:
         if not line.startswith(_PAIR_HEAD):
@@ -580,12 +642,12 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
         # each text is a member without its opening quote and closing brace
         texts = line[start:stop].split(_MEMBER_SEP)
         try:
-            per_origin = dict(map(members.__getitem__, texts))
+            origins, entries = zip(*map(members.__getitem__, texts))
         except KeyError:
-            per_origin = {}
+            found = []
             for text in texts:
-                found = members.get(text)
-                if found is None:
+                member = members.get(text)
+                if member is None:
                     origin, end = scan_string(line, start)
                     if not line.startswith(":", end):
                         raise ValueError("no colon after the origin")
@@ -593,9 +655,13 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
                     if end != start + len(text) + 1:
                         raise ValueError("the entry does not end the member")
                     origin = share(origin, origin)
-                    found = members[text] = (origin, estimate(obj, origin))
-                per_origin[found[0]] = found[1]
+                    member = members[text] = (origin, estimate(obj, origin))
+                found.append(member)
                 start += len(text) + len(_MEMBER_SEP)
+            origins, entries = zip(*found)
+        distinct = origin_sets.get(origins)
+        if distinct is None or len(distinct) != len(entries):  # else columns() is a no-op
+            distinct, entries = columns(origins, entries)
         tail = line[stop + 3:]  # from '"best_hop":' to the end of the line
         bests = tails.get(tail)
         if bests is None:
@@ -603,7 +669,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
             if list(rec) != _TAIL_KEYS:
                 raise ValueError("not in the writer's layout")
             bests = tails[tail] = (best(rec, "best_hop"), best(rec, "best_rtt"))
-        return PairOutcome((share(a, a), share(b, b)), per_origin, *bests)
+        return tuple.__new__(PairOutcome, ((share(a, a), share(b, b)), distinct, entries, *bests))
 
     def line_outcome(line: str) -> PairOutcome:
         try:

@@ -13,8 +13,13 @@ builds a dict per entry and encodes every record whole.
 ``min_over_origins`` is the two-pass selection: it copies the accepted
 entries into a list and takes a lambda-keyed ``min`` per metric.
 ``batch_estimate`` is the loop as it was before the per-origin sweep: pair
-by pair, every origin in turn.  The differential tests compare
-``edgedist.transit`` against this module result for result.
+by pair, every origin in turn.  Every function here keeps a pair's entries
+in a dict from origin to entry, as outcomes did before the column layout,
+and converts at its boundary: ``as_outcome`` turns such a dict into a
+``PairOutcome``'s aligned ``origins`` and ``entries`` tuples, in the dict's
+order, and ``as_dict`` turns an outcome's columns back into a dict.  The
+differential tests compare ``edgedist.transit`` against this module result
+for result.
 """
 
 from __future__ import annotations
@@ -210,6 +215,16 @@ def estimate_pair(
     )
 
 
+def as_outcome(pair, per_origin: dict, best_hop=None, best_rtt=None) -> PairOutcome:
+    """The ``PairOutcome`` of a pair whose entries are the dict ``per_origin``."""
+    return PairOutcome(pair, tuple(per_origin), tuple(per_origin.values()), best_hop, best_rtt)
+
+
+def as_dict(oc: PairOutcome) -> dict:
+    """An outcome's entries as a dict from origin to entry, in its order."""
+    return dict(zip(oc.origins, oc.entries))
+
+
 def _accepted(per_origin):
     return [
         (origin, est)
@@ -237,7 +252,7 @@ def min_over_origins(
             best_rtt = min(
                 accepted, key=lambda kv: (kv[1].rtt_bound_ms, kv[1].hop_bound, kv[0])
             )[1]
-    return PairOutcome(pair=pair, per_origin=dict(per_origin), best_hop=best_hop, best_rtt=best_rtt)
+    return as_outcome(pair, per_origin, best_hop, best_rtt)
 
 
 def batch_estimate(traces_by_origin, pairs, options=EstimateOptions()):
@@ -298,10 +313,7 @@ def read_outcomes(path):
                     best_hop = _estimate_from_obj(rec["best_hop"], rec["best_hop_origin"])
                 if rec["best_rtt"] is not None:
                     best_rtt = _estimate_from_obj(rec["best_rtt"], rec["best_rtt_origin"])
-                outcomes.append(
-                    PairOutcome(pair=pair, per_origin=per_origin,
-                                best_hop=best_hop, best_rtt=best_rtt)
-                )
+                outcomes.append(as_outcome(pair, per_origin, best_hop, best_rtt))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: bad outcome at line {lineno}: {exc}") from exc
     return outcomes
@@ -330,22 +342,22 @@ def write_outcomes(outcomes: list[PairOutcome], path) -> None:
             obj = rejects[est] = {"reject": est.kind.value, "detail": est.detail}
         return obj
 
-    def best(est: PairEstimate | None, per_origin: dict, objs: dict):
+    def best(est: PairEstimate | None, entries: dict, objs: dict):
         if est is None:
             return None
-        if per_origin.get(est.origin_id) is est:
+        if entries.get(est.origin_id) is est:
             return objs[est.origin_id]
         return _estimate_to_obj(est)
 
     def record(oc: PairOutcome) -> dict:
-        per_origin = oc.per_origin
-        objs = {origin: entry(per_origin[origin]) for origin in sorted(per_origin)}
+        entries = as_dict(oc)
+        objs = {origin: entry(entries[origin]) for origin in sorted(entries)}
         return {
             "pair": list(oc.pair),
             "per_origin": objs,
-            "best_hop": best(oc.best_hop, per_origin, objs),
+            "best_hop": best(oc.best_hop, entries, objs),
             "best_hop_origin": None if oc.best_hop is None else oc.best_hop.origin_id,
-            "best_rtt": best(oc.best_rtt, per_origin, objs),
+            "best_rtt": best(oc.best_rtt, entries, objs),
             "best_rtt_origin": None if oc.best_rtt is None else oc.best_rtt.origin_id,
         }
 

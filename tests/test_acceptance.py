@@ -170,12 +170,12 @@ def test_criterion_3_monotonicity():
     steps = 0
     breaks = 0
     for a, b in pairs:
-        per_origin = {}
+        entries = ()
         prev_hop = math.inf
         prev_rtt = math.inf
-        for origin in origins:
-            per_origin[origin] = estimate_pair(trace(origin, a), trace(origin, b))
-            outcome = min_over_origins((a, b), per_origin)
+        for k, origin in enumerate(origins, 1):
+            entries += (estimate_pair(trace(origin, a), trace(origin, b)),)
+            outcome = min_over_origins((a, b), tuple(origins[:k]), entries)
             hop = math.inf if outcome.best_hop is None else outcome.best_hop.hop_bound
             rtt = math.inf if outcome.best_rtt is None else outcome.best_rtt.rtt_bound_ms
             if hop > prev_hop or rtt > prev_rtt:
@@ -341,7 +341,7 @@ def _outcome(i, hop_bound):
         transit=TransitPoint(address="t", index_a=1, index_b=1),
         hop_bound=hop_bound, rtt_bound_ms=float(hop_bound),
     )
-    return PairOutcome(pair=(f"a{i}", f"b{i}"), per_origin={"O": est},
+    return PairOutcome(pair=(f"a{i}", f"b{i}"), origins=("O",), entries=(est,),
                        best_hop=est, best_rtt=est)
 
 

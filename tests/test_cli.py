@@ -261,6 +261,23 @@ def test_pairs_file_header_is_only_a_first_line_a_b(tmp_path, text, pairs):
     assert [json.loads(line)["pair"] for line in out.read_text().splitlines()] == pairs
 
 
+def test_a_reversed_listed_pair_is_written_canonical(tmp_path):
+    # the batch keeps the tuple of a pair listed in order and builds one for
+    # a pair listed reversed; either way the file is the same
+    traces = write_traces(tmp_path / "traces.jsonl", [
+        trace(origin, d, [("T", 1.0), (d, 3.0)]) for origin in ("O1", "O2") for d in "axyz"])
+    listed, out = tmp_path / "pairs.csv", tmp_path / "out.jsonl"
+    written = []
+    for text in ("a,x\ny,z\n", "x,a\nz,y\n", "a,x\nz,y\n"):
+        listed.write_text(text)
+        assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                     "--pairs-file", str(listed), "-o", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    assert [json.loads(line)["pair"] for line in written[0].splitlines()] == [
+        ["a", "x"], ["y", "z"]]
+
+
 @pytest.mark.parametrize("text, line, problem", [
     # an equal pair was a distance-0 sample, an empty name a silent reject
     ("a,x\nx,x\n", 2, "both endpoints are 'x'"),
@@ -990,7 +1007,7 @@ def test_member_names_cover_every_way_a_class_declares_a_field():
     package = Path(edgedist.__file__).parent
     classes = {cls.name: cls for cls in ast.parse((package / "transit.py").read_text()).body
                if isinstance(cls, ast.ClassDef)}
-    assert {"pair", "per_origin", "best_hop", "best_rtt", "accepted"} == set(
+    assert {"pair", "origins", "entries", "best_hop", "best_rtt", "__new__", "accepted"} == set(
         _member_names(classes["PairOutcome"]))
     assert {"trace", "options", "endpoint", "positions"} < set(
         _member_names(classes["PreparedTrace"]))

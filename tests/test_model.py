@@ -169,7 +169,7 @@ RESULT = PairResult(("a", "b"), 2, 1.5, 2, 3.0, True, True, False)
 BATCH = BatchStats(1, 1, Counter({"NoTransit": 2}))
 EXPERIMENT = ExperimentReport([RESULT], BATCH, {"o": [TRACE]}, 0, 1, {"clean_accept": 1}, 0)
 OPTIONS = EstimateOptions(mode="host", eps_rtt=1.0)
-OUTCOME = PairOutcome(("a", "b"), {"o": ESTIMATE}, ESTIMATE)
+OUTCOME = PairOutcome(("a", "b"), ("o",), (ESTIMATE,), ESTIMATE)
 MORE_VALUES = [TRACE, TABLE, MODEL, OPTIMUM, PERSISTENCE, REPORT, DIST, SIM, RESULT, BATCH,
                EXPERIMENT, OPTIONS, OUTCOME]
 # these hold a list or dict, or are results and reports: never a key
@@ -283,8 +283,8 @@ def test_value_repr_is_the_dataclass_text():
         "EstimateOptions(mode='host', allow_origin_fallback=False, eps_rtt=1.0, "
         "couple_metrics=False)")
     assert repr(OUTCOME) == (
-        f"PairOutcome(pair=('a', 'b'), per_origin={{'o': {ESTIMATE!r}}}, best_hop={ESTIMATE!r}, "
-        "best_rtt=None)")
+        f"PairOutcome(pair=('a', 'b'), origins=('o',), entries=({ESTIMATE!r},), "
+        f"best_hop={ESTIMATE!r}, best_rtt=None)")
 
 
 def test_value_defaults_are_fresh_per_value():
@@ -292,7 +292,7 @@ def test_value_defaults_are_fresh_per_value():
     assert ParseReport().warnings == [] and ParseReport().warnings is not ParseReport().warnings
     assert BatchStats(0, 0).reject_counts is not BatchStats(0, 0).reject_counts
     assert EdgeDistribution("rtt_ms", 5.0, (), 0, 0.0, 0.0, ()).excluded == 0
-    assert OUTCOME._replace(best_hop=None) == PairOutcome(("a", "b"), {"o": ESTIMATE})
+    assert OUTCOME._replace(best_hop=None) == PairOutcome(("a", "b"), ("o",), (ESTIMATE,))
 
 
 @pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP, REJECT,

@@ -24,7 +24,7 @@ def ccdf(dist):
 
 
 def make_outcome(i, hop_bound=None, rtt_bound=None):
-    per_origin = {}
+    origins = entries = ()
     best_hop = best_rtt = None
     if hop_bound is not None or rtt_bound is not None:
         est = PairEstimate(
@@ -33,11 +33,11 @@ def make_outcome(i, hop_bound=None, rtt_bound=None):
             hop_bound=hop_bound if hop_bound is not None else 0,
             rtt_bound_ms=rtt_bound if rtt_bound is not None else 0.0,
         )
-        per_origin["O1"] = est
+        origins, entries = ("O1",), (est,)
         best_hop = est if hop_bound is not None else None
         best_rtt = est if rtt_bound is not None else None
     return PairOutcome(
-        pair=(f"a{i}", f"b{i}"), per_origin=per_origin,
+        pair=(f"a{i}", f"b{i}"), origins=origins, entries=entries,
         best_hop=best_hop, best_rtt=best_rtt,
     )
 

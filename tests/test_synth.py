@@ -472,7 +472,7 @@ def _rescanned_cross_checks(report, pairs, sim, est_options):
     outcomes, _ = batch_estimate(report.traces_by_origin, pairs, est_options)
     for (a, b), outcome in zip(pairs, outcomes):
         first, second = outcome.pair
-        for origin, est in outcome.per_origin.items():
+        for origin, est in zip(outcome.origins, outcome.entries):
             corrupt = any(sim.trace(origin, h)[1] or tail_decreases(origin, h, 0)
                           for h in (a, b))
             accepted = isinstance(est, PairEstimate)

@@ -6,7 +6,14 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from edgedist.model import PairEstimate, RejectKind, RejectReason, TracePath, TransitPoint
+from edgedist.model import (
+    PairEstimate,
+    RejectKind,
+    RejectReason,
+    TraceError,
+    TracePath,
+    TransitPoint,
+)
 from edgedist.transit import (
     ACCESS_ROUTER,
     HOST,
@@ -314,7 +321,7 @@ def test_an_rtt_bound_that_overflows_is_a_counted_reject():
                           "rtt bound 1e+308 + 1.7e+308 overflows")
     assert _estimate(a, b, HOST_MODE) == reference.estimate_pair(a, b, HOST_MODE) == reject
     (outcome,), stats = batch_estimate({"o": [a, b]}, [("a", "b")], HOST_MODE)
-    assert outcome.per_origin == {"o": reject} and not outcome.accepted
+    assert (outcome.origins, outcome.entries) == (("o",), (reject,)) and not outcome.accepted
     assert stats.reject_counts == {"MissingRttAtTransit": 1}
 
 
@@ -360,6 +367,12 @@ def test_blocked_access_router_does_not_undercut():
 # --- min_over_origins / batch ---------------------------------------------
 
 
+def _min_over(pair, per_origin, couple_metrics=False):
+    """min_over_origins on the origins and entries of the dict per_origin."""
+    return min_over_origins(pair, tuple(per_origin), tuple(per_origin.values()),
+                            couple_metrics)
+
+
 def _fake_estimate(origin, hop_bound, rtt_bound):
     from edgedist.model import TransitPoint
 
@@ -375,7 +388,7 @@ def test_min_over_origins_picks_minimum():
         "O2": _fake_estimate("O2", 9, 120.0),
         "O3": _fake_estimate("O3", 11, 70.0),
     }
-    outcome = min_over_origins(("a", "b"), per_origin)
+    outcome = _min_over(("a", "b"), per_origin)
     assert outcome.best_hop.origin_id == "O2"
     assert outcome.best_rtt.origin_id == "O3"
 
@@ -385,7 +398,7 @@ def test_min_over_origins_all_rejected():
         "O1": RejectReason(RejectKind.ASYMMETRY_SUSPECTED, ""),
         "O2": RejectReason(RejectKind.NO_TRANSIT, ""),
     }
-    outcome = min_over_origins(("a", "b"), per_origin)
+    outcome = _min_over(("a", "b"), per_origin)
     assert outcome.best_hop is None and outcome.best_rtt is None
     assert not outcome.accepted
 
@@ -395,13 +408,47 @@ def test_min_over_origins_tie_break_deterministic():
         "O2": _fake_estimate("O2", 9, 70.0),
         "O1": _fake_estimate("O1", 9, 70.0),
     }
-    outcome = min_over_origins(("a", "b"), per_origin)
+    outcome = _min_over(("a", "b"), per_origin)
     assert outcome.best_hop.origin_id == "O1"
 
 
 def test_min_over_origins_empty_is_error():
-    with pytest.raises(ValueError):
-        min_over_origins(("a", "b"), {})
+    with pytest.raises(ValueError, match="needs at least one origin entry"):
+        min_over_origins(("a", "b"), (), ())
+
+
+_REJECT_NO_TRANSIT = RejectReason(RejectKind.NO_TRANSIT)
+
+
+@pytest.mark.parametrize("origins, entries", [
+    (("O1", "O2"), (_REJECT_NO_TRANSIT,)),
+    (("O1",), (_REJECT_NO_TRANSIT, _REJECT_NO_TRANSIT)),
+    (["O1"], (_REJECT_NO_TRANSIT,)),
+    (("O1",), [_REJECT_NO_TRANSIT]),
+], ids=["fewer-entries", "fewer-origins", "origin-list", "entry-list"])
+def test_min_over_origins_refuses_columns_that_do_not_align(origins, entries):
+    # zip would drop the unmatched entries without a word
+    with pytest.raises(ValueError, match="tuples of one length"):
+        min_over_origins(("a", "b"), origins, entries)
+
+
+@pytest.mark.parametrize("origins, entries, message", [
+    (("O1", "O2"), (_REJECT_NO_TRANSIT,), "2 origins but 1 entries"),
+    (("O1",), (_REJECT_NO_TRANSIT,) * 2, "1 origins but 2 entries"),
+    (("O1", "O2", "O1"), (_REJECT_NO_TRANSIT,) * 3, "origin 'O1' is repeated"),
+    (("O1", 5), (_REJECT_NO_TRANSIT,) * 2, "origin 5 is not a string"),
+    (["O1"], (_REJECT_NO_TRANSIT,), "origins and entries must be tuples"),
+    (("O1",), [_REJECT_NO_TRANSIT], "origins and entries must be tuples"),
+], ids=["fewer-entries", "fewer-origins", "repeated-origin", "number-origin",
+        "origin-list", "entry-list"])
+def test_an_outcome_refuses_entries_unaligned_with_distinct_origins(origins, entries, message):
+    # a repeated origin would be written as a repeated JSON key, which
+    # reads back as one entry
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        PairOutcome(("a", "b"), origins, entries)
+    outcome = PairOutcome(("a", "b"), ("O1",), (_REJECT_NO_TRANSIT,))
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        outcome._replace(origins=origins, entries=entries)
 
 
 def test_min_over_origins_coupled_metrics():
@@ -409,7 +456,7 @@ def test_min_over_origins_coupled_metrics():
         "O1": _fake_estimate("O1", 9, 120.0),
         "O2": _fake_estimate("O2", 11, 70.0),
     }
-    outcome = min_over_origins(("a", "b"), per_origin, couple_metrics=True)
+    outcome = _min_over(("a", "b"), per_origin, couple_metrics=True)
     assert outcome.best_rtt.origin_id == "O1"
 
 
@@ -446,10 +493,11 @@ def _tied_estimate(hop_bound, rtt_bound):
           "O1": _REJECT}, False)
 @example({"O2": _tied_estimate(1, 9.0), "O1": _tied_estimate(2, 5.0)}, True)
 def test_min_over_origins_matches_the_two_pass_reference(per_origin, couple):
-    got = min_over_origins(("a", "b"), per_origin, couple)
+    origins, entries = tuple(per_origin), tuple(per_origin.values())
+    got = min_over_origins(("a", "b"), origins, entries, couple)
     want = reference.min_over_origins(("a", "b"), per_origin, couple)
     assert got == want
-    assert got.per_origin is per_origin  # handed over, not copied
+    assert got.origins is origins and got.entries is entries  # kept, not copied
     assert got.best_hop is want.best_hop and got.best_rtt is want.best_rtt
 
 
@@ -501,7 +549,7 @@ def test_batch_missing_trace_reports_no_trace():
         {"O1": [ta, tb]}, [("A0", "B0"), ("A0", "ghost")], EstimateOptions(mode=HOST)
     )
     ghost = outcomes[1]
-    reject = ghost.per_origin["O1"]
+    reject = reference.as_dict(ghost)["O1"]
     assert reject.kind is RejectKind.NO_TRANSIT and reject.detail == "no trace"
     assert stats.succeeded == 1
 
@@ -515,13 +563,11 @@ def _estimate_key(est):
 def _assert_one_object_per_distinct_estimate(outcomes):
     by_key = {}
     for oc in outcomes:
-        for origin, est in oc.per_origin.items():
+        for origin, est in zip(oc.origins, oc.entries):
             if isinstance(est, PairEstimate):
                 assert est.origin_id == origin
                 by_key.setdefault(_estimate_key(est), set()).add(id(est))
-        for best in (oc.best_hop, oc.best_rtt):
-            if best is not None:
-                assert best is oc.per_origin[best.origin_id]
+    _assert_bests_are_entries(outcomes)
     assert all(len(ids) == 1 for ids in by_key.values())
     return len(by_key)
 
@@ -537,14 +583,41 @@ def test_batch_shares_one_transit_point_per_distinct_transit():
     pairs = list(itertools.combinations(dests, 2))
     outcomes, _ = batch_estimate(
         traces_by_origin, pairs, EstimateOptions(mode=HOST, allow_origin_fallback=True))
-    transits = [est.transit for oc in outcomes for est in oc.per_origin.values()]
+    transits = [est.transit for oc in outcomes for est in oc.entries]
     assert len(transits) == 3 * len(pairs)
     assert {id(t) for t in transits} == {id(transits[0]), id(transits[2])}
     assert transits[0] == TransitPoint("T", 1, 1)
     assert transits[2].is_origin_fallback
     # and one estimate per origin: each gives every pair the same bound
     assert _assert_one_object_per_distinct_estimate(outcomes) == 3
-    assert outcomes[-1].per_origin["O1"] == PairEstimate("O1", transits[0], 2, 2.0)
+    assert reference.as_dict(outcomes[-1])["O1"] == PairEstimate("O1", transits[0], 2, 2.0)
+
+
+def test_batch_outcomes_hold_a_tuple_of_entries_per_pair():
+    """What a batch keeps per outcome on a seeded 8-origin campaign: the
+    outcome, its tuple of entries and its list slot, and its share of the
+    estimates and transit points."""
+    import gc
+    import tracemalloc
+
+    topo = synth.generate_topology(synth.TWO_TIER, {"regions": 6, "leaves": 10}, seed=3)
+    sim = synth.Simulator(topo)
+    traces_by_origin = {origin: [sim.trace(origin, host)[0] for host in topo.hosts]
+                        for origin in topo.routers[:8]}
+    pairs = list(itertools.combinations(topo.hosts, 2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        outcomes, stats = batch_estimate(traces_by_origin, pairs, HOST_MODE)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(outcomes) == 1770 and stats.succeeded == 1770
+    assert all(oc.origins is outcomes[0].origins for oc in outcomes)
+    per_pair = kept / len(outcomes)
+    # measured 300 bytes (CPython 3.11); a dict of entries per pair, and a
+    # new pair tuple for each, made it 515
+    assert per_pair < 400, per_pair
 
 
 def test_outcomes_round_trip(tmp_path):
@@ -690,7 +763,8 @@ def test_sweep_matches_the_reference_loop(tmp_path_factory, campaign):
         got, got_stats = batch_estimate(traces_by_origin, pairs, options)
         want, want_stats = reference.batch_estimate(traces_by_origin, pairs, options)
         assert got == want
-        assert [list(oc.per_origin) for oc in got] == [list(oc.per_origin) for oc in want]
+        # one origins tuple for the whole batch
+        assert len({id(oc.origins) for oc in got}) == min(len(got), 1)
         assert got_stats == want_stats
         write_outcomes(got, tmp / "ours.jsonl")
         reference.write_outcomes(want, tmp / "reference.jsonl")
@@ -700,6 +774,16 @@ def test_sweep_matches_the_reference_loop(tmp_path_factory, campaign):
 def _three_hosts_from_two_origins():
     return {origin: [trace(origin, d, [("T", 1.0), (d, 2.0)]) for d in "abc"]
             for origin in ("O1", "O2")}
+
+
+def test_the_batch_keeps_each_pair_tuple_already_in_canonical_order():
+    pairs = [("a", "b"), ("c", "a"), ("b", "c"), ["a", "c"], ("a", "ghost")]
+    outcomes, _ = batch_estimate(_three_hosts_from_two_origins(), pairs, HOST_MODE)
+    assert [oc.pair is pair for oc, pair in zip(outcomes, pairs)] == [
+        True, False, True, False, True]
+    assert [oc.pair for oc in outcomes] == [
+        ("a", "b"), ("a", "c"), ("b", "c"), ("a", "c"), ("a", "ghost")]
+    assert all(type(oc.pair) is tuple for oc in outcomes)
 
 
 @pytest.mark.parametrize("repeats", [1, 2, 1024])
@@ -714,9 +798,9 @@ def test_sweep_calls_the_estimator_once_per_entry(monkeypatch, repeats):
         estimated.append((pa.trace.destination, pb.trace.destination, pa.trace.origin_id))
         return estimate_pair(pa, pb, *tables)
 
-    def counted_min(pair, per_origin, couple_metrics=False):
+    def counted_min(pair, origins, entries, couple_metrics=False):
         minimized.append(pair)
-        return min_over_origins(pair, per_origin, couple_metrics)
+        return min_over_origins(pair, origins, entries, couple_metrics)
 
     monkeypatch.setattr(transit, "estimate_pair", counted_estimate)
     monkeypatch.setattr(transit, "min_over_origins", counted_min)
@@ -786,12 +870,12 @@ def test_a_batch_with_no_origin_refuses_its_pairs():
 def _split_and_rejected_outcomes():
     """A record whose best bounds come from different origins and one with
     no accepted origin."""
-    split = min_over_origins(("a", "b"), {
+    split = _min_over(("a", "b"), {
         "O1": _fake_estimate("O1", 9, 120.0),
         "O2": _fake_estimate("O2", 11, 70.0),
         "O3": RejectReason(RejectKind.NO_TRANSIT, "no trace"),
     })
-    rejected = min_over_origins(("a", "c"), {
+    rejected = _min_over(("a", "c"), {
         "O1": RejectReason(RejectKind.ASYMMETRY_SUSPECTED, "cumulative rtt drops"),
         "O2": RejectReason(RejectKind.NO_TRANSIT, "no trace"),
     })
@@ -813,21 +897,18 @@ def test_read_outcomes_matches_reference(tmp_path_factory, campaign, options):
     assert loaded == reference.read_outcomes(path) == outcomes
     # equal transit points and reject reasons are one object per file, and
     # each best bound is the per-origin entry of its origin
-    shared = [
-        getattr(est, "transit", est)
-        for oc in loaded for est in oc.per_origin.values()
-    ]
+    shared = [getattr(est, "transit", est) for oc in loaded for est in oc.entries]
     assert len({id(x) for x in shared}) == len(set(shared))
-    for oc in loaded:
-        for best in (oc.best_hop, oc.best_rtt):
-            assert best is None or best is oc.per_origin[best.origin_id]
-    # and each origin and endpoint name is one string object per file
-    names = [name for oc in loaded for name in (*oc.pair, *oc.per_origin)] + [
+    _assert_bests_are_entries(loaded)
+    # and each origin and endpoint name is one string object per file, and
+    # each origin sequence one tuple
+    names = [name for oc in loaded for name in (*oc.pair, *oc.origins)] + [
         est.origin_id for oc in loaded
-        for est in (*oc.per_origin.values(), oc.best_hop, oc.best_rtt)
+        for est in (*oc.entries, oc.best_hop, oc.best_rtt)
         if isinstance(est, PairEstimate)
     ]
     assert len({id(name) for name in names}) == len(set(names))
+    assert len({id(oc.origins) for oc in loaded}) == len({oc.origins for oc in loaded})
 
 
 @settings(max_examples=40, deadline=None)
@@ -862,7 +943,7 @@ def test_batch_keeps_equal_bounds_that_encode_differently_apart(
         traces += [trace("O1", d, prefix + [(d, end_rtt)]) for d in pair]
         pairs.append(pair)
     outcomes, _ = batch_estimate({"O1": traces}, pairs, options)
-    first, second = (oc.per_origin["O1"] for oc in outcomes)
+    first, second = (reference.as_dict(oc)["O1"] for oc in outcomes)
     assert first == second and first is not second and first.transit is second.transit
     assert [repr(oc.best_rtt.rtt_bound_ms) for oc in outcomes] == texts
     path = tmp_path / "o.jsonl"
@@ -901,7 +982,7 @@ def _entries(*bounds, transit=TransitPoint("t", 1, 1)):
 
 
 def _with_best(per_origin, best_hop, best_rtt):
-    return PairOutcome(("a", "b"), per_origin, best_hop, best_rtt)
+    return reference.as_outcome(("a", "b"), per_origin, best_hop, best_rtt)
 
 
 def _best_not_its_entry_object():
@@ -912,10 +993,17 @@ def _best_not_its_entry_object():
     return [_with_best(per_origin, equal_copy, other_rtt)]
 
 
+def _unsorted_origins():
+    entries = _entries((9, 120.0), (11, 70.0), (4, 5.0))
+    origins = ("O3", "O1", "O2")
+    return [PairOutcome(("a", "b"), origins, tuple(entries[o] for o in origins),
+                        entries["O3"], entries["O3"])]
+
+
 def _escaped_names():
     names = ['q"uote', "back\\slash", "n\u00e9", "\u6771\u4eac", "tab\tnew\nline"]
     transit = TransitPoint(names[4], 1, 1)
-    return [min_over_origins((a, b), {
+    return [_min_over((a, b), {
         origin: PairEstimate(origin, transit, 3, 1.5) for origin in names[:3]
     }) for a, b in itertools.combinations(names, 2)]
 
@@ -923,18 +1011,19 @@ def _escaped_names():
 # equal values that encode differently must never share text
 WRITER_CASES = {
     "int and float rtt bounds": lambda: [
-        min_over_origins(("a", "b"), _entries((4, 5), (4, 5.0), (4, 5)))],
+        _min_over(("a", "b"), _entries((4, 5), (4, 5.0), (4, 5)))],
     "zero and negative zero rtt bounds": lambda: [
-        min_over_origins(("a", "b"), _entries((4, 0.0), (4, -0.0), (4, 0)))],
+        _min_over(("a", "b"), _entries((4, 0.0), (4, -0.0), (4, 0)))],
     "best bound not its origin's entry object": _best_not_its_entry_object,
     "no best bounds beside accepted entries": lambda: [
         _with_best(_entries((4, 2.0)), None, None)],
-    "only rejects": lambda: [min_over_origins(("a", "c"), {
+    "only rejects": lambda: [_min_over(("a", "c"), {
         "O1": RejectReason(RejectKind.ASYMMETRY_SUSPECTED, "cumulative rtt drops"),
         "O2": RejectReason(RejectKind.NO_TRANSIT, "no trace"),
         "O3": RejectReason(RejectKind.NO_TRANSIT, "no trace"),
     })],
     "names that need escaping": _escaped_names,
+    "origins out of sorted order": _unsorted_origins,
 }
 
 
@@ -950,11 +1039,11 @@ def test_write_outcomes_rejects_a_name_that_is_not_a_string(tmp_path):
     # the failed write used to leave the first record in place of the old file
     path = tmp_path / "keep.jsonl"
     path.write_bytes(b"old\n")
-    ok = min_over_origins(("a", "b"), {"O1": _fake_estimate("O1", 4, 2.0)})
-    # an estimate refuses a non-string origin, so the origin names a reject
-    bad_origin = min_over_origins(("a", "b"), {5: RejectReason(RejectKind.NO_TRANSIT)})
+    ok = _min_over(("a", "b"), {"O1": _fake_estimate("O1", 4, 2.0)})
+    # an outcome refuses a non-string origin, so an endpoint is the bad name
+    bad_endpoint = _min_over((5, "b"), {"O1": RejectReason(RejectKind.NO_TRANSIT)})
     with pytest.raises(TypeError, match="name 5 is not a string"):
-        write_outcomes([ok, bad_origin], path)
+        write_outcomes([ok, bad_endpoint], path)
     assert path.read_bytes() == b"old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.jsonl"]
 
@@ -988,7 +1077,7 @@ def test_best_entry_unlike_its_origin_entry_is_read_as_written(tmp_path):
     loaded = read_outcomes(path)
     assert loaded == reference.read_outcomes(path)
     assert loaded[0].best_hop.rtt_bound_ms == 150.0
-    assert loaded[0].per_origin["O1"].rtt_bound_ms == 120.0
+    assert reference.as_dict(loaded[0])["O1"].rtt_bound_ms == 120.0
 
 
 def _drop(key):
@@ -1092,7 +1181,8 @@ def test_reject_detail_is_a_string_or_absent(tmp_path):
     with pytest.raises(ValueError, match=r"detail \['x'\] is not a string$"):
         read_outcomes(path)
     path, line = _malformed_file(tmp_path, lambda rec: rec["per_origin"]["O3"].pop("detail"))
-    assert read_outcomes(path)[line - 1].per_origin["O3"] == RejectReason(RejectKind.NO_TRANSIT)
+    loaded = read_outcomes(path)[line - 1]
+    assert reference.as_dict(loaded)["O3"] == RejectReason(RejectKind.NO_TRANSIT)
 
 
 def test_reject_kind_is_a_string(tmp_path):
@@ -1158,7 +1248,7 @@ def test_equal_bounds_that_encode_differently_round_trip(tmp_path):
     assert again.read_text() == "".join(
         json.dumps(r, separators=(",", ":")) + "\n" for r in records)
     assert read_outcomes(again) == loaded
-    assert loaded[0].best_hop is loaded[-1].per_origin["O1"]
+    assert loaded[0].best_hop is reference.as_dict(loaded[-1])["O1"]
 
 
 def _repeating_outcomes(n_hosts=40, n_origins=10):
@@ -1175,7 +1265,7 @@ def _repeating_outcomes(n_hosts=40, n_origins=10):
             k = (i + j) % 7
             per_origin[origin] = reject if k == 6 else PairEstimate(
                 origin, transits[k % 3], 2 + k % 4, [1.5, 2.25, 3.125][k % 3])
-        outcomes.append(min_over_origins((a, b), per_origin))
+        outcomes.append(_min_over((a, b), per_origin))
     return outcomes
 
 
@@ -1195,10 +1285,104 @@ def test_read_outcomes_keeps_no_object_per_repeated_entry(tmp_path):
     finally:
         tracemalloc.stop()
     per_pair = kept / len(loaded)
-    # measured 427 bytes (CPython 3.11): a PairOutcome, its pair, its
-    # per-origin dict and its list slot; a PairEstimate and a float per
-    # (pair, origin) entry made it 1511
-    assert per_pair < 600, per_pair
+    # measured 304 bytes (CPython 3.11): a PairOutcome, its pair, its tuple
+    # of entries and its list slot; a dict of entries per pair made it 447,
+    # and a PairEstimate and a float per (pair, origin) entry 1511
+    assert per_pair < 400, per_pair
+
+
+# --- hand-written v1 lines against the reference reader ---------------------
+
+_NO_TRACE_OBJ = {"reject": "NoTransit", "detail": "no trace"}
+
+
+def _v1_line(pair, members, best=None, sep=(",", ":")):
+    """An outcome line whose per_origin holds ``members``, (key text, entry)
+    pairs written in the order given, and whose best bounds are both the
+    entry of the (origin, entry) pair ``best``.  The default separators
+    give the writer's layout."""
+    comma, colon = sep
+
+    def text(value):
+        return json.dumps(value, separators=sep)
+
+    objs = comma.join(f"{key}{colon}{text(entry)}" for key, entry in members)
+    fields = [("pair", text(list(pair))), ("per_origin", f"{{{objs}}}")]
+    for name in ("best_hop", "best_rtt"):
+        fields += [(name, text(best and best[1])), (f"{name}_origin", text(best and best[0]))]
+    return "{" + comma.join(f'"{key}"{colon}{value}' for key, value in fields) + "}"
+
+
+def _hand_written(tmp_path, lines, spaced):
+    """read_outcomes of ``lines``, each written in the writer's layout or,
+    when ``spaced``, with the default separators, after checking it against
+    the reference reader; and the lines it decoded whole."""
+    sep = (", ", ": ") if spaced else (",", ":")
+    path = tmp_path / ("spaced.jsonl" if spaced else "compact.jsonl")
+    path.write_text("".join(_v1_line(*line, sep=sep) + "\n" for line in lines))
+    loaded, whole = _whole_line_decodes(path)
+    assert loaded == reference.read_outcomes(path)
+    assert len(whole) == (len(lines) if spaced else 0)
+    return loaded
+
+
+@pytest.mark.parametrize("spaced", [False, True], ids=["per-entry", "whole-line"])
+def test_hand_written_origin_keys_keep_the_file_order(tmp_path, spaced):
+    (oc,) = _hand_written(tmp_path, [
+        (("a", "b"), [('"O2"', _ENTRY), ('"O1"', _NO_TRACE_OBJ)], ("O2", _ENTRY))], spaced)
+    assert oc.origins == ("O2", "O1")
+    assert oc.entries[1] == RejectReason(RejectKind.NO_TRANSIT, "no trace")
+    assert oc.best_hop is oc.entries[0]
+
+
+@pytest.mark.parametrize("spaced", [False, True], ids=["per-entry", "whole-line"])
+def test_a_repeated_origin_key_keeps_its_first_place_and_last_entry(tmp_path, spaced):
+    later = dict(_ENTRY, hop_bound=4)
+    first, second = _hand_written(tmp_path, [
+        (("a", "b"), [('"O1"', _NO_TRACE_OBJ), ('"O2"', _ENTRY), ('"O1"', later)],
+         ("O2", _ENTRY)),
+        (("a", "c"), [('"O1"', _ENTRY), ('"O2"', _ENTRY)], ("O1", _ENTRY)),
+    ], spaced)
+    assert first.origins == ("O1", "O2") and first.origins is second.origins
+    assert [est.hop_bound for est in first.entries] == [4, 1]
+    assert PairOutcome(*first) == first  # a valid outcome
+
+
+def test_an_empty_per_origin_reads_as_no_origins(tmp_path):
+    # never taken by the per-entry decode: its per_origin opens with no key
+    for sep in ((",", ":"), (", ", ": ")):
+        path = tmp_path / "o.jsonl"
+        path.write_text(_v1_line(("a", "b"), [], sep=sep) + "\n")
+        (oc,) = read_outcomes(path)
+        assert [oc] == reference.read_outcomes(path)
+        assert (oc.origins, oc.entries, oc.accepted) == ((), (), False)
+
+
+def test_an_origin_key_that_is_not_a_string_is_refused_like_the_reference(tmp_path):
+    for key in ("5", "null", '["O1"]'):
+        path = tmp_path / "o.jsonl"
+        path.write_text(_v1_line(("a", "b"), [('"O1"', _ENTRY)], ("O1", _ENTRY)) + "\n"
+                        + _v1_line(("a", "c"), [(key, _ENTRY)], None) + "\n")
+        with pytest.raises(ValueError, match="bad outcome at line 2:"):
+            reference.read_outcomes(path)
+        with pytest.raises(ValueError, match="bad outcome at line 2: Expecting property name"):
+            read_outcomes(path)
+    # a number in a string is an origin like any other
+    (oc,) = _hand_written(tmp_path, [(("a", "b"), [('"5"', _ENTRY)], ("5", _ENTRY))], False)
+    assert oc.origins == ("5",)
+
+
+@pytest.mark.parametrize("spaced", [False, True], ids=["per-entry", "whole-line"])
+def test_a_file_of_two_origin_sets_shares_one_tuple_per_set(tmp_path, spaced):
+    two = [('"O1"', _ENTRY), ('"O2"', _NO_TRACE_OBJ)]
+    three = [*two, ('"O3"', _ENTRY)]
+    lines = [(("a", f"b{i}"), three if i % 3 else two, ("O1", _ENTRY)) for i in range(7)]
+    lines.append((("a", "c"), three[::-1], ("O3", _ENTRY)))
+    loaded = _hand_written(tmp_path, lines, spaced)
+    sets = {}
+    for oc in loaded:
+        assert sets.setdefault(oc.origins, oc.origins) is oc.origins
+    assert list(sets) == [("O1", "O2"), ("O1", "O2", "O3"), ("O3", "O2", "O1")]
 
 
 # --- the reader's per-entry decode against the whole-line decode ------------
@@ -1233,9 +1417,9 @@ def _outcomes_of(draw, text):
                                      draw(st.sampled_from([0, 0.0, -0.0, 5, 5.0, 2.25]))))
         pools[origin] = pool
     return [
-        min_over_origins((draw(text), draw(text)),
-                         {origin: draw(st.sampled_from(pool)) for origin, pool in pools.items()},
-                         draw(st.booleans()))
+        _min_over((draw(text), draw(text)),
+                  {origin: draw(st.sampled_from(pool)) for origin, pool in pools.items()},
+                  draw(st.booleans()))
         for _ in range(draw(st.integers(1, 4)))
     ]
 
@@ -1269,10 +1453,24 @@ _LAYOUTS = {
 }
 
 
-def _assert_bests_are_entries(loaded):
-    for oc in loaded:
+def _as_written(oc):
+    """The outcome as the writer writes it, its origins in sorted order."""
+    entries = reference.as_dict(oc)
+    return reference.as_outcome(oc.pair, {o: entries[o] for o in sorted(entries)},
+                                oc.best_hop, oc.best_rtt)
+
+
+def _unordered(oc):
+    """An outcome's fields with its entries as a dict, equal whatever the
+    order of its origins."""
+    return oc.pair, reference.as_dict(oc), oc.best_hop, oc.best_rtt
+
+
+def _assert_bests_are_entries(outcomes):
+    for oc in outcomes:
+        entries = reference.as_dict(oc)
         for best in (oc.best_hop, oc.best_rtt):
-            assert best is None or best is oc.per_origin[best.origin_id]
+            assert best is None or best is entries[best.origin_id]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1282,7 +1480,8 @@ def test_read_outcomes_in_any_layout_matches_reference(tmp_path_factory, outcome
     path = tmp / "writer.jsonl"
     write_outcomes(outcomes, path)
     loaded = read_outcomes(path)
-    assert loaded == reference.read_outcomes(path) == outcomes
+    # drawn in any order, the origins are written and read back sorted
+    assert loaded == reference.read_outcomes(path) == list(map(_as_written, outcomes))
     _assert_bests_are_entries(loaded)
     lines = path.read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines]
@@ -1297,8 +1496,10 @@ def test_read_outcomes_in_any_layout_matches_reference(tmp_path_factory, outcome
         _assert_bests_are_entries(got)
         if name == "duplicated pair key":
             assert {oc.pair for oc in got} == {("dup", "\u00e9")}
+        elif name == "shuffled keys":  # each line's origin order is kept
+            assert list(map(_unordered, got)) == list(map(_unordered, outcomes))
         else:
-            assert got == outcomes, name
+            assert got == loaded, name
 
 
 def _read_or_error(path):
@@ -1356,10 +1557,8 @@ def test_a_member_split_inside_a_string_is_never_kept(tmp_path):
     line that is not JSON would otherwise be read from kept pieces."""
     est = PairEstimate("O2", TransitPoint("t", 1, 1), 1, 1.0)
     outcomes = [
-        min_over_origins(("a", "b"), {"O1": RejectReason(RejectKind.NO_TRANSIT, "y"),
-                                      "O2": est}),
-        min_over_origins(("a", "c"), {"O1": RejectReason(RejectKind.NO_TRANSIT, "x},"),
-                                      "O2": est}),
+        _min_over(("a", "b"), {"O1": RejectReason(RejectKind.NO_TRANSIT, "y"), "O2": est}),
+        _min_over(("a", "c"), {"O1": RejectReason(RejectKind.NO_TRANSIT, "x},"), "O2": est}),
     ]
     path = tmp_path / "o.jsonl"
     write_outcomes(outcomes, path)
@@ -1400,7 +1599,7 @@ def test_every_line_the_writer_writes_takes_the_per_entry_decode(
     write_outcomes(outcomes, path)
     loaded, whole = _whole_line_decodes(path)
     assert whole == []
-    assert loaded == outcomes
+    assert loaded == list(map(_as_written, outcomes))
     # and the count sees a line that is not in the writer's layout
     path.write_text(path.read_text().replace('{"pair":', '{ "pair":', 1))
     assert len(_whole_line_decodes(path)[1]) == 1
