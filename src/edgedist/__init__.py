@@ -1,7 +1,6 @@
 """Edge network distance estimation from multi-origin traceroute data."""
 
 from .model import (
-    HopRecord,
     PairEstimate,
     RejectKind,
     RejectReason,

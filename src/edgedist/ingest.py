@@ -17,7 +17,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from .jsonl import read_jsonl, write_jsonl
-from .model import HopRecord, TracePath, _Value
+from .model import TraceError, TracePath, _Value
 
 
 class ParseReport(_Value, namedtuple("ParseReport", "parsed skipped_lines warnings")):
@@ -34,6 +34,7 @@ _HEADER_RE = re.compile(r"^traceroute(?:6)?\s+to\s+(\S+)(?:\s+\(([^\s()]+)\))?")
 # numbers are in ASCII digits: \d, int() and float() also take other
 # scripts' digits, and float() reads "1_0" as 10.0
 _HOP_LINE_RE = re.compile(r"^\s*([0-9]+)\s+(.*)$")
+MAX_TTL = 255  # IP TTL and IPv6 hop limit are 8-bit fields
 # an octet 0-255 without a leading zero, so each address has one spelling
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _IPV4_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
@@ -49,8 +50,10 @@ def _address(token: str) -> str | None:
         return None
 
 
-def _parse_hop(ttl: int, body: str, share: Callable[[str, str], str]) -> HopRecord:
-    """The hop at ``ttl`` from the probe sequence of its line, in one pass.
+def _parse_hop(ttl: int, body: str,
+               share: Callable[[str, str], str]) -> tuple[str | None, float | None]:
+    """The (address, RTT) of the hop at ``ttl`` from the probe sequence of
+    its line, in one pass; (None, None) when no probe was answered.
 
     Classic layout: ``name (ip)  t1 ms  t2 ms`` with a new ``name (ip)`` pair
     whenever a later probe was answered by a different node; lone ``*`` marks
@@ -59,8 +62,8 @@ def _parse_hop(ttl: int, body: str, share: Callable[[str, str], str]) -> HopReco
     its reverse-DNS name; ``share(address, address)`` gives the address
     string to keep.
     Raises ValueError at the first unrecognizable token, RTT that is not
-    ASCII or holds an underscore, or non-finite RTT, else TraceError if the
-    hop is invalid (say, a negative minimum).
+    ASCII or holds an underscore, or non-finite RTT, and on a negative
+    minimum, which ``TracePath`` would refuse.
     """
     addr = best_addr = best_rtt = None
     word = None  # the previous token, whose meaning this one decides
@@ -96,9 +99,11 @@ def _parse_hop(ttl: int, body: str, share: Callable[[str, str], str]) -> HopReco
         word = tok
     if word is not None and _address(word) is None:
         raise ValueError(f"unrecognized token {word!r}")
-    if best_addr is not None:
-        best_addr = share(best_addr, best_addr)
-    return HopRecord(ttl, best_addr, best_rtt)
+    if best_addr is None:
+        return None, None
+    if best_rtt < 0:
+        raise ValueError(f"hop {ttl}: rtt {best_rtt} is negative or not finite")
+    return share(best_addr, best_addr), best_rtt
 
 
 def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], ParseReport]:
@@ -107,7 +112,8 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
     Addresses are IPv4 or IPv6, kept compressed so that a ``traceroute6``
     header and its last hop compare equal.  Per hop the minimum RTT over
     responding probes is kept.  A corrupted hop line is replaced by an
-    unresponsive hop at its TTL slot and counted in ``skipped_lines``; a
+    unresponsive hop at its TTL slot and counted in ``skipped_lines``; one
+    whose TTL is outside 1..``MAX_TTL`` is counted and pads nothing, and a
     malformed header skips the whole block.  The stream is never aborted.
     Each address and destination string is shared, so the traces hold one
     object per distinct string.
@@ -119,16 +125,16 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
     share = {}.setdefault  # one object per distinct string
 
     target: str | None = None
-    hops: list[HopRecord] = []
+    addresses, rtts = [], []  # the columns of the trace being read
 
     def flush():
-        nonlocal target, hops
+        nonlocal target, addresses, rtts
         if target is not None:
-            # valid by construction: consecutive TTLs, reached only at the target
-            reached = bool(hops) and hops[-1].address == target
-            traces.append(TracePath(origin_id, target, tuple(hops), reached))
+            # valid by construction: reached only at the target
+            reached = bool(addresses) and addresses[-1] == target
+            traces.append(TracePath(origin_id, target, tuple(addresses), tuple(rtts), reached))
         target = None
-        hops = []
+        addresses, rtts = [], []
 
     for line in text.splitlines():
         # hop lines come first: no hop line matches a header, nor is blank
@@ -146,47 +152,65 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
         if target is None:
             warnings.append(f"hop line before any header: {line.strip()!r}")
             continue
-        ttl, body = int(hop_match[1]), hop_match[2]
+        digits, body = hop_match.groups()
+        ttl = int(digits) if len(digits) <= 3 else 0  # int() of 5000 digits raises
+        if not 1 <= ttl <= MAX_TTL:
+            warnings.append(f"bad hop line (ttl outside 1..{MAX_TTL}): {line.strip()!r}")
+            continue
         # fill TTL gaps so hop arithmetic still counts the missing slots
-        while len(hops) + 1 < ttl:
-            hops.append(HopRecord(len(hops) + 1))
-        if ttl <= len(hops):
+        gap = ttl - 1 - len(addresses)
+        if gap < 0:
             warnings.append(f"out-of-order hop line: {line.strip()!r}")
             continue
+        addresses += [None] * gap
+        rtts += [None] * gap
         try:
-            hops.append(_parse_hop(ttl, body, share))
+            address, rtt = _parse_hop(ttl, body, share)
         except ValueError as exc:
             warnings.append(f"bad hop line ({exc}): {line.strip()!r}")
-            hops.append(HopRecord(ttl=ttl))
+            address = rtt = None
+        addresses.append(address)
+        rtts.append(rtt)
     flush()
     return traces, ParseReport(len(traces), len(warnings), warnings)
 
 
 def trace_to_record(trace: TracePath) -> dict:
-    # each hop is a tuple, which encodes as its [ttl, address, rtt_ms] array
+    # each hop is a (ttl, address, rtt_ms) tuple, which encodes as an array
+    addresses = trace.addresses
     return {
         "origin_id": trace.origin_id,
         "destination": trace.destination,
         "timestamp": trace.timestamp,
         "reached": trace.reached,
-        "hops": trace.hops,
+        "hops": list(zip(range(1, len(addresses) + 1), addresses, trace.rtts)),
     }
 
 
 def trace_from_record(record: dict, names: dict[str, str]) -> TracePath:
     """Decode one canonical record.  Each address, origin and destination
     string is shared through ``names``, so a file's traces hold one object
-    per distinct string; any other value is left for validation to reject."""
+    per distinct string; any other value is left for validation to reject.
+    Each hop must be a ``[ttl, address, rtt]`` array whose ttl is its
+    position."""
     share = names.setdefault
-    hops = tuple([
-        HopRecord(ttl, share(addr, addr) if type(addr) is str else addr, rtt)
-        for ttl, addr, rtt in record["hops"]
-    ])
+    addresses, rtts = [], []
+    for pos, hop in enumerate(record["hops"], start=1):
+        if type(hop) is not list or len(hop) != 3:
+            raise TraceError(f"hop {pos}: {hop!r} is not a [ttl, address, rtt] array")
+        ttl, address, rtt = hop
+        if type(ttl) is not int:
+            raise TraceError(f"ttl {ttl!r} is not an int")
+        if ttl != pos:
+            raise TraceError(f"ttl gap at position {pos}: expected ttl {pos}, got {ttl}")
+        addresses.append(share(address, address) if type(address) is str else address)
+        rtts.append(rtt)
     origin, destination = record["origin_id"], record["destination"]
     return TracePath(
         origin_id=share(origin, origin) if type(origin) is str else origin,
         destination=share(destination, destination) if type(destination) is str else destination,
-        hops=hops,
+        addresses=tuple(addresses),
+        rtts=tuple(rtts),
         reached=record["reached"],
         timestamp=record.get("timestamp"),
     )

@@ -5,28 +5,30 @@ ids in synthetic data); two addresses are equal iff their strings are equal.
 Hop positions are 1-based, matching traceroute's TTL numbering.
 All types are immutable after construction and have no ``__dict__``: a
 campaign holds hundreds of thousands of hops and per-origin entries.
-``TracePath``, ``HopRecord``, ``TransitPoint``, ``PairEstimate`` and
-``RejectReason`` are validated tuple subclasses on ``_Value``, as are the
-option, result and report values of the other modules.  Hops are built one
-per hop line: about 314,000 on the ``ingest-wide`` benchmark, each read back
-by ``pairs``.  Transit points and estimates are shared, one object per
+``TracePath``, ``TransitPoint``, ``PairEstimate`` and ``RejectReason`` are
+validated tuple subclasses on ``_Value``, as are the option, result and
+report values of the other modules.  A trace holds its hops as an address
+column and an RTT column, with no object per hop (a hop's TTL is its
+position): the 313,899 hops ``pairs`` reads on ``ingest-wide`` hold 19.5 MB
+with their 24,000 traces (seed 1, ``tracemalloc``), against 38.4 MB as a
+tuple per hop.  Transit points and estimates are shared, one object per
 distinct value, under the rule of ``transit._shared_estimate``: on the
 300-host ``campaign-dense`` benchmark, 321,206 accepted (pair, origin)
-entries hold 11,056 distinct estimates and 234 transits.  A
-``PairEstimate`` names no endpoints, which the ``PairOutcome`` that holds it
-already names.  A frozen dataclass sets each field through
-``object.__setattr__``, which makes it up to twice as slow to build (1.14
-against 0.48 us for a ``PairEstimate``, CPython 3.11, 2-core Xeon), and
-hashes in Python where a tuple hashes in C.  The package imports no
-``dataclasses`` at all: that module loads ``inspect``, ``ast`` and ``dis``
-(about 13 ms) and execs new source for each class it builds (about 19 ms
-for 14 classes, against 2 ms for 14 namedtuples), on every command's
-startup.  Each value keeps the interface of a dataclass: field names,
-defaults, keyword construction, the ``Name(field=value, ...)`` repr,
-read-only attributes, no ordering, and equality only with a value of the
-same type; a result or report is not hashable, nor is a value that holds a
-list or dict.  ``TracePath`` and the four tuples here check field types
-too: no ``true`` or ``2.0`` for an int.
+entries hold 11,056 distinct estimates and 234 transits.  A ``PairEstimate``
+names no endpoints, which the ``PairOutcome`` that holds it already names.
+A frozen dataclass sets each field through ``object.__setattr__``, which
+makes it up to twice as slow to build (1.14 against 0.48 us for a
+``PairEstimate``, CPython 3.11, 2-core Xeon), and hashes in Python where a
+tuple hashes in C.  The package imports no ``dataclasses`` at all: that
+module loads ``inspect``, ``ast`` and ``dis`` (about 13 ms) and execs new
+source for each class it builds (about 19 ms for 14 classes, against 2 ms
+for 14 namedtuples), on every command's startup.  Each value keeps the
+interface of a dataclass: field names, defaults, keyword construction, the
+``Name(field=value, ...)`` repr, read-only attributes, no ordering, and
+equality only with a value of the same type; a result or report is not
+hashable, nor is a value that holds a list or dict.  The four tuples here
+check field types too: no ``true`` or ``2.0`` for an int, no NaN or negative
+RTT.
 """
 
 from __future__ import annotations
@@ -89,48 +91,17 @@ class RejectReason(_Value, namedtuple("RejectReason", "kind detail")):
         return tuple.__new__(cls, (kind, detail))
 
 
-class HopRecord(_Value, namedtuple("HopRecord", "ttl address rtt_ms")):
-    """One TTL step of a trace.
-
-    ``address`` is None for an unresponsive hop (the "* * *" case).
-    ``rtt_ms`` is the cumulative round trip from the origin, in milliseconds,
-    finite and non-negative; when a hop answered multiple probes the minimum
-    is stored.
-    """
+class TracePath(_Value, namedtuple(
+        "TracePath", "origin_id destination addresses rtts reached timestamp")):
+    """One traceroute result toward a destination, as two hop columns in TTL
+    order: ``addresses``, None for a silent hop ("* * *"), and ``rtts``, the
+    cumulative round trip from the origin in ms, the minimum over the hop's
+    probes, or None where none was timed (always at a silent hop)."""
 
     __slots__ = ()
 
-    def __new__(cls, ttl: int, address: str | None = None, rtt_ms: float | None = None):
-        if type(ttl) is not int:
-            raise TraceError(f"ttl {ttl!r} is not an int")
-        if ttl < 1:
-            raise TraceError(f"ttl must be >= 1, got {ttl}")
-        if address is not None:
-            if type(address) is not str:
-                raise TraceError(f"address {address!r} is not a string")
-            if not address:
-                raise TraceError("address must be non-empty or None")
-        if rtt_ms is not None:
-            if address is None:
-                raise TraceError(f"hop {ttl}: rtt without address")
-            if type(rtt_ms) is not float and type(rtt_ms) is not int:
-                raise TraceError(f"hop {ttl}: rtt {rtt_ms!r} is not a number")
-            if not 0 <= rtt_ms < math.inf:
-                raise TraceError(f"hop {ttl}: rtt {rtt_ms} is negative or not finite")
-        return tuple.__new__(cls, (ttl, address, rtt_ms))
-
-    @property
-    def responsive(self) -> bool:
-        return self.address is not None
-
-
-class TracePath(_Value, namedtuple("TracePath", "origin_id destination hops reached timestamp")):
-    """One traceroute result: ordered hops from an origin toward a destination."""
-
-    __slots__ = ()
-
-    def __new__(cls, origin_id: str, destination: str, hops: tuple[HopRecord, ...],
-                reached: bool, timestamp: float | None = None):
+    def __new__(cls, origin_id: str, destination: str, addresses: tuple[str | None, ...],
+                rtts: tuple[float | None, ...], reached: bool, timestamp: float | None = None):
         for name, value in (("origin_id", origin_id), ("destination", destination)):
             if type(value) is not str:
                 raise TraceError(f"{name} {value!r} is not a string")
@@ -141,20 +112,34 @@ class TracePath(_Value, namedtuple("TracePath", "origin_id destination hops reac
         if timestamp is not None and (type(timestamp) not in (int, float)
                                       or not math.isfinite(timestamp)):
             raise TraceError(f"timestamp {timestamp!r} is not a finite number")
-        hops = tuple(hops)
-        for i, hop in enumerate(hops, start=1):
-            if hop.ttl != i:
-                raise TraceError(f"ttl gap at position {i}: expected ttl {i}, got {hop.ttl}")
+        for name, column in (("addresses", addresses), ("rtts", rtts)):
+            if type(column) is not tuple:
+                raise TraceError(f"{name} is a {type(column).__name__}, not a tuple")
+        if len(addresses) != len(rtts):
+            raise TraceError(f"{len(addresses)} addresses but {len(rtts)} rtts")
+        for pos, address, rtt in zip(range(1, len(rtts) + 1), addresses, rtts):
+            if address is None:
+                if rtt is not None:
+                    raise TraceError(f"hop {pos}: rtt without address")
+                continue
+            if type(address) is not str:
+                raise TraceError(f"address {address!r} is not a string")
+            if not address:
+                raise TraceError("address must be non-empty or None")
+            if rtt is not None:
+                if type(rtt) is not float and type(rtt) is not int:
+                    raise TraceError(f"hop {pos}: rtt {rtt!r} is not a number")
+                if not 0 <= rtt < math.inf:
+                    raise TraceError(f"hop {pos}: rtt {rtt} is negative or not finite")
         if reached:
-            if not hops:
+            if not addresses:
                 raise TraceError("reached trace must have at least one hop")
-            last = hops[-1]
-            if last.address != destination:
+            if addresses[-1] != destination:
                 raise TraceError(
                     f"reached trace must end at {destination}, "
-                    f"last hop is {last.address}"
+                    f"last hop is {addresses[-1]}"
                 )
-        return tuple.__new__(cls, (origin_id, destination, hops, reached, timestamp))
+        return tuple.__new__(cls, (origin_id, destination, addresses, rtts, reached, timestamp))
 
 
 class TransitPoint(

@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 from pathlib import Path
 
 from .jsonl import write_jsonl
-from .model import HopRecord, TracePath, _Value
+from .model import TracePath, _Value
 from .transit import (
     HOST,
     EstimateOptions,
@@ -380,16 +380,14 @@ class Simulator:
             self._trees[origin] = dijkstra(self.topology, origin)
         dist, pred = self._trees[origin]
         if target_host not in dist:
-            trace = TracePath(
-                origin_id=origin, destination=target_host, hops=(), reached=False
-            )
-            return trace, False
+            return TracePath(origin, target_host, (), (), reached=False), False
         route = extract_path(pred, target_host)
         rng = random.Random(f"{opts.seed}:trace:{origin}:{target_host}")
-        hops: list[HopRecord] = []
-        for ttl, node in enumerate(route[1:], start=1):
+        addresses, rtts = [], []
+        for node in route[1:]:
             if node in self.blocked and node != target_host:
-                hops.append(HopRecord(ttl=ttl))
+                addresses.append(None)
+                rtts.append(None)
                 continue
             rtt = 2 * dist[node]
             if node in self.asymmetric:
@@ -397,24 +395,19 @@ class Simulator:
             if opts.rtt_jitter_ms > 0:
                 rtt = max(0.0, rtt + rng.uniform(-opts.rtt_jitter_ms, opts.rtt_jitter_ms))
                 rtt = round(rtt, 6)
-            hops.append(HopRecord(ttl=ttl, address=node, rtt_ms=rtt))
+            addresses.append(node)
+            rtts.append(rtt)
         loop_injected = False
-        if opts.loop_probability > 0 and len(hops) >= 3 and rng.random() < opts.loop_probability:
-            responsive = [h for h in hops[:-1] if h.responsive]
+        if opts.loop_probability > 0 and len(rtts) >= 3 and rng.random() < opts.loop_probability:
+            responsive = [a for a in addresses[:-1] if a is not None]
             if responsive:
                 dup = rng.choice(responsive)
-                last_rtt = max(
-                    (h.rtt_ms for h in hops[:-1] if h.rtt_ms is not None),
-                    default=0.0,
-                )
-                insert = HopRecord(len(hops), dup.address, last_rtt + _QUANTUM)
-                final = hops[-1]
-                rtt = None if final.rtt_ms is None else max(final.rtt_ms, insert.rtt_ms)
-                hops[-1:] = [insert, final._replace(ttl=len(hops) + 1, rtt_ms=rtt)]
+                insert_rtt = max((r for r in rtts[:-1] if r is not None), default=0.0) + _QUANTUM
+                final_rtt = rtts[-1]
+                addresses.insert(-1, dup)
+                rtts[-1:] = [insert_rtt, None if final_rtt is None else max(final_rtt, insert_rtt)]
                 loop_injected = True
-        trace = TracePath(
-            origin_id=origin, destination=target_host, hops=tuple(hops), reached=True
-        )
+        trace = TracePath(origin, target_host, tuple(addresses), tuple(rtts), reached=True)
         return trace, loop_injected
 
 
@@ -594,12 +587,12 @@ def _deepest_decrease(trace: TracePath) -> int:
     """
     deepest = 0
     prev_pos = prev_rtt = None
-    for pos, hop in enumerate(trace.hops, start=1):
-        if hop.rtt_ms is None:
+    for pos, rtt in enumerate(trace.rtts, start=1):
+        if rtt is None:
             continue
-        if prev_rtt is not None and hop.rtt_ms < prev_rtt:
+        if prev_rtt is not None and rtt < prev_rtt:
             deepest = prev_pos
-        prev_pos, prev_rtt = pos, hop.rtt_ms
+        prev_pos, prev_rtt = pos, rtt
     return deepest
 
 

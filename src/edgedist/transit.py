@@ -124,14 +124,14 @@ class PreparedTrace:
         self.trace = trace
         self.destination, self.origin_id = trace.destination, trace.origin_id
         self.options = options
-        hops = trace.hops
-        endpoint = n = len(hops)
+        addresses = trace.addresses
+        endpoint = n = len(addresses)
         if options.mode == ACCESS_ROUTER and n > 1:
             endpoint = n - 1
         self.endpoint = endpoint if trace.reached else None
         self.positions = positions = {}
         for pos in range(self.endpoint or 0, 0, -1):
-            address = hops[pos - 1].address
+            address = addresses[pos - 1]
             if address is not None and address not in positions:
                 positions[address] = pos
         self._tails: dict[int, RejectReason | float | None] = {}
@@ -156,23 +156,19 @@ class PreparedTrace:
         return tails[transit_pos]
 
     def _check_tail(self, transit_pos: int) -> RejectReason | float | None:
-        hops = self.trace.hops
-        start_rtt = hops[transit_pos - 1].rtt_ms if transit_pos else 0.0
+        addresses, rtts = self.trace.addresses, self.trace.rtts
+        start_rtt = rtts[transit_pos - 1] if transit_pos else 0.0
         if start_rtt is None:
             return RejectReason(
                 RejectKind.MISSING_RTT_AT_TRANSIT,
                 f"no rtt at transit hop {transit_pos}",
             )
-        start = 1
-        if transit_pos:
-            transit = hops[transit_pos - 1].address
-            start = next(pos for pos, hop in enumerate(hops, 1) if hop.address == transit)
+        start = addresses.index(addresses[transit_pos - 1]) + 1 if transit_pos else 1
         eps_rtt = self.options.eps_rtt
         prev_rtt = None
         seen: set[str] = set()
-        for pos in range(start, len(hops) + 1):
-            hop = hops[pos - 1]
-            address = hop.address
+        for pos in range(start, len(addresses) + 1):
+            address = addresses[pos - 1]
             if address is None:
                 continue
             if address in seen:
@@ -181,7 +177,7 @@ class PreparedTrace:
                     f"address {address} repeats at hop {pos}",
                 )
             seen.add(address)
-            rtt = hop.rtt_ms
+            rtt = rtts[pos - 1]
             if rtt is not None:
                 if prev_rtt is not None and rtt < prev_rtt - eps_rtt:
                     return RejectReason(
@@ -189,14 +185,14 @@ class PreparedTrace:
                         f"cumulative rtt drops {prev_rtt} -> {rtt} at hop {pos}",
                     )
                 prev_rtt = rtt
-        end = hops[self.endpoint - 1]
-        if self.options.mode == ACCESS_ROUTER and end.address is not None and any(
-                hop.address == end.address for hop in hops[:self.endpoint - 1]):
+        end = addresses[self.endpoint - 1]
+        if (self.options.mode == ACCESS_ROUTER and end is not None
+                and end in addresses[:self.endpoint - 1]):
             return RejectReason(
                 RejectKind.LOOP_BEYOND_TRANSIT,
-                f"access router {end.address} repeats at hop {self.endpoint}",
+                f"access router {end} repeats at hop {self.endpoint}",
             )
-        end_rtt = (end if end.address is not None else hops[-1]).rtt_ms
+        end_rtt = rtts[self.endpoint - 1] if end is not None else rtts[-1]
         return None if end_rtt is None else end_rtt - start_rtt
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from edgedist.model import HopRecord, TracePath
+from edgedist.model import TracePath
 from edgedist.synth import Topology
 
 
@@ -33,9 +33,7 @@ def make_topology(edge_list, hosts, seed=0):
 
 
 def trace(origin, dest, hops, reached=True):
-    """Shorthand: hops as (address-or-None, rtt-or-None) in TTL order."""
-    records = tuple(
-        HopRecord(ttl=i, address=addr, rtt_ms=rtt)
-        for i, (addr, rtt) in enumerate(hops, start=1)
-    )
-    return TracePath(origin_id=origin, destination=dest, hops=records, reached=reached)
+    """The trace whose hops are ``hops``, (address-or-None, rtt-or-None)
+    pairs in TTL order: every test trace is built here."""
+    return TracePath(origin, dest, tuple(addr for addr, _ in hops),
+                     tuple(rtt for _, rtt in hops), reached)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from edgedist.model import HopRecord
-
 
 def _is_ipv4(text: str) -> bool:
     """Four dot-separated octets 0-255 in ASCII digits, with no leading zero."""
@@ -72,14 +70,16 @@ def _parse_hop_body(body: str) -> list[tuple[str | None, float | None]]:
     return probes
 
 
-def _hop_from_probes(ttl, probes) -> HopRecord:
+def _hop_from_probes(ttl, probes) -> tuple[str | None, float | None]:
     answered = [probe for probe in probes if probe[1] is not None]
     if not answered:
-        return HopRecord(ttl=ttl)
+        return None, None
     addr, rtt = min(answered, key=lambda probe: probe[1])
-    return HopRecord(ttl=ttl, address=addr, rtt_ms=rtt)
+    if rtt < 0:
+        raise ValueError(f"hop {ttl}: rtt {rtt} is negative or not finite")
+    return addr, rtt
 
 
-def parse_hop(ttl: int, body: str) -> HopRecord:
-    """The reference for ``ingest._parse_hop``."""
+def parse_hop(ttl: int, body: str) -> tuple[str | None, float | None]:
+    """The reference for ``ingest._parse_hop``: the hop's (address, rtt)."""
     return _hop_from_probes(ttl, _parse_hop_body(body))

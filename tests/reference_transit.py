@@ -45,20 +45,21 @@ def endpoint_of(trace: TracePath, mode: str) -> int:
     it, answered or not."""
     if not trace.reached:
         raise ValueError("endpoint_of requires a reached trace")
-    n = len(trace.hops)
+    n = len(trace.addresses)
     return n if mode == "host" or n == 1 else n - 1
 
 
 def endpoint_rtt(trace: TracePath, endpoint: int) -> float | None:
     """The endpoint hop's RTT, or the destination hop's when it is silent."""
-    hop = trace.hops[endpoint - 1]
-    return hop.rtt_ms if hop.responsive else trace.hops[-1].rtt_ms
+    if trace.addresses[endpoint - 1] is None:
+        return trace.rtts[-1]
+    return trace.rtts[endpoint - 1]
 
 
 def access_router_loop(trace: TracePath, endpoint: int) -> RejectReason | None:
     """A reject when the access router's address is also at an earlier hop."""
-    router = trace.hops[endpoint - 1].address
-    if router is None or router not in [hop.address for hop in trace.hops[:endpoint - 1]]:
+    router = trace.addresses[endpoint - 1]
+    if router is None or router not in trace.addresses[:endpoint - 1]:
         return None
     return RejectReason(
         RejectKind.LOOP_BEYOND_TRANSIT,
@@ -73,31 +74,32 @@ def validate_beyond_transit(
     (the first hop for the origin, transit_pos 0) to the last hop; None
     means accepted.  Rejects a missing RTT at the transit hop, then the
     first repeated address or cumulative RTT drop beyond eps_rtt."""
-    if transit_pos >= 1 and trace.hops[transit_pos - 1].rtt_ms is None:
+    if transit_pos >= 1 and trace.rtts[transit_pos - 1] is None:
         return RejectReason(
             RejectKind.MISSING_RTT_AT_TRANSIT,
             f"no rtt at transit hop {transit_pos}",
         )
-    addresses = [hop.address for hop in trace.hops]
+    addresses = list(trace.addresses)
     first = addresses.index(addresses[transit_pos - 1]) if transit_pos >= 1 else 0
     prev_rtt = None
     seen: set[str] = set()
-    for hop in trace.hops[first:]:
-        if not hop.responsive:
+    for ttl in range(first + 1, len(addresses) + 1):
+        address, rtt = addresses[ttl - 1], trace.rtts[ttl - 1]
+        if address is None:
             continue
-        if hop.address in seen:
+        if address in seen:
             return RejectReason(
                 RejectKind.LOOP_BEYOND_TRANSIT,
-                f"address {hop.address} repeats at hop {hop.ttl}",
+                f"address {address} repeats at hop {ttl}",
             )
-        seen.add(hop.address)
-        if hop.rtt_ms is not None:
-            if prev_rtt is not None and hop.rtt_ms < prev_rtt - eps_rtt:
+        seen.add(address)
+        if rtt is not None:
+            if prev_rtt is not None and rtt < prev_rtt - eps_rtt:
                 return RejectReason(
                     RejectKind.ASYMMETRY_SUSPECTED,
-                    f"cumulative rtt drops {prev_rtt} -> {hop.rtt_ms} at hop {hop.ttl}",
+                    f"cumulative rtt drops {prev_rtt} -> {rtt} at hop {ttl}",
                 )
-            prev_rtt = hop.rtt_ms
+            prev_rtt = rtt
     return None
 
 
@@ -118,25 +120,25 @@ def last_common_hop(
                 RejectKind.UNREACHABLE_DESTINATION,
                 f"destination {path.destination} not reached",
             )
-    limit_a = len(path_a.hops) if limit_a is None else limit_a
-    limit_b = len(path_b.hops) if limit_b is None else limit_b
+    limit_a = len(path_a.addresses) if limit_a is None else limit_a
+    limit_b = len(path_b.addresses) if limit_b is None else limit_b
 
     pos_a: dict[str, int] = {}
     for pos in range(1, limit_a + 1):
-        hop = path_a.hops[pos - 1]
-        if hop.responsive:
-            pos_a[hop.address] = pos
+        address = path_a.addresses[pos - 1]
+        if address is not None:
+            pos_a[address] = pos
     best: TransitPoint | None = None
     best_key = None
     for pos in range(1, limit_b + 1):
-        hop = path_b.hops[pos - 1]
-        if not hop.responsive or hop.address not in pos_a:
+        address = path_b.addresses[pos - 1]
+        if address is None or address not in pos_a:
             continue
-        ia = pos_a[hop.address]
-        key = (ia + pos, ia, _neg_lex(hop.address))
+        ia = pos_a[address]
+        key = (ia + pos, ia, _neg_lex(address))
         if best_key is None or key > best_key:
             best_key = key
-            best = TransitPoint(address=hop.address, index_a=ia, index_b=pos)
+            best = TransitPoint(address=address, index_a=ia, index_b=pos)
     if best is not None:
         return best
     if allow_origin_fallback:
@@ -187,7 +189,7 @@ def estimate_pair(
                 RejectKind.MISSING_RTT_AT_TRANSIT,
                 f"no rtt at endpoint hop {e_pos} of {path.destination}",
             )
-        start_rtt = 0.0 if t_pos == 0 else path.hops[t_pos - 1].rtt_ms
+        start_rtt = 0.0 if t_pos == 0 else path.rtts[t_pos - 1]
         diff = end_rtt - start_rtt
         if diff < 0:
             return RejectReason(

@@ -1,3 +1,4 @@
+import json
 import re
 import textwrap
 
@@ -5,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgedist import ingest
+from edgedist import ingest, synth
 from edgedist.ingest import (
     parse_traceroute_text,
     read_canonical,
     write_canonical,
 )
-from edgedist.model import HopRecord, TracePath
 
 import reference_ingest
 from conftest import trace
@@ -28,12 +28,7 @@ SAMPLE = textwrap.dedent(
 def test_parse_minimum_of_probes():
     traces, report = parse_traceroute_text(SAMPLE, "berlin-1")
     assert report.parsed == 1 and report.skipped_lines == 0
-    (t,) = traces
-    assert t.reached and t.destination == "192.0.2.9"
-    assert [(h.ttl, h.address, h.rtt_ms) for h in t.hops] == [
-        (1, "192.0.2.1", 1.2),
-        (2, "192.0.2.9", 2.8),
-    ]
+    assert traces == [trace("berlin-1", "192.0.2.9", [("192.0.2.1", 1.2), ("192.0.2.9", 2.8)])]
 
 
 def test_parse_unresponsive_hop():
@@ -43,9 +38,9 @@ def test_parse_unresponsive_hop():
         " 2  * * *\n"
         " 3  192.0.2.9 (192.0.2.9)  4.0 ms\n"
     )
-    (t,), _ = parse_traceroute_text(text, "o")
-    assert t.hops[1] == HopRecord(ttl=2)
-    assert t.reached
+    traces, _ = parse_traceroute_text(text, "o")
+    assert traces == [
+        trace("o", "192.0.2.9", [("192.0.2.1", 1.0), (None, None), ("192.0.2.9", 4.0)])]
 
 
 def test_parse_corrupted_hop_line_is_skipped_not_fatal():
@@ -60,11 +55,10 @@ def test_parse_corrupted_hop_line_is_skipped_not_fatal():
         " 6  10.0.0.9 (10.0.0.9)  6.0 ms\n"
     )
     traces, report = parse_traceroute_text(text, "o")
-    assert len(traces) == 1
-    assert len(traces[0].hops) == 6
-    assert not traces[0].hops[2].responsive
+    assert traces == [trace("o", "10.0.0.9", [
+        ("10.0.0.1", 1.0), ("10.0.0.2", 2.0), (None, None), ("10.0.0.4", 4.0),
+        ("10.0.0.5", 5.0), ("10.0.0.9", 6.0)])]
     assert report.skipped_lines == 1
-    assert traces[0].reached
 
 
 @pytest.mark.parametrize("probes", [
@@ -77,9 +71,8 @@ def test_parse_non_finite_rtt_is_a_bad_hop_line(probes):
         f" 2  r2 (10.0.0.2)  {probes}\n"
         " 3  10.0.0.9  3.0 ms\n"
     )
-    (t,), report = parse_traceroute_text(text, "o")
-    assert t.hops[1] == HopRecord(ttl=2)
-    assert t.reached
+    traces, report = parse_traceroute_text(text, "o")
+    assert traces == [trace("o", "10.0.0.9", [("10.0.0.1", 1.0), (None, None), ("10.0.0.9", 3.0)])]
     assert report.skipped_lines == 1
     (warning,) = report.warnings
     assert "non-finite rtt" in warning
@@ -92,8 +85,8 @@ def test_parse_named_responders_give_the_min_rtt_address():
         " 1  r1 (192.0.2.1)  2.0 ms  r2 (192.0.2.2)  1.5 ms  r3 (192.0.2.3)  1.5 ms\n"
         " 2  192.0.2.9  3.0 ms\n"
     )
-    (t,), _ = parse_traceroute_text(text, "o")
-    assert t.hops[0] == HopRecord(ttl=1, address="192.0.2.2", rtt_ms=1.5)
+    traces, _ = parse_traceroute_text(text, "o")
+    assert traces == [trace("o", "192.0.2.9", [("192.0.2.2", 1.5), ("192.0.2.9", 3.0)])]
 
 
 def test_parse_multiple_blocks():
@@ -108,13 +101,9 @@ def test_parse_ipv6_traceroute():
         " 1  2001:db8::1  1.0 ms  0.9 ms\n"
         " 2  dst.example (2001:db8::2)  2.0 ms\n"
     )
-    (t,), report = parse_traceroute_text(text, "o")
+    traces, report = parse_traceroute_text(text, "o")
     assert report == ingest.ParseReport(parsed=1)
-    assert t.reached and t.destination == "2001:db8::2"
-    assert [(h.ttl, h.address, h.rtt_ms) for h in t.hops] == [
-        (1, "2001:db8::1", 0.9),
-        (2, "2001:db8::2", 2.0),
-    ]
+    assert traces == [trace("o", "2001:db8::2", [("2001:db8::1", 0.9), ("2001:db8::2", 2.0)])]
 
 
 def test_parse_ipv6_addresses_are_kept_compressed():
@@ -130,7 +119,7 @@ def test_parse_ipv6_addresses_are_kept_compressed():
     assert report.skipped_lines == 0
     assert [(t.destination, t.reached) for t in traces] == [
         ("2001:db8::2", True), ("2001:db8::9", True)]
-    assert [h.address for h in traces[0].hops] == ["2001:db8::1", "2001:db8::2"]
+    assert traces[0].addresses == ("2001:db8::1", "2001:db8::2")
 
 
 @pytest.mark.parametrize("body, warning", [
@@ -139,8 +128,8 @@ def test_parse_ipv6_addresses_are_kept_compressed():
     ("1.0 ms  2001:db8::1", "rtt before any address"),
 ])
 def test_parse_bad_ipv6_is_a_bad_hop_line(body, warning):
-    (t,), report = parse_traceroute_text(f"traceroute6 to 2001:db8::9\n 1  {body}\n", "o")
-    assert t.hops == (HopRecord(ttl=1),)
+    traces, report = parse_traceroute_text(f"traceroute6 to 2001:db8::9\n 1  {body}\n", "o")
+    assert traces == [trace("o", "2001:db8::9", [(None, None)], reached=False)]
     assert report.warnings == [f"bad hop line ({warning}): {'1  ' + body!r}"]
 
 
@@ -156,8 +145,9 @@ def test_parse_ipv4_octets_are_0_to_255_without_leading_zeros(good, bad):
     # each bad token used to be kept as an address, as written
     text = (f"traceroute to dst.example\n 1  {good}  1.0 ms\n 2  {bad}  2.0 ms\n"
             f" 3  r ({bad})  3.0 ms\n")
-    (t,), report = parse_traceroute_text(text, "o")
-    assert t.hops == (HopRecord(1, good, 1.0), HopRecord(2), HopRecord(3))
+    traces, report = parse_traceroute_text(text, "o")
+    assert traces == [trace("o", "dst.example", [(good, 1.0), (None, None), (None, None)],
+                            reached=False)]
     assert report.skipped_lines == 2
     assert report.warnings == [
         f"bad hop line (unrecognized token {bad!r}): {f'2  {bad}  2.0 ms'!r}",
@@ -178,16 +168,35 @@ def test_parse_numbers_are_ascii_digits_without_underscores(line, warning):
     # int() and float() read other scripts' digits, and float() reads 1_0
     # as 10.0; each of these used to ingest as TTL 1 with a 1.0 or 10.0 RTT
     text = f"traceroute to 10.0.0.9\n{line}\n 2  10.0.0.9  3.0 ms\n"
-    (t,), report = parse_traceroute_text(text, "o")
-    assert t.hops == (HopRecord(1), HopRecord(2, "10.0.0.9", 3.0))
+    traces, report = parse_traceroute_text(text, "o")
+    assert traces == [trace("o", "10.0.0.9", [(None, None), ("10.0.0.9", 3.0)])]
     assert report.warnings == [warning] and report.skipped_lines == 1
+
+
+@pytest.mark.parametrize("ttl", ["0", "255", "256", "1000", "9" * 5000],
+                         ids=["0", "255", "256", "1000", "5000-digits"])
+def test_parse_ttl_outside_1_to_255_is_a_bad_hop_line(ttl):
+    # IP TTL and IPv6 hop limit are 8-bit fields.  A larger TTL used to pad
+    # the trace with silent hops up to it, with no warning, and one of
+    # thousands of digits made int() raise out of the whole parse
+    line = f" {ttl}  10.0.0.9  3.0 ms"
+    text = f"traceroute to 10.0.0.9\n 1  10.0.0.1  1.0 ms\n{line}\n"
+    traces, report = parse_traceroute_text(text, "o")
+    if ttl == "255":
+        silent = [(None, None)] * 253
+        assert traces == [trace("o", "10.0.0.9", [("10.0.0.1", 1.0), *silent, ("10.0.0.9", 3.0)])]
+        assert report.warnings == []
+    else:
+        assert traces == [trace("o", "10.0.0.9", [("10.0.0.1", 1.0)], reached=False)]
+        assert report.warnings == [f"bad hop line (ttl outside 1..255): {line.strip()!r}"]
+        assert report.skipped_lines == 1
 
 
 def test_canonical_round_trip(tmp_path):
     traces = [
         trace("o1", "b", [("a", 1.0), (None, None), ("b", 3.5)]),
         trace("o1", "c", [("c", 0.5)]),
-        TracePath(origin_id="o2", destination="x", hops=(), reached=False),
+        trace("o2", "x", [], reached=False),
     ]
     path = tmp_path / "traces.jsonl"
     write_canonical(traces, path)
@@ -258,6 +267,69 @@ def test_canonical_wrong_typed_field_names_line(tmp_path, good, bad, message):
         read_canonical(path)
 
 
+# every check on a hop, each naming the file and the line of the record
+@pytest.mark.parametrize("good, bad", [
+    ('[1,"10.0.0.1",1.0]', '[true,"10.0.0.1",1.0]'),
+    ('[2,"10.0.0.9",2.0]', '[2.0,"10.0.0.9",2.0]'),
+    ('[2,"10.0.0.9",2.0]', '["2","10.0.0.9",2.0]'),
+    ('[2,"10.0.0.9",2.0]', '[3,"10.0.0.9",2.0]'),
+    ('[2,"10.0.0.9",2.0]', '[1,"10.0.0.9",2.0]'),
+    ('[1,"10.0.0.1",1.0]', '[1,"10.0.0.1"]'),
+    ('[1,"10.0.0.1",1.0]', '[1,"10.0.0.1",1.0,0]'),
+    ('[1,"10.0.0.1",1.0]', '[1,null,1.0]'),
+    ('[1,"10.0.0.1",1.0]', '[1,"",1.0]'),
+    ('[1,"10.0.0.1",1.0]', '[1,7,1.0]'),
+    ('[1,"10.0.0.1",1.0]', '[1,"10.0.0.1",-1.0]'),
+    ('[1,"10.0.0.1",1.0]', '[1,"10.0.0.1",Infinity]'),
+    ('[1,"10.0.0.1",1.0]', '[1,"10.0.0.1",NaN]'),
+    ('[2,"10.0.0.9",2.0]', '[2,"10.0.0.8",2.0]'),
+], ids=["bool-ttl", "float-ttl", "string-ttl", "ttl-gap", "repeated-ttl", "2-element-hop",
+        "4-element-hop", "rtt-without-address", "empty-address", "int-address", "negative-rtt",
+        "infinite-rtt", "nan-rtt", "reached-elsewhere"])
+def test_canonical_bad_hop_names_file_and_line(tmp_path, good, bad):
+    path = tmp_path / "bad.jsonl"
+    assert GOOD_RECORD.count(good) == 1
+    path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD.replace(good, bad) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad trace at line 2: "):
+        read_canonical(path)
+
+
+def test_canonical_int_rtt_round_trips_byte_for_byte(tmp_path):
+    path, out = tmp_path / "traces.jsonl", tmp_path / "out.jsonl"
+    path.write_text(GOOD_RECORD.replace('[1,"10.0.0.1",1.0],[2,"10.0.0.9",2.0]',
+                                        '[1,null,null],[2,"10.0.0.9",5]') + "\n")
+    (loaded,) = read_canonical(path)
+    write_canonical([loaded], out)
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_read_canonical_holds_under_80_bytes_per_hop(tmp_path):
+    """A read campaign keeps per hop its two column slots and its RTT
+    float, plus its share of each trace's value and column headers and of
+    the address strings, which a file's traces share."""
+    import gc
+    import tracemalloc
+
+    topo = synth.generate_topology(synth.RANDOM_GEOMETRIC, {"n": 400}, seed=5)
+    sim = synth.Simulator(topo, synth.SimOptions(block_probability=0.1, rtt_jitter_ms=0.5,
+                                                 seed=5))
+    path = tmp_path / "traces.jsonl"
+    write_canonical([sim.trace(origin, host)[0]
+                     for origin in topo.routers[:4] for host in topo.hosts], path)
+    hops = sum(len(json.loads(line)["hops"]) for line in path.read_text().splitlines())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = read_canonical(path)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 1600 and hops > 9 * len(loaded)
+    per_hop = kept / hops
+    # measured 62 bytes (CPython 3.11); a tuple per hop made it 121
+    assert per_hop < 80, per_hop
+
+
 def test_canonical_hop_must_have_three_fields(tmp_path):
     for hop in ('[1,"10.0.0.1"]', '[1,"10.0.0.1",1.0,0]'):
         path = tmp_path / "bad.jsonl"
@@ -282,10 +354,10 @@ def test_canonical_read_shares_address_strings(tmp_path):
     path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD + "\n")
     first, second = read_canonical(path)
     assert first == second
-    for hop_a, hop_b in zip(first.hops, second.hops):
-        assert hop_a.address is hop_b.address
+    for address_a, address_b in zip(first.addresses, second.addresses):
+        assert address_a is address_b
     assert first.origin_id is second.origin_id
-    assert first.destination is second.destination is second.hops[-1].address
+    assert first.destination is second.destination is second.addresses[-1]
 
 
 def _parse_hop_outcome(parse, ttl, body):
@@ -357,9 +429,9 @@ def test_parse_text_matches_reference(monkeypatch):
     assert len(traces) == 3 and report.skipped_lines == 9
     # equal addresses and destinations are one string object per call
     strings = [t.destination for t in traces] + [
-        hop.address for t in traces for hop in t.hops if hop.address is not None]
+        address for t in traces for address in t.addresses if address is not None]
     assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)
-    assert traces[0].destination is traces[0].hops[-1].address
+    assert traces[0].destination is traces[0].addresses[-1]
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,9 +6,8 @@ from collections import Counter
 import pytest
 
 from edgedist.handover import AnticipationOptimum, LossModel, LossTable, PersistenceTable
-from edgedist.ingest import ParseReport
+from edgedist.ingest import ParseReport, trace_from_record
 from edgedist.model import (
-    HopRecord,
     PairEstimate,
     RejectKind,
     RejectReason,
@@ -24,39 +23,54 @@ from conftest import trace
 
 
 def test_hop_requires_address_with_rtt():
-    with pytest.raises(TraceError):
-        HopRecord(ttl=1, address=None, rtt_ms=3.0)
+    with pytest.raises(TraceError, match="^hop 2: rtt without address$"):
+        trace("o", "b", [("a", 1.0), (None, 3.0)], reached=False)
 
 
 def test_hop_allows_address_without_rtt():
-    hop = HopRecord(ttl=1, address="10.0.0.1")
-    assert hop.responsive and hop.rtt_ms is None
+    t = trace("o", "b", [("10.0.0.1", None)], reached=False)
+    assert t.addresses == ("10.0.0.1",) and t.rtts == (None,)
+
+
+def _decoded(ttl, address, rtt):
+    """The unreached trace decoded from a canonical record whose second
+    hop array is [ttl, address, rtt]."""
+    record = {"origin_id": "o", "destination": "b", "reached": False,
+              "hops": [[1, "10.0.0.1", 0.5], [ttl, address, rtt]]}
+    return trace_from_record(record, {})
 
 
 def test_hop_rejects_bad_ttl_and_rtt():
-    with pytest.raises(TraceError):
-        HopRecord(ttl=0, address="10.0.0.1", rtt_ms=1.0)
+    with pytest.raises(TraceError, match="^ttl gap at position 2: expected ttl 2, got 0$"):
+        _decoded(0, "10.0.0.2", 1.0)
     for rtt in (-1.0, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(TraceError):
-            HopRecord(ttl=1, address="10.0.0.1", rtt_ms=rtt)
+        with pytest.raises(TraceError, match="^hop 2: rtt .* is negative or not finite$"):
+            trace("o", "b", [("a", 1.0), ("10.0.0.2", rtt)], reached=False)
 
 
 def test_trace_rejects_ttl_gap():
-    hops = (
-        HopRecord(ttl=1, address="a", rtt_ms=1.0),
-        HopRecord(ttl=3, address="b", rtt_ms=2.0),
-    )
-    with pytest.raises(TraceError, match="gap"):
-        TracePath(origin_id="o", destination="b", hops=hops, reached=True)
+    record = {"origin_id": "o", "destination": "b", "reached": True,
+              "hops": [[1, "a", 1.0], [3, "b", 2.0]]}
+    with pytest.raises(TraceError, match="^ttl gap at position 2: expected ttl 2, got 3$"):
+        trace_from_record(record, {})
 
 
 def test_trace_rejects_out_of_order_hops():
-    hops = (
-        HopRecord(ttl=2, address="a", rtt_ms=1.0),
-        HopRecord(ttl=1, address="b", rtt_ms=2.0),
-    )
-    with pytest.raises(TraceError):
-        TracePath(origin_id="o", destination="b", hops=hops, reached=True)
+    record = {"origin_id": "o", "destination": "b", "reached": True,
+              "hops": [[2, "a", 1.0], [1, "b", 2.0]]}
+    with pytest.raises(TraceError, match="^ttl gap at position 1: expected ttl 1, got 2$"):
+        trace_from_record(record, {})
+
+
+@pytest.mark.parametrize("columns, message", [
+    ([("a",), ()], "1 addresses but 0 rtts"),
+    ([(), (1.0,)], "0 addresses but 1 rtts"),
+    ([["a"], (1.0,)], "addresses is a list, not a tuple"),
+    ([("a",), "x"], "rtts is a str, not a tuple"),
+])
+def test_trace_columns_are_tuples_of_one_length(columns, message):
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        TracePath("o", "b", *columns, False)
 
 
 def test_reached_trace_must_end_at_destination():
@@ -66,8 +80,7 @@ def test_reached_trace_must_end_at_destination():
 
 def test_unresponsive_hops_are_retained():
     t = trace("o", "b", [("a", 1.0), (None, None), ("b", 3.0)])
-    assert len(t.hops) == 3
-    assert not t.hops[1].responsive
+    assert t.addresses == ("a", None, "b") and t.rtts == (1.0, None, 3.0)
 
 
 def test_transit_point_fallback_indices():
@@ -153,11 +166,12 @@ def test_reject_hashes_run_no_python_code():
 TRANSIT = TransitPoint("t", 1, 2)
 FALLBACK = TransitPoint(None, 0, 0, is_origin_fallback=True)
 ESTIMATE = PairEstimate("o", TRANSIT, 3, 4.5)
-HOP = HopRecord(2, "10.0.0.1", 1.5)
-SILENT_HOP = HopRecord(3)
+# an unreached trace with a silent hop and a timestamp, and an empty one
+PARTIAL = TracePath("o", "x", ("10.0.0.1", None), (1.5, None), False, 1700000000.25)
+EMPTY = trace("o", "x", [], reached=False)
 REJECT = RejectReason(RejectKind.NO_TRANSIT, "no trace")
 # one of each value class of the other modules, built on the same tuple base
-TRACE = TracePath("o", "b", (HopRecord(1, "b", 1.0),), True)
+TRACE = trace("o", "b", [("b", 1.0)])
 TABLE = LossTable((0.0, 10.0), (0.0, 5.0), ((0.0, 1.0), (2.0, 3.0)))
 MODEL = LossModel(0.2, TABLE)
 OPTIMUM = AnticipationOptimum(25.0, 3.5, False)
@@ -183,8 +197,8 @@ class _OtherTuple(tuple):
 
 @pytest.mark.parametrize("value, field", [
     (TRANSIT, "index_a"), (FALLBACK, "is_origin_fallback"), (ESTIMATE, "hop_bound"),
-    (HOP, "rtt_ms"), (SILENT_HOP, "address"), (REJECT, "detail"),
-    (TRACE, "hops"), (TABLE, "values"), (MODEL, "beta"), (OPTIMUM, "flat"),
+    (PARTIAL, "rtts"), (EMPTY, "timestamp"), (REJECT, "detail"),
+    (TRACE, "addresses"), (TABLE, "values"), (MODEL, "beta"), (OPTIMUM, "flat"),
     (PERSISTENCE, "entries"), (REPORT, "warnings"), (DIST, "samples"), (SIM, "seed"),
     (RESULT, "sound"), (BATCH, "succeeded"), (EXPERIMENT, "stats"), (OPTIONS, "mode"),
     (OUTCOME, "best_hop"),
@@ -196,7 +210,7 @@ def test_values_are_read_only(value, field):
         value.note = "x"
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP, REJECT,
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, PARTIAL, EMPTY, REJECT,
                                    *MORE_VALUES])
 def test_value_equality_is_type_strict(value):
     same = type(value)(*value)
@@ -221,9 +235,12 @@ def test_value_equality_is_type_strict(value):
 
 def test_values_compare_by_every_field():
     assert TRANSIT != TransitPoint("t", 1, 3)
-    assert HOP != HopRecord(2, "10.0.0.1", 1.25) and HOP != HopRecord(2, "10.0.0.2", 1.5)
-    assert HOP == HopRecord(ttl=2, address="10.0.0.1", rtt_ms=1.5)
-    assert SILENT_HOP == HopRecord(3, None, None) and not SILENT_HOP.responsive
+    assert PARTIAL != PARTIAL._replace(rtts=(1.25, None))
+    assert PARTIAL != PARTIAL._replace(addresses=("10.0.0.2", None))
+    assert PARTIAL != PARTIAL._replace(timestamp=None)
+    assert PARTIAL == TracePath(origin_id="o", destination="x", addresses=("10.0.0.1", None),
+                                rtts=(1.5, None), reached=False, timestamp=1700000000.25)
+    assert EMPTY != PARTIAL and EMPTY == trace("o", "x", [], reached=False)
     assert ESTIMATE != PairEstimate("o", TRANSIT, 3, 4.0)
     assert ESTIMATE != PairEstimate("o", TransitPoint("u", 1, 2), 3, 4.5)
     assert ESTIMATE != PairEstimate("p", TRANSIT, 3, 4.5)
@@ -246,11 +263,12 @@ def test_value_repr_is_the_dataclass_text():
         "hop_bound=3, rtt_bound_ms=4.5)")
     assert repr(REJECT) == (
         "RejectReason(kind=<RejectKind.NO_TRANSIT: 'NoTransit'>, detail='no trace')")
-    assert repr(HOP) == "HopRecord(ttl=2, address='10.0.0.1', rtt_ms=1.5)"
-    assert repr(SILENT_HOP) == "HopRecord(ttl=3, address=None, rtt_ms=None)"
+    assert repr(PARTIAL) == (
+        "TracePath(origin_id='o', destination='x', addresses=('10.0.0.1', None), "
+        "rtts=(1.5, None), reached=False, timestamp=1700000000.25)")
     assert repr(TRACE) == (
-        "TracePath(origin_id='o', destination='b', "
-        "hops=(HopRecord(ttl=1, address='b', rtt_ms=1.0),), reached=True, timestamp=None)")
+        "TracePath(origin_id='o', destination='b', addresses=('b',), rtts=(1.0,), "
+        "reached=True, timestamp=None)")
     table = ("LossTable(delay_axis=(0.0, 10.0), anticipation_axis=(0.0, 5.0), "
              "values=((0.0, 1.0), (2.0, 3.0)))")
     assert repr(TABLE) == table
@@ -295,7 +313,7 @@ def test_value_defaults_are_fresh_per_value():
     assert OUTCOME._replace(best_hop=None) == PairOutcome(("a", "b"), ("o",), (ESTIMATE,))
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, HOP, SILENT_HOP, REJECT,
+@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, PARTIAL, EMPTY, REJECT,
                                    *MORE_VALUES])
 def test_values_survive_pickle_and_copy(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
@@ -313,15 +331,16 @@ def test_replacing_a_field_is_validated():
     assert REJECT._replace(detail="x").detail == "x"
     with pytest.raises(TraceError, match="detail 5 is not a string"):
         REJECT._replace(detail=5)
-    assert HOP._replace(rtt_ms=None) == HopRecord(2, "10.0.0.1")
+    assert PARTIAL._replace(rtts=(None, None)).rtts == (None, None)
     with pytest.raises(TraceError, match="rtt without address"):
-        HOP._replace(address=None)
-    with pytest.raises(TraceError, match="ttl must be >= 1"):
-        HOP._replace(ttl=0)
+        PARTIAL._replace(addresses=(None, None))
+    with pytest.raises(TraceError, match="1 addresses but 2 rtts"):
+        PARTIAL._replace(addresses=("10.0.0.1",))
     assert TRACE._replace(reached=False).reached is False
     with pytest.raises(TraceError, match="reached 'yes' is not a bool"):
         TRACE._replace(reached="yes")
-    assert TRACE._replace(hops=[*TRACE.hops]).hops == TRACE.hops  # kept as a tuple
+    with pytest.raises(TraceError, match="addresses is a list, not a tuple"):
+        TRACE._replace(addresses=[*TRACE.addresses])
     with pytest.raises(ValueError, match="table shape does not match its axes"):
         TABLE._replace(values=((0.0, 1.0),))
     with pytest.raises(ValueError, match="beta must be finite and >= 0, got -1"):
@@ -352,12 +371,15 @@ def test_pair_estimate_hop_bound_must_be_an_int(hop_bound):
     (2, "a", "1.0", "hop 2: rtt '1.0' is not a number"),
 ])
 def test_hop_fields_must_have_their_types(ttl, address, rtt, message):
+    # the ttl is checked where a hop array is decoded, the address and rtt
+    # by the trace
     with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
-        HopRecord(ttl, address, rtt)
+        _decoded(ttl, address, rtt)
 
 
 def test_hop_rtt_may_be_an_int():
-    assert HopRecord(1, "a", 0).rtt_ms == 0 and HopRecord(1, "a", 3).rtt_ms == 3
+    t = trace("o", "b", [("a", 0), ("b", 3)])
+    assert t.rtts == (0, 3) and type(t.rtts[0]) is int
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -369,6 +391,7 @@ def test_hop_rtt_may_be_an_int():
     ("timestamp", float("inf"), "timestamp inf is not a finite number"),
 ])
 def test_trace_fields_must_have_their_types(field, value, message):
-    fields = {"origin_id": "o", "destination": "b", "hops": (), "reached": False, field: value}
+    fields = {"origin_id": "o", "destination": "b", "addresses": (), "rtts": (), "reached": False,
+              field: value}
     with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
         TracePath(**fields)

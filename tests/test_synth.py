@@ -4,7 +4,7 @@ import random
 import pytest
 
 from edgedist.jsonl import read_jsonl
-from edgedist.model import HopRecord, PairEstimate, RejectKind
+from edgedist.model import PairEstimate, RejectKind
 from edgedist.transit import (
     ACCESS_ROUTER,
     HOST,
@@ -26,7 +26,7 @@ from edgedist.synth import (
     true_distance,
 )
 
-from conftest import make_topology
+from conftest import make_topology, trace
 
 
 # --- generators ------------------------------------------------------------
@@ -223,34 +223,28 @@ def line_topology():
 
 
 def test_simulated_line_trace():
-    trace, _ = Simulator(line_topology()).trace("O", "B")
-    assert trace.reached
-    assert [(h.ttl, h.address, h.rtt_ms) for h in trace.hops] == [
-        (1, "A", 2.0),
-        (2, "B", 4.0),
-    ]
+    simulated, _ = Simulator(line_topology()).trace("O", "B")
+    assert simulated == trace("O", "B", [("A", 2.0), ("B", 4.0)])
 
 
 def test_blocked_node_is_unresponsive():
     topo = line_topology()
-    trace, _ = Simulator(topo, SimOptions(block_probability=1.0)).trace("O", "B")
-    assert not trace.hops[0].responsive
-    assert trace.hops[1].address == "B"
-    assert trace.reached
+    simulated, _ = Simulator(topo, SimOptions(block_probability=1.0)).trace("O", "B")
+    assert simulated == trace("O", "B", [(None, None), ("B", 4.0)])
 
 
 def test_symmetric_destination_rtt_is_twice_one_way():
     topo = generate_topology("two_tier", {"regions": 3, "leaves": 4}, seed=6)
     sim = Simulator(topo)
     for host in topo.hosts[:6]:
-        trace, _ = sim.trace("T0", host)
+        simulated, _ = sim.trace("T0", host)
         _, one_way = true_distance(topo, "T0", host)
-        assert trace.hops[-1].rtt_ms == 2 * one_way
+        assert simulated.rtts[-1] == 2 * one_way
 
 
-def _rtt_decreases(trace, start=0):
+def _rtt_decreases(simulated, start=0):
     """Whether the cumulative RTT drops anywhere from position ``start`` on."""
-    rtts = [h.rtt_ms for h in trace.hops[max(start - 1, 0):] if h.rtt_ms is not None]
+    rtts = [rtt for rtt in simulated.rtts[max(start - 1, 0):] if rtt is not None]
     return any(b < a for a, b in zip(rtts, rtts[1:]))
 
 
@@ -294,31 +288,31 @@ def test_loop_injection_duplicates_an_address():
     sim = Simulator(topo, SimOptions(loop_probability=1.0, seed=3))
     found = False
     for host in topo.hosts:
-        trace, loop_injected = sim.trace("T2", host)
+        simulated, loop_injected = sim.trace("T2", host)
         if loop_injected:
-            addrs = [h.address for h in trace.hops if h.responsive]
+            addrs = [addr for addr in simulated.addresses if addr is not None]
             assert len(addrs) != len(set(addrs))
             found = True
     assert found
 
 
 def _forward_plus_return_hops(topo, sim, pred, back, host):
-    """The hops of a loop-free trace as the forward latency summed along the
-    origin's ``pred`` route, plus the latency ``back`` to the origin from a
-    search over reversed arcs, plus the delta on asymmetric nodes: no
-    symmetry assumed."""
+    """The (address, rtt) hops of a loop-free trace, with each RTT the
+    forward latency summed along the origin's ``pred`` route, plus the
+    latency ``back`` to the origin from a search over reversed arcs, plus
+    the delta on asymmetric nodes: no symmetry assumed."""
     hops = []
     forward = 0.0
     route = extract_path(pred, host)
-    for ttl, (prev, node) in enumerate(zip(route, route[1:]), start=1):
+    for prev, node in zip(route, route[1:]):
         forward += topo.edges[(prev, node)]
         if node in sim.blocked and node != host:
-            hops.append(HopRecord(ttl=ttl))
+            hops.append((None, None))
             continue
         rtt = forward + back[node]
         if node in sim.asymmetric:
             rtt += sim.options.asymmetry_delta_ms
-        hops.append(HopRecord(ttl=ttl, address=node, rtt_ms=rtt))
+        hops.append((node, rtt))
     return hops
 
 
@@ -338,21 +332,19 @@ def test_trace_rtts_match_forward_plus_return_legs(model, params, seed):
         _, pred = dijkstra(topo, origin)
         back = _bellman_ford(topo, origin, reverse=True)
         for host in topo.hosts:
-            trace, loop_injected = sim.trace(origin, host)
+            simulated, loop_injected = sim.trace(origin, host)
             expected = _forward_plus_return_hops(topo, sim, pred, back, host)
-            hops = list(trace.hops)
+            blocked += sum(addr is None for addr, _ in expected)
+            asymmetric += sum(addr in sim.asymmetric for addr, _ in expected)
             if loop_injected:
                 # the injected hop sits just before the destination
-                inserted = hops.pop(-2)
-                rtts = [h.rtt_ms for h in expected[:-1] if h.rtt_ms is not None]
-                assert inserted.rtt_ms == max(rtts) + 0.25
-                final = expected[-1]
-                expected[-1] = final._replace(rtt_ms=max(final.rtt_ms, inserted.rtt_ms))
-                hops[-1] = hops[-1]._replace(ttl=final.ttl)
+                inserted = simulated.addresses[-2], simulated.rtts[-2]
+                rtts = [rtt for _, rtt in expected[:-1] if rtt is not None]
+                assert inserted[1] == max(rtts) + 0.25
+                final_addr, final_rtt = expected[-1]
+                expected[-1:] = [inserted, (final_addr, max(final_rtt, inserted[1]))]
                 loops += 1
-            assert hops == expected
-            blocked += sum(not h.responsive for h in hops)
-            asymmetric += sum(h.address in sim.asymmetric for h in hops)
+            assert simulated == trace(origin, host, expected)
     assert loops and blocked and asymmetric
 
 

@@ -11,7 +11,6 @@ from edgedist.model import (
     RejectKind,
     RejectReason,
     TraceError,
-    TracePath,
     TransitPoint,
 )
 from edgedist.transit import (
@@ -673,7 +672,8 @@ def faulty_traces(draw):
         for host in hosts:
             tr, _ = sim.trace(origin, host)
             if draw(st.integers(0, 5)) == 0:
-                tr = TracePath(origin, host, tr.hops[:len(tr.hops) // 2], reached=False)
+                hops = list(zip(tr.addresses, tr.rtts))
+                tr = trace(origin, host, hops[:len(hops) // 2], reached=False)
             rows.append(tr)
         traces_by_origin[origin] = rows
     return traces_by_origin, hosts
