@@ -6,7 +6,6 @@ from .model import (
     RejectReason,
     TraceError,
     TracePath,
-    TransitPoint,
 )
 from .transit import (
     EstimateOptions,

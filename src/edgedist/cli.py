@@ -27,6 +27,10 @@ _FAULT_FIELDS = {"block": "block_probability", "asymmetry": "asymmetry_probabili
                  "jitter": "rtt_jitter_ms"}
 
 
+class _NothingAccepted(Exception):
+    """An outcome file in which no pair has an accepted estimate."""
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -123,7 +127,7 @@ def cmd_ingest(args) -> int:
         if args.format == "canonical":
             traces.extend(ingest.read_canonical(input_path))
         else:
-            text = Path(input_path).read_text(encoding="utf-8")
+            text = Path(input_path).read_text(encoding="utf-8-sig")
             more, report = ingest.parse_traceroute_text(text, args.origin)
             traces.extend(more)
             parsed += report.parsed
@@ -141,11 +145,11 @@ def cmd_ingest(args) -> int:
 
 def _load_pairs_file(path: str) -> list[tuple[str, str]]:
     """One ``a,b`` pair per line; blank and ``#`` lines are skipped, and the
-    first other line is a header when it is ``a,b`` in any case.  Each pair
-    names two distinct, non-empty endpoints and is listed once, in either
-    order."""
+    first other line is a header when it is ``a,b`` in any case; a leading
+    byte-order mark is encoding, not data.  Each pair names two distinct,
+    non-empty endpoints and is listed once, in either order."""
     rows = [(lineno, line.strip()) for lineno, line in
-            enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
+            enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1)
             if line.strip() and not line.strip().startswith("#")]
     if rows and rows[0][1].lower() == "a,b":
         del rows[0]
@@ -226,13 +230,18 @@ def cmd_pairs(args) -> int:
     return EXIT_OK
 
 
+def _accepted_outcomes(path: str) -> list[transit.PairOutcome]:
+    """The outcomes of ``path``, which must accept at least one pair."""
+    outcomes = transit.read_outcomes(path)
+    if not any(oc.accepted for oc in outcomes):
+        raise _NothingAccepted("no pair has an accepted estimate")
+    return outcomes
+
+
 def cmd_dist(args) -> int:
     stability = None if args.stability is None else _parse_stability(args.stability)
-    outcomes = transit.read_outcomes(args.outcomes)
-    if not any(oc.accepted for oc in outcomes):
-        print("error: no pair has an accepted estimate", file=sys.stderr)
-        return EXIT_PARTIAL
-    baseline = transit.read_outcomes(args.baseline) if args.baseline else None
+    outcomes = _accepted_outcomes(args.outcomes)
+    baseline = _accepted_outcomes(args.baseline) if args.baseline else None
     # everything that can fail runs before the first file is written
     results = []
     for metric, suffix, width in (
@@ -264,8 +273,7 @@ def cmd_dist(args) -> int:
 
 def _load_rtt_distribution(args):
     if args.outcomes:
-        outcomes = transit.read_outcomes(args.outcomes)
-        return stats.build_distribution(outcomes, stats.RTT_MS)
+        return stats.build_distribution(_accepted_outcomes(args.outcomes), stats.RTT_MS)
     if args.dist_tsv:
         return stats.read_distribution_tsv(args.dist_tsv)
     raise ValueError("need --outcomes or --dist-tsv for the RTT distribution")
@@ -278,9 +286,7 @@ def _persistence_ratio(args) -> float | None:
     if args.hops_tsv:
         hop_dist = stats.read_distribution_tsv(args.hops_tsv)
     elif args.outcomes:
-        hop_dist = stats.build_distribution(
-            transit.read_outcomes(args.outcomes), stats.HOP_COUNT
-        )
+        hop_dist = stats.build_distribution(_accepted_outcomes(args.outcomes), stats.HOP_COUNT)
     else:
         raise ValueError("persistence needs --hops-tsv or --outcomes")
     return handover.multicast_persistence(hop_dist, table)
@@ -315,7 +321,7 @@ def cmd_simulate(args) -> int:
     _check_count("pairs", args.pairs)
     estimate_options = _estimate_options(args)
     params = _parse_kv(args.params)
-    faults = {"asymmetry_delta_ms": 50.0}  # SimOptions fields; the rest default to 0
+    faults = {}  # SimOptions fields
     for key, value in _parse_kv(args.inject).items():
         if key not in _FAULT_FIELDS:
             raise ValueError(f"--inject has no fault {key!r}")
@@ -442,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
+    except _NothingAccepted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL

@@ -211,9 +211,10 @@ def _check_entry(hop: int, ratio: float) -> None:
 
 
 def load_persistence_table(path: str | Path) -> PersistenceTable:
-    """CSV hop,persist_ratio with header."""
+    """CSV hop,persist_ratio with header; a leading byte-order mark is
+    encoding, not data."""
     entries: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"hop", "persist_ratio"}.issubset(reader.fieldnames):
             raise ValueError(f"{path}: header must contain ['hop', 'persist_ratio']")

@@ -5,28 +5,29 @@ ids in synthetic data); two addresses are equal iff their strings are equal.
 Hop positions are 1-based, matching traceroute's TTL numbering.
 All types are immutable after construction and have no ``__dict__``: a
 campaign holds hundreds of thousands of hops and per-origin entries.
-``TracePath``, ``TransitPoint``, ``PairEstimate`` and ``RejectReason`` are
-validated tuple subclasses on ``_Value``, as are the option, result and
-report values of the other modules.  A trace holds its hops as an address
-column and an RTT column, with no object per hop (a hop's TTL is its
-position): the 313,899 hops ``pairs`` reads on ``ingest-wide`` hold 19.5 MB
-with their 24,000 traces (seed 1, ``tracemalloc``), against 38.4 MB as a
-tuple per hop.  Transit points and estimates are shared, one object per
-distinct value, under the rule of ``transit._shared_estimate``: on the
-300-host ``campaign-dense`` benchmark, 321,206 accepted (pair, origin)
-entries hold 11,056 distinct estimates and 234 transits.  A ``PairEstimate``
-names no endpoints, which the ``PairOutcome`` that holds it already names.
-A frozen dataclass sets each field through ``object.__setattr__``, which
-makes it up to twice as slow to build (1.14 against 0.48 us for a
-``PairEstimate``, CPython 3.11, 2-core Xeon), and hashes in Python where a
-tuple hashes in C.  The package imports no ``dataclasses`` at all: that
-module loads ``inspect``, ``ast`` and ``dis`` (about 13 ms) and execs new
-source for each class it builds (about 19 ms for 14 classes, against 2 ms
-for 14 namedtuples), on every command's startup.  Each value keeps the
-interface of a dataclass: field names, defaults, keyword construction, the
+``TracePath``, ``PairEstimate`` and ``RejectReason`` are validated tuple
+subclasses on ``_Value``, as are the option, result and report values of
+the other modules.  A trace holds its hops as an address column and an RTT
+column, with no object per hop (a hop's TTL is its position): the 313,899
+hops ``pairs`` reads on ``ingest-wide`` hold 19.5 MB with their 24,000
+traces (seed 1, ``tracemalloc``), against 38.4 MB as a tuple per hop.  An
+estimate is one flat value, its transit's fields beside its bounds, and
+estimates are shared, one object per distinct value, under the rule of
+``transit._shared_estimate``: on the 300-host ``campaign-dense`` benchmark
+(seed 1), 305,018 accepted (pair, origin) entries hold 6,134 distinct
+estimates.  A ``PairEstimate`` names no endpoints, which the
+``PairOutcome`` that holds it already names.  A frozen dataclass sets each
+field through ``object.__setattr__``, which makes it about three times as
+slow to build (2.7 against 0.9 us for a ``PairEstimate`` with the same
+checks, CPython 3.11, 2-core Xeon), and hashes in Python where a tuple
+hashes in C.  The package imports no ``dataclasses`` at all: that module
+loads ``inspect``, ``ast`` and ``dis`` (about 13 ms) and execs new source
+for each class it builds (about 19 ms for 14 classes, against 2 ms for 14
+namedtuples), on every command's startup.  Each value keeps the interface
+of a dataclass: field names, defaults, keyword construction, the
 ``Name(field=value, ...)`` repr, read-only attributes, no ordering, and
 equality only with a value of the same type; a result or report is not
-hashable, nor is a value that holds a list or dict.  The four tuples here
+hashable, nor is a value that holds a list or dict.  The three tuples here
 check field types too: no ``true`` or ``2.0`` for an int, no NaN or negative
 RTT.
 """
@@ -142,20 +143,25 @@ class TracePath(_Value, namedtuple(
         return tuple.__new__(cls, (origin_id, destination, addresses, rtts, reached, timestamp))
 
 
-class TransitPoint(
-    _Value, namedtuple("TransitPoint", "address index_a index_b is_origin_fallback")
-):
-    """Last common hop of two traces from one origin.
+class PairEstimate(_Value, namedtuple(
+        "PairEstimate",
+        "origin_id address index_a index_b is_origin_fallback hop_bound rtt_bound_ms")):
+    """Upper bound on hop count and RTT between the two endpoints of a pair,
+    seen from one origin via a transit, the last common hop of the two
+    traces from that origin.
 
-    ``address`` is None only for the origin-fallback case, where the scanning
-    origin itself serves as transit and both indices are 0.  The indices are
-    hop positions in the traces of the pair's first and second endpoint.
+    ``address`` is the transit's, None only for the origin-fallback case,
+    where the scanning origin itself serves as transit and both indices are
+    0.  ``index_a`` and ``index_b`` are its hop positions in the traces of
+    the pair's first and second endpoint, which are those of the
+    ``PairOutcome`` that holds the estimate.  The transit's fields are
+    checked before the origin and the bounds.
     """
 
     __slots__ = ()
 
-    def __new__(cls, address: str | None, index_a: int, index_b: int,
-                is_origin_fallback: bool = False):
+    def __new__(cls, origin_id: str, address: str | None, index_a: int, index_b: int,
+                is_origin_fallback: bool, hop_bound: int, rtt_bound_ms: float):
         if type(is_origin_fallback) is not bool:
             raise TraceError(f"is_origin_fallback {is_origin_fallback!r} is not a bool")
         if address is not None:
@@ -174,25 +180,8 @@ class TransitPoint(
                 raise TraceError("non-fallback transit needs an address")
             if index_a < 1 or index_b < 1:
                 raise TraceError("transit indices are 1-based")
-        return tuple.__new__(cls, (address, index_a, index_b, is_origin_fallback))
-
-
-class PairEstimate(
-    _Value, namedtuple("PairEstimate", "origin_id transit hop_bound rtt_bound_ms")
-):
-    """Upper bound on hop count and RTT between the two endpoints of a pair,
-    seen from one origin via a transit.  The endpoints are those of the
-    ``PairOutcome`` that holds it, in the same order as the transit's
-    indices."""
-
-    __slots__ = ()
-
-    def __new__(cls, origin_id: str, transit: TransitPoint, hop_bound: int,
-                rtt_bound_ms: float):
         if type(origin_id) is not str:
             raise TraceError(f"origin_id {origin_id!r} is not a string")
-        if type(transit) is not TransitPoint:
-            raise TraceError(f"transit {transit!r} is not a TransitPoint")
         if type(hop_bound) is not int:
             raise TraceError(f"hop bound {hop_bound!r} is not an int")
         if hop_bound < 0:
@@ -201,4 +190,5 @@ class PairEstimate(
             raise TraceError(f"rtt bound {rtt_bound_ms!r} is not a number")
         if not 0 <= rtt_bound_ms < math.inf:
             raise TraceError(f"rtt bound {rtt_bound_ms} is negative or not finite")
-        return tuple.__new__(cls, (origin_id, transit, hop_bound, rtt_bound_ms))
+        return tuple.__new__(cls, (origin_id, address, index_a, index_b, is_origin_fallback,
+                                   hop_bound, rtt_bound_ms))

@@ -326,7 +326,7 @@ class SimOptions(_Value, namedtuple("SimOptions", "block_probability asymmetry_p
     __slots__ = ()
 
     def __new__(cls, block_probability: float = 0.0, asymmetry_probability: float = 0.0,
-                asymmetry_delta_ms: float = 0.0, loop_probability: float = 0.0,
+                asymmetry_delta_ms: float = 50.0, loop_probability: float = 0.0,
                 rtt_jitter_ms: float = 0.0, seed: int = 0):
         self = tuple.__new__(cls, (block_probability, asymmetry_probability,
                                    asymmetry_delta_ms, loop_probability, rtt_jitter_ms, seed))
@@ -562,8 +562,8 @@ def run_experiment(
             key = ("corrupt" if corrupted else "clean") + ("_accept" if accepted else "_reject")
             confusion[key] += 1
             if accepted and (
-                decrease_at[origin, first] >= max(est.transit.index_a, 1)
-                or decrease_at[origin, second] >= max(est.transit.index_b, 1)
+                decrease_at[origin, first] >= max(est.index_a, 1)
+                or decrease_at[origin, second] >= max(est.index_b, 1)
             ):
                 false_rtt_accepts += 1
     return ExperimentReport(

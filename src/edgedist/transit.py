@@ -19,7 +19,6 @@ from .model import (
     RejectReason,
     TraceError,
     TracePath,
-    TransitPoint,
     _Value,
 )
 
@@ -198,21 +197,19 @@ class PreparedTrace:
 
 def _estimate_key(origin: str, address: str | None, index_a: int, index_b: int,
                   fallback: bool, hop_bound: int, rtt_bound: float) -> tuple:
-    """What an estimate is shared by.  Keys never merge values that compare
-    equal but encode differently: a float RTT bound other than zero is keyed
-    by its value and any other by its repr (5 against 5.0, 0.0 against
-    -0.0).  The key's second to fifth fields are its transit point's."""
+    """What an estimate is shared by: its own fields, in order.  Keys never
+    merge values that compare equal but encode differently: a float RTT
+    bound other than zero is keyed by its value and any other by its repr
+    (5 against 5.0, 0.0 against -0.0)."""
     return (origin, address, index_a, index_b, fallback, hop_bound,
             rtt_bound if type(rtt_bound) is float and rtt_bound else repr(rtt_bound))
 
 
-def _shared_estimate(estimates: dict, transits: dict, origin: str, address: str | None,
-                     index_a: int, index_b: int, fallback: bool, hop_bound: int,
+def _shared_estimate(estimates: dict, origin: str, address: str | None, index_a: int,
+                     index_b: int, fallback: bool, hop_bound: int,
                      rtt_bound: float) -> PairEstimate:
-    """The estimate with these fields, found in or added to ``estimates``,
-    on its transit point, found in or added to ``transits``, each under
-    ``_estimate_key``; no other code in the package builds either.  One
-    table may serve as both, since the two kinds of key differ in length.
+    """The estimate with these fields, found in or added to ``estimates``
+    under ``_estimate_key``; no other code in the package builds one.
 
     An index, hop bound, flag or address not exactly of its validated type
     could match a key by value (``true`` against 1), so it is built
@@ -220,16 +217,12 @@ def _shared_estimate(estimates: dict, transits: dict, origin: str, address: str 
     """
     if (type(index_a) is not int or type(index_b) is not int or type(hop_bound) is not int
             or type(fallback) is not bool or (type(address) is not str and address is not None)):
-        return PairEstimate(origin, TransitPoint(address, index_a, index_b, fallback),
-                            hop_bound, rtt_bound)
+        return PairEstimate(origin, address, index_a, index_b, fallback, hop_bound, rtt_bound)
     key = _estimate_key(origin, address, index_a, index_b, fallback, hop_bound, rtt_bound)
     est = estimates.get(key)
     if est is None:
-        transit_key = key[1:5]
-        transit = transits.get(transit_key)
-        if transit is None:
-            transit = transits[transit_key] = TransitPoint(*transit_key)
-        est = estimates[key] = PairEstimate(origin, transit, hop_bound, rtt_bound)
+        est = estimates[key] = PairEstimate(origin, address, index_a, index_b, fallback,
+                                            hop_bound, rtt_bound)
     return est
 
 
@@ -237,7 +230,6 @@ def estimate_pair(
     a: PreparedTrace,
     b: PreparedTrace,
     estimates: dict | None = None,
-    transits: dict | None = None,
 ) -> PairEstimate | RejectReason:
     """Upper-bound the distance between two destinations seen from one origin.
 
@@ -253,8 +245,7 @@ def estimate_pair(
     reject, since no finite RTT bound exists.
 
     Calls that pass one ``estimates`` table share one object per distinct
-    estimate, and calls that pass one ``transits`` table one object per
-    distinct transit point (see ``_shared_estimate``).
+    estimate (see ``_shared_estimate``).
     """
     options = a.options
     if b.options is not options and b.options != options:
@@ -312,8 +303,8 @@ def estimate_pair(
     est = estimates.get(_estimate_key(origin, address, index_a, index_b, fallback,
                                       hop_bound, rtt))
     if est is None:
-        est = _shared_estimate(estimates, {} if transits is None else transits, origin,
-                               address, index_a, index_b, fallback, hop_bound, rtt)
+        est = _shared_estimate(estimates, origin, address, index_a, index_b, fallback,
+                               hop_bound, rtt)
     return est
 
 
@@ -386,12 +377,11 @@ def batch_estimate(
     detail "no trace" for that origin; it never aborts the batch.  An
     outcome's pair is the caller's tuple when it is already in canonical
     order, else a new one.
-    The outcomes share one object per distinct transit point and estimate
-    (see ``_shared_estimate``): a dense campaign repeats a few thousand
-    bounds over hundreds of thousands of (pair, origin) entries.  An
-    estimate's key holds its origin, so each origin's estimates are shared
-    through a table of its own, dropped with its traces; transit points
-    are shared through one table for the whole batch.
+    The outcomes share one object per distinct estimate (see
+    ``_shared_estimate``): a dense campaign repeats a few thousand bounds
+    over hundreds of thousands of (pair, origin) entries.  An estimate's
+    key holds its origin, so each origin's estimates are shared through a
+    table of its own, dropped with its traces.
     """
     named = {endpoint for pair in pairs for endpoint in pair}
     firsts = [a for a, _ in pairs]
@@ -399,10 +389,8 @@ def batch_estimate(
     origins = tuple(sorted(traces_by_origin))
     columns = []
     reject_counts: Counter = Counter()
-    transits: dict = {}
     for origin in origins:
-        column = _origin_entries(traces_by_origin[origin], named, firsts, seconds,
-                                 options, transits)
+        column = _origin_entries(traces_by_origin[origin], named, firsts, seconds, options)
         reject_counts.update([est.kind for est in column if type(est) is RejectReason])
         columns.append(column)
     # with no origin, each pair has no entry, which min_over_origins refuses
@@ -421,9 +409,9 @@ def batch_estimate(
     return outcomes, stats
 
 
-def _origin_entries(traces: list[TracePath], named: set[str], firsts: list[str],
-                    seconds: list[str], options: EstimateOptions,
-                    transits: dict) -> list[PairEstimate | RejectReason]:
+def _origin_entries(traces: list[TracePath], named: set[str],
+                    firsts: list[str], seconds: list[str],
+                    options: EstimateOptions) -> list[PairEstimate | RejectReason]:
     """One origin's entry for each pair (firsts[i], seconds[i]), in pair
     order, from its ``traces`` to the destinations in ``named``.  Those
     traces are prepared here and, with the origin's estimate table, dropped
@@ -439,7 +427,7 @@ def _origin_entries(traces: list[TracePath], named: set[str], firsts: list[str],
     get = {dest: PreparedTrace(trace, options) for dest, trace in chosen.items()}.get
     estimates: dict = {}
     return [
-        _NO_TRACE if pa is None or pb is None else estimate_pair(pa, pb, estimates, transits)
+        _NO_TRACE if pa is None or pb is None else estimate_pair(pa, pb, estimates)
         for pa, pb in zip(map(get, firsts), map(get, seconds))
     ]
 
@@ -451,12 +439,11 @@ def _origin_entries(traces: list[TracePath], named: set[str], firsts: list[str],
 def _entry_obj(est: PairEstimate | RejectReason) -> dict:
     if isinstance(est, RejectReason):
         return {"reject": est.kind.value, "detail": est.detail}
-    transit = est.transit
     return {
         "hop_bound": est.hop_bound,
         "rtt_bound_ms": est.rtt_bound_ms,
-        "transit": [transit.address, transit.index_a, transit.index_b],
-        "origin_fallback": transit.is_origin_fallback,
+        "transit": [est.address, est.index_a, est.index_b],
+        "origin_fallback": est.is_origin_fallback,
     }
 
 
@@ -536,8 +523,8 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     """Decode an outcome file written by ``write_outcomes``.
 
     Each distinct reject reason and origin or endpoint name is built once
-    per file and shared, and so is each distinct transit point and estimate,
-    under the rule of ``_shared_estimate``: a best bound is the per-origin
+    per file and shared, and so is each distinct estimate, under the rule
+    of ``_shared_estimate``: a best bound is the per-origin
     estimate of the origin it names when their entries match, and each
     value is validated when it is first built.  Each distinct sequence of
     ``per_origin`` keys gives one ``origins`` tuple, shared by every
@@ -560,7 +547,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     whole-line decode gives.
     """
     rejects: dict[tuple[str, str], RejectReason] = {}
-    shared: dict = {}
+    estimates: dict = {}
     names: dict[str, str] = {}
     share = names.setdefault
     members: dict[str, tuple[str, PairEstimate | RejectReason]] = {}
@@ -581,7 +568,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
                 reason = rejects[key] = RejectReason(RejectKind(key[0]), key[1])
             return reason
         address, index_a, index_b = obj["transit"]
-        return _shared_estimate(shared, shared, origin, address, index_a, index_b,
+        return _shared_estimate(estimates, origin, address, index_a, index_b,
                                 obj.get("origin_fallback", False),
                                 obj["hop_bound"], obj["rtt_bound_ms"])
 

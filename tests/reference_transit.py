@@ -6,8 +6,9 @@ the validation verdicts of both traces, and breaks ties on the address with
 ``_neg_lex``.  The endpoint rule (``endpoint_of`` and ``endpoint_rtt``) and
 the segment checks (``validate_beyond_transit`` and ``access_router_loop``)
 are this module's own, so a defect in the package's copies shows as a
-difference.  ``read_outcomes`` is as it was before the per-file decoder: it
-builds every reject reason, transit point and best bound anew.
+difference; so is the ``Transit`` it finds, a plain tuple of the fields an
+estimate takes from it.  ``read_outcomes`` is as it was before the per-file
+decoder: it builds every reject reason and best bound anew.
 ``write_outcomes`` is as it was before the writer cached JSON text: it
 builds a dict per entry and encodes every record whole.
 ``min_over_origins`` is the two-pass selection: it copies the accepted
@@ -26,17 +27,20 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 from edgedist.model import (
     PairEstimate,
     RejectKind,
     RejectReason,
     TracePath,
-    TransitPoint,
 )
 from edgedist.jsonl import write_jsonl
 from edgedist.transit import BatchStats, EstimateOptions, PairOutcome
+
+# the last common hop of two traces; address None is the origin fallback
+Transit = namedtuple("Transit", "address index_a index_b is_origin_fallback",
+                     defaults=[False])
 
 
 def endpoint_of(trace: TracePath, mode: str) -> int:
@@ -109,7 +113,7 @@ def last_common_hop(
     allow_origin_fallback: bool = False,
     limit_a: int | None = None,
     limit_b: int | None = None,
-) -> TransitPoint | RejectReason:
+) -> Transit | RejectReason:
     if path_a.origin_id != path_b.origin_id:
         raise ValueError(
             f"traces from different origins: {path_a.origin_id} vs {path_b.origin_id}"
@@ -128,7 +132,7 @@ def last_common_hop(
         address = path_a.addresses[pos - 1]
         if address is not None:
             pos_a[address] = pos
-    best: TransitPoint | None = None
+    best: Transit | None = None
     best_key = None
     for pos in range(1, limit_b + 1):
         address = path_b.addresses[pos - 1]
@@ -138,11 +142,11 @@ def last_common_hop(
         key = (ia + pos, ia, _neg_lex(address))
         if best_key is None or key > best_key:
             best_key = key
-            best = TransitPoint(address=address, index_a=ia, index_b=pos)
+            best = Transit(address=address, index_a=ia, index_b=pos)
     if best is not None:
         return best
     if allow_origin_fallback:
-        return TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)
+        return Transit(address=None, index_a=0, index_b=0, is_origin_fallback=True)
     return RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
 
 
@@ -210,8 +214,8 @@ def estimate_pair(
             f"rtt bound {rtt_a!r} + {rtt_b!r} overflows",
         )
     return PairEstimate(
-        origin_id=path_a.origin_id,
-        transit=transit,
+        path_a.origin_id,
+        *transit,
         hop_bound=(n_a - transit.index_a) + (n_b - transit.index_b),
         rtt_bound_ms=rtt_a + rtt_b,
     )
@@ -287,12 +291,9 @@ def _estimate_from_obj(obj, origin):
     if "reject" in obj:
         return RejectReason(RejectKind(obj["reject"]), obj.get("detail", ""))
     addr, ia, ib = obj["transit"]
-    transit = TransitPoint(
-        address=addr, index_a=ia, index_b=ib,
-        is_origin_fallback=obj.get("origin_fallback", False),
-    )
     return PairEstimate(
-        origin_id=origin, transit=transit,
+        origin_id=origin, address=addr, index_a=ia, index_b=ib,
+        is_origin_fallback=obj.get("origin_fallback", False),
         hop_bound=obj["hop_bound"], rtt_bound_ms=obj["rtt_bound_ms"],
     )
 
@@ -325,8 +326,8 @@ def _estimate_to_obj(est: PairEstimate):
     return {
         "hop_bound": est.hop_bound,
         "rtt_bound_ms": est.rtt_bound_ms,
-        "transit": [est.transit.address, est.transit.index_a, est.transit.index_b],
-        "origin_fallback": est.transit.is_origin_fallback,
+        "transit": [est.address, est.index_a, est.index_b],
+        "origin_fallback": est.is_origin_fallback,
     }
 
 

@@ -16,7 +16,7 @@ from edgedist.handover import (
     expected_loss_curve,
     multicast_persistence,
 )
-from edgedist.model import PairEstimate, TransitPoint
+from edgedist.model import PairEstimate
 from edgedist.stats import (
     HOP_COUNT,
     RTT_MS,
@@ -336,11 +336,7 @@ def test_criterion_6_multicast_persistence():
 
 
 def _outcome(i, hop_bound):
-    est = PairEstimate(
-        origin_id="O",
-        transit=TransitPoint(address="t", index_a=1, index_b=1),
-        hop_bound=hop_bound, rtt_bound_ms=float(hop_bound),
-    )
+    est = PairEstimate("O", "t", 1, 1, False, hop_bound, float(hop_bound))
     return PairOutcome(pair=(f"a{i}", f"b{i}"), origins=("O",), entries=(est,),
                        best_hop=est, best_rtt=est)
 

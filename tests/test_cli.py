@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import edgedist
-from edgedist import cli, ingest, transit
+from edgedist import cli, ingest, synth, transit
 from edgedist.cli import main, pair_at
 
 from conftest import trace
@@ -71,6 +71,19 @@ def test_ingest_non_ascii_digits_are_warnings(tmp_path, capsys):
     (record,) = [json.loads(line) for line in out.read_text().splitlines()]
     assert record["hops"] == [[1, None, None], [2, None, None]]
     assert capsys.readouterr().err.count("warning: ") == 2
+
+
+def test_ingest_byte_order_mark_is_no_data(tmp_path):
+    # the mark used to hide the first trace's header, dropping it with 3 warnings
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(TRACEROUTE_TEXT, encoding="utf-8")
+    marked.write_text("\ufeff" + TRACEROUTE_TEXT, encoding="utf-8")
+    outputs = []
+    for src in (plain, marked):
+        out = tmp_path / f"{src.stem}.jsonl"
+        assert main(["--quiet", "ingest", str(src), "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
 
 
 def test_ingest_byte_identical_reruns(tmp_path):
@@ -248,13 +261,17 @@ def test_count_below_one_is_fatal(tmp_path, capsys, argv, flag, value):
     ("a,x\ny,z\n", [["a", "x"], ["y", "z"]]),
     ("# endpoints\n\nA,B\na,x\n", [["a", "x"]]),
     ("a,x\na,b\n", [["a", "x"], ["a", "b"]]),
+    # a byte-order mark used to make the header the pair ('\ufeffa', 'b'),
+    # and a comment line a fatal "expected two columns"
+    ("\ufeffa,b\na,x\n", [["a", "x"]]),
+    ("\ufeff# endpoints\na,x\n", [["a", "x"]]),
 ])
 def test_pairs_file_header_is_only_a_first_line_a_b(tmp_path, text, pairs):
     # every line whose first field was a used to be dropped as a header
     traces = write_traces(tmp_path / "traces.jsonl",
                           [trace("O1", d, [("T", 1.0), (d, 3.0)]) for d in "axyz"])
     listed = tmp_path / "pairs.csv"
-    listed.write_text(text)
+    listed.write_text(text, encoding="utf-8")
     out = tmp_path / "out.jsonl"
     assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
                  "--pairs-file", str(listed), "-o", str(out)]) == 0
@@ -397,6 +414,32 @@ def test_dist_nothing_accepted_is_partial(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["dist", "--outcomes", "{none}"],
+    ["dist", "--outcomes", "{some}", "--baseline", "{none}"],
+    ["handover", "--outcomes", "{none}"],
+    ["handover", "--outcomes", "{none}", "--persistence", "{table}"],
+], ids=["dist", "dist-baseline", "handover", "handover-persistence"])
+def test_nothing_accepted_is_partial_and_writes_nothing(tmp_path, capsys, argv):
+    # the baseline and handover cases used to fail on "empty distribution", exit 2
+    some, none = tmp_path / "some.jsonl", tmp_path / "none.jsonl"
+    main(["--quiet", "pairs", "--traces", origin_traces(tmp_path), "--mode", "host",
+          "-o", str(some)])
+    unreached = write_traces(tmp_path / "unreached.jsonl", [
+        trace("O1", "X", [("A", 1.0), ("X", 3.0)]),
+        trace("O1", "Y", [("A", 1.0)], reached=False),
+    ])
+    main(["--quiet", "pairs", "--traces", unreached, "--mode", "host", "-o", str(none)])
+    table = tmp_path / "persist.csv"
+    table.write_text("hop,persist_ratio\n2,0.75\n")
+    out = tmp_path / "out"
+    files = {"some": some, "none": none, "table": table}
+    capsys.readouterr()
+    assert main([arg.format(**files) for arg in argv] + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no pair has an accepted estimate\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("spec, trials", [("1", 2), ("1:3", 3)])
 def test_dist_stability_prints_the_trials_it_runs(tmp_path, capsys, spec, trials):
     traces = origin_traces(tmp_path)
@@ -514,6 +557,18 @@ def test_handover_persistence(tmp_path, capsys):
     main(["--quiet", "dist", "--outcomes", str(outcomes), "-o", str(prefix)])
     assert main(["handover", "--dist-tsv", f"{prefix}.rtt.tsv", "--hops-tsv",
                  f"{prefix}.hops.tsv", "--persistence", str(table), "-o", str(curve)]) == 0
+    assert "persistence: 0.7500" in capsys.readouterr().out
+
+
+def test_persistence_byte_order_mark_is_no_data(tmp_path, capsys):
+    # the mark used to make the header lack 'hop', a fatal error
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host", "-o", str(outcomes)])
+    table = tmp_path / "persist.csv"
+    table.write_text("\ufeffhop,persist_ratio\n2,0.75\n", encoding="utf-8")
+    assert main(["handover", "--outcomes", str(outcomes), "--persistence", str(table),
+                 "-o", str(tmp_path / "curve.tsv")]) == 0
     assert "persistence: 0.7500" in capsys.readouterr().out
 
 
@@ -826,6 +881,19 @@ def test_simulate_seeded_rerun_is_byte_identical(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_simulate_asymmetry_delta_defaults_to_50_ms(tmp_path):
+    # the default lives in SimOptions alone; the command used to supply it
+    assert synth.SimOptions().asymmetry_delta_ms == 50.0
+    outputs = []
+    for inject in ("asymmetry=0.5", "asymmetry=0.5,delta=50", "asymmetry=0.5,delta=5"):
+        outdir = tmp_path / inject.replace(",", "_")
+        assert main(["--seed", "3", "--quiet", "simulate", "--model", "two_tier",
+                     "--params", "regions=3,leaves=3", "--origins", "3", "--pairs", "20",
+                     "--inject", inject, "-o", str(outdir)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
 def test_full_pipeline_from_simulated_traces(tmp_path, capsys):
     outdir = tmp_path / "sim"
     main(["--seed", "21", "--quiet", "simulate", "--model", "two_tier",
@@ -1128,7 +1196,7 @@ def test_only_write_lines_writes_files():
     assert len(list(_file_writes(jsonl))) >= 3  # the guard sees write_lines itself
 
 
-def test_only_shared_estimate_builds_transit_points_and_estimates():
+def test_only_shared_estimate_builds_estimates():
     # one constructor decides when two bounds may share an object
     package = Path(edgedist.__file__).parent
     builds = set()
@@ -1137,7 +1205,6 @@ def test_only_shared_estimate_builds_transit_points_and_estimates():
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                    if called in ("TransitPoint", "PairEstimate"):
-                        builds.add((path.stem, getattr(top, "name", None), called))
-    assert builds == {("transit", "_shared_estimate", "TransitPoint"),
-                      ("transit", "_shared_estimate", "PairEstimate")}
+                    if called == "PairEstimate":
+                        builds.add((path.stem, getattr(top, "name", None)))
+    assert builds == {("transit", "_shared_estimate")}

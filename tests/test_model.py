@@ -13,7 +13,6 @@ from edgedist.model import (
     RejectReason,
     TraceError,
     TracePath,
-    TransitPoint,
 )
 from edgedist.stats import EdgeDistribution
 from edgedist.synth import ExperimentReport, PairResult, SimOptions
@@ -84,55 +83,55 @@ def test_unresponsive_hops_are_retained():
 
 
 def test_transit_point_fallback_indices():
-    TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)
+    PairEstimate("o", address=None, index_a=0, index_b=0, is_origin_fallback=True,
+                 hop_bound=2, rtt_bound_ms=1.0)
     with pytest.raises(TraceError):
-        TransitPoint(address=None, index_a=1, index_b=0, is_origin_fallback=True)
+        PairEstimate("o", None, 1, 0, True, 2, 1.0)
     with pytest.raises(TraceError):
-        TransitPoint(address=None, index_a=1, index_b=1)
+        PairEstimate("o", None, 1, 1, False, 2, 1.0)
 
 
 @pytest.mark.parametrize("args, message", [
-    (("x", True, 1.5), "index_a True is not an int"),
-    (("x", 1.0, 1), "index_a 1.0 is not an int"),
-    (("x", 1, 1.5), "index_b 1.5 is not an int"),
-    (("x", 1, "2"), "index_b '2' is not an int"),
-    ((5, 1, 1), "address 5 is not a string"),
-    ((b"x", 1, 1), "address b'x' is not a string"),
-    (("", 1, 1), "address must be non-empty or None"),
+    (("x", True, 1.5, False), "index_a True is not an int"),
+    (("x", 1.0, 1, False), "index_a 1.0 is not an int"),
+    (("x", 1, 1.5, False), "index_b 1.5 is not an int"),
+    (("x", 1, "2", False), "index_b '2' is not an int"),
+    ((5, 1, 1, False), "address 5 is not a string"),
+    ((b"x", 1, 1, False), "address b'x' is not a string"),
+    (("", 1, 1, False), "address must be non-empty or None"),
     (("x", 1, 1, 0), "is_origin_fallback 0 is not a bool"),
     ((None, 0, 0, 1), "is_origin_fallback 1 is not a bool"),
     ((None, False, 0, True), "index_a False is not an int"),
     ((None, 0, 0.0, True), "index_b 0.0 is not an int"),
 ])
 def test_transit_point_fields_must_have_their_types(args, message):
+    # the transit's fields of an estimate: address, indices and fallback flag
     with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
-        TransitPoint(*args)
+        PairEstimate("o", *args, 2, 1.0)
 
 
 def test_pair_estimate_rejects_negative_bounds():
-    transit = TransitPoint(address="t", index_a=1, index_b=1)
+    transit = {"address": "t", "index_a": 1, "index_b": 1, "is_origin_fallback": False}
     with pytest.raises(TraceError):
-        PairEstimate(origin_id="o", transit=transit, hop_bound=-1, rtt_bound_ms=0.0)
+        PairEstimate(origin_id="o", **transit, hop_bound=-1, rtt_bound_ms=0.0)
     for rtt in (-0.5, float("nan"), float("inf")):
         with pytest.raises(TraceError):
-            PairEstimate(origin_id="o", transit=transit, hop_bound=0, rtt_bound_ms=rtt)
+            PairEstimate(origin_id="o", **transit, hop_bound=0, rtt_bound_ms=rtt)
 
 
 @pytest.mark.parametrize("rtt", [True, False, "4.5", None, [4.5]])
 def test_pair_estimate_rtt_bound_must_be_a_number(rtt):
     with pytest.raises(TraceError, match=f"^rtt bound {re.escape(repr(rtt))} is not a number$"):
-        PairEstimate("o", TransitPoint("t", 1, 1), 3, rtt)
+        PairEstimate("o", "t", 1, 1, False, 3, rtt)
 
 
 @pytest.mark.parametrize("args, message", [
-    ((5, TransitPoint("t", 1, 1)), "origin_id 5 is not a string"),
-    ((None, TransitPoint("t", 1, 1)), "origin_id None is not a string"),
-    ((b"o", TransitPoint("t", 1, 1)), "origin_id b'o' is not a string"),
-    (("o", ("t", 1, 1)), "transit ('t', 1, 1) is not a TransitPoint"),
-    (("o", None), "transit None is not a TransitPoint"),
-    (("o", RejectReason(RejectKind.NO_TRANSIT)),
-     "transit RejectReason(kind=<RejectKind.NO_TRANSIT: 'NoTransit'>, detail='') "
-     "is not a TransitPoint"),
+    ((5, "t", 1, 1, False), "origin_id 5 is not a string"),
+    ((None, "t", 1, 1, False), "origin_id None is not a string"),
+    ((b"o", "t", 1, 1, False), "origin_id b'o' is not a string"),
+    # the transit's fields are checked first
+    ((5, "t", 0, 1, False), "transit indices are 1-based"),
+    ((None, None, 0, 0, 1), "is_origin_fallback 1 is not a bool"),
 ])
 def test_pair_estimate_fields_must_have_their_types(args, message):
     with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
@@ -140,7 +139,7 @@ def test_pair_estimate_fields_must_have_their_types(args, message):
 
 
 def test_pair_estimate_rtt_bound_may_be_an_int():
-    assert PairEstimate("o", TransitPoint("t", 1, 1), 3, 0).rtt_bound_ms == 0
+    assert PairEstimate("o", "t", 1, 1, False, 3, 0).rtt_bound_ms == 0
 
 
 @pytest.mark.parametrize("kind, detail, message", [
@@ -163,9 +162,10 @@ def test_reject_hashes_run_no_python_code():
     assert {REJECT: 1}[RejectReason(RejectKind.NO_TRANSIT, "no trace")] == 1
 
 
-TRANSIT = TransitPoint("t", 1, 2)
-FALLBACK = TransitPoint(None, 0, 0, is_origin_fallback=True)
-ESTIMATE = PairEstimate("o", TRANSIT, 3, 4.5)
+ESTIMATE = PairEstimate("o", "t", 1, 2, False, 3, 4.5)
+FALLBACK = PairEstimate("o", None, 0, 0, True, 5, 7.0)
+# an int RTT bound, as an outcome file that writes 4 reads back
+INT_RTT = PairEstimate("p", "t", 1, 2, False, 3, 4)
 # an unreached trace with a silent hop and a timestamp, and an empty one
 PARTIAL = TracePath("o", "x", ("10.0.0.1", None), (1.5, None), False, 1700000000.25)
 EMPTY = trace("o", "x", [], reached=False)
@@ -196,7 +196,7 @@ class _OtherTuple(tuple):
 
 
 @pytest.mark.parametrize("value, field", [
-    (TRANSIT, "index_a"), (FALLBACK, "is_origin_fallback"), (ESTIMATE, "hop_bound"),
+    (INT_RTT, "index_a"), (FALLBACK, "is_origin_fallback"), (ESTIMATE, "hop_bound"),
     (PARTIAL, "rtts"), (EMPTY, "timestamp"), (REJECT, "detail"),
     (TRACE, "addresses"), (TABLE, "values"), (MODEL, "beta"), (OPTIMUM, "flat"),
     (PERSISTENCE, "entries"), (REPORT, "warnings"), (DIST, "samples"), (SIM, "seed"),
@@ -210,7 +210,7 @@ def test_values_are_read_only(value, field):
         value.note = "x"
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, PARTIAL, EMPTY, REJECT,
+@pytest.mark.parametrize("value", [INT_RTT, FALLBACK, ESTIMATE, PARTIAL, EMPTY, REJECT,
                                    *MORE_VALUES])
 def test_value_equality_is_type_strict(value):
     same = type(value)(*value)
@@ -226,7 +226,7 @@ def test_value_equality_is_type_strict(value):
     assert plain != value and not plain == value
     # a foreign tuple subclass on the left compares by its own (tuple) rules
     assert value != _OtherTuple(value) and not value == _OtherTuple(value)
-    other_type = ESTIMATE if value is not ESTIMATE else TRANSIT
+    other_type = ESTIMATE if type(value) is not PairEstimate else REJECT
     assert value != other_type and not value == other_type
     assert other_type != value and not other_type == value
     with pytest.raises(TypeError):
@@ -234,18 +234,18 @@ def test_value_equality_is_type_strict(value):
 
 
 def test_values_compare_by_every_field():
-    assert TRANSIT != TransitPoint("t", 1, 3)
     assert PARTIAL != PARTIAL._replace(rtts=(1.25, None))
     assert PARTIAL != PARTIAL._replace(addresses=("10.0.0.2", None))
     assert PARTIAL != PARTIAL._replace(timestamp=None)
     assert PARTIAL == TracePath(origin_id="o", destination="x", addresses=("10.0.0.1", None),
                                 rtts=(1.5, None), reached=False, timestamp=1700000000.25)
     assert EMPTY != PARTIAL and EMPTY == trace("o", "x", [], reached=False)
-    assert ESTIMATE != PairEstimate("o", TRANSIT, 3, 4.0)
-    assert ESTIMATE != PairEstimate("o", TransitPoint("u", 1, 2), 3, 4.5)
-    assert ESTIMATE != PairEstimate("p", TRANSIT, 3, 4.5)
-    assert ESTIMATE == PairEstimate(origin_id="o", transit=TransitPoint("t", 1, 2),
-                                    hop_bound=3, rtt_bound_ms=4.5)
+    for field, other in (("origin_id", "p"), ("address", "u"), ("index_a", 2),
+                         ("index_b", 3), ("hop_bound", 4), ("rtt_bound_ms", 4.0)):
+        assert ESTIMATE != ESTIMATE._replace(**{field: other})
+    assert ESTIMATE != FALLBACK
+    assert ESTIMATE == PairEstimate(origin_id="o", address="t", index_a=1, index_b=2,
+                                    is_origin_fallback=False, hop_bound=3, rtt_bound_ms=4.5)
     assert REJECT != RejectReason(RejectKind.NO_TRANSIT)
     assert REJECT != RejectReason(RejectKind.LOOP_BEYOND_TRANSIT, "no trace")
     assert RejectReason(RejectKind.NO_TRANSIT) == RejectReason(kind=RejectKind.NO_TRANSIT,
@@ -253,14 +253,12 @@ def test_values_compare_by_every_field():
 
 
 def test_value_repr_is_the_dataclass_text():
-    assert repr(TRANSIT) == (
-        "TransitPoint(address='t', index_a=1, index_b=2, is_origin_fallback=False)")
-    assert repr(FALLBACK) == (
-        "TransitPoint(address=None, index_a=0, index_b=0, is_origin_fallback=True)")
     assert repr(ESTIMATE) == (
-        "PairEstimate(origin_id='o', "
-        "transit=TransitPoint(address='t', index_a=1, index_b=2, is_origin_fallback=False), "
-        "hop_bound=3, rtt_bound_ms=4.5)")
+        "PairEstimate(origin_id='o', address='t', index_a=1, index_b=2, "
+        "is_origin_fallback=False, hop_bound=3, rtt_bound_ms=4.5)")
+    assert repr(FALLBACK) == (
+        "PairEstimate(origin_id='o', address=None, index_a=0, index_b=0, "
+        "is_origin_fallback=True, hop_bound=5, rtt_bound_ms=7.0)")
     assert repr(REJECT) == (
         "RejectReason(kind=<RejectKind.NO_TRANSIT: 'NoTransit'>, detail='no trace')")
     assert repr(PARTIAL) == (
@@ -284,7 +282,7 @@ def test_value_repr_is_the_dataclass_text():
         "EdgeDistribution(metric='hop_count', bin_width=1.0, bins=((2.0, 1), (3.0, 1)), "
         "n=2, mean=2.5, std=0.5, samples=(2.0, 3.0), excluded=0)")
     assert repr(SIM) == (
-        "SimOptions(block_probability=0.1, asymmetry_probability=0.0, asymmetry_delta_ms=0.0, "
+        "SimOptions(block_probability=0.1, asymmetry_probability=0.0, asymmetry_delta_ms=50.0, "
         "loop_probability=0.0, rtt_jitter_ms=0.0, seed=3)")
     result = ("PairResult(pair=('a', 'b'), true_hops=2, true_one_way_ms=1.5, best_hop_bound=2, "
               "best_rtt_bound=3.0, sound=True, tight_hop=True, tight_rtt=False)")
@@ -313,7 +311,7 @@ def test_value_defaults_are_fresh_per_value():
     assert OUTCOME._replace(best_hop=None) == PairOutcome(("a", "b"), ("o",), (ESTIMATE,))
 
 
-@pytest.mark.parametrize("value", [TRANSIT, FALLBACK, ESTIMATE, PARTIAL, EMPTY, REJECT,
+@pytest.mark.parametrize("value", [INT_RTT, FALLBACK, ESTIMATE, PARTIAL, EMPTY, REJECT,
                                    *MORE_VALUES])
 def test_values_survive_pickle_and_copy(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
@@ -325,9 +323,9 @@ def test_replacing_a_field_is_validated():
     with pytest.raises(TraceError):
         ESTIMATE._replace(hop_bound=-1)
     with pytest.raises(TraceError):
-        TRANSIT._replace(index_a=0)
+        ESTIMATE._replace(index_a=0)
     with pytest.raises(TraceError, match="index_a 1.0 is not an int"):
-        TRANSIT._replace(index_a=1.0)
+        ESTIMATE._replace(index_a=1.0)
     assert REJECT._replace(detail="x").detail == "x"
     with pytest.raises(TraceError, match="detail 5 is not a string"):
         REJECT._replace(detail=5)
@@ -357,7 +355,7 @@ def test_replacing_a_field_is_validated():
 @pytest.mark.parametrize("hop_bound", [2.5, 3.0, True, False, None, "3"])
 def test_pair_estimate_hop_bound_must_be_an_int(hop_bound):
     with pytest.raises(TraceError, match="hop bound"):
-        PairEstimate("o", TRANSIT, hop_bound, 4.5)
+        PairEstimate("o", "t", 1, 2, False, hop_bound, 4.5)
 
 
 @pytest.mark.parametrize("ttl, address, rtt, message", [

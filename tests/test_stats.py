@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from edgedist.model import PairEstimate, TransitPoint
+from edgedist.model import PairEstimate
 from edgedist.stats import (
     HOP_COUNT,
     RTT_MS,
@@ -28,8 +28,7 @@ def make_outcome(i, hop_bound=None, rtt_bound=None):
     best_hop = best_rtt = None
     if hop_bound is not None or rtt_bound is not None:
         est = PairEstimate(
-            origin_id="O1",
-            transit=TransitPoint(address="t", index_a=1, index_b=1),
+            "O1", "t", 1, 1, False,
             hop_bound=hop_bound if hop_bound is not None else 0,
             rtt_bound_ms=rtt_bound if rtt_bound is not None else 0.0,
         )

@@ -471,8 +471,8 @@ def _rescanned_cross_checks(report, pairs, sim, est_options):
             confusion[("corrupt" if corrupt else "clean")
                       + ("_accept" if accepted else "_reject")] += 1
             if accepted and (
-                tail_decreases(origin, first, est.transit.index_a)
-                or tail_decreases(origin, second, est.transit.index_b)
+                tail_decreases(origin, first, est.index_a)
+                or tail_decreases(origin, second, est.index_b)
             ):
                 false_rtt_accepts += 1
     return confusion, false_rtt_accepts

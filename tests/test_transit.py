@@ -11,7 +11,6 @@ from edgedist.model import (
     RejectKind,
     RejectReason,
     TraceError,
-    TransitPoint,
 )
 from edgedist.transit import (
     ACCESS_ROUTER,
@@ -110,33 +109,27 @@ def _path(origin, dest, addresses, base=1.0):
     )
 
 
-def _transit(a, b, options=HOST_MODE):
-    """The transit of the pair's estimate, or its reject."""
-    est = _estimate(a, b, options)
-    return est.transit if isinstance(est, PairEstimate) else est
-
-
 def test_common_prefix_transit():
     a = _path("o", "d", ["a", "b", "c", "d"])
     b = _path("o", "f", ["a", "b", "e", "f"])
-    tp = _transit(a, b)
+    tp = _estimate(a, b, HOST_MODE)
     assert (tp.address, tp.index_a, tp.index_b) == ("b", 2, 2)
 
 
 def test_no_common_hop_fallback():
     a = _path("o", "b", ["a", "b"])
     b = _path("o", "d", ["c", "d"])
-    assert _transit(a, b) == RejectReason(
+    assert _estimate(a, b, HOST_MODE) == RejectReason(
         RejectKind.NO_TRANSIT, "no common responsive hop"
     )
-    tp = _transit(a, b, EstimateOptions(mode=HOST, allow_origin_fallback=True))
+    tp = _estimate(a, b, EstimateOptions(mode=HOST, allow_origin_fallback=True))
     assert tp.is_origin_fallback and (tp.index_a, tp.index_b) == (0, 0)
 
 
 def test_reconvergent_path_maximizes_index_sum():
     a = _path("o", "c", ["a", "b", "x", "c"])
     b = _path("o", "c2", ["a", "x", "c2"])
-    tp = _transit(a, b)
+    tp = _estimate(a, b, HOST_MODE)
     assert (tp.address, tp.index_a, tp.index_b) == ("x", 3, 2)
 
 
@@ -150,7 +143,7 @@ def test_last_common_hop_brute_force_oracle():
         addrs_b = rng.sample(pool, rng.randint(1, 6))
         a = _path("o", addrs_a[-1], addrs_a)
         b = _path("o", addrs_b[-1], addrs_b)
-        got = _transit(a, b)
+        got = _estimate(a, b, HOST_MODE)
         # the estimate orders the pair by destination
         if addrs_a[-1] > addrs_b[-1]:
             addrs_a, addrs_b = addrs_b, addrs_a
@@ -175,7 +168,7 @@ def test_last_common_hop_brute_force_oracle():
 def test_unresponsive_hops_never_match():
     a = trace("o", "d", [(None, None), ("d", 2.0)])
     b = trace("o", "e", [(None, None), ("e", 2.0)])
-    assert _transit(a, b) == RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
+    assert _estimate(a, b, HOST_MODE) == RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
 
 
 def test_differing_origins_is_an_error():
@@ -224,7 +217,7 @@ def test_loop_through_the_access_router_is_rejected():
     assert _estimate(a, b) == RejectReason(
         RejectKind.LOOP_BEYOND_TRANSIT, "access router r repeats at hop 3")
     # a host-mode endpoint is the host, so the rule does not apply
-    assert _estimate(a, b, HOST_MODE).transit.address == "x"
+    assert _estimate(a, b, HOST_MODE).address == "x"
 
 
 def test_missing_rtt_at_transit():
@@ -242,7 +235,7 @@ def test_estimate_smallest_case():
     est = _estimate(a, b, HOST_MODE)
     assert est.hop_bound == 2
     assert est.rtt_bound_ms == pytest.approx(7.0)
-    assert (est.transit.index_a, est.transit.index_b) == (1, 1)
+    assert (est.index_a, est.index_b) == (1, 1)
 
 
 def test_estimate_identity_pair():
@@ -373,12 +366,7 @@ def _min_over(pair, per_origin, couple_metrics=False):
 
 
 def _fake_estimate(origin, hop_bound, rtt_bound):
-    from edgedist.model import TransitPoint
-
-    return PairEstimate(
-        origin_id=origin, transit=TransitPoint(address="t", index_a=1, index_b=1),
-        hop_bound=hop_bound, rtt_bound_ms=rtt_bound,
-    )
+    return PairEstimate(origin, "t", 1, 1, False, hop_bound, rtt_bound)
 
 
 def test_min_over_origins_picks_minimum():
@@ -465,10 +453,7 @@ _REJECT = RejectReason(RejectKind.NO_TRANSIT, "")
 def _tied_estimate(hop_bound, rtt_bound):
     # one origin id for all, so two entries with equal bounds are equal
     # values and only their identity tells which origin won
-    return PairEstimate(
-        origin_id="o", transit=TransitPoint(address="t", index_a=1, index_b=1),
-        hop_bound=hop_bound, rtt_bound_ms=rtt_bound,
-    )
+    return PairEstimate("o", "t", 1, 1, False, hop_bound, rtt_bound)
 
 
 @settings(max_examples=300, deadline=None)
@@ -556,7 +541,7 @@ def test_batch_missing_trace_reports_no_trace():
 def _estimate_key(est):
     """What an estimate is shared by: equal keys encode alike, so 5 and
     5.0, or 0.0 and -0.0, are distinct."""
-    return (est.origin_id, repr(est.transit), est.hop_bound, repr(est.rtt_bound_ms))
+    return (*est[:-1], repr(est.rtt_bound_ms))
 
 
 def _assert_one_object_per_distinct_estimate(outcomes):
@@ -571,8 +556,9 @@ def _assert_one_object_per_distinct_estimate(outcomes):
     return len(by_key)
 
 
-def test_batch_shares_one_transit_point_per_distinct_transit():
-    # every pair of every origin meets at T, one hop deep in both traces
+def test_batch_shares_one_estimate_per_origin_and_bound():
+    # every pair of every origin meets at T, one hop deep in both traces;
+    # O3 sees no common hop and falls back to the origin
     dests = ["A", "B", "C", "D"]
     traces_by_origin = {
         origin: [trace(origin, d, [("T", 1.0), (d, 2.0)]) for d in dests]
@@ -582,20 +568,19 @@ def test_batch_shares_one_transit_point_per_distinct_transit():
     pairs = list(itertools.combinations(dests, 2))
     outcomes, _ = batch_estimate(
         traces_by_origin, pairs, EstimateOptions(mode=HOST, allow_origin_fallback=True))
-    transits = [est.transit for oc in outcomes for est in oc.entries]
-    assert len(transits) == 3 * len(pairs)
-    assert {id(t) for t in transits} == {id(transits[0]), id(transits[2])}
-    assert transits[0] == TransitPoint("T", 1, 1)
-    assert transits[2].is_origin_fallback
-    # and one estimate per origin: each gives every pair the same bound
+    # each origin gives every pair the same bound, so one estimate each
     assert _assert_one_object_per_distinct_estimate(outcomes) == 3
-    assert reference.as_dict(outcomes[-1])["O1"] == PairEstimate("O1", transits[0], 2, 2.0)
+    assert reference.as_dict(outcomes[-1]) == {
+        "O1": PairEstimate("O1", "T", 1, 1, False, 2, 2.0),
+        "O2": PairEstimate("O2", "T", 1, 1, False, 2, 2.0),
+        "O3": PairEstimate("O3", None, 0, 0, True, 2, 4.0),
+    }
 
 
 def test_batch_outcomes_hold_a_tuple_of_entries_per_pair():
     """What a batch keeps per outcome on a seeded 8-origin campaign: the
     outcome, its tuple of entries and its list slot, and its share of the
-    estimates and transit points."""
+    estimates."""
     import gc
     import tracemalloc
 
@@ -614,7 +599,7 @@ def test_batch_outcomes_hold_a_tuple_of_entries_per_pair():
     assert len(outcomes) == 1770 and stats.succeeded == 1770
     assert all(oc.origins is outcomes[0].origins for oc in outcomes)
     per_pair = kept / len(outcomes)
-    # measured 300 bytes (CPython 3.11); a dict of entries per pair, and a
+    # measured 315 bytes (CPython 3.11); a dict of entries per pair, and a
     # new pair tuple for each, made it 515
     assert per_pair < 400, per_pair
 
@@ -631,6 +616,38 @@ def test_outcomes_round_trip(tmp_path):
     write_outcomes(outcomes, path)
     loaded = read_outcomes(path)
     assert loaded == outcomes
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"transit": [7, 1, 1]}, "address 7 is not a string"),
+    ({"transit": ["", 1, 1]}, "address must be non-empty or None"),
+    ({"transit": ["T", True, 1]}, "index_a True is not an int"),
+    ({"transit": ["T", 1, 1.0]}, "index_b 1.0 is not an int"),
+    ({"transit": ["T", 0, 1]}, "transit indices are 1-based"),
+    ({"origin_fallback": 1}, "is_origin_fallback 1 is not a bool"),
+    ({"transit": [None, 1, 0], "origin_fallback": True},
+     "origin fallback transit must sit at (0, 0)"),
+    ({"transit": [None, 1, 1]}, "non-fallback transit needs an address"),
+    ({"hop_bound": -1}, "negative hop bound -1"),
+    ({"hop_bound": 2.0}, "hop bound 2.0 is not an int"),
+    ({"rtt_bound_ms": -1}, "rtt bound -1 is negative or not finite"),
+    ({"rtt_bound_ms": "3"}, "rtt bound '3' is not a number"),
+    # with two faults, the transit's is named before the bounds', the hop's
+    # before the RTT's
+    ({"transit": [7, 1, 1], "hop_bound": -1}, "address 7 is not a string"),
+    ({"hop_bound": 2.0, "rtt_bound_ms": "3"}, "hop bound 2.0 is not an int"),
+])
+def test_read_outcomes_names_an_entry_fault(tmp_path, fields, message):
+    ta = trace("O1", "X", [("T", 1.0), ("X", 3.0)])
+    tb = trace("O1", "Y", [("T", 1.0), ("Y", 4.0)])
+    outcomes, _ = batch_estimate({"O1": [ta, tb]}, [("X", "Y")], HOST_MODE)
+    path = tmp_path / "o.jsonl"
+    write_outcomes(outcomes, path)
+    record = json.loads(path.read_text())
+    record["per_origin"]["O1"].update(fields)
+    path.write_text(f"{json.dumps(record, separators=(',', ':'))}\n")
+    with pytest.raises(ValueError, match=f": bad outcome at line 1: {re.escape(message)}$"):
+        read_outcomes(path)
 
 
 # --- prepared traces against the reference estimator -----------------------
@@ -895,11 +912,11 @@ def test_read_outcomes_matches_reference(tmp_path_factory, campaign, options):
     write_outcomes(outcomes, path)
     loaded = read_outcomes(path)
     assert loaded == reference.read_outcomes(path) == outcomes
-    # equal transit points and reject reasons are one object per file, and
-    # each best bound is the per-origin entry of its origin
-    shared = [getattr(est, "transit", est) for oc in loaded for est in oc.entries]
-    assert len({id(x) for x in shared}) == len(set(shared))
-    _assert_bests_are_entries(loaded)
+    # equal reject reasons are one object per file, and so is each distinct
+    # estimate; each best bound is the per-origin entry of its origin
+    rejects = [est for oc in loaded for est in oc.entries if type(est) is RejectReason]
+    assert len({id(x) for x in rejects}) == len(set(rejects))
+    _assert_one_object_per_distinct_estimate(loaded)
     # and each origin and endpoint name is one string object per file, and
     # each origin sequence one tuple
     names = [name for oc in loaded for name in (*oc.pair, *oc.origins)] + [
@@ -936,7 +953,7 @@ def test_batch_and_read_share_one_estimate_per_distinct_bound(
 def test_batch_keeps_equal_bounds_that_encode_differently_apart(
         tmp_path, options, routes, texts):
     """Within one origin, two pairs whose bounds are equal but encode
-    differently get two estimates on one transit, each written as computed."""
+    differently get two estimates, each written as computed."""
     traces, pairs = [], []
     for i, (prefix, end_rtt) in enumerate(routes):
         pair = (f"d{i}a", f"d{i}b")
@@ -944,7 +961,7 @@ def test_batch_keeps_equal_bounds_that_encode_differently_apart(
         pairs.append(pair)
     outcomes, _ = batch_estimate({"O1": traces}, pairs, options)
     first, second = (reference.as_dict(oc)["O1"] for oc in outcomes)
-    assert first == second and first is not second and first.transit is second.transit
+    assert first == second and first is not second
     assert [repr(oc.best_rtt.rtt_bound_ms) for oc in outcomes] == texts
     path = tmp_path / "o.jsonl"
     write_outcomes(outcomes, path)
@@ -972,11 +989,11 @@ def test_write_outcomes_matches_reference(tmp_path_factory, campaign, options):
     assert _written_like_the_reference(tmp_path_factory.mktemp("outcomes"), outcomes)
 
 
-def _entries(*bounds, transit=TransitPoint("t", 1, 1)):
+def _entries(*bounds):
     """Estimates from origins O1, O2, ... with the given (hop, rtt) bounds,
-    sharing one transit object."""
+    on one transit."""
     return {
-        f"O{i}": PairEstimate(f"O{i}", transit, hop, rtt)
+        f"O{i}": PairEstimate(f"O{i}", "t", 1, 1, False, hop, rtt)
         for i, (hop, rtt) in enumerate(bounds, start=1)
     }
 
@@ -1002,9 +1019,8 @@ def _unsorted_origins():
 
 def _escaped_names():
     names = ['q"uote', "back\\slash", "n\u00e9", "\u6771\u4eac", "tab\tnew\nline"]
-    transit = TransitPoint(names[4], 1, 1)
     return [_min_over((a, b), {
-        origin: PairEstimate(origin, transit, 3, 1.5) for origin in names[:3]
+        origin: PairEstimate(origin, names[4], 1, 1, False, 3, 1.5) for origin in names[:3]
     }) for a, b in itertools.combinations(names, 2)]
 
 
@@ -1254,7 +1270,7 @@ def test_equal_bounds_that_encode_differently_round_trip(tmp_path):
 def _repeating_outcomes(n_hosts=40, n_origins=10):
     """Every pair of n_hosts from n_origins, drawn from a few distinct
     entries, as a dense campaign repeats them."""
-    transits = [TransitPoint(f"t{i}", i + 1, i + 2) for i in range(3)]
+    transits = [(f"t{i}", i + 1, i + 2, False) for i in range(3)]
     reject = RejectReason(RejectKind.LOOP_BEYOND_TRANSIT, "address x repeats at hop 4")
     outcomes = []
     for i, (a, b) in enumerate(itertools.combinations(
@@ -1264,7 +1280,7 @@ def _repeating_outcomes(n_hosts=40, n_origins=10):
             origin = f"origin-{j}"
             k = (i + j) % 7
             per_origin[origin] = reject if k == 6 else PairEstimate(
-                origin, transits[k % 3], 2 + k % 4, [1.5, 2.25, 3.125][k % 3])
+                origin, *transits[k % 3], 2 + k % 4, [1.5, 2.25, 3.125][k % 3])
         outcomes.append(_min_over((a, b), per_origin))
     return outcomes
 
@@ -1285,7 +1301,7 @@ def test_read_outcomes_keeps_no_object_per_repeated_entry(tmp_path):
     finally:
         tracemalloc.stop()
     per_pair = kept / len(loaded)
-    # measured 304 bytes (CPython 3.11): a PairOutcome, its pair, its tuple
+    # measured 309 bytes (CPython 3.11): a PairOutcome, its pair, its tuple
     # of entries and its list slot; a dict of entries per pair made it 447,
     # and a PairEstimate and a float per (pair, origin) entry 1511
     assert per_pair < 400, per_pair
@@ -1410,10 +1426,10 @@ def _outcomes_of(draw, text):
                                          draw(text | st.just(""))))
                 continue
             if draw(st.booleans()):
-                point = TransitPoint(None, 0, 0, True)
+                transit = (None, 0, 0, True)
             else:
-                point = TransitPoint(draw(text), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-            pool.append(PairEstimate(origin, point, draw(st.integers(0, 3)),
+                transit = (draw(text), draw(st.integers(1, 3)), draw(st.integers(1, 3)), False)
+            pool.append(PairEstimate(origin, *transit, draw(st.integers(0, 3)),
                                      draw(st.sampled_from([0, 0.0, -0.0, 5, 5.0, 2.25]))))
         pools[origin] = pool
     return [
@@ -1555,7 +1571,7 @@ def test_a_member_split_inside_a_string_is_never_kept(tmp_path):
     """A string that ends in "}," puts the member separator inside it, so the
     line it is on splits wrongly.  The wrong piece must not be kept: a later
     line that is not JSON would otherwise be read from kept pieces."""
-    est = PairEstimate("O2", TransitPoint("t", 1, 1), 1, 1.0)
+    est = PairEstimate("O2", "t", 1, 1, False, 1, 1.0)
     outcomes = [
         _min_over(("a", "b"), {"O1": RejectReason(RejectKind.NO_TRANSIT, "y"), "O2": est}),
         _min_over(("a", "c"), {"O1": RejectReason(RejectKind.NO_TRANSIT, "x},"), "O2": est}),
