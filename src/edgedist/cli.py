@@ -36,14 +36,18 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _parse_kv(spec: str) -> dict[str, str]:
+def _parse_kv(flag: str, spec: str) -> dict[str, str]:
+    """``k=v[,k=v...]``, each key listed once."""
     out = {}
     if spec:
         for item in spec.split(","):
             key, _, value = item.partition("=")
             if not value:
                 raise ValueError(f"expected key=value, got {item!r}")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"{flag} key {key!r} is listed twice")
+            out[key] = value.strip()
     return out
 
 
@@ -293,6 +297,10 @@ def _persistence_ratio(args) -> float | None:
 
 
 def cmd_handover(args) -> int:
+    if args.outcomes and args.dist_tsv:
+        raise ValueError("give --outcomes or --dist-tsv, not both")
+    if args.hops_tsv and not args.persistence:
+        raise ValueError("--hops-tsv is read only with --persistence")
     loss_table = handover.load_loss_table(args.loss_table) if args.loss_table else None
     model = handover.LossModel(beta=args.beta, table=loss_table)
     # everything that can fail runs before the curve is written
@@ -320,9 +328,9 @@ def cmd_simulate(args) -> int:
     _check_count("origins", args.origins)
     _check_count("pairs", args.pairs)
     estimate_options = _estimate_options(args)
-    params = _parse_kv(args.params)
+    params = _parse_kv("--params", args.params)
     faults = {}  # SimOptions fields
-    for key, value in _parse_kv(args.inject).items():
+    for key, value in _parse_kv("--inject", args.inject).items():
         if key not in _FAULT_FIELDS:
             raise ValueError(f"--inject has no fault {key!r}")
         try:  # any float: SimOptions checks the range and names the field

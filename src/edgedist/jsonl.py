@@ -54,10 +54,11 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
 
 
 def read_lines(path: str | Path, decode_line: Callable[[str], object], what: str) -> Iterator:
-    """Yield ``decode_line(line)`` for each non-blank line; a KeyError,
-    TypeError or ValueError (bad JSON and ``TraceError`` included) there
-    becomes ``ValueError("<path>: bad <what> at line <n>: <cause>")``."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield ``decode_line(line)`` for each non-blank line; a leading
+    byte-order mark is encoding, not data.  A KeyError, TypeError or
+    ValueError (bad JSON and ``TraceError`` included) there becomes
+    ``ValueError("<path>: bad <what> at line <n>: <cause>")``."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isspace():  # a line read from a file is never empty
                 try:

@@ -208,10 +208,12 @@ def _attach_hosts(edges, attachment, leaf_nodes, host_latency=0.5):
 def generate_topology(model: str, params: dict | None = None, seed: int = 0) -> Topology:
     """Deterministic topology generation; latencies symmetric per arc pair.
 
-    Models: ``ring_of_stars`` (core ring, leaf stars), ``random_geometric``
-    (unit-square placement, radius connectivity, distance latencies) and
-    ``two_tier`` (regional transits over leaf access routers, optional
-    peering shortcuts).  A disconnected random draw is retried internally.
+    Models: ``random_geometric`` (unit-square placement, radius
+    connectivity, distance latencies; a disconnected draw is retried
+    internally) and two hub-and-leaf models, which ``_hub_and_leaf``
+    builds: ``ring_of_stars`` (a ring of cores, a star of leaves on each)
+    and ``two_tier`` (a ring of regional transits over leaf access
+    routers, optional peering shortcuts).
     """
     params = dict(params or {})
     if model not in _MODEL_PARAMS:
@@ -222,8 +224,6 @@ def generate_topology(model: str, params: dict | None = None, seed: int = 0) -> 
         if key in _COUNT_PARAMS and value != int(value):
             raise ValueError(f"{model} parameter {key}={value!r} is not a whole number")
     rng = random.Random(seed)
-    if model == RING_OF_STARS:
-        return _ring_of_stars(params, rng, seed)
     if model == RANDOM_GEOMETRIC:
         retries = int(params.pop("retries", 50))
         for _ in range(retries):
@@ -233,29 +233,54 @@ def generate_topology(model: str, params: dict | None = None, seed: int = 0) -> 
         raise ValueError(
             f"random_geometric stayed disconnected after {retries} retries"
         )
-    return _two_tier(params, rng, seed)
+    if model == RING_OF_STARS:
+        hubs, leaves = int(params.get("cores", 4)), int(params.get("leaves", 3))
+        if hubs < 1 or leaves < 1:
+            raise ValueError("ring_of_stars needs cores >= 1 and leaves >= 1")
+        return _hub_and_leaf(rng, seed, hubs, leaves, ("C", "L"), (4, 12), (2, 8))
+    hubs, leaves = int(params.get("regions", 4)), int(params.get("leaves", 5))
+    if hubs < 1 or leaves < 1:
+        raise ValueError("two_tier needs regions >= 1 and leaves >= 1")
+    return _hub_and_leaf(rng, seed, hubs, leaves, ("T", "A"), (8, 24), (4, 12),
+                         peering=bool(params.get("peering", False)))
 
 
-def _ring_of_stars(params, rng, seed) -> Topology:
-    cores = int(params.get("cores", 4))
-    leaves = int(params.get("leaves", 3))
-    if cores < 1 or leaves < 1:
-        raise ValueError("ring_of_stars needs cores >= 1 and leaves >= 1")
+def _hub_and_leaf(rng, seed, hubs, leaves, prefixes, hub_steps, leaf_steps,
+                  peering=False) -> Topology:
+    """A ring of ``hubs`` hubs (a path when there are at most two), with
+    ``leaves`` leaf routers under each hub and a host on each leaf.
+
+    Hub i is ``<hub prefix>i`` and its leaf j ``<hub prefix>i<leaf prefix>j``.
+    A ring arc's latency is ``hub_steps`` quanta and a hub-to-leaf arc's
+    ``leaf_steps``, each drawn as ``rng.randint(lo, hi)``: the ring arcs
+    first, then hub by hub its leaf arcs.  ``peering`` chains each hub's
+    leaves with 0.5 ms arcs and links the first leaves of consecutive hubs
+    (2 to 6 quanta, drawn after the later hub's leaf arcs).
+    """
+    hub_prefix, leaf_prefix = prefixes
     edges: dict[tuple[str, str], float] = {}
-    attachment: dict[str, str] = {}
-    core_nodes = [f"C{i}" for i in range(cores)]
+    hub_nodes = [f"{hub_prefix}{i}" for i in range(hubs)]
+    ring = list(zip(hub_nodes, hub_nodes[1:]))
+    if hubs > 2:
+        ring.append((hub_nodes[-1], hub_nodes[0]))
+    for u, v in ring:
+        _symmetric_edge(edges, u, v, rng.randint(*hub_steps) * _QUANTUM)
     leaf_nodes = []
-    for i in range(1, cores):
-        _symmetric_edge(edges, core_nodes[i - 1], core_nodes[i], _quantize(rng.randint(4, 12) * _QUANTUM))
-    if cores > 2:
-        _symmetric_edge(edges, core_nodes[-1], core_nodes[0], _quantize(rng.randint(4, 12) * _QUANTUM))
-    for i, core in enumerate(core_nodes):
-        for j in range(leaves):
-            leaf = f"C{i}L{j}"
-            leaf_nodes.append(leaf)
-            _symmetric_edge(edges, core, leaf, _quantize(rng.randint(2, 8) * _QUANTUM))
+    for i, hub in enumerate(hub_nodes):
+        hub_leaves = [f"{hub}{leaf_prefix}{j}" for j in range(leaves)]
+        for leaf in hub_leaves:
+            _symmetric_edge(edges, hub, leaf, rng.randint(*leaf_steps) * _QUANTUM)
+        if peering:
+            # local shortcuts between neighboring access routers
+            for a, b in zip(hub_leaves, hub_leaves[1:]):
+                _symmetric_edge(edges, a, b, _QUANTUM * 2)
+            if i > 0:
+                _symmetric_edge(edges, f"{hub_nodes[i - 1]}{leaf_prefix}0", hub_leaves[0],
+                                rng.randint(2, 6) * _QUANTUM)
+        leaf_nodes += hub_leaves
+    attachment: dict[str, str] = {}
     _attach_hosts(edges, attachment, leaf_nodes)
-    nodes = tuple(core_nodes + leaf_nodes + sorted(attachment))
+    nodes = tuple(hub_nodes + leaf_nodes + sorted(attachment))
     return Topology(nodes=nodes, edges=edges, host_attachment=attachment, seed=seed)
 
 
@@ -282,38 +307,6 @@ def _random_geometric(params, rng, seed) -> Topology | None:
     attachment: dict[str, str] = {}
     _attach_hosts(edges, attachment, names)
     nodes = tuple(names + sorted(attachment))
-    return Topology(nodes=nodes, edges=edges, host_attachment=attachment, seed=seed)
-
-
-def _two_tier(params, rng, seed) -> Topology:
-    regions = int(params.get("regions", 4))
-    leaves = int(params.get("leaves", 5))
-    peering = bool(params.get("peering", False))
-    if regions < 1 or leaves < 1:
-        raise ValueError("two_tier needs regions >= 1 and leaves >= 1")
-    edges: dict[tuple[str, str], float] = {}
-    attachment: dict[str, str] = {}
-    transit_nodes = [f"T{i}" for i in range(regions)]
-    for i in range(1, regions):
-        _symmetric_edge(edges, transit_nodes[i - 1], transit_nodes[i], _quantize(rng.randint(8, 24) * _QUANTUM))
-    if regions > 2:
-        _symmetric_edge(edges, transit_nodes[-1], transit_nodes[0], _quantize(rng.randint(8, 24) * _QUANTUM))
-    leaf_nodes = []
-    for i, transit in enumerate(transit_nodes):
-        region_leaves = []
-        for j in range(leaves):
-            leaf = f"T{i}A{j}"
-            region_leaves.append(leaf)
-            _symmetric_edge(edges, transit, leaf, _quantize(rng.randint(4, 12) * _QUANTUM))
-        if peering:
-            # local shortcuts between neighboring access routers
-            for a, b in zip(region_leaves, region_leaves[1:]):
-                _symmetric_edge(edges, a, b, _QUANTUM * 2)
-            if i > 0:
-                _symmetric_edge(edges, f"T{i - 1}A0", f"T{i}A0", _quantize(rng.randint(2, 6) * _QUANTUM))
-        leaf_nodes.extend(region_leaves)
-    _attach_hosts(edges, attachment, leaf_nodes)
-    nodes = tuple(transit_nodes + leaf_nodes + sorted(attachment))
     return Topology(nodes=nodes, edges=edges, host_attachment=attachment, seed=seed)
 
 
@@ -525,6 +518,7 @@ def run_experiment(
         for origin, rows in traces_by_origin.items()
         for tr in rows
     }
+    corrupt = looped.union(key for key, deepest in decrease_at.items() if deepest > 0)
     for (a, b), outcome, true_hop, true_lat in zip(pairs, outcomes, true_hops, true_lats):
         hop_bound = None if outcome.best_hop is None else outcome.best_hop.hop_bound
         rtt_bound = None if outcome.best_rtt is None else outcome.best_rtt.rtt_bound_ms
@@ -554,10 +548,7 @@ def run_experiment(
         # the transit's indices follow the outcome's canonical pair order
         first, second = outcome.pair
         for origin, est in zip(outcome.origins, outcome.entries):
-            corrupted = any(
-                key in looped or decrease_at[key] > 0
-                for key in ((origin, a), (origin, b))
-            )
+            corrupted = (origin, a) in corrupt or (origin, b) in corrupt
             accepted = isinstance(est, PairEstimate)
             key = ("corrupt" if corrupted else "clean") + ("_accept" if accepted else "_reject")
             confusion[key] += 1

@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -572,6 +573,75 @@ def test_persistence_byte_order_mark_is_no_data(tmp_path, capsys):
     assert "persistence: 0.7500" in capsys.readouterr().out
 
 
+BYTE_ORDER_MARK_ARGV = {
+    "ingest-canonical": ["ingest", "--format", "canonical", "{traces}"],
+    "pairs": ["pairs", "--mode", "host", "--traces", "{traces}", "--pairs-file", "{pairs}"],
+    "dist": ["dist", "--outcomes", "{outcomes}", "--baseline", "{outcomes}"],
+    "handover-outcomes": ["handover", "--outcomes", "{outcomes}", "--persistence", "{persist}"],
+    "handover-tsv": ["handover", "--dist-tsv", "{rtt}", "--hops-tsv", "{hops}",
+                     "--persistence", "{persist}", "--loss-table", "{loss}", "--grid", "0:10:5"],
+}
+
+
+@pytest.mark.parametrize("argv", BYTE_ORDER_MARK_ARGV.values(), ids=BYTE_ORDER_MARK_ARGV)
+def test_every_input_file_byte_order_mark_is_no_data(tmp_path, argv):
+    # a marked canonical trace or outcome file used to be fatal ("Unexpected
+    # UTF-8 BOM"), and a marked distribution TSV "bad row at line 1"
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host", "-o", str(outcomes)])
+    main(["--quiet", "dist", "--outcomes", str(outcomes), "-o", str(tmp_path / "dist")])
+    texts = {"traces": Path(traces).read_text(), "pairs": "a,b\nX,Y\n",
+             "outcomes": outcomes.read_text(),
+             "rtt": (tmp_path / "dist.rtt.tsv").read_text(),
+             "hops": (tmp_path / "dist.hops.tsv").read_text(),
+             "persist": "hop,persist_ratio\n2,0.75\n", "loss": ",0,10\n0,1,2\n10,3,4\n"}
+    outputs = []
+    for mark in ("", "\ufeff"):
+        folder = tmp_path / ("marked" if mark else "plain")
+        folder.mkdir()
+        paths = {name: folder / name for name in texts}
+        for name, text in texts.items():
+            paths[name].write_text(mark + text, encoding="utf-8")
+        argv_here = [arg.format(**paths) for arg in argv]
+        assert main(["--quiet", *argv_here, "-o", str(folder / "result")]) == 0
+        outputs.append({p.name: p.read_bytes() for p in folder.glob("result*")})
+    assert outputs[0] and outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("inputs, message", [
+    (["--outcomes", "{outcomes}", "--dist-tsv", "{missing}"],
+     "give --outcomes or --dist-tsv, not both"),
+    (["--outcomes", "{outcomes}", "--dist-tsv", "{rtt}", "--persistence", "{persist}"],
+     "give --outcomes or --dist-tsv, not both"),
+    (["--outcomes", "{outcomes}", "--hops-tsv", "{missing}"],
+     "--hops-tsv is read only with --persistence"),
+    (["--dist-tsv", "{rtt}", "--hops-tsv", "{hops}"], "--hops-tsv is read only with --persistence"),
+    (["--outcomes", "{outcomes}", "--hops-tsv", "{hops}", "--persistence", "{persist}"], None),
+], ids=["outcomes-and-dist-tsv", "outcomes-and-dist-tsv-with-persistence",
+        "hops-tsv-without-persistence", "dist-tsv-hops-tsv-without-persistence",
+        "outcomes-hops-tsv-persistence"])
+def test_handover_refuses_an_input_it_would_ignore(tmp_path, capsys, inputs, message):
+    # the ignored file used to go unread, even when it did not exist, exit 0
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host", "-o", str(outcomes)])
+    main(["--quiet", "dist", "--outcomes", str(outcomes), "-o", str(tmp_path / "dist")])
+    persist = tmp_path / "persist.csv"
+    persist.write_text("hop,persist_ratio\n2,0.75\n")
+    paths = {"outcomes": outcomes, "rtt": tmp_path / "dist.rtt.tsv",
+             "hops": tmp_path / "dist.hops.tsv", "persist": persist,
+             "missing": tmp_path / "missing.tsv"}
+    curve = tmp_path / "curve.tsv"
+    argv = ["--quiet", "handover", *(arg.format(**paths) for arg in inputs), "-o", str(curve)]
+    if message is None:  # the hop TSV and the outcomes' RTTs: both are read
+        assert main(argv) == 0 and curve.exists()
+        return
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not curve.exists()
+
+
 def test_handover_bad_persistence_row_is_fatal(tmp_path, capsys):
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
@@ -846,6 +916,10 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     ("two_tier", "--params", "regions", "expected key=value, got 'regions'"),
     ("two_tier", "--params", "leaves=0", "two_tier needs regions >= 1 and leaves >= 1"),
     ("two_tier", "--inject", "block=1.5", "block_probability must be in [0, 1], got 1.5"),
+    # a repeated key's last value used to win without a word
+    ("two_tier", "--params", "regions=3,leaves=3,regions=4", "--params key 'regions' is listed twice"),
+    ("ring_of_stars", "--params", "leaves=2, leaves =2", "--params key 'leaves' is listed twice"),
+    ("two_tier", "--inject", "jitter=0.5,jitter=0", "--inject key 'jitter' is listed twice"),
 ])
 def test_simulate_unknown_key_is_fatal(tmp_path, capsys, model, flag, spec, message):
     # a misspelt key used to run the defaults silently; a bad value is as fatal
@@ -879,6 +953,22 @@ def test_simulate_seeded_rerun_is_byte_identical(tmp_path):
             {p.name: p.read_bytes() for p in outdir.iterdir()}
         )
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("model, params, sha256", [
+    ("two_tier", "regions=3,leaves=4,peering=1",
+     "61d542e5fac1cdc551ca9ff1f6a5bc0ff09eaba581807ad40f1d773f1c2289e8"),
+    ("ring_of_stars", "cores=5,leaves=3",
+     "ddf53f5c1c47b43234edfd1b12a64dc3b2aad60aaa2e3bb1676c2c8f6ad5661c"),
+])
+def test_simulate_report_bytes_are_pinned(tmp_path, model, params, sha256):
+    # recorded before the hub models shared one builder and before each
+    # trace's corruption was decided once; every confusion cell is non-zero
+    outdir = tmp_path / "sim"
+    assert main(["--seed", "7", "--quiet", "simulate", "--model", model, "--params", params,
+                 "--origins", "4", "--pairs", "60",
+                 "--inject", "loops=0.3,asymmetry=0.2,block=0.1", "-o", str(outdir)]) == 0
+    assert hashlib.sha256((outdir / "report.tsv").read_bytes()).hexdigest() == sha256
 
 
 def test_simulate_asymmetry_delta_defaults_to_50_ms(tmp_path):

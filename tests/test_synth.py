@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -102,6 +103,39 @@ def test_count_parameters_must_be_whole_numbers():
                        ("random_geometric", "n"), ("random_geometric", "retries")):
         with pytest.raises(ValueError, match=rf"^{model} parameter {key}=2.5 is not a whole number$"):
             generate_topology(model, {key: 2.5}, seed=1)
+
+
+# sha256 over the saved topologies of leaves 1-20 and seeds 0-3, recorded
+# before ring_of_stars and two_tier shared one builder: a change to a hub
+# model's construction or to the order of its random draws shows here
+SAVED_TOPOLOGY_SHA256 = {
+    ("ring_of_stars", 1, False): "fc5b44a0f45f3192c2e397fef0c5819d704f3788a56a87c0a763b8973022b502",
+    ("ring_of_stars", 2, False): "3120dd54e746a571e01dea4d17ca2043da4cb7071c6b2afbb89fd659e04c75e9",
+    ("ring_of_stars", 3, False): "e7e9d4905b24dd829e28ad97f3ef5ac047bf0678bc1c24ac3b3c0fb412177665",
+    ("ring_of_stars", 5, False): "cb3ebff46fc696c6a9bcc64ecbf098f435466d4c29facc84b828d8737f27e7ed",
+    ("two_tier", 1, False): "7cf20834dd7c71666ed1fa5374b78e461dacbe43bf0b7bb929c0190eb6c66e9b",
+    ("two_tier", 1, True): "c2751b2f53a3a14ee4cd59712c7037c51ff2fa2d6c497ccb6a787435ea2d95ce",
+    ("two_tier", 2, False): "0d4b762194f930d5c2882be8bc259f9f0d4fd16191ea2bcedfedbf753c3079a4",
+    ("two_tier", 2, True): "05e342757a8bcace1794d19c2bd369ec88d1d06e8587c874713f6d4fee65a853",
+    ("two_tier", 3, False): "bbe3d500bc77b71d81f0ac96bf96e9a455009e32e9bed3f86140d23a8175df01",
+    ("two_tier", 3, True): "17cca9aee26f9f5803f7c44276331549038ff9b94126fb432e7806e96d37ee51",
+    ("two_tier", 12, False): "ed3ad0bfa6193a2083ff2b38d5902621343c1b913a77928341d940840b308b43",
+    ("two_tier", 12, True): "01215c74734089f7c8c16a8fcd5f16df01b19a387ad9858ec0e4d77cb4630714",
+}
+
+
+@pytest.mark.parametrize("model, hubs, peering", sorted(SAVED_TOPOLOGY_SHA256))
+def test_saved_hub_topology_bytes_are_pinned(tmp_path, model, hubs, peering):
+    path = tmp_path / "topology.jsonl"
+    digest = hashlib.sha256()
+    for leaves, seed in itertools.product(range(1, 21), range(4)):
+        if model == "ring_of_stars":
+            params = {"cores": hubs, "leaves": leaves}
+        else:
+            params = {"regions": hubs, "leaves": leaves, "peering": peering}
+        save_topology(generate_topology(model, params, seed), path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == SAVED_TOPOLOGY_SHA256[model, hubs, peering]
 
 
 # --- shortest paths --------------------------------------------------------
