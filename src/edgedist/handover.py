@@ -15,7 +15,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .model import _Value
-from .stats import HOP_COUNT, RTT_MS, EdgeDistribution
+from .stats import HOP_COUNT, RTT_MS, EdgeDistribution, ascii_number
 
 CBR_INTERVAL_MS = 10.0
 
@@ -119,7 +119,7 @@ def load_loss_table(path: str | Path) -> LossTable:
             # the header row's first cell is a corner label, not a number
             cells = row if rows else row[1:]
             try:
-                rows.append(tuple(float(x) for x in cells))
+                rows.append(tuple(ascii_number(x) for x in cells))
             except ValueError as exc:
                 raise ValueError(f"{path}: bad row at line {reader.line_num}: {exc}") from exc
     if len(rows) < 2:
@@ -220,7 +220,8 @@ def load_persistence_table(path: str | Path) -> PersistenceTable:
             raise ValueError(f"{path}: header must contain ['hop', 'persist_ratio']")
         for row in reader:
             try:
-                hop, ratio = int(row["hop"]), float(row["persist_ratio"])
+                hop = ascii_number(row["hop"], int)
+                ratio = ascii_number(row["persist_ratio"])
                 if hop in entries:
                     raise ValueError(f"hop {hop} is listed twice")
                 _check_entry(hop, ratio)

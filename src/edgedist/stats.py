@@ -37,6 +37,17 @@ class EdgeDistribution(_Value, namedtuple(
         return (self.n - bisect_right(self.samples, threshold)) / self.n
 
 
+def ascii_number(text: str, kind: type = float) -> float | int:
+    """``kind(text)`` for a number in an input table, which must be ASCII
+    text without ``_``: ``int()`` and ``float()`` also take other scripts'
+    digits and read ``1_0`` as 10.  A None cell is a TypeError, as
+    ``kind(None)`` gives."""
+    value = kind(text)
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not an ASCII decimal number")
+    return value
+
+
 def _moments(values: list[float], metric: str) -> tuple[float, float]:
     """Mean and population std of ``values`` of ``metric``; finite values
     can still overflow either."""
@@ -64,6 +75,9 @@ def distribution_from_samples(
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
     mean, std = _moments(values, metric)
+    largest = max(map(abs, values))
+    if not math.isfinite(largest / bin_width):  # floor() of it would raise OverflowError
+        raise ValueError(f"bin_width {bin_width!r} is too small for {metric} value {largest!r}")
     counts: dict[float, int] = {}
     for v in values:
         edge = math.floor(v / bin_width) * bin_width
@@ -162,26 +176,38 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
 
     Raw samples are reconstructed from the bins (exact for integer metrics at
     bin width 1, bin centers otherwise), so downstream use is approximate for
-    continuous metrics.  Errors name the file, and a bad row its line.
+    continuous metrics.  Numbers are ``ascii_number`` text.  Where the header
+    gives ``n``, the counts must sum to it, checked row by row before any
+    sample is built.  Errors name the file, and a bad row its line.
     """
     meta: dict[str, str] = {}
+    n = None
+    total = 0
 
     def row(line: str) -> tuple[float, int] | None:
+        nonlocal n, total
         line = line.strip()
         if line.startswith("#"):
             for token in line[1:].split():
                 if "=" in token:
                     key, _, value = token.partition("=")
                     meta[key] = value
+            if "n" in meta:
+                n = ascii_number(meta["n"], int)
+                if n < 0:
+                    raise ValueError(f"header n={n} is negative")
             return None
         if line.startswith("lower_edge"):
             return None
         edge, count, _ = line.split("\t")
-        edge, count = float(edge), int(count)
+        edge, count = ascii_number(edge), ascii_number(count, int)
         if not math.isfinite(edge):
             raise ValueError(f"lower_edge {edge} is not finite")
         if count < 0:
             raise ValueError(f"negative count {count}")
+        total += count
+        if n is not None and total > n:
+            raise ValueError(f"the counts reach {total}, past the header's n={n}")
         return edge, count
 
     bins = [b for b in read_lines(path, row, "row") if b is not None]
@@ -191,14 +217,17 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
     if metric not in DEFAULT_BIN_WIDTH:
         raise ValueError(f"{path}: unknown metric {metric!r}")
     try:
-        bin_width = float(meta.get("bin_width", DEFAULT_BIN_WIDTH[metric]))
-        excluded = int(meta.get("excluded", 0))
+        bin_width = (ascii_number(meta["bin_width"]) if "bin_width" in meta
+                     else DEFAULT_BIN_WIDTH[metric])
+        excluded = ascii_number(meta.get("excluded", "0"), int)
         if not 0 < bin_width < math.inf:
             raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
         if excluded < 0:
             raise ValueError(f"excluded must be >= 0, got {excluded}")
     except ValueError as exc:
         raise ValueError(f"{path}: bad header: {exc}") from exc
+    if n is not None and total != n:
+        raise ValueError(f"{path}: the counts sum to {total}, not the header's n={n}")
     exact = metric == HOP_COUNT and bin_width == 1.0
     samples: list[float] = []
     for edge, count in bins:
@@ -206,6 +235,7 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
         samples.extend([value] * count)
     if not samples:
         raise ValueError(f"{path}: empty distribution")
-    return distribution_from_samples(
-        samples, metric, bin_width, excluded=excluded
-    )
+    try:
+        return distribution_from_samples(samples, metric, bin_width, excluded=excluded)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

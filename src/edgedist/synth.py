@@ -42,35 +42,27 @@ _MODEL_PARAMS = {
 _COUNT_PARAMS = ("cores", "leaves", "n", "regions", "retries")
 
 
-class Topology:
+class Topology(_Value, namedtuple("Topology", "nodes edges host_attachment seed")):
     """Symmetric weighted graph: every arc has a reverse arc of equal latency.
 
     ``edges`` holds both arcs of each link.  ``nodes`` covers routers and
     hosts; hosts are the probe targets and are listed in ``host_attachment``
-    with their access router.  ``adjacency()`` is built once, on first use.
+    with their access router.  A plain value with no cache: ``adjacency()``
+    builds the adjacency on each call, so a caller that searches the graph
+    more than once builds it once and passes it to each search.
     """
 
-    __slots__ = ("nodes", "edges", "host_attachment", "seed", "_adj")
+    __slots__ = ()
+    __hash__ = None  # it holds dicts
 
-    def __init__(self, nodes: tuple[str, ...], edges: dict[tuple[str, str], float],
-                 host_attachment: dict[str, str], seed: int = 0):
+    def __new__(cls, nodes: tuple[str, ...], edges: dict[tuple[str, str], float],
+                host_attachment: dict[str, str], seed: int = 0):
         for (u, v), lat in edges.items():
             if lat <= 0:
                 raise ValueError(f"non-positive latency on arc {u}->{v}")
             if edges.get((v, u)) != lat:
                 raise ValueError(f"arc {u}->{v} has no reverse arc of latency {lat!r}")
-        self.nodes, self.edges, self.host_attachment, self.seed = nodes, edges, host_attachment, seed
-        self._adj: dict[str, list[tuple[str, float]]] | None = None
-
-    def __repr__(self) -> str:
-        return (f"Topology(nodes={self.nodes!r}, edges={self.edges!r}, "
-                f"host_attachment={self.host_attachment!r}, seed={self.seed!r})")
-
-    def __eq__(self, other):  # and so unhashable
-        if type(other) is not Topology:
-            return NotImplemented
-        return (self.nodes, self.edges, self.host_attachment, self.seed) == (
-            other.nodes, other.edges, other.host_attachment, other.seed)
+        return tuple.__new__(cls, (nodes, edges, host_attachment, seed))
 
     @property
     def hosts(self) -> list[str]:
@@ -81,20 +73,20 @@ class Topology:
         return [n for n in self.nodes if n not in self.host_attachment]
 
     def adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        if self._adj is None:
-            self._adj = {n: [] for n in self.nodes}
-            for (u, v), lat in self.edges.items():
-                self._adj[u].append((v, lat))
-        return self._adj
+        """Each node's (neighbour, latency) arcs, in ``edges`` order."""
+        adj = {n: [] for n in self.nodes}
+        for (u, v), lat in self.edges.items():
+            adj[u].append((v, lat))
+        return adj
 
 
 def dijkstra(
-    topology: Topology, source: str
+    adj: dict[str, list[tuple[str, float]]], source: str
 ) -> tuple[dict[str, float], dict[str, str | None]]:
-    """Latency-shortest distances from ``source`` plus a deterministic
+    """Latency-shortest distances from ``source`` over the adjacency
+    ``adj`` (as ``Topology.adjacency`` builds it) plus a deterministic
     predecessor tree (ties resolved toward the lexicographically smallest
     predecessor)."""
-    adj = topology.adjacency()
     dist: dict[str, float] = {source: 0.0}
     pred: dict[str, str | None] = {source: None}
     heap: list[tuple[float, str]] = [(0.0, source)]
@@ -127,7 +119,7 @@ def true_distance(topology: Topology, a: str, b: str) -> tuple[int, float]:
     """Hop count and one-way latency of the latency-shortest path a -> b."""
     if a == b:
         return 0, 0.0
-    dist, pred = dijkstra(topology, a)
+    dist, pred = dijkstra(topology.adjacency(), a)
     if b not in dist:
         raise ValueError(f"{b} unreachable from {a}")
     return len(extract_path(pred, b)) - 1, dist[b]
@@ -137,15 +129,15 @@ def min_hop_distance(topology: Topology, a: str, b: str) -> int:
     """Unweighted shortest hop distance (BFS oracle)."""
     if a == b:
         return 0
-    levels = _bfs_levels(topology, a)
+    levels = _bfs_levels(topology.adjacency(), a)
     if b not in levels:
         raise ValueError(f"{b} unreachable from {a}")
     return levels[b]
 
 
-def _bfs_levels(topology: Topology, source: str) -> dict[str, int]:
-    """Unweighted hop distance from ``source`` to every reachable node."""
-    adj = topology.adjacency()
+def _bfs_levels(adj: dict[str, list[tuple[str, float]]], source: str) -> dict[str, int]:
+    """Unweighted hop distance from ``source`` to every node reachable over
+    the adjacency ``adj`` (as ``Topology.adjacency`` builds it)."""
     levels = {source: 0}
     queue = deque([source])
     while queue:
@@ -163,17 +155,18 @@ def _pair_truths(
 ) -> tuple[list[int], list[float]]:
     """min_hop_distance and true_distance's latency for every node pair.
 
-    Runs one BFS and one Dijkstra per distinct source node and holds only
-    the current source's searches.
+    Builds the adjacency once, runs one BFS and one Dijkstra per distinct
+    source node and holds only the current source's searches.
     """
+    adj = topology.adjacency()
     by_source: dict[str, list[int]] = {}
     for i, (a, _) in enumerate(node_pairs):
         by_source.setdefault(a, []).append(i)
     hops: list[int | None] = [None] * len(node_pairs)
     latencies = [0.0] * len(node_pairs)
     for source, indices in by_source.items():
-        levels = _bfs_levels(topology, source)
-        dist, _ = dijkstra(topology, source)
+        levels = _bfs_levels(adj, source)
+        dist, _ = dijkstra(adj, source)
         for i in indices:
             b = node_pairs[i][1]
             if b in levels:
@@ -300,14 +293,12 @@ def _random_geometric(params, rng, seed) -> Topology | None:
             d = (dx * dx + dy * dy) ** 0.5
             if d <= radius:
                 _symmetric_edge(edges, u, v, _quantize(d * scale))
-    # connectivity over the router graph before hosts come in
-    routers_only = Topology(nodes=tuple(names), edges=edges, host_attachment={})
-    if len(_bfs_levels(routers_only, names[0])) < n:
-        return None
     attachment: dict[str, str] = {}
     _attach_hosts(edges, attachment, names)
     nodes = tuple(names + sorted(attachment))
-    return Topology(nodes=nodes, edges=edges, host_attachment=attachment, seed=seed)
+    topo = Topology(nodes=nodes, edges=edges, host_attachment=attachment, seed=seed)
+    # each router has a host of its own, so this is connected iff the routers are
+    return topo if len(_bfs_levels(topo.adjacency(), names[0])) == len(nodes) else None
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +346,7 @@ class Simulator:
     def __init__(self, topology: Topology, options: SimOptions = SimOptions()):
         self.topology = topology
         self.options = options
+        self._adjacency = topology.adjacency()
         self._trees: dict[str, tuple[dict, dict]] = {}
         routers = set(topology.routers)
         self.blocked = {
@@ -370,7 +362,7 @@ class Simulator:
         """The simulated trace, and whether a loop was injected into it."""
         opts = self.options
         if origin not in self._trees:
-            self._trees[origin] = dijkstra(self.topology, origin)
+            self._trees[origin] = dijkstra(self._adjacency, origin)
         dist, pred = self._trees[origin]
         if target_host not in dist:
             return TracePath(origin, target_host, (), (), reached=False), False

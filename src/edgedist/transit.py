@@ -209,7 +209,8 @@ def _shared_estimate(estimates: dict, origin: str, address: str | None, index_a:
                      index_b: int, fallback: bool, hop_bound: int,
                      rtt_bound: float) -> PairEstimate:
     """The estimate with these fields, found in or added to ``estimates``
-    under ``_estimate_key``; no other code in the package builds one.
+    under ``_estimate_key``; no other code in the package builds one or
+    reads or fills an estimate table.
 
     An index, hop bound, flag or address not exactly of its validated type
     could match a key by value (``true`` against 1), so it is built
@@ -244,8 +245,9 @@ def estimate_pair(
     Tail RTTs whose sum overflows to infinity give a MissingRttAtTransit
     reject, since no finite RTT bound exists.
 
-    Calls that pass one ``estimates`` table share one object per distinct
-    estimate (see ``_shared_estimate``).
+    Each trace's tail is read through ``PreparedTrace.tail``, which fills
+    its memo, and the estimate through ``_shared_estimate``: calls that
+    pass one ``estimates`` table share one object per distinct estimate.
     """
     options = a.options
     if b.options is not options and b.options != options:
@@ -282,12 +284,10 @@ def estimate_pair(
     # cumulative RTT decrease between the access router and the destination
     # still signals asymmetry on the segment the tail RTTs depend on.
     # Precedence: a's segment, b's segment, a's tail RTT, b's tail RTT.
-    tails = a._tails
-    rtt_a = tails[index_a] if index_a in tails else a.tail(index_a)
+    rtt_a = a.tail(index_a)
     if type(rtt_a) is RejectReason:
         return rtt_a
-    tails = b._tails
-    rtt_b = tails[index_b] if index_b in tails else b.tail(index_b)
+    rtt_b = b.tail(index_b)
     if type(rtt_b) is RejectReason:
         return rtt_b
     if rtt_a is None or rtt_b is None or rtt_a < 0 or rtt_b < 0:
@@ -296,16 +296,9 @@ def estimate_pair(
     if rtt == math.inf:  # two finite tails can overflow
         return RejectReason(RejectKind.MISSING_RTT_AT_TRANSIT,
                             f"rtt bound {rtt_a!r} + {rtt_b!r} overflows")
-    # every field is of its validated type here, so a hit needs no check
-    fallback, hop_bound = best is None, (end_a - index_a) + (end_b - index_b)
-    if estimates is None:
-        estimates = {}
-    est = estimates.get(_estimate_key(origin, address, index_a, index_b, fallback,
-                                      hop_bound, rtt))
-    if est is None:
-        est = _shared_estimate(estimates, origin, address, index_a, index_b, fallback,
-                               hop_bound, rtt)
-    return est
+    return _shared_estimate({} if estimates is None else estimates, origin, address,
+                            index_a, index_b, best is None,
+                            (end_a - index_a) + (end_b - index_b), rtt)
 
 
 def _tail_reject(p: PreparedTrace, rtt: float | None) -> RejectReason | None:
@@ -642,9 +635,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
                 found.append(member)
                 start += len(text) + len(_MEMBER_SEP)
             origins, entries = zip(*found)
-        distinct = origin_sets.get(origins)
-        if distinct is None or len(distinct) != len(entries):  # else columns() is a no-op
-            distinct, entries = columns(origins, entries)
+        distinct, entries = columns(origins, entries)
         tail = line[stop + 3:]  # from '"best_hop":' to the end of the line
         bests = tails.get(tail)
         if bests is None:

@@ -492,6 +492,20 @@ def test_bad_rtt_bin_width_is_fatal(tmp_path, capsys, command, width):
     assert not list(tmp_path.glob("result*"))
 
 
+def test_rtt_bin_width_too_small_for_the_values_is_fatal(tmp_path, capsys):
+    # 5.0 / 1e-320 is inf, whose floor escaped as an OverflowError traceback
+    # with exit 1, the code the README gives partial success
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+          "-o", str(outcomes)])
+    assert main(["dist", "--outcomes", str(outcomes), "--rtt-bin-width=1e-320",
+                 "-o", str(tmp_path / "result")]) == 2
+    assert capsys.readouterr().err == (
+        "error: bin_width 1e-320 is too small for rtt_ms value 5.0\n")
+    assert not list(tmp_path.glob("result*"))
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
 def test_outputs_follow_the_umask(tmp_path, umask, mode):
     raw = tmp_path / "raw.txt"
@@ -654,8 +668,12 @@ def test_handover_bad_persistence_row_is_fatal(tmp_path, capsys):
                         *((f"2,{ratio}\n", f"persist ratio {ratio} at hop 2 outside [0, 1]")
                           for ratio in ("1.5", "-0.25", "nan", "inf")),
                         # a repeated hop kept its last ratio, a negative hop loaded
-                        ("1,0.5\n", "hop 1 is listed twice"), ("-1,0.5\n", "negative hop -1")):
-        table.write_text("hop,persist_ratio\n1,1.0\n" + rows)
+                        ("1,0.5\n", "hop 1 is listed twice"), ("-1,0.5\n", "negative hop -1"),
+                        # numbers are ASCII decimal text: hop \u0663 read as 3, 1_0
+                        # as 10 and ratio 0.2_5 as 0.25
+                        ("\u0663,0.5\n", "'\u0663'"), ("1_0,0.5\n", "'1_0'"),
+                        ("2,0.2_5\n", "'0.2_5'")):
+        table.write_text("hop,persist_ratio\n1,1.0\n" + rows, encoding="utf-8")
         assert main(["handover", "--outcomes", str(outcomes),
                      "--persistence", str(table), "-o", str(curve)]) == 2
         err = capsys.readouterr().err
@@ -676,14 +694,16 @@ def test_handover_bad_loss_table_cell_is_fatal(tmp_path, capsys):
     main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
           "-o", str(outcomes)])
     table = tmp_path / "loss.csv"
-    table.write_text(",0,10\n\n10,10,4\n30,thirty,22\n")
     curve = tmp_path / "curve.tsv"
-    assert main(["handover", "--outcomes", str(outcomes),
-                 "--loss-table", str(table), "-o", str(curve)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {table}: bad row at line 4: ")
-    assert "'thirty'" in err
-    assert not curve.exists()
+    # numbers are ASCII decimal text: 1_00 read as 100.0, \u0663\u0660 as 30.0
+    for cell in ("thirty", "1_00", "\u0663\u0660"):
+        table.write_text(f",0,10\n\n10,10,4\n30,{cell},22\n", encoding="utf-8")
+        assert main(["handover", "--outcomes", str(outcomes),
+                     "--loss-table", str(table), "-o", str(curve)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}: bad row at line 4: ")
+        assert repr(cell) in err
+        assert not curve.exists()
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -791,10 +811,27 @@ def test_handover_persistence_error_leaves_no_curve(tmp_path, capsys, source, ro
     ("# metric=rtt_ms bin_width=5", "nan\t3\t1.0", r": bad row at line 3: lower_edge nan is not finite$"),
     ("# metric=rtt_ms bin_width=5", "5\t0\t0.0\n10\t0\t0.0", r": empty distribution$"),
     ("# metric=hop_count bin_width=1", "", r": empty distribution$"),
+    # a width too small for the values escaped as an OverflowError traceback
+    ("# metric=rtt_ms bin_width=1e-320", "5\t1\t1.0",
+     r": bin_width 1e-320 is too small for rtt_ms value 5\.0$"),
+    # counts that contradict the header's n were trusted: 10**15 samples
+    # were an uncaught MemoryError
+    ("# metric=rtt_ms bin_width=5 n=1", "0\t1000000000000000\t1.0",
+     r": bad row at line 3: the counts reach 1000000000000000, past the header's n=1$"),
+    ("# metric=rtt_ms bin_width=5 n=3", "5\t1\t0.5\n10\t1\t0.5",
+     r": the counts sum to 2, not the header's n=3$"),
+    ("# metric=rtt_ms bin_width=5 n=two", "5\t1\t1.0", r": bad row at line 1: .*'two'"),
+    ("# metric=rtt_ms bin_width=5 n=-1", "", r": bad row at line 1: header n=-1 is negative$"),
+    # numbers are ASCII decimal text: 1_000 read as 1000, \u0665 as 5
+    ("# metric=rtt_ms bin_width=5", "5\t1_000\t1.0", r": bad row at line 3: .*'1_000'"),
+    ("# metric=rtt_ms bin_width=5", "\u0665\t1\t1.0", r": bad row at line 3: .*'\u0665'"),
+    ("# metric=rtt_ms bin_width=1_0", "5\t1\t1.0", r": bad header: .*'1_0'"),
+    ("# metric=rtt_ms excluded=\u0660", "5\t1\t1.0", r": bad header: .*'\u0660'"),
+    ("# metric=rtt_ms bin_width=5 n=1_0", "5\t10\t1.0", r": bad row at line 1: .*'1_0'"),
 ])
 def test_handover_bad_dist_tsv_is_fatal(tmp_path, capsys, header, row, message):
     dist = tmp_path / "dist.rtt.tsv"
-    dist.write_text(f"{header}\nlower_edge\tcount\tfraction\n{row}\n")
+    dist.write_text(f"{header}\nlower_edge\tcount\tfraction\n{row}\n", encoding="utf-8")
     curve = tmp_path / "curve.tsv"
     assert main(["handover", "--dist-tsv", str(dist), "-o", str(curve)]) == 2
     assert re.match(f"error: {re.escape(str(dist))}{message}", capsys.readouterr().err)
@@ -1078,6 +1115,28 @@ def test_every_imported_name_is_read():
                            (alias.asname or alias.name.partition(".")[0] for alias in node.names)
                            if name not in reads]
     assert unread == []
+
+
+def test_private_attributes_are_used_only_off_self_cls_or_a_module():
+    # a memo is read and filled by the one method that owns it, not probed
+    # from outside (estimate_pair read PreparedTrace._tails beside tail())
+    package = Path(edgedist.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {"self", "cls"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                owners.update(alias.asname or alias.name.partition(".")[0]
+                              for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:  # from . import m
+                owners.update(alias.asname or alias.name for alias in node.names)
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                  and not (isinstance(node.value, ast.Name) and node.value.id in owners)]
+    assert found == []
 
 
 def _member_reads(module, tree, scope, defs):

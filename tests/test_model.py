@@ -15,7 +15,7 @@ from edgedist.model import (
     TracePath,
 )
 from edgedist.stats import EdgeDistribution
-from edgedist.synth import ExperimentReport, PairResult, SimOptions
+from edgedist.synth import ExperimentReport, PairResult, SimOptions, Topology
 from edgedist.transit import BatchStats, EstimateOptions, PairOutcome
 
 from conftest import trace
@@ -184,11 +184,12 @@ BATCH = BatchStats(1, 1, Counter({"NoTransit": 2}))
 EXPERIMENT = ExperimentReport([RESULT], BATCH, {"o": [TRACE]}, 0, 1, {"clean_accept": 1}, 0)
 OPTIONS = EstimateOptions(mode="host", eps_rtt=1.0)
 OUTCOME = PairOutcome(("a", "b"), ("o",), (ESTIMATE,), ESTIMATE)
+TOPOLOGY = Topology(("A", "A.h"), {("A", "A.h"): 0.5, ("A.h", "A"): 0.5}, {"A.h": "A"}, 3)
 MORE_VALUES = [TRACE, TABLE, MODEL, OPTIMUM, PERSISTENCE, REPORT, DIST, SIM, RESULT, BATCH,
-               EXPERIMENT, OPTIONS, OUTCOME]
+               EXPERIMENT, OPTIONS, OUTCOME, TOPOLOGY]
 # these hold a list or dict, or are results and reports: never a key
 UNHASHABLE = (PersistenceTable, ParseReport, PairResult, BatchStats, ExperimentReport,
-              PairOutcome)
+              PairOutcome, Topology)
 
 
 class _OtherTuple(tuple):
@@ -201,7 +202,7 @@ class _OtherTuple(tuple):
     (TRACE, "addresses"), (TABLE, "values"), (MODEL, "beta"), (OPTIMUM, "flat"),
     (PERSISTENCE, "entries"), (REPORT, "warnings"), (DIST, "samples"), (SIM, "seed"),
     (RESULT, "sound"), (BATCH, "succeeded"), (EXPERIMENT, "stats"), (OPTIONS, "mode"),
-    (OUTCOME, "best_hop"),
+    (OUTCOME, "best_hop"), (TOPOLOGY, "edges"),
 ])
 def test_values_are_read_only(value, field):
     with pytest.raises(AttributeError):
@@ -301,6 +302,9 @@ def test_value_repr_is_the_dataclass_text():
     assert repr(OUTCOME) == (
         f"PairOutcome(pair=('a', 'b'), origins=('o',), entries=({ESTIMATE!r},), "
         f"best_hop={ESTIMATE!r}, best_rtt=None)")
+    assert repr(TOPOLOGY) == (
+        "Topology(nodes=('A', 'A.h'), edges={('A', 'A.h'): 0.5, ('A.h', 'A'): 0.5}, "
+        "host_attachment={'A.h': 'A'}, seed=3)")
 
 
 def test_value_defaults_are_fresh_per_value():

@@ -178,7 +178,7 @@ def test_dijkstra_matches_bellman_ford():
     topo = generate_topology("random_geometric", {"n": 100}, seed=8)
     rng = random.Random(0)
     for source in rng.sample(topo.routers, 5):
-        dist, _ = dijkstra(topo, source)
+        dist, _ = dijkstra(topo.adjacency(), source)
         oracle = _bellman_ford(topo, source)
         for node in topo.nodes:
             assert dist.get(node, float("inf")) == oracle[node]
@@ -224,7 +224,7 @@ def test_dijkstra_predecessors_match_the_post_pass_rule(name):
                   "two_tier": {"regions": 4, "leaves": 5, "peering": True}}[name]
         topo = generate_topology(name, params, seed=3)
     for source in topo.nodes:
-        dist, pred = dijkstra(topo, source)
+        dist, pred = dijkstra(topo.adjacency(), source)
         assert pred == _post_pass_predecessors(topo, dist, source)
         assert list(pred) == list(dist)
 
@@ -363,7 +363,7 @@ def test_trace_rtts_match_forward_plus_return_legs(model, params, seed):
     sim = Simulator(topo, opts)
     loops = blocked = asymmetric = 0
     for origin in topo.routers[:3]:
-        _, pred = dijkstra(topo, origin)
+        _, pred = dijkstra(topo.adjacency(), origin)
         back = _bellman_ford(topo, origin, reverse=True)
         for host in topo.hosts:
             simulated, loop_injected = sim.trace(origin, host)
