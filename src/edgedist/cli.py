@@ -214,13 +214,12 @@ def cmd_pairs(args) -> int:
         pairs = _sample_pairs(count, pair, args.max_pairs, random.Random(args.seed))
     else:
         pairs = [pair(i) for i in range(count)]
-    # the batch reads only the traces to named destinations, and the writer
-    # none, so no trace need stay alive longer
+    # the batch reads only the traces to named destinations, and empties
+    # the mapping origin by origin
     named = {endpoint for pair in pairs for endpoint in pair}
     traces_by_origin = {origin: [t for t in rows if t.destination in named]
                         for origin, rows in traces_by_origin.items()}
     outcomes, batch = transit.batch_estimate(traces_by_origin, pairs, options)
-    del traces_by_origin
     transit.write_outcomes(outcomes, args.output)
     _say(args, f"pairs={batch.total_pairs} succeeded={batch.succeeded} "
                f"success_ratio={batch.success_ratio:.2f}")

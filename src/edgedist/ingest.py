@@ -187,12 +187,14 @@ def trace_to_record(trace: TracePath) -> dict:
     }
 
 
-def trace_from_record(record: dict, names: dict[str, str]) -> TracePath:
+def trace_from_record(record: dict, names: dict) -> TracePath:
     """Decode one canonical record.  Each address, origin and destination
-    string is shared through ``names``, so a file's traces hold one object
-    per distinct string; any other value is left for validation to reject.
-    Each hop must be a ``[ttl, address, rtt]`` array whose ttl is its
-    position."""
+    string, and each non-zero float RTT, is shared through ``names``, so a
+    file's traces hold one object per distinct string and per distinct
+    RTT; any other value is left for validation to reject.  An int RTT and
+    a zero stay as read: sharing by value would merge ``5`` with ``5.0``
+    and ``0.0`` with ``-0.0``, which encode differently.  Each hop must be
+    a ``[ttl, address, rtt]`` array whose ttl is its position."""
     share = names.setdefault
     addresses, rtts = [], []
     for pos, hop in enumerate(record["hops"], start=1):
@@ -204,7 +206,7 @@ def trace_from_record(record: dict, names: dict[str, str]) -> TracePath:
         if ttl != pos:
             raise TraceError(f"ttl gap at position {pos}: expected ttl {pos}, got {ttl}")
         addresses.append(share(address, address) if type(address) is str else address)
-        rtts.append(rtt)
+        rtts.append(share(rtt, rtt) if type(rtt) is float and rtt else rtt)
     origin, destination = record["origin_id"], record["destination"]
     return TracePath(
         origin_id=share(origin, origin) if type(origin) is str else origin,
@@ -222,6 +224,8 @@ def write_canonical(traces: list[TracePath], path: str | Path) -> None:
 
 
 def read_canonical(path: str | Path) -> list[TracePath]:
-    """Read a canonical trace file; errors name the offending line."""
-    names: dict[str, str] = {}
+    """Read a canonical trace file; errors name the offending line.  The
+    traces share their strings and non-zero float RTTs through one table
+    per file (see ``trace_from_record``), dropped when the read ends."""
+    names: dict = {}
     return list(read_jsonl(path, lambda record: trace_from_record(record, names), "trace"))

@@ -9,10 +9,12 @@ campaign holds hundreds of thousands of hops and per-origin entries.
 subclasses on ``_Value``, as are the option, result and report values of
 the other modules.  A trace holds its hops as an address column and an RTT
 column, with no object per hop (a hop's TTL is its position): the 313,899
-hops ``pairs`` reads on ``ingest-wide`` hold 19.5 MB with their 24,000
-traces (seed 1, ``tracemalloc``), against 38.4 MB as a tuple per hop.  An
-estimate is one flat value, its transit's fields beside its bounds, and
-estimates are shared, one object per distinct value, under the rule of
+hops ``pairs`` reads on ``ingest-wide`` hold 16.9 MB with their 24,000
+traces (seed 1, ``tracemalloc``), against 38.4 MB as a tuple per hop and
+19.5 MB with a float object per RTT, where the reader shares each file's
+equal RTTs (190,570 objects for 299,295 RTTs).  An estimate is one flat
+value, its transit's fields beside its bounds, and estimates are shared,
+one object per distinct value, under the rule of
 ``transit._shared_estimate``: on the 300-host ``campaign-dense`` benchmark
 (seed 1), 305,018 accepted (pair, origin) entries hold 6,134 distinct
 estimates.  A ``PairEstimate`` names no endpoints, which the

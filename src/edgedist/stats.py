@@ -49,15 +49,16 @@ def ascii_number(text: str, kind: type = float) -> float | int:
 
 
 def _moments(values: list[float], metric: str) -> tuple[float, float]:
-    """Mean and population std of ``values`` of ``metric``; finite values
+    """Mean and population std of ``values`` of ``metric``, whatever their
+    order: each sum is ``math.fsum``'s, correctly rounded.  Finite values
     can still overflow either."""
     if not values:
         raise ValueError("empty distribution")
     n = len(values)
-    mean = sum(values) / n
     try:
-        var = sum((v - mean) ** 2 for v in values) / n
-    except OverflowError:  # a float ** raises where + gives inf
+        mean = math.fsum(values) / n
+        var = math.fsum((v - mean) ** 2 for v in values) / n
+    except OverflowError:  # fsum and a float ** raise where + gives inf
         var = math.inf
     if not var < math.inf:  # also nan, from an infinite mean
         raise ValueError(f"{metric} values overflow the mean or std")
@@ -142,10 +143,12 @@ def resample_stability(
     metric: str = HOP_COUNT,
 ) -> tuple[float, float]:
     """Largest absolute deviation of subset mean and std from the full-sample
-    values, over ``trials`` without-replacement subsets."""
+    values, over ``trials`` without-replacement subsets.  The subsets are
+    drawn from the sorted values, so the outcomes' order cannot move them."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
     values, _ = outcome_values(outcomes, metric)
+    values.sort()
     if subset_size > len(values):
         raise ValueError(
             f"subset size {subset_size} exceeds accepted count {len(values)}"

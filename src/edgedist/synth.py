@@ -485,7 +485,8 @@ def run_experiment(
                 looped.add((origin, host))
         traces_by_origin[origin] = rows
 
-    outcomes, stats = batch_estimate(traces_by_origin, pairs, est_options)
+    # the report keeps the traces, which the batch would empty
+    outcomes, stats = batch_estimate(dict(traces_by_origin), pairs, est_options)
     true_hops, true_lats = _pair_truths(
         topology,
         [

@@ -359,17 +359,19 @@ def batch_estimate(
 ) -> tuple[list[PairOutcome], BatchStats]:
     """Estimate every pair from every origin and minimize per pair.
 
-    The origins are taken one at a time, in sorted order (see
-    ``_origin_entries``): each fills its column of entries, one per pair in
-    pair order, with one ``estimate_pair`` call per pair whose endpoints
-    both have a trace from it, and its prepared traces are dropped before
-    the next origin's are built.  Then each pair gets one
-    ``min_over_origins`` call, in pair order, on the sorted origins, one
-    tuple that every outcome shares, and its row of the columns.  A pair
-    endpoint with no trace from an origin yields a NoTransit reject with
-    detail "no trace" for that origin; it never aborts the batch.  An
-    outcome's pair is the caller's tuple when it is already in canonical
-    order, else a new one.
+    The batch takes ownership of ``traces_by_origin`` and empties it: pass
+    a copy to keep the mapping.  The origins are taken one at a time, in
+    sorted order (see ``_origin_entries``): each origin's list is popped
+    from the mapping and fills its column of entries, one per pair in pair
+    order, with one ``estimate_pair`` call per pair whose endpoints both
+    have a trace from it.  Its traces and prepared traces are then dropped,
+    unless the caller holds them elsewhere, before the next origin's are
+    built.  Then each pair gets one ``min_over_origins`` call, in pair
+    order, on the sorted origins, one tuple that every outcome shares, and
+    its row of the columns.  A pair endpoint with no trace from an origin
+    yields a NoTransit reject with detail "no trace" for that origin; it
+    never aborts the batch.  An outcome's pair is the caller's tuple when
+    it is already in canonical order, else a new one.
     The outcomes share one object per distinct estimate (see
     ``_shared_estimate``): a dense campaign repeats a few thousand bounds
     over hundreds of thousands of (pair, origin) entries.  An estimate's
@@ -383,7 +385,7 @@ def batch_estimate(
     columns = []
     reject_counts: Counter = Counter()
     for origin in origins:
-        column = _origin_entries(traces_by_origin[origin], named, firsts, seconds, options)
+        column = _origin_entries(traces_by_origin.pop(origin), named, firsts, seconds, options)
         reject_counts.update([est.kind for est in column if type(est) is RejectReason])
         columns.append(column)
     # with no origin, each pair has no entry, which min_over_origins refuses

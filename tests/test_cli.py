@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import re
 import resource
 import stat
@@ -16,6 +17,7 @@ import pytest
 import edgedist
 from edgedist import cli, ingest, synth, transit
 from edgedist.cli import main, pair_at
+from edgedist.model import PairEstimate
 
 from conftest import trace
 
@@ -331,6 +333,29 @@ def test_dist_writes_both_metrics(tmp_path, capsys):
     assert rtt.startswith("# metric=rtt_ms bin_width=5 n=1")
     out = capsys.readouterr().out
     assert "hop_count: n=1 mean=2.0000" in out
+
+
+def test_dist_bytes_do_not_depend_on_pair_order(tmp_path, capsys):
+    # the same accepted pairs, listed forward and reversed, give the same
+    # tables and the same report, stability line included
+    rng = random.Random(11)
+    outcomes = [
+        transit.min_over_origins((f"a{i}", f"b{i}"), ("O1",), (PairEstimate(
+            "O1", "t", 1, 1, False, rng.randint(2, 12), rng.uniform(1, 90)),))
+        for i in range(300)
+    ]
+    written = []
+    for name, listed in (("forward", outcomes), ("reversed", outcomes[::-1])):
+        transit.write_outcomes(listed, tmp_path / f"{name}.jsonl")
+        prefix = tmp_path / name
+        assert main(["dist", "--outcomes", str(tmp_path / f"{name}.jsonl"),
+                     "--stability", "50:4", "-o", str(prefix)]) == 0
+        written.append([
+            capsys.readouterr().out.replace(str(prefix), "PREFIX"),
+            (tmp_path / f"{name}.hops.tsv").read_bytes(),
+            (tmp_path / f"{name}.rtt.tsv").read_bytes(),
+        ])
+    assert written[0] == written[1]
 
 
 def test_dist_baseline_reads_each_file_once(tmp_path, capsys, monkeypatch):
@@ -916,7 +941,16 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     assert "topology.jsonl" in names
     assert "pairs.csv" in names
     assert "report.tsv" in names
-    assert sum(n.startswith("traces_") for n in names) == 2
+    # every origin's traces, one per pair endpoint: the batch empties only
+    # a copy of the report's mapping
+    traced = [n for n in names if n.startswith("traces_")]
+    assert len(traced) == 2
+    endpoints = {host for line in (outdir / "pairs.csv").read_text().splitlines()
+                 for host in line.split(",")}
+    for name in traced:
+        traces = ingest.read_canonical(outdir / name)
+        assert {t.origin_id for t in traces} == {name[len("traces_"):-len(".jsonl")]}
+        assert sorted(t.destination for t in traces) == sorted(endpoints)
     out = capsys.readouterr().out
     assert "success_ratio=" in out and "soundness_violations=0" in out
 

@@ -360,6 +360,23 @@ def test_canonical_read_shares_address_strings(tmp_path):
     assert first.destination is second.destination is second.addresses[-1]
 
 
+def test_canonical_read_shares_equal_float_rtts_and_keeps_ints_and_zeros(tmp_path):
+    # sharing by value would merge 5 with 5.0 and 0.0 with -0.0, which
+    # encode differently
+    path, out = tmp_path / "traces.jsonl", tmp_path / "out.jsonl"
+    path.write_text(
+        '{"origin_id":"o","destination":"d","timestamp":null,"reached":true,"hops":'
+        '[[1,"a",0.0],[2,"b",-0.0],[3,"c",5],[4,"e",5.0],[5,"f",7.25],[6,"d",7.25]]}\n'
+        '{"origin_id":"o","destination":"g","timestamp":null,"reached":true,"hops":'
+        '[[1,"a",5.0],[2,"g",7.25]]}\n')
+    first, second = read_canonical(path)
+    assert [repr(rtt) for rtt in first.rtts] == ["0.0", "-0.0", "5", "5.0", "7.25", "7.25"]
+    assert first.rtts[4] is first.rtts[5] is second.rtts[1]
+    assert first.rtts[3] is second.rtts[0]
+    write_canonical([first, second], out)
+    assert out.read_bytes() == path.read_bytes()
+
+
 def _parse_hop_outcome(parse, ttl, body):
     try:
         return parse(ttl, body)

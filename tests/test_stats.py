@@ -1,7 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from edgedist.model import PairEstimate
 from edgedist.stats import (
@@ -174,6 +176,31 @@ def test_stability_monte_carlo():
     mean_dev, _ = resample_stability(outcomes, 500, 20, seed=7)
     full_mean = sum(bounds) / len(bounds)
     assert mean_dev < 0.05 * full_mean
+
+
+@given(st.lists(st.floats(0, 1e6), min_size=1, max_size=40).flatmap(
+    lambda values: st.tuples(st.just(values), st.permutations(values))))
+# summed in input order, 0.1 + 0.2 + 0.3 is 0.6000000000000001 and
+# 0.3 + 0.2 + 0.1 is 0.6
+@example(([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]))
+def test_moments_are_correctly_rounded_in_any_order(drawn):
+    values, shuffled = drawn
+    dist = distribution_from_samples(values, RTT_MS)
+    again = distribution_from_samples(shuffled, RTT_MS)
+    assert repr((dist.mean, dist.std)) == repr((again.mean, again.std))
+    # the sum is rounded once, exactly as a Fraction sum is
+    n = len(values)
+    mean = float(sum(map(Fraction, values))) / n
+    assert dist.mean == mean
+    assert dist.std == math.sqrt(float(sum(Fraction((v - mean) ** 2) for v in values)) / n)
+
+
+def test_stability_does_not_depend_on_outcome_order():
+    rng = random.Random(41)
+    outcomes = [make_outcome(i, rng.randint(2, 12), rng.uniform(1, 90)) for i in range(300)]
+    for metric in (HOP_COUNT, RTT_MS):
+        forward = resample_stability(outcomes, 40, 5, seed=3, metric=metric)
+        assert resample_stability(outcomes[::-1], 40, 5, seed=3, metric=metric) == forward
 
 
 @pytest.mark.parametrize("values", [[1e200, 3e200], [1.7e308, 1.7e308]])

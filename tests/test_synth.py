@@ -495,7 +495,7 @@ def _rescanned_cross_checks(report, pairs, sim, est_options):
     confusion = dict.fromkeys(
         ("clean_accept", "clean_reject", "corrupt_accept", "corrupt_reject"), 0)
     false_rtt_accepts = 0
-    outcomes, _ = batch_estimate(report.traces_by_origin, pairs, est_options)
+    outcomes, _ = batch_estimate(dict(report.traces_by_origin), pairs, est_options)
     for (a, b), outcome in zip(pairs, outcomes):
         first, second = outcome.pair
         for origin, est in zip(outcome.origins, outcome.entries):

@@ -712,7 +712,7 @@ def test_prepared_estimator_matches_reference(campaign):
             for a, b in pairs:
                 assert estimate_pair(prepared[a], prepared[b]) == \
                     reference.estimate_pair(by_dest[a], by_dest[b], options)
-        outcomes, _ = batch_estimate(traces_by_origin, pairs, options)
+        outcomes, _ = batch_estimate(dict(traces_by_origin), pairs, options)
         for (a, b), outcome in zip(pairs, outcomes):
             per_origin = {
                 origin: reference.estimate_pair(by_dest[a], by_dest[b], options)
@@ -777,7 +777,7 @@ def test_sweep_matches_the_reference_loop(tmp_path_factory, campaign):
     traces_by_origin, pairs = campaign
     tmp = tmp_path_factory.mktemp("sweep")
     for options in OPTION_GRID:
-        got, got_stats = batch_estimate(traces_by_origin, pairs, options)
+        got, got_stats = batch_estimate(dict(traces_by_origin), pairs, options)
         want, want_stats = reference.batch_estimate(traces_by_origin, pairs, options)
         assert got == want
         # one origins tuple for the whole batch
@@ -842,7 +842,7 @@ def test_a_misfiled_trace_fails_at_the_first_pair_that_uses_it(
     traces_by_origin["O1"][1] = traces_by_origin["O2"][1]
     for batch in (batch_estimate, reference.batch_estimate):
         with pytest.raises(ValueError) as raised:
-            batch(traces_by_origin, pairs, HOST_MODE)
+            batch(dict(traces_by_origin), pairs, HOST_MODE)
         assert str(raised.value) == message
 
 
@@ -872,6 +872,25 @@ def test_the_batch_prepares_one_origins_named_traces_at_a_time(monkeypatch):
     assert seen == [(origin, 2) for origin in ("O1", "O1", "O2", "O2", "O3", "O3")]
     assert live == [0]
     assert all(oc.accepted for oc in outcomes)
+
+
+def test_the_batch_empties_its_mapping_origin_by_origin(monkeypatch):
+    # each origin's list leaves the mapping before its entries are
+    # estimated, so its traces can be freed once its column is built
+    traces_by_origin = _three_hosts_from_two_origins()
+    kept = dict(traces_by_origin)
+    pairs = [("a", "b"), ("c", "a"), ("b", "ghost")]
+    left = []
+
+    def sampled(pa, pb, *tables):
+        left.append((pa.origin_id, sorted(traces_by_origin)))
+        return estimate_pair(pa, pb, *tables)
+
+    monkeypatch.setattr(transit, "estimate_pair", sampled)
+    outcomes, stats = transit.batch_estimate(traces_by_origin, pairs, HOST_MODE)
+    assert traces_by_origin == {}
+    assert left == [("O1", ["O2"]), ("O1", ["O2"]), ("O2", []), ("O2", [])]
+    assert (outcomes, stats) == reference.batch_estimate(kept, pairs, HOST_MODE)
 
 
 def test_a_batch_with_no_origin_refuses_its_pairs():
