@@ -141,8 +141,9 @@ def cmd_ingest(args) -> int:
     _say(args, f"wrote {len(traces)} traces to {args.output}")
     if skipped or warnings:
         _say(args, f"parsed={parsed} skipped_lines={skipped} warnings={len(warnings)}")
-        for warning in warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+        if not args.quiet:  # the exit code still tells a partial ingest
+            for warning in warnings:
+                print(f"warning: {warning}", file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK
 
@@ -261,9 +262,7 @@ def cmd_dist(args) -> int:
             lines.append(f"{metric} vs baseline: mean_shift={mean_shift:.4f} ks={ks:.4f}")
         if stability is not None:
             subset, trials = stability
-            mean_dev, std_dev = stats.resample_stability(
-                outcomes, subset, trials, args.seed, metric
-            )
+            mean_dev, std_dev = stats.resample_stability(dist, subset, trials, args.seed)
             lines.append(f"{metric} stability ({subset} x {trials}): "
                          f"max_mean_dev={mean_dev:.4f} max_std_dev={std_dev:.4f}")
         results.append((dist, out_path, lines))

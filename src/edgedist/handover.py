@@ -12,10 +12,11 @@ import csv
 import math
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Iterable
 from pathlib import Path
 
 from .model import _Value
-from .stats import HOP_COUNT, RTT_MS, EdgeDistribution, ascii_number
+from .stats import HOP_COUNT, RTT_MS, EdgeDistribution, ascii_number, multiset_sum
 
 CBR_INTERVAL_MS = 10.0
 
@@ -45,27 +46,37 @@ class LossTable(_Value, namedtuple("LossTable", "delay_axis anticipation_axis va
             raise ValueError("loss values must be finite and >= 0")
         return tuple.__new__(cls, (delay_axis, anticipation_axis, values))
 
-    def total_losses(self, delays_ms: list[float], anticipations: list[float]) -> list[float]:
-        """The bilinear loss summed over ``delays_ms`` in their order, per
-        anticipation.  Each delay's row and weight, and each anticipation's
+    def total_losses(self, delays_ms: list[tuple[float, int]],
+                     anticipations: list[float]) -> list[float]:
+        """The bilinear loss summed over the (delay, count) pairs ``delays_ms``,
+        per anticipation.  Each delay's row and weight, and each anticipation's
         column, is located once; the values and the first error are those of
         lookups point by point in grid order: the first delay, the first
         anticipation, later delays, then later anticipations."""
         if not delays_ms:  # no lookup, so no error
             return [0] * len(anticipations)
-        rows = [_locate(self.delay_axis, delays_ms[0], "delay")]
+        rows = [_locate(self.delay_axis, delays_ms[0][0], "delay")]
         columns = [_locate(self.anticipation_axis, a, "anticipation") for a in anticipations[:1]]
-        rows += [_locate(self.delay_axis, d, "delay") for d in delays_ms[1:]]
+        rows += [_locate(self.delay_axis, d, "delay") for d, _ in delays_ms[1:]]
         columns += [_locate(self.anticipation_axis, a, "anticipation") for a in anticipations[1:]]
-        rows = [(di, 1 - dw, dw) for di, dw in rows]
+        rows = [(di, 1 - dw, dw, count) for (di, dw), (_, count) in zip(rows, delays_ms)]
         totals = []
         for ai, aw in columns:
             # each row blended at this anticipation, as one lookup blends
             # two; _locate never returns an axis's last index, and the cells
             # are finite, so a neighbour at weight 0 adds exactly 0
             blend = [row[ai] * (1 - aw) + row[ai + 1] * aw for row in self.values]
-            totals.append(sum([blend[di] * cw + blend[di + 1] * dw for di, cw, dw in rows]))
+            totals.append(_loss_sum((blend[di] * cw + blend[di + 1] * dw, count)
+                                    for di, cw, dw, count in rows))
         return totals
+
+
+def _loss_sum(losses: Iterable[tuple[float, int]]) -> float:
+    """``multiset_sum`` of (loss, count) pairs; no loss is < 0, so an overflow is inf."""
+    try:
+        return multiset_sum(losses)
+    except OverflowError:
+        return math.inf
 
 
 def _locate(axis: tuple[float, ...], value: float, label: str) -> tuple[int, float]:
@@ -99,13 +110,14 @@ class LossModel(_Value, namedtuple("LossModel", "beta table")):
             raise ValueError(f"beta must be finite and >= 0, got {beta}")
         return tuple.__new__(cls, (beta, table))
 
-    def total_losses(self, delays_ms: list[float], anticipations: list[float]) -> list[float]:
-        """L(d, a) summed over ``delays_ms`` in their order, per anticipation
-        a, with no call per delay; beta * a is taken once per a."""
+    def total_losses(self, delays_ms: list[tuple[float, int]],
+                     anticipations: list[float]) -> list[float]:
+        """L(d, a) summed over the (delay, count) pairs ``delays_ms``, per
+        anticipation a, with no call per delay; beta * a is taken once per a."""
         if self.table is not None:
             return self.table.total_losses(delays_ms, anticipations)
         # d - a is positive exactly when d > a, so each term is max(0, d - a) + cost
-        return [sum([(d - a if d > a else 0.0) + cost for d in delays_ms])
+        return [_loss_sum(((d - a if d > a else 0.0) + cost, count) for d, count in delays_ms)
                 for a in anticipations for cost in [self.beta * a]]
 
 
@@ -140,11 +152,13 @@ def expected_loss_curve(
     """Expected loss duration and packet count per anticipation grid point.
 
     One-way inter-access-router delays come from the RTT distribution via
-    ``delay_scale`` (default 0.5).  The expectation runs over the raw RTT
-    samples, so the reactive point a=0 equals delay_scale times the
-    distribution mean exactly under the default model.  An expected loss
-    that is not finite (beta * a or the sum over the samples overflows) is
-    a ValueError naming beta and delay_scale.
+    ``delay_scale`` (default 0.5).  The expectation is the ``multiset_sum``
+    of the per-sample losses over the distribution's values, never its bins,
+    so under the default model the reactive point a=0 equals delay_scale
+    times the distribution mean bit for bit when delay_scale is a power of
+    two and no RTT is negative (or underflows when scaled).  An expected
+    loss that is not finite (beta * a or the sum overflows) is a ValueError
+    naming beta and delay_scale.
     """
     if delay_dist.metric != RTT_MS:
         raise ValueError("expected_loss_curve needs an RTT distribution")
@@ -154,7 +168,7 @@ def expected_loss_curve(
         raise ValueError("anticipation times must be >= 0")
     if not 0 < delay_scale < math.inf:
         raise ValueError(f"delay_scale must be finite and > 0, got {delay_scale}")
-    delays = [delay_scale * rtt for rtt in delay_dist.samples]
+    delays = [(delay_scale * rtt, count) for rtt, count in delay_dist.values]
     losses = [total / delay_dist.n for total in model.total_losses(delays, anticipation_grid)]
     for a, loss in zip(anticipation_grid, losses):
         if not math.isfinite(loss):
@@ -239,8 +253,8 @@ def multicast_persistence(
     handover: sum over hop distances of P(h) * persist_ratio(h)."""
     if hop_dist.metric != HOP_COUNT:
         raise ValueError("multicast_persistence needs a hop-count distribution")
-    hops = [int(round(v)) for v in hop_dist.samples]
-    missing = sorted({h for h in hops if h not in table.entries})
+    missing = sorted({round(v) for v, _ in hop_dist.values} - table.entries.keys())
     if missing:
         raise ValueError(f"persistence table misses hop distances {missing}")
-    return math.fsum(table.entries[h] for h in hops) / len(hops)
+    return multiset_sum((table.entries[round(v)], count)
+                        for v, count in hop_dist.values) / hop_dist.n

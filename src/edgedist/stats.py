@@ -1,17 +1,18 @@
 """Empirical edge-distance distributions and their comparison.
 
-Raw samples are retained next to the histogram: mean, std and the ccdf are
-computed from samples, never from bin centers.  Std is the population
-standard deviation (divide by n), reported as a descriptive statistic over
-the measured set.
+A distribution holds its distinct values with their counts next to the
+histogram: mean, std and the ccdf are computed from them, never from bin
+centers, each sum by ``multiset_sum``, which no order or grouping can move.
+Std is the population standard deviation (divide by n), reported as a
+descriptive statistic over the measured set.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
+from collections.abc import Collection, Iterable, Mapping
 from pathlib import Path
 
 from .jsonl import read_lines, write_lines
@@ -25,16 +26,16 @@ DEFAULT_BIN_WIDTH = {HOP_COUNT: 1.0, RTT_MS: 5.0}
 
 
 class EdgeDistribution(_Value, namedtuple(
-        "EdgeDistribution", "metric bin_width bins n mean std samples excluded", defaults=(0,))):
-    """``n`` samples of ``metric``: ``bins`` holds the ordered (lower_edge,
-    count) pairs, ``samples`` the sorted raw values, and ``excluded`` the
-    pairs with no accepted estimate."""
+        "EdgeDistribution", "metric bin_width bins n mean std values excluded", defaults=(0,))):
+    """``n`` samples of ``metric``: ``bins`` and ``values`` hold the ordered
+    (lower_edge, count) and (distinct value, count) pairs, and ``excluded``
+    the pairs with no accepted estimate."""
 
     __slots__ = ()
 
     def fraction_above(self, threshold: float) -> float:
-        """Fraction of raw samples strictly greater than threshold."""
-        return (self.n - bisect_right(self.samples, threshold)) / self.n
+        """Fraction of samples strictly greater than threshold."""
+        return sum(count for value, count in self.values if value > threshold) / self.n
 
 
 def ascii_number(text: str, kind: type = float) -> float | int:
@@ -48,63 +49,52 @@ def ascii_number(text: str, kind: type = float) -> float | int:
     return value
 
 
-def _moments(values: list[float], metric: str) -> tuple[float, float]:
-    """Mean and population std of ``values`` of ``metric``, whatever their
-    order: each sum is ``math.fsum``'s, correctly rounded.  Finite values
-    can still overflow either."""
+def multiset_sum(pairs: Iterable[tuple[float, int]]) -> float:
+    """The sum of ``value * count`` over (value, count) pairs, correctly
+    rounded whatever their order or grouping: ``value * 2**k`` for each set
+    bit k of a count is exact, and ``math.fsum`` rounds their sum once.  A
+    term or partial sum past the float range raises OverflowError, as
+    ``math.fsum`` does."""
+    return math.fsum(math.ldexp(value, k) for value, count in pairs
+                     for k in range(count.bit_length()) if count >> k & 1)
+
+
+def _moments(values: Collection[tuple[float, int]], n: int, metric: str) -> tuple[float, float]:
+    """Mean and population std of the ``n`` samples that ``values``
+    counts, as (value, count) pairs, of ``metric``.  Finite values can
+    still overflow either."""
     if not values:
         raise ValueError("empty distribution")
-    n = len(values)
     try:
-        mean = math.fsum(values) / n
-        var = math.fsum((v - mean) ** 2 for v in values) / n
-    except OverflowError:  # fsum and a float ** raise where + gives inf
+        mean = multiset_sum(values) / n
+        var = multiset_sum(((v - mean) ** 2, count) for v, count in values) / n
+    except OverflowError:  # multiset_sum and a float ** raise where + gives inf
         var = math.inf
     if not var < math.inf:  # also nan, from an infinite mean
         raise ValueError(f"{metric} values overflow the mean or std")
     return mean, math.sqrt(var)
 
 
-def distribution_from_samples(
-    values: list[float],
-    metric: str,
-    bin_width: float | None = None,
-    excluded: int = 0,
-) -> EdgeDistribution:
+def distribution_from_counts(counts: Mapping[float, int], metric: str,
+                             bin_width: float | None = None,
+                             excluded: int = 0) -> EdgeDistribution:
+    """The distribution that ``counts`` maps from each value to its count."""
     if bin_width is None:
         bin_width = DEFAULT_BIN_WIDTH[metric]
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
-    mean, std = _moments(values, metric)
-    largest = max(map(abs, values))
+    values = sorted((v, count) for v, count in counts.items() if count)
+    n = sum(count for _, count in values)
+    mean, std = _moments(values, n, metric)
+    largest = max(abs(v) for v, _ in values)
     if not math.isfinite(largest / bin_width):  # floor() of it would raise OverflowError
         raise ValueError(f"bin_width {bin_width!r} is too small for {metric} value {largest!r}")
-    counts: dict[float, int] = {}
-    for v in values:
+    bins: dict[float, int] = {}
+    for v, count in values:
         edge = math.floor(v / bin_width) * bin_width
-        counts[edge] = counts.get(edge, 0) + 1
-    bins = tuple(sorted(counts.items()))
-    return EdgeDistribution(
-        metric=metric,
-        bin_width=bin_width,
-        bins=bins,
-        n=len(values),
-        mean=mean,
-        std=std,
-        samples=tuple(sorted(values)),
-        excluded=excluded,
-    )
-
-
-def outcome_values(outcomes: list[PairOutcome], metric: str) -> tuple[list[float], int]:
-    """Best-bound values per accepted pair, plus the excluded-pair count."""
-    if metric == HOP_COUNT:
-        values = [float(oc.best_hop.hop_bound) for oc in outcomes if oc.best_hop is not None]
-    elif metric == RTT_MS:
-        values = [oc.best_rtt.rtt_bound_ms for oc in outcomes if oc.best_rtt is not None]
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return values, len(outcomes) - len(values)
+        bins[edge] = bins.get(edge, 0) + count
+    return EdgeDistribution(metric, bin_width, tuple(sorted(bins.items())), n, mean, std,
+                            tuple(values), excluded)
 
 
 def build_distribution(
@@ -114,8 +104,14 @@ def build_distribution(
 ) -> EdgeDistribution:
     """Histogram of best bounds over accepted pairs; rejected pairs counted
     in ``excluded`` so the success ratio is never hidden."""
-    values, excluded = outcome_values(outcomes, metric)
-    return distribution_from_samples(values, metric, bin_width, excluded)
+    if metric == HOP_COUNT:
+        counts = Counter(float(oc.best_hop.hop_bound)
+                         for oc in outcomes if oc.best_hop is not None)
+    elif metric == RTT_MS:
+        counts = Counter(oc.best_rtt.rtt_bound_ms for oc in outcomes if oc.best_rtt is not None)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return distribution_from_counts(counts, metric, bin_width, len(outcomes) - counts.total())
 
 
 def compare_distributions(
@@ -135,33 +131,21 @@ def compare_distributions(
     return a.mean - b.mean, ks
 
 
-def resample_stability(
-    outcomes: list[PairOutcome],
-    subset_size: int,
-    trials: int,
-    seed: int,
-    metric: str = HOP_COUNT,
-) -> tuple[float, float]:
+def resample_stability(dist: EdgeDistribution, subset_size: int, trials: int,
+                       seed: int) -> tuple[float, float]:
     """Largest absolute deviation of subset mean and std from the full-sample
     values, over ``trials`` without-replacement subsets.  The subsets are
-    drawn from the sorted values, so the outcomes' order cannot move them."""
+    drawn from the sorted samples, so the outcomes' order cannot move them."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    values, _ = outcome_values(outcomes, metric)
-    values.sort()
-    if subset_size > len(values):
-        raise ValueError(
-            f"subset size {subset_size} exceeds accepted count {len(values)}"
-        )
-    full_mean, full_std = _moments(values, metric)
+    if subset_size > dist.n:
+        raise ValueError(f"subset size {subset_size} exceeds accepted count {dist.n}")
+    values, counts = zip(*dist.values)
     rng = random.Random(seed)
-    max_mean_dev = 0.0
-    max_std_dev = 0.0
-    for _ in range(trials):
-        mean, std = _moments(rng.sample(values, subset_size), metric)
-        max_mean_dev = max(max_mean_dev, abs(mean - full_mean))
-        max_std_dev = max(max_std_dev, abs(std - full_std))
-    return max_mean_dev, max_std_dev
+    moments = [_moments(Counter(rng.sample(values, subset_size, counts=counts)).items(),
+                        subset_size, dist.metric) for _ in range(trials)]
+    return (max(abs(mean - dist.mean) for mean, _ in moments),
+            max(abs(std - dist.std) for _, std in moments))
 
 
 def write_distribution_tsv(dist: EdgeDistribution, path: str | Path) -> None:
@@ -177,11 +161,12 @@ def write_distribution_tsv(dist: EdgeDistribution, path: str | Path) -> None:
 def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
     """Rebuild a distribution from its TSV export.
 
-    Raw samples are reconstructed from the bins (exact for integer metrics at
-    bin width 1, bin centers otherwise), so downstream use is approximate for
-    continuous metrics.  Numbers are ``ascii_number`` text.  Where the header
-    gives ``n``, the counts must sum to it, checked row by row before any
-    sample is built.  Errors name the file, and a bad row its line.
+    Each bin's count is given to one value: its lower edge for integer
+    metrics at bin width 1, exact there, and its center otherwise, so
+    downstream use is approximate for continuous metrics.  No count is
+    expanded into samples.  Numbers are ``ascii_number`` text.  Where the
+    header gives ``n``, the counts must sum to it, checked row by row.
+    Errors name the file, and a bad row its line.
     """
     meta: dict[str, str] = {}
     n = None
@@ -232,13 +217,10 @@ def read_distribution_tsv(path: str | Path) -> EdgeDistribution:
     if n is not None and total != n:
         raise ValueError(f"{path}: the counts sum to {total}, not the header's n={n}")
     exact = metric == HOP_COUNT and bin_width == 1.0
-    samples: list[float] = []
+    counts: Counter = Counter()
     for edge, count in bins:
-        value = edge if exact else edge + bin_width / 2
-        samples.extend([value] * count)
-    if not samples:
-        raise ValueError(f"{path}: empty distribution")
+        counts[edge if exact else edge + bin_width / 2] += count
     try:
-        return distribution_from_samples(samples, metric, bin_width, excluded=excluded)
+        return distribution_from_counts(counts, metric, bin_width, excluded)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from edgedist.model import TracePath
+from edgedist.stats import distribution_from_counts
 from edgedist.synth import Topology
 
 
@@ -37,3 +40,9 @@ def trace(origin, dest, hops, reached=True):
     pairs in TTL order: every test trace is built here."""
     return TracePath(origin, dest, tuple(addr for addr, _ in hops),
                      tuple(rtt for _, rtt in hops), reached)
+
+
+def distribution_of(samples, metric, bin_width=None):
+    """The distribution of the sample list ``samples``: each test that
+    starts from samples builds its distribution here."""
+    return distribution_from_counts(Counter(samples), metric, bin_width)

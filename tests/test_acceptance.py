@@ -17,12 +17,7 @@ from edgedist.handover import (
     multicast_persistence,
 )
 from edgedist.model import PairEstimate
-from edgedist.stats import (
-    HOP_COUNT,
-    RTT_MS,
-    distribution_from_samples,
-    resample_stability,
-)
+from edgedist.stats import HOP_COUNT, RTT_MS, build_distribution, resample_stability
 from edgedist.synth import SimOptions, Topology, generate_topology, run_experiment
 from edgedist.transit import (
     ACCESS_ROUTER,
@@ -33,6 +28,8 @@ from edgedist.transit import (
     estimate_pair,
     min_over_origins,
 )
+
+from conftest import distribution_of
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -245,7 +242,7 @@ def test_criterion_5_handover_quantile_law():
     sandwich_ok = True
     for _ in range(50):
         rtts = [rng.uniform(10.0, 350.0) for _ in range(rng.randint(20, 300))]
-        dist = distribution_from_samples(rtts, RTT_MS)
+        dist = distribution_of(rtts, RTT_MS)
         delays = sorted(0.5 * r for r in rtts)
         for beta in (0.05, 0.1, 0.2):
             curve = expected_loss_curve(dist, LossModel(beta=beta), grid)
@@ -264,7 +261,7 @@ def test_criterion_5_handover_quantile_law():
     peaked += [rng.uniform(60.0, 240.0) for _ in range(8)]
     short_grid = [step * i for i in range(21)]
     curve = expected_loss_curve(
-        distribution_from_samples(peaked, RTT_MS), LossModel(beta=0.1), short_grid
+        distribution_of(peaked, RTT_MS), LossModel(beta=0.1), short_grid
     )
     peak_opt = argmin_anticipation(curve)
     peak_ok = not peak_opt.flat and abs(peak_opt.anticipation_ms - 25.0) <= 5.0
@@ -275,7 +272,7 @@ def test_criterion_5_handover_quantile_law():
     uniformish += [rng.uniform(210.0, 2010.0) for _ in range(10)]
     flat_opt = argmin_anticipation(
         expected_loss_curve(
-            distribution_from_samples(uniformish, RTT_MS), LossModel(beta=0.1),
+            distribution_of(uniformish, RTT_MS), LossModel(beta=0.1),
             short_grid,
         )
     )
@@ -292,7 +289,7 @@ def test_criterion_5_handover_quantile_law():
 
 
 def _hop_dist(samples):
-    return distribution_from_samples([float(s) for s in samples], HOP_COUNT, 1.0)
+    return distribution_of([float(s) for s in samples], HOP_COUNT, 1.0)
 
 
 def test_criterion_6_multicast_persistence():
@@ -344,7 +341,7 @@ def _outcome(i, hop_bound):
 def test_criterion_7_statistics():
     rng = random.Random(700)
     values = [rng.uniform(0.0, 400.0) for _ in range(1500)]
-    dist = distribution_from_samples(values, RTT_MS)
+    dist = distribution_of(values, RTT_MS)
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
     moments_ok = (
@@ -357,7 +354,7 @@ def test_criterion_7_statistics():
     )
     bounds = [rng.randint(4, 18) for _ in range(2000)]
     outcomes = [_outcome(i, b) for i, b in enumerate(bounds)]
-    mean_dev, _ = resample_stability(outcomes, 500, 20, seed=700)
+    mean_dev, _ = resample_stability(build_distribution(outcomes, HOP_COUNT), 500, 20, seed=700)
     full_mean = sum(bounds) / len(bounds)
     stability_ok = mean_dev < 0.05 * full_mean
     _verdict(7, "statistics", moments_ok and ccdf_ok and stability_ok,

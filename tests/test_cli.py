@@ -10,6 +10,7 @@ import resource
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,16 @@ def test_ingest_corrupted_line_is_partial_exit(tmp_path, capsys):
     assert main(["ingest", str(src), "-o", str(out)]) == 1
     assert out.exists()  # partial output is still written
     assert "warning" in capsys.readouterr().err
+
+
+def test_ingest_quiet_silences_the_warnings_but_not_the_exit_code(tmp_path, capsys):
+    # --quiet dropped the summary line but still printed each warning
+    src = tmp_path / "raw.txt"
+    src.write_text(TRACEROUTE_TEXT + "garbage that is no hop line\n")
+    out = tmp_path / "traces.jsonl"
+    assert main(["--quiet", "ingest", str(src), "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", "")
+    assert out.exists()
 
 
 def test_ingest_non_ascii_digits_are_warnings(tmp_path, capsys):
@@ -337,23 +348,33 @@ def test_dist_writes_both_metrics(tmp_path, capsys):
 
 def test_dist_bytes_do_not_depend_on_pair_order(tmp_path, capsys):
     # the same accepted pairs, listed forward and reversed, give the same
-    # tables and the same report, stability line included
+    # tables and the same report, stability line included, and the same
+    # handover curve and persistence
     rng = random.Random(11)
     outcomes = [
         transit.min_over_origins((f"a{i}", f"b{i}"), ("O1",), (PairEstimate(
             "O1", "t", 1, 1, False, rng.randint(2, 12), rng.uniform(1, 90)),))
         for i in range(300)
     ]
+    table = tmp_path / "persist.csv"
+    table.write_text("hop,persist_ratio\n" + "".join(f"{h},{1 - h / 13}\n" for h in range(13)))
     written = []
     for name, listed in (("forward", outcomes), ("reversed", outcomes[::-1])):
-        transit.write_outcomes(listed, tmp_path / f"{name}.jsonl")
+        listed_path = tmp_path / f"{name}.jsonl"
+        transit.write_outcomes(listed, listed_path)
         prefix = tmp_path / name
-        assert main(["dist", "--outcomes", str(tmp_path / f"{name}.jsonl"),
+        assert main(["dist", "--outcomes", str(listed_path),
                      "--stability", "50:4", "-o", str(prefix)]) == 0
+        dist_out = capsys.readouterr().out.replace(str(prefix), "PREFIX")
+        curve = tmp_path / f"{name}.curve.tsv"
+        assert main(["handover", "--outcomes", str(listed_path), "--grid", "0:90:2.5",
+                     "--beta", "0.13", "--persistence", str(table), "-o", str(curve)]) == 0
         written.append([
-            capsys.readouterr().out.replace(str(prefix), "PREFIX"),
+            dist_out,
+            capsys.readouterr().out,
             (tmp_path / f"{name}.hops.tsv").read_bytes(),
             (tmp_path / f"{name}.rtt.tsv").read_bytes(),
+            curve.read_bytes(),
         ])
     assert written[0] == written[1]
 
@@ -497,7 +518,7 @@ def test_dist_bad_stability_is_fatal(tmp_path, capsys, spec):
 def test_bad_rtt_bin_width_is_fatal(tmp_path, capsys, command, width):
     # dist wrote its hop file before it failed on 0, -5 and nan; inf binned
     # every sample at a nan lower edge.  handover has no such flag: its curve
-    # runs over the raw samples, so a width could not change it.
+    # runs over the distinct values, so a width could not change it.
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
     main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
@@ -861,6 +882,23 @@ def test_handover_bad_dist_tsv_is_fatal(tmp_path, capsys, header, row, message):
     assert main(["handover", "--dist-tsv", str(dist), "-o", str(curve)]) == 2
     assert re.match(f"error: {re.escape(str(dist))}{message}", capsys.readouterr().err)
     assert not curve.exists()
+
+
+def test_handover_dist_tsv_count_without_n_is_never_expanded(tmp_path, capsys):
+    # with no n= to check against, a count of 10**15 was expanded into as
+    # many samples: an uncaught MemoryError, exit 1
+    dist = tmp_path / "dist.rtt.tsv"
+    dist.write_text("# metric=rtt_ms bin_width=5\nlower_edge\tcount\tfraction\n"
+                    "0\t1000000000000000\t1.0\n", encoding="utf-8")
+    curve = tmp_path / "curve.tsv"
+    started = time.perf_counter()
+    assert main(["handover", "--dist-tsv", str(dist), "--grid", "0:10:5",
+                 "-o", str(curve)]) == 0
+    assert time.perf_counter() - started < 1.0
+    # every sample sits at the bin center, 2.5 ms, a one-way delay of 1.25 ms
+    assert curve.read_text().splitlines()[1:] == [
+        "0\t1.25\t0.125", "5\t0.5\t0.05", "10\t1.0\t0.1"]
+    assert capsys.readouterr().out == "argmin: anticipation=5 ms expected_loss=0.5000 ms\n"
 
 
 def test_handover_bad_grid_is_fatal(tmp_path, capsys):

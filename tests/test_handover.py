@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from bisect import bisect_left
@@ -16,15 +17,17 @@ from edgedist.handover import (
     load_persistence_table,
     multicast_persistence,
 )
-from edgedist.stats import HOP_COUNT, RTT_MS, distribution_from_samples
+from edgedist.stats import HOP_COUNT, RTT_MS
+
+from conftest import distribution_of
 
 
 def rtt_dist(samples):
-    return distribution_from_samples(list(samples), RTT_MS)
+    return distribution_of(samples, RTT_MS)
 
 
 def hop_dist(samples):
-    return distribution_from_samples([float(s) for s in samples], HOP_COUNT, 1.0)
+    return distribution_of([float(s) for s in samples], HOP_COUNT, 1.0)
 
 
 # --- loss model ------------------------------------------------------------
@@ -32,12 +35,12 @@ def hop_dist(samples):
 
 def test_default_model_reactive_is_delay():
     model = LossModel(beta=0.1)
-    assert model.total_losses([37.0], [0.0]) == [37.0]
+    assert model.total_losses([(37.0, 1)], [0.0]) == [37.0]
 
 
 def test_default_model_tradeoff():
     model = LossModel(beta=0.1)
-    assert model.total_losses([30.0], [30.0, 40.0, 20.0]) == pytest.approx([3.0, 4.0, 12.0])
+    assert model.total_losses([(30.0, 1)], [30.0, 40.0, 20.0]) == pytest.approx([3.0, 4.0, 12.0])
 
 
 def test_table_model_lookup_and_refusal_to_extrapolate(tmp_path):
@@ -49,12 +52,12 @@ def test_table_model_lookup_and_refusal_to_extrapolate(tmp_path):
     )
     table = load_loss_table(path)
     model = LossModel(table=table)
-    assert model.total_losses([10.0], [10.0]) == [4.0]
-    assert model.total_losses([20.0], [0.0]) == pytest.approx([20.0])  # bilinear midpoint
+    assert model.total_losses([(10.0, 1)], [10.0]) == [4.0]
+    assert model.total_losses([(20.0, 1)], [0.0]) == pytest.approx([20.0])  # bilinear midpoint
     with pytest.raises(ValueError):
-        model.total_losses([50.0], [0.0])
+        model.total_losses([(50.0, 1)], [0.0])
     with pytest.raises(ValueError):
-        model.total_losses([10.0], [25.0])
+        model.total_losses([(10.0, 1)], [25.0])
 
 
 def test_table_lookup_on_the_axis_edges():
@@ -63,7 +66,7 @@ def test_table_lookup_on_the_axis_edges():
     points = [(10.0, 0.0, 10.0), (30.0, 20.0, 14.0), (30.0, 5.0, 26.0),
               (20.0, 20.0, 8.5), (25.0, 15.0, 14.375)]
     for delay, anticipation, loss in points:
-        assert table.total_losses([delay], [anticipation]) == [loss]
+        assert table.total_losses([(delay, 1)], [anticipation]) == [loss]
         assert _lookup(table, delay, anticipation) == loss
     assert table.total_losses([], [0.0, 99.0]) == [0, 0]
 
@@ -88,7 +91,8 @@ def test_reactive_anchor_equals_scaled_mean():
     rng = random.Random(5)
     dist = rtt_dist([rng.uniform(10, 200) for _ in range(300)])
     ((_, loss, _),) = expected_loss_curve(dist, LossModel(beta=0.1), [0.0])
-    assert loss == pytest.approx(0.5 * dist.mean, abs=1e-9)
+    # exact sums: halving commutes with rounding, so no bit may differ
+    assert loss == 0.5 * dist.mean
 
 
 def test_uniform_three_delay_grid_search_oracle():
@@ -134,16 +138,18 @@ def _lookup(table, delay_ms, anticipation_ms):
 
 
 def _per_sample_curve(delay_dist, model, grid, delay_scale=0.5):
-    """expected_loss_curve as a loop over L(d, a) per sample, its oracle."""
+    """expected_loss_curve as a loop over L(d, a) per sample, each count
+    expanded, summed with one rounding: its oracle."""
 
     def loss_at(delay_ms, anticipation_ms):
         if model.table is not None:
             return _lookup(model.table, delay_ms, anticipation_ms)
         return max(0.0, delay_ms - anticipation_ms) + model.beta * anticipation_ms
 
+    samples = [rtt for rtt, count in delay_dist.values for _ in range(count)]
     curve = []
     for a in grid:
-        total = sum(loss_at(delay_scale * rtt, a) for rtt in delay_dist.samples)
+        total = math.fsum(loss_at(delay_scale * rtt, a) for rtt in samples)
         loss = total / delay_dist.n
         curve.append((a, loss, loss / 10.0))
     return curve
@@ -217,6 +223,17 @@ def test_table_curve_raises_the_first_error_of_the_per_point_lookups(rtts, grid,
     for curve in (expected_loss_curve, _per_sample_curve):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             curve(dist, model, grid)
+
+
+@pytest.mark.parametrize("model, message", [
+    (LossModel(beta=1e306), "anticipation 100 ms overflows (beta=1e+306, delay_scale=0.5)"),
+    (LossModel(table=LossTable((0.0, 50.0), (0.0, 100.0), ((1e308, 1e308), (1e308, 1e308)))),
+     "anticipation 0 ms overflows (beta=0.1, delay_scale=0.5)"),
+], ids=["default", "table"])
+def test_a_loss_sum_past_the_float_range_is_named(model, message):
+    # each sample's loss is finite, 1e308, and the sum of the two is not
+    with pytest.raises(ValueError, match=f"^expected loss at {re.escape(message)}$"):
+        expected_loss_curve(rtt_dist([10.0, 20.0]), model, [0.0, 100.0])
 
 
 def test_curve_requires_rtt_metric():

@@ -177,7 +177,7 @@ MODEL = LossModel(0.2, TABLE)
 OPTIMUM = AnticipationOptimum(25.0, 3.5, False)
 PERSISTENCE = PersistenceTable({1: 1.0, 2: 0.5})
 REPORT = ParseReport(2, 1, ["unrecognized line: 'x'"])
-DIST = EdgeDistribution("hop_count", 1.0, ((2.0, 1), (3.0, 1)), 2, 2.5, 0.5, (2.0, 3.0))
+DIST = EdgeDistribution("hop_count", 1.0, ((2.0, 1), (3.0, 1)), 2, 2.5, 0.5, ((2.0, 1), (3.0, 1)))
 SIM = SimOptions(block_probability=0.1, seed=3)
 RESULT = PairResult(("a", "b"), 2, 1.5, 2, 3.0, True, True, False)
 BATCH = BatchStats(1, 1, Counter({"NoTransit": 2}))
@@ -200,7 +200,7 @@ class _OtherTuple(tuple):
     (INT_RTT, "index_a"), (FALLBACK, "is_origin_fallback"), (ESTIMATE, "hop_bound"),
     (PARTIAL, "rtts"), (EMPTY, "timestamp"), (REJECT, "detail"),
     (TRACE, "addresses"), (TABLE, "values"), (MODEL, "beta"), (OPTIMUM, "flat"),
-    (PERSISTENCE, "entries"), (REPORT, "warnings"), (DIST, "samples"), (SIM, "seed"),
+    (PERSISTENCE, "entries"), (REPORT, "warnings"), (DIST, "values"), (SIM, "seed"),
     (RESULT, "sound"), (BATCH, "succeeded"), (EXPERIMENT, "stats"), (OPTIONS, "mode"),
     (OUTCOME, "best_hop"), (TOPOLOGY, "edges"),
 ])
@@ -281,7 +281,7 @@ def test_value_repr_is_the_dataclass_text():
     assert repr(ParseReport()) == "ParseReport(parsed=0, skipped_lines=0, warnings=[])"
     assert repr(DIST) == (
         "EdgeDistribution(metric='hop_count', bin_width=1.0, bins=((2.0, 1), (3.0, 1)), "
-        "n=2, mean=2.5, std=0.5, samples=(2.0, 3.0), excluded=0)")
+        "n=2, mean=2.5, std=0.5, values=((2.0, 1), (3.0, 1)), excluded=0)")
     assert repr(SIM) == (
         "SimOptions(block_probability=0.1, asymmetry_probability=0.0, asymmetry_delta_ms=50.0, "
         "loop_probability=0.0, rtt_jitter_ms=0.0, seed=3)")
