@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import math
 import random
 import sys
@@ -213,8 +214,11 @@ def cmd_pairs(args) -> int:
         pair = functools.partial(pair_at, destinations)
     if args.max_pairs is not None and count > args.max_pairs:
         pairs = _sample_pairs(count, pair, args.max_pairs, random.Random(args.seed))
+    elif args.pairs_file:
+        pairs = listed
     else:
-        pairs = [pair(i) for i in range(count)]
+        # pair(i) for every i, in that order, without unranking each index
+        pairs = list(itertools.combinations(destinations, 2))
     # the batch reads only the traces to named destinations, and empties
     # the mapping origin by origin
     named = {endpoint for pair in pairs for endpoint in pair}
@@ -273,11 +277,20 @@ def cmd_dist(args) -> int:
     return EXIT_OK
 
 
+def _read_distribution_tsv(path: str, flag: str, metric: str) -> stats.EdgeDistribution:
+    """The distribution ``path`` holds, which ``flag`` needs to be of ``metric``."""
+    dist = stats.read_distribution_tsv(path)
+    if dist.metric != metric:
+        raise ValueError(f"{path}: {flag} needs the {metric} distribution, "
+                         f"the file holds {dist.metric}")
+    return dist
+
+
 def _load_rtt_distribution(args):
     if args.outcomes:
         return stats.build_distribution(_accepted_outcomes(args.outcomes), stats.RTT_MS)
     if args.dist_tsv:
-        return stats.read_distribution_tsv(args.dist_tsv)
+        return _read_distribution_tsv(args.dist_tsv, "--dist-tsv", stats.RTT_MS)
     raise ValueError("need --outcomes or --dist-tsv for the RTT distribution")
 
 
@@ -286,7 +299,7 @@ def _persistence_ratio(args) -> float | None:
         return None
     table = handover.load_persistence_table(args.persistence)
     if args.hops_tsv:
-        hop_dist = stats.read_distribution_tsv(args.hops_tsv)
+        hop_dist = _read_distribution_tsv(args.hops_tsv, "--hops-tsv", stats.HOP_COUNT)
     elif args.outcomes:
         hop_dist = stats.build_distribution(_accepted_outcomes(args.outcomes), stats.HOP_COUNT)
     else:

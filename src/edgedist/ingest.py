@@ -38,6 +38,16 @@ MAX_TTL = 255  # IP TTL and IPv6 hop limit are 8-bit fields
 # an octet 0-255 without a leading zero, so each address has one spelling
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _IPV4_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
+# the common hop line, whole: "TTL  address  t1 ms  t2 ms  t3 ms", or with
+# "name (address)" for the address, in spaces and ASCII digits.  A name is
+# never "ms", and starts with no "*", "!" or "(", which the token reader
+# would read otherwise; an RTT has at most 9 digits before its point, so
+# float() of it is finite.  Whether the TTL is the next one and the address
+# is IPv4 is checked in Python.
+_RTT = "([0-9]{1,9}(?:\\.[0-9]+)?) ms"
+_COMMON_HOP_RE = re.compile(
+    rf" *([0-9]+) +(?:([0-9.]+)|(?!ms )[-\w.]+ +\(([0-9.]+)\)) +{_RTT} +{_RTT} +{_RTT} *")
+_TTLS = {str(ttl): ttl for ttl in range(1, MAX_TTL + 1)}  # TTL text without leading zeros
 
 
 def _address(token: str) -> str | None:
@@ -109,6 +119,10 @@ def _parse_hop(ttl: int, body: str,
 def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], ParseReport]:
     """Parse concatenated classic traceroute output into TracePath values.
 
+    The common hop line, one IPv4 responder answering three probes at the
+    next TTL, is matched whole by one regex, which gives the hop that the
+    token reader (``_parse_hop``) would; every other line is read token by
+    token.
     Addresses are IPv4 or IPv6, kept compressed so that a ``traceroute6``
     header and its last hop compare equal.  Per hop the minimum RTT over
     responding probes is kept.  A corrupted hop line is replaced by an
@@ -123,6 +137,7 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
     traces: list[TracePath] = []
     warnings: list[str] = []  # one per skipped line
     share = {}.setdefault  # one object per distinct string
+    ipv4 = {}  # token -> its shared string if it is an IPv4 address, else ""
 
     target: str | None = None
     addresses, rtts = [], []  # the columns of the trace being read
@@ -137,6 +152,23 @@ def parse_traceroute_text(text: str, origin_id: str) -> tuple[list[TracePath], P
         addresses, rtts = [], []
 
     for line in text.splitlines():
+        common = _COMMON_HOP_RE.fullmatch(line)
+        if common is not None and target is not None:
+            ttl, plain, named, rtt1, rtt2, rtt3 = common.groups()
+            token = plain or named
+            address = ipv4.get(token)
+            if address is None:
+                address = ipv4[token] = share(token, token) if _IPV4_RE.fullmatch(token) else ""
+            if address and _TTLS.get(ttl) == len(addresses) + 1:
+                # min() of the three, without the call
+                rtt, rtt2, rtt3 = float(rtt1), float(rtt2), float(rtt3)
+                if rtt2 < rtt:
+                    rtt = rtt2
+                if rtt3 < rtt:
+                    rtt = rtt3
+                addresses.append(address)
+                rtts.append(rtt)
+                continue
         # hop lines come first: no hop line matches a header, nor is blank
         hop_match = _HOP_LINE_RE.match(line)
         if hop_match is None:

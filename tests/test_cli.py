@@ -621,6 +621,32 @@ def test_handover_persistence(tmp_path, capsys):
     assert "persistence: 0.7500" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, flag, needs, holds", [
+    (["--dist-tsv", "{hops}"], "--dist-tsv", "rtt_ms", "hop_count"),
+    (["--dist-tsv", "{rtt}", "--hops-tsv", "{rtt}", "--persistence", "{persist}"],
+     "--hops-tsv", "hop_count", "rtt_ms"),
+], ids=["hop-count-as-dist-tsv", "rtt-as-hops-tsv"])
+def test_handover_tsv_of_the_other_metric_names_file_and_flag(tmp_path, capsys, flags, flag,
+                                                              needs, holds):
+    # a hop-count TSV given as --dist-tsv failed with "expected_loss_curve
+    # needs an RTT distribution", naming neither the file nor the flag
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", origin_traces(tmp_path), "--mode", "host",
+          "-o", str(outcomes)])
+    prefix = tmp_path / "dist"
+    main(["--quiet", "dist", "--outcomes", str(outcomes), "-o", str(prefix)])
+    table = tmp_path / "persist.csv"
+    table.write_text("hop,persist_ratio\n2,0.75\n")
+    paths = {"hops": f"{prefix}.hops.tsv", "rtt": f"{prefix}.rtt.tsv", "persist": str(table)}
+    curve = tmp_path / "curve.tsv"
+    given = [arg.format(**paths) for arg in flags]
+    assert main(["handover", *given, "-o", str(curve)]) == 2
+    path = given[given.index(flag) + 1]
+    assert capsys.readouterr().err == (
+        f"error: {path}: {flag} needs the {needs} distribution, the file holds {holds}\n")
+    assert not curve.exists()
+
+
 def test_persistence_byte_order_mark_is_no_data(tmp_path, capsys):
     # the mark used to make the header lack 'hop', a fatal error
     traces = origin_traces(tmp_path)
@@ -1120,6 +1146,23 @@ def test_pair_at_unranks_combinations():
         for outside in (-1, len(combos)):
             with pytest.raises(IndexError):
                 pair_at(items, outside)
+
+
+def test_pairs_without_sampling_lists_every_pair_in_pair_at_order(tmp_path):
+    # pairs enumerates itertools.combinations of the sorted destinations,
+    # which is pair_at's order; a sample keeps that order
+    traces = write_traces(tmp_path / "traces.jsonl", [
+        trace("O1", dest, [("T", 1.0), (dest, 2.0 + k)]) for k, dest in enumerate("DBECA")])
+    full, sample = tmp_path / "full.jsonl", tmp_path / "sample.jsonl"
+    assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                 "-o", str(full)]) == 0
+    assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                 "--max-pairs", "7", "-o", str(sample)]) == 0
+    listed = [outcome.pair for outcome in transit.read_outcomes(full)]
+    destinations = sorted("ABCDE")
+    assert listed == [pair_at(destinations, i) for i in range(10)]
+    sampled = [outcome.pair for outcome in transit.read_outcomes(sample)]
+    assert len(sampled) == 7 and sampled == [pair for pair in listed if pair in sampled]
 
 
 def test_importing_the_cli_loads_every_module_and_no_dataclasses():

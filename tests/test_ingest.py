@@ -391,7 +391,7 @@ HOP_TOKENS = st.one_of(
         "192.0.2.1", "10.0.0.2", "r1 (192.0.2.3)", "r2.example (10.0.0.2)", "(bad)",
         "r3 (bad)", "r4 (10.0.0)", "*", "!H", "!N", "nan ms", "inf ms", "-1 ms", "ms",
         "garbage", "#@!", "0.0.0.0", "255.255.255.255", "999.1.1.1", "010.0.0.2",
-        "r5 (10.0.0.256)",
+        "r5 (10.0.0.256)", "2001:db8::1", "r6 (2001:DB8:0::2)", "2001:db8::zz",
     ]),
     st.sampled_from(["0", "-0", "1", "1.0", "1.5", "2.25", "1e1", "1_0", "\u0661.\u0660",
                      "\uff11"]).map(lambda v: f"{v} ms"),
@@ -410,7 +410,7 @@ def test_parse_hop_matches_reference(ttl, body):
             == _parse_hop_outcome(reference_ingest.parse_hop, ttl, body))
 
 
-def test_parse_text_matches_reference(monkeypatch):
+def test_parse_text_matches_reference():
     # TTL gaps, repeated and out-of-order lines, bad hop lines, lines before
     # any header and garbage between blocks
     text = textwrap.dedent(
@@ -438,10 +438,7 @@ def test_parse_text_matches_reference(monkeypatch):
         """
     )
     new = parse_traceroute_text(text, "o")
-    monkeypatch.setattr(ingest, "_parse_hop",
-                        lambda ttl, body, share: reference_ingest.parse_hop(ttl, body))
-    old = parse_traceroute_text(text, "o")
-    assert new == old
+    assert new == reference_ingest.parse_traceroute_text(text, "o")
     traces, report = new
     assert len(traces) == 3 and report.skipped_lines == 9
     # equal addresses and destinations are one string object per call
@@ -449,6 +446,89 @@ def test_parse_text_matches_reference(monkeypatch):
         address for t in traces for address in t.addresses if address is not None]
     assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)
     assert traces[0].destination is traces[0].addresses[-1]
+
+
+def _parsed(parse, text):
+    """What ``parse`` gives for ``text``, with each RTT's repr, which tells
+    -0.0 from 0.0."""
+    traces, report = parse(text, "o")
+    return traces, [[repr(rtt) for rtt in t.rtts] for t in traces], report
+
+
+def mostly(common, odd):
+    """One of ``common`` five times in six, else one of ``odd``."""
+    return st.integers(0, 5).flatmap(lambda i: st.sampled_from(odd if i == 5 else common))
+
+
+# each part of a hop line: the common shape's values, then the near misses
+# on which the token reader and the whole-line match must also agree
+TTL_STEPS = mostly(["next"], ["gap", "repeat", "leading-zero", "255", "256", "400-digits"])
+ADDRESSES = mostly(
+    ["10.0.0.1", "10.0.0.9", "192.0.2.33", "0.0.0.0", "255.255.255.255"],
+    ["010.0.0.1", "10.0.0.256", "999.1.1.1", "10.0.0", "1.2.3.4.5", "10..0.1", "2001:db8::1",
+     "2001:DB8:0::9", "2001:db8::zz", "\u0661\u0660.0.0.1"])
+NAMES = mostly(["r1.example", "t0a0-h.net.example", "10.0.0.7"],
+               ["_x", "msx", "*x", "ms", "*", "!H", "((x))", "(10.0.0.5)", "r\u0661"])
+PROBES = mostly(
+    [f"{rtt} ms" for rtt in ("1.5", "13.457", "2", "0.0", "0", "2.0", "123456789.25")],
+    [f"1{'0' * 400} ms", f"1{'0' * 400}.5 ms", "1234567890 ms", "00.5 ms", "\u0661.5 ms",
+     "\uff11 ms", "1_0 ms", "1. ms", ".5 ms", "-1 ms", "-0 ms", "1e3 ms", "nan ms", "inf ms",
+     "*", "!H", "ms", "10.0.0.2"])
+# in-line spacing, with separators that text.splitlines() also splits at
+SEPARATORS = mostly(["  "], [" ", "   ", "\t", " \t ", "\xa0", "\x0c", "\r"])
+LEADS = mostly([" "], ["", "  ", "\t", "\xa0"])
+TAILS = mostly([""], [" ", "  !H", " !N", "  *", "  10.0.0.3  4.0 ms"])
+LINE_ENDS = mostly(["\n"], ["\r\n", "\r", "\x0c", "\x1c", "\u2028"])
+HEADERS = st.sampled_from([
+    "traceroute to 10.0.0.9 (10.0.0.9), 30 hops max, 60 byte packets",
+    "traceroute to host.example (10.0.0.1)", "traceroute to 10.0.0.1",
+    "traceroute6 to 2001:db8::9", "traceroute to x (bad)",
+])
+OTHER_LINES = st.sampled_from(["", "   ", "not a hop line", " 3", "* * *",
+                               "\u0661  10.0.0.1  1.0 ms"])
+
+
+@st.composite
+def traceroute_texts(draw):
+    """Mostly blocks of common hop lines, each part of a line sometimes a
+    near miss: a TTL gap, a repeated TTL, a leading zero, 255 then 256, 400
+    digits, a hop line before any header, a bad address or name, an odd
+    RTT or probe, odd spacing or line ends."""
+    lines = [draw(HEADERS)] if draw(mostly([True], [False])) else []
+    in_block, hops = bool(lines), 0  # the parser's state, to pick the next TTL
+    for kind in draw(st.lists(mostly(["hop"], ["header", "other"]), max_size=25)):
+        if kind == "header":
+            lines.append(draw(HEADERS))
+            in_block, hops = True, 0
+            continue
+        if kind == "other":
+            lines.append(draw(OTHER_LINES))
+            continue
+        step = draw(TTL_STEPS)
+        ttl = {"next": str(hops + 1), "gap": str(hops + 3), "repeat": str(hops),
+               "leading-zero": f"0{hops + 1}", "255": "255", "256": "256",
+               "400-digits": "9" * 400}[step]
+        if in_block and len(ttl) <= 3 and hops < int(ttl) <= ingest.MAX_TTL:
+            hops = int(ttl)
+        address = draw(ADDRESSES)
+        responder = f"{draw(NAMES)} ({address})" if draw(st.booleans()) else address
+        probes = [draw(PROBES) for _ in range(draw(mostly([3], [0, 1, 2, 4])))]
+        sep = draw(SEPARATORS)
+        lines.append(draw(LEADS) + ttl + sep + sep.join([responder, *probes]) + draw(TAILS))
+    return "".join(line + draw(LINE_ENDS) for line in lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=traceroute_texts())
+@example(text="traceroute to 10.0.0.9\n 1  10.0.0.1  1.0 ms  2.0 ms  3.0 ms\n"
+              " 3  r (10.0.0.9)  3.0 ms  3.5 ms  2.5 ms\n")
+@example(text=f"traceroute to 10.0.0.9\n 1  10.0.0.1  1{'0' * 400} ms  2.0 ms  3.0 ms\n")
+@example(text="traceroute to 10.0.0.9\n 255  10.0.0.1  1.0 ms  2.0 ms  3.0 ms\n"
+              " 256  10.0.0.9  1.0 ms  2.0 ms  3.0 ms\n")
+@example(text="traceroute to 10.0.0.9\n 1  ms (10.0.0.1)  1.0 ms  2.0 ms  3.0 ms\n")
+def test_parse_text_matches_reference_on_generated_text(text):
+    assert _parsed(parse_traceroute_text, text) == _parsed(reference_ingest.parse_traceroute_text,
+                                                           text)
 
 
 @settings(max_examples=50, deadline=None)
