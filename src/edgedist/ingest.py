@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from pathlib import Path
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import expect_object, read_jsonl, write_jsonl
 from .model import TraceError, TracePath, _Value
 
 
@@ -229,7 +229,7 @@ def trace_from_record(record: dict, names: dict) -> TracePath:
     a ``[ttl, address, rtt]`` array whose ttl is its position."""
     share = names.setdefault
     addresses, rtts = [], []
-    for pos, hop in enumerate(record["hops"], start=1):
+    for pos, hop in enumerate(expect_object(record)["hops"], start=1):
         if type(hop) is not list or len(hop) != 3:
             raise TraceError(f"hop {pos}: {hop!r} is not a [ttl, address, rtt] array")
         ttl, address, rtt = hop

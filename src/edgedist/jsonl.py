@@ -30,6 +30,19 @@ scan_string = json.decoder.scanstring
 scan_value = json.JSONDecoder().scan_once
 
 
+# the JSON type of each value ``decode`` gives
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def expect_object(value):
+    """``value`` when it is a decoded JSON object, else a ValueError that
+    names the JSON type it is."""
+    if type(value) is not dict:
+        raise ValueError(f"expected a JSON object, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each string as one line.  The file gets the mode a plain open()
     would give it, 0666 less the umask; mkstemp alone gives 0600."""

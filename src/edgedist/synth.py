@@ -31,6 +31,14 @@ RANDOM_GEOMETRIC = "random_geometric"
 TWO_TIER = "two_tier"
 
 _QUANTUM = 0.25
+# sums of quanta are exact below this: 2**53 quanta, 2**51 ms
+_EXACT_MS = 2.0 ** 53 * _QUANTUM
+# the largest value of a count parameter: at it, each model builds within
+# seconds (hub-and-leaf models hold hubs x leaves routers, and
+# random_geometric checks n**2 / 2 distances on each of its retries, about
+# 6 s for 400 disconnected draws of n=400, scaled from 0.09 s for 100 draws
+# of n=100 on CPython 3.11, 2-core Xeon)
+MAX_COUNT_PARAM = 400
 
 # the parameters each generator reads
 _MODEL_PARAMS = {
@@ -214,8 +222,11 @@ def generate_topology(model: str, params: dict | None = None, seed: int = 0) -> 
     for key, value in params.items():
         if key not in _MODEL_PARAMS[model]:
             raise ValueError(f"{model} has no parameter {key!r}")
-        if key in _COUNT_PARAMS and value != int(value):
-            raise ValueError(f"{model} parameter {key}={value!r} is not a whole number")
+        if key in _COUNT_PARAMS:
+            if value != int(value):
+                raise ValueError(f"{model} parameter {key}={value!r} is not a whole number")
+            if value > MAX_COUNT_PARAM:
+                raise ValueError(f"{model} parameter {key}={value!r} is above {MAX_COUNT_PARAM}")
     rng = random.Random(seed)
     if model == RANDOM_GEOMETRIC:
         retries = int(params.pop("retries", 50))
@@ -292,9 +303,15 @@ def _random_geometric(params, rng, seed) -> Topology | None:
             dy = pos[u][1] - pos[v][1]
             d = (dx * dx + dy * dy) ** 0.5
             if d <= radius:
-                _symmetric_edge(edges, u, v, _quantize(d * scale))
+                # capped to stay finite, and refused below
+                _symmetric_edge(edges, u, v, _quantize(min(d * scale, _EXACT_MS)))
     attachment: dict[str, str] = {}
     _attach_hosts(edges, attachment, names)
+    # both arcs of every link: no path's round trip is longer
+    if not sum(edges.values()) < _EXACT_MS:
+        raise ValueError(f"random_geometric parameter latency_scale={scale!r} is too large: "
+                         "a round trip over every link must stay below 2**51 ms, where sums "
+                         "of 0.25 ms steps are exact")
     nodes = tuple(names + sorted(attachment))
     topo = Topology(nodes=nodes, edges=edges, host_attachment=attachment, seed=seed)
     # each router has a host of its own, so this is connected iff the routers are
@@ -322,6 +339,10 @@ class SimOptions(_Value, namedtuple("SimOptions", "block_probability asymmetry_p
             ms = getattr(self, name)
             if not 0 <= ms < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {ms}")
+        # a hop's RTT may carry both on top of its path's round trip
+        if asymmetry_delta_ms + rtt_jitter_ms == math.inf:
+            raise ValueError(f"asymmetry_delta_ms + rtt_jitter_ms must be finite, "
+                             f"got {asymmetry_delta_ms!r} + {rtt_jitter_ms!r}")
         return self
 
 

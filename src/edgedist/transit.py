@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from itertools import islice, repeat
 from pathlib import Path
 
-from .jsonl import decode, encode, read_lines, scan_string, scan_value, write_lines
+from .jsonl import (
+    decode,
+    encode,
+    expect_object,
+    read_lines,
+    scan_string,
+    scan_value,
+    write_lines,
+)
 from .model import (
     PairEstimate,
     RejectKind,
@@ -28,6 +37,11 @@ ACCESS_ROUTER = "access_router"
 # shared by every result that needs them (the type is frozen)
 _NO_TRANSIT = RejectReason(RejectKind.NO_TRANSIT, "no common responsive hop")
 _NO_TRACE = RejectReason(RejectKind.NO_TRANSIT, "no trace")
+# batch_estimate builds its outcomes in at most this many slices of pairs,
+# deleting each slice's entries from the columns once its outcomes hold them
+_OUTCOME_SLICES = 16
+# where a PairOutcome's entries start
+_FIRST_ENTRY = 5
 
 
 class EstimateOptions(_Value, namedtuple(
@@ -43,24 +57,30 @@ class EstimateOptions(_Value, namedtuple(
         return tuple.__new__(cls, (mode, allow_origin_fallback, eps_rtt, couple_metrics))
 
 
-class PairOutcome(_Value, namedtuple("PairOutcome", "pair origins entries best_hop best_rtt")):
+class PairOutcome(_Value):
     """Each origin's entry for ``pair``, ``entries[i]`` being the estimate
     or reject of ``origins[i]``, and the best hop and RTT bounds among them
     (None where no origin gave one).
 
-    The entries are a column layout: ``origins`` is one tuple shared by
-    every outcome of a batch, and by the outcomes of a file that name the
-    same origins in the same order, so each pair holds just a tuple of
-    entries rather than a dict that repeats the origin keys.  Construction
-    checks that ``origins`` and ``entries`` are tuples of one length and
-    that the origins are distinct strings: a repeated origin would be
-    written as a repeated JSON key, which reads back as one entry.
+    One flat tuple, ``(a, b, origins, best_hop, best_rtt, *entries)``, with
+    no pair tuple and no entries tuple of its own: with 10 origins an
+    outcome holds 160 bytes, against 256 as three tuples (CPython 3.11).
+    ``pair`` and ``entries`` are built on each read.  ``origins`` is one
+    tuple shared by every outcome of a batch, and by the outcomes of a file
+    that name the same origins in the same order, so each pair holds just
+    its entries rather than a dict that repeats the origin keys.
+    Construction checks that ``origins`` and ``entries`` are tuples of one
+    length and that the origins are distinct strings: a repeated origin
+    would be written as a repeated JSON key, which reads back as one entry.
     ``min_over_origins`` and ``read_outcomes`` build aligned tuples by
-    construction and skip the check through ``tuple.__new__``.
+    construction and skip the check through ``tuple.__new__``.  The value
+    keeps the interface of its five fields: keyword construction, their
+    repr, a validated ``_replace``, and pickling through ``__new__``.
     """
 
     __slots__ = ()
     __hash__ = None  # a result, never a key
+    _fields = ("pair", "origins", "entries", "best_hop", "best_rtt")
 
     def __new__(cls, pair: tuple[str, str], origins: tuple[str, ...],
                 entries: tuple[PairEstimate | RejectReason, ...],
@@ -76,11 +96,48 @@ class PairOutcome(_Value, namedtuple("PairOutcome", "pair origins entries best_h
             if origin in seen:
                 raise TraceError(f"origin {origin!r} is repeated")
             seen.add(origin)
-        return tuple.__new__(cls, (pair, origins, entries, best_hop, best_rtt))
+        a, b = pair
+        return tuple.__new__(cls, (a, b, origins, best_hop, best_rtt, *entries))
+
+    @classmethod
+    def _make(cls, iterable):
+        a, b, origins, best_hop, best_rtt, *entries = iterable
+        return cls((a, b), origins, tuple(entries), best_hop, best_rtt)
+
+    def __getnewargs__(self):
+        return self[:2], self[2], self[_FIRST_ENTRY:], self[3], self[4]
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self.__getnewargs__()), **changes))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self.__getnewargs__()))
+        return f"{type(self).__name__}({fields})"
+
+    @property
+    def pair(self) -> tuple[str, str]:
+        return self[:2]
+
+    @property
+    def origins(self) -> tuple[str, ...]:
+        return self[2]
+
+    @property
+    def entries(self) -> tuple[PairEstimate | RejectReason, ...]:
+        return self[_FIRST_ENTRY:]
+
+    @property
+    def best_hop(self) -> PairEstimate | None:
+        return self[3]
+
+    @property
+    def best_rtt(self) -> PairEstimate | None:
+        return self[4]
 
     @property
     def accepted(self) -> bool:
-        return self.best_hop is not None or self.best_rtt is not None
+        return self[3] is not None or self[4] is not None
 
 
 class BatchStats(_Value, namedtuple("BatchStats", "total_pairs succeeded reject_counts")):
@@ -328,8 +385,8 @@ def min_over_origins(
     Hop and RTT bounds are minimized independently (each is a valid bound on
     its own), by the keys (hop, rtt, origin) and (rtt, hop, origin); the
     origins must be distinct, so neither key ties.  ``couple_metrics``
-    forces both to come from the hop winner.  The outcome keeps both tuples
-    themselves, so a batch shares one ``origins`` over all its outcomes.
+    forces both to come from the hop winner.  The outcome keeps ``origins``
+    itself, so a batch shares one over all its outcomes, and each entry.
     They must be tuples of one length; the outcome is built without the
     rest of ``PairOutcome``'s check, which costs more than the selection.
     """
@@ -349,7 +406,8 @@ def min_over_origins(
                 rtt_key, best_rtt = key, est
     if couple_metrics:
         best_rtt = best_hop
-    return tuple.__new__(PairOutcome, (pair, origins, entries, best_hop, best_rtt))
+    a, b = pair
+    return tuple.__new__(PairOutcome, (a, b, origins, best_hop, best_rtt, *entries))
 
 
 def batch_estimate(
@@ -367,11 +425,14 @@ def batch_estimate(
     have a trace from it.  Its traces and prepared traces are then dropped,
     unless the caller holds them elsewhere, before the next origin's are
     built.  Then each pair gets one ``min_over_origins`` call, in pair
-    order, on the sorted origins, one tuple that every outcome shares, and
-    its row of the columns.  A pair endpoint with no trace from an origin
-    yields a NoTransit reject with detail "no trace" for that origin; it
-    never aborts the batch.  An outcome's pair is the caller's tuple when
-    it is already in canonical order, else a new one.
+    order, on its endpoints in canonical order, the sorted origins, one
+    tuple that every outcome shares, and its row of the columns.  The
+    outcomes are built in ``_OUTCOME_SLICES`` slices of pairs, and each
+    slice is deleted from the head of every column once its outcomes hold
+    its entries, so the columns shrink as the outcomes grow and the batch
+    ends holding the outcomes alone, without a copy of any column.  A pair
+    endpoint with no trace from an origin yields a NoTransit reject with
+    detail "no trace" for that origin; it never aborts the batch.
     The outcomes share one object per distinct estimate (see
     ``_shared_estimate``): a dense campaign repeats a few thousand bounds
     over hundreds of thousands of (pair, origin) entries.  An estimate's
@@ -388,14 +449,20 @@ def batch_estimate(
         column = _origin_entries(traces_by_origin.pop(origin), named, firsts, seconds, options)
         reject_counts.update([est.kind for est in column if type(est) is RejectReason])
         columns.append(column)
-    # with no origin, each pair has no entry, which min_over_origins refuses
-    rows = zip(*columns) if columns else [()] * len(pairs)
     couple_metrics = options.couple_metrics
-    outcomes = [
-        min_over_origins(pair if a <= b and type(pair) is tuple else (min(a, b), max(a, b)),
-                         origins, entries, couple_metrics)
-        for pair, a, b, entries in zip(pairs, firsts, seconds, rows)
-    ]
+    endpoints = zip(firsts, seconds)
+    outcomes: list[PairOutcome] = []
+    step = len(pairs) // _OUTCOME_SLICES + 1
+    for _ in range(0, len(pairs), step):
+        # the rows from the head of the columns; with no origin, each pair
+        # has no entry, which min_over_origins refuses
+        rows = zip(*columns) if columns else repeat(())
+        outcomes += [
+            min_over_origins((a, b) if a <= b else (b, a), origins, entries, couple_metrics)
+            for (a, b), entries in zip(islice(endpoints, step), rows)
+        ]
+        for column in columns:
+            del column[:step]
     stats = BatchStats(
         total_pairs=len(pairs),
         succeeded=sum(oc.accepted for oc in outcomes),
@@ -480,23 +547,24 @@ def write_outcomes(outcomes: list[PairOutcome], path: str | Path) -> None:
         return text
 
     def order(origins: tuple[str, ...]) -> list[tuple[int, str]]:
-        """(position, member key text) of each origin, sorted by origin."""
+        """(position of its entry in an outcome, member key text) of each
+        origin, sorted by origin."""
         keys = [f"{name(o)}:" for o in origins]
-        return [(i, keys[i]) for i in sorted(range(len(origins)), key=origins.__getitem__)]
+        return [(_FIRST_ENTRY + i, keys[i])
+                for i in sorted(range(len(origins)), key=origins.__getitem__)]
 
     def best(est: PairEstimate | None) -> tuple[str, str]:
         return ("null", "null") if est is None else (entry(est), name(est.origin_id))
 
     def line(oc: PairOutcome) -> str:
-        pair, origins, ests, best_hop, best_rtt = oc
-        pair = ",".join(map(name, pair))
+        a, b, origins, best_hop, best_rtt = oc[:_FIRST_ENTRY]
         members = orders.get(origins)
         if members is None:
             members = orders[origins] = order(origins)
-        objs = ",".join([key + entry(ests[i]) for i, key in members])
+        objs = ",".join([key + entry(oc[i]) for i, key in members])
         hop, hop_origin = best(best_hop)
         rtt, rtt_origin = best(best_rtt)
-        return (f'{{"pair":[{pair}],"per_origin":{{{objs}}},"best_hop":{hop},'
+        return (f'{{"pair":[{name(a)},{name(b)}],"per_origin":{{{objs}}},"best_hop":{hop},'
                 f'"best_hop_origin":{hop_origin},"best_rtt":{rtt},'
                 f'"best_rtt_origin":{rtt_origin}}}')
 
@@ -592,7 +660,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
         return distinct, entries
 
     def outcome(rec: dict) -> PairOutcome:
-        a, b = pair = rec["pair"]
+        a, b = pair = expect_object(rec)["pair"]
         if type(pair) is not list or type(a) is not str or type(b) is not str:
             raise ValueError(f"pair {pair!r} is not two strings")
         a, b = share(a, a), share(b, b)
@@ -601,8 +669,9 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
             raise ValueError("per_origin is not an object")
         origins = tuple([share(origin, origin) for origin in objs])
         entries = tuple([estimate(obj, origin) for origin, obj in zip(origins, objs.values())])
-        return tuple.__new__(PairOutcome, ((a, b), *columns(origins, entries),
-                                           best(rec, "best_hop"), best(rec, "best_rtt")))
+        distinct, entries = columns(origins, entries)
+        return tuple.__new__(PairOutcome, (a, b, distinct, best(rec, "best_hop"),
+                                           best(rec, "best_rtt"), *entries))
 
     def laid_out(line: str) -> PairOutcome:
         if not line.startswith(_PAIR_HEAD):
@@ -645,7 +714,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
             if list(rec) != _TAIL_KEYS:
                 raise ValueError("not in the writer's layout")
             bests = tails[tail] = (best(rec, "best_hop"), best(rec, "best_rtt"))
-        return tuple.__new__(PairOutcome, ((share(a, a), share(b, b)), distinct, entries, *bests))
+        return tuple.__new__(PairOutcome, (share(a, a), share(b, b), distinct, *bests, *entries))
 
     def line_outcome(line: str) -> PairOutcome:
         try:

@@ -425,6 +425,25 @@ def test_dist_malformed_outcome_record_is_fatal(tmp_path, capsys, edit):
     assert "bad outcome at line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, kind", [
+    ("null", "null"), ("[1,2]", "array"), ('"pair"', "string"), ("5", "number"),
+    ("true", "boolean"),
+])
+@pytest.mark.parametrize("reader", ["trace", "outcome"])
+def test_a_json_line_that_is_not_an_object_is_named(tmp_path, capsys, reader, line, kind):
+    # a null line used to report "'NoneType' object is not subscriptable",
+    # and an array line "list indices must be integers or slices, not str"
+    path = tmp_path / "in.jsonl"
+    path.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = (["pairs", "--traces", str(path)] if reader == "trace" else
+            ["dist", "--outcomes", str(path)])
+    assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: bad {reader} at line 1: expected a JSON object, got {kind}\n")
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"transit": ["T", True, 1.0], "origin_fallback": 0}, "is_origin_fallback 0 is not a bool"),
     ({"transit": ["T", True, 1.0]}, "index_a True is not an int"),
@@ -1019,6 +1038,10 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     assert "success_ratio=" in out and "soundness_violations=0" in out
 
 
+LATENCY_TOO_LARGE = ("is too large: a round trip over every link must stay below 2**51 ms, "
+                     "where sums of 0.25 ms steps are exact")
+
+
 @pytest.mark.parametrize("model, flag, spec, message", [
     ("two_tier", "--params", "region=12,leaves=20", "two_tier has no parameter 'region'"),
     ("ring_of_stars", "--params", "cores=3,regions=2", "ring_of_stars has no parameter 'regions'"),
@@ -1055,12 +1078,65 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     ("two_tier", "--params", "regions=3,leaves=3,regions=4", "--params key 'regions' is listed twice"),
     ("ring_of_stars", "--params", "leaves=2, leaves =2", "--params key 'leaves' is listed twice"),
     ("two_tier", "--inject", "jitter=0.5,jitter=0", "--inject key 'jitter' is listed twice"),
+    # a latency past float range used to end in an OverflowError traceback,
+    # exit 1
+    ("random_geometric", "--params", "n=3,latency_scale=1e308",
+     f"random_geometric parameter latency_scale=1e+308 {LATENCY_TOO_LARGE}"),
+    # a return-leg delta and a jitter that overflow the RTT together
+    ("two_tier", "--inject", "asymmetry=1,delta=1e308,jitter=1e308",
+     "asymmetry_delta_ms + rtt_jitter_ms must be finite, got 1e+308 + 1e+308"),
 ])
 def test_simulate_unknown_key_is_fatal(tmp_path, capsys, model, flag, spec, message):
     # a misspelt key used to run the defaults silently; a bad value is as fatal
     outdir = tmp_path / "sim"
     assert main(["simulate", "--model", model, flag, spec, "-o", str(outdir)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("params, inject", [
+    # the path's doubled sum overflowed: "hop 1: rtt inf is negative or not finite"
+    ("n=2,latency_scale=4e307", ["--inject", "asymmetry=1,delta=1.7e308"]),
+    # sums that round: a 0.5 ms host link vanished into its router's
+    # latency, and the tie-break made a predecessor cycle that never ended
+    ("n=3,latency_scale=1e20", []),
+], ids=["overflow", "rounding"])
+def test_simulate_refuses_latencies_whose_sums_are_not_exact(tmp_path, params, inject):
+    outdir = tmp_path / "sim"
+    argv = [sys.executable, "-m", "edgedist.cli", "--seed", "1", "simulate", "--model",
+            "random_geometric", "--params", params, *inject, "--origins", "2", "--pairs", "3",
+            "-o", str(outdir)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(Path(edgedist.__file__).parents[1])})
+    scale = params.partition("latency_scale=")[2]
+    assert (done.returncode, done.stderr) == (
+        2, f"error: random_geometric parameter latency_scale={float(scale)!r} "
+           f"{LATENCY_TOO_LARGE}\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("model, params, message", [
+    ("two_tier", "regions=1e30", "regions=1e+30"),
+    ("two_tier", "regions=3,leaves=401", "leaves=401"),
+    ("ring_of_stars", "cores=1000000", "cores=1000000"),
+    ("random_geometric", "n=1e5", "n=100000.0"),
+    ("random_geometric", "retries=1000000000", "retries=1000000000"),
+])
+def test_simulate_refuses_a_count_too_large_to_build(tmp_path, model, params, message):
+    # in a child with capped memory and time: regions=1e30 used to start
+    # building 10**30 hub names, and grew until it was stopped
+    assert synth.MAX_COUNT_PARAM == 400
+    outdir = tmp_path / "sim"
+    limit = 512 * 2**20
+    done = subprocess.run(
+        [sys.executable, "-m", "edgedist.cli", "simulate", "--model", model, "--params", params,
+         "-o", str(outdir)],
+        env={**os.environ, "PYTHONPATH": str(Path(edgedist.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (
+        2, f"error: {model} parameter {message} is above 400\n")
     assert not outdir.exists()
 
 
@@ -1335,11 +1411,15 @@ def test_member_names_cover_every_way_a_class_declares_a_field():
         '    def g(self): pass\n'
     ).body[0]
     assert sorted(_member_names(cls)) == ["_d", "a", "b", "c", "e", "g"]
-    # the package's own: a tuple value and a slotted class
+    # the package's own: a named tuple value, a flat tuple value whose
+    # fields are properties, and a slotted class
     package = Path(edgedist.__file__).parent
     classes = {cls.name: cls for cls in ast.parse((package / "transit.py").read_text()).body
                if isinstance(cls, ast.ClassDef)}
-    assert {"pair", "origins", "entries", "best_hop", "best_rtt", "__new__", "accepted"} == set(
+    assert {"mode", "allow_origin_fallback", "eps_rtt", "couple_metrics", "__new__"} == set(
+        _member_names(classes["EstimateOptions"]))
+    assert {"pair", "origins", "entries", "best_hop", "best_rtt", "accepted", "__new__",
+            "_make", "__getnewargs__", "_replace", "__repr__"} == set(
         _member_names(classes["PairOutcome"]))
     assert {"trace", "options", "endpoint", "positions"} < set(
         _member_names(classes["PreparedTrace"]))

@@ -214,7 +214,7 @@ def test_values_are_read_only(value, field):
 @pytest.mark.parametrize("value", [INT_RTT, FALLBACK, ESTIMATE, PARTIAL, EMPTY, REJECT,
                                    *MORE_VALUES])
 def test_value_equality_is_type_strict(value):
-    same = type(value)(*value)
+    same = type(value)._make(value)
     assert same is not value
     assert value == same and not value != same
     if isinstance(value, UNHASHABLE):
