@@ -219,11 +219,6 @@ def cmd_pairs(args) -> int:
     else:
         # pair(i) for every i, in that order, without unranking each index
         pairs = list(itertools.combinations(destinations, 2))
-    # the batch reads only the traces to named destinations, and empties
-    # the mapping origin by origin
-    named = {endpoint for pair in pairs for endpoint in pair}
-    traces_by_origin = {origin: [t for t in rows if t.destination in named]
-                        for origin, rows in traces_by_origin.items()}
     outcomes, batch = transit.batch_estimate(traces_by_origin, pairs, options)
     transit.write_outcomes(outcomes, args.output)
     _say(args, f"pairs={batch.total_pairs} succeeded={batch.succeeded} "

@@ -121,19 +121,27 @@ class LossModel(_Value, namedtuple("LossModel", "beta table")):
                 for a in anticipations for cost in [self.beta * a]]
 
 
+def _table_rows(path: str | Path) -> list[tuple[int, list[str]]]:
+    """The line number and cells of each CSV row of ``path`` with a cell
+    that is not all whitespace; a leading byte-order mark is encoding, not
+    data."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
+
+
 def load_loss_table(path: str | Path) -> LossTable:
     """CSV with the anticipation axis in the first row and the delay axis in
-    the first column; cells are loss durations in ms."""
+    the first column, read as ``_table_rows`` reads it; cells are loss
+    durations in ms."""
     rows: list[tuple[float, ...]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in filter(None, reader):  # skips blank lines
-            # the header row's first cell is a corner label, not a number
-            cells = row if rows else row[1:]
-            try:
-                rows.append(tuple(ascii_number(x) for x in cells))
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad row at line {reader.line_num}: {exc}") from exc
+    for line_num, row in _table_rows(path):
+        # the header row's first cell is a corner label, not a number
+        cells = row if rows else row[1:]
+        try:
+            rows.append(tuple(ascii_number(x) for x in cells))
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad row at line {line_num}: {exc}") from exc
     if len(rows) < 2:
         raise ValueError(f"{path}: table needs a header row and data rows")
     return LossTable(
@@ -158,7 +166,7 @@ def expected_loss_curve(
     times the distribution mean bit for bit when delay_scale is a power of
     two and no RTT is negative (or underflows when scaled).  An expected
     loss that is not finite (beta * a or the sum overflows) is a ValueError
-    naming beta and delay_scale.
+    naming beta, or the loss table of a table model, and delay_scale.
     """
     if delay_dist.metric != RTT_MS:
         raise ValueError("expected_loss_curve needs an RTT distribution")
@@ -172,8 +180,9 @@ def expected_loss_curve(
     losses = [total / delay_dist.n for total in model.total_losses(delays, anticipation_grid)]
     for a, loss in zip(anticipation_grid, losses):
         if not math.isfinite(loss):
+            source = "loss table" if model.table is not None else f"beta={model.beta!r}"
             raise ValueError(f"expected loss at anticipation {a:g} ms overflows "
-                             f"(beta={model.beta!r}, delay_scale={delay_scale!r})")
+                             f"({source}, delay_scale={delay_scale!r})")
     return [(a, loss, loss / CBR_INTERVAL_MS) for a, loss in zip(anticipation_grid, losses)]
 
 
@@ -225,24 +234,25 @@ def _check_entry(hop: int, ratio: float) -> None:
 
 
 def load_persistence_table(path: str | Path) -> PersistenceTable:
-    """CSV hop,persist_ratio with header; a leading byte-order mark is
-    encoding, not data."""
+    """CSV hop,persist_ratio with header, read as ``_table_rows`` reads it;
+    where a column name repeats, its last column counts."""
     entries: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"hop", "persist_ratio"}.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: header must contain ['hop', 'persist_ratio']")
-        for row in reader:
-            try:
-                hop = ascii_number(row["hop"], int)
-                ratio = ascii_number(row["persist_ratio"])
-                if hop in entries:
-                    raise ValueError(f"hop {hop} is listed twice")
-                _check_entry(hop, ratio)
-            except (TypeError, ValueError) as exc:
-                # TypeError: a short row leaves its missing cells None
-                raise ValueError(f"{path}: bad row at line {reader.line_num}: {exc}") from exc
-            entries[hop] = ratio
+    rows = _table_rows(path)
+    header = rows[0][1] if rows else []
+    if not {"hop", "persist_ratio"}.issubset(header):
+        raise ValueError(f"{path}: header must contain ['hop', 'persist_ratio']")
+    for line_num, row in rows[1:]:
+        cells = dict(zip(header, row))
+        try:
+            hop = ascii_number(cells.get("hop"), int)
+            ratio = ascii_number(cells.get("persist_ratio"))
+            if hop in entries:
+                raise ValueError(f"hop {hop} is listed twice")
+            _check_entry(hop, ratio)
+        except (TypeError, ValueError) as exc:
+            # TypeError: a short row leaves its missing cells None
+            raise ValueError(f"{path}: bad row at line {line_num}: {exc}") from exc
+        entries[hop] = ratio
     return PersistenceTable(entries=entries)
 
 

@@ -1308,6 +1308,19 @@ def test_every_imported_name_is_read():
     assert unread == []
 
 
+def test_the_package_imports_only_the_standard_library():
+    # the package stays pure stdlib at runtime; a relative import is its own
+    package = Path(edgedist.__file__).parent
+    imported = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported and sorted(imported - sys.stdlib_module_names) == []
+
+
 def test_private_attributes_are_used_only_off_self_cls_or_a_module():
     # a memo is read and filled by the one method that owns it, not probed
     # from outside (estimate_pair read PreparedTrace._tails beside tail())

@@ -60,6 +60,23 @@ def test_table_model_lookup_and_refusal_to_extrapolate(tmp_path):
         model.total_losses([(10.0, 1)], [25.0])
 
 
+@pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "marked"])
+@pytest.mark.parametrize("blank", ["", "   ", "\t", " , ,"], ids=["empty", "spaces", "tab", "cells"])
+def test_a_table_line_of_whitespace_is_skipped(tmp_path, blank, mark):
+    # a line of spaces used to be a bad row in either table, a fatal error,
+    # and so was any blank line before the persistence header; a marked
+    # loss table read its mark into the first line's first cell
+    loss = tmp_path / "loss.csv"
+    loss.write_text(f"{mark}{blank}\n,0,10\n{blank}\n0,1,2\n{blank}\n10,3,4\n{blank}\n",
+                    encoding="utf-8")
+    assert load_loss_table(loss) == LossTable((0.0, 10.0), (0.0, 10.0),
+                                              ((1.0, 2.0), (3.0, 4.0)))
+    persist = tmp_path / "persist.csv"
+    persist.write_text(f"{mark}{blank}\nhop,persist_ratio\n{blank}\n2,0.75\n{blank}\n",
+                       encoding="utf-8")
+    assert load_persistence_table(persist).entries == {2: 0.75}
+
+
 def test_table_lookup_on_the_axis_edges():
     table = LossTable(delay_axis=(10.0, 30.0), anticipation_axis=(0.0, 10.0, 20.0),
                       values=((10.0, 4.0, 3.0), (30.0, 22.0, 14.0)))
@@ -228,7 +245,7 @@ def test_table_curve_raises_the_first_error_of_the_per_point_lookups(rtts, grid,
 @pytest.mark.parametrize("model, message", [
     (LossModel(beta=1e306), "anticipation 100 ms overflows (beta=1e+306, delay_scale=0.5)"),
     (LossModel(table=LossTable((0.0, 50.0), (0.0, 100.0), ((1e308, 1e308), (1e308, 1e308)))),
-     "anticipation 0 ms overflows (beta=0.1, delay_scale=0.5)"),
+     "anticipation 0 ms overflows (loss table, delay_scale=0.5)"),
 ], ids=["default", "table"])
 def test_a_loss_sum_past_the_float_range_is_named(model, message):
     # each sample's loss is finite, 1e308, and the sum of the two is not
