@@ -351,6 +351,9 @@ def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     routers = topology.routers
     hosts = topology.hosts
+    if len(hosts) < 2:
+        raise ValueError(f"{args.model} has hosts={len(hosts)}; "
+                         "simulate needs at least 2 hosts to pair")
     n_origins = min(args.origins, len(routers))
     origins = sorted(rng.sample(routers, n_origins))
     count = len(hosts) * (len(hosts) - 1) // 2

@@ -94,7 +94,13 @@ def dijkstra(
     """Latency-shortest distances from ``source`` over the adjacency
     ``adj`` (as ``Topology.adjacency`` builds it) plus a deterministic
     predecessor tree (ties resolved toward the lexicographically smallest
-    predecessor)."""
+    predecessor).
+
+    A dead end, a node whose one arc leads back to the node that reached
+    it (every host is one), is never queued: settling it would only find
+    that arc longer than its tail's distance.  It still gets its distance
+    and predecessor, and its place in both dicts, when that tail settles.
+    """
     dist: dict[str, float] = {source: 0.0}
     pred: dict[str, str | None] = {source: None}
     heap: list[tuple[float, str]] = [(0.0, source)]
@@ -108,7 +114,9 @@ def dijkstra(
             if old is None or nd < old:
                 dist[v] = nd
                 pred[v] = u
-                heappush(heap, (nd, v))
+                # on a symmetric graph a node of one arc is reached only over it
+                if len(adj[v]) > 1:
+                    heappush(heap, (nd, v))
             elif nd == old and u < pred[v]:
                 # latencies are positive, so v != source and pred[v] is a node
                 pred[v] = u
@@ -145,7 +153,9 @@ def min_hop_distance(topology: Topology, a: str, b: str) -> int:
 
 def _bfs_levels(adj: dict[str, list[tuple[str, float]]], source: str) -> dict[str, int]:
     """Unweighted hop distance from ``source`` to every node reachable over
-    the adjacency ``adj`` (as ``Topology.adjacency`` builds it)."""
+    the adjacency ``adj`` (as ``Topology.adjacency`` builds it).  A dead
+    end (see ``dijkstra``) gets its level, in the same dict order, but is
+    never queued."""
     levels = {source: 0}
     queue = deque([source])
     while queue:
@@ -154,7 +164,8 @@ def _bfs_levels(adj: dict[str, list[tuple[str, float]]], source: str) -> dict[st
         for v, _ in adj[u]:
             if v not in levels:
                 levels[v] = level
-                queue.append(v)
+                if len(adj[v]) > 1:
+                    queue.append(v)
     return levels
 
 
@@ -164,7 +175,9 @@ def _pair_truths(
     """min_hop_distance and true_distance's latency for every node pair.
 
     Builds the adjacency once, runs one BFS and one Dijkstra per distinct
-    source node and holds only the current source's searches.
+    source node and holds only the current source's searches.  Neither
+    search queues a dead end, so the hosts, a dead end each in every model,
+    get their distances without ever being settled.
     """
     adj = topology.adjacency()
     by_source: dict[str, list[int]] = {}
@@ -492,18 +505,26 @@ def run_experiment(
     back to the transit or through the access router is rejected, and a
     silent access router stays the endpoint.  RTT jitter can put an RTT
     bound below the truth, and ``soundness_violations`` counts that pair too.
+
+    The cross-reference takes each origin's corrupt hosts (a loop injected
+    into, or a decreasing RTT in, its trace to them) and deepest decreases
+    once, in the order of the ``origins`` tuple that every outcome shares,
+    and walks each outcome's entries beside them.  An accept can be a false
+    RTT accept only where a trace decreases, so only a corrupt entry is
+    checked for one.
     """
     sim = Simulator(topology, options)
     targets = sorted({h for pair in pairs for h in pair})
     traces_by_origin: dict[str, list[TracePath]] = {}
-    looped: set[tuple[str, str]] = set()
+    looped: dict[str, set[str]] = {}
     for origin in origins:
         rows = []
+        looped[origin] = set()
         for host in targets:
             trace, loop_injected = sim.trace(origin, host)
             rows.append(trace)
             if loop_injected:
-                looped.add((origin, host))
+                looped[origin].add(host)
         traces_by_origin[origin] = rows
 
     # the report keeps the traces, which the batch would empty
@@ -517,23 +538,23 @@ def run_experiment(
         ],
     )
 
+    shared = outcomes[0].origins if outcomes else ()
+    corrupt_by_origin, deepest_by_origin = [], []
+    for origin in shared:
+        deepest = {}
+        for tr in traces_by_origin[origin]:
+            depth = _deepest_decrease(tr)
+            if depth:
+                deepest[tr.destination] = depth
+        corrupt_by_origin.append(looped[origin].union(deepest))
+        deepest_by_origin.append(deepest)
+
     results = []
     violations = 0
     tight_hits = 0
     false_rtt_accepts = 0
-    confusion = {
-        "clean_accept": 0,
-        "clean_reject": 0,
-        "corrupt_accept": 0,
-        "corrupt_reject": 0,
-    }
-    decrease_at = {
-        (origin, tr.destination): _deepest_decrease(tr)
-        for origin, rows in traces_by_origin.items()
-        for tr in rows
-    }
-    corrupt = looped.union(key for key, deepest in decrease_at.items() if deepest > 0)
-    for (a, b), outcome, true_hop, true_lat in zip(pairs, outcomes, true_hops, true_lats):
+    clean_accepts = corrupt_accepts = corrupt_entries = 0
+    for outcome, true_hop, true_lat in zip(outcomes, true_hops, true_lats):
         hop_bound = None if outcome.best_hop is None else outcome.best_hop.hop_bound
         rtt_bound = None if outcome.best_rtt is None else outcome.best_rtt.rtt_bound_ms
         sound = True
@@ -547,9 +568,10 @@ def run_experiment(
         tight_rtt = rtt_bound is not None and abs(rtt_bound - 2 * true_lat) < 1e-9
         if tight_hop:
             tight_hits += 1
+        pair = outcome.pair
         results.append(
             PairResult(
-                pair=outcome.pair,
+                pair=pair,
                 true_hops=true_hop,
                 true_one_way_ms=true_lat,
                 best_hop_bound=hop_bound,
@@ -560,24 +582,31 @@ def run_experiment(
             )
         )
         # the transit's indices follow the outcome's canonical pair order
-        first, second = outcome.pair
-        for origin, est in zip(outcome.origins, outcome.entries):
-            corrupted = (origin, a) in corrupt or (origin, b) in corrupt
-            accepted = isinstance(est, PairEstimate)
-            key = ("corrupt" if corrupted else "clean") + ("_accept" if accepted else "_reject")
-            confusion[key] += 1
-            if accepted and (
-                decrease_at[origin, first] >= max(est.index_a, 1)
-                or decrease_at[origin, second] >= max(est.index_b, 1)
-            ):
-                false_rtt_accepts += 1
+        first, second = pair
+        for corrupt, deepest, est in zip(corrupt_by_origin, deepest_by_origin, outcome.entries):
+            accepted = type(est) is PairEstimate
+            if first in corrupt or second in corrupt:
+                corrupt_entries += 1
+                if accepted:
+                    corrupt_accepts += 1
+                    if (deepest.get(first, 0) >= max(est.index_a, 1)
+                            or deepest.get(second, 0) >= max(est.index_b, 1)):
+                        false_rtt_accepts += 1
+            elif accepted:
+                clean_accepts += 1
+    clean_entries = len(shared) * len(outcomes) - corrupt_entries
     return ExperimentReport(
         results=results,
         stats=stats,
         traces_by_origin=traces_by_origin,
         soundness_violations=violations,
         tight_hits=tight_hits,
-        confusion=confusion,
+        confusion={
+            "clean_accept": clean_accepts,
+            "clean_reject": clean_entries - clean_accepts,
+            "corrupt_accept": corrupt_accepts,
+            "corrupt_reject": corrupt_entries - corrupt_accepts,
+        },
         false_rtt_accepts=false_rtt_accepts,
     )
 

@@ -1094,6 +1094,21 @@ def test_simulate_unknown_key_is_fatal(tmp_path, capsys, model, flag, spec, mess
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("model, params", [
+    ("two_tier", "regions=1,leaves=1"),
+    ("ring_of_stars", "cores=1,leaves=1"),
+])
+def test_simulate_refuses_a_topology_of_fewer_than_two_hosts(tmp_path, capsys, model, params):
+    # one host makes no pair: the run sampled 0 pairs, wrote an empty
+    # report and exited 0
+    outdir = tmp_path / "sim"
+    assert main(["--seed", "1", "simulate", "--model", model, "--params", params,
+                 "--pairs", "5", "-o", str(outdir)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {model} has hosts=1; simulate needs at least 2 hosts to pair\n")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("params, inject", [
     # the path's doubled sum overflowed: "hop 1: rtt inf is negative or not finite"
     ("n=2,latency_scale=4e307", ["--inject", "asymmetry=1,delta=1.7e308"]),

@@ -3,7 +3,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_synth
+from edgedist import synth
+from edgedist.cli import _sample_pairs, pair_at
 from edgedist.jsonl import read_jsonl
 from edgedist.model import PairEstimate, RejectKind
 from edgedist.transit import (
@@ -18,6 +22,7 @@ from edgedist.synth import (
     SimOptions,
     Simulator,
     Topology,
+    _bfs_levels,
     dijkstra,
     extract_path,
     generate_topology,
@@ -227,6 +232,71 @@ def test_dijkstra_predecessors_match_the_post_pass_rule(name):
         dist, pred = dijkstra(topo.adjacency(), source)
         assert pred == _post_pass_predecessors(topo, dist, source)
         assert list(pred) == list(dist)
+
+
+@st.composite
+def _graphs_with_dead_ends(draw):
+    """A symmetric graph over up to 8 routers, possibly disconnected, with
+    up to 8 dead ends hung off them, latencies from three values so that
+    many paths tie, nodes in any order, and a source drawn from them all."""
+    routers = [f"r{i}" for i in range(draw(st.integers(1, 8)))]
+    latency = st.sampled_from([0.25, 0.5, 0.75])
+    edges = {}
+    for i, u in enumerate(routers):
+        for v in routers[i + 1:]:
+            if draw(st.booleans()):
+                edges[u, v] = edges[v, u] = draw(latency)
+    dead_ends = [f"d{j}" for j in range(draw(st.integers(0, 8)))]
+    for end in dead_ends:
+        parent = draw(st.sampled_from(routers))
+        edges[parent, end] = edges[end, parent] = draw(latency)
+    nodes = tuple(draw(st.permutations(routers + dead_ends)))
+    topo = Topology(nodes=nodes, edges=edges, host_attachment={})
+    return topo, draw(st.sampled_from(nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_with_dead_ends())
+# two nodes, each a dead end
+@example((make_topology([("A", "B", 0.5)], {}), "A"))
+# a star searched from one of its leaves
+@example((make_topology([("H", f"L{i}", 0.25 * (i + 1)) for i in range(4)], {}), "L2"))
+# the dead end D's parent B is reached over Z, then at equal latency over A
+@example((make_topology([("S", "Z", 0.25), ("Z", "B", 0.5), ("S", "A", 0.5),
+                         ("A", "B", 0.25), ("B", "D", 0.5)], {}), "S"))
+def test_searches_match_the_full_queue_reference(graph):
+    topo, source = graph
+    adj = topo.adjacency()
+    dist, pred = dijkstra(adj, source)
+    ref_dist, ref_pred = reference_synth.dijkstra(adj, source)
+    # the same values, set in the same order
+    assert list(dist.items()) == list(ref_dist.items())
+    assert list(pred.items()) == list(ref_pred.items())
+    assert (list(_bfs_levels(adj, source).items())
+            == list(reference_synth.bfs_levels(adj, source).items()))
+
+
+def test_searches_never_queue_a_host(monkeypatch):
+    queued = []
+    synth_heappush = synth.heappush
+
+    def recording_heappush(heap, item):
+        queued.append(item[1])
+        synth_heappush(heap, item)
+
+    class RecordingDeque(synth.deque):
+        def append(self, node):
+            queued.append(node)
+            super().append(node)
+
+    monkeypatch.setattr(synth, "heappush", recording_heappush)
+    monkeypatch.setattr(synth, "deque", RecordingDeque)
+    topo = generate_topology("two_tier", {"regions": 4, "leaves": 5}, seed=3)
+    adj = topo.adjacency()
+    for source in topo.nodes:
+        dijkstra(adj, source)
+        _bfs_levels(adj, source)
+    assert set(queued) == set(topo.routers)
 
 
 @pytest.mark.parametrize("edges", [
@@ -532,3 +602,47 @@ def test_experiment_cross_checks_match_per_pair_rescan(model, params, fallback):
     assert report.confusion == confusion
     assert report.false_rtt_accepts == false_rtt_accepts
     assert false_rtt_accepts > 0
+
+
+@pytest.mark.parametrize("model, params", [
+    ("ring_of_stars", {"cores": 4, "leaves": 3}),
+    ("random_geometric", {"n": 20}),
+    ("two_tier", {"regions": 3, "leaves": 4, "peering": True}),
+])
+@pytest.mark.parametrize("mode", [HOST, ACCESS_ROUTER])
+@pytest.mark.parametrize("fallback", [False, True])
+def test_experiment_tally_matches_the_per_entry_reference(model, params, mode, fallback):
+    topo = generate_topology(model, params, seed=6)
+    opts = SimOptions(asymmetry_probability=0.5, asymmetry_delta_ms=0.8,
+                      loop_probability=0.2, block_probability=0.1,
+                      rtt_jitter_ms=0.5, seed=5)
+    pairs = list(itertools.combinations(topo.hosts, 2))
+    pairs += [(b, a) for a, b in pairs[::5]]
+    est_options = EstimateOptions(mode=mode, allow_origin_fallback=fallback, eps_rtt=1.0)
+    report = run_experiment(topo, topo.routers[:6], pairs, opts, est_options)
+    expected = reference_synth.cross_reference(topo, topo.routers[:6], pairs, opts,
+                                               est_options)
+    assert (report.results, report.confusion, report.false_rtt_accepts) == expected
+
+
+def test_experiment_tally_matches_the_reference_in_every_confusion_cell():
+    # the simulate run --seed 3 --model two_tier --params regions=4,leaves=5
+    # --eps-rtt 100 --inject asymmetry=0.3,delta=40,loops=0.2, with its
+    # origins and pairs drawn as the command draws them
+    topo = generate_topology("two_tier", {"regions": 4, "leaves": 5}, seed=3)
+    rng = random.Random(3)
+    origins = sorted(rng.sample(topo.routers, 4))
+    hosts = topo.hosts
+    pairs = _sample_pairs(len(hosts) * (len(hosts) - 1) // 2,
+                          lambda i: pair_at(hosts, i), 60, rng)
+    opts = SimOptions(asymmetry_probability=0.3, asymmetry_delta_ms=40.0,
+                      loop_probability=0.2, seed=3)
+    est_options = EstimateOptions(eps_rtt=100.0)
+    report = run_experiment(topo, origins, pairs, opts, est_options)
+    assert (report.results, report.confusion, report.false_rtt_accepts) == (
+        reference_synth.cross_reference(topo, origins, pairs, opts, est_options))
+    assert report.false_rtt_accepts == 43
+    assert all(report.confusion.values())
+    empty = run_experiment(topo, origins, [], opts, est_options)
+    assert (empty.results, empty.confusion, empty.false_rtt_accepts) == (
+        reference_synth.cross_reference(topo, origins, [], opts, est_options))
