@@ -132,7 +132,10 @@ def cmd_ingest(args) -> int:
         if args.format == "canonical":
             traces.extend(ingest.read_canonical(input_path))
         else:
-            text = Path(input_path).read_text(encoding="utf-8-sig")
+            try:
+                text = Path(input_path).read_text(encoding="utf-8-sig")
+            except UnicodeDecodeError as exc:
+                raise jsonl.not_utf8(input_path, exc) from exc
             more, report = ingest.parse_traceroute_text(text, args.origin)
             traces.extend(more)
             parsed += report.parsed
@@ -150,19 +153,18 @@ def cmd_ingest(args) -> int:
 
 
 def _load_pairs_file(path: str) -> list[tuple[str, str]]:
-    """One ``a,b`` pair per line; blank and ``#`` lines are skipped, and the
-    first other line is a header when it is ``a,b`` in any case; a leading
-    byte-order mark is encoding, not data.  Each pair names two distinct,
-    non-empty endpoints and is listed once, in either order."""
-    rows = [(lineno, line.strip()) for lineno, line in
-            enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1)
-            if line.strip() and not line.strip().startswith("#")]
-    if rows and rows[0][1].lower() == "a,b":
+    """One ``a,b`` pair per CSV row, read by ``jsonl.read_rows``; blank rows
+    and rows whose first cell starts with ``#`` are skipped, and the first
+    other row is a header when its cells are ``a`` and ``b`` in any case.
+    Each pair names two distinct, non-empty endpoints (cells stripped of
+    whitespace) and is listed once, in either order."""
+    rows = [(lineno, [cell.strip() for cell in row]) for lineno, row in jsonl.read_rows(path)
+            if not row[0].lstrip().startswith("#")]
+    if rows and [cell.lower() for cell in rows[0][1]] == ["a", "b"]:
         del rows[0]
     pairs = []
     listed = set()
-    for lineno, line in rows:
-        parts = [p.strip() for p in line.split(",")]
+    for lineno, parts in rows:
         if len(parts) != 2:
             problem = "expected two columns"
         elif not all(parts):

@@ -8,13 +8,13 @@ counts are loss durations divided by 10.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable
 from pathlib import Path
 
+from .jsonl import read_rows
 from .model import _Value
 from .stats import HOP_COUNT, RTT_MS, EdgeDistribution, ascii_number, multiset_sum
 
@@ -121,21 +121,12 @@ class LossModel(_Value, namedtuple("LossModel", "beta table")):
                 for a in anticipations for cost in [self.beta * a]]
 
 
-def _table_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    """The line number and cells of each CSV row of ``path`` with a cell
-    that is not all whitespace; a leading byte-order mark is encoding, not
-    data."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        return [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
-
-
 def load_loss_table(path: str | Path) -> LossTable:
     """CSV with the anticipation axis in the first row and the delay axis in
-    the first column, read as ``_table_rows`` reads it; cells are loss
+    the first column, read as ``read_rows`` reads it; cells are loss
     durations in ms."""
     rows: list[tuple[float, ...]] = []
-    for line_num, row in _table_rows(path):
+    for line_num, row in read_rows(path):
         # the header row's first cell is a corner label, not a number
         cells = row if rows else row[1:]
         try:
@@ -205,9 +196,10 @@ def argmin_anticipation(
         raise ValueError(f"flat_threshold must be finite and >= 0, got {flat_threshold}")
     losses = [loss for _, loss, _ in curve]
     best_a, best_loss, _ = min(curve, key=lambda row: (row[1], row[0]))
-    spread = max(losses) - min(losses)
-    mean = sum(losses) / len(losses)
-    flat = spread < flat_threshold * mean
+    top = max(losses)
+    # spread and mean as shares of the largest loss: a sum of losses can overflow
+    flat = top > 0 and (top - min(losses)) / top < flat_threshold * (
+        sum(loss / top for loss in losses) / len(losses))
     return AnticipationOptimum(anticipation_ms=best_a, expected_loss_ms=best_loss, flat=flat)
 
 
@@ -234,10 +226,10 @@ def _check_entry(hop: int, ratio: float) -> None:
 
 
 def load_persistence_table(path: str | Path) -> PersistenceTable:
-    """CSV hop,persist_ratio with header, read as ``_table_rows`` reads it;
+    """CSV hop,persist_ratio with header, read as ``read_rows`` reads it;
     where a column name repeats, its last column counts."""
     entries: dict[int, float] = {}
-    rows = _table_rows(path)
+    rows = read_rows(path)
     header = rows[0][1] if rows else []
     if not {"hop", "persist_ratio"}.issubset(header):
         raise ValueError(f"{path}: header must contain ['hop', 'persist_ratio']")

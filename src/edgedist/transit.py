@@ -18,7 +18,6 @@ from .jsonl import (
     expect_object,
     read_lines,
     scan_string,
-    scan_value,
     write_lines,
 )
 from .model import (
@@ -594,14 +593,13 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     The writer repeats a few distinct entries over a whole campaign, so a
     line in its layout is split into its per_origin members and its tail
     (the best bounds and their origins), and each distinct member text and
-    tail text is decoded once per file.  A member is decoded by the JSON
-    scanners and kept only if its value ends exactly at its last byte, so a
-    text found again parses the same wherever it starts a member; the tail
-    is decoded whole and kept only if it has just the four keys, in order
-    (a repeated one decodes as in the whole line: the last value counts).
-    Any line that does not decode that way, and any error, is decoded again
-    whole by ``json.loads``, so the result and every error are the ones a
-    whole-line decode gives.
+    tail text is decoded once per file: a member text as ``{"<text>}}``,
+    kept only if that holds one member, which then parses the same wherever
+    the text starts a member, and the tail whole, kept only if it has just
+    the four keys in order.  A line whose members repeat an origin, any
+    other line, and any error are decoded again whole by ``json.loads``, so
+    JSON applies its rule for a repeated key, and the result and every error
+    are the ones a whole-line decode gives.
     """
     rejects: dict[tuple[str, str], RejectReason] = {}
     estimates: dict = {}
@@ -609,8 +607,7 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
     share = names.setdefault
     members: dict[str, tuple[str, PairEstimate | RejectReason]] = {}
     tails: dict[str, tuple[PairEstimate | None, PairEstimate | None]] = {}
-    # each origin sequence as a line names it, to the file's tuple of its
-    # distinct origins
+    # each sequence of distinct origins to the file's one tuple of it
     origin_sets: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def estimate(obj, origin: str) -> PairEstimate | RejectReason:
@@ -642,17 +639,6 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
             raise ValueError(f"{name} is a reject entry")
         return est
 
-    def columns(origins: tuple[str, ...], entries: tuple) -> tuple[tuple, tuple]:
-        """The file's origins tuple for ``origins`` as a line names them,
-        and ``entries`` aligned with it."""
-        distinct = origin_sets.get(origins)
-        if distinct is None:
-            distinct = tuple(dict.fromkeys(origins))
-            distinct = origin_sets[origins] = origin_sets.setdefault(distinct, distinct)
-        if len(distinct) != len(entries):  # a repeated origin: its last entry counts
-            entries = tuple(dict(zip(origins, entries)).values())
-        return distinct, entries
-
     def outcome(rec: dict) -> PairOutcome:
         a, b = pair = expect_object(rec)["pair"]
         if type(pair) is not list or type(a) is not str or type(b) is not str:
@@ -662,45 +648,36 @@ def read_outcomes(path: str | Path) -> list[PairOutcome]:
         if not isinstance(objs, dict):
             raise ValueError("per_origin is not an object")
         origins = tuple([share(origin, origin) for origin in objs])
-        entries = tuple([estimate(obj, origin) for origin, obj in zip(origins, objs.values())])
-        distinct, entries = columns(origins, entries)
-        return tuple.__new__(PairOutcome, (a, b, distinct, best(rec, "best_hop"),
-                                           best(rec, "best_rtt"), *entries))
+        entries = [estimate(obj, origin) for origin, obj in zip(origins, objs.values())]
+        return tuple.__new__(PairOutcome, (a, b, origin_sets.setdefault(origins, origins),
+                                           best(rec, "best_hop"), best(rec, "best_rtt"), *entries))
 
     def laid_out(line: str) -> PairOutcome:
-        if not line.startswith(_PAIR_HEAD):
-            raise ValueError("not in the writer's layout")
         a, end = scan_string(line, len(_PAIR_HEAD))
-        if not line.startswith(_PAIR_SEP, end):
+        if not (line.startswith(_PAIR_HEAD) and line.startswith(_PAIR_SEP, end)):
             raise ValueError("not in the writer's layout")
         b, end = scan_string(line, end + len(_PAIR_SEP))
-        if not line.startswith(_ORIGINS_HEAD, end):
-            raise ValueError("not in the writer's layout")
         start = end + len(_ORIGINS_HEAD)
         stop = line.find(_ORIGINS_END, start)
-        if stop < 0:
+        if stop < 0 or not line.startswith(_ORIGINS_HEAD, end):
             raise ValueError("not in the writer's layout")
         # each text is a member without its opening quote and closing brace
         texts = line[start:stop].split(_MEMBER_SEP)
         try:
             origins, entries = zip(*map(members.__getitem__, texts))
         except KeyError:
-            found = []
             for text in texts:
-                member = members.get(text)
-                if member is None:
-                    origin, end = scan_string(line, start)
-                    if not line.startswith(":", end):
-                        raise ValueError("no colon after the origin")
-                    obj, end = scan_value(line, end + 1)
-                    if end != start + len(text) + 1:
-                        raise ValueError("the entry does not end the member")
+                if text not in members:
+                    # unpacked as one member: a text of more is refused
+                    ((origin, value),) = decode('{"' + text + "}}").items()
                     origin = share(origin, origin)
-                    member = members[text] = (origin, estimate(obj, origin))
-                found.append(member)
-                start += len(text) + len(_MEMBER_SEP)
-            origins, entries = zip(*found)
-        distinct, entries = columns(origins, entries)
+                    members[text] = (origin, estimate(value, origin))
+            origins, entries = zip(*map(members.__getitem__, texts))
+        distinct = origin_sets.get(origins)
+        if distinct is None:
+            if len(set(origins)) < len(origins):  # JSON's rule, in the whole-line decode
+                raise ValueError("an origin is repeated")
+            distinct = origin_sets[origins] = origins
         tail = line[stop + 3:]  # from '"best_hop":' to the end of the line
         bests = tails.get(tail)
         if bests is None:

@@ -331,6 +331,44 @@ def test_pairs_file_bad_row_is_fatal(tmp_path, capsys, text, line, problem):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, line, problem", [
+    # str.splitlines also broke a row at these, so the three-cell first row
+    # was read as two pairs and the file refused at "line 3" of two
+    ("a,x\x0cy,z\nx,x\n", 1, "expected two columns"),
+    ("a,x y,z\nx,x\n", 1, "expected two columns"),
+    ("a,x\x85y,z\nx,x\n", 1, "expected two columns"),
+    ("a,x\x0cy\nx,x\n", 2, "both endpoints are 'x'"),
+    # a quoted line break is in its cell, and lines are counted in the file
+    ('"a\nb",x\ny,y\n', 3, "both endpoints are 'y'"),
+    ('a,x\n"x",a\n', 2, "pair x,a is listed twice"),
+])
+def test_pairs_file_rows_end_only_at_a_line_break(tmp_path, capsys, text, line, problem):
+    traces = write_traces(tmp_path / "traces.jsonl",
+                          [trace("O1", d, [("T", 1.0), (d, 3.0)]) for d in "axyz"])
+    listed = tmp_path / "pairs.csv"
+    listed.write_text(text, encoding="utf-8", newline="")
+    out = tmp_path / "out.jsonl"
+    assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                 "--pairs-file", str(listed), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {listed}: line {line}: {problem}\n"
+    assert not out.exists()
+
+
+def test_pairs_file_cells_are_read_as_csv_reads_them(tmp_path):
+    traces = write_traces(tmp_path / "traces.jsonl",
+                          [trace("O1", d, [("T", 1.0), (d, 3.0)]) for d in "axyz"])
+    listed = tmp_path / "pairs.csv"
+    listed.write_text('"a","b"\n"a",x\n# y,z\n" y ",z\n , \n"x,y",a\n'
+                      '"#z",y\nz,"x y"\r\n', encoding="utf-8", newline="")
+    out = tmp_path / "out.jsonl"
+    assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                 "--pairs-file", str(listed), "-o", str(out)]) == 0
+    # a row of blank cells is skipped as a blank line is, and a quoted first
+    # cell that starts with # is a comment like any other
+    assert [json.loads(line)["pair"] for line in out.read_text().splitlines()] == [
+        ["a", "x"], ["y", "z"], ["a", "x,y"], ["x y", "z"]]
+
+
 def test_dist_writes_both_metrics(tmp_path, capsys):
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
@@ -621,6 +659,33 @@ def test_handover_curve_and_argmin(tmp_path, capsys):
         "argmin: flat curve, no significant anticipation optimum\n"
 
 
+def test_a_steep_curve_whose_sum_overflows_is_not_flat(tmp_path, capsys):
+    # the curve rises from 6.25 ms to 1e308 ms; its sum overflowed to inf,
+    # and every spread is below a share of an infinite mean
+    rtt = tmp_path / "one.rtt.tsv"
+    rtt.write_text("# metric=rtt_ms bin_width=5 n=1\n10\t1\t1.0\n")
+    curve = tmp_path / "curve.tsv"
+    assert main(["handover", "--dist-tsv", str(rtt), "--beta", "1e306",
+                 "-o", str(curve)]) == 0
+    assert capsys.readouterr().out == "argmin: anticipation=0 ms expected_loss=6.2500 ms\n"
+    lines = curve.read_text().splitlines()
+    assert lines[1] == "0\t6.25\t0.625" and lines[-1] == "100\t1e+308\t1e+307"
+
+
+@pytest.mark.parametrize("target", ["missing/c.tsv", "folder"])
+def test_a_failed_write_names_the_output(tmp_path, capsys, target):
+    # it used to name the temporary file beside the output
+    rtt = tmp_path / "one.rtt.tsv"
+    rtt.write_text("# metric=rtt_ms bin_width=5 n=1\n10\t1\t1.0\n")
+    (tmp_path / "folder").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / target
+    assert main(["handover", "--dist-tsv", str(rtt), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": '{out}'\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_handover_persistence(tmp_path, capsys):
     traces = origin_traces(tmp_path)
     outcomes = tmp_path / "outcomes.jsonl"
@@ -676,6 +741,63 @@ def test_persistence_byte_order_mark_is_no_data(tmp_path, capsys):
     assert main(["handover", "--outcomes", str(outcomes), "--persistence", str(table),
                  "-o", str(tmp_path / "curve.tsv")]) == 0
     assert "persistence: 0.7500" in capsys.readouterr().out
+
+
+# each input kind: the argv that reads it, and the file it is
+UNDECODABLE_ARGV = {
+    "ingest-text": (["ingest", "{text}"], "text"),
+    "ingest-canonical": (["ingest", "--format", "canonical", "{traces}"], "traces"),
+    "pairs-traces": (["pairs", "--mode", "host", "--traces", "{traces}"], "traces"),
+    "pairs-file": (["pairs", "--mode", "host", "--traces", "{traces}", "--pairs-file",
+                    "{pairs}"], "pairs"),
+    "dist": (["dist", "--outcomes", "{outcomes}"], "outcomes"),
+    "handover-persistence": (["handover", "--outcomes", "{outcomes}", "--persistence",
+                              "{persist}"], "persist"),
+    "handover-loss-table": (["handover", "--outcomes", "{outcomes}", "--loss-table", "{loss}",
+                             "--grid", "0:10:5"], "loss"),
+    "handover-tsv": (["handover", "--dist-tsv", "{rtt}"], "rtt"),
+}
+
+
+@pytest.mark.parametrize("argv, name", UNDECODABLE_ARGV.values(), ids=UNDECODABLE_ARGV)
+def test_an_input_that_is_not_utf8_is_named(tmp_path, capsys, argv, name):
+    # the error used to be the codec's alone, naming no file
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host", "-o", str(outcomes)])
+    main(["--quiet", "dist", "--outcomes", str(outcomes), "-o", str(tmp_path / "dist")])
+    texts = {"text": TRACEROUTE_TEXT, "traces": Path(traces).read_text(), "pairs": "X,Y\n",
+             "outcomes": outcomes.read_text(), "rtt": (tmp_path / "dist.rtt.tsv").read_text(),
+             "persist": "hop,persist_ratio\n2,0.75\n", "loss": ",0,10\n0,1,2\n10,3,4\n"}
+    paths = {key: tmp_path / f"input.{key}" for key in texts}
+    for key, text in texts.items():
+        paths[key].write_text(text, encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+    out = tmp_path / "result"
+    assert main(["--quiet", *argv, "-o", str(out)]) == 0
+    # one bad byte far past the first chunk a reader decodes
+    paths[name].write_bytes(paths[name].read_bytes() + b" " * 20000 + b"\xff\n")
+    for leftover in tmp_path.glob("result*"):
+        leftover.unlink()
+    assert main(["--quiet", *argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths[name]}: not UTF-8 text (invalid start byte, byte 0xff)\n")
+    assert list(tmp_path.glob("result*")) == []
+
+
+def test_a_table_row_the_csv_reader_refuses_is_named(tmp_path, capsys):
+    # csv.Error is no ValueError: it used to escape main as a traceback
+    traces = origin_traces(tmp_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    main(["--quiet", "pairs", "--traces", traces, "--mode", "host", "-o", str(outcomes)])
+    table = tmp_path / "persist.csv"
+    table.write_text(f"hop,persist_ratio\n2,0.75\n3,{'9' * 200_000}\n")
+    curve = tmp_path / "curve.tsv"
+    assert main(["handover", "--outcomes", str(outcomes), "--persistence", str(table),
+                 "-o", str(curve)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {table}: line 3: field larger than field limit (131072)\n")
+    assert not curve.exists()
 
 
 BYTE_ORDER_MARK_ARGV = {

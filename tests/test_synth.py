@@ -646,3 +646,27 @@ def test_experiment_tally_matches_the_reference_in_every_confusion_cell():
     empty = run_experiment(topo, origins, [], opts, est_options)
     assert (empty.results, empty.confusion, empty.false_rtt_accepts) == (
         reference_synth.cross_reference(topo, origins, [], opts, est_options))
+
+
+def test_a_false_rtt_accept_is_checked_at_each_endpoints_own_transit_index(monkeypatch):
+    # the simulator's traces follow one shortest-path tree, so an accepted
+    # transit sits at one position in both; these reconvergent traces put it
+    # at 1 toward HA and 3 toward HB, and HA's RTT drops at position 2,
+    # between the two, within --eps-rtt
+    topo = make_topology([("O", "T", 1.0), ("T", "A1", 1.0), ("T", "B1", 1.0)],
+                         {"HA": ("A1", 1.0), "HB": ("B1", 1.0)})
+    traces = {
+        "HA": trace("O", "HA", [("T", 1.0), ("X", 5.0), ("HA", 4.0)]),
+        "HB": trace("O", "HB", [("P", 1.0), ("Q", 2.0), ("T", 3.0), ("HB", 6.0)]),
+    }
+    monkeypatch.setattr(Simulator, "trace", lambda self, origin, host: (traces[host], False))
+    est_options = EstimateOptions(mode=HOST, eps_rtt=100.0)
+    report = run_experiment(topo, ["O"], [("HB", "HA")], est_options=est_options)
+    (outcome,), _ = batch_estimate({"O": list(traces.values())}, [("HB", "HA")], est_options)
+    assert outcome.pair == ("HA", "HB")
+    assert (outcome.best_rtt.index_a, outcome.best_rtt.index_b) == (1, 3)
+    assert report.confusion == {"clean_accept": 0, "clean_reject": 0,
+                                "corrupt_accept": 1, "corrupt_reject": 0}
+    assert report.false_rtt_accepts == 1
+    assert (report.results, report.confusion, report.false_rtt_accepts) == (
+        reference_synth.cross_reference(topo, ["O"], [("HB", "HA")], est_options=est_options))

@@ -1389,16 +1389,19 @@ def _v1_line(pair, members, best=None, sep=(",", ":")):
     return "{" + comma.join(f'"{key}"{colon}{value}' for key, value in fields) + "}"
 
 
-def _hand_written(tmp_path, lines, spaced):
+def _hand_written(tmp_path, lines, spaced, repeating=0):
     """read_outcomes of ``lines``, each written in the writer's layout or,
     when ``spaced``, with the default separators, after checking it against
-    the reference reader; and the lines it decoded whole."""
+    the reference reader, and checking that it decoded whole each spaced
+    line, and in the writer's layout the first ``repeating`` lines, which
+    repeat an origin."""
     sep = (", ", ": ") if spaced else (",", ":")
     path = tmp_path / ("spaced.jsonl" if spaced else "compact.jsonl")
-    path.write_text("".join(_v1_line(*line, sep=sep) + "\n" for line in lines))
+    texts = [_v1_line(*line, sep=sep) + "\n" for line in lines]
+    path.write_text("".join(texts))
     loaded, whole = _whole_line_decodes(path)
     assert loaded == reference.read_outcomes(path)
-    assert len(whole) == (len(lines) if spaced else 0)
+    assert whole == (texts if spaced else texts[:repeating])
     return loaded
 
 
@@ -1418,7 +1421,7 @@ def test_a_repeated_origin_key_keeps_its_first_place_and_last_entry(tmp_path, sp
         (("a", "b"), [('"O1"', _NO_TRACE_OBJ), ('"O2"', _ENTRY), ('"O1"', later)],
          ("O2", _ENTRY)),
         (("a", "c"), [('"O1"', _ENTRY), ('"O2"', _ENTRY)], ("O1", _ENTRY)),
-    ], spaced)
+    ], spaced, repeating=1)
     assert first.origins == ("O1", "O2") and first.origins is second.origins
     assert [est.hop_bound for est in first.entries] == [4, 1]
     # a valid outcome
@@ -1648,6 +1651,92 @@ def test_a_member_split_inside_a_string_is_never_kept(tmp_path):
     path.write_text("\n".join([*lines, bad]) + "\n")
     with pytest.raises(ValueError, match=r"bad outcome at line 3: Expecting ',' delimiter"):
         read_outcomes(path)
+
+
+# per_origin members as written, "key":value, that a writer's line may hold:
+# entries, details and keys that fake the member separator or a member's
+# end, nested objects followed by ,"key", keys that escape to one origin,
+# and values that are not objects
+_MEMBER_TEXTS = [
+    '"O1":{"hop_bound":1,"rtt_bound_ms":1,"transit":["T",1,1],"origin_fallback":false}',
+    '"O2":{"hop_bound":2,"rtt_bound_ms":2.5,"transit":[null,0,0],"origin_fallback":true}',
+    '"O2":{"reject":"NoTransit","detail":"x},"}',
+    '"O3":{"reject":"NoTransit","detail":"},\\"O1\\":{\\"reject\\":\\"NoTransit\\"}},"}',
+    '"O1":{"x":{"reject":"NoTransit"},"reject":"NoTransit"}',
+    '"O3":{"reject":"NoTransit","x":{"y":{}},"detail":"z"}',
+    '"O1":{"reject":"NoTransit","x":{"y":1} ,"detail":"w"}',
+    '"O2":{"reject":"NoTransit"} ,"O3":{"reject":"AsymmetrySuspected"}',
+    '"O2":{"reject":"NoTransit"},"O2":{"reject":"LoopBeyondTransit"}',
+    '"O\\u0031":{"reject":"MissingRttAtTransit","detail":""}',
+    '"},":{"reject":"NoTransit"}',
+    '"O1":5', '"O2":"reject"', '"O3":["reject"]', '"O1":null', '"O2":{}',
+    '"O3":{"reject":"NoTransit","detail":7}',
+]
+_ENTRY_TEXT = json.dumps(_ENTRY, separators=(",", ":"))
+_TAIL_TEXTS = [
+    '"best_hop":null,"best_hop_origin":null,"best_rtt":null,"best_rtt_origin":null',
+    f'"best_hop":{_ENTRY_TEXT},"best_hop_origin":"O1","best_rtt":{_ENTRY_TEXT},'
+    '"best_rtt_origin":"O1"',
+    '"best_hop":{"reject":"NoTransit"},"best_hop_origin":"O2","best_rtt":null,'
+    '"best_rtt_origin":null',
+    '"best_hop":null,"best_hop_origin":null,"best_rtt":null,"best_rtt_origin":null,"x":{}',
+]
+
+
+@st.composite
+def _writer_layout_lines(draw):
+    """Lines in the writer's layout from a pool of member and tail texts,
+    some of them malformed by an edit that keeps their members whole."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        members = draw(st.lists(st.sampled_from(_MEMBER_TEXTS), min_size=1, max_size=4))
+        pair = json.dumps(draw(st.sampled_from([["a", "b"], ["a", "c"], ["},", "a"]])),
+                          separators=(",", ":"))
+        line = (f'{{"pair":{pair},"per_origin":{{{",".join(members)}}},'
+                f'{draw(st.sampled_from(_TAIL_TEXTS))}}}')
+        line = draw(st.sampled_from([
+            line, line, line[:-1], line + "}", line.replace('"best_rtt":', '"best_rtt":,', 1),
+            line.replace(':null', ':nul', 1), line.replace('"pair":["a"', '"pair":[5', 1),
+        ]))
+        lines.append(line)
+    return lines
+
+
+def _origin_sharing(outcomes):
+    """Each outcome's index of the first outcome whose origins tuple it
+    holds: equal where two reads share their tuples alike."""
+    if isinstance(outcomes, str):
+        return outcomes
+    first = {}
+    return [first.setdefault(id(oc.origins), i) for i, oc in enumerate(outcomes)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_writer_layout_lines())
+# O1's member is first decoded in a line whose tail sends it whole, then
+# found again; O2's in a line that repeats it
+@example([f'{{"pair":["a","b"],"per_origin":{{{_MEMBER_TEXTS[0]}}},{_TAIL_TEXTS[3]}}}',
+          f'{{"pair":["a","c"],"per_origin":{{{_MEMBER_TEXTS[0]}}},{_TAIL_TEXTS[1]}}}',
+          f'{{"pair":["a","b"],"per_origin":{{{_MEMBER_TEXTS[1]},{_MEMBER_TEXTS[1]}}},'
+          f'{_TAIL_TEXTS[0]}}}',
+          f'{{"pair":["a","c"],"per_origin":{{{_MEMBER_TEXTS[1]}}},{_TAIL_TEXTS[0]}}}'])
+def test_member_decode_matches_the_whole_line_decode(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("members") / "o.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    got = _read_or_error(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transit, "_PAIR_HEAD", "\0")
+        whole = _read_or_error(path)
+    assert got == whole
+    assert repr(got) == repr(whole)
+    assert _origin_sharing(got) == _origin_sharing(whole)
+    # each line alone, so that every line is read, the malformed ones too
+    for line in lines:
+        path.write_text(line + "\n", encoding="utf-8")
+        got = _read_or_error(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transit, "_PAIR_HEAD", "\0")
+            assert got == _read_or_error(path), line
 
 
 def _whole_line_decodes(path):
