@@ -169,30 +169,74 @@ def _bfs_levels(adj: dict[str, list[tuple[str, float]]], source: str) -> dict[st
     return levels
 
 
+def _fold(
+    adj: dict[str, list[tuple[str, float]]], source: str
+) -> tuple[str, int, float, dict[str, tuple[int, float]]]:
+    """The branch node whose searches serve ``source``, the hops and latency
+    from ``source`` to it, and the (hops, latency) from ``source`` of the
+    nodes those searches would reach the wrong way round.
+
+    A pendant node, one whose arcs lead to exactly one node that is not a
+    dead end (see ``dijkstra``), reaches every node past that neighbour
+    through it, one hop and the arc's latency further than the neighbour
+    does.  The fold repeats from the neighbour, so a host folds to its
+    leaf and then to its hub, and stops at a node that is not pendant or
+    whose one such neighbour is already on the chain (two routers joined
+    only to each other).  The chain's nodes and their dead ends, the
+    source among them, are measured along the chain instead.
+    """
+    node, hops, latency = source, 0, 0.0
+    local: dict[str, tuple[int, float]] = {}
+    while True:
+        local[node] = (hops, latency)
+        onward = []
+        for v, lat in adj[node]:
+            if len(adj[v]) > 1:
+                onward.append((v, lat))
+            else:
+                local.setdefault(v, (hops + 1, latency + lat))
+        if len(onward) != 1 or onward[0][0] in local:
+            return node, hops, latency, local
+        (node, lat), = onward
+        hops, latency = hops + 1, latency + lat
+
+
 def _pair_truths(
     topology: Topology, node_pairs: list[tuple[str, str]]
 ) -> tuple[list[int], list[float]]:
     """min_hop_distance and true_distance's latency for every node pair.
 
-    Builds the adjacency once, runs one BFS and one Dijkstra per distinct
-    source node and holds only the current source's searches.  Neither
-    search queues a dead end, so the hosts, a dead end each in every model,
-    get their distances without ever being settled.
+    Builds the adjacency once, folds each distinct source to its branch
+    node (``_fold``: a leaf router to its hub, a host to its leaf's hub),
+    runs one BFS and one Dijkstra per distinct branch node and holds only
+    the current branch's searches.  A pair's truth is the branch's to the
+    target plus the fold's hops and latency, unless the fold measured the
+    target itself.  That sum equals a search from the source bit for bit:
+    latencies are multiples of 0.25 ms, and below ``_EXACT_MS`` their sums
+    are exact in any order.  Neither search queues a dead end, so the
+    hosts, a dead end each in every model, get their distances without
+    ever being settled.
     """
     adj = topology.adjacency()
-    by_source: dict[str, list[int]] = {}
+    folds: dict[str, tuple[str, int, float, dict[str, tuple[int, float]]]] = {}
+    by_branch: dict[str, list[int]] = {}
     for i, (a, _) in enumerate(node_pairs):
-        by_source.setdefault(a, []).append(i)
+        if a not in folds:
+            folds[a] = _fold(adj, a)
+        by_branch.setdefault(folds[a][0], []).append(i)
     hops: list[int | None] = [None] * len(node_pairs)
     latencies = [0.0] * len(node_pairs)
-    for source, indices in by_source.items():
-        levels = _bfs_levels(adj, source)
-        dist, _ = dijkstra(adj, source)
+    for branch, indices in by_branch.items():
+        levels = _bfs_levels(adj, branch)
+        dist, _ = dijkstra(adj, branch)
         for i in indices:
-            b = node_pairs[i][1]
-            if b in levels:
-                hops[i] = levels[b]
-                latencies[i] = dist[b]
+            a, b = node_pairs[i]
+            _, hop, latency, local = folds[a]
+            if b in local:
+                hops[i], latencies[i] = local[b]
+            elif b in levels:
+                hops[i] = hop + levels[b]
+                latencies[i] = latency + dist[b]
     for (a, b), h in zip(node_pairs, hops):
         if h is None:
             raise ValueError(f"{b} unreachable from {a}")
@@ -242,9 +286,19 @@ def generate_topology(model: str, params: dict | None = None, seed: int = 0) -> 
                 raise ValueError(f"{model} parameter {key}={value!r} is above {MAX_COUNT_PARAM}")
     rng = random.Random(seed)
     if model == RANDOM_GEOMETRIC:
-        retries = int(params.pop("retries", 50))
+        n = int(params.get("n", 50))
+        if n < 2:
+            raise ValueError("random_geometric needs n >= 2")
+        retries = int(params.get("retries", 50))
+        if retries < 1:
+            raise ValueError("random_geometric needs retries >= 1")
+        radius = params.get("radius", (2.0 / n) ** 0.5 * 1.6)
+        scale = params.get("latency_scale", 20.0)
+        for key, value in (("radius", radius), ("latency_scale", scale)):
+            if not value > 0:
+                raise ValueError(f"random_geometric parameter {key}={value!r} is not above 0")
         for _ in range(retries):
-            topo = _random_geometric(params, rng, seed)
+            topo = _random_geometric(n, float(radius), float(scale), rng, seed)
             if topo is not None:
                 return topo
         raise ValueError(
@@ -258,8 +312,11 @@ def generate_topology(model: str, params: dict | None = None, seed: int = 0) -> 
     hubs, leaves = int(params.get("regions", 4)), int(params.get("leaves", 5))
     if hubs < 1 or leaves < 1:
         raise ValueError("two_tier needs regions >= 1 and leaves >= 1")
+    peering = params.get("peering", 0)
+    if peering not in (0, 1):
+        raise ValueError(f"two_tier parameter peering={peering!r} is not 0 or 1")
     return _hub_and_leaf(rng, seed, hubs, leaves, ("T", "A"), (8, 24), (4, 12),
-                         peering=bool(params.get("peering", False)))
+                         peering=bool(peering))
 
 
 def _hub_and_leaf(rng, seed, hubs, leaves, prefixes, hub_steps, leaf_steps,
@@ -301,12 +358,7 @@ def _hub_and_leaf(rng, seed, hubs, leaves, prefixes, hub_steps, leaf_steps,
     return Topology(nodes=nodes, edges=edges, host_attachment=attachment, seed=seed)
 
 
-def _random_geometric(params, rng, seed) -> Topology | None:
-    n = int(params.get("n", 50))
-    if n < 2:
-        raise ValueError("random_geometric needs n >= 2")
-    radius = float(params.get("radius", (2.0 / n) ** 0.5 * 1.6))
-    scale = float(params.get("latency_scale", 20.0))
+def _random_geometric(n, radius, scale, rng, seed) -> Topology | None:
     names = [f"N{i:03d}" for i in range(n)]
     pos = {name: (rng.random(), rng.random()) for name in names}
     edges: dict[tuple[str, str], float] = {}
@@ -505,6 +557,10 @@ def run_experiment(
     back to the transit or through the access router is rejected, and a
     silent access router stays the endpoint.  RTT jitter can put an RTT
     bound below the truth, and ``soundness_violations`` counts that pair too.
+
+    The truths come from ``_pair_truths``, one BFS and one Dijkstra per
+    branch router (in the hub-and-leaf models, per hub) rather than per
+    pair source; they are exact because every path sum is.
 
     The cross-reference takes each origin's corrupt hosts (a loop injected
     into, or a decreasing RTT in, its trace to them) and deepest decreases

@@ -1204,6 +1204,26 @@ LATENCY_TOO_LARGE = ("is too large: a round trip over every link must stay below
     # exit 1
     ("random_geometric", "--params", "n=3,latency_scale=1e308",
      f"random_geometric parameter latency_scale=1e+308 {LATENCY_TOO_LARGE}"),
+    # any non-zero peering used to build the shortcuts, and a latency
+    # scale, radius or retry count below the range to run on silently (all
+    # links 0.25 ms) or fail as a disconnected draw
+    ("two_tier", "--params", "regions=2,leaves=2,peering=0.5",
+     "two_tier parameter peering=0.5 is not 0 or 1"),
+    ("two_tier", "--params", "regions=2,leaves=2,peering=2",
+     "two_tier parameter peering=2 is not 0 or 1"),
+    ("two_tier", "--params", "regions=2,leaves=2,peering=-1",
+     "two_tier parameter peering=-1 is not 0 or 1"),
+    ("random_geometric", "--params", "n=30,latency_scale=-5",
+     "random_geometric parameter latency_scale=-5 is not above 0"),
+    ("random_geometric", "--params", "n=30,latency_scale=0",
+     "random_geometric parameter latency_scale=0 is not above 0"),
+    ("random_geometric", "--params", "radius=-1",
+     "random_geometric parameter radius=-1 is not above 0"),
+    ("random_geometric", "--params", "radius=0.0",
+     "random_geometric parameter radius=0.0 is not above 0"),
+    ("random_geometric", "--params", "retries=-3", "random_geometric needs retries >= 1"),
+    ("random_geometric", "--params", "n=1,retries=0", "random_geometric needs n >= 2"),
+    ("random_geometric", "--params", "n=20,retries=0", "random_geometric needs retries >= 1"),
     # a return-leg delta and a jitter that overflow the RTT together
     ("two_tier", "--inject", "asymmetry=1,delta=1e308,jitter=1e308",
      "asymmetry_delta_ms + rtt_jitter_ms must be finite, got 1e+308 + 1e+308"),

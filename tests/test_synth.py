@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +24,8 @@ from edgedist.synth import (
     Simulator,
     Topology,
     _bfs_levels,
+    _endpoint_node,
+    _pair_truths,
     dijkstra,
     extract_path,
     generate_topology,
@@ -535,6 +538,101 @@ def test_experiment_unreachable_pair_is_an_error():
     with pytest.raises(ValueError, match="^HC unreachable from HA$"):
         run_experiment(topo, ["O"], [("HA", "HB"), ("HA", "HC")],
                        est_options=EstimateOptions(mode=HOST))
+
+
+@st.composite
+def _graphs_with_pendant_chains(draw):
+    """A symmetric graph of up to 5 core routers, linked at random, with up
+    to 4 chains of 1-3 pendant routers hung off them (a pendant router
+    behind another pendant router), maybe two routers joined only to each
+    other, hosts (dead ends) on any router, latencies from three values so
+    that many paths tie, and nodes in any order."""
+    latency = st.sampled_from([0.25, 0.5, 0.75])
+    core = [f"r{i}" for i in range(draw(st.integers(1, 5)))]
+    edges = {}
+
+    def link(u, v):
+        edges[u, v] = edges[v, u] = draw(latency)
+
+    for i, u in enumerate(core):
+        for v in core[i + 1:]:
+            if draw(st.booleans()):
+                link(u, v)
+    routers = list(core)
+    for c in range(draw(st.integers(0, 4))):
+        tail = draw(st.sampled_from(core))
+        for k in range(draw(st.integers(1, 3))):
+            routers.append(f"p{c}_{k}")
+            link(tail, routers[-1])
+            tail = routers[-1]
+    if draw(st.booleans()):
+        routers += ["x0", "x1"]
+        link("x0", "x1")
+    attachment = {}
+    for router in routers:
+        for j in range(draw(st.integers(0, 2))):
+            host = f"{router}.h{j}"
+            attachment[host] = router
+            link(router, host)
+    nodes = tuple(draw(st.permutations(routers + sorted(attachment))))
+    return Topology(nodes=nodes, edges=edges, host_attachment=attachment)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_with_pendant_chains())
+# hosts on two routers joined only to each other
+@example(make_topology([("x0", "x1", 0.5)], {"hx0": ("x0", 0.25), "hx1": ("x1", 0.75)}))
+# hosts on a router behind another pendant router, and on an unreachable pair
+@example(make_topology([("r0", "r1", 0.5), ("r1", "r2", 0.25), ("r2", "r0", 0.75),
+                        ("r0", "p0", 0.25), ("p0", "p1", 0.5), ("x0", "x1", 0.25)],
+                       {"h0": ("p1", 0.5), "h1": ("p0", 0.25), "h2": ("r2", 0.5),
+                        "h3": ("x1", 0.5), "h4": ("p1", 0.75)}))
+@pytest.mark.parametrize("mode", [HOST, ACCESS_ROUTER])
+def test_pair_truths_match_the_per_pair_searches(mode, topo):
+    # from the endpoint of every host, in mode, to every node: the source
+    # itself, its dead ends, its fold chain and the unreachable nodes among them
+    adj = topo.adjacency()
+    sources = dict.fromkeys(_endpoint_node(topo, h, mode) for h in topo.hosts)
+    reachable, unreachable = [], []
+    expected_hops, expected_lats = [], []
+    for a in sources:
+        levels = reference_synth.bfs_levels(adj, a)
+        dist, _ = reference_synth.dijkstra(adj, a)
+        for b in topo.nodes:
+            if b in levels:
+                reachable.append((a, b))
+                expected_hops.append(levels[b])
+                expected_lats.append(dist[b])
+            else:
+                unreachable.append((a, b))
+    assert _pair_truths(topo, reachable) == (expected_hops, expected_lats)
+    if unreachable:
+        # behind every reachable pair, so none of those is named instead
+        a, b = unreachable[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(b)} unreachable from {re.escape(a)}$"):
+            _pair_truths(topo, reachable + unreachable)
+
+
+@pytest.mark.parametrize("model, params", [
+    ("two_tier", {"regions": 4, "leaves": 5}),
+    ("ring_of_stars", {"cores": 5, "leaves": 3}),
+])
+@pytest.mark.parametrize("mode", [HOST, ACCESS_ROUTER])
+def test_pair_truths_search_once_per_hub(monkeypatch, model, params, mode):
+    # every leaf reaches the rest of the graph only through its hub, so
+    # the hub's searches serve all of its leaves and their hosts
+    topo = generate_topology(model, params, seed=2)
+    searched = {"dijkstra": [], "_bfs_levels": []}
+    for name, calls in searched.items():
+        search = getattr(synth, name)
+        monkeypatch.setattr(synth, name, lambda adj, source, search=search, calls=calls: (
+            calls.append(source), search(adj, source))[1])
+    pairs = [(_endpoint_node(topo, a, mode), _endpoint_node(topo, b, mode))
+             for a, b in itertools.combinations(topo.hosts, 2)]
+    _pair_truths(topo, pairs)
+    hubs = [r for r in topo.routers if r not in topo.host_attachment.values()]
+    assert len(hubs) == next(iter(params.values()))
+    assert sorted(searched["dijkstra"]) == sorted(searched["_bfs_levels"]) == hubs
 
 
 def test_experiment_report_carries_the_simulated_traces():
