@@ -7,7 +7,6 @@ All randomness flows from explicit --seed flags.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import itertools
 import math
@@ -102,22 +101,24 @@ def _check_count(flag: str, value: int | None) -> None:
         raise ValueError(f"--{flag} must be an integer >= 1, got {value}")
 
 
-def pair_at(items, i: int):
-    """``list(itertools.combinations(items, 2))[i]`` without building the list."""
+def pairs_at(items, indices) -> list:
+    """``list(itertools.combinations(items, 2))[i]`` for each of the
+    ascending ``indices``, without building the list: the pairs that share
+    a first item form a row, and the rows are walked forward once."""
     n = len(items)
-    from_end = n * (n - 1) // 2 - 1 - i
-    if i < 0 or from_end < 0:
-        raise IndexError(f"pair index {i} out of range for {n} items")
-    # the pair's first item has k later items, with C(k, 2) <= from_end < C(k + 1, 2)
-    k = (1 + math.isqrt(1 + 8 * from_end)) // 2
-    first = n - 1 - k
-    return items[first], items[first + 1 + k * (k + 1) // 2 - 1 - from_end]
-
-
-def _sample_pairs(count: int, pair, k: int, rng: random.Random) -> list:
-    """pair(i) for the k indices that rng.sample draws from range(count),
-    in index order."""
-    return [pair(i) for i in sorted(rng.sample(range(count), k))]
+    pairs = []
+    first, row_start, row_len = 0, 0, n - 1  # the row of first is [row_start, row_start + row_len)
+    for i in indices:
+        if i < row_start:
+            raise IndexError(f"pair index {i} is negative or below an earlier index")
+        while i >= row_start + row_len:
+            if row_len <= 0:
+                raise IndexError(f"pair index {i} out of range for {n} items")
+            row_start += row_len
+            row_len -= 1
+            first += 1
+        pairs.append((items[first], items[first + 1 + i - row_start]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def cmd_pairs(args) -> int:
         return EXIT_FATAL
     if args.pairs_file:
         listed = _load_pairs_file(args.pairs_file)
-        count, pair = len(listed), listed.__getitem__
+        count = len(listed)
     else:
         destinations = sorted(
             {
@@ -213,13 +214,15 @@ def cmd_pairs(args) -> int:
             }
         )
         count = len(destinations) * (len(destinations) - 1) // 2
-        pair = functools.partial(pair_at, destinations)
     if args.max_pairs is not None and count > args.max_pairs:
-        pairs = _sample_pairs(count, pair, args.max_pairs, random.Random(args.seed))
+        # the pairs at the indices rng.sample draws, in index order
+        indices = sorted(random.Random(args.seed).sample(range(count), args.max_pairs))
+        pairs = ([listed[i] for i in indices] if args.pairs_file
+                 else pairs_at(destinations, indices))
     elif args.pairs_file:
         pairs = listed
     else:
-        # pair(i) for every i, in that order, without unranking each index
+        # every pair, in pairs_at's order
         pairs = list(itertools.combinations(destinations, 2))
     outcomes, batch = transit.batch_estimate(traces_by_origin, pairs, options)
     transit.write_outcomes(outcomes, args.output)
@@ -359,8 +362,7 @@ def cmd_simulate(args) -> int:
     n_origins = min(args.origins, len(routers))
     origins = sorted(rng.sample(routers, n_origins))
     count = len(hosts) * (len(hosts) - 1) // 2
-    pairs = _sample_pairs(count, functools.partial(pair_at, hosts),
-                          min(args.pairs, count), rng)
+    pairs = pairs_at(hosts, sorted(rng.sample(range(count), min(args.pairs, count))))
     options = synth.SimOptions(**faults, seed=args.seed)
     report = synth.run_experiment(topology, origins, pairs, options, estimate_options)
     outdir = Path(args.output)

@@ -509,21 +509,10 @@ class ExperimentReport(_Value, namedtuple(
             "pair_a\tpair_b\ttrue_hops\ttrue_one_way_ms\thop_bound\trtt_bound_ms\tsound\ttight_hop\ttight_rtt"
         ]
         for r in self.results:
-            lines.append(
-                "\t".join(
-                    [
-                        r.pair[0],
-                        r.pair[1],
-                        str(r.true_hops),
-                        repr(r.true_one_way_ms),
-                        "-" if r.best_hop_bound is None else str(r.best_hop_bound),
-                        "-" if r.best_rtt_bound is None else repr(r.best_rtt_bound),
-                        str(int(r.sound)),
-                        str(int(r.tight_hop)),
-                        str(int(r.tight_rtt)),
-                    ]
-                )
-            )
+            (a, b), hop, rtt = r.pair, r.best_hop_bound, r.best_rtt_bound
+            lines.append(f"{a}\t{b}\t{r.true_hops}\t{r.true_one_way_ms!r}\t"
+                         f"{'-' if hop is None else hop}\t{'-' if rtt is None else repr(rtt)}\t"
+                         f"{'01'[r.sound]}\t{'01'[r.tight_hop]}\t{'01'[r.tight_rtt]}")
         lines.append("")
         lines.append(f"# pairs={self.stats.total_pairs} succeeded={self.stats.succeeded} "
                      f"success_ratio={self.stats.success_ratio:.4f}")
@@ -562,12 +551,14 @@ def run_experiment(
     branch router (in the hub-and-leaf models, per hub) rather than per
     pair source; they are exact because every path sum is.
 
-    The cross-reference takes each origin's corrupt hosts (a loop injected
-    into, or a decreasing RTT in, its trace to them) and deepest decreases
-    once, in the order of the ``origins`` tuple that every outcome shares,
-    and walks each outcome's entries beside them.  An accept can be a false
-    RTT accept only where a trace decreases, so only a corrupt entry is
-    checked for one.
+    The cross-reference marks each host's corrupt traces (a loop injected
+    into, or a decreasing RTT in, the trace to it) in one bitmask, bit i
+    for the i-th origin of the ``origins`` tuple that every outcome shares,
+    and keeps each origin's deepest decreases.  A pair's corrupt entries
+    are the set bits of its two hosts' masks, counted by ``int.bit_count``;
+    its accepts come from the batch's reject totals.  An accept can be a
+    false RTT accept only where a trace decreases, so only the corrupt
+    entries are walked, and each accepted one is checked.
     """
     sim = Simulator(topology, options)
     targets = sorted({h for pair in pairs for h in pair})
@@ -594,63 +585,64 @@ def run_experiment(
         ],
     )
 
+    # bit i of a host's mask: its trace from shared[i] is corrupt
     shared = outcomes[0].origins if outcomes else ()
-    corrupt_by_origin, deepest_by_origin = [], []
-    for origin in shared:
+    corrupt: dict[str, int] = {}
+    deepest_by_origin = []
+    for i, origin in enumerate(shared):
         deepest = {}
         for tr in traces_by_origin[origin]:
             depth = _deepest_decrease(tr)
             if depth:
                 deepest[tr.destination] = depth
-        corrupt_by_origin.append(looped[origin].union(deepest))
+        bit = 1 << i
+        for host in looped[origin].union(deepest):
+            corrupt[host] = corrupt.get(host, 0) | bit
         deepest_by_origin.append(deepest)
+    set_bits: dict[int, tuple[int, ...]] = {}
 
     results = []
     violations = 0
     tight_hits = 0
     false_rtt_accepts = 0
-    clean_accepts = corrupt_accepts = corrupt_entries = 0
+    corrupt_accepts = corrupt_entries = 0
     for outcome, true_hop, true_lat in zip(outcomes, true_hops, true_lats):
-        hop_bound = None if outcome.best_hop is None else outcome.best_hop.hop_bound
-        rtt_bound = None if outcome.best_rtt is None else outcome.best_rtt.rtt_bound_ms
-        sound = True
-        if hop_bound is not None and hop_bound < true_hop:
-            sound = False
-        if rtt_bound is not None and rtt_bound < 2 * true_lat - 1e-9:
-            sound = False
+        best_hop, best_rtt = outcome.best_hop, outcome.best_rtt
+        hop_bound = None if best_hop is None else best_hop.hop_bound
+        rtt_bound = None if best_rtt is None else best_rtt.rtt_bound_ms
+        sound = not (hop_bound is not None and hop_bound < true_hop
+                     or rtt_bound is not None and rtt_bound < 2 * true_lat - 1e-9)
         if not sound:
             violations += 1
         tight_hop = hop_bound is not None and hop_bound == true_hop
-        tight_rtt = rtt_bound is not None and abs(rtt_bound - 2 * true_lat) < 1e-9
         if tight_hop:
             tight_hits += 1
+        tight_rtt = rtt_bound is not None and abs(rtt_bound - 2 * true_lat) < 1e-9
         pair = outcome.pair
-        results.append(
-            PairResult(
-                pair=pair,
-                true_hops=true_hop,
-                true_one_way_ms=true_lat,
-                best_hop_bound=hop_bound,
-                best_rtt_bound=rtt_bound,
-                sound=sound,
-                tight_hop=tight_hop,
-                tight_rtt=tight_rtt,
-            )
-        )
+        results.append(PairResult(pair, true_hop, true_lat, hop_bound, rtt_bound,
+                                  sound, tight_hop, tight_rtt))
         # the transit's indices follow the outcome's canonical pair order
         first, second = pair
-        for corrupt, deepest, est in zip(corrupt_by_origin, deepest_by_origin, outcome.entries):
-            accepted = type(est) is PairEstimate
-            if first in corrupt or second in corrupt:
-                corrupt_entries += 1
-                if accepted:
-                    corrupt_accepts += 1
-                    if (deepest.get(first, 0) >= max(est.index_a, 1)
-                            or deepest.get(second, 0) >= max(est.index_b, 1)):
-                        false_rtt_accepts += 1
-            elif accepted:
-                clean_accepts += 1
-    clean_entries = len(shared) * len(outcomes) - corrupt_entries
+        mask = corrupt.get(first, 0) | corrupt.get(second, 0)
+        if not mask:
+            continue
+        corrupt_entries += mask.bit_count()
+        bits = set_bits.get(mask)
+        if bits is None:
+            bits = set_bits[mask] = tuple(i for i in range(len(shared)) if mask >> i & 1)
+        entries = outcome.entries
+        for i in bits:
+            est = entries[i]
+            if type(est) is PairEstimate:
+                corrupt_accepts += 1
+                deepest = deepest_by_origin[i]
+                if (deepest.get(first, 0) >= max(est.index_a, 1)
+                        or deepest.get(second, 0) >= max(est.index_b, 1)):
+                    false_rtt_accepts += 1
+    # every entry the batch did not tally as a reject is an accept
+    total = len(shared) * len(outcomes)
+    clean_accepts = total - sum(stats.reject_counts.values()) - corrupt_accepts
+    clean_entries = total - corrupt_entries
     return ExperimentReport(
         results=results,
         stats=stats,

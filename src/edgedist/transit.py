@@ -199,14 +199,19 @@ class PreparedTrace:
         cumulative RTT drop beyond ``eps_rtt`` (route asymmetry); then, in
         ``access_router`` mode, an access router whose address also occurs
         at an earlier hop, a loop the walk began past.  Each memo entry
-        holds just the value, so it costs no object beyond the RTT.
+        holds just the value, so it costs no object beyond the RTT, and a
+        hit reads the memo once.  An unreached trace has no endpoint, so
+        asking it for a tail raises ValueError.
         """
-        tails = self._tails
-        if transit_pos not in tails:
-            tails[transit_pos] = self._check_tail(transit_pos)
-        return tails[transit_pos]
+        try:
+            return self._tails[transit_pos]
+        except KeyError:
+            checked = self._tails[transit_pos] = self._check_tail(transit_pos)
+            return checked
 
     def _check_tail(self, transit_pos: int) -> RejectReason | float | None:
+        if self.endpoint is None:
+            raise ValueError(f"destination {self.destination} not reached: no tail to check")
         addresses, rtts = self.trace.addresses, self.trace.rtts
         start_rtt = rtts[transit_pos - 1] if transit_pos else 0.0
         if start_rtt is None:
@@ -218,8 +223,8 @@ class PreparedTrace:
         eps_rtt = self.options.eps_rtt
         prev_rtt = None
         seen: set[str] = set()
-        for pos in range(start, len(addresses) + 1):
-            address = addresses[pos - 1]
+        for pos, address, rtt in zip(range(start, len(addresses) + 1),
+                                     addresses[start - 1:], rtts[start - 1:]):
             if address is None:
                 continue
             if address in seen:
@@ -228,7 +233,6 @@ class PreparedTrace:
                     f"address {address} repeats at hop {pos}",
                 )
             seen.add(address)
-            rtt = rtts[pos - 1]
             if rtt is not None:
                 if prev_rtt is not None and rtt < prev_rtt - eps_rtt:
                     return RejectReason(
@@ -247,36 +251,29 @@ class PreparedTrace:
         return None if end_rtt is None else end_rtt - start_rtt
 
 
-def _estimate_key(origin: str, address: str | None, index_a: int, index_b: int,
-                  fallback: bool, hop_bound: int, rtt_bound: float) -> tuple:
-    """What an estimate is shared by: its own fields, in order.  Keys never
-    merge values that compare equal but encode differently: a float RTT
-    bound other than zero is keyed by its value and any other by its repr
-    (5 against 5.0, 0.0 against -0.0)."""
-    return (origin, address, index_a, index_b, fallback, hop_bound,
-            rtt_bound if type(rtt_bound) is float and rtt_bound else repr(rtt_bound))
-
-
 def _shared_estimate(estimates: dict, origin: str, address: str | None, index_a: int,
                      index_b: int, fallback: bool, hop_bound: int,
                      rtt_bound: float) -> PairEstimate:
     """The estimate with these fields, found in or added to ``estimates``
-    under ``_estimate_key``; no other code in the package builds one or
-    reads or fills an estimate table.
+    under one key of its fields, in order; no other code in the package
+    builds one or reads or fills an estimate table.
 
-    An index, hop bound, flag or address not exactly of its validated type
-    could match a key by value (``true`` against 1), so it is built
-    unshared, and validation refuses it.
+    Keys never merge values that compare equal but encode differently: a
+    float RTT bound other than zero is keyed by its value and any other by
+    its repr (5 against 5.0, 0.0 against -0.0).  An index, hop bound, flag
+    or address not exactly of its validated type could match a key by value
+    (``true`` against 1), so it is built unshared, and validation refuses it.
     """
-    if (type(index_a) is not int or type(index_b) is not int or type(hop_bound) is not int
-            or type(fallback) is not bool or (type(address) is not str and address is not None)):
-        return PairEstimate(origin, address, index_a, index_b, fallback, hop_bound, rtt_bound)
-    key = _estimate_key(origin, address, index_a, index_b, fallback, hop_bound, rtt_bound)
-    est = estimates.get(key)
-    if est is None:
-        est = estimates[key] = PairEstimate(origin, address, index_a, index_b, fallback,
-                                            hop_bound, rtt_bound)
-    return est
+    if (type(index_a) is type(index_b) is type(hop_bound) is int and type(fallback) is bool
+            and (address is None or type(address) is str)):
+        key = (origin, address, index_a, index_b, fallback, hop_bound,
+               rtt_bound if type(rtt_bound) is float and rtt_bound else repr(rtt_bound))
+        est = estimates.get(key)
+        if est is None:
+            est = estimates[key] = PairEstimate(origin, address, index_a, index_b, fallback,
+                                                hop_bound, rtt_bound)
+        return est
+    return PairEstimate(origin, address, index_a, index_b, fallback, hop_bound, rtt_bound)
 
 
 def estimate_pair(
@@ -298,8 +295,9 @@ def estimate_pair(
     reject, since no finite RTT bound exists.
 
     Each trace's tail is read through ``PreparedTrace.tail``, which fills
-    its memo, and the estimate through ``_shared_estimate``: calls that
-    pass one ``estimates`` table share one object per distinct estimate.
+    its memo, and the estimate through ``_shared_estimate``, one key and
+    one lookup: calls that pass one ``estimates`` table share one object
+    per distinct estimate.
     """
     options = a.options
     if b.options is not options and b.options != options:
@@ -316,22 +314,23 @@ def estimate_pair(
     origin = a.origin_id
     if origin != b.origin_id:
         raise ValueError(f"traces from different origins: {origin} vs {b.origin_id}")
-    # b deepest first, so a later candidate with an equal index sum has the
-    # larger index_a and wins; stop once no index_a up to a's endpoint can
-    # reach the best sum
-    best = None
+    # a deepest first, so a later candidate with an equal index sum has the
+    # smaller index_a and loses; stop once no index_b up to b's endpoint can
+    # pass the best sum
+    transit = None
     best_sum = 0
-    positions_a = a.positions
-    for address, ib in b.positions.items():
-        if ib + end_a < best_sum:
+    positions_b = b.positions
+    for address, ia in a.positions.items():
+        if ia + end_b <= best_sum:
             break
-        ia = positions_a.get(address)
-        if ia is not None and ia + ib >= best_sum:
+        ib = positions_b.get(address)
+        if ib is not None and ia + ib > best_sum:
             best_sum = ia + ib
-            best = (address, ia, ib)
-    if best is None and not options.allow_origin_fallback:
-        return _NO_TRANSIT
-    address, index_a, index_b = best or (None, 0, 0)  # else the origin fallback
+            transit, index_a, index_b = address, ia, ib
+    if transit is None:
+        if not options.allow_origin_fallback:
+            return _NO_TRANSIT
+        index_a = index_b = 0  # the origin fallback
     # validate the whole remaining path, not just up to the endpoint: a
     # cumulative RTT decrease between the access router and the destination
     # still signals asymmetry on the segment the tail RTTs depend on.
@@ -348,8 +347,8 @@ def estimate_pair(
     if rtt == math.inf:  # two finite tails can overflow
         return RejectReason(RejectKind.MISSING_RTT_AT_TRANSIT,
                             f"rtt bound {rtt_a!r} + {rtt_b!r} overflows")
-    return _shared_estimate({} if estimates is None else estimates, origin, address,
-                            index_a, index_b, best is None,
+    return _shared_estimate({} if estimates is None else estimates, origin, transit,
+                            index_a, index_b, transit is None,
                             (end_a - index_a) + (end_b - index_b), rtt)
 
 
@@ -378,27 +377,35 @@ def min_over_origins(
     ``entries[i]`` is the estimate or reject of ``origins[i]``.
 
     Hop and RTT bounds are minimized independently (each is a valid bound on
-    its own), by the keys (hop, rtt, origin) and (rtt, hop, origin); the
-    origins must be distinct, so neither key ties.  ``couple_metrics``
-    forces both to come from the hop winner.  The outcome keeps ``origins``
-    itself, so a batch shares one over all its outcomes, and each entry.
-    They must be tuples of one length; the outcome is built without the
-    rest of ``PairOutcome``'s check, which costs more than the selection.
+    its own), by the keys (hop, rtt, origin) and (rtt, hop, origin), the
+    origin being the entry's name in ``origins``, not its ``origin_id``;
+    the origins must be distinct, so neither key ties.  One pass keeps each
+    winner's key as three values and compares them as the tuples would,
+    building no key per entry.  ``couple_metrics`` forces both to come from
+    the hop winner.  The outcome keeps ``origins`` itself, so a batch shares
+    one over all its outcomes, and each entry.  They must be tuples of one
+    length; the outcome is built without the rest of ``PairOutcome``'s
+    check, which costs more than the selection.
     """
     if type(origins) is not tuple or type(entries) is not tuple or len(origins) != len(entries):
         raise ValueError("min_over_origins needs origins and entries as tuples of one length")
     if not entries:
         raise ValueError("min_over_origins needs at least one origin entry")
-    best_hop = best_rtt = hop_key = rtt_key = None
+    best_hop = best_rtt = None
     for origin, est in zip(origins, entries):
-        if isinstance(est, PairEstimate):
+        if type(est) is PairEstimate:
             hop, rtt = est.hop_bound, est.rtt_bound_ms
-            key = (hop, rtt, origin)
-            if hop_key is None or key < hop_key:
-                hop_key, best_hop = key, est
-            key = (rtt, hop, origin)
-            if rtt_key is None or key < rtt_key:
-                rtt_key, best_rtt = key, est
+            if best_hop is None:
+                best_hop = best_rtt = est
+                hop_h = rtt_h = hop
+                hop_r = rtt_r = rtt
+                hop_o = rtt_o = origin
+                continue
+            # each winner's key kept as three locals, compared as tuples compare
+            if hop < hop_h or hop == hop_h and (rtt < hop_r or rtt == hop_r and origin < hop_o):
+                best_hop, hop_h, hop_r, hop_o = est, hop, rtt, origin
+            if rtt < rtt_r or rtt == rtt_r and (hop < rtt_h or hop == rtt_h and origin < rtt_o):
+                best_rtt, rtt_h, rtt_r, rtt_o = est, hop, rtt, origin
     if couple_metrics:
         best_rtt = best_hop
     a, b = pair
@@ -428,7 +435,8 @@ def batch_estimate(
     every column, so the columns shrink as the outcomes grow and the batch
     ends holding the outcomes alone, without a copy of any column.  A pair
     endpoint with no trace from an origin yields a NoTransit reject with
-    detail "no trace" for that origin; it never aborts the batch.
+    detail "no trace" for that origin; it never aborts the batch.  Rejects
+    are tallied by kind, and each kind is named by its value once.
     The outcomes share one object per distinct estimate (see
     ``_shared_estimate``): a dense campaign repeats a few thousand bounds
     over hundreds of thousands of (pair, origin) entries.  An estimate's
@@ -444,10 +452,10 @@ def batch_estimate(
         traces_by_origin[origin] = [t for t in traces if t.destination in named]
     origins = tuple(sorted(traces_by_origin))
     columns = []
-    reject_counts: Counter = Counter()
+    kinds: Counter = Counter()
     for origin in origins:
         column = _origin_entries(traces_by_origin.pop(origin), firsts, seconds, options)
-        reject_counts.update([est.kind.value for est in column if type(est) is RejectReason])
+        kinds.update([est.kind for est in column if type(est) is RejectReason])
         column.reverse()
         columns.append(column)
     couple_metrics = options.couple_metrics
@@ -462,7 +470,7 @@ def batch_estimate(
     stats = BatchStats(
         total_pairs=len(pairs),
         succeeded=sum(oc.accepted for oc in outcomes),
-        reject_counts=reject_counts,
+        reject_counts=Counter({kind.value: n for kind, n in kinds.items()}),
     )
     return outcomes, stats
 

@@ -17,7 +17,7 @@ import pytest
 
 import edgedist
 from edgedist import cli, ingest, synth, transit
-from edgedist.cli import main, pair_at
+from edgedist.cli import main, pairs_at
 from edgedist.model import PairEstimate
 
 from conftest import trace
@@ -1371,19 +1371,25 @@ def test_full_pipeline_from_simulated_traces(tmp_path, capsys):
     assert curve.exists()
 
 
-def test_pair_at_unranks_combinations():
+def test_pairs_at_unranks_combinations():
+    rng = random.Random(5)
     for d in range(31):
         items = [f"n{k}" for k in range(d)]
         combos = list(itertools.combinations(items, 2))
-        assert [pair_at(items, i) for i in range(len(combos))] == combos
-        for outside in (-1, len(combos)):
+        assert pairs_at(items, range(len(combos))) == combos
+        for k in {0, min(1, len(combos)), len(combos) // 3}:
+            indices = sorted(rng.sample(range(len(combos)), k))
+            assert pairs_at(items, indices) == [combos[i] for i in indices]
+        for outside in ([-1], [len(combos)], [0, len(combos)]):
             with pytest.raises(IndexError):
-                pair_at(items, outside)
+                pairs_at(items, outside)
+    with pytest.raises(IndexError, match="below an earlier index"):
+        pairs_at(["a", "b", "c"], [1, 2, 0])
 
 
 def test_pairs_without_sampling_lists_every_pair_in_pair_at_order(tmp_path):
     # pairs enumerates itertools.combinations of the sorted destinations,
-    # which is pair_at's order; a sample keeps that order
+    # which is pairs_at's order; a sample keeps that order
     traces = write_traces(tmp_path / "traces.jsonl", [
         trace("O1", dest, [("T", 1.0), (dest, 2.0 + k)]) for k, dest in enumerate("DBECA")])
     full, sample = tmp_path / "full.jsonl", tmp_path / "sample.jsonl"
@@ -1393,7 +1399,7 @@ def test_pairs_without_sampling_lists_every_pair_in_pair_at_order(tmp_path):
                  "--max-pairs", "7", "-o", str(sample)]) == 0
     listed = [outcome.pair for outcome in transit.read_outcomes(full)]
     destinations = sorted("ABCDE")
-    assert listed == [pair_at(destinations, i) for i in range(10)]
+    assert listed == pairs_at(destinations, range(10))
     sampled = [outcome.pair for outcome in transit.read_outcomes(sample)]
     assert len(sampled) == 7 and sampled == [pair for pair in listed if pair in sampled]
 

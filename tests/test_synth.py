@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_synth
-from edgedist import synth
-from edgedist.cli import _sample_pairs, pair_at
+from edgedist import synth, transit
+from edgedist.cli import pairs_at
 from edgedist.jsonl import read_jsonl
 from edgedist.model import PairEstimate, RejectKind
 from edgedist.transit import (
@@ -731,8 +731,7 @@ def test_experiment_tally_matches_the_reference_in_every_confusion_cell():
     rng = random.Random(3)
     origins = sorted(rng.sample(topo.routers, 4))
     hosts = topo.hosts
-    pairs = _sample_pairs(len(hosts) * (len(hosts) - 1) // 2,
-                          lambda i: pair_at(hosts, i), 60, rng)
+    pairs = pairs_at(hosts, sorted(rng.sample(range(len(hosts) * (len(hosts) - 1) // 2), 60)))
     opts = SimOptions(asymmetry_probability=0.3, asymmetry_delta_ms=40.0,
                       loop_probability=0.2, seed=3)
     est_options = EstimateOptions(eps_rtt=100.0)
@@ -744,6 +743,32 @@ def test_experiment_tally_matches_the_reference_in_every_confusion_cell():
     empty = run_experiment(topo, origins, [], opts, est_options)
     assert (empty.results, empty.confusion, empty.false_rtt_accepts) == (
         reference_synth.cross_reference(topo, origins, [], opts, est_options))
+
+
+@pytest.mark.parametrize("mode", [ACCESS_ROUTER, HOST])
+def test_experiment_estimates_each_pair_once_per_origin_and_minimises_it_once(
+        monkeypatch, mode):
+    # wrapped in the module namespace, as the benchmark's tracer wraps them,
+    # so a cheaper per-pair pass cannot turn into a skipped one
+    calls = {"estimate_pair": 0, "min_over_origins": 0}
+
+    def counted(name):
+        fn = getattr(transit, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(transit, name, counted(name))
+    topo = generate_topology("two_tier", {"regions": 3, "leaves": 4}, seed=2)
+    origins = topo.routers[:5]
+    pairs = list(itertools.combinations(topo.hosts, 2))[::3]
+    opts = SimOptions(asymmetry_probability=0.2, loop_probability=0.1, seed=2)
+    report = run_experiment(topo, origins, pairs, opts, EstimateOptions(mode=mode))
+    assert len(report.results) == len(pairs) == 22
+    assert calls == {"estimate_pair": len(pairs) * len(origins), "min_over_origins": len(pairs)}
 
 
 def test_a_false_rtt_accept_is_checked_at_each_endpoints_own_transit_index(monkeypatch):

@@ -226,6 +226,15 @@ def test_missing_rtt_at_transit():
     assert reject == RejectReason(RejectKind.MISSING_RTT_AT_TRANSIT, "no rtt at transit hop 1")
 
 
+@pytest.mark.parametrize("mode", [HOST, ACCESS_ROUTER])
+@pytest.mark.parametrize("transit_pos", [0, 1, 2])
+def test_an_unreached_trace_has_no_tail(mode, transit_pos):
+    # an unreached trace has no endpoint to measure a tail to
+    t = trace("o", "c", [("t", 5.0), ("b", 8.0)], reached=False)
+    with pytest.raises(ValueError, match="destination c not reached"):
+        _tail(t, transit_pos, mode=mode)
+
+
 # --- estimate_pair ---------------------------------------------------------
 
 
