@@ -192,6 +192,11 @@ def _estimate_options(args) -> transit.EstimateOptions:
 
 
 def cmd_pairs(args) -> int:
+    """Estimate the pairs of ``--pairs-file``, or else every pair of the
+    reached destinations, or a seeded sample of ``--max-pairs`` of either.
+    ``transit.batch_estimate`` reads its pairs once from any iterable, so
+    every pair of the destinations is enumerated straight into it and no
+    list of them is built; a sample and a pairs file are lists."""
     _check_count("max-pairs", args.max_pairs)
     options = _estimate_options(args)
     traces_by_origin: dict[str, list] = {}
@@ -222,8 +227,8 @@ def cmd_pairs(args) -> int:
     elif args.pairs_file:
         pairs = listed
     else:
-        # every pair, in pairs_at's order
-        pairs = list(itertools.combinations(destinations, 2))
+        # every pair, in pairs_at's order, never held in a list
+        pairs = itertools.combinations(destinations, 2)
     outcomes, batch = transit.batch_estimate(traces_by_origin, pairs, options)
     transit.write_outcomes(outcomes, args.output)
     _say(args, f"pairs={batch.total_pairs} succeeded={batch.succeeded} "
@@ -322,12 +327,12 @@ def cmd_handover(args) -> int:
     optimum = handover.argmin_anticipation(curve, args.flat_threshold)
     jsonl.write_lines(args.output, [
         "anticipation_ms\texpected_loss_ms\texpected_packets",
-        *(f"{a:g}\t{loss!r}\t{packets!r}" for a, loss, packets in curve),
+        *(f"{stats.number_text(a)}\t{loss!r}\t{packets!r}" for a, loss, packets in curve),
     ])
     if optimum.flat:
         _say(args, "argmin: flat curve, no significant anticipation optimum")
     else:
-        _say(args, f"argmin: anticipation={optimum.anticipation_ms:g} ms "
+        _say(args, f"argmin: anticipation={stats.number_text(optimum.anticipation_ms)} ms "
                    f"expected_loss={optimum.expected_loss_ms:.4f} ms")
     if ratio is not None:
         _say(args, f"expected multicast persistence: {ratio:.4f} "

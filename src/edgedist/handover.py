@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .jsonl import read_rows
 from .model import _Value
-from .stats import HOP_COUNT, RTT_MS, EdgeDistribution, ascii_number, multiset_sum
+from .stats import HOP_COUNT, RTT_MS, EdgeDistribution, ascii_number, multiset_sum, number_text
 
 CBR_INTERVAL_MS = 10.0
 
@@ -172,7 +172,7 @@ def expected_loss_curve(
     for a, loss in zip(anticipation_grid, losses):
         if not math.isfinite(loss):
             source = "loss table" if model.table is not None else f"beta={model.beta!r}"
-            raise ValueError(f"expected loss at anticipation {a:g} ms overflows "
+            raise ValueError(f"expected loss at anticipation {number_text(a)} ms overflows "
                              f"({source}, delay_scale={delay_scale!r})")
     return [(a, loss, loss / CBR_INTERVAL_MS) for a, loss in zip(anticipation_grid, losses)]
 

@@ -49,6 +49,14 @@ def ascii_number(text: str, kind: type = float) -> float | int:
     return value
 
 
+def number_text(value: float) -> str:
+    """``value`` written as ``:g`` text where that reads back as the same
+    float, and as ``repr`` otherwise: ``:g`` keeps six significant digits,
+    so 1000000.0 and 1000005.0 would both be written ``1e+06``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def multiset_sum(pairs: Iterable[tuple[float, int]]) -> float:
     """The sum of ``value * count`` over (value, count) pairs, correctly
     rounded whatever their order or grouping: ``value * 2**k`` for each set
@@ -149,12 +157,14 @@ def resample_stability(dist: EdgeDistribution, subset_size: int, trials: int,
 
 
 def write_distribution_tsv(dist: EdgeDistribution, path: str | Path) -> None:
-    """Plot-ready TSV: lower_edge, count, fraction; stats in a header comment."""
+    """Plot-ready TSV: lower_edge, count, fraction; stats in a header comment.
+    The bin width and each lower edge are ``number_text``, which reads back
+    as the same float."""
     write_lines(path, [
-        f"# metric={dist.metric} bin_width={dist.bin_width:g} n={dist.n} "
+        f"# metric={dist.metric} bin_width={number_text(dist.bin_width)} n={dist.n} "
         f"mean={dist.mean!r} std={dist.std!r} excluded={dist.excluded}",
         "lower_edge\tcount\tfraction",
-        *(f"{edge:g}\t{count}\t{count / dist.n!r}" for edge, count in dist.bins),
+        *(f"{number_text(edge)}\t{count}\t{count / dist.n!r}" for edge, count in dist.bins),
     ])
 
 

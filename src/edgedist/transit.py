@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Iterable
 from pathlib import Path
 
 from .jsonl import (
@@ -414,11 +415,15 @@ def min_over_origins(
 
 def batch_estimate(
     traces_by_origin: dict[str, list[TracePath]],
-    pairs: list[tuple[str, str]],
+    pairs: Iterable[tuple[str, str]],
     options: EstimateOptions = EstimateOptions(),
 ) -> tuple[list[PairOutcome], BatchStats]:
     """Estimate every pair from every origin and minimize per pair.
 
+    ``pairs`` may be any iterable, a one-shot iterator included: it is read
+    once, into a column of first and a column of second endpoints, and not
+    kept, so ``cli.cmd_pairs`` can pass the pair enumeration itself instead
+    of a list of tuples.  Everything after that pass reads the two columns.
     The batch takes ownership of ``traces_by_origin`` and empties it: pass
     a copy to keep the mapping.  The lists in it are never changed.  First
     each origin's list is replaced by a new one of its traces to the
@@ -445,8 +450,11 @@ def batch_estimate(
     """
     # firsts and seconds come before the filtered lists: the other order left
     # a dense campaign's pairs RSS 1.3 MB higher at the same traced heap
-    firsts = [a for a, _ in pairs]
-    seconds = [b for _, b in pairs]
+    firsts: list[str] = []
+    seconds: list[str] = []
+    for a, b in pairs:
+        firsts.append(a)
+        seconds.append(b)
     named = {*firsts, *seconds}
     for origin, traces in traces_by_origin.items():
         traces_by_origin[origin] = [t for t in traces if t.destination in named]
@@ -465,10 +473,10 @@ def batch_estimate(
     outcomes = [
         min_over_origins((a, b) if a <= b else (b, a), origins,
                          (*map(list.pop, columns),), couple_metrics)
-        for a, b in pairs
+        for a, b in zip(firsts, seconds)
     ]
     stats = BatchStats(
-        total_pairs=len(pairs),
+        total_pairs=len(firsts),
         succeeded=sum(oc.accepted for oc in outcomes),
         reject_counts=Counter({kind.value: n for kind, n in kinds.items()}),
     )

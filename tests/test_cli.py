@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import edgedist
-from edgedist import cli, ingest, synth, transit
+from edgedist import cli, handover, ingest, stats, synth, transit
 from edgedist.cli import main, pairs_at
 from edgedist.model import PairEstimate
 
@@ -672,6 +672,25 @@ def test_a_steep_curve_whose_sum_overflows_is_not_flat(tmp_path, capsys):
     assert lines[1] == "0\t6.25\t0.625" and lines[-1] == "100\t1e+308\t1e+307"
 
 
+def test_handover_writes_anticipations_that_read_back_as_written(tmp_path, capsys):
+    # :g wrote both grid points, and both lower edges of the dist file, as
+    # 1e+06: the curve then had two rows at one anticipation, computed from
+    # one bin that held both samples
+    rtt = tmp_path / "far.rtt.tsv"
+    stats.write_distribution_tsv(stats.distribution_from_counts(
+        {1_000_001.0: 1, 1_000_006.0: 1}, stats.RTT_MS), rtt)
+    assert rtt.read_text().splitlines()[2:] == ["1e+06\t1\t0.5", "1000005.0\t1\t0.5"]
+    curve = tmp_path / "curve.tsv"
+    assert main(["handover", "--dist-tsv", str(rtt), "--grid", "1000000:1000005:5",
+                 "--delay-scale", "1", "--flat-threshold", "0", "-o", str(curve)]) == 0
+    rows = [line.split("\t") for line in curve.read_text().splitlines()[1:]]
+    assert [anticipation for anticipation, _, _ in rows] == ["1e+06", "1000005.0"]
+    centers = stats.distribution_from_counts({1_000_002.5: 1, 1_000_007.5: 1}, stats.RTT_MS)
+    assert [tuple(map(float, row)) for row in rows] == handover.expected_loss_curve(
+        centers, handover.LossModel(), [1e6, 1_000_005.0], 1.0)
+    assert capsys.readouterr().out.startswith("argmin: anticipation=1000005.0 ms ")
+
+
 @pytest.mark.parametrize("target", ["missing/c.tsv", "folder"])
 def test_a_failed_write_names_the_output(tmp_path, capsys, target):
     # it used to name the temporary file beside the output
@@ -1135,6 +1154,39 @@ def test_main_runs_without_cyclic_gc_and_restores_it(tmp_path, monkeypatch, argv
     finally:
         gc.enable()
     assert seen == ([False] if code == 0 else [])
+
+
+@pytest.mark.parametrize("argv, listed", [
+    ([], None),
+    (["--max-pairs", "2"], [("X", "Z"), ("Y", "Z")]),
+    (["--pairs-file", "pairs.csv"], [("Z", "X"), ("Y", "Z")]),
+], ids=["all-pairs", "sampled", "pairs-file"])
+def test_pairs_enumerates_every_pair_into_the_batch_without_a_list(tmp_path, monkeypatch,
+                                                                    argv, listed):
+    handed = []
+    batch_estimate = transit.batch_estimate
+
+    def recording(traces_by_origin, pairs, options):
+        handed.append(pairs)
+        return batch_estimate(traces_by_origin, pairs, options)
+
+    monkeypatch.setattr(transit, "batch_estimate", recording)
+    monkeypatch.chdir(tmp_path)
+    traces = write_traces(tmp_path / "traces.jsonl", [
+        trace("O1", d, [("T", 1.0), (d, 3.0)]) for d in "XYZ"])
+    (tmp_path / "pairs.csv").write_text("Z,X\nY,Z\n")
+    assert main(["--quiet", "pairs", "--mode", "host", "--traces", traces, *argv,
+                 "-o", "out.jsonl"]) == 0
+    [pairs] = handed
+    outcomes = transit.read_outcomes("out.jsonl")
+    if listed is None:
+        # a one-shot iterator, which the batch read through once
+        assert iter(pairs) is pairs and not isinstance(pairs, list)
+        assert next(pairs, None) is None
+        assert [oc.pair for oc in outcomes] == [("X", "Y"), ("X", "Z"), ("Y", "Z")]
+    else:
+        assert pairs == listed
+        assert [oc.pair for oc in outcomes] == [tuple(sorted(pair)) for pair in listed]
 
 
 def test_simulate_writes_all_outputs(tmp_path, capsys):

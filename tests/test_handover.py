@@ -253,6 +253,12 @@ def test_a_loss_sum_past_the_float_range_is_named(model, message):
         expected_loss_curve(rtt_dist([10.0, 20.0]), model, [0.0, 100.0])
 
 
+def test_an_overflowing_grid_point_is_named_as_it_reads_back():
+    # :g named 1000005 ms 1e+06, which is another grid point
+    with pytest.raises(ValueError, match=r"^expected loss at anticipation 1000005\.0 ms "):
+        expected_loss_curve(rtt_dist([10.0, 20.0]), LossModel(beta=1e303), [1_000_005.0])
+
+
 def test_curve_requires_rtt_metric():
     with pytest.raises(ValueError):
         expected_loss_curve(hop_dist([5]), LossModel(), [0.0])

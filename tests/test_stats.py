@@ -14,6 +14,7 @@ from edgedist.stats import (
     compare_distributions,
     distribution_from_counts,
     multiset_sum,
+    number_text,
     read_distribution_tsv,
     resample_stability,
     write_distribution_tsv,
@@ -287,6 +288,34 @@ def test_tsv_round_trip(tmp_path):
     assert loaded.n == dist.n
     assert loaded.mean == pytest.approx(dist.mean)
     assert loaded.values == dist.values  # exact for unit-width hop bins
+
+
+@pytest.mark.parametrize("value, text", [
+    (8.0, "8"), (0.5, "0.5"), (1e308, "1e+308"), (1e6, "1e+06"), (-0.0, "-0"),
+    (1_000_005.0, "1000005.0"), (1234.568, "1234.568"), (0.1234567, "0.1234567"),
+])
+def test_number_text_is_g_text_unless_that_reads_back_as_another_float(value, text):
+    assert number_text(value) == text
+    assert float(text) == value
+
+
+@pytest.mark.parametrize("samples, width, mean", [
+    # at the default width, :g wrote both lower edges as 1e+06, read back
+    # as one bin whose center gave a mean of 1000002.5
+    ([1_000_001.0, 1_000_006.0], None, 1_000_005.0),
+    # at width 0.001 both lower edges were written 1234.57
+    ([1234.5671, 1234.5681], 0.001, 1234.568),
+    # :g wrote the bin width 0.123457, which moved every center
+    ([1.0, 2.0], 0.1234567, (0.9876536 + 1.9753072 + 0.1234567) / 2),
+], ids=["1e6", "milli-width", "seven-digit-width"])
+def test_tsv_bins_and_bin_width_read_back_as_written(tmp_path, samples, width, mean):
+    dist = distribution_of(samples, RTT_MS, width)
+    path = tmp_path / "rtt.tsv"
+    write_distribution_tsv(dist, path)
+    loaded = read_distribution_tsv(path)
+    assert (loaded.bin_width, loaded.bins) == (dist.bin_width, dist.bins)
+    assert len(loaded.values) == len(samples)
+    assert loaded.mean == pytest.approx(mean, rel=1e-15)
 
 
 def test_tsv_format(tmp_path):

@@ -815,6 +815,22 @@ def test_sweep_matches_the_reference_loop(tmp_path_factory, campaign):
         assert (tmp / "ours.jsonl").read_bytes() == (tmp / "reference.jsonl").read_bytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(sweep_campaigns(), st.sampled_from(OPTION_GRID), st.data())
+def test_the_batch_is_blind_to_how_its_pairs_come(campaign, options, data):
+    # ROADMAP item 8's relations: swapping a pair's endpoints changes
+    # nothing, and permuting the pair list permutes the outcomes; and the
+    # pairs are read once, so a one-shot iterator gives what its list gives
+    traces_by_origin, pairs = campaign
+    want = batch_estimate(dict(traces_by_origin), pairs, options)
+    assert batch_estimate(dict(traces_by_origin), iter(pairs), options) == want
+    swapped = [(b, a) for a, b in pairs]
+    assert batch_estimate(dict(traces_by_origin), swapped, options) == want
+    order = data.draw(st.permutations(range(len(pairs))))
+    outcomes, stats = batch_estimate(dict(traces_by_origin), [pairs[i] for i in order], options)
+    assert (outcomes, stats) == ([want[0][i] for i in order], want[1])
+
+
 def _three_hosts_from_two_origins():
     return {origin: [trace(origin, d, [("T", 1.0), (d, 2.0)]) for d in "abc"]
             for origin in ("O1", "O2")}
