@@ -154,17 +154,20 @@ def cmd_ingest(args) -> int:
 
 
 def _load_pairs_file(path: str) -> list[tuple[str, str]]:
-    """One ``a,b`` pair per CSV row, read by ``jsonl.read_rows``; blank rows
-    and rows whose first cell starts with ``#`` are skipped, and the first
-    other row is a header when its cells are ``a`` and ``b`` in any case.
-    Each pair names two distinct, non-empty endpoints (cells stripped of
-    whitespace) and is listed once, in either order."""
-    rows = [(lineno, [cell.strip() for cell in row]) for lineno, row in jsonl.read_rows(path)
-            if not row[0].lstrip().startswith("#")]
-    if rows and [cell.lower() for cell in rows[0][1]] == ["a", "b"]:
-        del rows[0]
+    """One ``a,b`` pair per CSV row, checked as ``jsonl.read_rows`` yields
+    it, so the first bad line of the file is the error; blank rows and rows
+    whose first cell starts with ``#`` are skipped, and the first other row
+    is a header when its cells are ``a`` and ``b`` in any case.  Each pair
+    names two distinct, non-empty endpoints (cells stripped of whitespace),
+    each name one shared string, and is listed once, in either order."""
+    names = {}  # one string per endpoint name
+    rows = ((lineno, [names.setdefault(cell, cell) for cell in map(str.strip, row)])
+            for lineno, row in jsonl.read_rows(path) if not row[0].lstrip().startswith("#"))
+    first = next(rows, None)
+    if first and [cell.lower() for cell in first[1]] != ["a", "b"]:
+        rows = itertools.chain([first], rows)
     pairs = []
-    listed = set()
+    listed = set()  # each pair as (min, max), so b,a repeats a,b
     for lineno, parts in rows:
         if len(parts) != 2:
             problem = "expected two columns"
@@ -172,12 +175,14 @@ def _load_pairs_file(path: str) -> list[tuple[str, str]]:
             problem = "empty endpoint name"
         elif parts[0] == parts[1]:
             problem = f"both endpoints are {parts[0]!r}"
-        elif frozenset(parts) in listed:
-            problem = f"pair {parts[0]},{parts[1]} is listed twice"
         else:
-            listed.add(frozenset(parts))
-            pairs.append((parts[0], parts[1]))
-            continue
+            pair = a, b = tuple(parts)
+            key = pair if a < b else (b, a)
+            if key not in listed:
+                listed.add(key)
+                pairs.append(pair)
+                continue
+            problem = f"pair {a},{b} is listed twice"
         raise ValueError(f"{path}: line {lineno}: {problem}")
     return pairs
 
@@ -207,8 +212,8 @@ def cmd_pairs(args) -> int:
         print("error: no traces in input", file=sys.stderr)
         return EXIT_FATAL
     if args.pairs_file:
-        listed = _load_pairs_file(args.pairs_file)
-        count = len(listed)
+        pairs = _load_pairs_file(args.pairs_file)
+        count = len(pairs)
     else:
         destinations = sorted(
             {
@@ -219,16 +224,13 @@ def cmd_pairs(args) -> int:
             }
         )
         count = len(destinations) * (len(destinations) - 1) // 2
+        # every pair, in pairs_at's order, never held in a list
+        pairs = itertools.combinations(destinations, 2)
     if args.max_pairs is not None and count > args.max_pairs:
         # the pairs at the indices rng.sample draws, in index order
         indices = sorted(random.Random(args.seed).sample(range(count), args.max_pairs))
-        pairs = ([listed[i] for i in indices] if args.pairs_file
+        pairs = ([pairs[i] for i in indices] if args.pairs_file
                  else pairs_at(destinations, indices))
-    elif args.pairs_file:
-        pairs = listed
-    else:
-        # every pair, in pairs_at's order, never held in a list
-        pairs = itertools.combinations(destinations, 2)
     outcomes, batch = transit.batch_estimate(traces_by_origin, pairs, options)
     transit.write_outcomes(outcomes, args.output)
     _say(args, f"pairs={batch.total_pairs} succeeded={batch.succeeded} "
@@ -282,37 +284,25 @@ def cmd_dist(args) -> int:
     return EXIT_OK
 
 
-def _read_distribution_tsv(path: str, flag: str, metric: str) -> stats.EdgeDistribution:
-    """The distribution ``path`` holds, which ``flag`` needs to be of ``metric``."""
-    dist = stats.read_distribution_tsv(path)
-    if dist.metric != metric:
-        raise ValueError(f"{path}: {flag} needs the {metric} distribution, "
-                         f"the file holds {dist.metric}")
-    return dist
-
-
-def _load_rtt_distribution(args):
-    if args.outcomes:
-        return stats.build_distribution(_accepted_outcomes(args.outcomes), stats.RTT_MS)
-    if args.dist_tsv:
-        return _read_distribution_tsv(args.dist_tsv, "--dist-tsv", stats.RTT_MS)
-    raise ValueError("need --outcomes or --dist-tsv for the RTT distribution")
-
-
-def _persistence_ratio(args) -> float | None:
-    if not args.persistence:
-        return None
-    table = handover.load_persistence_table(args.persistence)
-    if args.hops_tsv:
-        hop_dist = _read_distribution_tsv(args.hops_tsv, "--hops-tsv", stats.HOP_COUNT)
-    elif args.outcomes:
-        hop_dist = stats.build_distribution(_accepted_outcomes(args.outcomes), stats.HOP_COUNT)
-    else:
-        raise ValueError("persistence needs --hops-tsv or --outcomes")
-    return handover.multicast_persistence(hop_dist, table)
+def _distribution(outcomes: str | None, tsv: str | None, flag: str, metric: str,
+                  missing: str) -> stats.EdgeDistribution:
+    """The ``metric`` distribution of the TSV file given as ``flag``, or else
+    built from the accepted pairs of the ``outcomes`` file; ``missing`` is
+    the error when neither is given."""
+    if tsv:
+        dist = stats.read_distribution_tsv(tsv)
+        if dist.metric != metric:
+            raise ValueError(f"{tsv}: {flag} needs the {metric} distribution, "
+                             f"the file holds {dist.metric}")
+        return dist
+    if outcomes:
+        return stats.build_distribution(_accepted_outcomes(outcomes), metric)
+    raise ValueError(missing)
 
 
 def cmd_handover(args) -> int:
+    """The RTT loss curve and, with ``--persistence``, the hop persistence, each
+    distribution loaded by ``_distribution``, which reads ``--outcomes`` anew."""
     if args.outcomes and args.dist_tsv:
         raise ValueError("give --outcomes or --dist-tsv, not both")
     if args.hops_tsv and not args.persistence:
@@ -320,8 +310,14 @@ def cmd_handover(args) -> int:
     loss_table = handover.load_loss_table(args.loss_table) if args.loss_table else None
     model = handover.LossModel(beta=args.beta, table=loss_table)
     # everything that can fail runs before the curve is written
-    ratio = _persistence_ratio(args)
-    rtt_dist = _load_rtt_distribution(args)
+    ratio = None
+    if args.persistence:
+        table = handover.load_persistence_table(args.persistence)
+        ratio = handover.multicast_persistence(_distribution(
+            args.outcomes, args.hops_tsv, "--hops-tsv", stats.HOP_COUNT,
+            "persistence needs --hops-tsv or --outcomes"), table)
+    rtt_dist = _distribution(args.outcomes, args.dist_tsv, "--dist-tsv", stats.RTT_MS,
+                             "need --outcomes or --dist-tsv for the RTT distribution")
     grid = _parse_grid(args.grid)
     curve = handover.expected_loss_curve(rtt_dist, model, grid, args.delay_scale)
     optimum = handover.argmin_anticipation(curve, args.flat_threshold)

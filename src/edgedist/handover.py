@@ -230,10 +230,10 @@ def load_persistence_table(path: str | Path) -> PersistenceTable:
     where a column name repeats, its last column counts."""
     entries: dict[int, float] = {}
     rows = read_rows(path)
-    header = rows[0][1] if rows else []
+    _, header = next(rows, (0, []))
     if not {"hop", "persist_ratio"}.issubset(header):
         raise ValueError(f"{path}: header must contain ['hop', 'persist_ratio']")
-    for line_num, row in rows[1:]:
+    for line_num, row in rows:
         cells = dict(zip(header, row))
         try:
             hop = ascii_number(cells.get("hop"), int)

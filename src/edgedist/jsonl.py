@@ -100,14 +100,17 @@ def read_jsonl(path: str | Path, decode_value: Callable, what: str) -> Iterator:
     return read_lines(path, lambda line: decode_value(decode(line)), what)
 
 
-def read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    """The physical line number and cells of each CSV row of ``path`` with a
-    cell that is not all whitespace; a leading byte-order mark is encoding,
-    not data.  A row the reader refuses is a ValueError naming its line."""
+def read_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield, as it reads them, the physical line number and cells of each CSV
+    row of ``path`` with a cell that is not all whitespace; a leading
+    byte-order mark is encoding, not data.  A row the reader refuses is a
+    ValueError naming its line, raised once the rows before it are yielded."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            return [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
+            for row in reader:
+                if any(map(str.strip, row)):
+                    yield reader.line_num, row
         except UnicodeDecodeError as exc:
             raise not_utf8(path, exc) from exc
         except csv.Error as exc:

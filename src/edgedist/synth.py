@@ -31,6 +31,7 @@ RANDOM_GEOMETRIC = "random_geometric"
 TWO_TIER = "two_tier"
 
 _QUANTUM = 0.25
+_HOST_LATENCY = 0.5  # ms each way between a host and the router it hangs from
 # sums of quanta are exact below this: 2**53 quanta, 2**51 ms
 _EXACT_MS = 2.0 ** 53 * _QUANTUM
 # the largest value of a count parameter: at it, each model builds within
@@ -256,10 +257,10 @@ def _symmetric_edge(edges, u, v, latency):
     edges[(v, u)] = latency
 
 
-def _attach_hosts(edges, attachment, leaf_nodes, host_latency=0.5):
+def _attach_hosts(edges, attachment, leaf_nodes):
     for node in leaf_nodes:
         host = f"{node}.h"
-        _symmetric_edge(edges, node, host, host_latency)
+        _symmetric_edge(edges, node, host, _HOST_LATENCY)
         attachment[host] = node
 
 

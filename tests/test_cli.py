@@ -354,6 +354,33 @@ def test_pairs_file_rows_end_only_at_a_line_break(tmp_path, capsys, text, line, 
     assert not out.exists()
 
 
+def test_pairs_file_errors_come_in_file_order(tmp_path, capsys):
+    # a row the CSV reader refuses used to be the error even after a bad pair
+    traces = write_traces(tmp_path / "traces.jsonl",
+                          [trace("O1", d, [("T", 1.0), (d, 3.0)]) for d in "axyz"])
+    listed = tmp_path / "pairs.csv"
+    listed.write_text(f"a,x\nh,h\n\ny,{'z' * 200_000}\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["--quiet", "pairs", "--traces", traces, "--mode", "host",
+                 "--pairs-file", str(listed), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {listed}: line 2: both endpoints are 'h'\n"
+    assert not out.exists()
+
+
+def test_pairs_file_shares_one_string_per_endpoint_name(tmp_path):
+    listed = tmp_path / "pairs.csv"
+    listed.write_text("a,b\nhost-a,host-b\nhost-b, host-c\nhost-c,host-a\n")
+    pairs = cli._load_pairs_file(str(listed))
+    assert pairs == [("host-a", "host-b"), ("host-b", "host-c"), ("host-c", "host-a")]
+    assert pairs[0][0] is pairs[2][1] and pairs[0][1] is pairs[1][0]
+    assert pairs[1][1] is pairs[2][0]
+    # a shared name still keys a repeat in either order
+    listed.write_text("host-a,host-b\nhost-b,host-c\nhost-b,host-a\n")
+    with pytest.raises(ValueError, match=(f"^{re.escape(str(listed))}: line 3: "
+                                          "pair host-b,host-a is listed twice$")):
+        cli._load_pairs_file(str(listed))
+
+
 def test_pairs_file_cells_are_read_as_csv_reads_them(tmp_path):
     traces = write_traces(tmp_path / "traces.jsonl",
                           [trace("O1", d, [("T", 1.0), (d, 3.0)]) for d in "axyz"])

@@ -7,7 +7,7 @@ import pytest
 
 import edgedist
 from edgedist.ingest import read_canonical, trace_to_record
-from edgedist.jsonl import read_jsonl, write_jsonl, write_lines
+from edgedist.jsonl import read_jsonl, read_rows, write_jsonl, write_lines
 from edgedist.transit import EstimateOptions, batch_estimate, read_outcomes, write_outcomes
 
 from conftest import trace
@@ -95,3 +95,14 @@ def test_malformed_line_names_path_and_line(tmp_path, reader, case):
 def _write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines))
     return path
+
+
+def test_read_rows_yields_each_row_before_a_later_refused_one(tmp_path):
+    # the rows used to be returned as one list, so a refused row anywhere
+    # was the error before any row was seen
+    path = _write_lines(tmp_path / "table.csv", ["a,b", "", f"c,{'9' * 200_000}"])
+    rows = read_rows(path)
+    assert iter(rows) is rows
+    assert next(rows) == (1, ["a", "b"])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: field larger"):
+        next(rows)
